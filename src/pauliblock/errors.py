@@ -62,9 +62,30 @@ class GridMismatchError(GridError):
     """Operands live on different grids or in different representations."""
 
 
-class ContainmentError(GridError):
+class EdgeAmplitudeError(GridError):
+    """A state kept weight at an edge of the grid, in position or momentum.
+
+    ``state`` (1-based), ``ratio`` (edge amplitude relative to the peak),
+    ``tol`` and ``step`` (propagation step, None in an eigensolve) are set
+    by the check that raised the error.
+    """
+
+    def __init__(self, message, state=None, ratio=None, tol=None, step=None):
+        self.state = state
+        self.ratio = ratio
+        self.tol = tol
+        self.step = step
+        super().__init__(message)
+
+    @property
+    def excess(self):
+        """The ratio in units of its tolerance."""
+        return self.ratio / self.tol
+
+
+class ContainmentError(EdgeAmplitudeError):
     """State amplitude reached the position-space boundary of the grid."""
 
 
-class ResolutionError(GridError):
+class ResolutionError(EdgeAmplitudeError):
     """State has significant weight at the edge of the momentum lattice."""

@@ -219,9 +219,7 @@ def run_sweep(spec, engine=None):
 
 
 def _engine_points(engine, schedule):
-    from .pipeline import _family_key
-
-    grid = engine._grids.get(_family_key(schedule))
+    grid = engine.family_grid(schedule)
     return grid.n_points if grid is not None else -1
 
 
@@ -383,10 +381,7 @@ def _pool_job(payload):
     result = _point_fidelity(
         engine, schedule, spec, spec.buffer_range()[1], spec.tau, spec.settings
     )
-    from .pipeline import _family_key
-
-    grid = engine._grids.get(_family_key(schedule))
-    return result.value, result.method.value, grid.n_points if grid else -1
+    return result.value, result.method.value, _engine_points(engine, schedule)
 
 
 def _parallel_points(spec, schedules, settings):

@@ -173,7 +173,9 @@ def gram_fidelity_values(master, row_sets):
     ``row_sets`` is an integer array of shape (n_sets, N) of 0-based row
     indices into ``master`` (shape (M, N_p)).  Vectorized over the sets;
     used by the thermal average where thousands of occupation
-    configurations share the same evolved states.
+    configurations share the same evolved states.  Like
+    :func:`fidelity_fast`, raises :class:`NumericalConsistencyError` if a
+    determinant leaves [0, 1] by more than 1e-10 before clamping.
     """
     row_sets = np.asarray(row_sets, dtype=np.intp)
     sub = master[row_sets]  # (n_sets, N, N_p)
@@ -189,6 +191,13 @@ def gram_fidelity_values(master, row_sets):
         ).real
     else:
         dets = np.linalg.det(grams).real
+    outside = (dets < -RANGE_TOL) | (dets > 1.0 + RANGE_TOL)
+    if outside.any():
+        worst = int(np.argmax(outside))
+        raise NumericalConsistencyError(
+            f"det(A^dagger A) = {dets[worst]} for row set {worst} outside "
+            "[-1e-10, 1+1e-10]"
+        )
     return np.clip(dets, 0.0, 1.0)
 
 

@@ -9,12 +9,16 @@ The :class:`Engine` memoizes the expensive pieces within one run:
 * the validated time step and grid per schedule family (same task and
   endpoint parameters, any duration).
 
-Grids start from the task defaults and escalate automatically: a
-position-space leak doubles the domain, momentum-space undersampling
-doubles the point count.  For the transport task the final trap is the
-initial one translated; when the translation is a whole number of lattice
-steps the target basis is obtained by rolling the initial states and
-verifying the eigen-residual, instead of a second dense solve.
+Each family's grid comes from :func:`~pauliblock.planner.plan_grid`, sized
+for the number of states requested; a later request for more states than
+the grid was planned for plans it again.  Grids escalate automatically,
+in eigensolves and in propagation alike: a position-space leak doubles
+the domain, momentum-space undersampling doubles the point count, and
+every cached basis or propagation on the old grid is dropped.  For the
+transport task the final trap is the initial one translated; when the
+translation is a whole number of lattice steps the target basis is
+obtained by rolling the initial states and verifying the eigen-residual,
+instead of a second dense solve.
 """
 
 import numpy as np
@@ -35,10 +39,13 @@ from .fidelity import (
     gram_fidelity_values,
     verify_against_oracle,
 )
+from .planner import plan_grid
 from .potentials import Task
 from .propagate import PropagationSettings, propagate_basis
 from .thermal import DEFAULT_TAIL_BOUND, ensemble_average, enumerate_ensemble
 
+# Doublings of a family's grid (domain or point count) allowed after it
+# was planned; one more failed check raises.
 MAX_ESCALATIONS = 4
 
 
@@ -83,9 +90,55 @@ class Engine:
         self.n_points = n_points
         self.settings = settings or PropagationSettings()
         self._bases = {}  # (grid key, potential hash) -> EigenBasis
-        self._grids = {}  # family key -> validated Grid
+        self._grids = {}  # family key -> (Grid, states planned for, escalations)
         self._props = {}  # (schedule key, grid key, dt) -> states array
         self._dts = {}  # family key -> validated dt
+
+    # -- grids -----------------------------------------------------------------
+
+    def family_grid(self, schedule):
+        """Current grid of the schedule's family, or None before any request."""
+        entry = self._grids.get(_family_key(schedule))
+        return entry[0] if entry else None
+
+    def _planned_grid(self, schedule, n_states):
+        family = _family_key(schedule)
+        entry = self._grids.get(family)
+        if entry is None or entry[1] < n_states:
+            entry = (plan_grid(schedule, n_states, self.n_points), n_states, 0)
+            self._grids[family] = entry
+        return entry[0]
+
+    def _escalate(self, schedule, exc):
+        """Widen (after a leak) or refine (after aliasing) the family grid.
+
+        Drops every cached basis and propagation on the old grid; re-raises
+        ``exc`` once the grid has escalated ``MAX_ESCALATIONS`` times.
+        """
+        family = _family_key(schedule)
+        grid, n_planned, escalations = self._grids[family]
+        if escalations == MAX_ESCALATIONS:
+            raise exc
+        if isinstance(exc, ContainmentError):
+            larger = grid.widened()
+        else:
+            larger = grid.refined()
+        self._grids[family] = (larger, n_planned, escalations + 1)
+        stale = _grid_key(grid)
+        self._bases = {k: v for k, v in self._bases.items() if k[0] != stale}
+        self._props = {k: v for k, v in self._props.items() if k[1] != stale}
+        return larger
+
+    def _with_escalation(self, schedule, n_states, n_targets, work):
+        """``work(grid, initial, targets)`` on the family grid, escalated
+        while a propagation leaks out of the domain or off the momentum
+        lattice."""
+        while True:
+            grid, initial, targets = self.endpoint_bases(schedule, n_states, n_targets)
+            try:
+                return work(grid, initial, targets)
+            except (ContainmentError, ResolutionError) as exc:
+                self._escalate(schedule, exc)
 
     # -- eigensolves -------------------------------------------------------
 
@@ -117,12 +170,12 @@ class Engine:
 
     def endpoint_bases(self, schedule, n_initial, n_targets):
         """(grid, initial basis, target basis) with automatic escalation."""
-        family = _family_key(schedule)
-        grid = self._grids.get(family) or schedule.default_grid(self.n_points)
-        for attempt in range(MAX_ESCALATIONS + 1):
+        n_states = max(n_initial, n_targets)
+        grid = self._planned_grid(schedule, n_states)
+        while True:
             try:
                 v0 = schedule.evaluate(grid, 0.0)
-                initial = self._solve(v0, grid, max(n_initial, n_targets))
+                initial = self._solve(v0, grid, n_states)
                 if schedule.task is Task.TRANSPORT:
                     targets = self._rolled_targets(schedule, grid, initial, n_targets)
                     if targets is None:
@@ -131,17 +184,9 @@ class Engine:
                 else:
                     v1 = schedule.evaluate(grid, schedule.T)
                     targets = self._solve(v1, grid, n_targets)
-                self._grids[family] = grid
                 return grid, initial, targets
-            except ContainmentError:
-                if attempt == MAX_ESCALATIONS:
-                    raise
-                grid = grid.widened()
-            except ResolutionError:
-                if attempt == MAX_ESCALATIONS:
-                    raise
-                grid = grid.refined()
-        raise AssertionError("unreachable")
+            except (ContainmentError, ResolutionError) as exc:
+                grid = self._escalate(schedule, exc)
 
     # -- propagation ---------------------------------------------------------
 
@@ -171,33 +216,37 @@ class Engine:
         )
 
     def _converge_dt(self, schedule, n_states, settings):
-        grid, initial, targets = self.endpoint_bases(schedule, n_states, n_states)
-        dt = settings.dt
-        previous = None
-        for _ in range(12):
-            trial = PropagationSettings(dt, tolerance=settings.tolerance)
-            states = self.evolved_states(schedule, grid, initial, n_states, trial)
-            overlaps = np.conj(states) @ targets.states.T * grid.dx
-            if previous is not None:
-                if np.max(np.abs(overlaps - previous[1])) < settings.tolerance:
-                    return previous[0]
-            previous = (dt, overlaps)
-            dt *= 0.5
-        raise ConvergenceError(
-            f"time step did not converge to tolerance {settings.tolerance} "
-            f"after halving down to dt={dt * 2}"
-        )
+        def halve(grid, initial, targets):
+            dt = settings.dt
+            previous = None
+            for _ in range(12):
+                trial = PropagationSettings(dt, tolerance=settings.tolerance)
+                states = self.evolved_states(schedule, grid, initial, n_states, trial)
+                overlaps = np.conj(states) @ targets.states.T * grid.dx
+                if previous is not None:
+                    if np.max(np.abs(overlaps - previous[1])) < settings.tolerance:
+                        return previous[0]
+                previous = (dt, overlaps)
+                dt *= 0.5
+            raise ConvergenceError(
+                f"time step did not converge to tolerance {settings.tolerance} "
+                f"after halving down to dt={dt * 2}"
+            )
+
+        return self._with_escalation(schedule, n_states, n_states, halve)
 
     # -- overlap assembly -----------------------------------------------------
 
     def master_overlaps(self, schedule, n_states, n_protected, settings):
         """Overlap matrix rows for the lowest ``n_states`` evolved levels."""
-        grid, initial, targets = self.endpoint_bases(
-            schedule, n_states, max(n_protected, 1)
+        def overlaps(grid, initial, targets):
+            evolved = self.evolved_states(schedule, grid, initial, n_states, settings)
+            matrix = np.conj(evolved) @ targets.states[:n_protected].T * grid.dx
+            return matrix, grid, initial
+
+        return self._with_escalation(
+            schedule, n_states, max(n_protected, 1), overlaps
         )
-        evolved = self.evolved_states(schedule, grid, initial, n_states, settings)
-        matrix = np.conj(evolved) @ targets.states[:n_protected].T * grid.dx
-        return matrix, grid, initial
 
     # -- fidelities ------------------------------------------------------------
 

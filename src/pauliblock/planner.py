@@ -1,0 +1,200 @@
+"""Grid planner: size a scenario's Fourier grid from its energy range.
+
+For a request of ``n_states`` levels the planner works in three steps.
+
+1. **Energy ceiling.**  E_max is the energy at which the semiclassical
+   (Bohr-Sommerfeld) level count ``N(E) = (1/pi) * int sqrt(2(E - V))_+ dx``
+   reaches ``n_states``, taken as the larger of the two endpoint traps,
+   plus the most energy the ramp can add (:func:`ramp_work`).
+2. **Domain.**  The outermost classical turning points at E_max in both
+   endpoint traps, each pushed outward by a tunnelling margin: far enough
+   that the WKB decay ``int kappa dx``, ``kappa = sqrt(2(V - E_max))``,
+   reaches ``ln(1/EDGE_AMPLITUDE_TOL)`` plus ``TUNNEL_SAFETY``.  A transport
+   trap moves monotonically between its endpoints, so the hull of the two
+   endpoint windows is the union along the path.
+3. **Point count.**  The smallest power of two whose momentum cut-off
+   ``pi/dx`` reaches ``K_SAFETY * (sqrt(2(E_max - V_min)) + v_max)``, with
+   ``v_max`` the peak trap speed (transport only), and which keeps more
+   than four points per requested state (the guard of ``spectral.solve``).
+   For the lowest levels, whose momentum spread is quantum rather than
+   classical, a harmonic estimate of the momentum tail takes the place of
+   the first term when it is larger.
+
+This is the phase-space sampling criterion of the Fourier method (Kosloff,
+J. Phys. Chem. 92, 2087 (1988); Marston and Balint-Kurti, J. Chem. Phys. 91,
+3571 (1989)).  A plan is a starting point, not a guarantee: the
+:class:`~pauliblock.pipeline.Engine` still widens or refines the grid when
+a containment or resolution check trips during an eigensolve or a
+propagation.
+"""
+
+import math
+
+import numpy as np
+
+from .errors import ConfigError
+from .grid import EDGE_AMPLITUDE_TOL, Grid
+from .potentials import RampShape, Task
+from .spectral import KSPACE_EDGE_TOL
+
+# Nepers of WKB decay added beyond ln(1/EDGE_AMPLITUDE_TOL) in the margin.
+TUNNEL_SAFETY = 4.0
+# WKB decay required between an outer turning point and the domain edge.
+MARGIN_ACTION = math.log(1.0 / EDGE_AMPLITUDE_TOL) + TUNNEL_SAFETY
+# Momentum cut-off over the largest classical momentum of the run.
+K_SAFETY = 1.5
+# Samples per scan of a trap potential.
+SAMPLES = 4097
+# Doublings of the scan radius before a trap counts as not confining.
+MAX_DOUBLINGS = 40
+
+
+def plan_grid(schedule, n_states, n_points=None):
+    """Grid for the lowest ``n_states`` levels of ``schedule``'s traps.
+
+    ``n_points`` overrides the planned point count on the planned domain.
+    """
+    if n_states < 1:
+        raise ConfigError(f"cannot plan a grid for {n_states} states")
+    traps = [_endpoint_trap(schedule, t) for t in (0.0, schedule.T)]
+    e_max = max(energy_ceiling(v, c, n_states) for v, c in traps)
+    e_max += ramp_work(schedule)
+    windows = [_window(v, c, e_max) for v, c in traps]
+    lo = min(w[0] for w in windows)
+    hi = max(w[1] for w in windows)
+    if n_points is None:
+        k_need = max(_momentum_reach(v, c, e_max) for v, c in traps)
+        k_need += K_SAFETY * peak_speed(schedule)
+        n_points = _power_of_two(
+            max(k_need * (hi - lo) / math.pi, 4 * n_states + 1)
+        )
+    return Grid(lo, hi, n_points)
+
+
+def peak_speed(schedule):
+    """Largest trap speed |dx0/dt| along the schedule (0 unless transport)."""
+    if schedule.task is not Task.TRANSPORT:
+        return 0.0
+    distance = abs(schedule.x0_f - schedule.x0_i)
+    if schedule.shape is RampShape.LINEAR:
+        return distance / schedule.T
+    return distance * math.pi / (2.0 * schedule.T)
+
+
+def ramp_work(schedule):
+    """Most energy the ramp can give a classical particle, beyond transport.
+
+    Raising the splitting barrier adds at most its height change; an
+    expanding trap only lowers the potential, and the work of a moving
+    trap enters through :func:`peak_speed` instead.
+    """
+    if schedule.task is Task.SPLITTING:
+        return abs(schedule.h_f - schedule.h_i)
+    return 0.0
+
+
+def level_count(potential, center, energy):
+    """Semiclassical number of levels below ``energy``."""
+    x, v = _scan(potential, center, energy)
+    momentum = np.sqrt(2.0 * np.maximum(energy - v, 0.0))
+    return float(np.sum(momentum) * (x[1] - x[0])) / math.pi
+
+
+def energy_ceiling(potential, center, n_states):
+    """Energy at which :func:`level_count` reaches ``n_states``."""
+    high = 1.0
+    for _ in range(MAX_DOUBLINGS):
+        if level_count(potential, center, high) >= n_states:
+            break
+        high *= 2.0
+    else:
+        raise ConfigError(f"no energy holds {n_states} levels of this trap")
+    return _bisect(lambda e: level_count(potential, center, e) >= n_states, 0.0, high)
+
+
+def _endpoint_trap(schedule, t):
+    return (lambda x: schedule.evaluate_at(x, t)), schedule.center(t)
+
+
+def _scan(potential, center, energy, radius=1.0):
+    """Samples (x, V) around ``center`` reaching past the outermost wells.
+
+    Both ends must be classically forbidden and the potential must rise
+    outward there; the traps of all three tasks rise monotonically beyond
+    their outermost minimum, so no allowed region lies further out.
+    """
+    for _ in range(MAX_DOUBLINGS):
+        x = np.linspace(center - radius, center + radius, SAMPLES)
+        v = potential(x)
+        if min(v[0], v[-1]) > energy and v[0] > v[1] and v[-1] > v[-2]:
+            return x, v
+        radius *= 2.0
+    raise ConfigError("the trap does not confine at the requested energy")
+
+
+def _window(potential, center, energy):
+    """Outermost turning points at ``energy`` widened by the tunnelling margin."""
+    radius = 1.0
+    for _ in range(MAX_DOUBLINGS):
+        x, v = _scan(potential, center, energy, radius)
+        radius = center - x[0]
+        allowed = np.nonzero(v <= energy)[0]
+        kappa = np.sqrt(2.0 * np.maximum(v - energy, 0.0))
+        right = _reach(x[allowed[-1]:], kappa[allowed[-1]:], MARGIN_ACTION)
+        left = _reach(x[allowed[0]::-1], kappa[allowed[0]::-1], MARGIN_ACTION)
+        if left is not None and right is not None:
+            return left, right
+        radius *= 2.0
+    raise ConfigError("the trap does not confine at the requested energy")
+
+
+def _momentum_reach(potential, center, energy):
+    """Momentum the lattice must reach for the levels of a trap below ``energy``.
+
+    The larger of ``K_SAFETY`` times the classical momentum at the bottom of
+    the trap and the momentum where the harmonic estimate of the k-space
+    tail, ``int sqrt(k^2 - p^2) dk / omega``, reaches
+    ``ln(1/KSPACE_EDGE_TOL) + TUNNEL_SAFETY``; the second bound governs
+    the lowest levels, whose momentum spread is quantum, not classical.
+    """
+    x, v = _scan(potential, center, energy)
+    bottom = int(np.argmin(v))
+    p = math.sqrt(2.0 * (energy - v[bottom]))
+    h = x[1] - x[0]
+    sides = potential(x[bottom] + h) + potential(x[bottom] - h)
+    curvature = (sides - 2.0 * v[bottom]) / h**2
+    needed = math.sqrt(max(curvature, 0.0)) * (
+        math.log(1.0 / KSPACE_EDGE_TOL) + TUNNEL_SAFETY
+    )
+
+    def tail_reached(k):
+        s = math.sqrt(k * k - p * p)
+        return 0.5 * (k * s - p * p * math.log((k + s) / p)) >= needed
+
+    # The tail integral exceeds (k - p)^2 / 2, which brackets the root.
+    k_tail = _bisect(tail_reached, p, p + math.sqrt(2.0 * needed) + 1.0)
+    return max(K_SAFETY * p, k_tail)
+
+
+def _reach(x, kappa, needed):
+    """First x along the samples where the decay integral reaches ``needed``."""
+    action = np.concatenate(
+        ([0.0], np.cumsum(0.5 * (kappa[1:] + kappa[:-1]) * np.abs(np.diff(x))))
+    )
+    hit = np.nonzero(action >= needed)[0]
+    return float(x[hit[0]]) if hit.size else None
+
+
+def _bisect(reached, low, high, rel_tol=1e-6):
+    """Smallest x in [low, high] with ``reached(x)`` for a monotone test."""
+    while high - low > rel_tol * high:
+        middle = 0.5 * (low + high)
+        if reached(middle):
+            high = middle
+        else:
+            low = middle
+    return high
+
+
+def _power_of_two(minimum):
+    return 1 << max(1, math.ceil(math.log2(minimum)))

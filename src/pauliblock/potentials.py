@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError
-from .grid import Grid
 
 
 class Task(enum.Enum):
@@ -33,11 +32,6 @@ class Task(enum.Enum):
 class RampShape(enum.Enum):
     LINEAR = "linear"
     SINUSOIDAL = "sinusoidal"
-
-
-# Default grids per task; the pipeline doubles them automatically when a
-# containment or resolution check trips.
-DEFAULT_N_POINTS = {Task.EXPANSION: 2048, Task.TRANSPORT: 8192, Task.SPLITTING: 2048}
 
 
 @dataclass(frozen=True)
@@ -159,21 +153,3 @@ class PotentialSchedule:
                 return half_w2 * (u2 + lam * u2 * u2)
 
         return profile
-
-    def width_scale(self):
-        """Largest harmonic length 1/sqrt(omega) among the endpoint traps."""
-        if self.task is Task.EXPANSION:
-            return 1.0 / math.sqrt(min(self.omega_i, self.omega_f))
-        return 1.0 / math.sqrt(self.omega)
-
-    def default_grid(self, n_points=None):
-        """Task default domain, sized from the endpoint length scales."""
-        d = self.width_scale()
-        if self.task is Task.EXPANSION:
-            lo, hi = -40.0 * d, 40.0 * d
-        elif self.task is Task.TRANSPORT:
-            lo = min(self.x0_i, self.x0_f) - 15.0 * d
-            hi = max(self.x0_i, self.x0_f) + 15.0 * d
-        else:
-            lo, hi = -12.0 * d, 12.0 * d
-        return Grid(lo, hi, n_points or DEFAULT_N_POINTS[self.task])

@@ -16,11 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .errors import ConfigError, ConvergenceError, InstabilityError
+from .errors import (
+    ConfigError,
+    ContainmentError,
+    ConvergenceError,
+    InstabilityError,
+    ResolutionError,
+)
 from .grid import Trajectory, Wavefunction
-from .spectral import check_containment
+from .spectral import check_containment, check_resolution
 
-# Steps between containment / finite-amplitude checks during stepping.
+# Steps between containment / resolution / finite-amplitude checks.
 CHECK_INTERVAL = 1000
 
 
@@ -90,10 +96,20 @@ def _evolve(amplitudes, schedule, grid, settings, sample_every=0):
 def _check_health(psi, grid, step):
     if not np.all(np.isfinite(psi)):
         raise InstabilityError(step)
-    try:
-        check_containment(psi, grid)
-    except Exception as exc:
-        raise type(exc)(f"{exc} (at step {step})") from None
+    # A leak through the periodic boundary also puts weight at the momentum
+    # edge, and aliased momentum smears amplitude onto the boundary: when
+    # both checks fail, the one exceeding its tolerance more names the cause.
+    failures = []
+    for check in (check_containment, check_resolution):
+        try:
+            check(psi, grid)
+        except (ContainmentError, ResolutionError) as exc:
+            failures.append(exc)
+    if failures:
+        worst = max(failures, key=lambda exc: exc.excess)
+        raise type(worst)(
+            f"{worst} (at step {step})", worst.state, worst.ratio, worst.tol, step
+        ) from None
 
 
 def propagate(initial, schedule, settings=PropagationSettings()):

@@ -106,7 +106,8 @@ def check_resolution(states, grid, tol=KSPACE_EDGE_TOL):
     if ratios[worst] >= tol:
         raise ResolutionError(
             f"state {worst + 1} has relative momentum-edge amplitude "
-            f"{ratios[worst]:.2e} (>= {tol:.0e}); the grid undersamples it"
+            f"{ratios[worst]:.2e} (>= {tol:.0e}); the grid undersamples it",
+            worst + 1, float(ratios[worst]), tol,
         )
 
 
@@ -118,7 +119,8 @@ def check_containment(states, grid, tol=EDGE_AMPLITUDE_TOL):
     if ratios[worst] >= tol:
         raise ContainmentError(
             f"state {worst + 1} has relative boundary amplitude "
-            f"{ratios[worst]:.2e} (>= {tol:.0e}); the domain is too small"
+            f"{ratios[worst]:.2e} (>= {tol:.0e}); the domain is too small",
+            worst + 1, float(ratios[worst]), tol,
         )
 
 

@@ -135,6 +135,20 @@ class TestGramBatch:
             single = fidelity_fast(OverlapMatrix(master[rows], validate=False))
             assert value == pytest.approx(single.value, abs=1e-13)
 
+    def test_range_check(self):
+        # Same bound as fidelity_fast: no silent clamp on the thermal path.
+        master = np.array([[0.6], [0.8j], [np.sqrt(1.0 + 2e-10)]])
+        inside = gram_fidelity_values(master, [[0], [1]])
+        np.testing.assert_array_equal(inside, [0.6 * 0.6, 0.8 * 0.8])
+        np.testing.assert_array_equal(
+            gram_fidelity_values(master, [[0, 1]]), [0.6 * 0.6 + 0.8 * 0.8]
+        )
+        with pytest.raises(NumericalConsistencyError):
+            gram_fidelity_values(master, [[0], [2]])
+        two = np.array([[1.0, 0.0], [0.0, 1.0 + 1e-9]])
+        with pytest.raises(NumericalConsistencyError):
+            gram_fidelity_values(two, [[0, 1]])
+
 
 class TestScenario:
     def test_static_process_is_identity(self, engine):

@@ -1,0 +1,179 @@
+import math
+
+import numpy as np
+import pytest
+from scipy.integrate import quad
+from scipy.optimize import brentq
+
+from pauliblock import (
+    OverlapMatrix,
+    PotentialSchedule,
+    PropagationSettings,
+    fidelity_fast,
+    propagate_basis,
+    solve,
+)
+from pauliblock import pipeline
+from pauliblock.errors import ContainmentError
+from pauliblock.pipeline import Engine
+from pauliblock.planner import (
+    K_SAFETY,
+    MARGIN_ACTION,
+    energy_ceiling,
+    level_count,
+    peak_speed,
+    plan_grid,
+    ramp_work,
+)
+
+# (schedule, state count) for the three tasks at the sizes the sweeps use.
+CASES = {
+    "expansion": (PotentialSchedule.expansion(25.0, omega_f=0.01, lam=1.0), 14),
+    "transport": (PotentialSchedule.transport(11.5, x0_f=90.0), 6),
+    "splitting": (PotentialSchedule.splitting(2.0, h_f=20.0), 52),
+}
+
+
+def endpoint_traps(schedule):
+    return [
+        ((lambda x, t=t: schedule.evaluate_at(np.asarray(x, dtype=float), t)),
+         schedule.center(t))
+        for t in (0.0, schedule.T)
+    ]
+
+
+def outer_turning_points(potential, center, energy):
+    """Outermost roots of V = energy, bracketed from far outside inward."""
+    far = 1.0
+    while potential(center - far) <= energy or potential(center + far) <= energy:
+        far *= 2.0
+    xs = np.linspace(center - far, center + far, 20001)
+    inside = np.nonzero([potential(x) <= energy for x in xs])[0]
+    f = lambda x: potential(x) - energy
+    left = brentq(f, xs[inside[0] - 1], xs[inside[0]])
+    right = brentq(f, xs[inside[-1]], xs[inside[-1] + 1])
+    return left, right
+
+
+def decay(potential, energy, a, b):
+    """WKB decay integral of kappa = sqrt(2(V - E)) between a and b."""
+    kappa = lambda x: math.sqrt(2.0 * max(potential(x) - energy, 0.0))
+    return quad(kappa, min(a, b), max(a, b), limit=200)[0]
+
+
+class TestPlanGrid:
+    def test_contract(self):
+        for schedule, n_states in CASES.values():
+            self.check_contract(schedule, n_states)
+
+    def check_contract(self, schedule, n_states):
+        grid = plan_grid(schedule, n_states)
+        traps = endpoint_traps(schedule)
+        e_max = max(energy_ceiling(v, c, n_states) for v, c in traps)
+        e_max += ramp_work(schedule)
+        v_min = np.inf
+        for v, c in traps:
+            # The ceiling holds the requested levels semiclassically.
+            assert level_count(v, c, e_max) >= n_states - 1e-3
+            # Turning points at E_max sit inside, with the tunnelling margin
+            # to spare on both sides.
+            left, right = outer_turning_points(v, c, e_max)
+            assert grid.x_min < left and right < grid.x_max
+            assert decay(v, e_max, grid.x_min, left) >= 0.99 * MARGIN_ACTION
+            assert decay(v, e_max, right, grid.x_max) >= 0.99 * MARGIN_ACTION
+            v_min = min(v_min, v(np.linspace(left, right, 20001)).min())
+        n = grid.n_points
+        assert n & (n - 1) == 0 and n > 4 * n_states
+        p_max = math.sqrt(2.0 * (e_max - v_min))
+        assert grid.k_max >= K_SAFETY * (p_max + peak_speed(schedule))
+
+    def test_planned_states_pass_grid_checks(self):
+        # Including the lowest level counts, whose momentum spread is
+        # quantum: the plan must not need an escalation to solve.
+        for schedule, n_states in (
+            *CASES.values(),
+            (PotentialSchedule.expansion(60.0, omega_f=0.1, lam=1.0), 1),
+            (PotentialSchedule.expansion(800.0, omega_f=0.01, lam=1.0), 1),
+            (PotentialSchedule.splitting(0.5, h_f=20.0), 6),
+        ):
+            grid = plan_grid(schedule, n_states)
+            for t in (0.0, schedule.T):
+                solve(schedule.evaluate(grid, t), grid, n_states)
+
+    def test_harmonic_level_count_is_exact(self):
+        # Bohr-Sommerfeld is exact for the harmonic oscillator: N(E) = E/omega.
+        omega = 0.5
+        trap = lambda x: 0.5 * omega**2 * x**2
+        assert level_count(trap, 0.0, 10.0) == pytest.approx(20.0, rel=1e-4)
+        assert energy_ceiling(trap, 0.0, 20) == pytest.approx(10.0, rel=1e-4)
+
+    def test_n_points_override_keeps_planned_domain(self):
+        schedule, n_states = CASES["transport"]
+        planned = plan_grid(schedule, n_states)
+        forced = plan_grid(schedule, n_states, n_points=2048)
+        assert (forced.x_min, forced.x_max) == (planned.x_min, planned.x_max)
+        assert forced.n_points == 2048
+
+    def test_more_states_give_a_larger_grid(self):
+        schedule = CASES["splitting"][0]
+        small, large = plan_grid(schedule, 8), plan_grid(schedule, 52)
+        assert large.x_max > small.x_max and large.dx < small.dx
+
+
+class TestGridDoubling:
+    def test_expansion_fidelity_is_grid_converged(self):
+        # Pinned expansion case: widening or refining the planned grid moves
+        # the fidelity by less than 1e-7.
+        schedule = PotentialSchedule.expansion(10.0, omega_f=0.01, lam=1.0)
+        n_p, n_total = 2, 8
+        settings = PropagationSettings(dt=2e-3)
+        planned = plan_grid(schedule, n_total)
+
+        def fidelity(grid):
+            initial = solve(schedule.evaluate(grid, 0.0), grid, n_total)
+            targets = solve(schedule.evaluate(grid, schedule.T), grid, n_p)
+            evolved = propagate_basis(initial, n_total, schedule, settings)
+            matrix = np.conj(evolved) @ targets.states.T * grid.dx
+            return fidelity_fast(OverlapMatrix(matrix)).value
+
+        reference = fidelity(planned)
+        assert 0.5 < reference < 1.0
+        for grid in (planned.widened(), planned.refined()):
+            assert abs(fidelity(grid) - reference) < 1e-7
+
+
+class TestEngineGrids:
+    def test_more_states_replan_instead_of_failing(self):
+        schedule = PotentialSchedule.splitting(2.0, h_f=20.0)
+        engine = Engine()
+        small, _, _ = engine.endpoint_bases(schedule, 4, 4)
+        # spectral.solve refuses 40 states on this grid (40 >= n_points/4).
+        assert 4 * 40 >= small.n_points
+        grid, initial, _ = engine.endpoint_bases(schedule, 40, 1)
+        assert grid.n_points > 4 * 40
+        assert initial.size == 40
+        assert engine.family_grid(schedule) == grid
+
+    def test_leak_during_propagation_escalates(self, monkeypatch):
+        # Braking at the end of the ramp throws the states ahead of the
+        # final trap: the planned domain holds every eigenstate of both
+        # endpoint traps, but a state reaches its edge during propagation.
+        schedule = PotentialSchedule.transport(4.0, x0_f=20.0, lam=1.0)
+        settings = PropagationSettings(dt=1e-3)
+        leaking = Engine()
+        planned, initial, _ = leaking.endpoint_bases(schedule, 2, 1)
+        with pytest.raises(ContainmentError):
+            leaking.evolved_states(schedule, planned, initial, 2, settings)
+        escalated = leaking.scenario_fidelity(schedule, 1, 1, settings)
+        assert leaking.family_grid(schedule) == planned.widened()
+
+        # Reference: an engine whose first grid is already wide enough.
+        planner = pipeline.plan_grid
+        monkeypatch.setattr(
+            pipeline, "plan_grid", lambda *args: planner(*args).widened()
+        )
+        wide = Engine()
+        reference = wide.scenario_fidelity(schedule, 1, 1, settings)
+        assert wide.family_grid(schedule) == planned.widened()
+        assert 0.1 < reference.value < 0.9
+        assert escalated.value == pytest.approx(reference.value, abs=1e-12)

@@ -127,13 +127,6 @@ class TestValidation:
         with pytest.raises(ConfigError):
             PotentialSchedule.expansion(1.0, omega_f=-0.5)
 
-    def test_default_grids(self):
-        assert PotentialSchedule.expansion(1.0, omega_f=0.01).default_grid().x_max == 400.0
-        g = PotentialSchedule.transport(1.0, x0_f=90.0).default_grid()
-        assert (g.x_min, g.x_max, g.n_points) == (-15.0, 105.0, 8192)
-        g = PotentialSchedule.splitting(1.0, h_f=20.0).default_grid()
-        assert (g.x_min, g.x_max, g.n_points) == (-12.0, 12.0, 2048)
-
     def test_task_enum_round_trip(self):
         assert Task("expansion") is Task.EXPANSION
         assert RampShape("linear") is RampShape.LINEAR

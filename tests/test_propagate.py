@@ -9,6 +9,7 @@ from pauliblock import (
     PotentialSchedule,
     PropagationSettings,
     RampShape,
+    ResolutionError,
     Wavefunction,
     inner_product,
     propagate,
@@ -177,6 +178,22 @@ class TestFailureModes:
         initial = gaussian_state(grid, center=20.0)
         with pytest.raises(ContainmentError):
             propagate(initial, schedule, PropagationSettings(dt=1e-3))
+
+    def test_kicked_packet_on_coarse_grid_reports_resolution(self):
+        # Kicked off-centre, the packet's momentum 6 cos t + 6 sin t grows
+        # towards the edge of the momentum lattice; the propagator must
+        # flag it instead of aliasing it.
+        from conftest import gaussian_state
+
+        settings = PropagationSettings(dt=1e-3)
+        grid = Grid(-20.0, 20.0, 128)  # k_max = 10
+        initial = gaussian_state(grid, center=-6.0, momentum=6.0)
+        with pytest.raises(ResolutionError):
+            propagate(initial, static_harmonic(T=1.0), settings)
+        # Twice the momentum range resolves the same motion.
+        fine = Grid(-20.0, 20.0, 256)
+        initial = gaussian_state(fine, center=-6.0, momentum=6.0)
+        propagate(initial, static_harmonic(T=1.0), settings)
 
     def test_settings_validation(self):
         with pytest.raises(ConfigError):
