@@ -41,7 +41,7 @@ from .pipeline import Engine
 from .potentials import PotentialSchedule, RampShape, Task
 from .propagate import PropagationSettings, propagate, propagate_basis
 from .spectral import EigenBasis, fermi_gap_profile, solve, solve_tridiagonal
-from .thermal import OccupationConfig, ThermalEnsemble, enumerate_ensemble, thermal_fidelity
+from .thermal import ThermalEnsemble, enumerate_ensemble, thermal_fidelity
 
 __version__ = "0.1.0"
 
@@ -60,7 +60,6 @@ __all__ = [
     "Method",
     "NeedsMoreLevelsError",
     "NumericalConsistencyError",
-    "OccupationConfig",
     "OverlapMatrix",
     "PotentialSchedule",
     "PropagationSettings",

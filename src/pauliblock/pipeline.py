@@ -42,7 +42,12 @@ from .fidelity import (
 from .planner import plan_grid
 from .potentials import Task
 from .propagate import PropagationSettings, propagate_basis
-from .thermal import DEFAULT_TAIL_BOUND, ensemble_average, enumerate_ensemble
+from .thermal import (
+    DEFAULT_TAIL_BOUND,
+    cool_ensemble,
+    ensemble_average,
+    enumerate_ensemble,
+)
 
 # Doublings of a family's grid (domain or point count) allowed after it
 # was planned; one more failed check raises.
@@ -305,9 +310,12 @@ class Engine:
     ):
         """Thermal fidelity at several temperatures from one propagation.
 
-        Returns (values, ensembles).  The master overlap matrix covers the
-        highest level of the hottest ensemble; each temperature then only
-        re-weights per-configuration fidelities.
+        Returns (values, ensembles).  The hottest temperature's ensemble is
+        enumerated once and the master overlap matrix covers its highest
+        level; the per-configuration fidelities are evaluated once over
+        its rows, and each colder temperature is a row mask of it,
+        re-weighted with its own cutoff.  A colder temperature whose cutoff
+        grows past the hottest one's is evaluated on its own.
         """
         _check_counts(n_protected, n_buffer)
         n_total = n_protected + n_buffer
@@ -319,40 +327,50 @@ class Engine:
 
         tau_max = max(taus)
         if tau_max > 0:
-            m_needed, energies = self._ensemble_levels(
+            hot, energies = self._ensemble_levels(
                 schedule, n_total, tau_max, tail_bound
             )
+            m_needed = hot.m_max
         else:
             m_needed = n_total
-            energies = None
-        matrix, grid, initial = self.master_overlaps(
+        matrix, _, initial = self.master_overlaps(
             schedule, m_needed, n_protected, settings
         )
-        if energies is None:
+        if tau_max == 0:
             energies = initial.energies
+            hot = enumerate_ensemble(energies, n_total, 0.0, tail_bound)
+        per_config = gram_fidelity_values(matrix, hot.row_index_array())
 
         values = []
         ensembles = []
         for tau in taus:
-            ensemble = enumerate_ensemble(energies, n_total, tau, tail_bound)
-            per_config = gram_fidelity_values(matrix, ensemble.row_index_array())
-            values.append(ensemble_average(ensemble, per_config))
+            cut = (hot, slice(None)) if tau == tau_max else cool_ensemble(
+                hot, energies, tau, tail_bound
+            )
+            if cut is None:
+                (value,), (ensemble,) = self.thermal_fidelity_curve(
+                    schedule, n_protected, n_buffer, [tau], settings,
+                    tail_bound=tail_bound,
+                )
+            else:
+                ensemble, rows = cut
+                value = ensemble_average(ensemble, per_config[rows])
+            values.append(value)
             ensembles.append(ensemble)
         return values, ensembles
 
     def _ensemble_levels(self, schedule, n_total, tau, tail_bound):
-        """(level count to propagate, energy ladder for enumerations)."""
+        """(ensemble at ``tau``, the energy ladder it was enumerated from)."""
         n_levels = max(n_total + 8, 12)
         for _ in range(8):
             _, initial, _ = self.endpoint_bases(schedule, n_levels, 1)
+            energies = initial.energies[:n_levels]
             try:
-                ensemble = enumerate_ensemble(
-                    initial.energies[:n_levels], n_total, tau, tail_bound
-                )
+                ensemble = enumerate_ensemble(energies, n_total, tau, tail_bound)
             except NeedsMoreLevelsError as exc:
                 n_levels = max(exc.required, n_levels + 4)
                 continue
-            return ensemble.m_max, initial.energies[:n_levels]
+            return ensemble, energies
         raise ConvergenceError(
             f"could not satisfy the thermal tail bound with {n_levels} levels"
         )

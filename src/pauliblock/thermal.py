@@ -10,6 +10,17 @@ and the process fidelity is the weighted average of the per-configuration
 fidelities, each computed from the evolved versions of the occupied
 levels.  The infinite configuration sum is truncated at an excitation
 cutoff grown until the estimated omitted weight is below ``tail_bound``.
+
+An ensemble is held as arrays: ``levels`` (K, N) of 1-based level indices
+and ``excitations`` (K,), rows in lexicographic order.  The enumerator
+grows all prefixes one slot at a time and adds each excitation up left to
+right, so the same cutoff always selects the same rows with the same
+floats.  A colder temperature's ensemble is therefore a row mask of a
+hotter one (:func:`cool_ensemble`): a curve over many temperatures
+enumerates once, at its hottest, and cuts every colder temperature from
+it with its own cutoff and level-count certificate.  Boltzmann weights
+use ``math.exp`` per configuration and ``math.fsum`` for every sum, so a
+cut ensemble carries exactly the weights of a direct enumeration.
 """
 
 import math
@@ -22,67 +33,84 @@ from .errors import ConfigError, NeedsMoreLevelsError
 DEFAULT_TAIL_BOUND = 1e-6
 
 
-@dataclass(frozen=True)
-class OccupationConfig:
-    """One occupation pattern: 1-based level indices, strictly increasing."""
-
-    levels: tuple
-    excitation_energy: float
-
-    def row_indices(self):
-        """0-based indices into an array of evolved states."""
-        return tuple(l - 1 for l in self.levels)
-
-
 @dataclass
 class ThermalEnsemble:
-    """Truncated canonical ensemble over occupation configurations."""
+    """Truncated canonical ensemble over occupation configurations.
+
+    ``levels`` (K, N) holds each configuration's 1-based, strictly
+    increasing level indices and ``excitations`` (K,) its excitation
+    energy; rows are in lexicographic order of ``levels``.
+    """
 
     tau: float
-    configs: list
+    levels: np.ndarray
+    excitations: np.ndarray
     weights: np.ndarray
     partition_sum: float
     e_cut: float
-    m_max: int
 
     @property
     def size(self):
-        return len(self.configs)
+        return len(self.excitations)
+
+    @property
+    def m_max(self):
+        """Highest occupied level of any configuration."""
+        return int(self.levels[:, -1].max())
 
     def row_index_array(self):
-        return np.array([c.row_indices() for c in self.configs], dtype=np.intp)
+        """0-based indices into an array of evolved states, shape (K, N)."""
+        return self.levels - 1
 
 
 def _enumerate_below(energies, n_particles, e_cut):
     """All increasing n-tuples of levels with excitation <= e_cut.
 
-    Depth-first with exact pruning: placing level v at slot j costs
-    E_v - E_j, and the cheapest completion of the remaining slots uses
-    consecutive levels, so branches are cut as soon as that lower bound
-    crosses the cutoff.
+    Returns ``(levels, excitations)``: 1-based levels (K, N) in
+    lexicographic order and their excitations (K,).  Placing level v at
+    slot j costs E_v - E_j, and the cheapest completion of the remaining
+    slots uses consecutive levels; a prefix is extended by successive
+    candidate levels only while that lower bound stays within the cutoff
+    (energies ascend, so later levels only cost more).  The frontier of
+    prefixes grows one slot at a time.  Each excitation and each bound is
+    added up left to right in slot order, so an excitation equals the
+    left-to-right sum over its tuple and the bound of a prefix equals the
+    excitation of its cheapest completion: the cut is exact in floating
+    point, and a lower cutoff selects a subset of the same rows.
     """
     m_available = len(energies)
-    configs = []
-    chosen = []
-
-    def descend(slot, start, excitation):
-        if slot == n_particles:
-            configs.append((tuple(chosen), excitation))
-            return
+    chosen = np.zeros((1, 0), dtype=np.intp)  # 0-based levels of each prefix
+    excitations = np.zeros(1)
+    for slot in range(n_particles):
         remaining = n_particles - slot - 1
-        for level in range(start, m_available - remaining):
-            delta = energies[level] - energies[slot]
-            floor = excitation + delta
+        stop = m_available - remaining
+        start = chosen[:, -1] + 1 if slot else np.zeros(1, dtype=np.intp)
+        parents, children, child_excitations = [], [], []
+        alive = np.arange(len(chosen))
+        offset = 0
+        # Candidate ``offset`` of every prefix whose earlier candidates all
+        # passed: the leading run of passing candidates per prefix.
+        while alive.size:
+            level = start[alive] + offset
+            inside = level < stop
+            alive, level = alive[inside], level[inside]
+            excitation = excitations[alive] + (energies[level] - energies[slot])
+            floor = excitation.copy()
             for r in range(remaining):
                 floor += energies[level + 1 + r] - energies[slot + 1 + r]
-            if floor > e_cut:
-                break  # energies ascend, so later levels only cost more
-            chosen.append(level + 1)
-            descend(slot + 1, level + 1, excitation + delta)
-            chosen.pop()
-
-    descend(0, 0, 0.0)
-    return configs
+            keep = floor <= e_cut
+            alive = alive[keep]
+            parents.append(alive)
+            children.append(level[keep])
+            child_excitations.append(excitation[keep])
+            offset += 1
+        parent = np.concatenate(parents)
+        order = np.argsort(parent, kind="stable")  # by prefix, then level
+        chosen = np.column_stack(
+            (chosen[parent[order]], np.concatenate(children)[order])
+        )
+        excitations = np.concatenate(child_excitations)[order]
+    return chosen + 1, excitations
 
 
 def _levels_required(energies, n_particles, e_cut):
@@ -95,6 +123,46 @@ def _levels_required(energies, n_particles, e_cut):
         missing = (e_cut - (energies[-1] - e_fermi)) / last_gap
         return len(energies) + int(math.ceil(missing)) + 1
     return int(above[0]) + 1
+
+
+def _grow_cutoff(energies, n_particles, tau, tail_bound, complete_ladder, below):
+    """Grow the excitation cutoff shell by shell until it is certified.
+
+    ``below(e)`` returns ``(rows, excitations)`` for the configurations
+    with excitation <= e, ``rows`` being whatever identifies them to the
+    caller, or None when it cannot supply them.  Returns ``(e_cut, rows,
+    excitations, terms, z)`` at the final cutoff, ``terms`` being the
+    Boltzmann factors (one ``math.exp`` each) and ``z`` their
+    ``math.fsum``, or None if ``below`` gave up.
+    """
+    e_cut = tau * math.log(1.0 / tail_bound)
+    shell = max(tau * math.log(100.0), 1e-3)
+    z_here = None
+    while True:
+        e_next = e_cut + shell
+        if not complete_ladder:
+            required = _levels_required(energies, n_particles, e_next)
+            if required > len(energies):
+                raise NeedsMoreLevelsError(required, len(energies))
+        probe = below(e_next)
+        if probe is None:
+            return None
+        rows, excitations = probe
+        terms = np.fromiter(
+            map(math.exp, (-excitations / tau).tolist()), float, len(excitations)
+        )
+        z_probe = math.fsum(terms)
+        if z_here is None:
+            z_here = math.fsum(terms[excitations <= e_cut])
+        e_cut = e_next
+        if z_probe - z_here <= 0.5 * tail_bound * z_probe:
+            return e_cut, rows, excitations, terms, z_probe
+        z_here = z_probe
+
+
+def _ground(n_particles):
+    levels = np.arange(1, n_particles + 1, dtype=np.intp)[None, :]
+    return ThermalEnsemble(0.0, levels, np.zeros(1), np.array([1.0]), 1.0, 0.0)
 
 
 def enumerate_ensemble(
@@ -133,44 +201,60 @@ def enumerate_ensemble(
         raise NeedsMoreLevelsError(n_particles, len(energies))
     if (np.diff(energies) < 0).any():
         raise ConfigError("energies must be ascending")
-
-    ground = OccupationConfig(tuple(range(1, n_particles + 1)), 0.0)
     if tau == 0.0:
-        return ThermalEnsemble(
-            0.0, [ground], np.array([1.0]), 1.0, 0.0, n_particles
-        )
+        return _ground(n_particles)
 
-    e_cut = tau * math.log(1.0 / tail_bound)
-    shell = max(tau * math.log(100.0), 1e-3)
-    configs = None
-    while True:
-        e_next = e_cut + shell
-        if not complete_ladder:
-            required = _levels_required(energies, n_particles, e_next)
-            if required > len(energies):
-                raise NeedsMoreLevelsError(required, len(energies))
-        if configs is None:
-            configs = _enumerate_below(energies, n_particles, e_cut)
-        z_here = math.fsum(math.exp(-e / tau) for _, e in configs)
-        probe = _enumerate_below(energies, n_particles, e_next)
-        z_probe = math.fsum(math.exp(-e / tau) for _, e in probe)
-        if z_probe - z_here <= 0.5 * tail_bound * z_probe:
-            configs, e_cut = probe, e_next
-            break
-        configs, e_cut = probe, e_next
-
-    weights = np.array([math.exp(-e / tau) for _, e in configs])
-    z = float(math.fsum(weights))
-    weights /= z
-    m_max = max(c[-1] for c, _ in configs)
-    return ThermalEnsemble(
+    e_cut, levels, excitations, terms, z = _grow_cutoff(
+        energies,
+        n_particles,
         tau,
-        [OccupationConfig(levels, exc) for levels, exc in configs],
-        weights,
-        z,
-        e_cut,
-        m_max,
+        tail_bound,
+        complete_ladder,
+        lambda e: _enumerate_below(energies, n_particles, e),
     )
+    return ThermalEnsemble(tau, levels, excitations, terms / z, z, e_cut)
+
+
+def cool_ensemble(hot, energies, tau, tail_bound=DEFAULT_TAIL_BOUND):
+    """The ensemble at ``tau`` <= ``hot.tau``, cut from the rows of ``hot``.
+
+    ``energies`` is the ladder ``hot`` was enumerated from.  The cutoff
+    grows and is certified exactly as in :func:`enumerate_ensemble`; every
+    configuration below it is a row of ``hot`` as long as it stays within
+    ``hot.e_cut``.  Returns ``(ensemble, mask)`` with ``mask`` selecting
+    the rows of ``hot``, or None when the cutoff for ``tau`` grows past
+    ``hot.e_cut`` and ``tau`` needs its own enumeration.
+
+    Raises
+    ------
+    NeedsMoreLevelsError
+        If ``energies`` is too short to certify the truncation at ``tau``.
+    """
+    if tau > hot.tau:
+        raise ConfigError(f"cannot cool an ensemble at {hot.tau} to {tau}")
+    n_particles = hot.levels.shape[1]
+    if tau == 0.0:
+        # The ground configuration is the first row in lexicographic order.
+        mask = np.zeros(hot.size, dtype=bool)
+        mask[0] = True
+        return _ground(n_particles), mask
+
+    def below(e):
+        if e > hot.e_cut:
+            return None
+        mask = hot.excitations <= e
+        return mask, hot.excitations[mask]
+
+    cut = _grow_cutoff(
+        np.asarray(energies, dtype=float), n_particles, tau, tail_bound, False, below
+    )
+    if cut is None:
+        return None
+    e_cut, mask, excitations, terms, z = cut
+    ensemble = ThermalEnsemble(
+        tau, hot.levels[mask], excitations, terms / z, z, e_cut
+    )
+    return ensemble, mask
 
 
 def ensemble_average(ensemble, per_config_values):

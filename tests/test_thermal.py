@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pauliblock import (
@@ -14,8 +14,9 @@ from pauliblock import (
     enumerate_ensemble,
     thermal_fidelity,
 )
+from pauliblock import pipeline
 from pauliblock.pipeline import Engine
-from pauliblock.thermal import ensemble_average
+from pauliblock.thermal import _enumerate_below, ensemble_average
 
 
 class TestEnumeration:
@@ -23,8 +24,8 @@ class TestEnumeration:
         energies = np.arange(10) + 0.5
         ens = enumerate_ensemble(energies, 3, 0.0)
         assert ens.size == 1
-        assert ens.configs[0].levels == (1, 2, 3)
-        assert ens.configs[0].excitation_energy == 0.0
+        assert ens.levels.tolist() == [[1, 2, 3]]
+        assert ens.excitations.tolist() == [0.0]
         np.testing.assert_array_equal(ens.weights, [1.0])
 
     @pytest.mark.parametrize("tau", [0.3, 0.7, 1.5])
@@ -51,7 +52,9 @@ class TestEnumeration:
             exc = sum(energies[list(combo)]) - ground
             direct[tuple(c + 1 for c in combo)] = math.exp(-exc / tau)
         z = sum(direct.values())
-        enumerated = {c.levels: w for c, w in zip(ens.configs, ens.weights)}
+        enumerated = {
+            tuple(levels): w for levels, w in zip(ens.levels.tolist(), ens.weights)
+        }
         missing_weight = sum(
             w / z for levels, w in direct.items() if levels not in enumerated
         )
@@ -67,13 +70,12 @@ class TestEnumeration:
     def test_config_invariants(self):
         energies = np.arange(40) * 1.5 + 0.5
         ens = enumerate_ensemble(energies, 4, 1.2)
-        for config in ens.configs:
-            levels = config.levels
+        for levels, excitation in zip(ens.levels.tolist(), ens.excitations):
             assert all(a < b for a, b in zip(levels, levels[1:]))
-            assert config.excitation_energy >= 0.0
-            assert config.excitation_energy <= ens.e_cut
-            assert (config.excitation_energy == 0.0) == (levels == (1, 2, 3, 4))
-        assert ens.m_max == max(c.levels[-1] for c in ens.configs)
+            assert excitation >= 0.0
+            assert excitation <= ens.e_cut
+            assert (excitation == 0.0) == (levels == [1, 2, 3, 4])
+        assert ens.m_max == max(levels[-1] for levels in ens.levels.tolist())
 
     def test_short_ladder_reports_requirement(self):
         with pytest.raises(NeedsMoreLevelsError) as exc_info:
@@ -96,6 +98,47 @@ class TestEnumeration:
         energies = np.cumsum(gaps)
         ens = enumerate_ensemble(energies, 3, tau, complete_ladder=True)
         assert abs(ens.weights.sum() - 1.0) < 1e-12
+
+    @staticmethod
+    def brute_force(energies, n_particles, e_cut):
+        """Every n-subset in lexicographic order, excitation summed left to
+        right, kept when it is within the cutoff."""
+        kept = []
+        for combo in itertools.combinations(range(len(energies)), n_particles):
+            excitation = 0.0
+            for slot, level in enumerate(combo):
+                excitation = excitation + (energies[level] - energies[slot])
+            if excitation <= e_cut:
+                kept.append((tuple(level + 1 for level in combo), excitation))
+        return kept
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        gaps=st.lists(st.floats(0.0, 2.0), min_size=0, max_size=11),
+        base=st.floats(-3.0, 3.0),
+        n_particles=st.integers(1, 5),
+        tau=st.floats(0.05, 2.0),
+    )
+    def test_enumerator_matches_combinations(self, gaps, base, n_particles, tau):
+        energies = base + np.cumsum([0.0] + gaps)
+        assume(n_particles <= len(energies))
+        ens = enumerate_ensemble(energies, n_particles, tau, complete_ladder=True)
+        expected = self.brute_force(energies, n_particles, ens.e_cut)
+        assert [tuple(levels) for levels in ens.levels.tolist()] == [
+            levels for levels, _ in expected
+        ]
+        assert ens.excitations.tolist() == [excitation for _, excitation in expected]
+
+    def test_configurations_on_the_cutoff_are_kept(self):
+        energies = np.arange(10) + 0.5
+        levels, excitations = _enumerate_below(energies, 3, 4.0)
+        expected = self.brute_force(energies, 3, 4.0)
+        # Slot excitations (0, 0, 4), (0, 1, 3), (0, 2, 2) and (1, 1, 2).
+        assert (excitations == 4.0).sum() == 4
+        assert [tuple(row) for row in levels.tolist()] == [
+            row for row, _ in expected
+        ]
+        assert excitations.tolist() == [excitation for _, excitation in expected]
 
 
 @pytest.fixture(scope="module")
@@ -148,3 +191,54 @@ class TestThermalFidelity:
         result = thermal_fidelity(s, 1, 1, 0.4, PropagationSettings(dt=2e-3))
         assert 0.0 <= result.value <= 1.0
         assert result.n_total == 2
+
+    def test_curve_matches_single_temperatures(self, split_engine):
+        s = self.schedule()
+        taus = [0.6, 0.0, 0.3]
+        values, ensembles = split_engine.thermal_fidelity_curve(s, 2, 2, taus)
+        for tau, value, ensemble in zip(taus, values, ensembles):
+            assert ensemble.tau == tau
+            assert value == split_engine.thermal_fidelity(s, 2, 2, tau).value
+
+    @staticmethod
+    def count_enumerations(monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            try:
+                result = enumerate_ensemble(*args, **kwargs)
+            except NeedsMoreLevelsError:
+                calls.append(("retry", args[2]))
+                raise
+            calls.append(("ok", args[2]))
+            return result
+
+        monkeypatch.setattr(pipeline, "enumerate_ensemble", counted)
+        return calls
+
+    def test_curve_enumerates_once(self, split_engine, monkeypatch):
+        calls = self.count_enumerations(monkeypatch)
+        taus = [0.0, 0.2, 0.4, 0.6]
+        split_engine.thermal_fidelity_curve(self.schedule(), 2, 2, taus)
+        assert [c for c in calls if c[0] == "ok"] == [("ok", 0.6)]
+        assert all(c == ("retry", 0.6) for c in calls[:-1])
+
+    def test_colder_temperature_past_the_hot_cutoff(self, split_engine, monkeypatch):
+        # At tau = 0.3 the first shell adds no weight, so the cutoff stops
+        # at 0.3 ln(1e8); at 0.27 the first shell must be kept and the next
+        # probe reaches 0.27 ln(1e10), past it.  That temperature is then
+        # enumerated on its own.
+        s = self.schedule()
+        calls = self.count_enumerations(monkeypatch)
+        values, ensembles = split_engine.thermal_fidelity_curve(
+            s, 2, 2, [0.3, 0.27]
+        )
+        assert [c for c in calls if c[0] == "ok"] == [("ok", 0.3), ("ok", 0.27)]
+        hot, cold = ensembles
+        assert cold.e_cut > hot.e_cut
+        (direct_value,), (direct,) = split_engine.thermal_fidelity_curve(
+            s, 2, 2, [0.27]
+        )
+        assert values[1] == direct_value
+        np.testing.assert_array_equal(cold.levels, direct.levels)
+        np.testing.assert_array_equal(cold.weights, direct.weights)
