@@ -31,8 +31,8 @@ def _add_scenario_options(parser):
     parser.add_argument("--tail-bound", type=float, default=1e-6)
     parser.add_argument("--dt", type=float, default=1e-3)
     parser.add_argument("--n-points", type=int, default=None,
-                        help="grid point count on the planned domain (a power "
-                             "of two; default: planned from the energy range)")
+                        help="grid point count on the planned domain (even; "
+                             "default: planned from the energy range)")
     parser.add_argument("--verify-oracle", action="store_true",
                         help="cross-check with the brute-force fidelity sum")
     parser.add_argument("--skip-dt-check", action="store_true",

@@ -12,11 +12,12 @@ For a request of ``n_states`` levels the planner works in three steps.
    reaches ``ln(1/EDGE_AMPLITUDE_TOL)`` plus ``TUNNEL_SAFETY``.  A transport
    trap moves monotonically between its endpoints, so the hull of the two
    endpoint windows is the union along the path.
-3. **Point count.**  The smallest power of two whose momentum cut-off
-   ``pi/dx`` reaches ``K_SAFETY * (sqrt(2(E_max - V_min)) + v_max)``, with
-   ``v_max`` the peak trap speed (transport only), and which keeps more
-   than four points per requested state (the guard of ``spectral.solve``).
-   For the lowest levels, whose momentum spread is quantum rather than
+3. **Point count.**  The smallest even count with no prime factor above 5
+   (``2^a 3^b 5^c``, a fast FFT size) whose momentum cut-off ``pi/dx``
+   reaches ``K_SAFETY * (sqrt(2(E_max - V_min)) + v_max)``, with ``v_max``
+   the peak trap speed (transport only), and which passes the state guard
+   of ``spectral.solve`` (:func:`~pauliblock.spectral.holds_states`).  For
+   the lowest levels, whose momentum spread is quantum rather than
    classical, a harmonic estimate of the momentum tail takes the place of
    the first term when it is larger.
 
@@ -35,7 +36,7 @@ import numpy as np
 from .errors import ConfigError
 from .grid import EDGE_AMPLITUDE_TOL, Grid
 from .potentials import RampShape, Task
-from .spectral import KSPACE_EDGE_TOL
+from .spectral import KSPACE_EDGE_TOL, holds_states
 
 # Nepers of WKB decay added beyond ln(1/EDGE_AMPLITUDE_TOL) in the margin.
 TUNNEL_SAFETY = 4.0
@@ -63,12 +64,26 @@ def plan_grid(schedule, n_states, n_points=None):
     lo = min(w[0] for w in windows)
     hi = max(w[1] for w in windows)
     if n_points is None:
-        k_need = max(_momentum_reach(v, c, e_max) for v, c in traps)
-        k_need += K_SAFETY * peak_speed(schedule)
-        n_points = _power_of_two(
-            max(k_need * (hi - lo) / math.pi, 4 * n_states + 1)
-        )
+        n_points = _fft_size(momentum_bound(schedule, e_max) * (hi - lo) / math.pi)
+        while not holds_states(n_points, n_states):
+            n_points = _fft_size(n_points + 1)
     return Grid(lo, hi, n_points)
+
+
+def momentum_bound(schedule, e_max):
+    """Momentum cut-off the lattice needs for the levels below ``e_max``."""
+    traps = [_endpoint_trap(schedule, t) for t in (0.0, schedule.T)]
+    k_need = max(_momentum_reach(v, c, e_max) for v, c in traps)
+    return k_need + K_SAFETY * peak_speed(schedule)
+
+
+def _fft_size(minimum):
+    """Smallest even ``2^a 3^b 5^c`` not below ``minimum``."""
+    n = max(2, math.ceil(minimum))
+    n += n % 2
+    while not _five_smooth(n):
+        n += 2
+    return n
 
 
 def peak_speed(schedule):
@@ -95,9 +110,7 @@ def ramp_work(schedule):
 
 def level_count(potential, center, energy):
     """Semiclassical number of levels below ``energy``."""
-    x, v = _scan(potential, center, energy)
-    momentum = np.sqrt(2.0 * np.maximum(energy - v, 0.0))
-    return float(np.sum(momentum) * (x[1] - x[0])) / math.pi
+    return _count(*_scan(potential, center, energy), energy)
 
 
 def energy_ceiling(potential, center, n_states):
@@ -156,6 +169,10 @@ def _momentum_reach(potential, center, energy):
     tail, ``int sqrt(k^2 - p^2) dk / omega``, reaches
     ``ln(1/KSPACE_EDGE_TOL) + TUNNEL_SAFETY``; the second bound governs
     the lowest levels, whose momentum spread is quantum, not classical.
+    ``omega`` is the larger of the frequency at the bottom of the trap and
+    the Bohr-Sommerfeld level spacing ``1/N'(energy)``: a trap stiffer than
+    harmonic, such as a quartic one, spaces its upper levels wider than its
+    bottom curvature suggests, and their momentum tails reach further.
     """
     x, v = _scan(potential, center, energy)
     bottom = int(np.argmin(v))
@@ -163,9 +180,10 @@ def _momentum_reach(potential, center, energy):
     h = x[1] - x[0]
     sides = potential(x[bottom] + h) + potential(x[bottom] - h)
     curvature = (sides - 2.0 * v[bottom]) / h**2
-    needed = math.sqrt(max(curvature, 0.0)) * (
-        math.log(1.0 / KSPACE_EDGE_TOL) + TUNNEL_SAFETY
-    )
+    step = 1e-2 * (energy - v[bottom])
+    spacing = step / (_count(x, v, energy) - _count(x, v, energy - step))
+    omega = max(math.sqrt(max(curvature, 0.0)), spacing)
+    needed = omega * (math.log(1.0 / KSPACE_EDGE_TOL) + TUNNEL_SAFETY)
 
     def tail_reached(k):
         s = math.sqrt(k * k - p * p)
@@ -174,6 +192,12 @@ def _momentum_reach(potential, center, energy):
     # The tail integral exceeds (k - p)^2 / 2, which brackets the root.
     k_tail = _bisect(tail_reached, p, p + math.sqrt(2.0 * needed) + 1.0)
     return max(K_SAFETY * p, k_tail)
+
+
+def _count(x, v, energy):
+    """Bohr-Sommerfeld level count below ``energy`` on the samples (x, V)."""
+    momentum = np.sqrt(2.0 * np.maximum(energy - v, 0.0))
+    return float(np.sum(momentum) * (x[1] - x[0])) / math.pi
 
 
 def _reach(x, kappa, needed):
@@ -196,5 +220,8 @@ def _bisect(reached, low, high, rel_tol=1e-6):
     return high
 
 
-def _power_of_two(minimum):
-    return 1 << max(1, math.ceil(math.log2(minimum)))
+def _five_smooth(n):
+    for prime in (2, 3, 5):
+        while n % prime == 0:
+            n //= prime
+    return n == 1

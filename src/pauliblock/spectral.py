@@ -124,6 +124,15 @@ def check_containment(states, grid, tol=EDGE_AMPLITUDE_TOL):
         )
 
 
+def holds_states(n_points, n_states):
+    """Whether a grid of ``n_points`` may be asked for ``n_states`` levels.
+
+    Both eigensolvers keep the requested levels below a quarter of the
+    lattice, far from its Nyquist band.
+    """
+    return 1 <= n_states < n_points // 4
+
+
 def solve(potential, grid, n_states, check_grid=True):
     """Lowest eigenpairs of H = -0.5 d^2/dx^2 + V by dense diagonalization.
 
@@ -133,7 +142,8 @@ def solve(potential, grid, n_states, check_grid=True):
         Potential values on the grid.
     grid : Grid
     n_states : int
-        Number of eigenpairs, must stay below ``n_points/4``.
+        Number of eigenpairs, must stay below ``n_points/4``
+        (:func:`holds_states`).
     check_grid : bool
         When true (default), verify that every returned state is contained
         in the box and resolved by the momentum lattice; violations raise
@@ -145,7 +155,7 @@ def solve(potential, grid, n_states, check_grid=True):
     EigenBasis
     """
     n = grid.n_points
-    if not 1 <= n_states < n // 4:
+    if not holds_states(n, n_states):
         raise ConfigError(
             f"n_states={n_states} outside the safe range [1, {n // 4}) "
             f"for a grid of {n} points"
@@ -204,7 +214,7 @@ def residual_check(potential, grid, energies, states, tol=RESIDUAL_TOL):
 def solve_tridiagonal(potential, grid, n_states):
     """Finite-difference cross-check backend (Dirichlet boundaries)."""
     n = grid.n_points
-    if not 1 <= n_states < n // 4:
+    if not holds_states(n, n_states):
         raise ConfigError(f"n_states={n_states} outside the safe range")
     potential = effective_potential(np.asarray(potential, dtype=float))
     inv_dx2 = 1.0 / grid.dx**2

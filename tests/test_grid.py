@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from pauliblock import (
     ConfigError,
+    ContainmentError,
     Grid,
     GridMismatchError,
     Wavefunction,
@@ -12,6 +13,7 @@ from pauliblock import (
     to_momentum,
     to_position,
 )
+from pauliblock.spectral import check_containment
 
 from conftest import gaussian_state
 
@@ -33,9 +35,10 @@ class TestGrid:
         spacings = np.diff(np.sort(g.k_values))
         np.testing.assert_allclose(spacings, g.dk, rtol=1e-12)
 
-    def test_power_of_two_required(self):
+    def test_even_point_count_required(self):
         with pytest.raises(ConfigError):
-            Grid(-1.0, 1.0, 300)
+            Grid(-1.0, 1.0, 301)
+        assert Grid(-1.0, 1.0, 300).n_points == 300
 
     def test_empty_domain_rejected(self):
         with pytest.raises(ConfigError):
@@ -158,9 +161,10 @@ class TestContainment:
     def test_contained_gaussian(self):
         g = Grid(-20.0, 20.0, 256)
         w = gaussian_state(g)
-        assert w.is_contained()
+        check_containment(w.amplitudes[None, :], g)
 
     def test_leaking_state_flagged(self):
         g = Grid(-3.0, 3.0, 64)
         w = gaussian_state(g, width=2.0)
-        assert not w.is_contained()
+        with pytest.raises(ContainmentError):
+            check_containment(w.amplitudes[None, :], g)

@@ -21,10 +21,12 @@ from pauliblock.planner import (
     MARGIN_ACTION,
     energy_ceiling,
     level_count,
+    momentum_bound,
     peak_speed,
     plan_grid,
     ramp_work,
 )
+from pauliblock.spectral import holds_states
 
 # (schedule, state count) for the three tasks at the sizes the sweeps use.
 CASES = {
@@ -55,6 +57,13 @@ def outer_turning_points(potential, center, energy):
     return left, right
 
 
+def five_smooth(n):
+    for prime in (2, 3, 5):
+        while n % prime == 0:
+            n //= prime
+    return n == 1
+
+
 def decay(potential, energy, a, b):
     """WKB decay integral of kappa = sqrt(2(V - E)) between a and b."""
     kappa = lambda x: math.sqrt(2.0 * max(potential(x) - energy, 0.0))
@@ -83,18 +92,39 @@ class TestPlanGrid:
             assert decay(v, e_max, right, grid.x_max) >= 0.99 * MARGIN_ACTION
             v_min = min(v_min, v(np.linspace(left, right, 20001)).min())
         n = grid.n_points
-        assert n & (n - 1) == 0 and n > 4 * n_states
+        assert n % 2 == 0 and five_smooth(n)
+        assert holds_states(n, n_states)
+        # Minimal: the next smaller even 5-smooth count misses the planner's
+        # momentum bound or the state guard.
+        smaller = next(m for m in range(n - 2, 0, -2) if five_smooth(m))
+        k_smaller = math.pi * smaller / (grid.x_max - grid.x_min)
+        assert (
+            k_smaller < momentum_bound(schedule, e_max)
+            or not holds_states(smaller, n_states)
+        )
         p_max = math.sqrt(2.0 * (e_max - v_min))
         assert grid.k_max >= K_SAFETY * (p_max + peak_speed(schedule))
 
     def test_planned_states_pass_grid_checks(self):
         # Including the lowest level counts, whose momentum spread is
-        # quantum: the plan must not need an escalation to solve.
+        # quantum, and stiff quartic traps, whose upper levels are spaced
+        # wider than their bottom curvature suggests: the plan must not
+        # need an escalation to solve.
+        expansion = [
+            (PotentialSchedule.expansion(10.0, omega_f=0.01, lam=lam), n)
+            for lam in (0.2, 1.0, 2.0)
+            for n in (1, 2, 4, 8, 12, 14, 20)
+        ]
+        splitting = PotentialSchedule.splitting(2.0, h_f=20.0)
+        transport = PotentialSchedule.transport(11.5, x0_f=90.0)
         for schedule, n_states in (
             *CASES.values(),
             (PotentialSchedule.expansion(60.0, omega_f=0.1, lam=1.0), 1),
             (PotentialSchedule.expansion(800.0, omega_f=0.01, lam=1.0), 1),
             (PotentialSchedule.splitting(0.5, h_f=20.0), 6),
+            *expansion,
+            *[(splitting, n) for n in (4, 8, 20, 54)],
+            *[(transport, n) for n in (2, 6)],
         ):
             grid = plan_grid(schedule, n_states)
             for t in (0.0, schedule.T):
@@ -122,24 +152,26 @@ class TestPlanGrid:
 
 class TestGridDoubling:
     def test_expansion_fidelity_is_grid_converged(self):
-        # Pinned expansion case: widening or refining the planned grid moves
-        # the fidelity by less than 1e-7.
+        # Pinned expansion cases, the second the size of the benchmark
+        # sweep: widening or refining the planned grid moves the fidelity
+        # by less than 1e-7.
         schedule = PotentialSchedule.expansion(10.0, omega_f=0.01, lam=1.0)
-        n_p, n_total = 2, 8
+        n_p = 2
         settings = PropagationSettings(dt=2e-3)
-        planned = plan_grid(schedule, n_total)
+        for n_total in (8, 14):
+            planned = plan_grid(schedule, n_total)
 
-        def fidelity(grid):
-            initial = solve(schedule.evaluate(grid, 0.0), grid, n_total)
-            targets = solve(schedule.evaluate(grid, schedule.T), grid, n_p)
-            evolved = propagate_basis(initial, n_total, schedule, settings)
-            matrix = np.conj(evolved) @ targets.states.T * grid.dx
-            return fidelity_fast(OverlapMatrix(matrix)).value
+            def fidelity(grid):
+                initial = solve(schedule.evaluate(grid, 0.0), grid, n_total)
+                targets = solve(schedule.evaluate(grid, schedule.T), grid, n_p)
+                evolved = propagate_basis(initial, n_total, schedule, settings)
+                matrix = np.conj(evolved) @ targets.states.T * grid.dx
+                return fidelity_fast(OverlapMatrix(matrix)).value
 
-        reference = fidelity(planned)
-        assert 0.5 < reference < 1.0
-        for grid in (planned.widened(), planned.refined()):
-            assert abs(fidelity(grid) - reference) < 1e-7
+            reference = fidelity(planned)
+            assert 0.5 < reference < 1.0
+            for grid in (planned.widened(), planned.refined()):
+                assert abs(fidelity(grid) - reference) < 1e-7
 
 
 class TestEngineGrids:
