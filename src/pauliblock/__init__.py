@@ -34,14 +34,13 @@ from .fidelity import (
     fidelity_fast,
     fidelity_oracle,
     random_subunitary,
-    scenario_fidelity,
 )
 from .grid import Grid, Wavefunction, inner_product, to_momentum, to_position
 from .pipeline import Engine
 from .potentials import PotentialSchedule, RampShape, Task
 from .propagate import PropagationSettings, propagate, propagate_basis
 from .spectral import EigenBasis, fermi_gap_profile, solve, solve_tridiagonal
-from .thermal import ThermalEnsemble, enumerate_ensemble, thermal_fidelity
+from .thermal import ThermalEnsemble, enumerate_ensemble
 
 __version__ = "0.1.0"
 
@@ -81,11 +80,9 @@ __all__ = [
     "propagate_basis",
     "random_subunitary",
     "run_sweep",
-    "scenario_fidelity",
     "solve",
     "solve_tridiagonal",
     "temperature_compensation_report",
-    "thermal_fidelity",
     "to_momentum",
     "to_position",
 ]

@@ -10,13 +10,17 @@ import argparse
 import sys
 
 from .config import load_spec
-from .errors import SimulationError
-from .experiments import min_buffer_search, run_sweep, temperature_compensation_report
-from .fidelity import scenario_fidelity
+from .errors import ConfigError, SimulationError
+from .experiments import (
+    GapSweepResult,
+    min_buffer_search,
+    run_sweep,
+    temperature_compensation_report,
+)
+from .pipeline import Engine
 from .potentials import PotentialSchedule, RampShape
 from .propagate import PropagationSettings
 from .spectral import fermi_gap_profile
-from .thermal import thermal_fidelity
 
 
 def _add_scenario_options(parser):
@@ -107,19 +111,17 @@ def _schedule_from_args(args):
 
 def _run_scenario(args):
     schedule = _schedule_from_args(args)
-    settings = PropagationSettings(dt=args.dt)
+    engine = Engine(args.n_points, PropagationSettings(dt=args.dt))
     check_dt = not args.skip_dt_check
     if args.tau > 0:
-        result = thermal_fidelity(
-            schedule, args.n_protected, args.n_buffer, args.tau, settings,
-            tail_bound=args.tail_bound, n_points=args.n_points,
-            check_dt=check_dt,
+        result = engine.thermal_fidelity(
+            schedule, args.n_protected, args.n_buffer, args.tau,
+            tail_bound=args.tail_bound, check_dt=check_dt,
         )
     else:
-        result = scenario_fidelity(
-            schedule, args.n_protected, args.n_buffer, settings,
-            verify_oracle=args.verify_oracle, n_points=args.n_points,
-            check_dt=check_dt,
+        result = engine.scenario_fidelity(
+            schedule, args.n_protected, args.n_buffer,
+            verify_oracle=args.verify_oracle, check_dt=check_dt,
         )
     print(repr(result.value))
     return 0
@@ -149,20 +151,13 @@ def _run_gap(args):
     try:
         lams = [float(v) for v in args.lambdas.split(",") if v.strip()]
     except ValueError:
-        from .errors import ConfigError
-
         raise ConfigError(f"cannot parse lambda list {args.lambdas!r}")
-    lines = ["N,lambda,delta_E"]
-    for lam in lams:
-        for n, gap in fermi_gap_profile(lam, args.n_max, args.omega_i):
-            lines.append(f"{n},{lam!r},{gap!r}")
-    text = "\n".join(lines) + "\n"
-    if args.output is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    return 0
+    rows = [
+        (n, lam, gap)
+        for lam in lams
+        for n, gap in fermi_gap_profile(lam, args.n_max, args.omega_i)
+    ]
+    return _emit(GapSweepResult(rows), args.output)
 
 
 def main(argv=None):

@@ -2,10 +2,13 @@
 
 One sweep varies a single axis (process time, buffer count,
 anharmonicity, temperature, or the Fermi-gap particle number) while the
-rest of the scenario is held fixed.  Axes that share propagations reuse
-them through the :class:`~pauliblock.pipeline.Engine` caches: a buffer
-sweep propagates once and slices rows, a temperature sweep propagates
-once and re-weights configurations.
+rest of the scenario is held fixed.  Every sweep, the minimal-buffer
+search and the temperature-compensation report is a grid of (schedule,
+N_b, tau) points with one evaluation path (:func:`_evaluate`): the time
+step is validated once, and each schedule propagates once, for its
+largest buffer count.  Smaller buffer counts slice rows of its overlap
+matrix; temperatures re-weight configurations of one ensemble per buffer
+count through the :class:`~pauliblock.pipeline.Engine` caches.
 
 Output is deterministic: rows follow the axis grid, floats are written
 with shortest round-trip precision and lines end with LF, so re-running a
@@ -14,11 +17,18 @@ sweep reproduces the file byte for byte.
 
 import enum
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
 
 from .errors import ConfigError
-from .fidelity import ORACLE_MAX_N, ORACLE_MAX_NP, OverlapMatrix, fidelity_fast
-from .fidelity import verify_against_oracle
+from .fidelity import (
+    ORACLE_MAX_N,
+    ORACLE_MAX_NP,
+    Method,
+    OverlapMatrix,
+    fidelity_fast,
+    verify_against_oracle,
+)
 from .pipeline import Engine
 from .potentials import PotentialSchedule, Task
 from .propagate import PropagationSettings
@@ -153,7 +163,6 @@ class SweepResult:
 
 @dataclass
 class GapSweepResult:
-    lam: float
     rows: list  # (N, lam, gap)
 
     def to_csv(self, path_or_buffer=None):
@@ -163,25 +172,7 @@ class GapSweepResult:
         return _write_lines(lines, path_or_buffer)
 
 
-def _point_fidelity(engine, schedule, spec, n_buffer, tau, settings):
-    if tau > 0:
-        result = engine.thermal_fidelity(
-            schedule,
-            spec.n_protected,
-            n_buffer,
-            tau,
-            settings,
-            tail_bound=spec.tail_bound,
-        )
-    else:
-        result = engine.scenario_fidelity(
-            schedule,
-            spec.n_protected,
-            n_buffer,
-            settings,
-            verify_oracle=_oracle_applies(spec, n_buffer),
-        )
-    return result
+# -- the evaluation of every sweep ---------------------------------------
 
 
 def _oracle_applies(spec, n_buffer):
@@ -193,10 +184,63 @@ def _oracle_applies(spec, n_buffer):
     )
 
 
-def _family_settings(engine, spec, schedule, n_states):
-    if spec.settings is not engine.settings:
-        engine.settings = spec.settings
-    return engine.validated_settings(schedule, n_states, spec.check_dt)
+def _schedule_points(spec, settings, buffers, taus, schedule, engine=None):
+    """Fidelities of one schedule at every buffer count, and its grid size.
+
+    ``buffers`` is in descending order, so the largest system's
+    propagation serves the smaller ones.  Returns ``({N_b: values},
+    n_points)`` with one value per temperature in ``taus``, or a single
+    zero-temperature value when ``taus`` is None.  Without an ``engine``
+    the schedule is evaluated on a fresh one, as in a worker process.
+    """
+    engine = engine or Engine(n_points=spec.n_points)
+    values = {}
+    if taus is None:
+        matrix, _, _ = engine.master_overlaps(
+            schedule, spec.n_protected + buffers[0], spec.n_protected, settings
+        )
+        for nb in buffers:
+            a = OverlapMatrix(matrix[: spec.n_protected + nb])
+            result = fidelity_fast(a)
+            if _oracle_applies(spec, nb):
+                verify_against_oracle(a, result)
+            values[nb] = [result.value]
+    else:
+        for nb in buffers:
+            values[nb], _ = engine.thermal_fidelity_curve(
+                schedule, spec.n_protected, nb, taus, settings,
+                tail_bound=spec.tail_bound,
+            )
+    return values, engine.family_grid(schedule).n_points
+
+
+def _evaluate(spec, engine, schedules, buffers, taus):
+    """Every (schedule, N_b, tau) point of a sweep.
+
+    ``taus`` lists the temperatures, or is None for the zero-temperature
+    pipeline.  The time step is validated once, on the first schedule
+    with the largest system.  Returns ``(settings, points)``: the
+    validated settings and, per schedule, ``({N_b: values}, n_points)``
+    as from :func:`_schedule_points`.  With ``spec.workers > 1`` and more
+    than one schedule, the schedules are shared out to a worker pool, each
+    on a fresh engine.
+    """
+    buffers = sorted(set(buffers), reverse=True)
+    settings = engine.validated_settings(
+        schedules[0], spec.n_protected + buffers[0], spec.settings, spec.check_dt
+    )
+    job = partial(_schedule_points, spec, settings, buffers, taus)
+    if spec.workers > 1 and len(schedules) > 1:
+        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+            return settings, list(pool.map(job, schedules))
+    return settings, [job(schedule, engine) for schedule in schedules]
+
+
+_SINGLE_VALUE_AXES = {
+    Axis.PROCESS_TIME: "a process-time",
+    Axis.ANHARMONICITY: "an anharmonicity",
+    Axis.TEMPERATURE: "a temperature",
+}
 
 
 def run_sweep(spec, engine=None):
@@ -207,39 +251,57 @@ def run_sweep(spec, engine=None):
     """
     if spec.axis is Axis.PARTICLE_NUMBER_GAP:
         return _run_gap_sweep(spec)
+    if spec.axis is Axis.ANHARMONICITY and spec.schedule.task is Task.SPLITTING:
+        raise ConfigError("the splitting potential has no anharmonicity to sweep")
+    if spec.axis is Axis.BUFFER_COUNT:
+        buffers = [int(v) for v in spec.axis_values]
+        if any(v < 0 for v in buffers):
+            raise ConfigError("buffer counts must be >= 0")
+    else:
+        lo, hi = spec.buffer_range()
+        if lo != hi:
+            raise ConfigError(
+                f"{_SINGLE_VALUE_AXES[spec.axis]} sweep needs a single N_b value"
+            )
+        buffers = [hi]
+    schedules = [spec.schedule]
+    if spec.axis is Axis.PROCESS_TIME:
+        schedules = [spec.schedule.with_duration(t) for t in spec.axis_values]
+    elif spec.axis is Axis.ANHARMONICITY:
+        schedules = [spec.schedule.with_anharmonicity(l) for l in spec.axis_values]
+    if spec.axis is Axis.TEMPERATURE:
+        taus = [float(t) for t in spec.axis_values]
+    else:
+        taus = [spec.tau] if spec.tau > 0 else None
     engine = engine or Engine(n_points=spec.n_points, settings=spec.settings)
-    dispatch = {
-        Axis.PROCESS_TIME: _sweep_process_time,
-        Axis.BUFFER_COUNT: _sweep_buffer_count,
-        Axis.ANHARMONICITY: _sweep_anharmonicity,
-        Axis.TEMPERATURE: _sweep_temperature,
-    }
-    rows = dispatch[spec.axis](spec, engine)
+    settings, points = _evaluate(spec, engine, schedules, buffers, taus)
+
+    rows = []
+    for schedule, (values, n_points) in zip(schedules, points):
+        for nb in buffers:
+            for tau, value in zip(taus or [spec.tau], values[nb]):
+                axis_value = {
+                    Axis.PROCESS_TIME: schedule.T,
+                    Axis.ANHARMONICITY: schedule.lam,
+                    Axis.BUFFER_COUNT: nb,
+                    Axis.TEMPERATURE: tau,
+                }[spec.axis]
+                rows.append(SweepRow(
+                    axis=spec.axis.value,
+                    axis_value=float(axis_value),
+                    task=schedule.task.value,
+                    shape=schedule.shape.value,
+                    T=float(schedule.T),
+                    n_protected=spec.n_protected,
+                    n_buffer=nb,
+                    tau=float(tau),
+                    lam=float(schedule.lam),
+                    fidelity=float(value),
+                    method=Method.GRAM_DETERMINANT.value,
+                    dt=float(settings.dt),
+                    n_points=n_points,
+                ))
     return SweepResult(spec, rows)
-
-
-def _engine_points(engine, schedule):
-    grid = engine.family_grid(schedule)
-    return grid.n_points if grid is not None else -1
-
-
-def _make_row(spec, schedule, axis_value, n_buffer, tau, value, method, settings,
-              n_points):
-    return SweepRow(
-        axis=spec.axis.value,
-        axis_value=float(axis_value),
-        task=schedule.task.value,
-        shape=schedule.shape.value,
-        T=float(schedule.T),
-        n_protected=spec.n_protected,
-        n_buffer=int(n_buffer),
-        tau=float(tau),
-        lam=float(schedule.lam),
-        fidelity=float(value),
-        method=method,
-        dt=float(settings.dt),
-        n_points=n_points,
-    )
 
 
 def _run_gap_sweep(spec):
@@ -248,147 +310,7 @@ def _run_gap_sweep(spec):
         raise ConfigError("particle numbers for the gap sweep must be >= 1")
     lam = spec.schedule.lam
     profile = dict(fermi_gap_profile(lam, max(n_values), spec.schedule.omega_i))
-    rows = [(n, lam, profile[n]) for n in n_values]
-    return GapSweepResult(lam, rows)
-
-
-def _sweep_process_time(spec, engine):
-    lo, hi = spec.buffer_range()
-    if lo != hi:
-        raise ConfigError("a process-time sweep needs a single N_b value")
-    n_states = spec.n_protected + hi
-    template = spec.schedule
-    settings = _family_settings(
-        engine, spec, template.with_duration(spec.axis_values[0]), n_states
-    )
-    if spec.workers > 1:
-        values = _parallel_points(
-            spec, [template.with_duration(t) for t in spec.axis_values], settings
-        )
-        return [
-            _make_row(spec, template.with_duration(t), t, hi, spec.tau, v, m,
-                      settings, pts)
-            for (t, (v, m, pts)) in zip(spec.axis_values, values)
-        ]
-    rows = []
-    for t in spec.axis_values:
-        schedule = template.with_duration(t)
-        result = _point_fidelity(engine, schedule, spec, hi, spec.tau, settings)
-        rows.append(
-            _make_row(
-                spec, schedule, t, hi, spec.tau, result.value,
-                result.method.value, settings, _engine_points(engine, schedule),
-            )
-        )
-    return rows
-
-
-def _sweep_anharmonicity(spec, engine):
-    if spec.schedule.task is Task.SPLITTING:
-        raise ConfigError("the splitting potential has no anharmonicity to sweep")
-    lo, hi = spec.buffer_range()
-    if lo != hi:
-        raise ConfigError("an anharmonicity sweep needs a single N_b value")
-    n_states = spec.n_protected + hi
-    rows = []
-    schedules = [spec.schedule.with_anharmonicity(l) for l in spec.axis_values]
-    settings = _family_settings(engine, spec, schedules[0], n_states)
-    if spec.workers > 1:
-        values = _parallel_points(spec, schedules, settings)
-        return [
-            _make_row(spec, s, l, hi, spec.tau, v, m, settings, pts)
-            for s, l, (v, m, pts) in zip(schedules, spec.axis_values, values)
-        ]
-    for schedule, lam in zip(schedules, spec.axis_values):
-        result = _point_fidelity(engine, schedule, spec, hi, spec.tau, settings)
-        rows.append(
-            _make_row(
-                spec, schedule, lam, hi, spec.tau, result.value,
-                result.method.value, settings, _engine_points(engine, schedule),
-            )
-        )
-    return rows
-
-
-def _sweep_buffer_count(spec, engine):
-    buffers = [int(v) for v in spec.axis_values]
-    if any(v < 0 for v in buffers):
-        raise ConfigError("buffer counts must be >= 0")
-    schedule = spec.schedule
-    n_max = spec.n_protected + max(buffers)
-    settings = _family_settings(engine, spec, schedule, n_max)
-    rows = []
-    if spec.tau > 0:
-        # Largest system first so its propagation serves the smaller ones.
-        cache = {}
-        for nb in sorted(set(buffers), reverse=True):
-            cache[nb] = engine.thermal_fidelity(
-                schedule, spec.n_protected, nb, spec.tau, settings,
-                tail_bound=spec.tail_bound,
-            )
-        for nb in buffers:
-            result = cache[nb]
-            rows.append(
-                _make_row(
-                    spec, schedule, nb, nb, spec.tau, result.value,
-                    result.method.value, settings,
-                    _engine_points(engine, schedule),
-                )
-            )
-        return rows
-    matrix, _, _ = engine.master_overlaps(
-        schedule, n_max, spec.n_protected, settings
-    )
-    for nb in buffers:
-        a = OverlapMatrix(matrix[: spec.n_protected + nb])
-        result = fidelity_fast(a)
-        if _oracle_applies(spec, nb):
-            verify_against_oracle(a, result)
-        rows.append(
-            _make_row(
-                spec, schedule, nb, nb, spec.tau, result.value,
-                result.method.value, settings, _engine_points(engine, schedule),
-            )
-        )
-    return rows
-
-
-def _sweep_temperature(spec, engine):
-    lo, hi = spec.buffer_range()
-    if lo != hi:
-        raise ConfigError("a temperature sweep needs a single N_b value")
-    schedule = spec.schedule
-    taus = [float(t) for t in spec.axis_values]
-    if taus and taus[0] < 0:
-        raise ConfigError("temperatures must be >= 0")
-    settings = _family_settings(engine, spec, schedule, spec.n_protected + hi)
-    values, _ = engine.thermal_fidelity_curve(
-        schedule, spec.n_protected, hi, taus, settings, tail_bound=spec.tail_bound
-    )
-    points = _engine_points(engine, schedule)
-    return [
-        _make_row(spec, schedule, tau, hi, tau, v, "gram", settings, points)
-        for tau, v in zip(taus, values)
-    ]
-
-
-# -- worker-pool evaluation (independent grid points only) ---------------
-
-
-def _pool_job(payload):
-    spec, schedule = payload
-    engine = Engine(n_points=spec.n_points, settings=spec.settings)
-    result = _point_fidelity(
-        engine, schedule, spec, spec.buffer_range()[1], spec.tau, spec.settings
-    )
-    return result.value, result.method.value, _engine_points(engine, schedule)
-
-
-def _parallel_points(spec, schedules, settings):
-    run_spec = replace(spec, settings=settings, check_dt=False)
-    payloads = [(run_spec, s) for s in schedules]
-    with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-        return list(pool.map(_pool_job, payloads))
+    return GapSweepResult([(n, lam, profile[n]) for n in n_values])
 
 
 # -- minimal buffer search -------------------------------------------------
@@ -424,47 +346,23 @@ def min_buffer_search(spec, n_b_max=None, engine=None):
     if spec.axis is not Axis.PROCESS_TIME:
         raise ConfigError("min_buffer_search expects a process-time grid")
     engine = engine or Engine(n_points=spec.n_points, settings=spec.settings)
-    lo, hi = spec.buffer_range()
+    _, hi = spec.buffer_range()
     if n_b_max is None:
         n_b_max = hi
-    n_max = spec.n_protected + n_b_max
-    template = spec.schedule
-    settings = _family_settings(
-        engine, spec, template.with_duration(spec.axis_values[0]), n_max
-    )
+    schedules = [spec.schedule.with_duration(t) for t in spec.axis_values]
+    taus = [spec.tau] if spec.tau > 0 else None
+    _, points = _evaluate(spec, engine, schedules, range(n_b_max + 1), taus)
 
-    table = []  # per T: fidelity for nb = 0..n_b_max
-    for t in spec.axis_values:
-        schedule = template.with_duration(t)
-        if spec.tau > 0:
-            row = [None] * (n_b_max + 1)
-            for nb in range(n_b_max, -1, -1):
-                row[nb] = engine.thermal_fidelity(
-                    schedule, spec.n_protected, nb, spec.tau, settings,
-                    tail_bound=spec.tail_bound,
-                ).value
-        else:
-            matrix, _, _ = engine.master_overlaps(
-                schedule, n_max, spec.n_protected, settings
-            )
-            row = [
-                fidelity_fast(
-                    OverlapMatrix(matrix[: spec.n_protected + nb])
-                ).value
-                for nb in range(n_b_max + 1)
-            ]
-        table.append(row)
-
-    rows = []
+    # Walk back from the longest time, keeping which N_b stayed above.
+    found = []
     suffix_ok = [True] * (n_b_max + 1)
-    results = [None] * len(spec.axis_values)
-    for i in range(len(spec.axis_values) - 1, -1, -1):
-        for nb in range(n_b_max + 1):
-            suffix_ok[nb] = suffix_ok[nb] and table[i][nb] >= spec.threshold
-        found = next((nb for nb in range(n_b_max + 1) if suffix_ok[nb]), None)
-        results[i] = found
-    for t, found in zip(spec.axis_values, results):
-        rows.append((float(t), found))
+    for values, _ in reversed(points):
+        suffix_ok = [
+            ok and values[nb][0] >= spec.threshold
+            for nb, ok in enumerate(suffix_ok)
+        ]
+        found.append(next((nb for nb, ok in enumerate(suffix_ok) if ok), None))
+    rows = [(float(t), nb) for t, nb in zip(spec.axis_values, reversed(found))]
     return MinBufferResult(spec, rows)
 
 
@@ -515,14 +413,9 @@ def temperature_compensation_report(spec, engine=None):
     engine = engine or Engine(n_points=spec.n_points, settings=spec.settings)
     taus = [float(t) for t in spec.axis_values]
     lo, hi = spec.buffer_range()
-    settings = _family_settings(engine, spec, spec.schedule, spec.n_protected + hi)
-
-    curves = {}
-    for nb in range(hi, lo - 1, -1):  # big systems first to seed the cache
-        curves[nb], _ = engine.thermal_fidelity_curve(
-            spec.schedule, spec.n_protected, nb, taus, settings,
-            tail_bound=spec.tail_bound,
-        )
+    _, [(curves, _)] = _evaluate(
+        spec, engine, [spec.schedule], range(lo, hi + 1), taus
+    )
 
     rows = []
     previous_cross = None

@@ -218,35 +218,6 @@ def random_subunitary(n_total, n_protected, rng):
     return OverlapMatrix(q[:, :n_protected])
 
 
-def scenario_fidelity(
-    schedule,
-    n_protected,
-    n_buffer,
-    settings=None,
-    verify_oracle=False,
-    n_points=None,
-    check_dt=False,
-):
-    """Full zero-temperature pipeline for one schedule.
-
-    Builds the initial eigenbasis, propagates the ``n_protected +
-    n_buffer`` lowest states, assembles the overlap matrix against the
-    final trap's lowest ``n_protected`` eigenstates and evaluates the
-    Gram-determinant fidelity.  With ``verify_oracle`` the brute-force
-    route is evaluated as well (sizes permitting) and must agree to 1e-10.
-    """
-    from .pipeline import Engine
-
-    engine = Engine(n_points=n_points, settings=settings)
-    return engine.scenario_fidelity(
-        schedule,
-        n_protected,
-        n_buffer,
-        verify_oracle=verify_oracle,
-        check_dt=check_dt,
-    )
-
-
 def verify_against_oracle(a, result, tol=1e-10):
     """Assert the fast value matches the brute-force sum (guard permitting)."""
     oracle = fidelity_oracle(a)

@@ -1,13 +1,16 @@
 """Scenario assembly: grids, eigensolves, propagation and overlaps.
 
-The :class:`Engine` memoizes the expensive pieces within one run:
+The :class:`Engine` memoizes the expensive pieces within one run, keyed
+on the frozen :class:`~pauliblock.potentials.PotentialSchedule` and
+:class:`~pauliblock.grid.Grid` themselves:
 
-* endpoint eigenbases, keyed by potential and grid (a request for K
+* endpoint eigenbases, keyed by grid and potential (a request for K
   states is served by slicing any cached solve with >= K states);
 * propagated state families, keyed by schedule, grid and dt (a request
   for M states is served by slicing a cached run with >= M states);
-* the validated time step and grid per schedule family (same task and
-  endpoint parameters, any duration).
+* the grid per schedule family (the schedule with its ramp shape and
+  duration fixed: same traps, same grids), and the validated time step
+  per family and requested settings.
 
 Each family's grid comes from :func:`~pauliblock.planner.plan_grid`, sized
 for the number of states requested; a later request for more states than
@@ -20,6 +23,8 @@ translation is a whole number of lattice steps the target basis is
 obtained by rolling the initial states and verifying the eigen-residual,
 instead of a second dense solve.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -40,7 +45,7 @@ from .fidelity import (
     verify_against_oracle,
 )
 from .planner import plan_grid
-from .potentials import Task
+from .potentials import RampShape, Task
 from .propagate import PropagationSettings, propagate_basis
 from .thermal import (
     DEFAULT_TAIL_BOUND,
@@ -54,30 +59,9 @@ from .thermal import (
 MAX_ESCALATIONS = 4
 
 
-def _schedule_key(schedule):
-    return (
-        schedule.task.value,
-        schedule.shape.value,
-        schedule.T,
-        schedule.lam,
-        schedule.omega_i,
-        schedule.omega_f,
-        schedule.omega,
-        schedule.x0_i,
-        schedule.x0_f,
-        schedule.h_i,
-        schedule.h_f,
-    )
-
-
-def _family_key(schedule):
+def _family(schedule):
     # Everything but the ramp shape and duration: same traps, same grids.
-    key = _schedule_key(schedule)
-    return key[:1] + key[3:]
-
-
-def _grid_key(grid):
-    return (grid.x_min, grid.x_max, grid.n_points)
+    return replace(schedule, shape=RampShape.LINEAR, T=1.0)
 
 
 def _check_counts(n_protected, n_buffer):
@@ -94,20 +78,20 @@ class Engine:
     def __init__(self, n_points=None, settings=None):
         self.n_points = n_points
         self.settings = settings or PropagationSettings()
-        self._bases = {}  # (grid key, potential hash) -> EigenBasis
-        self._grids = {}  # family key -> (Grid, states planned for, escalations)
-        self._props = {}  # (schedule key, grid key, dt) -> states array
-        self._dts = {}  # family key -> validated dt
+        self._bases = {}  # (Grid, potential hash) -> EigenBasis
+        self._grids = {}  # family -> (Grid, states planned for, escalations)
+        self._props = {}  # (schedule, Grid, dt) -> states array
+        self._dts = {}  # (family, requested settings) -> validated dt
 
     # -- grids -----------------------------------------------------------------
 
     def family_grid(self, schedule):
         """Current grid of the schedule's family, or None before any request."""
-        entry = self._grids.get(_family_key(schedule))
+        entry = self._grids.get(_family(schedule))
         return entry[0] if entry else None
 
     def _planned_grid(self, schedule, n_states):
-        family = _family_key(schedule)
+        family = _family(schedule)
         entry = self._grids.get(family)
         if entry is None or entry[1] < n_states:
             entry = (plan_grid(schedule, n_states, self.n_points), n_states, 0)
@@ -120,7 +104,7 @@ class Engine:
         Drops every cached basis and propagation on the old grid; re-raises
         ``exc`` once the grid has escalated ``MAX_ESCALATIONS`` times.
         """
-        family = _family_key(schedule)
+        family = _family(schedule)
         grid, n_planned, escalations = self._grids[family]
         if escalations == MAX_ESCALATIONS:
             raise exc
@@ -129,9 +113,8 @@ class Engine:
         else:
             larger = grid.refined()
         self._grids[family] = (larger, n_planned, escalations + 1)
-        stale = _grid_key(grid)
-        self._bases = {k: v for k, v in self._bases.items() if k[0] != stale}
-        self._props = {k: v for k, v in self._props.items() if k[1] != stale}
+        self._bases = {k: v for k, v in self._bases.items() if k[0] != grid}
+        self._props = {k: v for k, v in self._props.items() if k[1] != grid}
         return larger
 
     def _with_escalation(self, schedule, n_states, n_targets, work):
@@ -148,7 +131,7 @@ class Engine:
     # -- eigensolves -------------------------------------------------------
 
     def _solve(self, potential, grid, n_states):
-        key = (_grid_key(grid), hash(potential.tobytes()))
+        key = (grid, hash(potential.tobytes()))
         cached = self._bases.get(key)
         if cached is not None and cached.size >= n_states:
             return spectral.EigenBasis(
@@ -196,7 +179,7 @@ class Engine:
     # -- propagation ---------------------------------------------------------
 
     def evolved_states(self, schedule, grid, basis, n_states, settings):
-        key = (_schedule_key(schedule), _grid_key(grid), settings.dt)
+        key = (schedule, grid, settings.dt)
         cached = self._props.get(key)
         if cached is not None and cached.shape[0] >= n_states:
             return cached[:n_states]
@@ -204,16 +187,16 @@ class Engine:
         self._props[key] = states
         return states
 
-    def validated_settings(self, schedule, n_states, check_dt):
-        """Settings whose dt passed the halving check for this family."""
-        settings = self.settings
+    def validated_settings(self, schedule, n_states, settings, check_dt):
+        """``settings`` with a dt that passed the halving check for this
+        family, starting from ``settings.dt``."""
         if not check_dt:
             return settings
-        family = _family_key(schedule)
-        dt = self._dts.get(family)
+        key = (_family(schedule), settings)
+        dt = self._dts.get(key)
         if dt is None:
             dt = self._converge_dt(schedule, n_states, settings)
-            self._dts[family] = dt
+            self._dts[key] = dt
         if dt == settings.dt:
             return settings
         return PropagationSettings(
@@ -266,7 +249,9 @@ class Engine:
     ):
         _check_counts(n_protected, n_buffer)
         n_total = n_protected + n_buffer
-        settings = settings or self.validated_settings(schedule, n_total, check_dt)
+        settings = settings or self.validated_settings(
+            schedule, n_total, self.settings, check_dt
+        )
         matrix, _, _ = self.master_overlaps(schedule, n_total, n_protected, settings)
         a = OverlapMatrix(matrix)
         result = fidelity_fast(a)
@@ -323,7 +308,9 @@ class Engine:
             raise ConfigError("no temperatures supplied")
         if min(taus) < 0:
             raise ConfigError("temperatures must be >= 0")
-        settings = settings or self.validated_settings(schedule, n_total, check_dt)
+        settings = settings or self.validated_settings(
+            schedule, n_total, self.settings, check_dt
+        )
 
         tau_max = max(taus)
         if tau_max > 0:
@@ -360,8 +347,13 @@ class Engine:
         return values, ensembles
 
     def _ensemble_levels(self, schedule, n_total, tau, tail_bound):
-        """(ensemble at ``tau``, the energy ladder it was enumerated from)."""
-        n_levels = max(n_total + 8, 12)
+        """(ensemble at ``tau``, the energy ladder it was enumerated from).
+
+        The level search starts from the count the family grid was last
+        planned for, which an earlier curve may already have certified.
+        """
+        entry = self._grids.get(_family(schedule))
+        n_levels = max(n_total + 8, 12, entry[1] if entry else 0)
         for _ in range(8):
             _, initial, _ = self.endpoint_bases(schedule, n_levels, 1)
             energies = initial.energies[:n_levels]

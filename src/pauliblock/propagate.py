@@ -152,9 +152,3 @@ def propagate_basis(basis, n_states, schedule, settings=PropagationSettings()):
             f"propagated states lost orthonormality (Gram defect {defect:.2e})"
         )
     return final
-
-
-def propagated_states(basis, n_states, schedule, settings=PropagationSettings()):
-    """Same as :func:`propagate_basis` but wrapped as Wavefunctions."""
-    final = propagate_basis(basis, n_states, schedule, settings)
-    return [Wavefunction(basis.grid, row) for row in final]

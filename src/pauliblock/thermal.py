@@ -261,32 +261,3 @@ def ensemble_average(ensemble, per_config_values):
     """Compensated weighted sum of per-configuration fidelities."""
     terms = ensemble.weights * np.asarray(per_config_values)
     return float(math.fsum(terms))
-
-
-def thermal_fidelity(
-    schedule,
-    n_protected,
-    n_buffer,
-    tau,
-    settings=None,
-    tail_bound=DEFAULT_TAIL_BOUND,
-    n_points=None,
-    check_dt=False,
-):
-    """Canonically averaged fidelity for one schedule and temperature.
-
-    Shares its propagation and eigensolves with the zero-temperature
-    pipeline; at ``tau = 0`` it reduces exactly to
-    :func:`pauliblock.fidelity.scenario_fidelity`.
-    """
-    from .pipeline import Engine
-
-    engine = Engine(n_points=n_points, settings=settings)
-    return engine.thermal_fidelity(
-        schedule,
-        n_protected,
-        n_buffer,
-        tau,
-        tail_bound=tail_bound,
-        check_dt=check_dt,
-    )

@@ -1,4 +1,5 @@
-import numpy as np
+from dataclasses import replace
+
 import pytest
 
 from pauliblock import (
@@ -11,6 +12,7 @@ from pauliblock import (
     run_sweep,
     temperature_compensation_report,
 )
+from pauliblock import experiments
 from pauliblock.config import build_spec, parse_config_text
 from pauliblock.pipeline import Engine
 
@@ -83,19 +85,20 @@ class TestProcessTimeSweep:
         assert all(0.0 <= row.fidelity <= 1.0 for row in result.rows)
 
     def test_worker_pool_matches_serial(self):
-        spec = split_spec(
-            axis=Axis.PROCESS_TIME, axis_values=(0.5, 1.0), n_buffer=2
+        # A zero- and a finite-temperature sweep, and the minimal-buffer
+        # search, which shares their evaluation path.
+        cases = (
+            (run_sweep, dict(n_buffer=2)),
+            (run_sweep, dict(n_buffer=2, tau=0.3)),
+            (min_buffer_search, dict(n_buffer=(0, 3))),
         )
-        serial = run_sweep(spec).to_csv(None)
-        parallel = run_sweep(
-            split_spec(
-                axis=Axis.PROCESS_TIME,
-                axis_values=(0.5, 1.0),
-                n_buffer=2,
-                workers=2,
+        for evaluate, options in cases:
+            spec = split_spec(
+                axis=Axis.PROCESS_TIME, axis_values=(0.5, 1.0), **options
             )
-        ).to_csv(None)
-        assert serial == parallel
+            serial = evaluate(spec).to_csv(None)
+            parallel = evaluate(replace(spec, workers=2)).to_csv(None)
+            assert serial == parallel
 
     def test_needs_single_buffer_value(self):
         spec = split_spec(axis=Axis.PROCESS_TIME, axis_values=(0.5, 1.0),
@@ -163,6 +166,24 @@ class TestMinBufferSearch:
         )
         assert found[-1] == expected
 
+    def test_verify_oracle_is_honoured(self, shared_engine, monkeypatch):
+        checked = []
+        real = experiments.verify_against_oracle
+
+        def counted(a, result):
+            checked.append(a.n_total)
+            return real(a, result)
+
+        monkeypatch.setattr(experiments, "verify_against_oracle", counted)
+        spec = split_spec(
+            axis=Axis.PROCESS_TIME,
+            axis_values=(0.5,),
+            n_buffer=(0, 2),
+            verify_oracle=True,
+        )
+        min_buffer_search(spec, engine=shared_engine)
+        assert sorted(checked) == [2, 3, 4]
+
     def test_saturation_reported(self, shared_engine):
         spec = split_spec(
             axis=Axis.PROCESS_TIME,
@@ -217,6 +238,23 @@ class TestCompensationReport:
             above = [t for t, v in zip(taus, values) if v >= spec.threshold]
             below = [t for t, v in zip(taus, values) if v < spec.threshold]
             assert max(above) <= row.tau_cross <= min(below)
+
+
+class TestSharedEngine:
+    def test_later_sweep_keeps_its_own_settings(self):
+        # The same family on one engine: a later sweep's dt and tolerance
+        # start their own halving check.
+        engine = Engine()
+        run_sweep(split_spec(axis_values=(1,), check_dt=True), engine)
+        for settings in (
+            PropagationSettings(dt=5e-4),
+            PropagationSettings(dt=2e-3, tolerance=1e-6),
+        ):
+            spec = split_spec(axis_values=(1,), check_dt=True, settings=settings)
+            shared = run_sweep(spec, engine).rows[0]
+            fresh = run_sweep(spec).rows[0]
+            assert shared.dt == fresh.dt
+            assert shared.fidelity == pytest.approx(fresh.fidelity, abs=1e-12)
 
 
 class TestConfigParsing:

@@ -117,17 +117,6 @@ class TestUnitarity:
         gram = np.conj(final) @ final.T * grid.dx
         np.testing.assert_allclose(gram, np.eye(4), atol=1e-6)
 
-    def test_wavefunction_wrapper(self, harmonic_basis):
-        from pauliblock.propagate import propagated_states
-
-        states = propagated_states(
-            harmonic_basis, 3, static_harmonic(T=1.0), PropagationSettings(dt=1e-3)
-        )
-        assert len(states) == 3
-        for w in states:
-            assert w.grid == harmonic_basis.grid
-            assert w.norm == pytest.approx(1.0, abs=1e-10)
-
 
 class TestSecondOrderAccuracy:
     def test_error_scales_as_dt_squared(self, harmonic_basis):

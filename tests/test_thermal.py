@@ -7,12 +7,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pauliblock import (
+    Axis,
     ConfigError,
     NeedsMoreLevelsError,
     PotentialSchedule,
     PropagationSettings,
+    SweepSpec,
     enumerate_ensemble,
-    thermal_fidelity,
+    temperature_compensation_report,
 )
 from pauliblock import pipeline
 from pauliblock.pipeline import Engine
@@ -188,7 +190,8 @@ class TestThermalFidelity:
 
     def test_module_level_wrapper(self):
         s = self.schedule()
-        result = thermal_fidelity(s, 1, 1, 0.4, PropagationSettings(dt=2e-3))
+        engine = Engine(settings=PropagationSettings(dt=2e-3))
+        result = engine.thermal_fidelity(s, 1, 1, 0.4)
         assert 0.0 <= result.value <= 1.0
         assert result.n_total == 2
 
@@ -222,6 +225,23 @@ class TestThermalFidelity:
         split_engine.thermal_fidelity_curve(self.schedule(), 2, 2, taus)
         assert [c for c in calls if c[0] == "ok"] == [("ok", 0.6)]
         assert all(c == ("retry", 0.6) for c in calls[:-1])
+
+    def test_report_searches_levels_once(self, monkeypatch):
+        # Each curve of a compensation report starts its level search from
+        # the count an earlier curve certified, so only the first retries.
+        calls = self.count_enumerations(monkeypatch)
+        spec = SweepSpec(
+            schedule=self.schedule(),
+            axis=Axis.TEMPERATURE,
+            axis_values=(0.0, 0.3, 0.6),
+            n_buffer=(1, 4),
+            settings=PropagationSettings(dt=2e-3),
+            check_dt=False,
+        )
+        temperature_compensation_report(spec, engine=Engine())
+        first_ok = [kind for kind, _ in calls].index("ok")
+        assert first_ok > 0
+        assert all(kind == "ok" for kind, _ in calls[first_ok:])
 
     def test_colder_temperature_past_the_hot_cutoff(self, split_engine, monkeypatch):
         # At tau = 0.3 the first shell adds no weight, so the cutoff stops
