@@ -63,6 +63,19 @@ class Grid:
     def k_max(self):
         return np.pi / self.dx
 
+    @property
+    def is_symmetric(self):
+        """Whether the domain is symmetric about 0 (see :meth:`reflect`)."""
+        return self.x_min == -self.x_max
+
+    def reflect(self, states):
+        """Lattice reflection j -> (n - j) mod n of ``states`` (last axis).
+
+        On a symmetric grid it maps x_j to -x_j, so even states are its +1
+        and odd states its -1 eigenvectors.
+        """
+        return np.concatenate((states[..., :1], states[..., :0:-1]), axis=-1)
+
     def __eq__(self, other):
         if not isinstance(other, Grid):
             return NotImplemented

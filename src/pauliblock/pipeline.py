@@ -4,8 +4,9 @@ The :class:`Engine` memoizes the expensive pieces within one run, keyed
 on the frozen :class:`~pauliblock.potentials.PotentialSchedule` and
 :class:`~pauliblock.grid.Grid` themselves:
 
-* endpoint eigenbases, keyed by grid and potential (a request for K
-  states is served by slicing any cached solve with >= K states);
+* endpoint eigenbases, keyed by grid and potential, each solved for the
+  level count its family grid was planned for (a request for K states
+  slices that solve);
 * propagated state families, keyed by schedule, grid and dt (a request
   for M states is served by slicing a cached run with >= M states);
 * the grid per schedule family (the schedule with its ramp shape and
@@ -130,16 +131,16 @@ class Engine:
 
     # -- eigensolves -------------------------------------------------------
 
-    def _solve(self, potential, grid, n_states):
+    def _solve(self, potential, grid, n_solve, n_states):
+        """The lowest ``n_states`` levels of a solve for ``n_solve``."""
         key = (grid, hash(potential.tobytes()))
-        cached = self._bases.get(key)
-        if cached is not None and cached.size >= n_states:
-            return spectral.EigenBasis(
-                grid, cached.energies[:n_states], cached.states[:n_states]
-            )
-        basis = spectral.solve(potential, grid, n_states)
-        self._bases[key] = basis
-        return basis
+        basis = self._bases.get(key)
+        if basis is None or basis.size < n_solve:
+            basis = spectral.solve(potential, grid, n_solve)
+            self._bases[key] = basis
+        return spectral.EigenBasis(
+            grid, basis.energies[:n_states], basis.states[:n_states]
+        )
 
     def _rolled_targets(self, schedule, grid, initial, n_states):
         """Translate initial eigenstates to the final trap center, if exact."""
@@ -157,21 +158,27 @@ class Engine:
         return spectral.EigenBasis(grid, energies, rolled)
 
     def endpoint_bases(self, schedule, n_initial, n_targets):
-        """(grid, initial basis, target basis) with automatic escalation."""
+        """(grid, initial basis, target basis) with automatic escalation.
+
+        Both bases are solved for the count the family grid was planned
+        for and sliced to the request, so their bits do not depend on
+        which request came first.
+        """
         n_states = max(n_initial, n_targets)
         grid = self._planned_grid(schedule, n_states)
+        n_solve = self._grids[_family(schedule)][1]
         while True:
             try:
                 v0 = schedule.evaluate(grid, 0.0)
-                initial = self._solve(v0, grid, n_states)
+                initial = self._solve(v0, grid, n_solve, n_states)
                 if schedule.task is Task.TRANSPORT:
                     targets = self._rolled_targets(schedule, grid, initial, n_targets)
                     if targets is None:
                         v1 = schedule.evaluate(grid, schedule.T)
-                        targets = self._solve(v1, grid, n_targets)
+                        targets = self._solve(v1, grid, n_solve, n_targets)
                 else:
                     v1 = schedule.evaluate(grid, schedule.T)
-                    targets = self._solve(v1, grid, n_targets)
+                    targets = self._solve(v1, grid, n_solve, n_targets)
                 return grid, initial, targets
             except (ContainmentError, ResolutionError) as exc:
                 grid = self._escalate(schedule, exc)

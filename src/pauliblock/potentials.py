@@ -103,6 +103,14 @@ class PotentialSchedule:
             return c_i + (c_f - c_i) * t / self.T
         return c_i + (c_f - c_i) * math.sin(math.pi * t / (2.0 * self.T)) ** 2
 
+    @property
+    def is_symmetric(self):
+        """Whether V(-x, t) = V(x, t) throughout: always for expansion and
+        splitting, for transport only while the trap stays at x = 0."""
+        if self.task is Task.TRANSPORT:
+            return self.x0_i == 0.0 and self.x0_f == 0.0
+        return True
+
     def center(self, t):
         """Instantaneous trap center (nonzero only for transport)."""
         return self.control_value(t) if self.task is Task.TRANSPORT else 0.0

@@ -84,11 +84,8 @@ def _fix_phases(states):
     return states * signs[:, None]
 
 
-def _parity_of(state):
-    reflected = np.empty_like(state)
-    reflected[0] = state[0]
-    reflected[1:] = state[:0:-1]
-    return float(np.dot(state, reflected) / np.dot(state, state))
+def _parity_of(state, grid):
+    return float(np.dot(state, grid.reflect(state)) / np.dot(state, state))
 
 
 def edge_band_ratio(states, grid):
@@ -181,7 +178,7 @@ def solve(potential, grid, n_states, check_grid=True):
             f"potential cap {POTENTIAL_CLIP:.0e}"
         )
     states = _fix_phases(vecs.T / np.sqrt(grid.dx))
-    _order_degenerate_pairs(energies, states)
+    _order_degenerate_pairs(energies, states, grid)
 
     residual_check(potential, grid, energies, states)
     if check_grid:
@@ -190,11 +187,11 @@ def solve(potential, grid, n_states, check_grid=True):
     return EigenBasis(grid, energies, states)
 
 
-def _order_degenerate_pairs(energies, states):
+def _order_degenerate_pairs(energies, states, grid):
     # Ties at machine precision: even-parity state first, for reproducibility.
     for i in range(len(energies) - 1):
         if energies[i + 1] == energies[i]:
-            if _parity_of(states[i]) < _parity_of(states[i + 1]):
+            if _parity_of(states[i], grid) < _parity_of(states[i + 1], grid):
                 states[[i, i + 1]] = states[[i + 1, i]]
 
 

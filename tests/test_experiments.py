@@ -86,9 +86,12 @@ class TestProcessTimeSweep:
 
     def test_worker_pool_matches_serial(self):
         # A zero- and a finite-temperature sweep, and the minimal-buffer
-        # search, which shares their evaluation path.
+        # search, which shares their evaluation path.  With the dt check on,
+        # the serial sweep solves and propagates on its engine before the
+        # points, while each worker starts from a fresh one.
         cases = (
             (run_sweep, dict(n_buffer=2)),
+            (run_sweep, dict(n_buffer=2, check_dt=True)),
             (run_sweep, dict(n_buffer=2, tau=0.3)),
             (min_buffer_search, dict(n_buffer=(0, 3))),
         )

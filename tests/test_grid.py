@@ -53,6 +53,15 @@ class TestGrid:
         assert (r.x_min, r.x_max) == (g.x_min, g.x_max)
         assert r.dx == pytest.approx(g.dx / 2)
 
+    def test_reflect_mirrors_symmetric_lattice(self):
+        g = Grid(-5.0, 5.0, 10)
+        assert g.is_symmetric and not Grid(-5.0, 15.0, 64).is_symmetric
+        # x_0 = x_min is its own image: the periodic lattice identifies
+        # -x_min = x_max with x_min.
+        np.testing.assert_allclose(g.reflect(g.x)[1:], -g.x[1:], atol=1e-12)
+        rows = np.arange(20.0).reshape(2, 10)
+        np.testing.assert_array_equal(g.reflect(g.reflect(rows)), rows)
+
 
 class TestInnerProduct:
     def test_self_overlap_of_normalized_state(self):

@@ -5,6 +5,7 @@ from scipy.integrate import solve_ivp
 from pauliblock import (
     ConfigError,
     ContainmentError,
+    EigenBasis,
     Grid,
     PotentialSchedule,
     PropagationSettings,
@@ -16,6 +17,8 @@ from pauliblock import (
     propagate_basis,
     solve,
 )
+from pauliblock.planner import plan_grid
+from pauliblock.propagate import _evolve, _pack
 
 # Frozen from a dt-halving study (values move by ~1e-5 between dt=1e-3 and
 # dt=5e-4); guards against regressions of the whole propagation pipeline.
@@ -152,6 +155,85 @@ class TestTransportRegression:
 
         value = fidelity_fast(OverlapMatrix(matrix)).value
         assert value == pytest.approx(TRANSPORT_REGRESSION_F, abs=1e-4)
+
+
+def row_by_row(basis, n_states, schedule, settings):
+    # Every state on a row of its own, as without parity pairing.
+    final, _ = _evolve(basis.states[:n_states], schedule, basis.grid, settings)
+    return final
+
+
+def planned_basis(schedule, n_states):
+    grid = plan_grid(schedule, n_states)
+    return solve(schedule.evaluate(grid, 0.0), grid, n_states)
+
+
+class TestParityPairing:
+    # On a symmetric trap and grid, each even eigenstate shares an FFT row
+    # with an odd one; the evolved states must not notice.
+
+    @pytest.mark.parametrize(
+        "schedule, n_states",
+        [
+            (PotentialSchedule.expansion(10.0, omega_f=0.01, lam=1.0), 14),
+            (PotentialSchedule.splitting(2.0, h_f=20.0), 54),
+        ],
+        ids=["expansion", "splitting"],
+    )
+    def test_packed_matches_row_by_row(self, schedule, n_states):
+        basis = planned_basis(schedule, n_states)
+        rows, _ = _pack(basis.states, schedule, basis.grid)
+        assert len(rows) == n_states // 2
+        settings = PropagationSettings(dt=2e-3)
+        packed = propagate_basis(basis, n_states, schedule, settings)
+        reference = row_by_row(basis, n_states, schedule, settings)
+        assert np.max(np.abs(packed - reference)) < 1e-10
+
+    def test_mixed_parity_states_keep_own_rows(self):
+        # A tunnel-split pair mixed by the eigensolver is neither even nor
+        # odd; such states must propagate exactly as they would alone.
+        schedule = PotentialSchedule.expansion(2.0, omega_f=0.5, lam=0.0)
+        grid = Grid(-12.0, 12.0, 256)
+        pure = solve(schedule.evaluate(grid, 0.0), grid, 4)
+        states = pure.states.copy()
+        states[0] = (pure.states[0] + pure.states[1]) / np.sqrt(2.0)
+        states[1] = (pure.states[0] - pure.states[1]) / np.sqrt(2.0)
+        basis = EigenBasis(grid, pure.energies, states)
+        rows, _ = _pack(basis.states, schedule, grid)
+        assert len(rows) == 3
+        settings = PropagationSettings(dt=2e-3)
+        packed = propagate_basis(basis, 4, schedule, settings)
+        reference = row_by_row(basis, 4, schedule, settings)
+        np.testing.assert_array_equal(packed[:2], reference[:2])
+        assert np.max(np.abs(packed[2:] - reference[2:])) < 1e-10
+
+    def test_transport_is_not_packed(self):
+        # Starting at x = 0 on a symmetric grid the initial states are
+        # parity-pure, but the moving trap is not symmetric, so they must
+        # not share rows.
+        schedule = PotentialSchedule.transport(3.0, x0_f=4.0)
+        grid = Grid(-12.0, 12.0, 256)
+        basis = solve(schedule.evaluate(grid, 0.0), grid, 4)
+        settings = PropagationSettings(dt=2e-3)
+        packed = propagate_basis(basis, 4, schedule, settings)
+        np.testing.assert_array_equal(
+            packed, row_by_row(basis, 4, schedule, settings)
+        )
+
+    def test_containment_error_names_the_state(self):
+        # Six states on three packed rows leak out of a box too small for
+        # the expanded trap; the error must name the state, not its row.
+        schedule = PotentialSchedule.expansion(3.0, omega_f=0.05, lam=0.0)
+        grid = Grid(-8.0, 8.0, 128)
+        basis = solve(schedule.evaluate(grid, 0.0), grid, 6)
+        settings = PropagationSettings(dt=5e-3)
+        with pytest.raises(ContainmentError) as reference:
+            row_by_row(basis, 6, schedule, settings)
+        with pytest.raises(ContainmentError) as packed:
+            propagate_basis(basis, 6, schedule, settings)
+        assert reference.value.state > 3
+        assert packed.value.state == reference.value.state
+        assert packed.value.step == reference.value.step
 
 
 class TestFailureModes:

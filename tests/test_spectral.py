@@ -42,12 +42,10 @@ class TestHarmonicOscillator:
         assert norms.max() < 1e-6 * max(harmonic_basis.energies.max(), 1.0)
 
     def test_parity_alternates(self, harmonic_basis):
+        grid = harmonic_basis.grid
         for i in range(12):
             state = harmonic_basis.states[i]
-            reflected = np.empty_like(state)
-            reflected[0] = state[0]
-            reflected[1:] = state[:0:-1]
-            parity = np.dot(state, reflected) * harmonic_basis.grid.dx
+            parity = np.dot(state, grid.reflect(state)) * grid.dx
             assert parity == pytest.approx((-1.0) ** i, abs=1e-8)
 
     def test_phase_convention_deterministic(self, harmonic_grid):
