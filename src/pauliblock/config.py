@@ -13,6 +13,7 @@ inclusive range written ``lo..hi``.
 
 from .errors import ConfigError
 from .experiments import Axis, SweepSpec
+from .pipeline import default_workers
 from .potentials import PotentialSchedule, RampShape, Task
 from .propagate import PropagationSettings
 
@@ -207,7 +208,7 @@ def build_spec(raw):
         settings=settings,
         n_points=n_points,
         verify_oracle=_as_bool(raw, "verify_oracle"),
-        workers=_as_int(raw, "workers", 1),
+        workers=_as_int(raw, "workers", default_workers()),
     )
 
 

@@ -5,11 +5,19 @@ Every error carries an ``exit_code`` used by the command line interface:
 4 for grid/containment failures.
 """
 
+import copyreg
+
 
 class SimulationError(Exception):
     """Base class for all package errors."""
 
     exit_code = 1
+
+    def __reduce__(self):
+        # Rebuild from the message and the structured fields without calling
+        # __init__, whose signature differs between subclasses, so that an
+        # error raised in a worker process arrives intact.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ConfigError(SimulationError):

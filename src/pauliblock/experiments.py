@@ -10,15 +10,22 @@ largest buffer count.  Smaller buffer counts slice rows of its overlap
 matrix; temperatures re-weight configurations of one ensemble per buffer
 count through the :class:`~pauliblock.pipeline.Engine` caches.
 
+The propagations a sweep is known to need run first, at the same time,
+as one batch on the engine's worker processes
+(:meth:`~pauliblock.pipeline.Engine.propagate_batch`): the time-step
+check's first two rungs and, at zero temperature, every schedule at the
+requested dt, on the guess that the check keeps it (if it halves dt, the
+schedules run as a second batch at the dt it kept).  The in-order
+evaluation then finds them in the cache, so the output does not depend
+on the worker count.
+
 Output is deterministic: rows follow the axis grid, floats are written
 with shortest round-trip precision and lines end with LF, so re-running a
 sweep reproduces the file byte for byte.
 """
 
 import enum
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 
 from .errors import ConfigError
 from .fidelity import (
@@ -29,7 +36,7 @@ from .fidelity import (
     fidelity_fast,
     verify_against_oracle,
 )
-from .pipeline import Engine
+from .pipeline import Engine, default_workers
 from .potentials import PotentialSchedule, Task
 from .propagate import PropagationSettings
 from .spectral import fermi_gap_profile
@@ -46,7 +53,12 @@ class Axis(enum.Enum):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One sweep: a schedule template plus the axis to vary."""
+    """One sweep: a schedule template plus the axis to vary.
+
+    ``workers`` is the process count of the engine a sweep creates for
+    itself (by default, every CPU this process may use); a sweep handed an
+    engine uses that engine's count.
+    """
 
     schedule: PotentialSchedule
     axis: Axis
@@ -60,7 +72,7 @@ class SweepSpec:
     n_points: object = None
     verify_oracle: bool = False
     check_dt: bool = True
-    workers: int = 1
+    workers: int = field(default_factory=default_workers)
 
     def __post_init__(self):
         values = tuple(self.axis_values)
@@ -73,6 +85,8 @@ class SweepSpec:
             raise ConfigError(f"threshold must be in (0, 1), got {self.threshold}")
         if self.tau < 0:
             raise ConfigError("tau must be >= 0")
+        if self.workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {self.workers}")
 
     def buffer_range(self):
         """(lo, hi) inclusive buffer range from ``n_buffer``."""
@@ -184,16 +198,14 @@ def _oracle_applies(spec, n_buffer):
     )
 
 
-def _schedule_points(spec, settings, buffers, taus, schedule, engine=None):
+def _schedule_points(spec, settings, buffers, taus, schedule, engine):
     """Fidelities of one schedule at every buffer count, and its grid size.
 
     ``buffers`` is in descending order, so the largest system's
     propagation serves the smaller ones.  Returns ``({N_b: values},
     n_points)`` with one value per temperature in ``taus``, or a single
-    zero-temperature value when ``taus`` is None.  Without an ``engine``
-    the schedule is evaluated on a fresh one, as in a worker process.
+    zero-temperature value when ``taus`` is None.
     """
-    engine = engine or Engine(n_points=spec.n_points)
     values = {}
     if taus is None:
         matrix, _, _ = engine.master_overlaps(
@@ -221,19 +233,22 @@ def _evaluate(spec, engine, schedules, buffers, taus):
     pipeline.  The time step is validated once, on the first schedule
     with the largest system.  Returns ``(settings, points)``: the
     validated settings and, per schedule, ``({N_b: values}, n_points)``
-    as from :func:`_schedule_points`.  With ``spec.workers > 1`` and more
-    than one schedule, the schedules are shared out to a worker pool, each
-    on a fresh engine.
+    as from :func:`_schedule_points`.
     """
     buffers = sorted(set(buffers), reverse=True)
+    # At zero temperature every schedule propagates the largest system at
+    # the validated dt: those runs join the check's batch.
     settings = engine.validated_settings(
-        schedules[0], spec.n_protected + buffers[0], spec.settings, spec.check_dt
+        schedules[0],
+        spec.n_protected + buffers[0],
+        spec.settings,
+        spec.check_dt,
+        also=schedules if taus is None else (),
     )
-    job = partial(_schedule_points, spec, settings, buffers, taus)
-    if spec.workers > 1 and len(schedules) > 1:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            return settings, list(pool.map(job, schedules))
-    return settings, [job(schedule, engine) for schedule in schedules]
+    return settings, [
+        _schedule_points(spec, settings, buffers, taus, schedule, engine)
+        for schedule in schedules
+    ]
 
 
 _SINGLE_VALUE_AXES = {
@@ -273,7 +288,7 @@ def run_sweep(spec, engine=None):
         taus = [float(t) for t in spec.axis_values]
     else:
         taus = [spec.tau] if spec.tau > 0 else None
-    engine = engine or Engine(n_points=spec.n_points, settings=spec.settings)
+    engine = engine or Engine(spec.n_points, spec.settings, spec.workers)
     settings, points = _evaluate(spec, engine, schedules, buffers, taus)
 
     rows = []
@@ -345,7 +360,7 @@ def min_buffer_search(spec, n_b_max=None, engine=None):
     """
     if spec.axis is not Axis.PROCESS_TIME:
         raise ConfigError("min_buffer_search expects a process-time grid")
-    engine = engine or Engine(n_points=spec.n_points, settings=spec.settings)
+    engine = engine or Engine(spec.n_points, spec.settings, spec.workers)
     _, hi = spec.buffer_range()
     if n_b_max is None:
         n_b_max = hi
@@ -410,7 +425,7 @@ def temperature_compensation_report(spec, engine=None):
     """
     if spec.axis is not Axis.TEMPERATURE:
         raise ConfigError("temperature_compensation_report expects a tau grid")
-    engine = engine or Engine(n_points=spec.n_points, settings=spec.settings)
+    engine = engine or Engine(spec.n_points, spec.settings, spec.workers)
     taus = [float(t) for t in spec.axis_values]
     lo, hi = spec.buffer_range()
     _, [(curves, _)] = _evaluate(

@@ -23,8 +23,20 @@ transport task the final trap is the initial one translated; when the
 translation is a whole number of lattice steps the target basis is
 obtained by rolling the initial states and verifying the eigen-residual,
 instead of a second dense solve.
+
+Propagations that do not depend on each other, such as the first two
+rungs of the time-step check and the other schedules of a sweep, can run
+as one batch (:meth:`Engine.propagate_batch`) on up to ``workers``
+processes: this one and workers forked from it, each evolving whole
+state families.  A batch only fills the propagation cache; the in-order
+path then finds its runs there, so results, escalations and errors do not
+depend on the worker count.
 """
 
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import numpy as np
@@ -36,6 +48,7 @@ from .errors import (
     ConvergenceError,
     NeedsMoreLevelsError,
     ResolutionError,
+    SimulationError,
 )
 from .fidelity import (
     FidelityResult,
@@ -65,6 +78,32 @@ def _family(schedule):
     return replace(schedule, shape=RampShape.LINEAR, T=1.0)
 
 
+def default_workers():
+    """The number of CPUs this process may run on (1 where the platform
+    cannot tell)."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _propagate_runs(runs):
+    """``propagate_basis`` for each ``(basis, n_states, schedule, dt)`` run.
+
+    Returns one entry per run: its evolved states, or the
+    :class:`SimulationError` it raised.  Defined at module level, so that a
+    worker pool pickles it by name.
+    """
+    results = []
+    for basis, n_states, schedule, dt in runs:
+        try:
+            results.append(
+                propagate_basis(basis, n_states, schedule, PropagationSettings(dt))
+            )
+        except SimulationError as exc:
+            results.append(exc)
+    return results
+
+
 def _check_counts(n_protected, n_buffer):
     if n_protected < 0 or n_buffer < 0 or n_protected + n_buffer < 1:
         raise ConfigError(
@@ -74,11 +113,20 @@ def _check_counts(n_protected, n_buffer):
 
 
 class Engine:
-    """Caching scenario runner; cheap to create, reusable across sweeps."""
+    """Caching scenario runner; cheap to create, reusable across sweeps.
 
-    def __init__(self, n_points=None, settings=None):
+    ``workers`` caps the processes a batch of independent propagations
+    runs on; by default, every CPU this process may use.
+    """
+
+    def __init__(self, n_points=None, settings=None, workers=None):
+        if workers is None:
+            workers = default_workers()
+        if workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {workers}")
         self.n_points = n_points
         self.settings = settings or PropagationSettings()
+        self.workers = workers
         self._bases = {}  # (Grid, potential hash) -> EigenBasis
         self._grids = {}  # family -> (Grid, states planned for, escalations)
         self._props = {}  # (schedule, Grid, dt) -> states array
@@ -185,25 +233,93 @@ class Engine:
 
     # -- propagation ---------------------------------------------------------
 
-    def evolved_states(self, schedule, grid, basis, n_states, settings):
-        key = (schedule, grid, settings.dt)
-        cached = self._props.get(key)
+    def _cached_states(self, schedule, grid, dt, n_states):
+        cached = self._props.get((schedule, grid, dt))
         if cached is not None and cached.shape[0] >= n_states:
             return cached[:n_states]
-        states = propagate_basis(basis, n_states, schedule, settings)
-        self._props[key] = states
+        return None
+
+    def evolved_states(self, schedule, grid, basis, n_states, settings):
+        states = self._cached_states(schedule, grid, settings.dt, n_states)
+        if states is None:
+            states = propagate_basis(basis, n_states, schedule, settings)
+            self._props[(schedule, grid, settings.dt)] = states
         return states
 
-    def validated_settings(self, schedule, n_states, settings, check_dt):
+    def propagate_batch(self, runs):
+        """Fill the propagation cache for ``runs``, ``(schedule, dt,
+        n_states)`` triples, on up to ``workers`` processes at once.
+
+        The runs are shared out longest first (steps times states), each to
+        the process with the least work so far: this process runs its own
+        share while forked worker processes run theirs.  Runs already
+        cached are skipped.  A run that raises a :class:`SimulationError`,
+        here or in its eigensolve, or whose worker process dies, fills
+        nothing, so the in-order path runs it again and escalates or raises
+        exactly as it would without the batch.
+        """
+        runs = list(dict.fromkeys(runs))
+        if min(self.workers, len(runs)) < 2:
+            return
+        todo = []
+        for schedule, dt, n_states in runs:
+            try:
+                grid, initial, _ = self.endpoint_bases(schedule, n_states, 1)
+            except SimulationError:
+                continue
+            if self._cached_states(schedule, grid, dt, n_states) is None:
+                steps, _ = PropagationSettings(dt).steps_for(schedule.T)
+                todo.append((steps * n_states, (initial, n_states, schedule, dt)))
+        n_lanes = min(self.workers, len(todo))
+        if n_lanes < 2:
+            return
+        lanes = [[] for _ in range(n_lanes)]
+        loads = [0] * n_lanes
+        for cost, run in sorted(todo, key=lambda item: item[0], reverse=True):
+            lane = loads.index(min(loads))
+            lanes[lane].append(run)
+            loads[lane] += cost
+        # Forked, not spawned: a spawned worker imports scipy again, about
+        # 0.5 s, which is more than a small batch takes.
+        with ProcessPoolExecutor(
+            n_lanes - 1, multiprocessing.get_context("fork")
+        ) as pool:
+            pending = [pool.submit(_propagate_runs, lane) for lane in lanes[1:]]
+            done = list(zip(lanes[0], _propagate_runs(lanes[0])))
+            for lane, job in zip(lanes[1:], pending):
+                try:
+                    done += zip(lane, job.result())
+                except BrokenProcessPool:
+                    pass  # a worker died; the in-order path runs its share
+        for (basis, _, schedule, dt), states in done:
+            if not isinstance(states, SimulationError):
+                self._props[(schedule, basis.grid, dt)] = states
+
+    def validated_settings(self, schedule, n_states, settings, check_dt, also=()):
         """``settings`` with a dt that passed the halving check for this
-        family, starting from ``settings.dt``."""
-        if not check_dt:
-            return settings
+        family, starting from ``settings.dt``.
+
+        ``also`` lists schedules that propagate ``n_states`` states at the
+        validated dt next; they run as a batch (:meth:`propagate_batch`).
+        While the check has yet to run, that batch guesses ``settings.dt``
+        and also holds the check's first two rungs, dt and dt/2, which it
+        always propagates; if the check then halves dt, the schedules run
+        as a second batch at the dt it kept.
+        """
         key = (_family(schedule), settings)
-        dt = self._dts.get(key)
+        dt = self._dts.get(key) if check_dt else settings.dt
+        guessed = None
         if dt is None:
+            guessed = settings.dt
+            self.propagate_batch([
+                (schedule, guessed, n_states),
+                (schedule, 0.5 * guessed, n_states),
+                *[(other, guessed, n_states) for other in also],
+            ])
             dt = self._converge_dt(schedule, n_states, settings)
             self._dts[key] = dt
+        if dt != guessed:
+            self.propagate_batch([(other, dt, n_states) for other in also])
         if dt == settings.dt:
             return settings
         return PropagationSettings(

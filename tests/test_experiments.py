@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 
 import pytest
@@ -12,9 +13,10 @@ from pauliblock import (
     run_sweep,
     temperature_compensation_report,
 )
-from pauliblock import experiments
+from pauliblock import experiments, pipeline
 from pauliblock.config import build_spec, parse_config_text
 from pauliblock.pipeline import Engine
+from pauliblock.planner import plan_grid
 
 
 def split_spec(**overrides):
@@ -49,6 +51,13 @@ class TestSpecValidation:
         assert split_spec(n_buffer=3).buffer_range() == (3, 3)
         with pytest.raises(ConfigError):
             split_spec(n_buffer=(4, 1)).buffer_range()
+
+    def test_workers_must_be_positive(self):
+        for workers in (0, -1):
+            with pytest.raises(ConfigError):
+                split_spec(workers=workers)
+            with pytest.raises(ConfigError):
+                Engine(workers=workers)
 
 
 class TestBufferSweep:
@@ -86,9 +95,9 @@ class TestProcessTimeSweep:
 
     def test_worker_pool_matches_serial(self):
         # A zero- and a finite-temperature sweep, and the minimal-buffer
-        # search, which shares their evaluation path.  With the dt check on,
-        # the serial sweep solves and propagates on its engine before the
-        # points, while each worker starts from a fresh one.
+        # search, which shares their evaluation path.  On two processes, the
+        # dt check's two rungs (when it is on) and the zero-temperature
+        # schedules propagate as one batch, and the points read the cache.
         cases = (
             (run_sweep, dict(n_buffer=2)),
             (run_sweep, dict(n_buffer=2, check_dt=True)),
@@ -99,7 +108,7 @@ class TestProcessTimeSweep:
             spec = split_spec(
                 axis=Axis.PROCESS_TIME, axis_values=(0.5, 1.0), **options
             )
-            serial = evaluate(spec).to_csv(None)
+            serial = evaluate(replace(spec, workers=1)).to_csv(None)
             parallel = evaluate(replace(spec, workers=2)).to_csv(None)
             assert serial == parallel
 
@@ -108,6 +117,78 @@ class TestProcessTimeSweep:
                           n_buffer=(0, 3))
         with pytest.raises(ConfigError):
             run_sweep(spec)
+
+
+class TestWorkerCount:
+    """One process and the default worker count give the same bytes."""
+
+    def process_time_spec(self, **overrides):
+        return split_spec(
+            axis=Axis.PROCESS_TIME, axis_values=(0.5, 1.0), n_buffer=2,
+            check_dt=True, **overrides
+        )
+
+    def test_dt_check_on(self):
+        spec = self.process_time_spec()
+        serial = run_sweep(replace(spec, workers=1)).to_csv(None)
+        assert run_sweep(spec).to_csv(None) == serial
+
+    def test_rejected_dt_discards_the_guessed_runs(self):
+        # The batch guesses that the check keeps dt = 0.02; it halves it.
+        spec = self.process_time_spec(settings=PropagationSettings(dt=0.02))
+        serial = run_sweep(replace(spec, workers=1))
+        assert {row.dt for row in serial.rows} == {0.01}
+        assert run_sweep(spec).to_csv(None) == serial.to_csv(None)
+
+    def test_leaking_batch_run_escalates_in_order(self):
+        # The leaking transport case of test_planner: the states reach the
+        # edge of the planned domain during the ramp, so the batched runs
+        # fail and the in-order path widens the grid, once, in both modes.
+        schedule = PotentialSchedule.transport(4.0, x0_f=20.0, lam=1.0)
+        spec = SweepSpec(
+            schedule=schedule,
+            axis=Axis.PROCESS_TIME,
+            axis_values=(4.0, 4.5),
+            n_protected=1,
+            n_buffer=1,
+            settings=PropagationSettings(dt=1e-3),
+        )
+        widened = plan_grid(schedule, 2, None).widened()
+        csvs = []
+        for engine in (Engine(workers=1), Engine()):
+            csvs.append(run_sweep(spec, engine).to_csv(None))
+            assert engine.family_grid(schedule) == widened
+        assert csvs[0] == csvs[1]
+
+    def test_patched_propagation_still_pools(self, monkeypatch):
+        # The benchmark's tracer replaces pipeline.propagate_basis with a
+        # closure, which cannot be pickled: the pool must not send it.
+        spec = self.process_time_spec()
+        serial = run_sweep(replace(spec, workers=1)).to_csv(None)
+        calls = []
+        propagate_basis = pipeline.propagate_basis
+
+        def recorded(*args, **kwargs):
+            calls.append(args)
+            return propagate_basis(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "propagate_basis", recorded)
+        assert run_sweep(spec).to_csv(None) == serial
+        assert calls  # this process ran its share through the closure
+
+    def test_dead_worker_leaves_its_runs_to_this_process(self, monkeypatch):
+        spec = self.process_time_spec()
+        serial = run_sweep(replace(spec, workers=1)).to_csv(None)
+        parent = os.getpid()
+        propagate_basis = pipeline.propagate_basis
+
+        def dies_in_workers(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(1)
+            return propagate_basis(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "propagate_basis", dies_in_workers)
+        assert run_sweep(replace(spec, workers=2)).to_csv(None) == serial
 
 
 class TestTemperatureSweep:
