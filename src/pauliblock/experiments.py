@@ -25,7 +25,7 @@ sweep reproduces the file byte for byte.
 """
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 from .errors import ConfigError
 from .fidelity import (
@@ -57,7 +57,9 @@ class SweepSpec:
 
     ``workers`` is the process count of the engine a sweep creates for
     itself (by default, every CPU this process may use); a sweep handed an
-    engine uses that engine's count.
+    engine uses that engine's count.  ``n_points`` must match the
+    ``n_points`` of an engine a sweep is handed, since that engine plans
+    the grids.
     """
 
     schedule: PotentialSchedule
@@ -152,26 +154,7 @@ class SweepResult:
     def to_csv(self, path_or_buffer=None):
         lines = [SWEEP_HEADER]
         for r in self.rows:
-            lines.append(
-                ",".join(
-                    _fmt(v)
-                    for v in (
-                        r.axis,
-                        r.axis_value,
-                        r.task,
-                        r.shape,
-                        r.T,
-                        r.n_protected,
-                        r.n_buffer,
-                        r.tau,
-                        r.lam,
-                        r.fidelity,
-                        r.method,
-                        r.dt,
-                        r.n_points,
-                    )
-                )
-            )
+            lines.append(",".join(_fmt(v) for v in astuple(r)))
         return _write_lines(lines, path_or_buffer)
 
 
@@ -211,8 +194,11 @@ def _schedule_points(spec, settings, buffers, taus, schedule, engine):
         matrix, _, _ = engine.master_overlaps(
             schedule, spec.n_protected + buffers[0], spec.n_protected, settings
         )
+        # Validated once: a row subset has no larger column norm or
+        # singular value than the whole matrix.
+        largest = OverlapMatrix(matrix)
         for nb in buffers:
-            a = OverlapMatrix(matrix[: spec.n_protected + nb])
+            a = largest.dropping_rows_after(spec.n_protected + nb)
             result = fidelity_fast(a)
             if _oracle_applies(spec, nb):
                 verify_against_oracle(a, result)
@@ -249,6 +235,19 @@ def _evaluate(spec, engine, schedules, buffers, taus):
         _schedule_points(spec, settings, buffers, taus, schedule, engine)
         for schedule in schedules
     ]
+
+
+def _engine_for(spec, engine):
+    """``engine``, or a new one for ``spec``; a handed engine must plan
+    grids with the spec's ``n_points``."""
+    if engine is None:
+        return Engine(spec.n_points, spec.settings, spec.workers)
+    if engine.n_points != spec.n_points:
+        raise ConfigError(
+            f"the sweep asks for n_points={spec.n_points}, but the engine "
+            f"it was handed plans grids with n_points={engine.n_points}"
+        )
+    return engine
 
 
 _SINGLE_VALUE_AXES = {
@@ -288,7 +287,7 @@ def run_sweep(spec, engine=None):
         taus = [float(t) for t in spec.axis_values]
     else:
         taus = [spec.tau] if spec.tau > 0 else None
-    engine = engine or Engine(spec.n_points, spec.settings, spec.workers)
+    engine = _engine_for(spec, engine)
     settings, points = _evaluate(spec, engine, schedules, buffers, taus)
 
     rows = []
@@ -360,7 +359,7 @@ def min_buffer_search(spec, n_b_max=None, engine=None):
     """
     if spec.axis is not Axis.PROCESS_TIME:
         raise ConfigError("min_buffer_search expects a process-time grid")
-    engine = engine or Engine(spec.n_points, spec.settings, spec.workers)
+    engine = _engine_for(spec, engine)
     _, hi = spec.buffer_range()
     if n_b_max is None:
         n_b_max = hi
@@ -425,7 +424,7 @@ def temperature_compensation_report(spec, engine=None):
     """
     if spec.axis is not Axis.TEMPERATURE:
         raise ConfigError("temperature_compensation_report expects a tau grid")
-    engine = engine or Engine(spec.n_points, spec.settings, spec.workers)
+    engine = _engine_for(spec, engine)
     taus = [float(t) for t in spec.axis_values]
     lo, hi = spec.buffer_range()
     _, [(curves, _)] = _evaluate(

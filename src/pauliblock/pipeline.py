@@ -1,28 +1,21 @@
 """Scenario assembly: grids, eigensolves, propagation and overlaps.
 
-The :class:`Engine` memoizes the expensive pieces within one run, keyed
-on the frozen :class:`~pauliblock.potentials.PotentialSchedule` and
-:class:`~pauliblock.grid.Grid` themselves:
-
-* endpoint eigenbases, keyed by grid and potential, each solved for the
-  level count its family grid was planned for (a request for K states
-  slices that solve);
-* propagated state families, keyed by schedule, grid and dt (a request
-  for M states is served by slicing a cached run with >= M states);
-* the grid per schedule family (the schedule with its ramp shape and
-  duration fixed: same traps, same grids), and the validated time step
-  per family and requested settings.
+The :class:`Engine` memoizes the expensive pieces within one run in one
+record per schedule family, the frozen
+:class:`~pauliblock.potentials.PotentialSchedule` with its ramp shape and
+duration fixed (same traps, same grids).  A record holds the family grid,
+the level count it was planned for and its escalation count; the initial
+and final eigenbases, each solved for the planned count (a request for K
+states slices that solve); and the propagated states, keyed by schedule
+and dt (a request for M states slices a cached run with >= M states).
 
 Each family's grid comes from :func:`~pauliblock.planner.plan_grid`, sized
 for the number of states requested; a later request for more states than
 the grid was planned for plans it again.  Grids escalate automatically,
 in eigensolves and in propagation alike: a position-space leak doubles
-the domain, momentum-space undersampling doubles the point count, and
-every cached basis or propagation on the old grid is dropped.  For the
-transport task the final trap is the initial one translated; when the
-translation is a whole number of lattice steps the target basis is
-obtained by rolling the initial states and verifying the eigen-residual,
-instead of a second dense solve.
+the domain, momentum-space undersampling doubles the point count.
+Re-planning or escalating replaces the whole record.  The validated time
+step is kept apart, per family and requested settings, so it survives.
 
 Propagations that do not depend on each other, such as the first two
 rungs of the time-step check and the other schedules of a sweep, can run
@@ -37,7 +30,7 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -58,8 +51,9 @@ from .fidelity import (
     gram_fidelity_values,
     verify_against_oracle,
 )
+from .grid import Grid
 from .planner import plan_grid
-from .potentials import RampShape, Task
+from .potentials import RampShape
 from .propagate import PropagationSettings, propagate_basis
 from .thermal import (
     DEFAULT_TAIL_BOUND,
@@ -76,6 +70,24 @@ MAX_ESCALATIONS = 4
 def _family(schedule):
     # Everything but the ramp shape and duration: same traps, same grids.
     return replace(schedule, shape=RampShape.LINEAR, T=1.0)
+
+
+@dataclass
+class _FamilyRecord:
+    """One family's grid and what was computed on it (see module docstring)."""
+
+    grid: Grid
+    n_planned: int
+    escalations: int = 0
+    initial: spectral.EigenBasis = None
+    final: spectral.EigenBasis = None
+    props: dict = field(default_factory=dict)  # (schedule, dt) -> states
+
+
+def _lowest(basis, n_states):
+    return spectral.EigenBasis(
+        basis.grid, basis.energies[:n_states], basis.states[:n_states]
+    )
 
 
 def default_workers():
@@ -127,83 +139,49 @@ class Engine:
         self.n_points = n_points
         self.settings = settings or PropagationSettings()
         self.workers = workers
-        self._bases = {}  # (Grid, potential hash) -> EigenBasis
-        self._grids = {}  # family -> (Grid, states planned for, escalations)
-        self._props = {}  # (schedule, Grid, dt) -> states array
+        self._families = {}  # family -> _FamilyRecord
         self._dts = {}  # (family, requested settings) -> validated dt
-
-    # -- grids -----------------------------------------------------------------
 
     def family_grid(self, schedule):
         """Current grid of the schedule's family, or None before any request."""
-        entry = self._grids.get(_family(schedule))
-        return entry[0] if entry else None
+        record = self._families.get(_family(schedule))
+        return record.grid if record else None
 
-    def _planned_grid(self, schedule, n_states):
-        family = _family(schedule)
-        entry = self._grids.get(family)
-        if entry is None or entry[1] < n_states:
-            entry = (plan_grid(schedule, n_states, self.n_points), n_states, 0)
-            self._grids[family] = entry
-        return entry[0]
+    def _with_escalation(self, schedule, n_states, work):
+        """``work(record)`` on the family record, planned (again) for
+        ``n_states`` levels if it holds fewer, its endpoint bases solved.
 
-    def _escalate(self, schedule, exc):
-        """Widen (after a leak) or refine (after aliasing) the family grid.
-
-        Drops every cached basis and propagation on the old grid; re-raises
-        ``exc`` once the grid has escalated ``MAX_ESCALATIONS`` times.
+        A leak out of the domain or off the momentum lattice, in an
+        eigensolve or in ``work``, widens or refines the grid in a new
+        record, up to ``MAX_ESCALATIONS`` times; then it is raised.
         """
         family = _family(schedule)
-        grid, n_planned, escalations = self._grids[family]
-        if escalations == MAX_ESCALATIONS:
-            raise exc
-        if isinstance(exc, ContainmentError):
-            larger = grid.widened()
-        else:
-            larger = grid.refined()
-        self._grids[family] = (larger, n_planned, escalations + 1)
-        self._bases = {k: v for k, v in self._bases.items() if k[0] != grid}
-        self._props = {k: v for k, v in self._props.items() if k[1] != grid}
-        return larger
-
-    def _with_escalation(self, schedule, n_states, n_targets, work):
-        """``work(grid, initial, targets)`` on the family grid, escalated
-        while a propagation leaks out of the domain or off the momentum
-        lattice."""
+        record = self._families.get(family)
+        if record is None or record.n_planned < n_states:
+            grid = plan_grid(schedule, n_states, self.n_points)
+            record = _FamilyRecord(grid, n_states)
+            self._families[family] = record
         while True:
-            grid, initial, targets = self.endpoint_bases(schedule, n_states, n_targets)
             try:
-                return work(grid, initial, targets)
+                if record.final is None:
+                    record.initial, record.final = (
+                        spectral.solve(
+                            schedule.evaluate(record.grid, t),
+                            record.grid,
+                            record.n_planned,
+                        )
+                        for t in (0.0, schedule.T)
+                    )
+                return work(record)
             except (ContainmentError, ResolutionError) as exc:
-                self._escalate(schedule, exc)
-
-    # -- eigensolves -------------------------------------------------------
-
-    def _solve(self, potential, grid, n_solve, n_states):
-        """The lowest ``n_states`` levels of a solve for ``n_solve``."""
-        key = (grid, hash(potential.tobytes()))
-        basis = self._bases.get(key)
-        if basis is None or basis.size < n_solve:
-            basis = spectral.solve(potential, grid, n_solve)
-            self._bases[key] = basis
-        return spectral.EigenBasis(
-            grid, basis.energies[:n_states], basis.states[:n_states]
-        )
-
-    def _rolled_targets(self, schedule, grid, initial, n_states):
-        """Translate initial eigenstates to the final trap center, if exact."""
-        shift = (schedule.x0_f - schedule.x0_i) / grid.dx
-        if abs(shift - round(shift)) > 1e-9:
-            return None
-        rolled = np.roll(initial.states[:n_states], int(round(shift)), axis=1)
-        energies = initial.energies[:n_states].copy()
-        potential = spectral.effective_potential(schedule.evaluate(grid, schedule.T))
-        try:
-            spectral.residual_check(potential, grid, energies, rolled)
-            spectral.check_containment(rolled, grid)
-        except (ConvergenceError, ContainmentError):
-            return None
-        return spectral.EigenBasis(grid, energies, rolled)
+                if record.escalations == MAX_ESCALATIONS:
+                    raise
+                if isinstance(exc, ContainmentError):
+                    grid = record.grid.widened()
+                else:
+                    grid = record.grid.refined()
+                record = _FamilyRecord(grid, record.n_planned, record.escalations + 1)
+                self._families[family] = record
 
     def endpoint_bases(self, schedule, n_initial, n_targets):
         """(grid, initial basis, target basis) with automatic escalation.
@@ -213,38 +191,29 @@ class Engine:
         which request came first.
         """
         n_states = max(n_initial, n_targets)
-        grid = self._planned_grid(schedule, n_states)
-        n_solve = self._grids[_family(schedule)][1]
-        while True:
-            try:
-                v0 = schedule.evaluate(grid, 0.0)
-                initial = self._solve(v0, grid, n_solve, n_states)
-                if schedule.task is Task.TRANSPORT:
-                    targets = self._rolled_targets(schedule, grid, initial, n_targets)
-                    if targets is None:
-                        v1 = schedule.evaluate(grid, schedule.T)
-                        targets = self._solve(v1, grid, n_solve, n_targets)
-                else:
-                    v1 = schedule.evaluate(grid, schedule.T)
-                    targets = self._solve(v1, grid, n_solve, n_targets)
-                return grid, initial, targets
-            except (ContainmentError, ResolutionError) as exc:
-                grid = self._escalate(schedule, exc)
+
+        def bases(record):
+            return (
+                record.grid,
+                _lowest(record.initial, n_states),
+                _lowest(record.final, n_targets),
+            )
+
+        return self._with_escalation(schedule, n_states, bases)
 
     # -- propagation ---------------------------------------------------------
 
-    def _cached_states(self, schedule, grid, dt, n_states):
-        cached = self._props.get((schedule, grid, dt))
-        if cached is not None and cached.shape[0] >= n_states:
-            return cached[:n_states]
-        return None
-
-    def evolved_states(self, schedule, grid, basis, n_states, settings):
-        states = self._cached_states(schedule, grid, settings.dt, n_states)
-        if states is None:
-            states = propagate_basis(basis, n_states, schedule, settings)
-            self._props[(schedule, grid, settings.dt)] = states
-        return states
+    def evolved_states(self, schedule, n_states, settings):
+        """The lowest ``n_states`` initial eigenstates evolved to t = T on
+        the family's current grid (:meth:`endpoint_bases` solves it), cached;
+        a leak raises here rather than escalate."""
+        record = self._families[_family(schedule)]
+        key = (schedule, settings.dt)
+        if len(record.props.get(key, ())) < n_states:
+            record.props[key] = propagate_basis(
+                record.initial, n_states, schedule, settings
+            )
+        return record.props[key][:n_states]
 
     def propagate_batch(self, runs):
         """Fill the propagation cache for ``runs``, ``(schedule, dt,
@@ -264,12 +233,13 @@ class Engine:
         todo = []
         for schedule, dt, n_states in runs:
             try:
-                grid, initial, _ = self.endpoint_bases(schedule, n_states, 1)
+                record = self._with_escalation(schedule, n_states, lambda r: r)
             except SimulationError:
                 continue
-            if self._cached_states(schedule, grid, dt, n_states) is None:
+            if len(record.props.get((schedule, dt), ())) < n_states:
                 steps, _ = PropagationSettings(dt).steps_for(schedule.T)
-                todo.append((steps * n_states, (initial, n_states, schedule, dt)))
+                run = (record.initial, n_states, schedule, dt)
+                todo.append((steps * n_states, run))
         n_lanes = min(self.workers, len(todo))
         if n_lanes < 2:
             return
@@ -292,8 +262,10 @@ class Engine:
                 except BrokenProcessPool:
                     pass  # a worker died; the in-order path runs its share
         for (basis, _, schedule, dt), states in done:
-            if not isinstance(states, SimulationError):
-                self._props[(schedule, basis.grid, dt)] = states
+            record = self._families[_family(schedule)]
+            # A family re-planned or escalated since its run keeps nothing.
+            if record.initial is basis and not isinstance(states, SimulationError):
+                record.props[(schedule, dt)] = states
 
     def validated_settings(self, schedule, n_states, settings, check_dt, also=()):
         """``settings`` with a dt that passed the halving check for this
@@ -320,20 +292,17 @@ class Engine:
             self._dts[key] = dt
         if dt != guessed:
             self.propagate_batch([(other, dt, n_states) for other in also])
-        if dt == settings.dt:
-            return settings
-        return PropagationSettings(
-            dt, settings.store_trajectory, settings.tolerance, settings.n_samples
-        )
+        return replace(settings, dt=dt)
 
     def _converge_dt(self, schedule, n_states, settings):
-        def halve(grid, initial, targets):
+        def halve(record):
+            targets = record.final.states[:n_states]
             dt = settings.dt
             previous = None
             for _ in range(12):
                 trial = PropagationSettings(dt, tolerance=settings.tolerance)
-                states = self.evolved_states(schedule, grid, initial, n_states, trial)
-                overlaps = np.conj(states) @ targets.states.T * grid.dx
+                states = self.evolved_states(schedule, n_states, trial)
+                overlaps = np.conj(states) @ targets.T * record.grid.dx
                 if previous is not None:
                     if np.max(np.abs(overlaps - previous[1])) < settings.tolerance:
                         return previous[0]
@@ -344,20 +313,21 @@ class Engine:
                 f"after halving down to dt={dt * 2}"
             )
 
-        return self._with_escalation(schedule, n_states, n_states, halve)
+        return self._with_escalation(schedule, n_states, halve)
 
     # -- overlap assembly -----------------------------------------------------
 
     def master_overlaps(self, schedule, n_states, n_protected, settings):
         """Overlap matrix rows for the lowest ``n_states`` evolved levels."""
-        def overlaps(grid, initial, targets):
-            evolved = self.evolved_states(schedule, grid, initial, n_states, settings)
-            matrix = np.conj(evolved) @ targets.states[:n_protected].T * grid.dx
-            return matrix, grid, initial
+        n_solve = max(n_states, n_protected)
 
-        return self._with_escalation(
-            schedule, n_states, max(n_protected, 1), overlaps
-        )
+        def overlaps(record):
+            evolved = self.evolved_states(schedule, n_states, settings)
+            targets = record.final.states[:n_protected]
+            matrix = np.conj(evolved) @ targets.T * record.grid.dx
+            return matrix, record.grid, _lowest(record.initial, n_solve)
+
+        return self._with_escalation(schedule, n_solve, overlaps)
 
     # -- fidelities ------------------------------------------------------------
 
@@ -475,8 +445,8 @@ class Engine:
         The level search starts from the count the family grid was last
         planned for, which an earlier curve may already have certified.
         """
-        entry = self._grids.get(_family(schedule))
-        n_levels = max(n_total + 8, 12, entry[1] if entry else 0)
+        record = self._families.get(_family(schedule))
+        n_levels = max(n_total + 8, 12, record.n_planned if record else 0)
         for _ in range(8):
             _, initial, _ = self.endpoint_bases(schedule, n_levels, 1)
             energies = initial.energies[:n_levels]

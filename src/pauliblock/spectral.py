@@ -130,8 +130,12 @@ def holds_states(n_points, n_states):
     return 1 <= n_states < n_points // 4
 
 
-def solve(potential, grid, n_states, check_grid=True):
+def solve(potential, grid, n_states):
     """Lowest eigenpairs of H = -0.5 d^2/dx^2 + V by dense diagonalization.
+
+    A returned state not contained in the box or not resolved by the
+    momentum lattice raises :class:`ContainmentError` /
+    :class:`ResolutionError`, so callers can enlarge or refine the grid.
 
     Parameters
     ----------
@@ -141,11 +145,6 @@ def solve(potential, grid, n_states, check_grid=True):
     n_states : int
         Number of eigenpairs, must stay below ``n_points/4``
         (:func:`holds_states`).
-    check_grid : bool
-        When true (default), verify that every returned state is contained
-        in the box and resolved by the momentum lattice; violations raise
-        :class:`ContainmentError` / :class:`ResolutionError` so callers can
-        enlarge or refine the grid.
 
     Returns
     -------
@@ -181,9 +180,8 @@ def solve(potential, grid, n_states, check_grid=True):
     _order_degenerate_pairs(energies, states, grid)
 
     residual_check(potential, grid, energies, states)
-    if check_grid:
-        check_containment(states, grid)
-        check_resolution(states, grid)
+    check_containment(states, grid)
+    check_resolution(states, grid)
     return EigenBasis(grid, energies, states)
 
 

@@ -59,6 +59,24 @@ class TestSpecValidation:
             with pytest.raises(ConfigError):
                 Engine(workers=workers)
 
+    def test_handed_engine_must_match_n_points(self):
+        spec = split_spec(axis_values=(0,), n_points=256)
+        temperatures = replace(
+            spec, axis=Axis.TEMPERATURE, axis_values=(0.0, 0.3), n_buffer=(0, 1)
+        )
+        for evaluate, sweep in (
+            (run_sweep, spec),
+            (temperature_compensation_report, temperatures),
+            (lambda s, engine: min_buffer_search(s, engine=engine),
+             replace(spec, axis=Axis.PROCESS_TIME, axis_values=(1.0,))),
+        ):
+            with pytest.raises(ConfigError):
+                evaluate(sweep, Engine(workers=1))
+        alone = run_sweep(spec)
+        assert [row.n_points for row in alone.rows] == [256]
+        handed = run_sweep(spec, Engine(256, spec.settings, workers=1))
+        assert handed.to_csv(None) == alone.to_csv(None)
+
 
 class TestBufferSweep:
     def test_rows_and_monotonicity(self, shared_engine):

@@ -186,6 +186,25 @@ class TestEngineGrids:
         assert initial.size == 40
         assert engine.family_grid(schedule) == grid
 
+    def test_transport_targets_are_solved_on_whole_lattice_shifts(self):
+        # The shift x0_f - x0_i is exactly 50 lattice steps of the planned
+        # grid; the targets are still the final trap's own eigensolve, for
+        # the planned level count, whether all or only the protected two
+        # are asked for.
+        schedule = PotentialSchedule.transport(5.0, x0_f=10.0)
+        engine = Engine(workers=1)
+        for n_targets in (4, 2):
+            grid, _, targets = engine.endpoint_bases(schedule, 4, n_targets)
+            assert grid.n_points == 90
+            assert (schedule.x0_f - schedule.x0_i) / grid.dx == 50.0
+            reference = solve(schedule.evaluate(grid, schedule.T), grid, 4)
+            np.testing.assert_array_equal(
+                targets.energies, reference.energies[:n_targets]
+            )
+            np.testing.assert_array_equal(
+                targets.states, reference.states[:n_targets]
+            )
+
     def test_leak_during_propagation_escalates(self, monkeypatch):
         # Braking at the end of the ramp throws the states ahead of the
         # final trap: the planned domain holds every eigenstate of both
@@ -193,9 +212,9 @@ class TestEngineGrids:
         schedule = PotentialSchedule.transport(4.0, x0_f=20.0, lam=1.0)
         settings = PropagationSettings(dt=1e-3)
         leaking = Engine()
-        planned, initial, _ = leaking.endpoint_bases(schedule, 2, 1)
+        planned, _, _ = leaking.endpoint_bases(schedule, 2, 1)
         with pytest.raises(ContainmentError):
-            leaking.evolved_states(schedule, planned, initial, 2, settings)
+            leaking.evolved_states(schedule, 2, settings)
         escalated = leaking.scenario_fidelity(schedule, 1, 1, settings)
         assert leaking.family_grid(schedule) == planned.widened()
 
