@@ -13,11 +13,13 @@ count through the :class:`~pauliblock.pipeline.Engine` caches.
 The propagations a sweep is known to need run first, at the same time,
 as one batch on the engine's worker processes
 (:meth:`~pauliblock.pipeline.Engine.propagate_batch`): the time-step
-check's first two rungs and, at zero temperature, every schedule at the
-requested dt, on the guess that the check keeps it (if it halves dt, the
-schedules run as a second batch at the dt it kept).  The in-order
-evaluation then finds them in the cache, so the output does not depend
-on the worker count.
+check's first two rungs and every schedule at the requested dt, on the
+guess that the check keeps it (if it halves dt, the schedules run as a
+second batch at the dt it kept).  At finite temperature a schedule's run
+holds every level its hottest ensemble is estimated to need, and its
+family is planned for them before the check, so the check validates dt
+on the grid the curves use.  The in-order evaluation then finds the runs
+in the cache, so the output does not depend on the worker count.
 
 Output is deterministic: rows follow the axis grid, floats are written
 with shortest round-trip precision and lines end with LF, so re-running a
@@ -222,14 +224,21 @@ def _evaluate(spec, engine, schedules, buffers, taus):
     as from :func:`_schedule_points`.
     """
     buffers = sorted(set(buffers), reverse=True)
-    # At zero temperature every schedule propagates the largest system at
-    # the validated dt: those runs join the check's batch.
+    n_total = spec.n_protected + buffers[0]
+    # Every schedule propagates the largest system's levels at the
+    # validated dt: at zero temperature its N states, at finite temperature
+    # the levels of its hottest ensemble, for which its family is planned
+    # before the check.  Those runs join the check's batch.
+    if taus is None:
+        also = [(schedule, n_total) for schedule in schedules]
+    else:
+        tau_max = max(taus)
+        also = [
+            (schedule, engine.plan_levels(schedule, n_total, tau_max, spec.tail_bound))
+            for schedule in schedules
+        ]
     settings = engine.validated_settings(
-        schedules[0],
-        spec.n_protected + buffers[0],
-        spec.settings,
-        spec.check_dt,
-        also=schedules if taus is None else (),
+        schedules[0], n_total, spec.settings, spec.check_dt, also=also
     )
     return settings, [
         _schedule_points(spec, settings, buffers, taus, schedule, engine)

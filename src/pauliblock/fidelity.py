@@ -173,24 +173,36 @@ def gram_fidelity_values(master, row_sets):
     ``row_sets`` is an integer array of shape (n_sets, N) of 0-based row
     indices into ``master`` (shape (M, N_p)).  Vectorized over the sets;
     used by the thermal average where thousands of occupation
-    configurations share the same evolved states.  Like
-    :func:`fidelity_fast`, raises :class:`NumericalConsistencyError` if a
-    determinant leaves [0, 1] by more than 1e-10 before clamping.
+    configurations share the same evolved states.  Each Gram matrix is the
+    sum over its rows of the per-level products conj(A[m, i]) A[m, j],
+    added slot by slot, so no (n_sets, N, N_p) block is ever gathered.
+    Like :func:`fidelity_fast`, raises :class:`NumericalConsistencyError`
+    if a determinant leaves [0, 1] by more than 1e-10 before clamping.
     """
     row_sets = np.asarray(row_sets, dtype=np.intp)
-    sub = master[row_sets]  # (n_sets, N, N_p)
-    grams = np.einsum("sni,snj->sij", sub.conj(), sub)
     n_p = master.shape[1]
     if n_p == 0:
         return np.ones(len(row_sets))
-    if n_p == 1:
-        dets = grams[:, 0, 0].real
-    elif n_p == 2:
-        dets = (
-            grams[:, 0, 0] * grams[:, 1, 1] - grams[:, 0, 1] * grams[:, 1, 0]
-        ).real
+    if n_p <= 2:
+        # The real diagonal and, for N_p = 2, the one off-diagonal entry.
+        products = [master[:, i].real ** 2 + master[:, i].imag ** 2 for i in range(n_p)]
+        if n_p == 2:
+            products.append(master[:, 0].conj() * master[:, 1])
     else:
-        dets = np.linalg.det(grams).real
+        products = [master.conj()[:, :, None] * master[:, None, :]]
+    grams = []
+    for per_level in products:
+        gram = per_level[row_sets[:, 0]]
+        for slot in range(1, row_sets.shape[1]):
+            gram += per_level[row_sets[:, slot]]
+        grams.append(gram)
+    if n_p == 1:
+        dets = grams[0]
+    elif n_p == 2:
+        g00, g11, g01 = grams
+        dets = g00 * g11 - (g01.real**2 + g01.imag**2)
+    else:
+        dets = np.linalg.det(grams[0]).real
     outside = (dets < -RANGE_TOL) | (dets > 1.0 + RANGE_TOL)
     if outside.any():
         worst = int(np.argmax(outside))

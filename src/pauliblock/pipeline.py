@@ -16,9 +16,12 @@ in eigensolves and in propagation alike: a position-space leak doubles
 the domain, momentum-space undersampling doubles the point count.
 Re-planning or escalating replaces the whole record.  The validated time
 step is kept apart, per family and requested settings, so it survives.
+A thermal curve plans its family before anything else, for the levels
+its hottest ensemble is estimated to need (:meth:`Engine.plan_levels`),
+so the time-step check runs on the grid the curve then uses.
 
 Propagations that do not depend on each other, such as the first two
-rungs of the time-step check and the other schedules of a sweep, can run
+rungs of the time-step check and the schedules of a sweep, can run
 as one batch (:meth:`Engine.propagate_batch`) on up to ``workers``
 processes: this one and workers forked from it, each evolving whole
 state families.  A batch only fills the propagation cache; the in-order
@@ -52,7 +55,7 @@ from .fidelity import (
     verify_against_oracle,
 )
 from .grid import Grid
-from .planner import plan_grid
+from .planner import ensemble_level_count, plan_grid
 from .potentials import RampShape
 from .propagate import PropagationSettings, propagate_basis
 from .thermal import (
@@ -65,6 +68,10 @@ from .thermal import (
 # Doublings of a family's grid (domain or point count) allowed after it
 # was planned; one more failed check raises.
 MAX_ESCALATIONS = 4
+# Levels planned beyond the semiclassical estimate of what a thermal
+# ensemble needs: one level absorbs a Bohr-Sommerfeld error of up to one
+# level spacing at the cutoff.
+LEVEL_MARGIN = 1
 
 
 def _family(schedule):
@@ -221,13 +228,17 @@ class Engine:
 
         The runs are shared out longest first (steps times states), each to
         the process with the least work so far: this process runs its own
-        share while forked worker processes run theirs.  Runs already
-        cached are skipped.  A run that raises a :class:`SimulationError`,
+        share while forked worker processes run theirs.  Runs of one
+        schedule and dt merge into the one with the most states, and runs
+        already cached are skipped.  A run that raises a :class:`SimulationError`,
         here or in its eigensolve, or whose worker process dies, fills
         nothing, so the in-order path runs it again and escalates or raises
         exactly as it would without the batch.
         """
-        runs = list(dict.fromkeys(runs))
+        most = {}
+        for schedule, dt, n_states in runs:
+            most[(schedule, dt)] = max(n_states, most.get((schedule, dt), 0))
+        runs = [(schedule, dt, n_states) for (schedule, dt), n_states in most.items()]
         if min(self.workers, len(runs)) < 2:
             return
         todo = []
@@ -263,20 +274,27 @@ class Engine:
                     pass  # a worker died; the in-order path runs its share
         for (basis, _, schedule, dt), states in done:
             record = self._families[_family(schedule)]
-            # A family re-planned or escalated since its run keeps nothing.
-            if record.initial is basis and not isinstance(states, SimulationError):
+            # A family re-planned or escalated since its run keeps nothing,
+            # and a cached run is never replaced by one with fewer states.
+            if (
+                record.initial is basis
+                and not isinstance(states, SimulationError)
+                and len(states) > len(record.props.get((schedule, dt), ()))
+            ):
                 record.props[(schedule, dt)] = states
 
     def validated_settings(self, schedule, n_states, settings, check_dt, also=()):
         """``settings`` with a dt that passed the halving check for this
         family, starting from ``settings.dt``.
 
-        ``also`` lists schedules that propagate ``n_states`` states at the
-        validated dt next; they run as a batch (:meth:`propagate_batch`).
-        While the check has yet to run, that batch guesses ``settings.dt``
-        and also holds the check's first two rungs, dt and dt/2, which it
-        always propagates; if the check then halves dt, the schedules run
-        as a second batch at the dt it kept.
+        ``also`` lists the runs, ``(schedule, n_states)`` pairs, that
+        propagate at the validated dt next; they run as a batch
+        (:meth:`propagate_batch`).  While the check has yet to run, that
+        batch guesses ``settings.dt`` and also holds the check's first two
+        rungs, dt and dt/2, which it always propagates; a run of the
+        checked schedule with more states serves as the first rung.  If the
+        check then halves dt, the runs go as a second batch at the dt it
+        kept.
         """
         key = (_family(schedule), settings)
         dt = self._dts.get(key) if check_dt else settings.dt
@@ -286,12 +304,12 @@ class Engine:
             self.propagate_batch([
                 (schedule, guessed, n_states),
                 (schedule, 0.5 * guessed, n_states),
-                *[(other, guessed, n_states) for other in also],
+                *[(other, guessed, n_other) for other, n_other in also],
             ])
             dt = self._converge_dt(schedule, n_states, settings)
             self._dts[key] = dt
         if dt != guessed:
-            self.propagate_batch([(other, dt, n_states) for other in also])
+            self.propagate_batch([(other, dt, n_other) for other, n_other in also])
         return replace(settings, dt=dt)
 
     def _converge_dt(self, schedule, n_states, settings):
@@ -388,12 +406,16 @@ class Engine:
     ):
         """Thermal fidelity at several temperatures from one propagation.
 
-        Returns (values, ensembles).  The hottest temperature's ensemble is
-        enumerated once and the master overlap matrix covers its highest
-        level; the per-configuration fidelities are evaluated once over
-        its rows, and each colder temperature is a row mask of it,
-        re-weighted with its own cutoff.  A colder temperature whose cutoff
-        grows past the hottest one's is evaluated on its own.
+        Returns (values, ensembles).  The family is planned first for the
+        levels the hottest ensemble is estimated to need
+        (:meth:`plan_levels`), so the time-step check runs on the grid the
+        curve then uses and its first rung propagates the master rows.  The
+        hottest temperature's ensemble is enumerated once and the master
+        overlap matrix covers its highest level; the per-configuration
+        fidelities are evaluated once over its rows, and each colder
+        temperature is a row mask of it, re-weighted with its own cutoff.
+        A colder temperature whose cutoff grows past the hottest one's is
+        evaluated on its own.
         """
         _check_counts(n_protected, n_buffer)
         n_total = n_protected + n_buffer
@@ -401,11 +423,12 @@ class Engine:
             raise ConfigError("no temperatures supplied")
         if min(taus) < 0:
             raise ConfigError("temperatures must be >= 0")
+        tau_max = max(taus)
+        n_levels = self.plan_levels(schedule, n_total, tau_max, tail_bound)
         settings = settings or self.validated_settings(
-            schedule, n_total, self.settings, check_dt
+            schedule, n_total, self.settings, check_dt, also=[(schedule, n_levels)]
         )
 
-        tau_max = max(taus)
         if tau_max > 0:
             hot, energies = self._ensemble_levels(
                 schedule, n_total, tau_max, tail_bound
@@ -439,14 +462,33 @@ class Engine:
             ensembles.append(ensemble)
         return values, ensembles
 
+    def plan_levels(self, schedule, n_total, tau, tail_bound=DEFAULT_TAIL_BOUND):
+        """Plan the family for the levels an ensemble needs; return their count.
+
+        At ``tau > 0`` that is the ladder length the truncation certificate
+        of ``n_total`` fermions is estimated to need: the certificate runs on
+        the Bohr-Sommerfeld ladder of the initial trap (exact for a
+        harmonic one), plus ``LEVEL_MARGIN``.  At ``tau = 0`` it is
+        ``n_total``.  A family already planned for more levels keeps its
+        grid.
+        """
+        n_levels = n_total
+        if tau > 0:
+            n_levels = ensemble_level_count(schedule, n_total, tau, tail_bound)
+            n_levels += LEVEL_MARGIN
+        self._with_escalation(schedule, n_levels, lambda record: None)
+        return n_levels
+
     def _ensemble_levels(self, schedule, n_total, tau, tail_bound):
         """(ensemble at ``tau``, the energy ladder it was enumerated from).
 
-        The level search starts from the count the family grid was last
-        planned for, which an earlier curve may already have certified.
+        The ladder holds every level the family was planned for, which
+        :meth:`plan_levels` has sized.  When it is too short to certify the
+        truncation (:class:`NeedsMoreLevelsError`, an estimate that fell
+        short), the family is planned again for the count the error
+        reports.
         """
-        record = self._families.get(_family(schedule))
-        n_levels = max(n_total + 8, 12, record.n_planned if record else 0)
+        n_levels = self._families[_family(schedule)].n_planned
         for _ in range(8):
             _, initial, _ = self.endpoint_bases(schedule, n_levels, 1)
             energies = initial.energies[:n_levels]

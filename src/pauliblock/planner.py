@@ -27,16 +27,21 @@ J. Phys. Chem. 92, 2087 (1988); Marston and Balint-Kurti, J. Chem. Phys. 91,
 :class:`~pauliblock.pipeline.Engine` still widens or refines the grid when
 a containment or resolution check trips during an eigensolve or a
 propagation.
+
+A thermal curve also needs to know, before any level is solved, how many
+levels its hottest ensemble occupies: :func:`ensemble_level_count`
+estimates it on the Bohr-Sommerfeld ladder of the initial trap.
 """
 
 import math
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NeedsMoreLevelsError
 from .grid import EDGE_AMPLITUDE_TOL, Grid
 from .potentials import RampShape, Task
 from .spectral import KSPACE_EDGE_TOL, holds_states
+from .thermal import estimated_level_count
 
 # Nepers of WKB decay added beyond ln(1/EDGE_AMPLITUDE_TOL) in the margin.
 TUNNEL_SAFETY = 4.0
@@ -48,6 +53,8 @@ K_SAFETY = 1.5
 SAMPLES = 4097
 # Doublings of the scan radius before a trap counts as not confining.
 MAX_DOUBLINGS = 40
+# Energies at which :func:`semiclassical_ladder` tabulates the level count.
+LADDER_ENERGIES = 64
 
 
 def plan_grid(schedule, n_states, n_points=None):
@@ -125,6 +132,49 @@ def energy_ceiling(potential, center, n_states):
     return _bisect(lambda e: level_count(potential, center, e) >= n_states, 0.0, high)
 
 
+def semiclassical_ladder(potential, center, n_levels):
+    """Bohr-Sommerfeld energies of the lowest ``n_levels`` levels of a trap.
+
+    Level k (1-based) sits where :func:`level_count` reaches k - 1/2,
+    which is exact for a harmonic trap.  The count is tabulated on
+    ``LADDER_ENERGIES`` energies up to the first doubling of the energy
+    that holds ``n_levels`` levels, and inverted by linear interpolation.
+    """
+    top, radius = 1.0, 1.0
+    for _ in range(MAX_DOUBLINGS):
+        x, v = _scan(potential, center, top, radius)
+        if _count(x, v, top) >= n_levels:
+            break
+        top *= 2.0
+        radius = center - x[0]
+    else:
+        raise ConfigError(f"no energy holds {n_levels} levels of this trap")
+    v = v[v < top]  # the samples that count at some tabulated energy
+    energies = np.linspace(v.min(), top, LADDER_ENERGIES)
+    return np.interp(np.arange(n_levels) + 0.5, _count(x, v, energies), energies)
+
+
+def ensemble_level_count(schedule, n_particles, tau, tail_bound):
+    """Levels a thermal ensemble of ``n_particles`` fermions at ``tau`` in
+    the schedule's initial trap is estimated to need.
+
+    The truncation certificate of
+    :func:`~pauliblock.thermal.enumerate_ensemble` runs on the
+    :func:`semiclassical_ladder` of the trap, counting configurations
+    instead of enumerating them
+    (:func:`~pauliblock.thermal.estimated_level_count`); a ladder too short
+    to tell is built again twice as long as the count it reports.
+    """
+    trap = _endpoint_trap(schedule, 0.0)
+    n_levels = 2 * (n_particles + 1)
+    while True:
+        ladder = semiclassical_ladder(*trap, n_levels)
+        try:
+            return estimated_level_count(ladder, n_particles, tau, tail_bound)
+        except NeedsMoreLevelsError as exc:
+            n_levels = 2 * exc.required
+
+
 def _endpoint_trap(schedule, t):
     return (lambda x: schedule.evaluate_at(x, t)), schedule.center(t)
 
@@ -195,9 +245,10 @@ def _momentum_reach(potential, center, energy):
 
 
 def _count(x, v, energy):
-    """Bohr-Sommerfeld level count below ``energy`` on the samples (x, V)."""
-    momentum = np.sqrt(2.0 * np.maximum(energy - v, 0.0))
-    return float(np.sum(momentum) * (x[1] - x[0])) / math.pi
+    """Bohr-Sommerfeld level count below ``energy`` on the samples (x, V);
+    an array of energies gives an array of counts."""
+    momentum = np.sqrt(2.0 * np.maximum(np.subtract.outer(energy, v), 0.0))
+    return momentum.sum(axis=-1) * (x[1] - x[0]) / math.pi
 
 
 def _reach(x, kappa, needed):

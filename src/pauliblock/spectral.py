@@ -235,8 +235,9 @@ def solve_tridiagonal(potential, grid, n_states):
     return EigenBasis(grid, energies, states)
 
 
-# Grid used for Fermi-gap profiles; generous momentum headroom for the
-# level counts of interest (dx ~ 0.04 resolves states far beyond N=40).
+# Grid used for Fermi-gap profiles (see fermi_gap_profile); generous
+# momentum headroom for the level counts of interest (dx ~ 0.04 resolves
+# states far beyond N=40).
 GAP_GRID = Grid(-20.0, 20.0, 1024)
 
 
@@ -244,6 +245,14 @@ def fermi_gap_profile(lam, n_max, omega_i=1.0, grid=None):
     """Gap E_(N+1) - E_N at the Fermi edge of V = 0.5*omega_i^2*(x^2+lam*x^4).
 
     Returns a list of (N, gap) pairs for N = 1..n_max.
+
+    The profile is one static eigensolve with no propagation, so it uses
+    the fixed ``GAP_GRID`` unless ``grid`` is given, not a grid planned per
+    trap: every lambda and every ``n_max`` of a gap sweep is then solved on
+    the same lattice, and its gaps differ only by the physics.  The grid
+    holds the level counts of the gap sweeps with room to spare; a request
+    that outgrows it raises from :func:`solve`'s containment or resolution
+    check instead of returning unresolved levels.
     """
     if lam < 0:
         raise ConfigError("anharmonicity must be >= 0")

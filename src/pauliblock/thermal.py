@@ -19,8 +19,14 @@ floats.  A colder temperature's ensemble is therefore a row mask of a
 hotter one (:func:`cool_ensemble`): a curve over many temperatures
 enumerates once, at its hottest, and cuts every colder temperature from
 it with its own cutoff and level-count certificate.  Boltzmann weights
-use ``math.exp`` per configuration and ``math.fsum`` for every sum, so a
-cut ensemble carries exactly the weights of a direct enumeration.
+are one ``np.exp`` over the excitations and every sum one ``np.sum`` over
+them in row order; a cut ensemble sums the same floats in the same order
+as a direct enumeration, so it carries exactly the same weights.
+
+How many levels a ladder must hold for the certificate can be estimated
+before any level is solved (:func:`estimated_level_count`): the same
+certificate runs on a ladder such as the semiclassical one, with the
+configurations counted per excitation bin instead of enumerated.
 """
 
 import math
@@ -31,6 +37,8 @@ import numpy as np
 from .errors import ConfigError, NeedsMoreLevelsError
 
 DEFAULT_TAIL_BOUND = 1e-6
+# Excitation bins per unit of temperature in :func:`estimated_level_count`.
+BINS_PER_TAU = 128
 
 
 @dataclass
@@ -132,8 +140,8 @@ def _grow_cutoff(energies, n_particles, tau, tail_bound, complete_ladder, below)
     with excitation <= e, ``rows`` being whatever identifies them to the
     caller, or None when it cannot supply them.  Returns ``(e_cut, rows,
     excitations, terms, z)`` at the final cutoff, ``terms`` being the
-    Boltzmann factors (one ``math.exp`` each) and ``z`` their
-    ``math.fsum``, or None if ``below`` gave up.
+    Boltzmann factors (``np.exp`` of the scaled excitations) and ``z``
+    their ``np.sum``, or None if ``below`` gave up.
     """
     e_cut = tau * math.log(1.0 / tail_bound)
     shell = max(tau * math.log(100.0), 1e-3)
@@ -148,12 +156,10 @@ def _grow_cutoff(energies, n_particles, tau, tail_bound, complete_ladder, below)
         if probe is None:
             return None
         rows, excitations = probe
-        terms = np.fromiter(
-            map(math.exp, (-excitations / tau).tolist()), float, len(excitations)
-        )
-        z_probe = math.fsum(terms)
+        terms = np.exp(-excitations / tau)
+        z_probe = float(np.sum(terms))
         if z_here is None:
-            z_here = math.fsum(terms[excitations <= e_cut])
+            z_here = float(np.sum(terms[excitations <= e_cut]))
         e_cut = e_next
         if z_probe - z_here <= 0.5 * tail_bound * z_probe:
             return e_cut, rows, excitations, terms, z_probe
@@ -215,6 +221,55 @@ def enumerate_ensemble(
     return ThermalEnsemble(tau, levels, excitations, terms / z, z, e_cut)
 
 
+def estimated_level_count(energies, n_particles, tau, tail_bound=DEFAULT_TAIL_BOUND):
+    """Levels :func:`enumerate_ensemble` needs at ``tau`` on a ladder like
+    ``energies``, found without enumerating.
+
+    Runs the same cutoff certificate on the configurations counted per
+    excitation bin of width ``tau / BINS_PER_TAU``: one pass over the
+    levels puts level m in slot j at the cost E_m - E_j rounded to a bin
+    (a 0/1 knapsack over bins).  The rounding moves the Boltzmann factor
+    of a configuration by at most ``exp(N / (2 BINS_PER_TAU))``, so only a
+    shell whose weight is that close to the certificate's threshold can be
+    judged differently; the certificate on the solved ladder decides in the
+    end.
+
+    Raises
+    ------
+    NeedsMoreLevelsError
+        If ``energies`` is too short to certify the truncation; the error
+        reports the required level count.
+    """
+    energies = np.asarray(energies, dtype=float)
+    if len(energies) < n_particles:
+        raise NeedsMoreLevelsError(n_particles, len(energies))
+    if tau == 0.0:
+        return n_particles
+    width = tau / BINS_PER_TAU
+    n_bins = int((energies[-1] - energies[n_particles - 1]) / width) + 2
+    # shifts[m, j]: bins that level m costs in slot j.
+    shifts = np.rint(
+        (energies[:, None] - energies[None, :n_particles]) / width
+    ).astype(int).tolist()
+    # ways[j, b]: ways to fill the first j slots from the levels so far.
+    ways = np.zeros((n_particles + 1, n_bins))
+    ways[0, 0] = 1.0
+    for level, shift_of in enumerate(shifts):
+        for slot in range(min(level, n_particles - 1), -1, -1):
+            shift = shift_of[slot]
+            if shift < n_bins:
+                ways[slot + 1, shift:] += ways[slot, : n_bins - shift]
+    counts = ways[n_particles].astype(np.int64)
+    bins = np.arange(n_bins) * width
+
+    def below(e):
+        kept = bins <= e
+        return None, np.repeat(bins[kept], counts[kept])
+
+    e_cut = _grow_cutoff(energies, n_particles, tau, tail_bound, False, below)[0]
+    return _levels_required(energies, n_particles, e_cut)
+
+
 def cool_ensemble(hot, energies, tau, tail_bound=DEFAULT_TAIL_BOUND):
     """The ensemble at ``tau`` <= ``hot.tau``, cut from the rows of ``hot``.
 
@@ -258,6 +313,6 @@ def cool_ensemble(hot, energies, tau, tail_bound=DEFAULT_TAIL_BOUND):
 
 
 def ensemble_average(ensemble, per_config_values):
-    """Compensated weighted sum of per-configuration fidelities."""
+    """Weighted sum of per-configuration fidelities, in row order."""
     terms = ensemble.weights * np.asarray(per_config_values)
-    return float(math.fsum(terms))
+    return float(np.sum(terms))

@@ -194,6 +194,24 @@ class TestWorkerCount:
         assert run_sweep(spec).to_csv(None) == serial
         assert calls  # this process ran its share through the closure
 
+    def test_batch_keeps_the_run_with_most_states(self, monkeypatch):
+        # Two runs of one schedule and dt in one batch: the smaller one
+        # finishes last, in the second worker's share, and must not replace
+        # the larger one in the cache.
+        schedule = PotentialSchedule.splitting(0.1, h_f=20.0)
+        engine = Engine(workers=2)
+        engine.endpoint_bases(schedule, 12, 1)
+        engine.propagate_batch(
+            [(schedule, 0.01, 12), (schedule, 0.005, 2), (schedule, 0.01, 2)]
+        )
+
+        def not_cached(*args, **kwargs):
+            raise AssertionError("the batch did not cache the 12-state run")
+
+        monkeypatch.setattr(pipeline, "propagate_basis", not_cached)
+        states = engine.evolved_states(schedule, 12, PropagationSettings(0.01))
+        assert len(states) == 12
+
     def test_dead_worker_leaves_its_runs_to_this_process(self, monkeypatch):
         spec = self.process_time_spec()
         serial = run_sweep(replace(spec, workers=1)).to_csv(None)

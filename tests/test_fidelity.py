@@ -135,6 +135,28 @@ class TestGramBatch:
             single = fidelity_fast(OverlapMatrix(master[rows], validate=False))
             assert value == pytest.approx(single.value, abs=1e-13)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10**9),
+        n_protected=st.integers(1, 3),
+        n_extra=st.integers(0, 4),
+    )
+    def test_matches_fidelity_fast_on_random_masters(
+        self, seed, n_protected, n_extra
+    ):
+        # Increasing row sets of N = N_p + n_extra rows, as the thermal
+        # ensemble's configurations are.
+        rng = np.random.default_rng(seed)
+        master = random_subunitary(10, n_protected, rng).entries
+        n_rows = n_protected + n_extra
+        row_sets = np.array(
+            [np.sort(rng.choice(10, n_rows, replace=False)) for _ in range(6)]
+        )
+        batch = gram_fidelity_values(master, row_sets)
+        for rows, value in zip(row_sets, batch):
+            single = fidelity_fast(OverlapMatrix(master[rows], validate=False))
+            assert abs(value - single.value) <= 1e-13
+
     def test_range_check(self):
         # Same bound as fidelity_fast: no silent clamp on the thermal path.
         master = np.array([[0.6], [0.8j], [np.sqrt(1.0 + 2e-10)]])

@@ -25,6 +25,7 @@ from pauliblock.planner import (
     peak_speed,
     plan_grid,
     ramp_work,
+    semiclassical_ladder,
 )
 from pauliblock.spectral import holds_states
 
@@ -136,6 +137,12 @@ class TestPlanGrid:
         trap = lambda x: 0.5 * omega**2 * x**2
         assert level_count(trap, 0.0, 10.0) == pytest.approx(20.0, rel=1e-4)
         assert energy_ceiling(trap, 0.0, 20) == pytest.approx(10.0, rel=1e-4)
+        np.testing.assert_allclose(
+            semiclassical_ladder(trap, 0.0, 30),
+            omega * (np.arange(30) + 0.5),
+            rtol=0,
+            atol=1e-3 * omega,
+        )
 
     def test_n_points_override_keeps_planned_domain(self):
         schedule, n_states = CASES["transport"]

@@ -18,10 +18,25 @@ from pauliblock import (
 )
 from pauliblock import pipeline
 from pauliblock.pipeline import Engine
-from pauliblock.thermal import _enumerate_below, ensemble_average
+from pauliblock.thermal import (
+    _enumerate_below,
+    ensemble_average,
+    estimated_level_count,
+)
 
 
 class TestEnumeration:
+    def test_level_estimate_is_the_count_enumeration_needs(self):
+        # Configurations counted per excitation bin certify the same cutoff
+        # as enumerated ones, on an evenly and an unevenly spaced ladder.
+        ladders = (np.arange(80) + 0.5, np.cumsum(np.linspace(1.0, 3.0, 80)))
+        for energies in ladders:
+            for n_particles, tau in ((2, 0.3), (4, 1.0), (8, 1.6)):
+                need = estimated_level_count(energies, n_particles, tau)
+                enumerate_ensemble(energies[:need], n_particles, tau)
+                with pytest.raises(NeedsMoreLevelsError):
+                    enumerate_ensemble(energies[: need - 1], n_particles, tau)
+
     def test_zero_temperature_single_config(self):
         energies = np.arange(10) + 0.5
         ens = enumerate_ensemble(energies, 3, 0.0)
@@ -227,8 +242,8 @@ class TestThermalFidelity:
         assert all(c == ("retry", 0.6) for c in calls[:-1])
 
     def test_report_searches_levels_once(self, monkeypatch):
-        # Each curve of a compensation report starts its level search from
-        # the count an earlier curve certified, so only the first retries.
+        # The report plans the family for the level estimate of its hottest
+        # ensemble before any curve, so no enumeration has to retry.
         calls = self.count_enumerations(monkeypatch)
         spec = SweepSpec(
             schedule=self.schedule(),
@@ -239,9 +254,23 @@ class TestThermalFidelity:
             check_dt=False,
         )
         temperature_compensation_report(spec, engine=Engine())
-        first_ok = [kind for kind, _ in calls].index("ok")
-        assert first_ok > 0
-        assert all(kind == "ok" for kind, _ in calls[first_ok:])
+        assert len(calls) == 4
+        assert all(kind == "ok" for kind, _ in calls)
+
+    def test_short_level_estimate_falls_back(self, monkeypatch):
+        # An estimate that falls short is caught by the enumeration's
+        # certificate, which plans the family again for more levels.
+        s = self.schedule()
+        taus = [0.3, 0.6]
+        settings = PropagationSettings(dt=2e-3)
+        sized, _ = Engine(settings=settings).thermal_fidelity_curve(s, 2, 2, taus)
+        calls = self.count_enumerations(monkeypatch)
+        monkeypatch.setattr(
+            pipeline, "ensemble_level_count", lambda schedule, n, *args: n + 1
+        )
+        short, _ = Engine(settings=settings).thermal_fidelity_curve(s, 2, 2, taus)
+        assert calls[0] == ("retry", 0.6) and calls[-1] == ("ok", 0.6)
+        np.testing.assert_allclose(short, sized, rtol=0, atol=1e-10)
 
     def test_colder_temperature_past_the_hot_cutoff(self, split_engine, monkeypatch):
         # At tau = 0.3 the first shell adds no weight, so the cutoff stops
