@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.fft
 
 from .errors import ConfigError, GridMismatchError
 
@@ -173,7 +172,7 @@ def to_momentum(w):
     if w.space != "position":
         raise GridMismatchError("to_momentum expects a position-space state")
     g = w.grid
-    ft = scipy.fft.fft(w.amplitudes)
+    ft = np.fft.fft(w.amplitudes)
     amps = (g.dx / np.sqrt(2.0 * np.pi)) * np.exp(-1j * g.k_values * g.x_min) * ft
     return Wavefunction(g, amps, "momentum")
 
@@ -184,5 +183,5 @@ def to_position(w):
         raise GridMismatchError("to_position expects a momentum-space state")
     g = w.grid
     ft = np.exp(1j * g.k_values * g.x_min) * w.amplitudes
-    amps = (np.sqrt(2.0 * np.pi) / g.dx) * scipy.fft.ifft(ft)
+    amps = (np.sqrt(2.0 * np.pi) / g.dx) * np.fft.ifft(ft)
     return Wavefunction(g, amps, "position")

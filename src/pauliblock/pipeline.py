@@ -260,8 +260,8 @@ class Engine:
             lane = loads.index(min(loads))
             lanes[lane].append(run)
             loads[lane] += cost
-        # Forked, not spawned: a spawned worker imports scipy again, about
-        # 0.5 s, which is more than a small batch takes.
+        # Forked, not spawned: a spawned worker imports numpy and this
+        # package again, 0.06-0.15 s, which is more than a small batch takes.
         with ProcessPoolExecutor(
             n_lanes - 1, multiprocessing.get_context("fork")
         ) as pool:
@@ -409,13 +409,16 @@ class Engine:
         Returns (values, ensembles).  The family is planned first for the
         levels the hottest ensemble is estimated to need
         (:meth:`plan_levels`), so the time-step check runs on the grid the
-        curve then uses and its first rung propagates the master rows.  The
-        hottest temperature's ensemble is enumerated once and the master
-        overlap matrix covers its highest level; the per-configuration
-        fidelities are evaluated once over its rows, and each colder
-        temperature is a row mask of it, re-weighted with its own cutoff.
-        A colder temperature whose cutoff grows past the hottest one's is
-        evaluated on its own.
+        curve then uses and its first rung propagates the master rows.
+        With ``settings`` handed in and the family planned already (a
+        sweep plans it for its largest system), no estimate is made again;
+        if the family holds too few levels, the enumeration's certificate
+        plans it again.  The hottest temperature's ensemble is enumerated
+        once and the master overlap matrix covers its highest level; the
+        per-configuration fidelities are evaluated once over its rows, and
+        each colder temperature is a row mask of it, re-weighted with its
+        own cutoff.  A colder temperature whose cutoff grows past the
+        hottest one's is evaluated on its own.
         """
         _check_counts(n_protected, n_buffer)
         n_total = n_protected + n_buffer
@@ -424,10 +427,14 @@ class Engine:
         if min(taus) < 0:
             raise ConfigError("temperatures must be >= 0")
         tau_max = max(taus)
-        n_levels = self.plan_levels(schedule, n_total, tau_max, tail_bound)
-        settings = settings or self.validated_settings(
-            schedule, n_total, self.settings, check_dt, also=[(schedule, n_levels)]
-        )
+        if settings is None:
+            n_levels = self.plan_levels(schedule, n_total, tau_max, tail_bound)
+            settings = self.validated_settings(
+                schedule, n_total, self.settings, check_dt,
+                also=[(schedule, n_levels)],
+            )
+        elif self.family_grid(schedule) is None:
+            self.plan_levels(schedule, n_total, tau_max, tail_bound)
 
         if tau_max > 0:
             hot, energies = self._ensemble_levels(

@@ -6,7 +6,12 @@ Second-order Strang stepping
 
 with the potential evaluated at the midpoint of each step.  The kinetic
 factor is exact on the momentum lattice, so the scheme is unconditionally
-stable and unitary up to rounding.  Many states propagate together as the
+stable and unitary up to rounding.  The trailing half-kick of one step
+and the leading half-kick of the next are applied as one phase,
+exp(-i*(V_n + V_(n+1))*dt/2), so a step costs one potential multiply and
+two in-place transforms; a step is closed (its trailing half-kick applied
+alone) wherever the state is looked at: at each health check, at each
+trajectory sample and at the end.  Many states propagate together as the
 rows of one array; each row evolves independently, so batched and
 one-at-a-time results agree.
 
@@ -26,7 +31,6 @@ parity is not pure to ``PARITY_TOL`` keeps a row of its own.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .errors import (
     ConfigError,
@@ -36,14 +40,10 @@ from .errors import (
     ResolutionError,
 )
 from .grid import Trajectory, Wavefunction
-from .spectral import check_containment, check_resolution
+from .spectral import check_containment, check_resolution, parity_masks
 
 # Steps between containment / resolution / finite-amplitude checks.
 CHECK_INTERVAL = 1000
-
-# Largest wrong-parity norm ||(1 -+ R) psi|| sqrt(dx) / 2 of a state that
-# shares a row with a state of the other parity.
-PARITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,10 @@ def _evolve(
     """Evolve rows of ``amplitudes`` from t=0 to t=T.  Returns (final, samples).
 
     ``unpack`` maps the rows to the states they carry (see :func:`_pack`);
-    the health checks and the returned array see its output.
+    the health checks and the returned array see its output.  The
+    trailing half-kick of a step is fused with the leading one of the next
+    (see the module docstring); the step is closed wherever the state is
+    looked at.
     """
     steps, dt = settings.steps_for(schedule.T)
     psi = np.array(amplitudes, dtype=np.complex128, copy=True)
@@ -95,20 +98,41 @@ def _evolve(
 
     profile = schedule.time_profile(grid)
     kinetic = np.exp(-0.5j * dt * grid.k_values**2)
+    both = np.empty(grid.n_points)
+    angle = np.empty(grid.n_points)
+    factor = np.empty(grid.n_points, dtype=np.complex128)
+
+    def kick(potential):
+        # psi *= exp(-i * potential * dt/2), the factor built as cos + i sin.
+        np.multiply(potential, -0.5 * dt, out=angle)
+        np.cos(angle, out=factor.real)
+        np.sin(angle, out=factor.imag)
+        np.multiply(psi, factor, out=psi)
+
     samples = []
     times = []
-
-    for step in range(steps):
-        t_mid = (step + 0.5) * dt
-        half = np.exp(-0.5j * dt * profile(t_mid))
-        psi *= half
-        psi = scipy.fft.ifft(kinetic * scipy.fft.fft(psi, axis=1), axis=1)
-        psi *= half
-        if sample_every and (step + 1) % sample_every == 0:
-            samples.append(psi[0].copy())
-            times.append((step + 1) * dt)
-        if (step + 1) % CHECK_INTERVAL == 0:
-            _check_health(unpack(psi), grid, step + 1)
+    v = profile(0.5 * dt)
+    kick(v)
+    for step in range(1, steps + 1):
+        np.fft.fft(psi, axis=1, out=psi)
+        psi *= kinetic
+        np.fft.ifft(psi, axis=1, out=psi)
+        sampled = sample_every and step % sample_every == 0
+        checked = step % CHECK_INTERVAL == 0
+        v_next = profile((step + 0.5) * dt) if step < steps else None
+        if sampled or checked or v_next is None:
+            kick(v)
+            if sampled:
+                samples.append(psi[0].copy())
+                times.append(step * dt)
+            if checked:
+                _check_health(unpack(psi), grid, step)
+            if v_next is not None:
+                kick(v_next)
+        else:
+            np.add(v, v_next, out=both)
+            kick(both)
+        v = v_next
     psi = unpack(psi)
     _check_health(psi, grid, steps)
 
@@ -169,12 +193,8 @@ def _pack(states, schedule, grid):
     """
     if not (schedule.is_symmetric and grid.is_symmetric):
         return states, _unpacked
-    reflected = grid.reflect(states)
-    scale = 0.5 * np.sqrt(grid.dx)
-    odd_part = scale * np.linalg.norm(states - reflected, axis=1)
-    even_part = scale * np.linalg.norm(states + reflected, axis=1)
-    even = np.flatnonzero(odd_part < PARITY_TOL)
-    odd = np.flatnonzero(even_part < PARITY_TOL)
+    even, odd, _ = parity_masks(states, grid)
+    even, odd = np.flatnonzero(even), np.flatnonzero(odd)
     n_pairs = min(even.size, odd.size)
     if n_pairs == 0:
         return states, _unpacked

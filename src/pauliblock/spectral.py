@@ -10,15 +10,20 @@ Two independent backends:
 * :func:`solve_tridiagonal` - 3-point finite differences with Dirichlet
   boundaries; second-order accurate, used as a cross-check.
 
-Both order energies ascending and fix the sign so the entry of largest
-magnitude (lowest index on ties) is positive.
+Both order energies ascending and fix each state's sign so that its
+leftmost entry of at least half the largest magnitude is positive.  The
+largest entry itself would not do: an odd state on a symmetric grid
+reaches its largest magnitude at a mirror pair of opposite signs, and
+rounding picks one of the two.  :func:`solve` also makes the parity-pure
+states of a symmetric grid exactly even or odd.
+
+:func:`solve` runs on numpy alone.  :func:`solve_tridiagonal`, reached
+from no command-line path, imports scipy when called.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
-import scipy.linalg
 
 from .errors import ConfigError, ContainmentError, ConvergenceError, ResolutionError
 from .grid import EDGE_AMPLITUDE_TOL, Grid, Wavefunction
@@ -38,6 +43,10 @@ RESIDUAL_TOL = 1e-6
 # forbidden by hundreds of decades, so the cap leaves the states unchanged.
 POTENTIAL_CLIP = 1e6
 CLIP_SAFETY = 1e-2
+
+# Largest wrong-parity norm ||(1 -+ R) psi|| sqrt(dx) / 2 of a state that
+# counts as even or odd (see :func:`parity_masks`).
+PARITY_TOL = 1e-10
 
 
 @dataclass
@@ -67,9 +76,9 @@ def effective_potential(potential):
 
 def kinetic_apply(amplitudes, grid):
     """Apply -0.5 d^2/dx^2 via the momentum lattice (rows = states)."""
-    ft = scipy.fft.fft(amplitudes, axis=-1)
+    ft = np.fft.fft(amplitudes, axis=-1)
     ft *= 0.5 * grid.k_values**2
-    return scipy.fft.ifft(ft, axis=-1)
+    return np.fft.ifft(ft, axis=-1)
 
 
 def hamiltonian_apply(potential, grid, amplitudes):
@@ -78,10 +87,30 @@ def hamiltonian_apply(potential, grid, amplitudes):
 
 
 def _fix_phases(states):
-    idx = np.argmax(np.abs(states), axis=1)
+    a = np.abs(states)
+    idx = np.argmax(a >= 0.5 * a.max(axis=1, keepdims=True), axis=1)
     signs = np.sign(states[np.arange(states.shape[0]), idx])
     signs[signs == 0] = 1.0
     return states * signs[:, None]
+
+
+def parity_masks(states, grid):
+    """(even, odd, reflected): which rows of ``states`` are even and which
+    odd to ``PARITY_TOL`` on a symmetric grid, and the reflected rows."""
+    reflected = grid.reflect(states)
+    scale = 0.5 * np.sqrt(grid.dx)
+    even = scale * np.linalg.norm(states - reflected, axis=1) < PARITY_TOL
+    odd = scale * np.linalg.norm(states + reflected, axis=1) < PARITY_TOL
+    return even, odd, reflected
+
+
+def _snap_parities(states, grid):
+    # Parity-pure states made exactly even or odd: mirrored samples then
+    # match to the bit, so nothing read off a state (its sign sample, its
+    # largest entry) depends on which of a mirror pair rounding favoured.
+    even, odd, reflected = parity_masks(states, grid)
+    states[even] = 0.5 * (states[even] + reflected[even])
+    states[odd] = 0.5 * (states[odd] - reflected[odd])
 
 
 def _parity_of(state, grid):
@@ -90,7 +119,7 @@ def _parity_of(state, grid):
 
 def edge_band_ratio(states, grid):
     """Max spectral amplitude in the outer |k| band relative to the peak."""
-    ft = np.abs(scipy.fft.fft(states, axis=-1))
+    ft = np.abs(np.fft.fft(states, axis=-1))
     band = np.abs(grid.k_values) >= (1.0 - KSPACE_EDGE_BAND) * grid.k_max
     if not band.any():
         band = np.abs(grid.k_values) == np.abs(grid.k_values).max()
@@ -162,21 +191,27 @@ def solve(potential, grid, n_states):
     potential = effective_potential(potential)
 
     # Kinetic operator: real symmetric circulant with first column from the
-    # inverse transform of k^2/2.
-    first_col = scipy.fft.ifft(0.5 * grid.k_values**2).real
-    h = scipy.linalg.circulant(first_col)
-    h[np.diag_indices_from(h)] += potential
+    # inverse transform of k^2/2, so h[i, j] = first_col[(i - j) % n].
+    first_col = np.fft.ifft(0.5 * grid.k_values**2).real
+    i = np.arange(n)
+    h = first_col[np.subtract.outer(i, i) % n]
+    h[i, i] += potential
 
-    energies, vecs = scipy.linalg.eigh(
-        h, subset_by_index=[0, n_states - 1], overwrite_a=True, check_finite=False
-    )
+    # numpy's eigh has no subset driver: every level is computed and the
+    # lowest are kept.
+    energies, vecs = np.linalg.eigh(h)
     del h
+    energies = energies[:n_states]
     if energies[-1] > CLIP_SAFETY * POTENTIAL_CLIP:
         raise ConvergenceError(
             f"requested states reach E={energies[-1]:.3e}, too close to the "
             f"potential cap {POTENTIAL_CLIP:.0e}"
         )
-    states = _fix_phases(vecs.T / np.sqrt(grid.dx))
+    states = np.ascontiguousarray(vecs[:, :n_states].T) / np.sqrt(grid.dx)
+    del vecs
+    if grid.is_symmetric:
+        _snap_parities(states, grid)
+    states = _fix_phases(states)
     _order_degenerate_pairs(energies, states, grid)
 
     residual_check(potential, grid, energies, states)
@@ -215,6 +250,10 @@ def solve_tridiagonal(potential, grid, n_states):
     inv_dx2 = 1.0 / grid.dx**2
     diag = inv_dx2 + potential
     off = np.full(n - 1, -0.5 * inv_dx2)
+    # The only scipy use in the package: numpy has no banded eigensolver,
+    # and the cross-check's tests solve grids no dense solver can.
+    import scipy.linalg
+
     energies, vecs = scipy.linalg.eigh_tridiagonal(
         diag, off, select="i", select_range=(0, n_states - 1)
     )

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import pauliblock
 from pauliblock.cli import main
 from pauliblock.errors import (
     ConfigError,
@@ -123,3 +129,41 @@ class TestSweepCommand:
         assert "T,N_b_min,saturated" in lines
         data = [l for l in lines if not l.startswith("#")][1:]
         assert len(data) == 2
+
+
+class TestNumpyOnly:
+    def test_commands_run_without_scipy(self, tmp_path):
+        # With scipy unimportable, the CLI imports and runs a thermal
+        # scenario, a sweep and a gap profile, and loads no scipy module.
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(
+            "task = splitting\n"
+            "T = 1.0\n"
+            "h_f = 20\n"
+            "axis = buffer_count\n"
+            "axis_values = 0, 2\n"
+            "N_p = 2\n"
+            "dt = 0.002\n"
+        )
+        script = "\n".join([
+            "import sys",
+            "sys.modules['scipy'] = None",
+            "from pauliblock.cli import main",
+            "assert main(['split', '--T', '0.5', '--tau', '0.3', '--n-buffer',"
+            " '1', '--n-points', '256', '--dt', '0.01']) == 0",
+            f"assert main(['sweep', {str(cfg)!r}]) == 0",
+            "assert main(['gap', '--lambdas', '1', '--n-max', '2']) == 0",
+            "assert not [m for m in sys.modules if m.startswith('scipy.')]",
+        ])
+        src = Path(pauliblock.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.splitlines()
+        assert 0.0 <= float(lines[0]) <= 1.0
+        assert lines[1].startswith("axis,axis_value")
+        assert lines[4] == "N,lambda,delta_E"
+        assert len(lines) == 7

@@ -236,6 +236,53 @@ class TestParityPairing:
         assert packed.value.step == reference.value.step
 
 
+def unfused_strang(amplitudes, schedule, grid, settings, sample_every):
+    # The textbook loop: both half-kicks of every step, out-of-place
+    # transforms, the phase as a complex exponential.
+    steps, dt = settings.steps_for(schedule.T)
+    profile = schedule.time_profile(grid)
+    kinetic = np.exp(-0.5j * dt * grid.k_values**2)
+    psi = np.array(amplitudes, dtype=np.complex128)
+    samples = []
+    for step in range(steps):
+        half = np.exp(-0.5j * dt * profile((step + 0.5) * dt))
+        psi = half * np.fft.ifft(kinetic * np.fft.fft(half * psi, axis=1), axis=1)
+        if (step + 1) % sample_every == 0:
+            samples.append(psi[0].copy())
+    return psi, np.array(samples)
+
+
+class TestLeanStrangLoop:
+    # Fused half-kicks, in-place transforms and the cos + i sin phase must
+    # not move the result.  1250 steps: one health check (step 1000)
+    # closes a step mid-run, and the last step is not a check step.
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            PotentialSchedule.expansion(2.5, omega_f=0.5, lam=1.0),
+            PotentialSchedule.splitting(2.5, h_f=20.0),
+            PotentialSchedule.transport(2.5, x0_f=4.0),
+        ],
+        ids=["expansion", "splitting", "transport"],
+    )
+    def test_matches_unfused_loop(self, schedule):
+        grid = plan_grid(schedule, 4).widened()
+        basis = solve(schedule.evaluate(grid, 0.0), grid, 4)
+        settings = PropagationSettings(dt=2e-3)
+        steps, _ = settings.steps_for(schedule.T)
+        assert steps == 1250
+        final, trajectory = _evolve(
+            basis.states, schedule, basis.grid, settings, sample_every=96
+        )
+        reference, samples = unfused_strang(
+            basis.states, schedule, basis.grid, settings, 96
+        )
+        assert np.max(np.abs(final - reference)) < 1e-12
+        np.testing.assert_allclose(trajectory.times, 96 * 2e-3 * np.arange(1, 14))
+        assert np.max(np.abs(trajectory.amplitudes - samples)) < 1e-12
+
+
 class TestFailureModes:
     def test_leaking_transport_reports_containment(self):
         # A packet dragged against the grid edge must be flagged, not

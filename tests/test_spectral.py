@@ -4,12 +4,19 @@ import pytest
 from pauliblock import (
     ConfigError,
     Grid,
+    PotentialSchedule,
     ResolutionError,
     fermi_gap_profile,
     solve,
     solve_tridiagonal,
 )
-from pauliblock.spectral import GAP_GRID, hamiltonian_apply
+from pauliblock.planner import plan_grid
+from pauliblock.spectral import (
+    GAP_GRID,
+    _fix_phases,
+    effective_potential,
+    hamiltonian_apply,
+)
 
 # Converged value of the lowest Fermi gap of V = (x^2 + x^4)/2, frozen from
 # a grid-doubling study (stable to ~5e-11 across domains and resolutions).
@@ -148,3 +155,59 @@ class TestGridConvergence:
         g = Grid(-10.0, 10.0, 64)
         with pytest.raises(ConfigError):
             solve(0.5 * g.x**2, g, 16)  # 16 == n/4 is out of range
+
+
+def reference_case(name):
+    """(potential, grid, n_states) of one of the benchmark's traps."""
+    if name == "gap-grid":
+        return quartic_potential(GAP_GRID), GAP_GRID, 21
+    schedule, n_states, t = {
+        # The expansion sweep's initial trap: 324 points, 14 states.
+        "expansion-324": (
+            PotentialSchedule.expansion(10.0, omega_f=0.01, lam=1.0), 14, 0.0
+        ),
+        # The compensation report's final trap, with its tunnel pairs: 240
+        # points, 55 levels.
+        "splitting-240": (PotentialSchedule.splitting(2.0, h_f=20.0), 55, 2.0),
+    }[name]
+    grid = plan_grid(schedule, n_states)
+    return schedule.evaluate(grid, t), grid, n_states
+
+
+class TestDenseSolver:
+    @pytest.mark.parametrize("case", ["expansion-324", "splitting-240", "gap-grid"])
+    def test_matches_subset_solver(self, case):
+        # numpy's full eigh, kept to the lowest levels, against LAPACK's
+        # subset driver on the same Hamiltonian built from scipy's circulant.
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        potential, grid, n_states = reference_case(case)
+        basis = solve(potential, grid, n_states)
+        first_col = np.fft.ifft(0.5 * grid.k_values**2).real
+        h = scipy_linalg.circulant(first_col)
+        h[np.diag_indices_from(h)] += effective_potential(potential)
+        energies, vecs = scipy_linalg.eigh(h, subset_by_index=[0, n_states - 1])
+        states = _fix_phases(vecs.T / np.sqrt(grid.dx))
+        np.testing.assert_allclose(basis.energies, energies, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(basis.states, states, rtol=0, atol=1e-8)
+
+    def test_parity_is_exact_on_symmetric_traps(self):
+        # The quartic trap's levels alternate in parity; mirrored samples
+        # match to the bit.
+        potential, grid, n_states = reference_case("expansion-324")
+        states = solve(potential, grid, n_states).states
+        parities = (-1.0) ** np.arange(n_states)
+        np.testing.assert_array_equal(
+            states, parities[:, None] * grid.reflect(states)
+        )
+
+    def test_signs_survive_rounding(self):
+        # An odd state peaks at a mirror pair of opposite signs; rounding
+        # must not decide which one sets the sign.
+        potential, grid, n_states = reference_case("expansion-324")
+        states = solve(potential, grid, n_states).states
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            noise = 1e-13 * rng.standard_normal(states.shape)
+            flips = rng.choice([-1.0, 1.0], size=(n_states, 1))
+            fixed = _fix_phases(flips * states * (1.0 + noise))
+            np.testing.assert_array_equal(np.sign(fixed), np.sign(states))

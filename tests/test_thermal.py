@@ -1,5 +1,6 @@
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,8 +18,11 @@ from pauliblock import (
     temperature_compensation_report,
 )
 from pauliblock import pipeline
+from pauliblock.config import load_spec
 from pauliblock.pipeline import Engine
+from pauliblock.planner import ensemble_level_count
 from pauliblock.thermal import (
+    DEFAULT_TAIL_BOUND,
     _enumerate_below,
     ensemble_average,
     estimated_level_count,
@@ -256,6 +260,35 @@ class TestThermalFidelity:
         temperature_compensation_report(spec, engine=Engine())
         assert len(calls) == 4
         assert all(kind == "ok" for kind, _ in calls)
+
+    def test_report_estimates_levels_once(self, monkeypatch):
+        # The benchmark's compensation report (N_b = 3..6) plans its one
+        # schedule for the largest N_b before any curve; the curves make no
+        # estimate of their own and give the CSV a per-curve estimate gives.
+        configs = Path(__file__).parents[1] / "perfbench" / "configs"
+        spec = load_spec(configs / "thermal_split_comp.cfg")
+        estimates = []
+
+        def counted(*args, **kwargs):
+            estimates.append(args)
+            return ensemble_level_count(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "ensemble_level_count", counted)
+        once = temperature_compensation_report(spec).to_csv()
+        assert len(estimates) == 1
+
+        curve = Engine.thermal_fidelity_curve
+
+        def estimating(self, schedule, n_protected, n_buffer, taus, settings=None,
+                       tail_bound=DEFAULT_TAIL_BOUND, check_dt=False):
+            self.plan_levels(schedule, n_protected + n_buffer, max(taus), tail_bound)
+            return curve(self, schedule, n_protected, n_buffer, taus, settings,
+                         tail_bound=tail_bound, check_dt=check_dt)
+
+        monkeypatch.setattr(Engine, "thermal_fidelity_curve", estimating)
+        per_curve = temperature_compensation_report(spec).to_csv()
+        assert len(estimates) == 1 + 1 + 4
+        assert per_curve.encode() == once.encode()
 
     def test_short_level_estimate_falls_back(self, monkeypatch):
         # An estimate that falls short is caught by the enumeration's
