@@ -171,7 +171,9 @@ def gram_fidelity_values(master, row_sets):
     """det(A^dagger A) for many row selections of one master overlap matrix.
 
     ``row_sets`` is an integer array of shape (n_sets, N) of 0-based row
-    indices into ``master`` (shape (M, N_p)).  Vectorized over the sets;
+    indices into ``master`` (shape (M, N_p)), of any integer dtype: a
+    thermal ensemble's compact ``uint8`` indices are never widened as a
+    block, only one slot's column at a time.  Vectorized over the sets;
     used by the thermal average where thousands of occupation
     configurations share the same evolved states.  Each Gram matrix is the
     sum over its rows of the per-level products conj(A[m, i]) A[m, j],
@@ -179,7 +181,7 @@ def gram_fidelity_values(master, row_sets):
     Like :func:`fidelity_fast`, raises :class:`NumericalConsistencyError`
     if a determinant leaves [0, 1] by more than 1e-10 before clamping.
     """
-    row_sets = np.asarray(row_sets, dtype=np.intp)
+    row_sets = np.asarray(row_sets)
     n_p = master.shape[1]
     if n_p == 0:
         return np.ones(len(row_sets))
@@ -190,12 +192,13 @@ def gram_fidelity_values(master, row_sets):
             products.append(master[:, 0].conj() * master[:, 1])
     else:
         products = [master.conj()[:, :, None] * master[:, None, :]]
-    grams = []
-    for per_level in products:
-        gram = per_level[row_sets[:, 0]]
-        for slot in range(1, row_sets.shape[1]):
-            gram += per_level[row_sets[:, slot]]
-        grams.append(gram)
+    # One slot's indices are widened once and gathered from by every product.
+    rows = row_sets[:, 0].astype(np.intp)
+    grams = [per_level[rows] for per_level in products]
+    for slot in range(1, row_sets.shape[1]):
+        rows = row_sets[:, slot].astype(np.intp)
+        for gram, per_level in zip(grams, products):
+            gram += per_level[rows]
     if n_p == 1:
         dets = grams[0]
     elif n_p == 2:

@@ -65,9 +65,9 @@ def plan_grid(schedule, n_states, n_points=None):
     if n_states < 1:
         raise ConfigError(f"cannot plan a grid for {n_states} states")
     traps = [_endpoint_trap(schedule, t) for t in (0.0, schedule.T)]
-    e_max = max(energy_ceiling(v, c, n_states) for v, c in traps)
+    e_max = max(_ceiling(trap, n_states) for trap in traps)
     e_max += ramp_work(schedule)
-    windows = [_window(v, c, e_max) for v, c in traps]
+    windows = [_window(trap, e_max) for trap in traps]
     lo = min(w[0] for w in windows)
     hi = max(w[1] for w in windows)
     if n_points is None:
@@ -80,7 +80,7 @@ def plan_grid(schedule, n_states, n_points=None):
 def momentum_bound(schedule, e_max):
     """Momentum cut-off the lattice needs for the levels below ``e_max``."""
     traps = [_endpoint_trap(schedule, t) for t in (0.0, schedule.T)]
-    k_need = max(_momentum_reach(v, c, e_max) for v, c in traps)
+    k_need = max(_momentum_reach(trap, e_max) for trap in traps)
     return k_need + K_SAFETY * peak_speed(schedule)
 
 
@@ -117,19 +117,27 @@ def ramp_work(schedule):
 
 def level_count(potential, center, energy):
     """Semiclassical number of levels below ``energy``."""
-    return _count(*_scan(potential, center, energy), energy)
+    return _level_count(_Trap(potential, center), energy)
+
+
+def _level_count(trap, energy):
+    return _count(*_scan(trap, energy), energy)
 
 
 def energy_ceiling(potential, center, n_states):
     """Energy at which :func:`level_count` reaches ``n_states``."""
+    return _ceiling(_Trap(potential, center), n_states)
+
+
+def _ceiling(trap, n_states):
     high = 1.0
     for _ in range(MAX_DOUBLINGS):
-        if level_count(potential, center, high) >= n_states:
+        if _level_count(trap, high) >= n_states:
             break
         high *= 2.0
     else:
         raise ConfigError(f"no energy holds {n_states} levels of this trap")
-    return _bisect(lambda e: level_count(potential, center, e) >= n_states, 0.0, high)
+    return _bisect(lambda e: _level_count(trap, e) >= n_states, 0.0, high)
 
 
 def semiclassical_ladder(potential, center, n_levels):
@@ -140,13 +148,17 @@ def semiclassical_ladder(potential, center, n_levels):
     ``LADDER_ENERGIES`` energies up to the first doubling of the energy
     that holds ``n_levels`` levels, and inverted by linear interpolation.
     """
+    return _ladder(_Trap(potential, center), n_levels)
+
+
+def _ladder(trap, n_levels):
     top, radius = 1.0, 1.0
     for _ in range(MAX_DOUBLINGS):
-        x, v = _scan(potential, center, top, radius)
+        x, v = _scan(trap, top, radius)
         if _count(x, v, top) >= n_levels:
             break
         top *= 2.0
-        radius = center - x[0]
+        radius = trap.center - x[0]
     else:
         raise ConfigError(f"no energy holds {n_levels} levels of this trap")
     v = v[v < top]  # the samples that count at some tabulated energy
@@ -168,39 +180,61 @@ def ensemble_level_count(schedule, n_particles, tau, tail_bound):
     trap = _endpoint_trap(schedule, 0.0)
     n_levels = 2 * (n_particles + 1)
     while True:
-        ladder = semiclassical_ladder(*trap, n_levels)
+        ladder = _ladder(trap, n_levels)
         try:
             return estimated_level_count(ladder, n_particles, tau, tail_bound)
         except NeedsMoreLevelsError as exc:
             n_levels = 2 * exc.required
 
 
+class _Trap:
+    """A trap potential about its center, sampled once per scan radius.
+
+    A plan scans the same trap at many energies (the ceiling's bisection
+    alone makes some two hundred scans) but at few radii; the samples
+    (x, V) of each radius are kept for the life of the object, which is
+    one plan or one public call.
+    """
+
+    def __init__(self, potential, center):
+        self.potential = potential
+        self.center = center
+        self._samples = {}
+
+    def samples(self, radius):
+        """(x, V) on ``SAMPLES`` points within ``radius`` of the center."""
+        if radius not in self._samples:
+            x = np.linspace(self.center - radius, self.center + radius, SAMPLES)
+            self._samples[radius] = x, self.potential(x)
+        return self._samples[radius]
+
+
 def _endpoint_trap(schedule, t):
-    return (lambda x: schedule.evaluate_at(x, t)), schedule.center(t)
+    return _Trap(lambda x: schedule.evaluate_at(x, t), schedule.center(t))
 
 
-def _scan(potential, center, energy, radius=1.0):
-    """Samples (x, V) around ``center`` reaching past the outermost wells.
+def _scan(trap, energy, radius=1.0):
+    """Samples (x, V) around the trap's center reaching past its outermost
+    wells.
 
     Both ends must be classically forbidden and the potential must rise
     outward there; the traps of all three tasks rise monotonically beyond
     their outermost minimum, so no allowed region lies further out.
     """
     for _ in range(MAX_DOUBLINGS):
-        x = np.linspace(center - radius, center + radius, SAMPLES)
-        v = potential(x)
+        x, v = trap.samples(radius)
         if min(v[0], v[-1]) > energy and v[0] > v[1] and v[-1] > v[-2]:
             return x, v
         radius *= 2.0
     raise ConfigError("the trap does not confine at the requested energy")
 
 
-def _window(potential, center, energy):
+def _window(trap, energy):
     """Outermost turning points at ``energy`` widened by the tunnelling margin."""
     radius = 1.0
     for _ in range(MAX_DOUBLINGS):
-        x, v = _scan(potential, center, energy, radius)
-        radius = center - x[0]
+        x, v = _scan(trap, energy, radius)
+        radius = trap.center - x[0]
         allowed = np.nonzero(v <= energy)[0]
         kappa = np.sqrt(2.0 * np.maximum(v - energy, 0.0))
         right = _reach(x[allowed[-1]:], kappa[allowed[-1]:], MARGIN_ACTION)
@@ -211,7 +245,7 @@ def _window(potential, center, energy):
     raise ConfigError("the trap does not confine at the requested energy")
 
 
-def _momentum_reach(potential, center, energy):
+def _momentum_reach(trap, energy):
     """Momentum the lattice must reach for the levels of a trap below ``energy``.
 
     The larger of ``K_SAFETY`` times the classical momentum at the bottom of
@@ -224,11 +258,11 @@ def _momentum_reach(potential, center, energy):
     harmonic, such as a quartic one, spaces its upper levels wider than its
     bottom curvature suggests, and their momentum tails reach further.
     """
-    x, v = _scan(potential, center, energy)
+    x, v = _scan(trap, energy)
     bottom = int(np.argmin(v))
     p = math.sqrt(2.0 * (energy - v[bottom]))
     h = x[1] - x[0]
-    sides = potential(x[bottom] + h) + potential(x[bottom] - h)
+    sides = trap.potential(x[bottom] + h) + trap.potential(x[bottom] - h)
     curvature = (sides - 2.0 * v[bottom]) / h**2
     step = 1e-2 * (energy - v[bottom])
     spacing = step / (_count(x, v, energy) - _count(x, v, energy - step))

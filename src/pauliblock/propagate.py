@@ -199,7 +199,8 @@ def _pack(states, schedule, grid):
     if n_pairs == 0:
         return states, _unpacked
     even, odd = even[:n_pairs], odd[:n_pairs]
-    single = np.setdiff1d(np.arange(len(states)), np.concatenate((even, odd)))
+    single = np.ones(len(states), dtype=bool)  # states left without a partner
+    single[even] = single[odd] = False
     rows = np.concatenate((states[even] + states[odd], states[single]))
 
     def unpack(psi):

@@ -12,16 +12,22 @@ levels.  The infinite configuration sum is truncated at an excitation
 cutoff grown until the estimated omitted weight is below ``tail_bound``.
 
 An ensemble is held as arrays: ``levels`` (K, N) of 1-based level indices
-and ``excitations`` (K,), rows in lexicographic order.  The enumerator
-grows all prefixes one slot at a time and adds each excitation up left to
-right, so the same cutoff always selects the same rows with the same
-floats.  A colder temperature's ensemble is therefore a row mask of a
-hotter one (:func:`cool_ensemble`): a curve over many temperatures
-enumerates once, at its hottest, and cuts every colder temperature from
-it with its own cutoff and level-count certificate.  Boltzmann weights
-are one ``np.exp`` over the excitations and every sum one ``np.sum`` over
-them in row order; a cut ensemble sums the same floats in the same order
-as a direct enumeration, so it carries exactly the same weights.
+in the smallest unsigned dtype that holds the ladder's length
+(:func:`level_dtype`: one byte per occupied level up to 255 levels, two
+beyond), and ``excitations`` (K,) as floats, rows in lexicographic order;
+K configurations cost about K (N + 16) bytes with their weights.  The
+enumerator grows all prefixes one slot at a time, counting each prefix's
+run of admissible next levels and laying the children out run after run,
+so the rows come out in lexicographic order without a sort; it adds each
+excitation up left to right, so the same cutoff always selects the same
+rows with the same floats.  A colder temperature's ensemble is therefore
+a row mask of a hotter one (:func:`cool_ensemble`): a curve over many
+temperatures enumerates once, at its hottest, and cuts every colder
+temperature from it with its own cutoff and level-count certificate.
+Boltzmann weights are one ``np.exp`` over the excitations and every sum
+one ``np.sum`` over them in row order; a cut ensemble sums the same
+floats in the same order as a direct enumeration, so it carries exactly
+the same weights.
 
 How many levels a ladder must hold for the certificate can be estimated
 before any level is solved (:func:`estimated_level_count`): the same
@@ -46,8 +52,10 @@ class ThermalEnsemble:
     """Truncated canonical ensemble over occupation configurations.
 
     ``levels`` (K, N) holds each configuration's 1-based, strictly
-    increasing level indices and ``excitations`` (K,) its excitation
-    energy; rows are in lexicographic order of ``levels``.
+    increasing level indices, in the :func:`level_dtype` of the ladder
+    the ensemble was enumerated from (``uint8`` up to 255 levels), and
+    ``excitations`` (K,) its excitation energy; rows are in lexicographic
+    order of ``levels``, as the sort-free enumerator lays them out.
     """
 
     tau: float
@@ -67,58 +75,78 @@ class ThermalEnsemble:
         return int(self.levels[:, -1].max())
 
     def row_index_array(self):
-        """0-based indices into an array of evolved states, shape (K, N)."""
+        """0-based indices into an array of evolved states, shape (K, N).
+
+        Same compact dtype as ``levels`` (levels start at 1, so nothing
+        wraps); numpy gathers with it directly, with no 8-byte copy.
+        """
         return self.levels - 1
+
+
+def level_dtype(n_levels):
+    """Smallest unsigned dtype that holds the 1-based levels of a ladder of
+    ``n_levels``: ``uint8`` up to 255 levels, ``uint16`` up to 65535."""
+    return np.min_scalar_type(n_levels)
 
 
 def _enumerate_below(energies, n_particles, e_cut):
     """All increasing n-tuples of levels with excitation <= e_cut.
 
-    Returns ``(levels, excitations)``: 1-based levels (K, N) in
-    lexicographic order and their excitations (K,).  Placing level v at
-    slot j costs E_v - E_j, and the cheapest completion of the remaining
-    slots uses consecutive levels; a prefix is extended by successive
-    candidate levels only while that lower bound stays within the cutoff
-    (energies ascend, so later levels only cost more).  The frontier of
-    prefixes grows one slot at a time.  Each excitation and each bound is
-    added up left to right in slot order, so an excitation equals the
+    Returns ``(levels, excitations)``: 1-based levels (K, N) of dtype
+    :func:`level_dtype` in lexicographic order and their excitations (K,).
+    Placing level v at slot j costs E_v - E_j, and the cheapest completion
+    of the remaining slots uses consecutive levels; a prefix is extended by
+    successive candidate levels only while that lower bound stays within
+    the cutoff (energies ascend, so later levels only cost more).  The
+    frontier of prefixes grows one slot at a time: each prefix's leading
+    run of passing candidates is counted, and its children are that run,
+    laid out after the children of the prefixes before it, so they come out
+    in lexicographic order without a sort.  Each excitation and each bound
+    is added up left to right in slot order, so an excitation equals the
     left-to-right sum over its tuple and the bound of a prefix equals the
     excitation of its cheapest completion: the cut is exact in floating
     point, and a lower cutoff selects a subset of the same rows.
     """
     m_available = len(energies)
-    chosen = np.zeros((1, 0), dtype=np.intp)  # 0-based levels of each prefix
+    dtype = level_dtype(m_available)
+    chosen = np.zeros((1, 0), dtype=dtype)  # 0-based levels of each prefix
     excitations = np.zeros(1)
     for slot in range(n_particles):
         remaining = n_particles - slot - 1
         stop = m_available - remaining
-        start = chosen[:, -1] + 1 if slot else np.zeros(1, dtype=np.intp)
-        parents, children, child_excitations = [], [], []
+        if slot:
+            start = chosen[:, -1].astype(np.intp) + 1
+        else:
+            start = np.zeros(1, dtype=np.intp)
+        counts = np.zeros(len(chosen), dtype=np.intp)
         alive = np.arange(len(chosen))
         offset = 0
         # Candidate ``offset`` of every prefix whose earlier candidates all
-        # passed: the leading run of passing candidates per prefix.
+        # passed; a pass lengthens the prefix's run by one.
         while alive.size:
             level = start[alive] + offset
             inside = level < stop
             alive, level = alive[inside], level[inside]
-            excitation = excitations[alive] + (energies[level] - energies[slot])
-            floor = excitation.copy()
+            floor = excitations[alive] + (energies[level] - energies[slot])
             for r in range(remaining):
                 floor += energies[level + 1 + r] - energies[slot + 1 + r]
-            keep = floor <= e_cut
-            alive = alive[keep]
-            parents.append(alive)
-            children.append(level[keep])
-            child_excitations.append(excitation[keep])
+            alive = alive[floor <= e_cut]
+            counts[alive] += 1
             offset += 1
-        parent = np.concatenate(parents)
-        order = np.argsort(parent, kind="stable")  # by prefix, then level
-        chosen = np.column_stack(
-            (chosen[parent[order]], np.concatenate(children)[order])
+        # Child i of the run that begins at row ``first`` of the new frontier
+        # takes level start + (i - first).
+        first = np.cumsum(counts) - counts
+        level = np.arange(int(counts.sum()))
+        level += np.repeat(start - first, counts)
+        excitations = np.repeat(excitations, counts) + (
+            energies[level] - energies[slot]
         )
-        excitations = np.concatenate(child_excitations)[order]
-    return chosen + 1, excitations
+        grown = np.empty((len(level), slot + 1), dtype=dtype)
+        grown[:, :slot] = np.repeat(chosen, counts, axis=0)
+        grown[:, slot] = level
+        chosen = grown
+    chosen += 1
+    return chosen, excitations
 
 
 def _levels_required(energies, n_particles, e_cut):
@@ -164,10 +192,12 @@ def _grow_cutoff(energies, n_particles, tau, tail_bound, complete_ladder, below)
         if z_probe - z_here <= 0.5 * tail_bound * z_probe:
             return e_cut, rows, excitations, terms, z_probe
         z_here = z_probe
+        # Free this shell's arrays before the next, larger one is built.
+        del probe, rows, excitations, terms
 
 
-def _ground(n_particles):
-    levels = np.arange(1, n_particles + 1, dtype=np.intp)[None, :]
+def _ground(n_particles, dtype):
+    levels = np.arange(1, n_particles + 1, dtype=dtype)[None, :]
     return ThermalEnsemble(0.0, levels, np.zeros(1), np.array([1.0]), 1.0, 0.0)
 
 
@@ -208,7 +238,7 @@ def enumerate_ensemble(
     if (np.diff(energies) < 0).any():
         raise ConfigError("energies must be ascending")
     if tau == 0.0:
-        return _ground(n_particles)
+        return _ground(n_particles, level_dtype(len(energies)))
 
     e_cut, levels, excitations, terms, z = _grow_cutoff(
         energies,
@@ -292,7 +322,7 @@ def cool_ensemble(hot, energies, tau, tail_bound=DEFAULT_TAIL_BOUND):
         # The ground configuration is the first row in lexicographic order.
         mask = np.zeros(hot.size, dtype=bool)
         mask[0] = True
-        return _ground(n_particles), mask
+        return _ground(n_particles, hot.levels.dtype), mask
 
     def below(e):
         if e > hot.e_cut:

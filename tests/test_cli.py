@@ -135,6 +135,8 @@ class TestNumpyOnly:
     def test_commands_run_without_scipy(self, tmp_path):
         # With scipy unimportable, the CLI imports and runs a thermal
         # scenario, a sweep and a gap profile, and loads no scipy module.
+        # Nor does it load numpy.ma, a lazy import of some numpy set
+        # routines that costs about 19 ms.
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(
             "task = splitting\n"
@@ -154,6 +156,7 @@ class TestNumpyOnly:
             f"assert main(['sweep', {str(cfg)!r}]) == 0",
             "assert main(['gap', '--lambdas', '1', '--n-max', '2']) == 0",
             "assert not [m for m in sys.modules if m.startswith('scipy.')]",
+            "assert not [m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']]",
         ])
         src = Path(pauliblock.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": str(src)}

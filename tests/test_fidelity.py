@@ -157,6 +157,19 @@ class TestGramBatch:
             single = fidelity_fast(OverlapMatrix(master[rows], validate=False))
             assert abs(value - single.value) <= 1e-13
 
+    def test_compact_indices(self):
+        # A thermal ensemble's one-byte row sets are gathered with as they
+        # are and give exactly the values of 8-byte ones.
+        rng = np.random.default_rng(11)
+        for n_protected in (1, 2, 3):
+            master = random_subunitary(40, n_protected, rng).entries
+            row_sets = np.array(
+                [np.sort(rng.choice(40, 5, replace=False)) for _ in range(50)]
+            )
+            compact = gram_fidelity_values(master, row_sets.astype(np.uint8))
+            wide = gram_fidelity_values(master, row_sets.astype(np.intp))
+            assert compact.tobytes() == wide.tobytes()
+
     def test_range_check(self):
         # Same bound as fidelity_fast: no silent clamp on the thermal path.
         master = np.array([[0.6], [0.8j], [np.sqrt(1.0 + 2e-10)]])

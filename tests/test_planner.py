@@ -151,6 +151,24 @@ class TestPlanGrid:
         assert (forced.x_min, forced.x_max) == (planned.x_min, planned.x_max)
         assert forced.n_points == 2048
 
+    def test_benchmark_grids_are_pinned(self):
+        # Grids planned for the benchmark schedules, bit for bit: the
+        # expansion sweep (14 states), the compensation sweep (54 levels
+        # for N_b = 6; 55 for one more) and the default transport scenario
+        # (2 states; at T = 10 the trap runs faster and needs more points).
+        expansion = PotentialSchedule.expansion(10.0, omega_f=0.01, lam=1.0)
+        splitting = PotentialSchedule.splitting(2.0, h_f=20.0)
+        for schedule, n_states, pinned in (
+            (expansion, 14, (-33.625, 33.625, 324)),
+            (splitting, 54, (-15.265625, 15.265625, 240)),
+            (splitting, 55, (-15.34375, 15.34375, 240)),
+            (CASES["transport"][0], 2, (-3.857421875, 93.857421875, 864)),
+            (PotentialSchedule.transport(10.0, x0_f=90.0), 2,
+             (-3.857421875, 93.857421875, 960)),
+        ):
+            grid = plan_grid(schedule, n_states)
+            assert (grid.x_min, grid.x_max, grid.n_points) == pinned
+
     def test_more_states_give_a_larger_grid(self):
         schedule = CASES["splitting"][0]
         small, large = plan_grid(schedule, 8), plan_grid(schedule, 52)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from pauliblock.planner import ensemble_level_count
 from pauliblock.thermal import (
     DEFAULT_TAIL_BOUND,
     _enumerate_below,
+    cool_ensemble,
     ensemble_average,
     estimated_level_count,
 )
@@ -149,6 +151,48 @@ class TestEnumeration:
             levels for levels, _ in expected
         ]
         assert ens.excitations.tolist() == [excitation for _, excitation in expected]
+
+    @pytest.mark.parametrize(
+        "n_levels, dtype", [(255, np.uint8), (256, np.uint16)]
+    )
+    def test_level_dtype_boundary(self, n_levels, dtype):
+        # Level 256 does not fit a byte, and numpy arithmetic on a uint8
+        # array wraps it to 0 without an error.  Two fermions on an evenly
+        # spaced ladder of width 1: the pair (1, n_levels) costs
+        # (n_levels - 2) / (n_levels - 1), within the cutoff 1.
+        energies = np.linspace(0.0, 1.0, n_levels)
+        levels, excitations = _enumerate_below(energies, 2, 1.0)
+        expected = self.brute_force(energies, 2, 1.0)
+        assert (1, n_levels) in [row for row, _ in expected]
+        assert [tuple(row) for row in levels.tolist()] == [
+            row for row, _ in expected
+        ]
+        assert excitations.tolist() == [excitation for _, excitation in expected]
+        assert levels.dtype == dtype
+        # Every ensemble of the ladder shares the dtype, and its 0-based
+        # rows reach the top state.
+        hot = enumerate_ensemble(energies, 2, 1.0, complete_ladder=True)
+        assert hot.size == math.comb(n_levels, 2)
+        assert hot.levels.dtype == dtype
+        assert hot.row_index_array().max() == n_levels - 1
+        ground, _ = cool_ensemble(hot, energies, 0.0)
+        assert ground.levels.dtype == dtype
+        assert enumerate_ensemble(energies, 2, 0.0).levels.dtype == dtype
+
+    def test_enumeration_memory(self):
+        # 126,301 configurations of 8 fermions on 52 levels.  One byte per
+        # occupied level and a frontier built without a sort keep the
+        # traced peak under 10 MB; 8-byte indices and a sorted frontier
+        # took about 24 MB.
+        energies = np.arange(60) + 0.5
+        tracemalloc.start()
+        try:
+            ensemble = enumerate_ensemble(energies, 8, 1.6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (ensemble.size, ensemble.m_max) == (126301, 52)
+        assert peak < 10e6
 
     def test_configurations_on_the_cutoff_are_kept(self):
         energies = np.arange(10) + 0.5
