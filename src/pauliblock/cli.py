@@ -113,7 +113,7 @@ def _run_scenario(args):
     schedule = _schedule_from_args(args)
     engine = Engine(args.n_points, PropagationSettings(dt=args.dt))
     check_dt = not args.skip_dt_check
-    if args.tau > 0:
+    if args.tau != 0:
         result = engine.thermal_fidelity(
             schedule, args.n_protected, args.n_buffer, args.tau,
             tail_bound=args.tail_bound, check_dt=check_dt,

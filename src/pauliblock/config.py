@@ -11,6 +11,8 @@ comment line, blank lines ignored.  Recognized keys:
 inclusive range written ``lo..hi``.
 """
 
+import math
+
 from .errors import ConfigError
 from .experiments import Axis, SweepSpec
 from .pipeline import default_workers
@@ -74,9 +76,12 @@ def _as_float(raw, key, default=None):
             raise ConfigError(f"missing required key {key!r}")
         return default
     try:
-        return float(raw[key])
+        value = float(raw[key])
     except ValueError:
         raise ConfigError(f"key {key!r}: cannot parse {raw[key]!r} as a number")
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key!r} must be a finite number, got {raw[key]!r}")
+    return value
 
 
 def _as_int(raw, key, default=None):
@@ -106,6 +111,8 @@ def _axis_values(raw):
         raise ConfigError(f"cannot parse axis_values {raw['axis_values']!r}")
     if not values:
         raise ConfigError("axis_values is empty")
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"axis_values must be finite, got {raw['axis_values']!r}")
     return values
 
 

@@ -27,6 +27,7 @@ sweep reproduces the file byte for byte.
 """
 
 import enum
+import math
 from dataclasses import astuple, dataclass, field
 
 from .errors import ConfigError
@@ -87,8 +88,8 @@ class SweepSpec:
             raise ConfigError("axis_values must be ascending")
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError(f"threshold must be in (0, 1), got {self.threshold}")
-        if self.tau < 0:
-            raise ConfigError("tau must be >= 0")
+        if not 0 <= self.tau < math.inf:
+            raise ConfigError(f"tau must be finite and >= 0, got {self.tau}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
 

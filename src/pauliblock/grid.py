@@ -10,7 +10,7 @@ and the companion momentum lattice is the FFT wavenumber set spanning
 ``[-pi/dx, pi/dx)`` with spacing ``2*pi/(n_points*dx)``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -107,14 +107,11 @@ class Wavefunction:
 
     ``space`` is either ``"position"`` or ``"momentum"``; the integration
     weight for norms and inner products is ``dx`` or ``dk`` accordingly.
-    ``trajectory`` is filled by the propagator when snapshot recording is
-    requested.
     """
 
     grid: Grid
     amplitudes: np.ndarray
     space: str = "position"
-    trajectory: "Trajectory | None" = field(default=None, compare=False)
 
     def __post_init__(self):
         self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
@@ -136,14 +133,6 @@ class Wavefunction:
 
     def normalized(self):
         return Wavefunction(self.grid, self.amplitudes / self.norm, self.space)
-
-
-@dataclass
-class Trajectory:
-    """Sampled snapshots of a propagation (times and position amplitudes)."""
-
-    times: np.ndarray
-    amplitudes: np.ndarray  # shape (n_samples, n_points)
 
 
 def _check_compatible(a, b):

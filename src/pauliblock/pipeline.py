@@ -29,6 +29,7 @@ path then finds its runs there, so results, escalations and errors do not
 depend on the worker count.
 """
 
+import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -424,8 +425,8 @@ class Engine:
         n_total = n_protected + n_buffer
         if len(taus) == 0:
             raise ConfigError("no temperatures supplied")
-        if min(taus) < 0:
-            raise ConfigError("temperatures must be >= 0")
+        if not all(0 <= tau < math.inf for tau in taus):
+            raise ConfigError(f"temperatures must be finite and >= 0, got {taus}")
         tau_max = max(taus)
         if settings is None:
             n_levels = self.plan_levels(schedule, n_total, tau_max, tail_bound)
@@ -436,19 +437,10 @@ class Engine:
         elif self.family_grid(schedule) is None:
             self.plan_levels(schedule, n_total, tau_max, tail_bound)
 
-        if tau_max > 0:
-            hot, energies = self._ensemble_levels(
-                schedule, n_total, tau_max, tail_bound
-            )
-            m_needed = hot.m_max
-        else:
-            m_needed = n_total
-        matrix, _, initial = self.master_overlaps(
-            schedule, m_needed, n_protected, settings
+        hot, energies = self._ensemble_levels(schedule, n_total, tau_max, tail_bound)
+        matrix, _, _ = self.master_overlaps(
+            schedule, hot.m_max, n_protected, settings
         )
-        if tau_max == 0:
-            energies = initial.energies
-            hot = enumerate_ensemble(energies, n_total, 0.0, tail_bound)
         per_config = gram_fidelity_values(matrix, hot.row_index_array())
 
         values = []

@@ -51,8 +51,10 @@ class PotentialSchedule:
     h_f: float = 0.0  # splitting only
 
     def __post_init__(self):
-        if not self.T > 0:
-            raise ConfigError(f"process time must be positive, got {self.T}")
+        if not 0 < self.T < math.inf:
+            raise ConfigError(
+                f"process time must be positive and finite, got {self.T}"
+            )
         if self.lam < 0:
             raise ConfigError(f"anharmonicity must be >= 0, got {self.lam}")
         for name in ("omega_i", "omega_f", "omega"):

@@ -10,10 +10,9 @@ stable and unitary up to rounding.  The trailing half-kick of one step
 and the leading half-kick of the next are applied as one phase,
 exp(-i*(V_n + V_(n+1))*dt/2), so a step costs one potential multiply and
 two in-place transforms; a step is closed (its trailing half-kick applied
-alone) wherever the state is looked at: at each health check, at each
-trajectory sample and at the end.  Many states propagate together as the
-rows of one array; each row evolves independently, so batched and
-one-at-a-time results agree.
+alone) wherever the state is looked at: at each health check and at the
+end.  Many states propagate together as the rows of one array; each row
+evolves independently, so batched and one-at-a-time results agree.
 
 In a trap symmetric about x = 0 on a grid symmetric about 0, the lattice
 reflection R (x -> -x, :meth:`~pauliblock.grid.Grid.reflect`) commutes
@@ -28,6 +27,7 @@ and the orthonormality check see the states one by one.  A state whose
 parity is not pure to ``PARITY_TOL`` keeps a row of its own.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +39,7 @@ from .errors import (
     InstabilityError,
     ResolutionError,
 )
-from .grid import Trajectory, Wavefunction
+from .grid import Wavefunction
 from .spectral import check_containment, check_resolution, parity_masks
 
 # Steps between containment / resolution / finite-amplitude checks.
@@ -52,25 +52,20 @@ class PropagationSettings:
 
     ``dt`` is the requested step (adjusted to divide T exactly);
     ``tolerance`` is the overlap-convergence target used by the automatic
-    step-halving check of the scenario runners; ``store_trajectory``
-    attaches sampled snapshots to the propagated state.
+    step-halving check of the scenario runners.
     """
 
     dt: float = 1e-3
-    store_trajectory: bool = False
     tolerance: float = 1e-4
-    n_samples: int = 256
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ConfigError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < math.inf:
+            raise ConfigError(f"dt must be positive and finite, got {self.dt}")
         if not self.tolerance > 0:
             raise ConfigError("tolerance must be positive")
 
     def steps_for(self, T):
         """Step count and the adjusted dt that divides T exactly."""
-        if self.dt > T:
-            return 1, T
         steps = max(1, int(round(T / self.dt)))
         return steps, T / steps
 
@@ -79,10 +74,8 @@ def _unpacked(psi):
     return psi
 
 
-def _evolve(
-    amplitudes, schedule, grid, settings, sample_every=0, unpack=_unpacked
-):
-    """Evolve rows of ``amplitudes`` from t=0 to t=T.  Returns (final, samples).
+def _evolve(rows, schedule, grid, settings, unpack=_unpacked):
+    """Evolve ``rows``, a 2-D array, from t=0 to t=T; return the states.
 
     ``unpack`` maps the rows to the states they carry (see :func:`_pack`);
     the health checks and the returned array see its output.  The
@@ -91,10 +84,7 @@ def _evolve(
     looked at.
     """
     steps, dt = settings.steps_for(schedule.T)
-    psi = np.array(amplitudes, dtype=np.complex128, copy=True)
-    squeeze = psi.ndim == 1
-    if squeeze:
-        psi = psi[None, :]
+    psi = np.array(rows, dtype=np.complex128, copy=True)
 
     profile = schedule.time_profile(grid)
     kinetic = np.exp(-0.5j * dt * grid.k_values**2)
@@ -109,22 +99,16 @@ def _evolve(
         np.sin(angle, out=factor.imag)
         np.multiply(psi, factor, out=psi)
 
-    samples = []
-    times = []
     v = profile(0.5 * dt)
     kick(v)
     for step in range(1, steps + 1):
         np.fft.fft(psi, axis=1, out=psi)
         psi *= kinetic
         np.fft.ifft(psi, axis=1, out=psi)
-        sampled = sample_every and step % sample_every == 0
         checked = step % CHECK_INTERVAL == 0
         v_next = profile((step + 0.5) * dt) if step < steps else None
-        if sampled or checked or v_next is None:
+        if checked or v_next is None:
             kick(v)
-            if sampled:
-                samples.append(psi[0].copy())
-                times.append(step * dt)
             if checked:
                 _check_health(unpack(psi), grid, step)
             if v_next is not None:
@@ -135,13 +119,7 @@ def _evolve(
         v = v_next
     psi = unpack(psi)
     _check_health(psi, grid, steps)
-
-    if squeeze:
-        psi = psi[0]
-    trajectory = None
-    if sample_every:
-        trajectory = Trajectory(np.asarray(times), np.asarray(samples))
-    return psi, trajectory
+    return psi
 
 
 def _check_health(psi, grid, step):
@@ -166,22 +144,14 @@ def _check_health(psi, grid, step):
 def propagate(initial, schedule, settings=PropagationSettings()):
     """Evolve one state to t = T.
 
-    The initial state must be unit-norm in position space.  When
-    ``settings.store_trajectory`` is set, the returned state carries a
-    :class:`Trajectory` with ``settings.n_samples`` snapshots.
+    The initial state must be unit-norm in position space.
     """
     if initial.space != "position":
         raise ConfigError("propagate expects a position-space state")
     if abs(initial.norm - 1.0) > 1e-8:
         raise ConfigError(f"initial state is not normalized (norm {initial.norm})")
-    sample_every = 0
-    if settings.store_trajectory:
-        steps, _ = settings.steps_for(schedule.T)
-        sample_every = max(1, steps // settings.n_samples)
-    final, trajectory = _evolve(
-        initial.amplitudes, schedule, initial.grid, settings, sample_every
-    )
-    return Wavefunction(initial.grid, final, trajectory=trajectory)
+    final = _evolve(initial.amplitudes[None, :], schedule, initial.grid, settings)
+    return Wavefunction(initial.grid, final[0])
 
 
 def _pack(states, schedule, grid):
@@ -228,7 +198,7 @@ def propagate_basis(basis, n_states, schedule, settings=PropagationSettings()):
             f"requested {n_states} states from a basis of {basis.size}"
         )
     rows, unpack = _pack(basis.states[:n_states], schedule, basis.grid)
-    final, _ = _evolve(rows, schedule, basis.grid, settings, unpack=unpack)
+    final = _evolve(rows, schedule, basis.grid, settings, unpack=unpack)
     gram = np.conj(final) @ final.T * basis.grid.dx
     defect = np.max(np.abs(gram - np.eye(n_states)))
     if defect >= 1e-6:

@@ -293,8 +293,8 @@ def fermi_gap_profile(lam, n_max, omega_i=1.0, grid=None):
     that outgrows it raises from :func:`solve`'s containment or resolution
     check instead of returning unresolved levels.
     """
-    if lam < 0:
-        raise ConfigError("anharmonicity must be >= 0")
+    if not 0 <= lam < np.inf:
+        raise ConfigError(f"anharmonicity must be finite and >= 0, got {lam}")
     if n_max < 1:
         raise ConfigError("n_max must be >= 1")
     grid = grid or GAP_GRID

@@ -171,6 +171,8 @@ def _grow_cutoff(energies, n_particles, tau, tail_bound, complete_ladder, below)
     Boltzmann factors (``np.exp`` of the scaled excitations) and ``z``
     their ``np.sum``, or None if ``below`` gave up.
     """
+    if not 0.0 < tail_bound < 1.0:
+        raise ConfigError(f"tail_bound must be in (0, 1), got {tail_bound}")
     e_cut = tau * math.log(1.0 / tail_bound)
     shell = max(tau * math.log(100.0), 1e-3)
     z_here = None

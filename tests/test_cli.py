@@ -39,6 +39,53 @@ class TestExitCodes:
         assert code == 2
 
 
+    @pytest.mark.parametrize(
+        "line",
+        ["N_p = nan", "workers = inf", "tau = nan", "axis_values = 0, nan"],
+    )
+    def test_non_finite_config_value_returns_2(self, tmp_path, capsys, line):
+        key = line.split()[0]
+        base = {
+            "task": "splitting", "T": "1.0", "h_f": "20",
+            "axis": "buffer_count", "axis_values": "0",
+        }
+        text = "".join(f"{k} = {v}\n" for k, v in base.items() if k != key)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text + line + "\n")
+        assert main(["sweep", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            ["--tau", "-1"],
+            ["--tau", "nan"],
+            ["--tau", "inf"],
+            ["--tail-bound", "-1", "--tau", "0.3"],
+            ["--T", "inf"],
+            ["--dt", "inf"],
+        ],
+        ids=["negative-tau", "nan-tau", "inf-tau", "negative-tail-bound",
+             "inf-T", "inf-dt"],
+    )
+    def test_bad_scenario_option_returns_2(self, capsys, options):
+        # A temperature other than 0 takes the thermal path, whose checks
+        # reject it before anything is solved.
+        argv = ["split", "--T", "0.5", "--n-buffer", "1", "--n-points", "256",
+                "--dt", "0.01", *options]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_bad_gap_anharmonicity_returns_2(self, capsys, lam):
+        assert main(["gap", "--lambdas", lam, "--n-max", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+
 class TestScenarioCommands:
     def test_split_prints_fidelity(self, capsys):
         code = main(

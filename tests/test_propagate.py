@@ -16,6 +16,7 @@ from pauliblock import (
     propagate,
     propagate_basis,
     solve,
+    to_momentum,
 )
 from pauliblock.planner import plan_grid
 from pauliblock.propagate import _evolve, _pack
@@ -61,36 +62,31 @@ class TestStationaryState:
 
 class TestEhrenfest:
     def test_center_follows_classical_oscillator(self):
-        # In a harmonic trap the mean position obeys the driven classical
-        # equation exactly; an independent high-order ODE solve is the
-        # reference.
-        schedule = PotentialSchedule.transport(8.0, x0_f=10.0, lam=0.0)
+        # In a harmonic trap the mean position and momentum obey the driven
+        # classical equations exactly; an independent high-order ODE solve
+        # is the reference at t = T.
         grid = Grid(-15.0, 25.0, 1024)
-        basis = solve(schedule.evaluate(grid, 0.0), grid, 1)
-        settings = PropagationSettings(dt=1e-3, store_trajectory=True, n_samples=200)
-        final = propagate(basis.state(0), schedule, settings)
+        for T in (2.0, 5.0, 8.0):
+            schedule = PotentialSchedule.transport(T, x0_f=10.0, lam=0.0)
+            basis = solve(schedule.evaluate(grid, 0.0), grid, 1)
+            final = propagate(basis.state(0), schedule, PropagationSettings(dt=1e-3))
+            center = np.sum(grid.x * np.abs(final.amplitudes) ** 2) * grid.dx
+            momentum = to_momentum(final).amplitudes
+            mean_p = np.sum(grid.k_values * np.abs(momentum) ** 2) * grid.dk
 
-        times = final.trajectory.times
-        centers = np.array(
-            [
-                np.sum(grid.x * np.abs(a) ** 2) * grid.dx
-                for a in final.trajectory.amplitudes
-            ]
-        )
+            def rhs(t, y):
+                return [y[1], -(y[0] - schedule.control_value(t))]
 
-        def rhs(t, y):
-            return [y[1], -(y[0] - schedule.control_value(t))]
-
-        ref = solve_ivp(
-            rhs,
-            (0.0, schedule.T),
-            [0.0, 0.0],
-            t_eval=times,
-            rtol=1e-11,
-            atol=1e-12,
-            max_step=0.05,
-        )
-        assert np.max(np.abs(centers - ref.y[0])) < 1e-4
+            ref = solve_ivp(
+                rhs,
+                (0.0, schedule.T),
+                [0.0, 0.0],
+                rtol=1e-11,
+                atol=1e-12,
+                max_step=0.05,
+            )
+            assert abs(center - ref.y[0, -1]) < 1e-4
+            assert abs(mean_p - ref.y[1, -1]) < 1e-4
 
 
 class TestAdiabaticLimit:
@@ -159,8 +155,7 @@ class TestTransportRegression:
 
 def row_by_row(basis, n_states, schedule, settings):
     # Every state on a row of its own, as without parity pairing.
-    final, _ = _evolve(basis.states[:n_states], schedule, basis.grid, settings)
-    return final
+    return _evolve(basis.states[:n_states], schedule, basis.grid, settings)
 
 
 def planned_basis(schedule, n_states):
@@ -236,51 +231,44 @@ class TestParityPairing:
         assert packed.value.step == reference.value.step
 
 
-def unfused_strang(amplitudes, schedule, grid, settings, sample_every):
+def unfused_strang(amplitudes, schedule, grid, settings):
     # The textbook loop: both half-kicks of every step, out-of-place
     # transforms, the phase as a complex exponential.
     steps, dt = settings.steps_for(schedule.T)
     profile = schedule.time_profile(grid)
     kinetic = np.exp(-0.5j * dt * grid.k_values**2)
     psi = np.array(amplitudes, dtype=np.complex128)
-    samples = []
     for step in range(steps):
         half = np.exp(-0.5j * dt * profile((step + 0.5) * dt))
         psi = half * np.fft.ifft(kinetic * np.fft.fft(half * psi, axis=1), axis=1)
-        if (step + 1) % sample_every == 0:
-            samples.append(psi[0].copy())
-    return psi, np.array(samples)
+    return psi
 
 
 class TestLeanStrangLoop:
     # Fused half-kicks, in-place transforms and the cos + i sin phase must
-    # not move the result.  1250 steps: one health check (step 1000)
-    # closes a step mid-run, and the last step is not a check step.
+    # not move the result.  At 1250 steps one health check (step 1000)
+    # closes a step mid-run and the last step is not a check step; at 1000
+    # steps the last step is also the check step.
 
     @pytest.mark.parametrize(
-        "schedule",
+        "make",
         [
-            PotentialSchedule.expansion(2.5, omega_f=0.5, lam=1.0),
-            PotentialSchedule.splitting(2.5, h_f=20.0),
-            PotentialSchedule.transport(2.5, x0_f=4.0),
+            lambda T: PotentialSchedule.expansion(T, omega_f=0.5, lam=1.0),
+            lambda T: PotentialSchedule.splitting(T, h_f=20.0),
+            lambda T: PotentialSchedule.transport(T, x0_f=4.0),
         ],
         ids=["expansion", "splitting", "transport"],
     )
-    def test_matches_unfused_loop(self, schedule):
-        grid = plan_grid(schedule, 4).widened()
-        basis = solve(schedule.evaluate(grid, 0.0), grid, 4)
+    def test_matches_unfused_loop(self, make):
         settings = PropagationSettings(dt=2e-3)
-        steps, _ = settings.steps_for(schedule.T)
-        assert steps == 1250
-        final, trajectory = _evolve(
-            basis.states, schedule, basis.grid, settings, sample_every=96
-        )
-        reference, samples = unfused_strang(
-            basis.states, schedule, basis.grid, settings, 96
-        )
-        assert np.max(np.abs(final - reference)) < 1e-12
-        np.testing.assert_allclose(trajectory.times, 96 * 2e-3 * np.arange(1, 14))
-        assert np.max(np.abs(trajectory.amplitudes - samples)) < 1e-12
+        for T, steps in ((2.5, 1250), (2.0, 1000)):
+            schedule = make(T)
+            grid = plan_grid(schedule, 4).widened()
+            basis = solve(schedule.evaluate(grid, 0.0), grid, 4)
+            assert settings.steps_for(schedule.T)[0] == steps
+            final = _evolve(basis.states, schedule, basis.grid, settings)
+            reference = unfused_strang(basis.states, schedule, basis.grid, settings)
+            assert np.max(np.abs(final - reference)) < 1e-12
 
 
 class TestFailureModes:
@@ -312,6 +300,12 @@ class TestFailureModes:
         fine = Grid(-20.0, 20.0, 256)
         initial = gaussian_state(fine, center=-6.0, momentum=6.0)
         propagate(initial, static_harmonic(T=1.0), settings)
+
+    def test_steps_divide_T(self):
+        # A step longer than T becomes T itself; otherwise dt is rounded
+        # to divide T exactly.
+        assert PropagationSettings(dt=5.0).steps_for(1.0) == (1, 1.0)
+        assert PropagationSettings(dt=0.3).steps_for(1.0) == (3, 1.0 / 3.0)
 
     def test_settings_validation(self):
         with pytest.raises(ConfigError):

@@ -113,6 +113,18 @@ class TestEnumeration:
         with pytest.raises(NeedsMoreLevelsError):
             enumerate_ensemble([0.5], 2, 0.1)
 
+    @pytest.mark.parametrize("tail_bound", [0.0, -1.0, 1.0, math.nan])
+    def test_tail_bound_out_of_range(self, tail_bound):
+        # Enumeration, cooling and the level estimate share one check.
+        ladder = np.arange(20) + 0.5
+        with pytest.raises(ConfigError):
+            enumerate_ensemble(ladder, 2, 0.5, tail_bound)
+        with pytest.raises(ConfigError):
+            estimated_level_count(ladder, 2, 0.5, tail_bound)
+        hot = enumerate_ensemble(ladder, 2, 0.5)
+        with pytest.raises(ConfigError):
+            cool_ensemble(hot, ladder, 0.3, tail_bound)
+
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10**6), tau=st.floats(0.05, 2.0))
     def test_normalization_property(self, seed, tau):
