@@ -38,7 +38,8 @@ def _add_scenario_options(parser):
                         help="grid point count on the planned domain (even; "
                              "default: planned from the energy range)")
     parser.add_argument("--verify-oracle", action="store_true",
-                        help="cross-check with the brute-force fidelity sum")
+                        help="cross-check the ground configuration's fidelity "
+                             "with the brute-force sum")
     parser.add_argument("--skip-dt-check", action="store_true",
                         help="skip the automatic time-step halving check")
 
@@ -112,17 +113,11 @@ def _schedule_from_args(args):
 def _run_scenario(args):
     schedule = _schedule_from_args(args)
     engine = Engine(args.n_points, PropagationSettings(dt=args.dt))
-    check_dt = not args.skip_dt_check
-    if args.tau != 0:
-        result = engine.thermal_fidelity(
-            schedule, args.n_protected, args.n_buffer, args.tau,
-            tail_bound=args.tail_bound, check_dt=check_dt,
-        )
-    else:
-        result = engine.scenario_fidelity(
-            schedule, args.n_protected, args.n_buffer,
-            verify_oracle=args.verify_oracle, check_dt=check_dt,
-        )
+    result = engine.thermal_fidelity(
+        schedule, args.n_protected, args.n_buffer, args.tau,
+        tail_bound=args.tail_bound, check_dt=not args.skip_dt_check,
+        verify_oracle=args.verify_oracle,
+    )
     print(repr(result.value))
     return 0
 

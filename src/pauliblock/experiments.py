@@ -6,17 +6,18 @@ rest of the scenario is held fixed.  Every sweep, the minimal-buffer
 search and the temperature-compensation report is a grid of (schedule,
 N_b, tau) points with one evaluation path (:func:`_evaluate`): the time
 step is validated once, and each schedule propagates once, for its
-largest buffer count.  Smaller buffer counts slice rows of its overlap
-matrix; temperatures re-weight configurations of one ensemble per buffer
-count through the :class:`~pauliblock.pipeline.Engine` caches.
+largest buffer count.  Each buffer count is one thermal curve
+(:meth:`~pauliblock.pipeline.Engine.thermal_fidelity_curve`; zero
+temperature is its tau = 0 ensemble): smaller buffer counts slice rows of
+that propagation, temperatures re-weight one ensemble per buffer count.
 
 The propagations a sweep is known to need run first, at the same time,
 as one batch on the engine's worker processes
 (:meth:`~pauliblock.pipeline.Engine.propagate_batch`): the time-step
 check's first two rungs and every schedule at the requested dt, on the
 guess that the check keeps it (if it halves dt, the schedules run as a
-second batch at the dt it kept).  At finite temperature a schedule's run
-holds every level its hottest ensemble is estimated to need, and its
+second batch at the dt it kept).  A schedule's run holds every level its
+hottest ensemble is estimated to need (at tau = 0, its N states), and its
 family is planned for them before the check, so the check validates dt
 on the grid the curves use.  The in-order evaluation then finds the runs
 in the cache, so the output does not depend on the worker count.
@@ -35,9 +36,9 @@ from .fidelity import (
     ORACLE_MAX_N,
     ORACLE_MAX_NP,
     Method,
-    OverlapMatrix,
+    # Not called here: perfbench/spans.py wraps this name and raises if it
+    # is missing, until an in-program trace replaces the patched names.
     fidelity_fast,
-    verify_against_oracle,
 )
 from .pipeline import Engine, default_workers
 from .potentials import PotentialSchedule, Task
@@ -189,55 +190,36 @@ def _schedule_points(spec, settings, buffers, taus, schedule, engine):
 
     ``buffers`` is in descending order, so the largest system's
     propagation serves the smaller ones.  Returns ``({N_b: values},
-    n_points)`` with one value per temperature in ``taus``, or a single
-    zero-temperature value when ``taus`` is None.
+    n_points)`` with one value per temperature in ``taus``.
     """
     values = {}
-    if taus is None:
-        matrix, _, _ = engine.master_overlaps(
-            schedule, spec.n_protected + buffers[0], spec.n_protected, settings
+    for nb in buffers:
+        values[nb], _ = engine.thermal_fidelity_curve(
+            schedule, spec.n_protected, nb, taus, settings,
+            tail_bound=spec.tail_bound, verify_oracle=_oracle_applies(spec, nb),
         )
-        # Validated once: a row subset has no larger column norm or
-        # singular value than the whole matrix.
-        largest = OverlapMatrix(matrix)
-        for nb in buffers:
-            a = largest.dropping_rows_after(spec.n_protected + nb)
-            result = fidelity_fast(a)
-            if _oracle_applies(spec, nb):
-                verify_against_oracle(a, result)
-            values[nb] = [result.value]
-    else:
-        for nb in buffers:
-            values[nb], _ = engine.thermal_fidelity_curve(
-                schedule, spec.n_protected, nb, taus, settings,
-                tail_bound=spec.tail_bound,
-            )
     return values, engine.family_grid(schedule).n_points
 
 
 def _evaluate(spec, engine, schedules, buffers, taus):
     """Every (schedule, N_b, tau) point of a sweep.
 
-    ``taus`` lists the temperatures, or is None for the zero-temperature
-    pipeline.  The time step is validated once, on the first schedule
-    with the largest system.  Returns ``(settings, points)``: the
-    validated settings and, per schedule, ``({N_b: values}, n_points)``
-    as from :func:`_schedule_points`.
+    The time step is validated once, on the first schedule with the
+    largest system.  Returns ``(settings, points)``: the validated
+    settings and, per schedule, ``({N_b: values}, n_points)`` as from
+    :func:`_schedule_points`.
     """
     buffers = sorted(set(buffers), reverse=True)
     n_total = spec.n_protected + buffers[0]
-    # Every schedule propagates the largest system's levels at the
-    # validated dt: at zero temperature its N states, at finite temperature
-    # the levels of its hottest ensemble, for which its family is planned
-    # before the check.  Those runs join the check's batch.
-    if taus is None:
-        also = [(schedule, n_total) for schedule in schedules]
-    else:
-        tau_max = max(taus)
-        also = [
-            (schedule, engine.plan_levels(schedule, n_total, tau_max, spec.tail_bound))
-            for schedule in schedules
-        ]
+    # Every schedule propagates the levels of the largest system's hottest
+    # ensemble at the validated dt (at tau = 0, its N states); its family
+    # is planned for them before the check, and those runs join the
+    # check's batch.
+    tau_max = max(taus)
+    also = [
+        (schedule, engine.plan_levels(schedule, n_total, tau_max, spec.tail_bound))
+        for schedule in schedules
+    ]
     settings = engine.validated_settings(
         schedules[0], n_total, spec.settings, spec.check_dt, also=also
     )
@@ -296,14 +278,14 @@ def run_sweep(spec, engine=None):
     if spec.axis is Axis.TEMPERATURE:
         taus = [float(t) for t in spec.axis_values]
     else:
-        taus = [spec.tau] if spec.tau > 0 else None
+        taus = [spec.tau]
     engine = _engine_for(spec, engine)
     settings, points = _evaluate(spec, engine, schedules, buffers, taus)
 
     rows = []
     for schedule, (values, n_points) in zip(schedules, points):
         for nb in buffers:
-            for tau, value in zip(taus or [spec.tau], values[nb]):
+            for tau, value in zip(taus, values[nb]):
                 axis_value = {
                     Axis.PROCESS_TIME: schedule.T,
                     Axis.ANHARMONICITY: schedule.lam,
@@ -374,8 +356,7 @@ def min_buffer_search(spec, n_b_max=None, engine=None):
     if n_b_max is None:
         n_b_max = hi
     schedules = [spec.schedule.with_duration(t) for t in spec.axis_values]
-    taus = [spec.tau] if spec.tau > 0 else None
-    _, points = _evaluate(spec, engine, schedules, range(n_b_max + 1), taus)
+    _, points = _evaluate(spec, engine, schedules, range(n_b_max + 1), [spec.tau])
 
     # Walk back from the longest time, keeping which N_b stayed above.
     found = []

@@ -7,12 +7,16 @@ final trap, the process fidelity is
     F = sum over all N_p-subsets U of rows |det A[U, :]|^2 ,
 
 the total probability that a measurement finds the protected subspace
-intact.  Two evaluation routes are provided:
+intact.  One routine evaluates it at every temperature, and one
+independent reference checks it:
 
+* :func:`gram_fidelity_values` - ``det(A^dagger A)``, equal to the sum of
+  squared minors by the Cauchy-Binet identity, polynomial cost, for many
+  row selections of one master matrix at once (a thermal ensemble's
+  configurations; at zero temperature the one ground configuration).
+  :func:`fidelity_fast` applies it to all rows of one matrix;
 * :func:`fidelity_oracle` - the literal subset/permutation sum, exponential
-  in the particle number, kept as an independent check;
-* :func:`fidelity_fast` - ``det(A^dagger A)``, equal to the sum of squared
-  minors by the Cauchy-Binet identity, polynomial cost.
+  in the particle number, kept as an independent check.
 
 Appending a row to A (one more buffer particle) adds only nonnegative
 terms to the subset sum, so F is monotone in the buffer count; each row or
@@ -149,22 +153,11 @@ def fidelity_oracle(a):
 
 
 def fidelity_fast(a):
-    """Fidelity as det(A^dagger A) of the Hermitian PSD Gram matrix.
-
-    Evaluated through the eigenvalues of the Gram matrix for stability;
-    raises :class:`NumericalConsistencyError` if the determinant leaves
-    [0, 1] by more than 1e-10 before clamping.
-    """
-    if a.n_protected == 0:
-        return _result(1.0, Method.GRAM_DETERMINANT, a)
-    gram = a.entries.conj().T @ a.entries
-    eigs = np.linalg.eigvalsh(gram)
-    value = float(np.prod(eigs))
-    if not -RANGE_TOL <= value <= 1.0 + RANGE_TOL:
-        raise NumericalConsistencyError(
-            f"det(A^dagger A) = {value} outside [-1e-10, 1+1e-10]"
-        )
-    return _result(value, Method.GRAM_DETERMINANT, a)
+    """Fidelity as det(A^dagger A), by :func:`gram_fidelity_values` on all
+    rows of ``a``; raises :class:`NumericalConsistencyError` if the
+    determinant leaves [0, 1] by more than 1e-10 before clamping."""
+    values = gram_fidelity_values(a.entries, np.arange(a.n_total)[None, :])
+    return _result(values[0], Method.GRAM_DETERMINANT, a)
 
 
 def gram_fidelity_values(master, row_sets):
@@ -178,8 +171,8 @@ def gram_fidelity_values(master, row_sets):
     configurations share the same evolved states.  Each Gram matrix is the
     sum over its rows of the per-level products conj(A[m, i]) A[m, j],
     added slot by slot, so no (n_sets, N, N_p) block is ever gathered.
-    Like :func:`fidelity_fast`, raises :class:`NumericalConsistencyError`
-    if a determinant leaves [0, 1] by more than 1e-10 before clamping.
+    Raises :class:`NumericalConsistencyError` if a determinant leaves
+    [0, 1] by more than 1e-10 before clamping.
     """
     row_sets = np.asarray(row_sets)
     n_p = master.shape[1]
@@ -233,12 +226,13 @@ def random_subunitary(n_total, n_protected, rng):
     return OverlapMatrix(q[:, :n_protected])
 
 
-def verify_against_oracle(a, result, tol=1e-10):
-    """Assert the fast value matches the brute-force sum (guard permitting)."""
+def verify_against_oracle(a, value, tol=1e-10):
+    """Assert a fast fidelity ``value`` of ``a`` matches the brute-force sum
+    (guard permitting); return the oracle's result."""
     oracle = fidelity_oracle(a)
-    if abs(oracle.value - result.value) >= tol:
+    if abs(oracle.value - value) >= tol:
         raise NumericalConsistencyError(
-            f"gram determinant {result.value} and brute-force sum "
-            f"{oracle.value} disagree by {abs(oracle.value - result.value):.2e}"
+            f"gram determinant {value} and brute-force sum "
+            f"{oracle.value} disagree by {abs(oracle.value - value):.2e}"
         )
     return oracle

@@ -51,6 +51,10 @@ class PotentialSchedule:
     h_f: float = 0.0  # splitting only
 
     def __post_init__(self):
+        for name in ("lam", "omega_i", "omega_f", "omega", "x0_i", "x0_f", "h_i", "h_f"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if not 0 < self.T < math.inf:
             raise ConfigError(
                 f"process time must be positive and finite, got {self.T}"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import pauliblock
+from pauliblock import pipeline
 from pauliblock.cli import main
 from pauliblock.errors import (
     ConfigError,
@@ -115,6 +116,50 @@ class TestScenarioCommands:
         assert code == 0
         value = float(capsys.readouterr().out.strip())
         assert 0.0 <= value <= 1.0
+
+
+    def test_equal_step_rungs_never_agree(self, capsys):
+        # Every rung from dt = 100 down to dt = 1.5625 rounds T = 2 to one
+        # step, so those rungs give identical overlaps; that is no
+        # agreement, and the halving runs out of rungs.
+        assert main(["split", "--dt", "100"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: time step did not converge")
+
+    def test_verify_oracle_at_finite_temperature(self, capsys, monkeypatch):
+        checked = []
+        real = pipeline.verify_against_oracle
+
+        def counted(a, value):
+            checked.append(a.n_total)
+            return real(a, value)
+
+        monkeypatch.setattr(pipeline, "verify_against_oracle", counted)
+        argv = ["split", "--T", "0.5", "--tau", "0.3", "--n-buffer", "1",
+                "--n-points", "256", "--dt", "0.01"]
+        assert main(argv) == 0
+        assert checked == []
+        assert main([*argv, "--verify-oracle"]) == 0
+        assert checked == [3]
+        first, second = capsys.readouterr().out.split()
+        assert first == second
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["expand", "--anharmonicity", "nan"], "lam"),
+            (["split", "--h-f", "inf"], "h_f"),
+            (["transport", "--x0-f", "nan"], "x0_f"),
+            (["expand", "--omega-f", "inf"], "omega_f"),
+        ],
+    )
+    def test_non_finite_trap_parameter_returns_2(self, capsys, argv, name):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {name} must be finite")
 
 
 class TestGapCommand:

@@ -288,13 +288,13 @@ class TestMinBufferSearch:
 
     def test_verify_oracle_is_honoured(self, shared_engine, monkeypatch):
         checked = []
-        real = experiments.verify_against_oracle
+        real = pipeline.verify_against_oracle
 
-        def counted(a, result):
+        def counted(a, value):
             checked.append(a.n_total)
-            return real(a, result)
+            return real(a, value)
 
-        monkeypatch.setattr(experiments, "verify_against_oracle", counted)
+        monkeypatch.setattr(pipeline, "verify_against_oracle", counted)
         spec = split_spec(
             axis=Axis.PROCESS_TIME,
             axis_values=(0.5,),

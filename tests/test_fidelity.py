@@ -132,7 +132,7 @@ class TestGramBatch:
         row_sets = np.array([[0, 1, 2], [1, 3, 5], [2, 4, 7]])
         batch = gram_fidelity_values(master, row_sets)
         for rows, value in zip(row_sets, batch):
-            single = fidelity_fast(OverlapMatrix(master[rows], validate=False))
+            single = fidelity_oracle(OverlapMatrix(master[rows], validate=False))
             assert value == pytest.approx(single.value, abs=1e-13)
 
     @settings(max_examples=40, deadline=None)
@@ -141,7 +141,7 @@ class TestGramBatch:
         n_protected=st.integers(1, 3),
         n_extra=st.integers(0, 4),
     )
-    def test_matches_fidelity_fast_on_random_masters(
+    def test_matches_fidelity_oracle_on_random_masters(
         self, seed, n_protected, n_extra
     ):
         # Increasing row sets of N = N_p + n_extra rows, as the thermal
@@ -154,7 +154,7 @@ class TestGramBatch:
         )
         batch = gram_fidelity_values(master, row_sets)
         for rows, value in zip(row_sets, batch):
-            single = fidelity_fast(OverlapMatrix(master[rows], validate=False))
+            single = fidelity_oracle(OverlapMatrix(master[rows], validate=False))
             assert abs(value - single.value) <= 1e-13
 
     def test_compact_indices(self):

@@ -12,6 +12,7 @@ from pauliblock import (
     Axis,
     ConfigError,
     NeedsMoreLevelsError,
+    NumericalConsistencyError,
     PotentialSchedule,
     PropagationSettings,
     SweepSpec,
@@ -278,6 +279,46 @@ class TestThermalFidelity:
             assert ensemble.tau == tau
             assert value == split_engine.thermal_fidelity(s, 2, 2, tau).value
 
+    def test_master_matrix_is_validated(self, monkeypatch):
+        # An overlap column of norm above one is no physical overlap
+        # matrix; the curve rejects it before taking any fidelity from it.
+        real = Engine.master_overlaps
+
+        def inflated(self, *args, **kwargs):
+            matrix, grid, basis = real(self, *args, **kwargs)
+            matrix = matrix.copy()
+            matrix[:, 0] *= 1.01
+            return matrix, grid, basis
+
+        monkeypatch.setattr(Engine, "master_overlaps", inflated)
+        s = PotentialSchedule.splitting(0.5, h_f=20.0)
+        engine = Engine(256, PropagationSettings(dt=0.01))
+        with pytest.raises(NumericalConsistencyError):
+            engine.thermal_fidelity(s, 2, 1, 0.3)
+
+    def test_sweep_verifies_each_buffer_count_when_hot(self, monkeypatch):
+        # A temperature sweep checks each buffer count's ground
+        # configuration against the oracle once.
+        checked = []
+        real = pipeline.verify_against_oracle
+
+        def counted(a, value):
+            checked.append(a.n_total)
+            return real(a, value)
+
+        monkeypatch.setattr(pipeline, "verify_against_oracle", counted)
+        spec = SweepSpec(
+            schedule=self.schedule(),
+            axis=Axis.TEMPERATURE,
+            axis_values=(0.0, 0.3, 0.6),
+            n_buffer=(1, 3),
+            settings=PropagationSettings(dt=2e-3),
+            check_dt=False,
+            verify_oracle=True,
+        )
+        temperature_compensation_report(spec, engine=Engine())
+        assert sorted(checked) == [3, 4, 5]
+
     @staticmethod
     def count_enumerations(monkeypatch):
         calls = []
@@ -336,10 +377,12 @@ class TestThermalFidelity:
         curve = Engine.thermal_fidelity_curve
 
         def estimating(self, schedule, n_protected, n_buffer, taus, settings=None,
-                       tail_bound=DEFAULT_TAIL_BOUND, check_dt=False):
+                       tail_bound=DEFAULT_TAIL_BOUND, check_dt=False,
+                       verify_oracle=False):
             self.plan_levels(schedule, n_protected + n_buffer, max(taus), tail_bound)
             return curve(self, schedule, n_protected, n_buffer, taus, settings,
-                         tail_bound=tail_bound, check_dt=check_dt)
+                         tail_bound=tail_bound, check_dt=check_dt,
+                         verify_oracle=verify_oracle)
 
         monkeypatch.setattr(Engine, "thermal_fidelity_curve", estimating)
         per_curve = temperature_compensation_report(spec).to_csv()
