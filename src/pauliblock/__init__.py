@@ -12,7 +12,6 @@ from .errors import (
     ContainmentError,
     ConvergenceError,
     GridError,
-    GridMismatchError,
     InstabilityError,
     NeedsMoreLevelsError,
     NumericalConsistencyError,
@@ -33,13 +32,12 @@ from .fidelity import (
     OverlapMatrix,
     fidelity_fast,
     fidelity_oracle,
-    random_subunitary,
 )
-from .grid import Grid, Wavefunction, inner_product, to_momentum, to_position
+from .grid import Grid
 from .pipeline import Engine
 from .potentials import PotentialSchedule, RampShape, Task
-from .propagate import PropagationSettings, propagate, propagate_basis
-from .spectral import EigenBasis, fermi_gap_profile, solve, solve_tridiagonal
+from .propagate import PropagationSettings, propagate_basis
+from .spectral import EigenBasis, fermi_gap_profile, solve
 from .thermal import ThermalEnsemble, enumerate_ensemble
 
 __version__ = "0.1.0"
@@ -54,7 +52,6 @@ __all__ = [
     "FidelityResult",
     "Grid",
     "GridError",
-    "GridMismatchError",
     "InstabilityError",
     "Method",
     "NeedsMoreLevelsError",
@@ -69,20 +66,13 @@ __all__ = [
     "Task",
     "ThermalEnsemble",
     "TooLargeError",
-    "Wavefunction",
     "enumerate_ensemble",
     "fermi_gap_profile",
     "fidelity_fast",
     "fidelity_oracle",
-    "inner_product",
     "min_buffer_search",
-    "propagate",
     "propagate_basis",
-    "random_subunitary",
     "run_sweep",
     "solve",
-    "solve_tridiagonal",
     "temperature_compensation_report",
-    "to_momentum",
-    "to_position",
 ]

@@ -61,13 +61,9 @@ class NeedsMoreLevelsError(ConvergenceError):
 
 
 class GridError(SimulationError):
-    """Grid-related failure (mismatch, leakage, undersampling)."""
+    """Grid-related failure (leakage, undersampling)."""
 
     exit_code = 4
-
-
-class GridMismatchError(GridError):
-    """Operands live on different grids or in different representations."""
 
 
 class EdgeAmplitudeError(GridError):

@@ -33,12 +33,11 @@ from dataclasses import astuple, dataclass, field
 
 from .errors import ConfigError
 from .fidelity import (
-    ORACLE_MAX_N,
-    ORACLE_MAX_NP,
     Method,
     # Not called here: perfbench/spans.py wraps this name and raises if it
     # is missing, until an in-program trace replaces the patched names.
     fidelity_fast,
+    oracle_fits,
 )
 from .pipeline import Engine, default_workers
 from .potentials import PotentialSchedule, Task
@@ -178,11 +177,7 @@ class GapSweepResult:
 
 def _oracle_applies(spec, n_buffer):
     n_total = spec.n_protected + n_buffer
-    return (
-        spec.verify_oracle
-        and n_total <= ORACLE_MAX_N
-        and spec.n_protected <= ORACLE_MAX_NP
-    )
+    return spec.verify_oracle and oracle_fits(n_total, spec.n_protected)
 
 
 def _schedule_points(spec, settings, buffers, taus, schedule, engine):

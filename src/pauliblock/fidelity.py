@@ -124,6 +124,12 @@ def _permutations_with_signs(n):
     return perms
 
 
+def oracle_fits(n_total, n_protected):
+    """Whether N = ``n_total`` and N_p = ``n_protected`` pass the
+    combinatorial guard of :func:`fidelity_oracle`."""
+    return n_total <= ORACLE_MAX_N and n_protected <= ORACLE_MAX_NP
+
+
 def fidelity_oracle(a):
     """Brute-force subset/permutation evaluation of the fidelity.
 
@@ -131,7 +137,7 @@ def fidelity_oracle(a):
     :func:`fidelity_fast`, which this function exists to validate.
     """
     n, n_p = a.n_total, a.n_protected
-    if n > ORACLE_MAX_N or n_p > ORACLE_MAX_NP:
+    if not oracle_fits(n, n_p):
         raise TooLargeError(
             f"oracle guard exceeded (N={n} > {ORACLE_MAX_N} or "
             f"N_p={n_p} > {ORACLE_MAX_NP}); use fidelity_fast"
@@ -207,23 +213,6 @@ def gram_fidelity_values(master, row_sets):
             "[-1e-10, 1+1e-10]"
         )
     return np.clip(dets, 0.0, 1.0)
-
-
-def random_subunitary(n_total, n_protected, rng):
-    """Random overlap matrix with the physical sub-unitary structure.
-
-    First ``n_protected`` columns of a Haar-distributed unitary of
-    dimension ``n_total``: rows and columns are slices of orthonormal
-    families, exactly as for matrices produced by unitary evolution.
-    """
-    if n_protected > n_total:
-        raise ConfigError("n_protected cannot exceed n_total")
-    z = rng.standard_normal((n_total, n_total)) + 1j * rng.standard_normal(
-        (n_total, n_total)
-    )
-    q, r = np.linalg.qr(z)
-    q = q * (np.diag(r) / np.abs(np.diag(r)))
-    return OverlapMatrix(q[:, :n_protected])
 
 
 def verify_against_oracle(a, value, tol=1e-10):

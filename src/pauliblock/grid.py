@@ -1,4 +1,4 @@
-"""Uniform 1D spatial lattice, wavefunction container and Fourier transforms.
+"""Uniform 1D spatial lattice and its momentum lattice.
 
 Natural units are used throughout the package: hbar = m = 1, so momenta
 are wavenumbers and the harmonic length scale of a trap of frequency
@@ -10,12 +10,11 @@ and the companion momentum lattice is the FFT wavenumber set spanning
 ``[-pi/dx, pi/dx)`` with spacing ``2*pi/(n_points*dx)``.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, GridMismatchError
+from .errors import ConfigError
 
 # Relative amplitude allowed at the grid boundary before a state is
 # considered to have leaked out of the box.
@@ -100,77 +99,3 @@ class Grid:
         """Same domain with twice the points (halved dx, doubled k range)."""
         return Grid(self.x_min, self.x_max, 2 * self.n_points)
 
-
-@dataclass
-class Wavefunction:
-    """Complex amplitudes of a single-particle state on a :class:`Grid`.
-
-    ``space`` is either ``"position"`` or ``"momentum"``; the integration
-    weight for norms and inner products is ``dx`` or ``dk`` accordingly.
-    """
-
-    grid: Grid
-    amplitudes: np.ndarray
-    space: str = "position"
-
-    def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
-        if self.amplitudes.shape != (self.grid.n_points,):
-            raise GridMismatchError(
-                f"amplitude vector of length {self.amplitudes.shape} "
-                f"does not match grid with {self.grid.n_points} points"
-            )
-        if self.space not in ("position", "momentum"):
-            raise ConfigError(f"unknown space {self.space!r}")
-
-    @property
-    def weight(self):
-        return self.grid.dx if self.space == "position" else self.grid.dk
-
-    @property
-    def norm(self):
-        return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2) * self.weight))
-
-    def normalized(self):
-        return Wavefunction(self.grid, self.amplitudes / self.norm, self.space)
-
-
-def _check_compatible(a, b):
-    if a.grid != b.grid:
-        raise GridMismatchError("wavefunctions live on different grids")
-    if a.space != b.space:
-        raise GridMismatchError(
-            f"cannot combine {a.space}-space with {b.space}-space states"
-        )
-
-
-def inner_product(a, b):
-    """<a|b> = sum(conj(a) * b) * weight, antilinear in the first slot."""
-    _check_compatible(a, b)
-    return complex(np.vdot(a.amplitudes, b.amplitudes) * a.weight)
-
-
-def to_momentum(w):
-    """Unitary map to the momentum representation.
-
-    The amplitudes approximate the continuum Fourier transform
-    ``(1/sqrt(2*pi)) * integral(psi(x) * exp(-i*k*x) dx)`` sampled on the
-    momentum lattice (FFT order), so Parseval's identity holds exactly with
-    the ``dk`` weight.
-    """
-    if w.space != "position":
-        raise GridMismatchError("to_momentum expects a position-space state")
-    g = w.grid
-    ft = np.fft.fft(w.amplitudes)
-    amps = (g.dx / np.sqrt(2.0 * np.pi)) * np.exp(-1j * g.k_values * g.x_min) * ft
-    return Wavefunction(g, amps, "momentum")
-
-
-def to_position(w):
-    """Inverse of :func:`to_momentum`."""
-    if w.space != "momentum":
-        raise GridMismatchError("to_position expects a momentum-space state")
-    g = w.grid
-    ft = np.exp(1j * g.k_values * g.x_min) * w.amplitudes
-    amps = (np.sqrt(2.0 * np.pi) / g.dx) * np.fft.ifft(ft)
-    return Wavefunction(g, amps, "position")

@@ -48,8 +48,11 @@ from .errors import (
     NeedsMoreLevelsError,
     ResolutionError,
     SimulationError,
+    TooLargeError,
 )
 from .fidelity import (
+    ORACLE_MAX_N,
+    ORACLE_MAX_NP,
     FidelityResult,
     Method,
     OverlapMatrix,
@@ -57,6 +60,7 @@ from .fidelity import (
     # is missing, until an in-program trace replaces the patched names.
     fidelity_fast,
     gram_fidelity_values,
+    oracle_fits,
     verify_against_oracle,
 )
 from .grid import Grid
@@ -420,7 +424,8 @@ class Engine:
         hottest one's is evaluated on its own.  The master matrix is
         validated (:class:`OverlapMatrix`) first; ``verify_oracle`` checks
         the ground configuration, row 0 of every ensemble and all of it at
-        tau = 0, against the brute-force sum.
+        tau = 0, against the brute-force sum, and past the brute-force
+        guard raises :class:`TooLargeError` before any work.
         """
         _check_counts(n_protected, n_buffer)
         n_total = n_protected + n_buffer
@@ -428,6 +433,11 @@ class Engine:
             raise ConfigError("no temperatures supplied")
         if not all(0 <= tau < math.inf for tau in taus):
             raise ConfigError(f"temperatures must be finite and >= 0, got {taus}")
+        if verify_oracle and not oracle_fits(n_total, n_protected):
+            raise TooLargeError(
+                f"--verify-oracle needs N <= {ORACLE_MAX_N} and N_p <= "
+                f"{ORACLE_MAX_NP}, got N={n_total} and N_p={n_protected}"
+            )
         tau_max = max(taus)
         if settings is None:
             n_levels = self.plan_levels(schedule, n_total, tau_max, tail_bound)

@@ -39,7 +39,6 @@ from .errors import (
     InstabilityError,
     ResolutionError,
 )
-from .grid import Wavefunction
 from .spectral import check_containment, check_resolution, parity_masks
 
 # Steps between containment / resolution / finite-amplitude checks.
@@ -139,19 +138,6 @@ def _check_health(psi, grid, step):
         raise type(worst)(
             f"{worst} (at step {step})", worst.state, worst.ratio, worst.tol, step
         ) from None
-
-
-def propagate(initial, schedule, settings=PropagationSettings()):
-    """Evolve one state to t = T.
-
-    The initial state must be unit-norm in position space.
-    """
-    if initial.space != "position":
-        raise ConfigError("propagate expects a position-space state")
-    if abs(initial.norm - 1.0) > 1e-8:
-        raise ConfigError(f"initial state is not normalized (norm {initial.norm})")
-    final = _evolve(initial.amplitudes[None, :], schedule, initial.grid, settings)
-    return Wavefunction(initial.grid, final[0])
 
 
 def _pack(states, schedule, grid):

@@ -1,24 +1,17 @@
 """Bound-state eigenproblems of static traps.
 
-Two independent backends:
+:func:`solve` is a Fourier-grid Hamiltonian: the kinetic operator is
+exact on the momentum lattice (a real symmetric circulant in position
+space) and the potential is diagonal.  It shares its discretization with
+the propagator, so eigenstates are exactly band-limited states of the
+same lattice.
 
-* :func:`solve` - Fourier-grid Hamiltonian: the kinetic operator is exact
-  on the momentum lattice (a real symmetric circulant in position space),
-  the potential is diagonal.  Shares its discretization with the
-  propagator, so eigenstates are exactly band-limited states of the same
-  lattice.
-* :func:`solve_tridiagonal` - 3-point finite differences with Dirichlet
-  boundaries; second-order accurate, used as a cross-check.
-
-Both order energies ascending and fix each state's sign so that its
-leftmost entry of at least half the largest magnitude is positive.  The
-largest entry itself would not do: an odd state on a symmetric grid
+Energies come in ascending order, and each state's sign is fixed so that
+its leftmost entry of at least half the largest magnitude is positive.
+The largest entry itself would not do: an odd state on a symmetric grid
 reaches its largest magnitude at a mirror pair of opposite signs, and
-rounding picks one of the two.  :func:`solve` also makes the parity-pure
-states of a symmetric grid exactly even or odd.
-
-:func:`solve` runs on numpy alone.  :func:`solve_tridiagonal`, reached
-from no command-line path, imports scipy when called.
+rounding picks one of the two.  The parity-pure states of a symmetric
+grid are made exactly even or odd.
 """
 
 from dataclasses import dataclass
@@ -26,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContainmentError, ConvergenceError, ResolutionError
-from .grid import EDGE_AMPLITUDE_TOL, Grid, Wavefunction
+from .grid import EDGE_AMPLITUDE_TOL, Grid
 
 # Fraction of the |k| lattice treated as the edge band, and the relative
 # spectral amplitude allowed there.  Calibrated so that admitted states have
@@ -63,10 +56,6 @@ class EigenBasis:
     @property
     def size(self):
         return len(self.energies)
-
-    def state(self, i):
-        """i-th eigenstate (0-based) as a :class:`Wavefunction`."""
-        return Wavefunction(self.grid, self.states[i])
 
 
 def effective_potential(potential):
@@ -153,8 +142,8 @@ def check_containment(states, grid, tol=EDGE_AMPLITUDE_TOL):
 def holds_states(n_points, n_states):
     """Whether a grid of ``n_points`` may be asked for ``n_states`` levels.
 
-    Both eigensolvers keep the requested levels below a quarter of the
-    lattice, far from its Nyquist band.
+    The requested levels stay below a quarter of the lattice, far from
+    its Nyquist band.
     """
     return 1 <= n_states < n_points // 4
 
@@ -239,39 +228,6 @@ def residual_check(potential, grid, energies, states, tol=RESIDUAL_TOL):
             f"eigenstate {worst + 1} residual {norms[worst]:.2e} exceeds "
             f"{bounds[worst]:.2e}"
         )
-
-
-def solve_tridiagonal(potential, grid, n_states):
-    """Finite-difference cross-check backend (Dirichlet boundaries)."""
-    n = grid.n_points
-    if not holds_states(n, n_states):
-        raise ConfigError(f"n_states={n_states} outside the safe range")
-    potential = effective_potential(np.asarray(potential, dtype=float))
-    inv_dx2 = 1.0 / grid.dx**2
-    diag = inv_dx2 + potential
-    off = np.full(n - 1, -0.5 * inv_dx2)
-    # The only scipy use in the package: numpy has no banded eigensolver,
-    # and the cross-check's tests solve grids no dense solver can.
-    import scipy.linalg
-
-    energies, vecs = scipy.linalg.eigh_tridiagonal(
-        diag, off, select="i", select_range=(0, n_states - 1)
-    )
-    states = _fix_phases(vecs.T / np.sqrt(grid.dx))
-
-    # Residual against the tridiagonal operator itself.
-    resid = diag * states - energies[:, None] * states
-    resid[:, :-1] += off[0] * states[:, 1:]
-    resid[:, 1:] += off[0] * states[:, :-1]
-    norms = np.sqrt(np.sum(resid**2, axis=1) * grid.dx)
-    bounds = RESIDUAL_TOL * np.maximum(np.abs(energies), 1.0)
-    if (norms >= bounds).any():
-        worst = int(np.argmax(norms / bounds))
-        raise ConvergenceError(
-            f"finite-difference eigenstate {worst + 1} residual "
-            f"{norms[worst]:.2e} exceeds {bounds[worst]:.2e}"
-        )
-    return EigenBasis(grid, energies, states)
 
 
 # Grid used for Fermi-gap profiles (see fermi_gap_profile); generous

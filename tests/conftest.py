@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pauliblock import Grid, Wavefunction, solve
+from pauliblock import EigenBasis, Grid, propagate_basis, solve
 from pauliblock.pipeline import Engine
 
 
@@ -22,8 +22,22 @@ def harmonic_basis(harmonic_grid):
 
 
 def gaussian_state(grid, center=0.0, width=1.0, momentum=0.0):
-    """Normalized Gaussian wave packet (analytic, not an eigensolve)."""
+    """Normalized Gaussian wave packet (analytic, not an eigensolve), as
+    an array of amplitudes on ``grid``."""
     x = grid.x
     psi = np.exp(-((x - center) ** 2) / (4.0 * width**2) + 1j * momentum * x)
     psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * grid.dx)
-    return Wavefunction(grid, psi)
+    return psi
+
+
+def momentum_density(psi):
+    """|FFT(psi)|^2 normalized to unit sum, in the bin order of
+    ``Grid.k_values``."""
+    density = np.abs(np.fft.fft(psi)) ** 2
+    return density / density.sum()
+
+
+def evolve_state(psi, grid, schedule, settings):
+    """One state ``psi`` evolved to t = T, through :func:`propagate_basis`."""
+    basis = EigenBasis(grid, np.zeros(1), psi[None])
+    return propagate_basis(basis, 1, schedule, settings)[0]

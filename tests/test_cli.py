@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -145,6 +146,29 @@ class TestScenarioCommands:
         first, second = capsys.readouterr().out.split()
         assert first == second
 
+    def test_verify_oracle_guard_before_any_work(self, capsys, monkeypatch):
+        # N = 13 is past the brute-force guard: the command exits before it
+        # propagates anything, and names the limits of the flag.
+        calls = []
+        real = pipeline.propagate_basis
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "propagate_basis", counted)
+        argv = ["split", "--T", "0.5", "--tau", "0.3", "--n-buffer", "11",
+                "--n-points", "256", "--dt", "0.01", "--verify-oracle",
+                "--skip-dt-check"]
+        assert main(argv) == 2
+        assert calls == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --verify-oracle needs N <= 12 and N_p <= 6, "
+            "got N=13 and N_p=2\n"
+        )
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "argv, name",
@@ -262,3 +286,22 @@ class TestNumpyOnly:
         assert lines[1].startswith("axis,axis_value")
         assert lines[4] == "N,lambda,delta_E"
         assert len(lines) == 7
+
+    def test_package_needs_numpy_alone(self):
+        # No module of the package imports scipy, and the package declares
+        # numpy as its one runtime dependency; scipy serves the tests.
+        tomllib = pytest.importorskip("tomllib")
+        root = Path(__file__).resolve().parents[1]
+        for path in sorted((root / "src" / "pauliblock").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                assert not [n for n in names if n.split(".")[0] == "scipy"], (
+                    f"{path.name}:{node.lineno} imports scipy"
+                )
+        project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+        assert project["dependencies"] == ["numpy>=2.0"]

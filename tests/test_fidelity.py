@@ -11,9 +11,10 @@ from pauliblock import (
     TooLargeError,
     fidelity_fast,
     fidelity_oracle,
-    random_subunitary,
 )
 from pauliblock.fidelity import Method, gram_fidelity_values
+
+from reference import random_subunitary
 
 
 class TestOracleExamples:

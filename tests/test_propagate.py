@@ -5,21 +5,20 @@ from scipy.integrate import solve_ivp
 from pauliblock import (
     ConfigError,
     ContainmentError,
+    ConvergenceError,
     EigenBasis,
     Grid,
     PotentialSchedule,
     PropagationSettings,
     RampShape,
     ResolutionError,
-    Wavefunction,
-    inner_product,
-    propagate,
     propagate_basis,
     solve,
-    to_momentum,
 )
 from pauliblock.planner import plan_grid
 from pauliblock.propagate import _evolve, _pack
+
+from conftest import evolve_state, gaussian_state, momentum_density
 
 # Frozen from a dt-halving study (values move by ~1e-5 between dt=1e-3 and
 # dt=5e-4); guards against regressions of the whole propagation pipeline.
@@ -41,23 +40,29 @@ def static_harmonic(T=5.0):
 class TestStationaryState:
     def test_ground_state_survives(self, harmonic_grid, harmonic_basis):
         schedule = static_harmonic(T=5.0)
-        final = propagate(
-            harmonic_basis.state(0), schedule, PropagationSettings(dt=1e-3)
-        )
-        overlap = inner_product(final, harmonic_basis.state(0))
+        final = propagate_basis(
+            harmonic_basis, 1, schedule, PropagationSettings(dt=1e-3)
+        )[0]
+        overlap = np.vdot(final, harmonic_basis.states[0]) * harmonic_grid.dx
         assert abs(overlap) == pytest.approx(1.0, abs=1e-8)
 
-    def test_norm_drift(self, harmonic_basis):
+    def test_norm_drift(self, harmonic_grid, harmonic_basis):
         schedule = static_harmonic(T=5.0)
-        final = propagate(
-            harmonic_basis.state(0), schedule, PropagationSettings(dt=1e-3)
-        )
-        assert abs(final.norm - 1.0) < 1e-10
+        final = propagate_basis(
+            harmonic_basis, 1, schedule, PropagationSettings(dt=1e-3)
+        )[0]
+        norm = np.sqrt(np.sum(np.abs(final) ** 2) * harmonic_grid.dx)
+        assert abs(norm - 1.0) < 1e-10
 
-    def test_unnormalized_input_rejected(self, harmonic_grid):
-        w = Wavefunction(harmonic_grid, np.ones(harmonic_grid.n_points))
-        with pytest.raises(ConfigError):
-            propagate(w, static_harmonic())
+    def test_unnormalized_input_rejected(self, harmonic_grid, harmonic_basis):
+        # Evolution keeps norms, so the Gram check at the end of
+        # propagate_basis catches a state that was never normalized.
+        doubled = 2.0 * harmonic_basis.states[:1]
+        basis = EigenBasis(harmonic_grid, harmonic_basis.energies[:1], doubled)
+        with pytest.raises(ConvergenceError, match="orthonormality"):
+            propagate_basis(
+                basis, 1, static_harmonic(T=0.01), PropagationSettings(dt=1e-3)
+            )
 
 
 class TestEhrenfest:
@@ -69,10 +74,11 @@ class TestEhrenfest:
         for T in (2.0, 5.0, 8.0):
             schedule = PotentialSchedule.transport(T, x0_f=10.0, lam=0.0)
             basis = solve(schedule.evaluate(grid, 0.0), grid, 1)
-            final = propagate(basis.state(0), schedule, PropagationSettings(dt=1e-3))
-            center = np.sum(grid.x * np.abs(final.amplitudes) ** 2) * grid.dx
-            momentum = to_momentum(final).amplitudes
-            mean_p = np.sum(grid.k_values * np.abs(momentum) ** 2) * grid.dk
+            final = propagate_basis(
+                basis, 1, schedule, PropagationSettings(dt=1e-3)
+            )[0]
+            center = np.sum(grid.x * np.abs(final) ** 2) * grid.dx
+            mean_p = np.sum(grid.k_values * momentum_density(final))
 
             def rhs(t, y):
                 return [y[1], -(y[0] - schedule.control_value(t))]
@@ -122,14 +128,16 @@ class TestSecondOrderAccuracy:
         # Against the analytic stationary phase exp(-i E t) of the discrete
         # ground state.
         schedule = static_harmonic(T=5.0)
-        ground = harmonic_basis.state(0)
+        ground = harmonic_basis.states[0]
         energy = harmonic_basis.energies[0]
         dts = np.array([0.02, 0.01, 0.005, 0.0025])
         errors = []
         for dt in dts:
-            final = propagate(ground, schedule, PropagationSettings(dt=dt))
-            exact = ground.amplitudes * np.exp(-1j * energy * schedule.T)
-            diff = final.amplitudes - exact
+            final = propagate_basis(
+                harmonic_basis, 1, schedule, PropagationSettings(dt=dt)
+            )[0]
+            exact = ground * np.exp(-1j * energy * schedule.T)
+            diff = final - exact
             errors.append(
                 np.sqrt(np.sum(np.abs(diff) ** 2) * harmonic_basis.grid.dx)
             )
@@ -275,31 +283,27 @@ class TestFailureModes:
     def test_leaking_transport_reports_containment(self):
         # A packet dragged against the grid edge must be flagged, not
         # silently wrapped around by the periodic transform.
-        from conftest import gaussian_state
-
         schedule = PotentialSchedule.transport(
             20.0, x0_i=20.0, x0_f=24.5, lam=0.0
         )
         grid = Grid(-15.0, 25.0, 1024)
         initial = gaussian_state(grid, center=20.0)
         with pytest.raises(ContainmentError):
-            propagate(initial, schedule, PropagationSettings(dt=1e-3))
+            evolve_state(initial, grid, schedule, PropagationSettings(dt=1e-3))
 
     def test_kicked_packet_on_coarse_grid_reports_resolution(self):
         # Kicked off-centre, the packet's momentum 6 cos t + 6 sin t grows
         # towards the edge of the momentum lattice; the propagator must
         # flag it instead of aliasing it.
-        from conftest import gaussian_state
-
         settings = PropagationSettings(dt=1e-3)
         grid = Grid(-20.0, 20.0, 128)  # k_max = 10
         initial = gaussian_state(grid, center=-6.0, momentum=6.0)
         with pytest.raises(ResolutionError):
-            propagate(initial, static_harmonic(T=1.0), settings)
+            evolve_state(initial, grid, static_harmonic(T=1.0), settings)
         # Twice the momentum range resolves the same motion.
         fine = Grid(-20.0, 20.0, 256)
         initial = gaussian_state(fine, center=-6.0, momentum=6.0)
-        propagate(initial, static_harmonic(T=1.0), settings)
+        evolve_state(initial, fine, static_harmonic(T=1.0), settings)
 
     def test_steps_divide_T(self):
         # A step longer than T becomes T itself; otherwise dt is rounded

@@ -8,7 +8,6 @@ from pauliblock import (
     ResolutionError,
     fermi_gap_profile,
     solve,
-    solve_tridiagonal,
 )
 from pauliblock.planner import plan_grid
 from pauliblock.spectral import (
@@ -17,6 +16,8 @@ from pauliblock.spectral import (
     effective_potential,
     hamiltonian_apply,
 )
+
+from reference import solve_tridiagonal
 
 # Converged value of the lowest Fermi gap of V = (x^2 + x^4)/2, frozen from
 # a grid-doubling study (stable to ~5e-11 across domains and resolutions).
