@@ -9,7 +9,8 @@ step is validated once, and each schedule propagates once, for its
 largest buffer count.  Each buffer count is one thermal curve
 (:meth:`~pauliblock.pipeline.Engine.thermal_fidelity_curve`; zero
 temperature is its tau = 0 ensemble): smaller buffer counts slice rows of
-that propagation, temperatures re-weight one ensemble per buffer count.
+that propagation, and each curve keeps only its values, one per
+temperature, so at most one ensemble is alive at a time.
 
 The propagations a sweep is known to need run first, at the same time,
 as one batch on the engine's worker processes
@@ -189,7 +190,7 @@ def _schedule_points(spec, settings, buffers, taus, schedule, engine):
     """
     values = {}
     for nb in buffers:
-        values[nb], _ = engine.thermal_fidelity_curve(
+        values[nb] = engine.thermal_fidelity_curve(
             schedule, spec.n_protected, nb, taus, settings,
             tail_bound=spec.tail_bound, verify_oracle=_oracle_applies(spec, nb),
         )

@@ -37,6 +37,11 @@ ORACLE_MAX_NP = 6
 
 COLUMN_NORM_TOL = 1e-8
 RANGE_TOL = 1e-10
+# Row sets :func:`gram_fidelity_values` evaluates at once: large enough
+# that numpy's per-call overhead is small, small enough that a block's
+# temporaries (under 1 MB for N_p = 2) stay below a large thermal
+# ensemble's own arrays.
+_GRAM_BLOCK = 8192
 
 
 class Method(enum.Enum):
@@ -172,13 +177,16 @@ def gram_fidelity_values(master, row_sets):
     ``row_sets`` is an integer array of shape (n_sets, N) of 0-based row
     indices into ``master`` (shape (M, N_p)), of any integer dtype: a
     thermal ensemble's compact ``uint8`` indices are never widened as a
-    block, only one slot's column at a time.  Vectorized over the sets;
-    used by the thermal average where thousands of occupation
-    configurations share the same evolved states.  Each Gram matrix is the
-    sum over its rows of the per-level products conj(A[m, i]) A[m, j],
-    added slot by slot, so no (n_sets, N, N_p) block is ever gathered.
-    Raises :class:`NumericalConsistencyError` if a determinant leaves
-    [0, 1] by more than 1e-10 before clamping.
+    block, only one slot's column of one block at a time.  Vectorized over
+    the sets, ``_GRAM_BLOCK`` of them at a time, so the temporaries stay
+    the same size however many sets there are; used by the thermal average
+    where thousands of occupation configurations share the same evolved
+    states.  Each Gram matrix is the sum over its rows of the per-level
+    products conj(A[m, i]) A[m, j], added slot by slot, so no
+    (n_sets, N, N_p) block is ever gathered, and each set's arithmetic does
+    not depend on the blocking.  Raises :class:`NumericalConsistencyError`
+    for the first set whose determinant leaves [0, 1] by more than 1e-10
+    before clamping, named by its index in ``row_sets``.
     """
     row_sets = np.asarray(row_sets)
     n_p = master.shape[1]
@@ -191,28 +199,33 @@ def gram_fidelity_values(master, row_sets):
             products.append(master[:, 0].conj() * master[:, 1])
     else:
         products = [master.conj()[:, :, None] * master[:, None, :]]
-    # One slot's indices are widened once and gathered from by every product.
-    rows = row_sets[:, 0].astype(np.intp)
-    grams = [per_level[rows] for per_level in products]
-    for slot in range(1, row_sets.shape[1]):
-        rows = row_sets[:, slot].astype(np.intp)
-        for gram, per_level in zip(grams, products):
-            gram += per_level[rows]
-    if n_p == 1:
-        dets = grams[0]
-    elif n_p == 2:
-        g00, g11, g01 = grams
-        dets = g00 * g11 - (g01.real**2 + g01.imag**2)
-    else:
-        dets = np.linalg.det(grams[0]).real
-    outside = (dets < -RANGE_TOL) | (dets > 1.0 + RANGE_TOL)
-    if outside.any():
-        worst = int(np.argmax(outside))
-        raise NumericalConsistencyError(
-            f"det(A^dagger A) = {dets[worst]} for row set {worst} outside "
-            "[-1e-10, 1+1e-10]"
-        )
-    return np.clip(dets, 0.0, 1.0)
+    dets = np.empty(len(row_sets))
+    for start in range(0, len(row_sets), _GRAM_BLOCK):
+        block = row_sets[start : start + _GRAM_BLOCK]
+        # One slot's indices are widened once and gathered from by every
+        # product.
+        rows = block[:, 0].astype(np.intp)
+        grams = [per_level[rows] for per_level in products]
+        for slot in range(1, block.shape[1]):
+            rows = block[:, slot].astype(np.intp)
+            for gram, per_level in zip(grams, products):
+                gram += per_level[rows]
+        if n_p == 1:
+            values = grams[0]
+        elif n_p == 2:
+            g00, g11, g01 = grams
+            values = g00 * g11 - (g01.real**2 + g01.imag**2)
+        else:
+            values = np.linalg.det(grams[0]).real
+        outside = (values < -RANGE_TOL) | (values > 1.0 + RANGE_TOL)
+        if outside.any():
+            worst = int(np.argmax(outside))
+            raise NumericalConsistencyError(
+                f"det(A^dagger A) = {values[worst]} for row set "
+                f"{start + worst} outside [-1e-10, 1+1e-10]"
+            )
+        dets[start : start + len(block)] = values
+    return np.clip(dets, 0.0, 1.0, out=dets)
 
 
 def verify_against_oracle(a, value, tol=1e-10):

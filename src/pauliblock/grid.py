@@ -54,10 +54,6 @@ class Grid:
         return 2.0 * np.pi * np.fft.fftfreq(self.n_points, self.dx)
 
     @property
-    def dk(self):
-        return 2.0 * np.pi / (self.n_points * self.dx)
-
-    @property
     def k_max(self):
         return np.pi / self.dx
 

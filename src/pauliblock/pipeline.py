@@ -69,7 +69,7 @@ from .potentials import RampShape
 from .propagate import PropagationSettings, propagate_basis
 from .thermal import (
     DEFAULT_TAIL_BOUND,
-    cool_ensemble,
+    colder_cut,
     ensemble_average,
     enumerate_ensemble,
 )
@@ -387,7 +387,7 @@ class Engine:
         check_dt=False,
         verify_oracle=False,
     ):
-        values, _ = self.thermal_fidelity_curve(
+        values = self.thermal_fidelity_curve(
             schedule, n_protected, n_buffer, [tau], settings,
             tail_bound=tail_bound, check_dt=check_dt, verify_oracle=verify_oracle,
         )
@@ -409,19 +409,21 @@ class Engine:
     ):
         """Thermal fidelity at several temperatures from one propagation.
 
-        Returns (values, ensembles).  The family is planned first for the
-        levels the hottest ensemble is estimated to need
-        (:meth:`plan_levels`), so the time-step check runs on the grid the
-        curve then uses and its first rung propagates the master rows.
+        Returns the list of values, one per temperature.  The family is
+        planned first for the levels the hottest ensemble is estimated to
+        need (:meth:`plan_levels`), so the time-step check runs on the grid
+        the curve then uses and its first rung propagates the master rows.
         With ``settings`` handed in and the family planned already (a
         sweep plans it for its largest system), no estimate is made again;
         if the family holds too few levels, the enumeration's certificate
         plans it again.  The hottest temperature's ensemble is enumerated
         once and the master overlap matrix covers its highest level; the
         per-configuration fidelities are evaluated once over its rows, and
-        each colder temperature is a row mask of it, re-weighted with its
-        own cutoff.  A colder temperature whose cutoff grows past the
-        hottest one's is evaluated on its own.  The master matrix is
+        each colder temperature is a row mask of it with its own weights
+        (:func:`~pauliblock.thermal.colder_cut`), used for one sum and
+        dropped, so the curve holds one ensemble at a time and nothing of
+        it outlives the call.  A colder temperature whose cutoff grows past
+        the hottest one's is evaluated on its own.  The master matrix is
         validated (:class:`OverlapMatrix`) first; ``verify_oracle`` checks
         the ground configuration, row 0 of every ensemble and all of it at
         tau = 0, against the brute-force sum, and past the brute-force
@@ -458,22 +460,20 @@ class Engine:
             verify_against_oracle(master.dropping_rows_after(n_total), per_config[0])
 
         values = []
-        ensembles = []
         for tau in taus:
-            cut = (hot, slice(None)) if tau == tau_max else cool_ensemble(
+            cut = (slice(None), hot.weights) if tau == tau_max else colder_cut(
                 hot, energies, tau, tail_bound
             )
             if cut is None:
-                (value,), (ensemble,) = self.thermal_fidelity_curve(
+                (value,) = self.thermal_fidelity_curve(
                     schedule, n_protected, n_buffer, [tau], settings,
                     tail_bound=tail_bound,
                 )
             else:
-                ensemble, rows = cut
-                value = ensemble_average(ensemble, per_config[rows])
+                rows, weights = cut
+                value = ensemble_average(weights, per_config[rows])
             values.append(value)
-            ensembles.append(ensemble)
-        return values, ensembles
+        return values
 
     def plan_levels(self, schedule, n_total, tau, tail_bound=DEFAULT_TAIL_BOUND):
         """Plan the family for the levels an ensemble needs; return their count.

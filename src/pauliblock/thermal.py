@@ -20,14 +20,15 @@ enumerator grows all prefixes one slot at a time, counting each prefix's
 run of admissible next levels and laying the children out run after run,
 so the rows come out in lexicographic order without a sort; it adds each
 excitation up left to right, so the same cutoff always selects the same
-rows with the same floats.  A colder temperature's ensemble is therefore
-a row mask of a hotter one (:func:`cool_ensemble`): a curve over many
-temperatures enumerates once, at its hottest, and cuts every colder
-temperature from it with its own cutoff and level-count certificate.
-Boltzmann weights are one ``np.exp`` over the excitations and every sum
-one ``np.sum`` over them in row order; a cut ensemble sums the same
-floats in the same order as a direct enumeration, so it carries exactly
-the same weights.
+rows with the same floats.  A colder temperature is therefore a cut of a
+hotter ensemble (:func:`colder_cut`): a row mask and its weights, found
+with the colder temperature's own cutoff and level-count certificate.  A
+curve over many temperatures enumerates once, at its hottest, and holds
+only that ensemble; each colder temperature's mask and weights serve one
+sum and are dropped, and no level row is copied for them.  Boltzmann
+weights are one ``np.exp`` over the excitations and every sum one
+``np.sum`` over them in row order; a cut sums the same floats in the same
+order as a direct enumeration, so it carries exactly the same weights.
 
 How many levels a ladder must hold for the certificate can be estimated
 before any level is solved (:func:`estimated_level_count`): the same
@@ -302,15 +303,17 @@ def estimated_level_count(energies, n_particles, tau, tail_bound=DEFAULT_TAIL_BO
     return _levels_required(energies, n_particles, e_cut)
 
 
-def cool_ensemble(hot, energies, tau, tail_bound=DEFAULT_TAIL_BOUND):
-    """The ensemble at ``tau`` <= ``hot.tau``, cut from the rows of ``hot``.
+def colder_cut(hot, energies, tau, tail_bound=DEFAULT_TAIL_BOUND):
+    """The ensemble at ``tau`` <= ``hot.tau`` as a cut of the rows of ``hot``.
 
     ``energies`` is the ladder ``hot`` was enumerated from.  The cutoff
     grows and is certified exactly as in :func:`enumerate_ensemble`; every
     configuration below it is a row of ``hot`` as long as it stays within
-    ``hot.e_cut``.  Returns ``(ensemble, mask)`` with ``mask`` selecting
-    the rows of ``hot``, or None when the cutoff for ``tau`` grows past
-    ``hot.e_cut`` and ``tau`` needs its own enumeration.
+    ``hot.e_cut``.  Returns ``(mask, weights)``, ``mask`` selecting the
+    rows of ``hot`` and ``weights`` their Boltzmann weights at ``tau`` in
+    row order, bit-identical to those of enumerating ``tau`` on its own;
+    or None when the cutoff for ``tau`` grows past ``hot.e_cut`` and
+    ``tau`` needs its own enumeration.
 
     Raises
     ------
@@ -324,7 +327,7 @@ def cool_ensemble(hot, energies, tau, tail_bound=DEFAULT_TAIL_BOUND):
         # The ground configuration is the first row in lexicographic order.
         mask = np.zeros(hot.size, dtype=bool)
         mask[0] = True
-        return _ground(n_particles, hot.levels.dtype), mask
+        return mask, np.array([1.0])
 
     def below(e):
         if e > hot.e_cut:
@@ -337,14 +340,11 @@ def cool_ensemble(hot, energies, tau, tail_bound=DEFAULT_TAIL_BOUND):
     )
     if cut is None:
         return None
-    e_cut, mask, excitations, terms, z = cut
-    ensemble = ThermalEnsemble(
-        tau, hot.levels[mask], excitations, terms / z, z, e_cut
-    )
-    return ensemble, mask
+    _, mask, _, terms, z = cut
+    return mask, terms / z
 
 
-def ensemble_average(ensemble, per_config_values):
+def ensemble_average(weights, per_config_values):
     """Weighted sum of per-configuration fidelities, in row order."""
-    terms = ensemble.weights * np.asarray(per_config_values)
+    terms = weights * np.asarray(per_config_values)
     return float(np.sum(terms))

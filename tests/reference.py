@@ -6,12 +6,22 @@
   banded eigensolver and the cross-check solves grids no dense solver can.
 * :func:`random_subunitary` - overlap matrices with the structure unitary
   evolution gives, for the fidelity routines.
+* :func:`gram_fidelity_values_unblocked` - the batched Gram determinants
+  in one pass over all row sets, the reference for the blocked
+  :func:`pauliblock.fidelity.gram_fidelity_values`.
 """
 
 import numpy as np
 import scipy.linalg
 
-from pauliblock import ConfigError, ConvergenceError, EigenBasis, OverlapMatrix
+from pauliblock import (
+    ConfigError,
+    ConvergenceError,
+    EigenBasis,
+    NumericalConsistencyError,
+    OverlapMatrix,
+)
+from pauliblock.fidelity import RANGE_TOL
 from pauliblock.spectral import (
     RESIDUAL_TOL,
     _fix_phases,
@@ -64,3 +74,40 @@ def random_subunitary(n_total, n_protected, rng):
     q, r = np.linalg.qr(z)
     q = q * (np.diag(r) / np.abs(np.diag(r)))
     return OverlapMatrix(q[:, :n_protected])
+
+
+def gram_fidelity_values_unblocked(master, row_sets):
+    """det(A^dagger A) for every row set at once, gathering each slot's
+    per-level products for all sets in one pass; same arithmetic per set
+    as :func:`pauliblock.fidelity.gram_fidelity_values`."""
+    row_sets = np.asarray(row_sets)
+    n_p = master.shape[1]
+    if n_p == 0:
+        return np.ones(len(row_sets))
+    if n_p <= 2:
+        products = [master[:, i].real ** 2 + master[:, i].imag ** 2 for i in range(n_p)]
+        if n_p == 2:
+            products.append(master[:, 0].conj() * master[:, 1])
+    else:
+        products = [master.conj()[:, :, None] * master[:, None, :]]
+    rows = row_sets[:, 0].astype(np.intp)
+    grams = [per_level[rows] for per_level in products]
+    for slot in range(1, row_sets.shape[1]):
+        rows = row_sets[:, slot].astype(np.intp)
+        for gram, per_level in zip(grams, products):
+            gram += per_level[rows]
+    if n_p == 1:
+        dets = grams[0]
+    elif n_p == 2:
+        g00, g11, g01 = grams
+        dets = g00 * g11 - (g01.real**2 + g01.imag**2)
+    else:
+        dets = np.linalg.det(grams[0]).real
+    outside = (dets < -RANGE_TOL) | (dets > 1.0 + RANGE_TOL)
+    if outside.any():
+        worst = int(np.argmax(outside))
+        raise NumericalConsistencyError(
+            f"det(A^dagger A) = {dets[worst]} for row set {worst} outside "
+            "[-1e-10, 1+1e-10]"
+        )
+    return np.clip(dets, 0.0, 1.0)

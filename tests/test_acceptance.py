@@ -30,7 +30,6 @@ from pauliblock import (
     solve,
     temperature_compensation_report,
 )
-from pauliblock.fidelity import Method
 
 from reference import random_subunitary
 

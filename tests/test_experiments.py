@@ -13,7 +13,7 @@ from pauliblock import (
     run_sweep,
     temperature_compensation_report,
 )
-from pauliblock import experiments, pipeline
+from pauliblock import pipeline
 from pauliblock.config import build_spec, parse_config_text
 from pauliblock.pipeline import Engine
 from pauliblock.planner import plan_grid
@@ -351,7 +351,7 @@ class TestCompensationReport:
             if row.status != "crossed":
                 continue
             taus = list(spec.axis_values)
-            values, _ = shared_engine.thermal_fidelity_curve(
+            values = shared_engine.thermal_fidelity_curve(
                 spec.schedule, spec.n_protected, row.n_buffer, taus,
                 spec.settings,
             )

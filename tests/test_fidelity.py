@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,9 +14,19 @@ from pauliblock import (
     fidelity_fast,
     fidelity_oracle,
 )
-from pauliblock.fidelity import Method, gram_fidelity_values
+from pauliblock.fidelity import _GRAM_BLOCK, Method, gram_fidelity_values
 
-from reference import random_subunitary
+from reference import gram_fidelity_values_unblocked, random_subunitary
+
+# Three full blocks of the Gram kernel and a partial fourth.
+N_BLOCKED_SETS = 3 * _GRAM_BLOCK + 123
+
+
+def increasing_row_sets(rng, n_levels, n_rows, n_sets):
+    """``n_sets`` random increasing selections of ``n_rows`` of ``n_levels``
+    rows, as a thermal ensemble's configurations are."""
+    order = rng.random((n_sets, n_levels)).argsort(axis=1)
+    return np.sort(order[:, :n_rows], axis=1)
 
 
 class TestOracleExamples:
@@ -158,18 +170,55 @@ class TestGramBatch:
             single = fidelity_oracle(OverlapMatrix(master[rows], validate=False))
             assert abs(value - single.value) <= 1e-13
 
+    @pytest.mark.parametrize("n_protected", [1, 2, 3])
+    def test_blocks_match_one_pass(self, n_protected):
+        # Blocking leaves each set's arithmetic alone, so every value keeps
+        # its bits, in full blocks and in the partial last one.
+        rng = np.random.default_rng(7)
+        master = random_subunitary(12, n_protected, rng).entries
+        row_sets = increasing_row_sets(rng, 12, 5, N_BLOCKED_SETS)
+        assert np.array_equal(
+            gram_fidelity_values(master, row_sets),
+            gram_fidelity_values_unblocked(master, row_sets),
+        )
+
     def test_compact_indices(self):
         # A thermal ensemble's one-byte row sets are gathered with as they
         # are and give exactly the values of 8-byte ones.
         rng = np.random.default_rng(11)
         for n_protected in (1, 2, 3):
             master = random_subunitary(40, n_protected, rng).entries
-            row_sets = np.array(
-                [np.sort(rng.choice(40, 5, replace=False)) for _ in range(50)]
-            )
+            row_sets = increasing_row_sets(rng, 40, 5, N_BLOCKED_SETS)
             compact = gram_fidelity_values(master, row_sets.astype(np.uint8))
             wide = gram_fidelity_values(master, row_sets.astype(np.intp))
             assert compact.tobytes() == wide.tobytes()
+
+    def test_compact_indices_are_not_widened(self):
+        # Only one slot of one block is widened at a time: the traced peak
+        # of 32-row sets at N_p = 2 stays below what widening even one
+        # block of them to 8-byte indices would take.
+        rng = np.random.default_rng(13)
+        master = random_subunitary(64, 2, rng).entries
+        row_sets = increasing_row_sets(rng, 64, 32, N_BLOCKED_SETS).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            gram_fidelity_values(master, row_sets)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < _GRAM_BLOCK * row_sets.shape[1] * np.dtype(np.intp).itemsize
+
+    def test_range_check_names_the_first_set_in_a_late_block(self):
+        # Row 12 has norm 2, so every set holding it leaves [0, 1]; two are
+        # planted in the partial last block, and the first is named by its
+        # index among all sets.
+        rng = np.random.default_rng(17)
+        master = np.vstack([random_subunitary(12, 1, rng).entries, [[2.0]]])
+        row_sets = increasing_row_sets(rng, 12, 4, N_BLOCKED_SETS)
+        first = 3 * _GRAM_BLOCK + 5
+        row_sets[[first, first + 50], -1] = 12
+        with pytest.raises(NumericalConsistencyError, match=f"row set {first} "):
+            gram_fidelity_values(master, row_sets)
 
     def test_range_check(self):
         # Same bound as fidelity_fast: no silent clamp on the thermal path.

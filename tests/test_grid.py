@@ -24,11 +24,12 @@ def overlap(a, b, grid):
 class TestGrid:
     def test_spacing_and_span(self):
         g = Grid(-10.0, 10.0, 256)
+        dk = 2 * np.pi / (g.n_points * g.dx)
         assert g.dx == pytest.approx(20.0 / 256)
         assert g.k_values.min() == pytest.approx(-np.pi / g.dx)
-        assert g.k_values.max() == pytest.approx(np.pi / g.dx - g.dk)
+        assert g.k_values.max() == pytest.approx(np.pi / g.dx - dk)
         spacings = np.diff(np.sort(g.k_values))
-        np.testing.assert_allclose(spacings, g.dk, rtol=1e-12)
+        np.testing.assert_allclose(spacings, dk, rtol=1e-12)
 
     def test_even_point_count_required(self):
         with pytest.raises(ConfigError):
@@ -89,10 +90,11 @@ class TestTransforms:
         # The continuum transform dx/sqrt(2 pi) FFT keeps the norm with
         # the momentum weight dk.
         g = Grid(-12.0, 12.0, 256)
+        dk = 2 * np.pi / (g.n_points * g.dx)
         for seed in range(5):
             w = random_state(g, seed)
             mom = g.dx / np.sqrt(2.0 * np.pi) * np.fft.fft(w)
-            assert abs(np.vdot(mom, mom).real * g.dk - 1.0) < 1e-12
+            assert abs(np.vdot(mom, mom).real * dk - 1.0) < 1e-12
 
     def test_constant_is_delta_at_zero_momentum(self):
         g = Grid(-5.0, 5.0, 128)

@@ -10,7 +10,6 @@ from pauliblock import (
     Grid,
     PotentialSchedule,
     PropagationSettings,
-    RampShape,
     ResolutionError,
     propagate_basis,
     solve,

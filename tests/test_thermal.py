@@ -26,7 +26,7 @@ from pauliblock.planner import ensemble_level_count
 from pauliblock.thermal import (
     DEFAULT_TAIL_BOUND,
     _enumerate_below,
-    cool_ensemble,
+    colder_cut,
     ensemble_average,
     estimated_level_count,
 )
@@ -124,7 +124,7 @@ class TestEnumeration:
             estimated_level_count(ladder, 2, 0.5, tail_bound)
         hot = enumerate_ensemble(ladder, 2, 0.5)
         with pytest.raises(ConfigError):
-            cool_ensemble(hot, ladder, 0.3, tail_bound)
+            colder_cut(hot, ladder, 0.3, tail_bound)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10**6), tau=st.floats(0.05, 2.0))
@@ -188,9 +188,19 @@ class TestEnumeration:
         assert hot.size == math.comb(n_levels, 2)
         assert hot.levels.dtype == dtype
         assert hot.row_index_array().max() == n_levels - 1
-        ground, _ = cool_ensemble(hot, energies, 0.0)
-        assert ground.levels.dtype == dtype
         assert enumerate_ensemble(energies, 2, 0.0).levels.dtype == dtype
+
+    def test_colder_cut_is_a_direct_enumeration(self):
+        # A colder temperature cut from a hotter ensemble selects the rows
+        # and carries the weights that enumerating it on its own gives, so
+        # its weighted sum adds the same floats in the same order.
+        energies = np.cumsum(np.linspace(1.0, 1.5, 40))
+        hot = enumerate_ensemble(energies, 3, 1.2)
+        for tau in (0.0, 0.2, 0.5, 0.9):
+            mask, weights = colder_cut(hot, energies, tau)
+            direct = enumerate_ensemble(energies, 3, tau)
+            np.testing.assert_array_equal(hot.levels[mask], direct.levels)
+            assert weights.tobytes() == direct.weights.tobytes()
 
     def test_enumeration_memory(self):
         # 126,301 configurations of 8 fermions on 52 levels.  One byte per
@@ -246,14 +256,22 @@ class TestThermalFidelity:
         tight = split_engine.thermal_fidelity(s, 2, 2, 0.5, tail_bound=1e-8)
         assert abs(loose.value - tight.value) < 1e-4
 
+    @staticmethod
+    def ensemble(engine, schedule, n_total, tau):
+        """(ensemble at ``tau``, its ladder), enumerated on as many of the
+        engine's levels for ``schedule`` as :meth:`Engine.plan_levels`
+        plans for it."""
+        n_levels = engine.plan_levels(schedule, n_total, tau)
+        _, initial, _ = engine.endpoint_bases(schedule, n_levels, 1)
+        energies = initial.energies[:n_levels]
+        return enumerate_ensemble(energies, n_total, tau), energies
+
     def test_convex_combination_of_config_fidelities(self, split_engine):
         from pauliblock.fidelity import gram_fidelity_values
 
         s = self.schedule()
-        values, ensembles = split_engine.thermal_fidelity_curve(
-            s, 2, 2, [0.6]
-        )
-        ensemble = ensembles[0]
+        values = split_engine.thermal_fidelity_curve(s, 2, 2, [0.6])
+        ensemble, _ = self.ensemble(split_engine, s, 4, 0.6)
         matrix, _, _ = split_engine.master_overlaps(
             s, ensemble.m_max, 2, split_engine.settings
         )
@@ -261,7 +279,7 @@ class TestThermalFidelity:
         assert (per_config >= 0.0).all() and (per_config <= 1.0).all()
         assert per_config.min() - 1e-12 <= values[0] <= per_config.max() + 1e-12
         assert values[0] == pytest.approx(
-            ensemble_average(ensemble, per_config), abs=1e-14
+            ensemble_average(ensemble.weights, per_config), abs=1e-14
         )
 
     def test_module_level_wrapper(self):
@@ -274,8 +292,9 @@ class TestThermalFidelity:
     def test_curve_matches_single_temperatures(self, split_engine):
         s = self.schedule()
         taus = [0.6, 0.0, 0.3]
-        values, ensembles = split_engine.thermal_fidelity_curve(s, 2, 2, taus)
-        for tau, value, ensemble in zip(taus, values, ensembles):
+        values = split_engine.thermal_fidelity_curve(s, 2, 2, taus)
+        for tau, value in zip(taus, values):
+            ensemble, _ = self.ensemble(split_engine, s, 4, tau)
             assert ensemble.tau == tau
             assert value == split_engine.thermal_fidelity(s, 2, 2, tau).value
 
@@ -389,18 +408,37 @@ class TestThermalFidelity:
         assert len(estimates) == 1 + 1 + 4
         assert per_curve.encode() == once.encode()
 
+    def test_compensation_report_memory(self):
+        # The benchmark's compensation report holds one hot ensemble at a
+        # time: the largest, 126,301 configurations of 8 fermions, is about
+        # 126,301 x 24 B = 3 MB of levels, excitations and weights, and its
+        # enumeration's temporaries stay under the 10 MB that
+        # test_enumeration_memory allows.  Colder temperatures are masks
+        # and weights over its rows, nothing of a finished curve stays
+        # alive, and the Gram determinants run in fixed-size blocks, so the
+        # whole report's traced peak stays under that bound too.
+        configs = Path(__file__).parents[1] / "perfbench" / "configs"
+        spec = load_spec(configs / "thermal_split_comp.cfg")
+        tracemalloc.start()
+        try:
+            temperature_compensation_report(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+
     def test_short_level_estimate_falls_back(self, monkeypatch):
         # An estimate that falls short is caught by the enumeration's
         # certificate, which plans the family again for more levels.
         s = self.schedule()
         taus = [0.3, 0.6]
         settings = PropagationSettings(dt=2e-3)
-        sized, _ = Engine(settings=settings).thermal_fidelity_curve(s, 2, 2, taus)
+        sized = Engine(settings=settings).thermal_fidelity_curve(s, 2, 2, taus)
         calls = self.count_enumerations(monkeypatch)
         monkeypatch.setattr(
             pipeline, "ensemble_level_count", lambda schedule, n, *args: n + 1
         )
-        short, _ = Engine(settings=settings).thermal_fidelity_curve(s, 2, 2, taus)
+        short = Engine(settings=settings).thermal_fidelity_curve(s, 2, 2, taus)
         assert calls[0] == ("retry", 0.6) and calls[-1] == ("ok", 0.6)
         np.testing.assert_allclose(short, sized, rtol=0, atol=1e-10)
 
@@ -408,18 +446,18 @@ class TestThermalFidelity:
         # At tau = 0.3 the first shell adds no weight, so the cutoff stops
         # at 0.3 ln(1e8); at 0.27 the first shell must be kept and the next
         # probe reaches 0.27 ln(1e10), past it.  That temperature is then
-        # enumerated on its own.
+        # enumerated on its own, on the hotter temperature's ladder, and
+        # gives what enumerating it on its own ladder gives.
         s = self.schedule()
         calls = self.count_enumerations(monkeypatch)
-        values, ensembles = split_engine.thermal_fidelity_curve(
-            s, 2, 2, [0.3, 0.27]
-        )
+        values = split_engine.thermal_fidelity_curve(s, 2, 2, [0.3, 0.27])
         assert [c for c in calls if c[0] == "ok"] == [("ok", 0.3), ("ok", 0.27)]
-        hot, cold = ensembles
+        hot, hot_ladder = self.ensemble(split_engine, s, 4, 0.3)
+        cold = enumerate_ensemble(hot_ladder, 4, 0.27)
         assert cold.e_cut > hot.e_cut
-        (direct_value,), (direct,) = split_engine.thermal_fidelity_curve(
-            s, 2, 2, [0.27]
-        )
+        assert colder_cut(hot, hot_ladder, 0.27) is None
+        (direct_value,) = split_engine.thermal_fidelity_curve(s, 2, 2, [0.27])
         assert values[1] == direct_value
+        direct, _ = self.ensemble(split_engine, s, 4, 0.27)
         np.testing.assert_array_equal(cold.levels, direct.levels)
         np.testing.assert_array_equal(cold.weights, direct.weights)
