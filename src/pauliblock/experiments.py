@@ -207,17 +207,18 @@ def _evaluate(spec, engine, schedules, buffers, taus):
     """
     buffers = sorted(set(buffers), reverse=True)
     n_total = spec.n_protected + buffers[0]
-    # Every schedule propagates the levels of the largest system's hottest
+    # Every schedule reads the levels of the largest system's hottest
     # ensemble at the validated dt (at tau = 0, its N states); its family
-    # is planned for them before the check, and those runs join the
-    # check's batch.
+    # is planned for them before the check, and the runs that give them
+    # join the check's batch: at tau > 0 its N_p targets evolved backward.
     tau_max = max(taus)
     also = [
         (schedule, engine.plan_levels(schedule, n_total, tau_max, spec.tail_bound))
         for schedule in schedules
     ]
     settings = engine.validated_settings(
-        schedules[0], n_total, spec.settings, spec.check_dt, also=also
+        schedules[0], n_total, spec.settings, spec.check_dt, also=also,
+        n_targets=spec.n_protected if tau_max > 0 else 0,
     )
     return settings, [
         _schedule_points(spec, settings, buffers, taus, schedule, engine)

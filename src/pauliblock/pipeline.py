@@ -6,8 +6,14 @@ record per schedule family, the frozen
 duration fixed (same traps, same grids).  A record holds the family grid,
 the level count it was planned for and its escalation count; the initial
 and final eigenbases, each solved for the planned count (a request for K
-states slices that solve); and the propagated states, keyed by schedule
-and dt (a request for M states slices a cached run with >= M states).
+states slices that solve); the propagated states, keyed by schedule and
+dt (a request for M states slices a cached run with >= M states); the
+backward runs, the lowest final eigenstates evolved under the reversed
+schedule, keyed and sliced the same way; and the keys of backward runs
+that tripped a grid check, which are not made again on that grid.
+A thermal curve reads its overlaps from a backward run of its N_p
+targets, zero temperature from its N levels evolved forward
+(:meth:`Engine.master_overlaps`).
 
 Each family's grid comes from :func:`~pauliblock.planner.plan_grid`, sized
 for the number of states requested; a later request for more states than
@@ -98,6 +104,8 @@ class _FamilyRecord:
     initial: spectral.EigenBasis = None
     final: spectral.EigenBasis = None
     props: dict = field(default_factory=dict)  # (schedule, dt) -> states
+    back: dict = field(default_factory=dict)  # (schedule, dt) -> targets
+    tripped: set = field(default_factory=set)  # (schedule, dt) of leaky `back`
 
 
 def _lowest(basis, n_states):
@@ -115,14 +123,17 @@ def default_workers():
 
 
 def _propagate_runs(runs):
-    """``propagate_basis`` for each ``(basis, n_states, schedule, dt)`` run.
+    """``propagate_basis`` for each ``(basis, n_states, schedule, dt,
+    backward)`` run, under the reversed schedule when ``backward``.
 
     Returns one entry per run: its evolved states, or the
     :class:`SimulationError` it raised.  Defined at module level, so that a
     worker pool pickles it by name.
     """
     results = []
-    for basis, n_states, schedule, dt in runs:
+    for basis, n_states, schedule, dt, backward in runs:
+        if backward:
+            schedule = schedule.time_reversed()
         try:
             results.append(
                 propagate_basis(basis, n_states, schedule, PropagationSettings(dt))
@@ -231,35 +242,63 @@ class Engine:
             )
         return record.props[key][:n_states]
 
-    def propagate_batch(self, runs):
+    def _evolved_targets(self, record, schedule, n_targets, settings, run=True):
+        """The lowest ``n_targets`` final eigenstates evolved under
+        ``schedule.time_reversed()`` on the record's grid, cached there; None
+        without targets, without a cached run unless ``run``, or if the run
+        tripped a grid check.  A trip neither escalates nor raises: the
+        record keeps it, so that run is not made again on this grid."""
+        key = (schedule, settings.dt)
+        if n_targets == 0 or key in record.tripped:
+            return None
+        if len(record.back.get(key, ())) < n_targets:
+            if not run:
+                return None
+            try:
+                record.back[key] = propagate_basis(
+                    record.final, n_targets, schedule.time_reversed(), settings
+                )
+            except (ContainmentError, ResolutionError):
+                record.tripped.add(key)
+                return None
+        return record.back[key][:n_targets]
+
+    def propagate_batch(self, runs, backward=()):
         """Fill the propagation cache for ``runs``, ``(schedule, dt,
-        n_states)`` triples, on up to ``workers`` processes at once.
+        n_states)`` triples, and ``backward``, ``(schedule, dt, n_targets)``
+        triples of target runs (:meth:`_evolved_targets`), on up to
+        ``workers`` processes at once.
 
         The runs are shared out longest first (steps times states), each to
         the process with the least work so far: this process runs its own
-        share while forked worker processes run theirs.  Runs of one
-        schedule and dt merge into the one with the most states, and runs
-        already cached are skipped.  A run that raises a :class:`SimulationError`,
-        here or in its eigensolve, or whose worker process dies, fills
-        nothing, so the in-order path runs it again and escalates or raises
-        exactly as it would without the batch.
+        share while forked worker processes run theirs.  Runs of one side,
+        schedule and dt merge into the one with the most states; runs
+        cached or tripped are skipped.  A target run that trips a grid check
+        records the trip, wherever it ran.  Any other run that raises a
+        :class:`SimulationError`, here or in its eigensolve, or whose worker
+        dies, fills nothing, so the in-order path runs it again and
+        escalates or raises exactly as it would without the batch.
         """
         most = {}
-        for schedule, dt, n_states in runs:
-            most[(schedule, dt)] = max(n_states, most.get((schedule, dt), 0))
-        runs = [(schedule, dt, n_states) for (schedule, dt), n_states in most.items()]
-        if min(self.workers, len(runs)) < 2:
+        for side, triples in ((False, runs), (True, backward)):
+            for schedule, dt, n_states in triples:
+                key = (schedule, dt, side)
+                most[key] = max(n_states, most.get(key, 0))
+        if min(self.workers, len(most)) < 2:
             return
         todo = []
-        for schedule, dt, n_states in runs:
+        for (schedule, dt, side), n_states in most.items():
             try:
                 record = self._with_escalation(schedule, n_states, lambda r: r)
             except SimulationError:
                 continue
-            if len(record.props.get((schedule, dt), ())) < n_states:
+            cache = record.back if side else record.props
+            if len(cache.get((schedule, dt), ())) < n_states and not (
+                side and (schedule, dt) in record.tripped
+            ):
                 steps, _ = PropagationSettings(dt).steps_for(schedule.T)
-                run = (record.initial, n_states, schedule, dt)
-                todo.append((steps * n_states, run))
+                basis = record.final if side else record.initial
+                todo.append((steps * n_states, (basis, n_states, schedule, dt, side)))
         n_lanes = min(self.workers, len(todo))
         if n_lanes < 2:
             return
@@ -281,56 +320,90 @@ class Engine:
                     done += zip(lane, job.result())
                 except BrokenProcessPool:
                     pass  # a worker died; the in-order path runs its share
-        for (basis, _, schedule, dt), states in done:
+        for (basis, _, schedule, dt, side), states in done:
             record = self._families[_family(schedule)]
+            cache = record.back if side else record.props
             # A family re-planned or escalated since its run keeps nothing,
             # and a cached run is never replaced by one with fewer states.
-            if (
-                record.initial is basis
-                and not isinstance(states, SimulationError)
-                and len(states) > len(record.props.get((schedule, dt), ()))
+            if basis is not (record.final if side else record.initial):
+                continue
+            if side and isinstance(states, (ContainmentError, ResolutionError)):
+                record.tripped.add((schedule, dt))
+            elif not isinstance(states, SimulationError) and len(states) > len(
+                cache.get((schedule, dt), ())
             ):
-                record.props[(schedule, dt)] = states
+                cache[(schedule, dt)] = states
 
-    def validated_settings(self, schedule, n_states, settings, check_dt, also=()):
+    def _curve_runs(self, dt, curves, n_targets):
+        """(forward, backward) batch runs at ``dt`` for ``curves``,
+        ``(schedule, n_levels)`` pairs: the ``n_targets`` targets backward,
+        or the levels forward where that run tripped or ``n_targets`` is 0."""
+        forward, backward = [], []
+        for schedule, n_levels in curves:
+            record = self._families.get(_family(schedule))
+            if n_targets and (record is None or (schedule, dt) not in record.tripped):
+                backward.append((schedule, dt, n_targets))
+            else:
+                forward.append((schedule, dt, n_levels))
+        return forward, backward
+
+    def validated_settings(
+        self, schedule, n_states, settings, check_dt, also=(), n_targets=0
+    ):
         """``settings`` with a dt that passed the halving check for this
         family, starting from ``settings.dt``.
 
-        ``also`` lists the runs, ``(schedule, n_states)`` pairs, that
-        propagate at the validated dt next; they run as a batch
-        (:meth:`propagate_batch`).  While the check has yet to run, that
-        batch guesses ``settings.dt`` and also holds the check's first two
-        rungs, dt and dt/2, which it always propagates; a run of the
-        checked schedule with more states serves as the first rung.  If the
-        check then halves dt, the runs go as a second batch at the dt it
-        kept.
+        ``also`` lists the curves, ``(schedule, n_levels)`` pairs, that
+        propagate at the validated dt next, as a batch of runs
+        (:meth:`_curve_runs`): the ``n_targets`` targets backward (a
+        thermal curve) or the levels forward.  While the check has yet to
+        run, that batch guesses ``settings.dt`` and also holds the check's
+        first two rungs, dt and dt/2, on the same side; a run of the checked
+        schedule with more states serves as the first rung.  If a backward
+        rung trips, the check runs forward on ``n_states`` levels.  If it
+        halves dt, the runs go as a second batch at the dt it kept.
         """
         key = (_family(schedule), settings)
         dt = self._dts.get(key) if check_dt else settings.dt
         guessed = None
         if dt is None:
             guessed = settings.dt
-            self.propagate_batch([
-                (schedule, guessed, n_states),
-                (schedule, 0.5 * guessed, n_states),
-                *[(other, guessed, n_other) for other, n_other in also],
-            ])
-            dt = self._converge_dt(schedule, n_states, settings)
+            rungs = (guessed, 0.5 * guessed)
+            if n_targets:
+                forward, backward = self._curve_runs(guessed, also, n_targets)
+                backward += [(schedule, rung, n_targets) for rung in rungs]
+                self.propagate_batch(forward, backward)
+                dt = self._converge_dt(schedule, n_states, settings, n_targets)
+            if dt is None:
+                forward, backward = self._curve_runs(guessed, also, n_targets)
+                forward += [(schedule, rung, n_states) for rung in rungs]
+                self.propagate_batch(forward, backward)
+                dt = self._converge_dt(schedule, n_states, settings)
             self._dts[key] = dt
         if dt != guessed:
-            self.propagate_batch([(other, dt, n_other) for other, n_other in also])
+            self.propagate_batch(*self._curve_runs(dt, also, n_targets))
         return replace(settings, dt=dt)
 
-    def _converge_dt(self, schedule, n_states, settings):
+    def _converge_dt(self, schedule, n_states, settings, n_targets=0):
+        """The first dt whose overlaps move by less than the tolerance at
+        dt/2: of backward target runs with every planned level if
+        ``n_targets`` > 0 (None if a rung trips), else ``n_states`` x
+        ``n_states`` of forward runs."""
+
         def halve(record):
-            targets = record.final.states[:n_states]
             dt = settings.dt
             previous = None
             for _ in range(12):
                 trial = PropagationSettings(dt, tolerance=settings.tolerance)
                 steps, _ = trial.steps_for(schedule.T)
-                states = self.evolved_states(schedule, n_states, trial)
-                overlaps = np.conj(states) @ targets.T * record.grid.dx
+                if n_targets:
+                    targets = self._evolved_targets(record, schedule, n_targets, trial)
+                    if targets is None:
+                        return None
+                    block = (record.n_planned, n_targets)
+                else:
+                    block = (n_states, n_states)
+                overlaps = self._overlaps(record, schedule, *block, trial)
                 # Rungs of one step count run the same steps: their
                 # agreement says nothing about dt.
                 if previous is not None and steps != previous[1]:
@@ -347,14 +420,34 @@ class Engine:
 
     # -- overlap assembly -----------------------------------------------------
 
-    def master_overlaps(self, schedule, n_states, n_protected, settings):
-        """Overlap matrix rows for the lowest ``n_states`` evolved levels."""
+    def _overlaps(
+        self, record, schedule, n_states, n_targets, settings, backward=False
+    ):
+        """A[j, i] = <U psi_j|phi_i> of the lowest ``n_states`` initial and
+        ``n_targets`` final levels: psi conj(U_rev phi)^T dx over every
+        level of the record, then sliced (so a row's bits do not depend on
+        ``n_states``), when the targets' backward run is cached or, with
+        ``backward``, can be made; else the levels evolved forward."""
+        dx = record.grid.dx
+        evolved = self._evolved_targets(record, schedule, n_targets, settings, backward)
+        if evolved is not None:
+            return (record.initial.states @ np.conj(evolved).T * dx)[:n_states]
+        evolved = self.evolved_states(schedule, n_states, settings)
+        return np.conj(evolved) @ record.final.states[:n_targets].T * dx
+
+    def master_overlaps(
+        self, schedule, n_states, n_protected, settings, backward=False
+    ):
+        """Overlap matrix rows for the lowest ``n_states`` evolved levels,
+        from the targets' side when the family holds their backward run at
+        ``settings.dt`` or, with ``backward`` (a thermal curve), when one
+        can be made and does not trip (:meth:`_overlaps`)."""
         n_solve = max(n_states, n_protected)
 
         def overlaps(record):
-            evolved = self.evolved_states(schedule, n_states, settings)
-            targets = record.final.states[:n_protected]
-            matrix = np.conj(evolved) @ targets.T * record.grid.dx
+            matrix = self._overlaps(
+                record, schedule, n_states, n_protected, settings, backward
+            )
             return matrix, record.grid, _lowest(record.initial, n_solve)
 
         return self._with_escalation(schedule, n_solve, overlaps)
@@ -412,22 +505,21 @@ class Engine:
         Returns the list of values, one per temperature.  The family is
         planned first for the levels the hottest ensemble is estimated to
         need (:meth:`plan_levels`), so the time-step check runs on the grid
-        the curve then uses and its first rung propagates the master rows.
-        With ``settings`` handed in and the family planned already (a
-        sweep plans it for its largest system), no estimate is made again;
-        if the family holds too few levels, the enumeration's certificate
-        plans it again.  The hottest temperature's ensemble is enumerated
-        once and the master overlap matrix covers its highest level; the
-        per-configuration fidelities are evaluated once over its rows, and
-        each colder temperature is a row mask of it with its own weights
-        (:func:`~pauliblock.thermal.colder_cut`), used for one sum and
-        dropped, so the curve holds one ensemble at a time and nothing of
-        it outlives the call.  A colder temperature whose cutoff grows past
-        the hottest one's is evaluated on its own.  The master matrix is
-        validated (:class:`OverlapMatrix`) first; ``verify_oracle`` checks
-        the ground configuration, row 0 of every ensemble and all of it at
-        tau = 0, against the brute-force sum, and past the brute-force
-        guard raises :class:`TooLargeError` before any work.
+        the curve uses; with ``settings`` handed in and the family planned
+        (a sweep plans it for its largest system), no estimate is made
+        again, and the enumeration's certificate plans too few levels
+        again.  The master overlap matrix covers the hottest ensemble's
+        highest level: above zero temperature from the N_p targets evolved
+        backward, at zero temperature from the N levels evolved forward
+        (:meth:`master_overlaps`).  That ensemble is enumerated once and
+        its per-configuration fidelities evaluated once; each colder
+        temperature is a row mask of it with its own weights
+        (:func:`~pauliblock.thermal.colder_cut`), used for one sum, or is
+        evaluated on its own if its cutoff grows past the hottest one's.
+        The master matrix is validated (:class:`OverlapMatrix`) first;
+        ``verify_oracle`` checks the ground configuration against the
+        brute-force sum, and past its guard raises :class:`TooLargeError`
+        before any work.
         """
         _check_counts(n_protected, n_buffer)
         n_total = n_protected + n_buffer
@@ -441,37 +533,43 @@ class Engine:
                 f"{ORACLE_MAX_NP}, got N={n_total} and N_p={n_protected}"
             )
         tau_max = max(taus)
+        # A thermal curve reads N_p columns of many rows: it evolves its
+        # targets backward, zero temperature its N levels forward.
+        n_targets = n_protected if tau_max > 0 else 0
         if settings is None:
             n_levels = self.plan_levels(schedule, n_total, tau_max, tail_bound)
             settings = self.validated_settings(
                 schedule, n_total, self.settings, check_dt,
-                also=[(schedule, n_levels)],
+                also=[(schedule, n_levels)], n_targets=n_targets,
             )
         elif self.family_grid(schedule) is None:
             self.plan_levels(schedule, n_total, tau_max, tail_bound)
 
         hot, energies = self._ensemble_levels(schedule, n_total, tau_max, tail_bound)
         matrix, _, _ = self.master_overlaps(
-            schedule, hot.m_max, n_protected, settings
+            schedule, hot.m_max, n_protected, settings, backward=tau_max > 0
         )
         master = OverlapMatrix(matrix)
         per_config = gram_fidelity_values(master.entries, hot.row_index_array())
         if verify_oracle:
             verify_against_oracle(master.dropping_rows_after(n_total), per_config[0])
+        # Colder cuts read the width of ``levels`` (N), not its rows.
+        hot.levels = np.empty((0, n_total), hot.levels.dtype)
 
         values = []
         for tau in taus:
-            cut = (slice(None), hot.weights) if tau == tau_max else colder_cut(
-                hot, energies, tau, tail_bound
-            )
-            if cut is None:
-                (value,) = self.thermal_fidelity_curve(
-                    schedule, n_protected, n_buffer, [tau], settings,
-                    tail_bound=tail_bound,
-                )
+            if tau == tau_max:
+                value = ensemble_average(hot.weights, per_config)
             else:
-                rows, weights = cut
-                value = ensemble_average(weights, per_config[rows])
+                cut = colder_cut(hot, energies, tau, tail_bound)
+                if cut is None:
+                    (value,) = self.thermal_fidelity_curve(
+                        schedule, n_protected, n_buffer, [tau], settings,
+                        tail_bound=tail_bound,
+                    )
+                else:
+                    rows, weights = cut
+                    value = ensemble_average(weights, per_config[rows], out=weights)
             values.append(value)
         return values
 

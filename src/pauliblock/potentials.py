@@ -84,6 +84,15 @@ class PotentialSchedule:
     def with_anharmonicity(self, lam):
         return replace(self, lam=lam)
 
+    def time_reversed(self):
+        """The schedule run backward, c_rev(t) = c(T - t) to rounding: both
+        ramps are symmetric under t -> T - t with c_i and c_f swapped."""
+        if self.task is Task.EXPANSION:
+            return replace(self, omega_i=self.omega_f, omega_f=self.omega_i)
+        if self.task is Task.TRANSPORT:
+            return replace(self, x0_i=self.x0_f, x0_f=self.x0_i)
+        return replace(self, h_i=self.h_f, h_f=self.h_i)
+
     @property
     def barrier_width(self):
         """Gaussian barrier width d = 1/sqrt(omega) of the splitting task."""

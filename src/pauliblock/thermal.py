@@ -341,10 +341,11 @@ def colder_cut(hot, energies, tau, tail_bound=DEFAULT_TAIL_BOUND):
     if cut is None:
         return None
     _, mask, _, terms, z = cut
-    return mask, terms / z
+    terms /= z
+    return mask, terms
 
 
-def ensemble_average(weights, per_config_values):
-    """Weighted sum of per-configuration fidelities, in row order."""
-    terms = weights * np.asarray(per_config_values)
-    return float(np.sum(terms))
+def ensemble_average(weights, per_config_values, out=None):
+    """Weighted sum of per-configuration fidelities, in row order; the
+    products go to ``out`` if given (it may be either input)."""
+    return float(np.sum(np.multiply(weights, per_config_values, out=out)))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,27 @@ class TestEvaluate:
                 np.testing.assert_allclose(
                     profile(t), s.evaluate(g, t), rtol=1e-14, atol=1e-14
                 )
+
+
+class TestTimeReversal:
+    @pytest.mark.parametrize("shape", list(RampShape))
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            expansion(),
+            PotentialSchedule.transport(6.0, x0_f=10.0),
+            PotentialSchedule.splitting(2.0, h_f=20.0),
+        ],
+        ids=["expansion", "transport", "splitting"],
+    )
+    def test_reversed_control_is_c_of_T_minus_t(self, schedule, shape):
+        s = replace(schedule, shape=shape)
+        reversed_ = s.time_reversed()
+        assert reversed_.time_reversed() == s
+        for t in np.linspace(0.0, s.T, 17):
+            assert reversed_.control_value(t) == pytest.approx(
+                s.control_value(s.T - t), rel=1e-13, abs=1e-13
+            )
 
 
 class TestSymmetryAndConfinement:
