@@ -12,16 +12,13 @@ temperature is its tau = 0 ensemble): smaller buffer counts slice rows of
 that propagation, and each curve keeps only its values, one per
 temperature, so at most one ensemble is alive at a time.
 
-The propagations a sweep is known to need run first, at the same time,
-as one batch on the engine's worker processes
-(:meth:`~pauliblock.pipeline.Engine.propagate_batch`): the time-step
-check's first two rungs and every schedule at the requested dt, on the
-guess that the check keeps it (if it halves dt, the schedules run as a
-second batch at the dt it kept).  A schedule's run holds every level its
-hottest ensemble is estimated to need (at tau = 0, its N states), and its
-family is planned for them before the check, so the check validates dt
-on the grid the curves use.  The in-order evaluation then finds the runs
-in the cache, so the output does not depend on the worker count.
+The engine plans a sweep's runs in one call
+(:meth:`~pauliblock.pipeline.Engine.validated_settings`): it plans every
+schedule's family for the levels its largest system's hottest ensemble
+is estimated to need, validates the time step on the grid the curves
+then use, and runs every schedule's propagation up front, at the same
+time on its worker processes.  The in-order evaluation then finds the
+runs in the cache, so the output does not depend on the worker count.
 
 Output is deterministic: rows follow the axis grid, floats are written
 with shortest round-trip precision and lines end with LF, so re-running a
@@ -200,25 +197,15 @@ def _schedule_points(spec, settings, buffers, taus, schedule, engine):
 def _evaluate(spec, engine, schedules, buffers, taus):
     """Every (schedule, N_b, tau) point of a sweep.
 
-    The time step is validated once, on the first schedule with the
-    largest system.  Returns ``(settings, points)``: the validated
-    settings and, per schedule, ``({N_b: values}, n_points)`` as from
-    :func:`_schedule_points`.
+    The engine validates the time step once, on the first schedule with
+    the largest system, and plans every schedule's runs.  Returns
+    ``(settings, points)``: the validated settings and, per schedule,
+    ``({N_b: values}, n_points)`` as from :func:`_schedule_points`.
     """
     buffers = sorted(set(buffers), reverse=True)
-    n_total = spec.n_protected + buffers[0]
-    # Every schedule reads the levels of the largest system's hottest
-    # ensemble at the validated dt (at tau = 0, its N states); its family
-    # is planned for them before the check, and the runs that give them
-    # join the check's batch: at tau > 0 its N_p targets evolved backward.
-    tau_max = max(taus)
-    also = [
-        (schedule, engine.plan_levels(schedule, n_total, tau_max, spec.tail_bound))
-        for schedule in schedules
-    ]
     settings = engine.validated_settings(
-        schedules[0], n_total, spec.settings, spec.check_dt, also=also,
-        n_targets=spec.n_protected if tau_max > 0 else 0,
+        schedules, spec.n_protected + buffers[0], spec.n_protected, max(taus),
+        spec.settings, spec.check_dt, spec.tail_bound,
     )
     return settings, [
         _schedule_points(spec, settings, buffers, taus, schedule, engine)
@@ -257,9 +244,7 @@ def run_sweep(spec, engine=None):
     if spec.axis is Axis.ANHARMONICITY and spec.schedule.task is Task.SPLITTING:
         raise ConfigError("the splitting potential has no anharmonicity to sweep")
     if spec.axis is Axis.BUFFER_COUNT:
-        buffers = [int(v) for v in spec.axis_values]
-        if any(v < 0 for v in buffers):
-            raise ConfigError("buffer counts must be >= 0")
+        buffers = _counts(spec.axis_values, "buffer counts", 0)
     else:
         lo, hi = spec.buffer_range()
         if lo != hi:
@@ -307,10 +292,16 @@ def run_sweep(spec, engine=None):
     return SweepResult(spec, rows)
 
 
+def _counts(values, what, least):
+    """Axis ``values`` as ints, each a whole number >= ``least``."""
+    for value in values:
+        if value != int(value) or value < least:
+            raise ConfigError(f"{what} must be integers >= {least}, got {value}")
+    return [int(value) for value in values]
+
+
 def _run_gap_sweep(spec):
-    n_values = [int(v) for v in spec.axis_values]
-    if any(v < 1 for v in n_values):
-        raise ConfigError("particle numbers for the gap sweep must be >= 1")
+    n_values = _counts(spec.axis_values, "particle numbers for the gap sweep", 1)
     lam = spec.schedule.lam
     profile = dict(fermi_gap_profile(lam, max(n_values), spec.schedule.omega_i))
     return GapSweepResult([(n, lam, profile[n]) for n in n_values])
@@ -352,6 +343,8 @@ def min_buffer_search(spec, n_b_max=None, engine=None):
     _, hi = spec.buffer_range()
     if n_b_max is None:
         n_b_max = hi
+    if n_b_max < 0:
+        raise ConfigError(f"n_b_max must be >= 0, got {n_b_max}")
     schedules = [spec.schedule.with_duration(t) for t in spec.axis_values]
     _, points = _evaluate(spec, engine, schedules, range(n_b_max + 1), [spec.tau])
 

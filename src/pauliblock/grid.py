@@ -38,7 +38,9 @@ class Grid:
         if not (x_max > x_min):
             raise ConfigError(f"empty domain [{x_min}, {x_max}]")
         if n_points < 2 or n_points % 2:
-            raise ConfigError(f"n_points must be even, got {n_points}")
+            raise ConfigError(
+                f"n_points must be an even number of at least 2, got {n_points}"
+            )
         self.x_min = float(x_min)
         self.x_max = float(x_max)
         self.n_points = int(n_points)

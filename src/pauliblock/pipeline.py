@@ -6,14 +6,14 @@ record per schedule family, the frozen
 duration fixed (same traps, same grids).  A record holds the family grid,
 the level count it was planned for and its escalation count; the initial
 and final eigenbases, each solved for the planned count (a request for K
-states slices that solve); the propagated states, keyed by schedule and
-dt (a request for M states slices a cached run with >= M states); the
-backward runs, the lowest final eigenstates evolved under the reversed
-schedule, keyed and sliced the same way; and the keys of backward runs
-that tripped a grid check, which are not made again on that grid.
-A thermal curve reads its overlaps from a backward run of its N_p
-targets, zero temperature from its N levels evolved forward
-(:meth:`Engine.master_overlaps`).
+states slices that solve); and one dict of runs, keyed by schedule, dt
+and side (a request for M states slices a cached run with >= M states).
+A forward run evolves the lowest initial eigenstates under the schedule,
+a backward run the lowest final eigenstates under the reversed schedule;
+a backward run that trips a grid check keeps the error in its place,
+so it is not made again on that grid.  A thermal curve reads its
+overlaps from a backward run of its N_p targets, zero temperature from
+its N levels evolved forward (:meth:`Engine.master_overlaps`).
 
 Each family's grid comes from :func:`~pauliblock.planner.plan_grid`, sized
 for the number of states requested; a later request for more states than
@@ -23,17 +23,17 @@ the domain, momentum-space undersampling doubles the point count.
 Re-planning or escalating replaces the whole record.  The validated time
 step is kept apart, per family and requested settings, so it survives.
 Every fidelity is a point of a thermal curve; zero temperature is the
-tau = 0 ensemble, the one ground configuration.  A curve plans its family
-before anything else, for the levels its hottest ensemble is estimated
-to need (:meth:`Engine.plan_levels`), so the time-step check runs on the
-grid the curve then uses.
+tau = 0 ensemble, the one ground configuration.  One method plans the
+runs of a set of curves (:meth:`Engine.validated_settings`): first their
+families, for the levels the hottest ensemble is estimated to need, so
+the time-step check runs on the grid the curves then use.
 
 Propagations that do not depend on each other, such as the first two
 rungs of the time-step check and the schedules of a sweep, can run
 as one batch (:meth:`Engine.propagate_batch`) on up to ``workers``
 processes: this one and workers forked from it, each evolving whole
-state families.  A batch only fills the propagation cache; the in-order
-path then finds its runs there, so results, escalations and errors do not
+state families.  A batch only fills the run cache; the in-order path
+then finds its runs there, so results, escalations and errors do not
 depend on the worker count.
 """
 
@@ -94,6 +94,10 @@ def _family(schedule):
     return replace(schedule, shape=RampShape.LINEAR, T=1.0)
 
 
+# Grid checks that escalate a family's grid, and that a backward run trips.
+_LEAKS = (ContainmentError, ResolutionError)
+
+
 @dataclass
 class _FamilyRecord:
     """One family's grid and what was computed on it (see module docstring)."""
@@ -103,9 +107,19 @@ class _FamilyRecord:
     escalations: int = 0
     initial: spectral.EigenBasis = None
     final: spectral.EigenBasis = None
-    props: dict = field(default_factory=dict)  # (schedule, dt) -> states
-    back: dict = field(default_factory=dict)  # (schedule, dt) -> targets
-    tripped: set = field(default_factory=set)  # (schedule, dt) of leaky `back`
+    # (schedule, dt, backward) -> evolved states, or the error of a trip
+    runs: dict = field(default_factory=dict)
+
+    def start(self, schedule, backward):
+        """(basis, schedule to run) of a run on this record's grid."""
+        if backward:
+            return self.final, schedule.time_reversed()
+        return self.initial, schedule
+
+    def lacks(self, key, n_states):
+        """Whether run ``key`` holds fewer than ``n_states`` states and did not trip."""
+        run = self.runs.get(key, ())
+        return not isinstance(run, _LEAKS) and len(run) < n_states
 
 
 def _lowest(basis, n_states):
@@ -123,17 +137,14 @@ def default_workers():
 
 
 def _propagate_runs(runs):
-    """``propagate_basis`` for each ``(basis, n_states, schedule, dt,
-    backward)`` run, under the reversed schedule when ``backward``.
+    """``propagate_basis`` for each ``(basis, n_states, schedule, dt)`` run.
 
     Returns one entry per run: its evolved states, or the
     :class:`SimulationError` it raised.  Defined at module level, so that a
     worker pool pickles it by name.
     """
     results = []
-    for basis, n_states, schedule, dt, backward in runs:
-        if backward:
-            schedule = schedule.time_reversed()
+    for basis, n_states, schedule, dt in runs:
         try:
             results.append(
                 propagate_basis(basis, n_states, schedule, PropagationSettings(dt))
@@ -200,7 +211,7 @@ class Engine:
                         for t in (0.0, schedule.T)
                     )
                 return work(record)
-            except (ContainmentError, ResolutionError) as exc:
+            except _LEAKS as exc:
                 if record.escalations == MAX_ESCALATIONS:
                     raise
                 if isinstance(exc, ContainmentError):
@@ -230,165 +241,154 @@ class Engine:
 
     # -- propagation ---------------------------------------------------------
 
-    def evolved_states(self, schedule, n_states, settings):
+    def evolved_states(self, schedule, n_states, settings, backward=False):
         """The lowest ``n_states`` initial eigenstates evolved to t = T on
-        the family's current grid (:meth:`endpoint_bases` solves it), cached;
-        a leak raises here rather than escalate."""
+        the family's current grid (:meth:`endpoint_bases` solves it), or
+        with ``backward`` the lowest final eigenstates evolved under
+        ``schedule.time_reversed()``, cached.  A forward leak raises here
+        rather than escalate; a backward one returns None, and the record
+        keeps it, so that run is not made again on this grid."""
         record = self._families[_family(schedule)]
-        key = (schedule, settings.dt)
-        if len(record.props.get(key, ())) < n_states:
-            record.props[key] = propagate_basis(
-                record.initial, n_states, schedule, settings
-            )
-        return record.props[key][:n_states]
-
-    def _evolved_targets(self, record, schedule, n_targets, settings, run=True):
-        """The lowest ``n_targets`` final eigenstates evolved under
-        ``schedule.time_reversed()`` on the record's grid, cached there; None
-        without targets, without a cached run unless ``run``, or if the run
-        tripped a grid check.  A trip neither escalates nor raises: the
-        record keeps it, so that run is not made again on this grid."""
-        key = (schedule, settings.dt)
-        if n_targets == 0 or key in record.tripped:
-            return None
-        if len(record.back.get(key, ())) < n_targets:
-            if not run:
-                return None
+        key = (schedule, settings.dt, backward)
+        if record.lacks(key, n_states):
+            basis, run_as = record.start(schedule, backward)
             try:
-                record.back[key] = propagate_basis(
-                    record.final, n_targets, schedule.time_reversed(), settings
-                )
-            except (ContainmentError, ResolutionError):
-                record.tripped.add(key)
-                return None
-        return record.back[key][:n_targets]
+                record.runs[key] = propagate_basis(basis, n_states, run_as, settings)
+            except _LEAKS as exc:
+                if not backward:
+                    raise
+                record.runs[key] = exc
+        run = record.runs[key]
+        return None if isinstance(run, _LEAKS) else run[:n_states]
 
-    def propagate_batch(self, runs, backward=()):
-        """Fill the propagation cache for ``runs``, ``(schedule, dt,
-        n_states)`` triples, and ``backward``, ``(schedule, dt, n_targets)``
-        triples of target runs (:meth:`_evolved_targets`), on up to
-        ``workers`` processes at once.
+    def propagate_batch(self, runs):
+        """Fill the run cache for ``runs``, ``(schedule, dt, n_states,
+        backward)`` tuples (:meth:`evolved_states`), on up to ``workers``
+        processes at once.
 
         The runs are shared out longest first (steps times states), each to
         the process with the least work so far: this process runs its own
-        share while forked worker processes run theirs.  Runs of one side,
-        schedule and dt merge into the one with the most states; runs
-        cached or tripped are skipped.  A target run that trips a grid check
-        records the trip, wherever it ran.  Any other run that raises a
-        :class:`SimulationError`, here or in its eigensolve, or whose worker
-        dies, fills nothing, so the in-order path runs it again and
-        escalates or raises exactly as it would without the batch.
+        share while forked worker processes run theirs.  Runs of one
+        schedule, dt and side merge into the one with the most states;
+        cached runs and recorded trips are skipped.  A backward run that
+        trips a grid check records the trip, wherever it ran.  Any other
+        run that raises a :class:`SimulationError`, here or in its
+        eigensolve, or whose worker dies, fills nothing, so the in-order
+        path runs it again and escalates or raises exactly as it would
+        without the batch.
         """
         most = {}
-        for side, triples in ((False, runs), (True, backward)):
-            for schedule, dt, n_states in triples:
-                key = (schedule, dt, side)
-                most[key] = max(n_states, most.get(key, 0))
+        for schedule, dt, n_states, backward in runs:
+            key = (schedule, dt, backward)
+            most[key] = max(n_states, most.get(key, 0))
         if min(self.workers, len(most)) < 2:
             return
         todo = []
-        for (schedule, dt, side), n_states in most.items():
+        for key, n_states in most.items():
+            schedule, dt, backward = key
             try:
                 record = self._with_escalation(schedule, n_states, lambda r: r)
             except SimulationError:
                 continue
-            cache = record.back if side else record.props
-            if len(cache.get((schedule, dt), ())) < n_states and not (
-                side and (schedule, dt) in record.tripped
-            ):
+            if record.lacks(key, n_states):
                 steps, _ = PropagationSettings(dt).steps_for(schedule.T)
-                basis = record.final if side else record.initial
-                todo.append((steps * n_states, (basis, n_states, schedule, dt, side)))
+                basis, run_as = record.start(schedule, backward)
+                run = (basis, n_states, run_as, dt)
+                todo.append((steps * n_states, key, run))
         n_lanes = min(self.workers, len(todo))
         if n_lanes < 2:
             return
         lanes = [[] for _ in range(n_lanes)]
         loads = [0] * n_lanes
-        for cost, run in sorted(todo, key=lambda item: item[0], reverse=True):
+        for cost, key, run in sorted(todo, key=lambda item: item[0], reverse=True):
             lane = loads.index(min(loads))
-            lanes[lane].append(run)
+            lanes[lane].append((key, run))
             loads[lane] += cost
         # Forked, not spawned: a spawned worker imports numpy and this
         # package again, 0.06-0.15 s, which is more than a small batch takes.
         with ProcessPoolExecutor(
             n_lanes - 1, multiprocessing.get_context("fork")
         ) as pool:
-            pending = [pool.submit(_propagate_runs, lane) for lane in lanes[1:]]
-            done = list(zip(lanes[0], _propagate_runs(lanes[0])))
+            pending = [
+                pool.submit(_propagate_runs, [run for _, run in lane])
+                for lane in lanes[1:]
+            ]
+            done = list(zip(lanes[0], _propagate_runs([run for _, run in lanes[0]])))
             for lane, job in zip(lanes[1:], pending):
                 try:
                     done += zip(lane, job.result())
                 except BrokenProcessPool:
                     pass  # a worker died; the in-order path runs its share
-        for (basis, _, schedule, dt, side), states in done:
+        for (key, (basis, *_)), states in done:
+            schedule, _, backward = key
             record = self._families[_family(schedule)]
-            cache = record.back if side else record.props
             # A family re-planned or escalated since its run keeps nothing,
             # and a cached run is never replaced by one with fewer states.
-            if basis is not (record.final if side else record.initial):
+            if basis is not record.start(schedule, backward)[0]:
                 continue
-            if side and isinstance(states, (ContainmentError, ResolutionError)):
-                record.tripped.add((schedule, dt))
-            elif not isinstance(states, SimulationError) and len(states) > len(
-                cache.get((schedule, dt), ())
+            if backward and isinstance(states, _LEAKS):
+                record.runs[key] = states
+            elif not isinstance(states, SimulationError) and record.lacks(
+                key, len(states)
             ):
-                cache[(schedule, dt)] = states
-
-    def _curve_runs(self, dt, curves, n_targets):
-        """(forward, backward) batch runs at ``dt`` for ``curves``,
-        ``(schedule, n_levels)`` pairs: the ``n_targets`` targets backward,
-        or the levels forward where that run tripped or ``n_targets`` is 0."""
-        forward, backward = [], []
-        for schedule, n_levels in curves:
-            record = self._families.get(_family(schedule))
-            if n_targets and (record is None or (schedule, dt) not in record.tripped):
-                backward.append((schedule, dt, n_targets))
-            else:
-                forward.append((schedule, dt, n_levels))
-        return forward, backward
+                record.runs[key] = states
 
     def validated_settings(
-        self, schedule, n_states, settings, check_dt, also=(), n_targets=0
+        self, schedules, n_total, n_protected, tau_max, settings, check_dt,
+        tail_bound=DEFAULT_TAIL_BOUND,
     ):
-        """``settings`` with a dt that passed the halving check for this
-        family, starting from ``settings.dt``.
+        """``settings`` with a dt that passed the halving check, starting
+        from ``settings.dt``, for thermal curves of ``n_total`` fermions up
+        to ``tau_max`` on ``schedules``; the check runs on the first.
 
-        ``also`` lists the curves, ``(schedule, n_levels)`` pairs, that
-        propagate at the validated dt next, as a batch of runs
-        (:meth:`_curve_runs`): the ``n_targets`` targets backward (a
-        thermal curve) or the levels forward.  While the check has yet to
-        run, that batch guesses ``settings.dt`` and also holds the check's
-        first two rungs, dt and dt/2, on the same side; a run of the checked
-        schedule with more states serves as the first rung.  If a backward
-        rung trips, the check runs forward on ``n_states`` levels.  If it
-        halves dt, the runs go as a second batch at the dt it kept.
+        Each family is planned first (:meth:`plan_levels`).  A curve's run
+        is its ``n_protected`` targets backward at ``tau_max`` > 0, else,
+        or where that run trips, its levels forward.  The check's first
+        two rungs, dt and dt/2, join the curves' runs at ``settings.dt`` in
+        one batch on their side: backward first, then forward if a
+        backward rung trips.  At any other validated dt, the curves' runs
+        go as one batch of their own.
         """
-        key = (_family(schedule), settings)
+        levels = [
+            self.plan_levels(schedule, n_total, tau_max, tail_bound)
+            for schedule in schedules
+        ]
+        n_targets = n_protected if tau_max > 0 else 0
+
+        def curve_runs(dt):
+            runs = []
+            for schedule, n_levels in zip(schedules, levels):
+                record = self._families[_family(schedule)]
+                leaked = isinstance(record.runs.get((schedule, dt, True)), _LEAKS)
+                backward = n_targets > 0 and not leaked
+                runs.append(
+                    (schedule, dt, n_targets if backward else n_levels, backward)
+                )
+            return runs
+
+        key = (_family(schedules[0]), settings)
         dt = self._dts.get(key) if check_dt else settings.dt
-        guessed = None
         if dt is None:
-            guessed = settings.dt
-            rungs = (guessed, 0.5 * guessed)
-            if n_targets:
-                forward, backward = self._curve_runs(guessed, also, n_targets)
-                backward += [(schedule, rung, n_targets) for rung in rungs]
-                self.propagate_batch(forward, backward)
-                dt = self._converge_dt(schedule, n_states, settings, n_targets)
-            if dt is None:
-                forward, backward = self._curve_runs(guessed, also, n_targets)
-                forward += [(schedule, rung, n_states) for rung in rungs]
-                self.propagate_batch(forward, backward)
-                dt = self._converge_dt(schedule, n_states, settings)
+            for backward in (True, False) if n_targets else (False,):
+                n_rung = n_targets if backward else n_total
+                self.propagate_batch(curve_runs(settings.dt) + [
+                    (schedules[0], rung, n_rung, backward)
+                    for rung in (settings.dt, 0.5 * settings.dt)
+                ])
+                dt = self._converge_dt(schedules[0], n_rung, settings, backward)
+                if dt is not None:
+                    break
             self._dts[key] = dt
-        if dt != guessed:
-            self.propagate_batch(*self._curve_runs(dt, also, n_targets))
+            if dt == settings.dt:  # the curves' runs went with the rungs
+                return replace(settings, dt=dt)
+        self.propagate_batch(curve_runs(dt))
         return replace(settings, dt=dt)
 
-    def _converge_dt(self, schedule, n_states, settings, n_targets=0):
+    def _converge_dt(self, schedule, n_states, settings, backward):
         """The first dt whose overlaps move by less than the tolerance at
-        dt/2: of backward target runs with every planned level if
-        ``n_targets`` > 0 (None if a rung trips), else ``n_states`` x
-        ``n_states`` of forward runs."""
+        dt/2: with ``backward``, of backward runs of ``n_states`` targets
+        with every planned level (None if a rung trips), else ``n_states``
+        x ``n_states`` of forward runs."""
 
         def halve(record):
             dt = settings.dt
@@ -396,13 +396,11 @@ class Engine:
             for _ in range(12):
                 trial = PropagationSettings(dt, tolerance=settings.tolerance)
                 steps, _ = trial.steps_for(schedule.T)
-                if n_targets:
-                    targets = self._evolved_targets(record, schedule, n_targets, trial)
-                    if targets is None:
+                block = (n_states, n_states)
+                if backward:
+                    if self.evolved_states(schedule, n_states, trial, True) is None:
                         return None
-                    block = (record.n_planned, n_targets)
-                else:
-                    block = (n_states, n_states)
+                    block = (record.n_planned, n_states)
                 overlaps = self._overlaps(record, schedule, *block, trial)
                 # Rungs of one step count run the same steps: their
                 # agreement says nothing about dt.
@@ -429,9 +427,11 @@ class Engine:
         ``n_states``), when the targets' backward run is cached or, with
         ``backward``, can be made; else the levels evolved forward."""
         dx = record.grid.dx
-        evolved = self._evolved_targets(record, schedule, n_targets, settings, backward)
-        if evolved is not None:
-            return (record.initial.states @ np.conj(evolved).T * dx)[:n_states]
+        key = (schedule, settings.dt, True)
+        if n_targets and (backward or not record.lacks(key, n_targets)):
+            evolved = self.evolved_states(schedule, n_targets, settings, backward=True)
+            if evolved is not None:
+                return (record.initial.states @ np.conj(evolved).T * dx)[:n_states]
         evolved = self.evolved_states(schedule, n_states, settings)
         return np.conj(evolved) @ record.final.states[:n_targets].T * dx
 
@@ -502,15 +502,14 @@ class Engine:
     ):
         """Thermal fidelity at several temperatures from one propagation.
 
-        Returns the list of values, one per temperature.  The family is
-        planned first for the levels the hottest ensemble is estimated to
-        need (:meth:`plan_levels`), so the time-step check runs on the grid
-        the curve uses; with ``settings`` handed in and the family planned
-        (a sweep plans it for its largest system), no estimate is made
-        again, and the enumeration's certificate plans too few levels
-        again.  The master overlap matrix covers the hottest ensemble's
-        highest level: above zero temperature from the N_p targets evolved
-        backward, at zero temperature from the N levels evolved forward
+        Returns the list of values, one per temperature.  Without
+        ``settings``, :meth:`validated_settings` plans the curve's family
+        and runs; with ``settings`` handed in and the family planned (a
+        sweep plans it for its largest system), no estimate is made again,
+        and the enumeration's certificate plans too few levels again.  The
+        master overlap matrix covers the hottest ensemble's highest level:
+        above zero temperature from the N_p targets evolved backward, at
+        zero temperature from the N levels evolved forward
         (:meth:`master_overlaps`).  That ensemble is enumerated once and
         its per-configuration fidelities evaluated once; each colder
         temperature is a row mask of it with its own weights
@@ -533,14 +532,10 @@ class Engine:
                 f"{ORACLE_MAX_NP}, got N={n_total} and N_p={n_protected}"
             )
         tau_max = max(taus)
-        # A thermal curve reads N_p columns of many rows: it evolves its
-        # targets backward, zero temperature its N levels forward.
-        n_targets = n_protected if tau_max > 0 else 0
         if settings is None:
-            n_levels = self.plan_levels(schedule, n_total, tau_max, tail_bound)
             settings = self.validated_settings(
-                schedule, n_total, self.settings, check_dt,
-                also=[(schedule, n_levels)], n_targets=n_targets,
+                [schedule], n_total, n_protected, tau_max, self.settings,
+                check_dt, tail_bound,
             )
         elif self.family_grid(schedule) is None:
             self.plan_levels(schedule, n_total, tau_max, tail_bound)

@@ -63,7 +63,6 @@ class ThermalEnsemble:
     levels: np.ndarray
     excitations: np.ndarray
     weights: np.ndarray
-    partition_sum: float
     e_cut: float
 
     @property
@@ -201,7 +200,7 @@ def _grow_cutoff(energies, n_particles, tau, tail_bound, complete_ladder, below)
 
 def _ground(n_particles, dtype):
     levels = np.arange(1, n_particles + 1, dtype=dtype)[None, :]
-    return ThermalEnsemble(0.0, levels, np.zeros(1), np.array([1.0]), 1.0, 0.0)
+    return ThermalEnsemble(0.0, levels, np.zeros(1), np.array([1.0]), 0.0)
 
 
 def enumerate_ensemble(
@@ -251,7 +250,7 @@ def enumerate_ensemble(
         complete_ladder,
         lambda e: _enumerate_below(energies, n_particles, e),
     )
-    return ThermalEnsemble(tau, levels, excitations, terms / z, z, e_cut)
+    return ThermalEnsemble(tau, levels, excitations, terms / z, e_cut)
 
 
 def estimated_level_count(energies, n_particles, tau, tail_bound=DEFAULT_TAIL_BOUND):

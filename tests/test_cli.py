@@ -57,6 +57,25 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize(
+        "lines, value",
+        [
+            ("axis = buffer_count\naxis_values = 1, 1.5\n", "1.5"),
+            ("axis = buffer_count\naxis_values = -0.5, 1\n", "-0.5"),
+            ("axis = particle_number_gap\naxis_values = 1, 2.7\n", "2.7"),
+        ],
+        ids=["fraction", "negative-fraction", "gap-fraction"],
+    )
+    def test_fractional_count_axis_returns_2(self, tmp_path, capsys, lines, value):
+        # A count axis does not round: 1.5 buffers is not N_b = 1, and
+        # -0.5 is not N_b = 0.
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("task = splitting\nT = 1.0\nh_f = 20\n" + lines)
+        assert main(["sweep", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and value in captured.err
+
+    @pytest.mark.parametrize(
         "options",
         [
             ["--tau", "-1"],

@@ -178,6 +178,22 @@ class TestWorkerCount:
             assert engine.family_grid(schedule) == widened
         assert csvs[0] == csvs[1]
 
+    def test_kept_dt_batches_once(self, monkeypatch):
+        # A check that keeps the requested dt ran the curves' runs with its
+        # rungs; a run that failed there is left to the in-order path, not
+        # batched again.
+        batches = []
+        propagate_batch = Engine.propagate_batch
+
+        def counted(self, runs):
+            batches.append(runs)
+            return propagate_batch(self, runs)
+
+        monkeypatch.setattr(Engine, "propagate_batch", counted)
+        result = run_sweep(self.process_time_spec())
+        assert {row.dt for row in result.rows} == {2e-3}
+        assert len(batches) == 1
+
     def test_patched_propagation_still_pools(self, monkeypatch):
         # The benchmark's tracer replaces pipeline.propagate_basis with a
         # closure, which cannot be pickled: the pool must not send it.
@@ -202,7 +218,8 @@ class TestWorkerCount:
         engine = Engine(workers=2)
         engine.endpoint_bases(schedule, 12, 1)
         engine.propagate_batch(
-            [(schedule, 0.01, 12), (schedule, 0.005, 2), (schedule, 0.01, 2)]
+            [(schedule, 0.01, 12, False), (schedule, 0.005, 2, False),
+             (schedule, 0.01, 2, False)]
         )
 
         def not_cached(*args, **kwargs):
@@ -303,6 +320,11 @@ class TestMinBufferSearch:
         )
         min_buffer_search(spec, engine=shared_engine)
         assert sorted(checked) == [2, 3, 4]
+
+    def test_negative_n_b_max_rejected(self):
+        spec = split_spec(axis=Axis.PROCESS_TIME, axis_values=(0.5,))
+        with pytest.raises(ConfigError, match="n_b_max"):
+            min_buffer_search(spec, n_b_max=-1)
 
     def test_saturation_reported(self, shared_engine):
         spec = split_spec(

@@ -36,6 +36,11 @@ class TestGrid:
             Grid(-1.0, 1.0, 301)
         assert Grid(-1.0, 1.0, 300).n_points == 300
 
+    @pytest.mark.parametrize("n_points", [0, -4])
+    def test_too_few_points_named(self, n_points):
+        with pytest.raises(ConfigError, match="even number of at least 2"):
+            Grid(-1.0, 1.0, n_points)
+
     def test_empty_domain_rejected(self):
         with pytest.raises(ConfigError):
             Grid(2.0, -2.0, 64)

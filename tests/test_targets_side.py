@@ -4,8 +4,9 @@ A[j, i] = <U psi_j|phi_i> = <psi_j|U^dagger phi_i>, and on the lattice
 U^dagger phi = conj(U_rev phi) for real eigenstates, U_rev being the
 schedule run backward.  These tests hold the backward matrix against the
 forward one, a thermal value against a forward reference built here from
-the public pieces, the fallback when a backward run leaks, and the
-time-step check's coverage of the rows a curve reads.
+the public pieces, the fallback when a backward run leaks, the rule by
+which zero temperature reads a cached backward run, and the time-step
+check's coverage of the rows a curve reads.
 """
 
 from collections import Counter
@@ -129,6 +130,37 @@ class TestFallback:
         )
         assert values[0] == reference
 
+    def test_trip_and_forward_run_are_kept_apart(self, monkeypatch):
+        # The targets' run and the levels' run of one schedule and dt: the
+        # trip stays recorded beside the forward run, and neither is made
+        # again.
+        engine, _ = self.curve_value(1)
+        settings = PropagationSettings(dt=2e-3)
+
+        def no_run(*args):
+            raise AssertionError("a cached or tripped run was made again")
+
+        monkeypatch.setattr(pipeline, "propagate_basis", no_run)
+        assert engine.evolved_states(self.SCHEDULE, 2, settings, True) is None
+        assert len(engine.evolved_states(self.SCHEDULE, 6, settings)) == 6
+
+
+class TestZeroTemperatureReadRule:
+    def test_a_narrower_backward_run_is_not_widened(self, monkeypatch):
+        # A tau = 0.5 curve with N_p = 1 caches one target evolved
+        # backward.  Zero temperature with N_p = 2 reads the targets' side
+        # only from a cached run of at least 2 targets: it evolves its 4
+        # levels forward, and its value is the forward one to the bit.
+        schedule = PotentialSchedule.splitting(1.0, h_f=20.0)
+        settings = PropagationSettings(dt=2e-3)
+        engine = Engine(workers=1)
+        engine.thermal_fidelity(schedule, 1, 1, 0.5, settings)
+        runs = record_runs(monkeypatch, schedule)
+        value = engine.scenario_fidelity(schedule, 2, 2, settings).value
+        monkeypatch.setattr(pipeline, "propagate_basis", propagate_basis)
+        assert value == forward_reference(engine, schedule, 2, 2, 0.0, settings)
+        assert runs == [("forward", 4, settings.dt)]
+
 
 class TestCheckCoversTheCurveRows:
     def test_a_change_past_row_n_halves_dt(self, monkeypatch):
@@ -159,10 +191,7 @@ class TestCheckCoversTheCurveRows:
             return states
 
         monkeypatch.setattr(pipeline, "propagate_basis", perturbed)
-        checked = engine.validated_settings(
-            schedule, n_total, settings, True,
-            also=[(schedule, n_levels)], n_targets=2,
-        )
+        checked = engine.validated_settings([schedule], n_total, 2, 0.3, settings, True)
         assert checked.dt == settings.dt / 2
         change = np.abs(blocks[settings.dt] - blocks[settings.dt / 2])
         # An N x N check, blind to rows >= N, would have kept dt.
