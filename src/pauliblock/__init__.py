@@ -17,7 +17,6 @@ from .errors import (
     NumericalConsistencyError,
     ResolutionError,
     SimulationError,
-    TooLargeError,
 )
 from .experiments import (
     Axis,
@@ -28,10 +27,8 @@ from .experiments import (
 )
 from .fidelity import (
     FidelityResult,
-    Method,
     OverlapMatrix,
     fidelity_fast,
-    fidelity_oracle,
 )
 from .grid import Grid
 from .pipeline import Engine
@@ -53,7 +50,6 @@ __all__ = [
     "Grid",
     "GridError",
     "InstabilityError",
-    "Method",
     "NeedsMoreLevelsError",
     "NumericalConsistencyError",
     "OverlapMatrix",
@@ -65,11 +61,9 @@ __all__ = [
     "SweepSpec",
     "Task",
     "ThermalEnsemble",
-    "TooLargeError",
     "enumerate_ensemble",
     "fermi_gap_profile",
     "fidelity_fast",
-    "fidelity_oracle",
     "min_buffer_search",
     "propagate_basis",
     "run_sweep",

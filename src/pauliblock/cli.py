@@ -37,9 +37,6 @@ def _add_scenario_options(parser):
     parser.add_argument("--n-points", type=int, default=None,
                         help="grid point count on the planned domain (even; "
                              "default: planned from the energy range)")
-    parser.add_argument("--verify-oracle", action="store_true",
-                        help="cross-check the ground configuration's fidelity "
-                             "with the brute-force sum")
     parser.add_argument("--skip-dt-check", action="store_true",
                         help="skip the automatic time-step halving check")
 
@@ -116,7 +113,6 @@ def _run_scenario(args):
     result = engine.thermal_fidelity(
         schedule, args.n_protected, args.n_buffer, args.tau,
         tail_bound=args.tail_bound, check_dt=not args.skip_dt_check,
-        verify_oracle=args.verify_oracle,
     )
     print(repr(result.value))
     return 0

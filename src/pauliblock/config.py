@@ -5,7 +5,7 @@ comment line, blank lines ignored.  Recognized keys:
 
     task, shape, T, omega_i, omega_f, x0i, x0f, h_i, h_f, lambda,
     N_p, N_b, tau, axis, axis_values, threshold, tail_bound,
-    n_points, dt, verify_oracle, workers
+    n_points, dt, workers
 
 ``axis_values`` is a comma-separated list; ``N_b`` is an integer or an
 inclusive range written ``lo..hi``.
@@ -39,7 +39,6 @@ _KNOWN_KEYS = {
     "tail_bound",
     "n_points",
     "dt",
-    "verify_oracle",
     "workers",
 }
 
@@ -89,17 +88,6 @@ def _as_int(raw, key, default=None):
     if value != int(value):
         raise ConfigError(f"key {key!r} must be an integer, got {raw[key]!r}")
     return int(value)
-
-
-def _as_bool(raw, key, default=False):
-    if key not in raw:
-        return default
-    value = raw[key].lower()
-    if value in ("true", "yes", "1", "on"):
-        return True
-    if value in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"key {key!r}: cannot parse {raw[key]!r} as a boolean")
 
 
 def _axis_values(raw):
@@ -214,7 +202,6 @@ def build_spec(raw):
         tail_bound=_as_float(raw, "tail_bound", 1e-6),
         settings=settings,
         n_points=n_points,
-        verify_oracle=_as_bool(raw, "verify_oracle"),
         workers=_as_int(raw, "workers", default_workers()),
     )
 

@@ -26,10 +26,6 @@ class ConfigError(SimulationError):
     exit_code = 2
 
 
-class TooLargeError(ConfigError):
-    """Problem size exceeds the combinatorial guard of the brute-force path."""
-
-
 class ConvergenceError(SimulationError):
     """A numerical procedure failed to reach its accuracy target."""
 

@@ -31,11 +31,9 @@ from dataclasses import astuple, dataclass, field
 
 from .errors import ConfigError
 from .fidelity import (
-    Method,
     # Not called here: perfbench/spans.py wraps this name and raises if it
     # is missing, until an in-program trace replaces the patched names.
     fidelity_fast,
-    oracle_fits,
 )
 from .pipeline import Engine, default_workers
 from .potentials import PotentialSchedule, Task
@@ -73,7 +71,6 @@ class SweepSpec:
     tail_bound: float = DEFAULT_TAIL_BOUND
     settings: PropagationSettings = field(default_factory=PropagationSettings)
     n_points: object = None
-    verify_oracle: bool = False
     check_dt: bool = True
     workers: int = field(default_factory=default_workers)
 
@@ -92,14 +89,15 @@ class SweepSpec:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
 
     def buffer_range(self):
-        """(lo, hi) inclusive buffer range from ``n_buffer``."""
+        """(lo, hi) inclusive buffer range from ``n_buffer``, whole numbers."""
         if isinstance(self.n_buffer, tuple):
-            lo, hi = self.n_buffer
+            bounds = self.n_buffer
         else:
-            lo = hi = int(self.n_buffer)
-        if lo < 0 or hi < lo:
+            bounds = (self.n_buffer, self.n_buffer)
+        lo, hi = _counts(bounds, "buffer counts", 0)
+        if hi < lo:
             raise ConfigError(f"invalid buffer range {self.n_buffer}")
-        return int(lo), int(hi)
+        return lo, hi
 
 
 @dataclass(frozen=True)
@@ -173,11 +171,6 @@ class GapSweepResult:
 # -- the evaluation of every sweep ---------------------------------------
 
 
-def _oracle_applies(spec, n_buffer):
-    n_total = spec.n_protected + n_buffer
-    return spec.verify_oracle and oracle_fits(n_total, spec.n_protected)
-
-
 def _schedule_points(spec, settings, buffers, taus, schedule, engine):
     """Fidelities of one schedule at every buffer count, and its grid size.
 
@@ -188,8 +181,7 @@ def _schedule_points(spec, settings, buffers, taus, schedule, engine):
     values = {}
     for nb in buffers:
         values[nb] = engine.thermal_fidelity_curve(
-            schedule, spec.n_protected, nb, taus, settings,
-            tail_bound=spec.tail_bound, verify_oracle=_oracle_applies(spec, nb),
+            schedule, spec.n_protected, nb, taus, settings, tail_bound=spec.tail_bound
         )
     return values, engine.family_grid(schedule).n_points
 
@@ -285,7 +277,7 @@ def run_sweep(spec, engine=None):
                     tau=float(tau),
                     lam=float(schedule.lam),
                     fidelity=float(value),
-                    method=Method.GRAM_DETERMINANT.value,
+                    method="gram",
                     dt=float(settings.dt),
                     n_points=n_points,
                 ))
@@ -293,9 +285,10 @@ def run_sweep(spec, engine=None):
 
 
 def _counts(values, what, least):
-    """Axis ``values`` as ints, each a whole number >= ``least``."""
+    """``values`` as ints, each a finite whole number >= ``least`` (not a
+    bool)."""
     for value in values:
-        if value != int(value) or value < least:
+        if isinstance(value, bool) or not float(value).is_integer() or value < least:
             raise ConfigError(f"{what} must be integers >= {least}, got {value}")
     return [int(value) for value in values]
 

@@ -7,33 +7,25 @@ final trap, the process fidelity is
     F = sum over all N_p-subsets U of rows |det A[U, :]|^2 ,
 
 the total probability that a measurement finds the protected subspace
-intact.  One routine evaluates it at every temperature, and one
-independent reference checks it:
-
-* :func:`gram_fidelity_values` - ``det(A^dagger A)``, equal to the sum of
-  squared minors by the Cauchy-Binet identity, polynomial cost, for many
-  row selections of one master matrix at once (a thermal ensemble's
-  configurations; at zero temperature the one ground configuration).
-  :func:`fidelity_fast` applies it to all rows of one matrix;
-* :func:`fidelity_oracle` - the literal subset/permutation sum, exponential
-  in the particle number, kept as an independent check.
+intact.  One routine evaluates it at every temperature,
+:func:`gram_fidelity_values`: ``det(A^dagger A)``, equal to the sum of
+squared minors by the Cauchy-Binet identity, at polynomial cost, for many
+row selections of one master matrix at once (a thermal ensemble's
+configurations; at zero temperature the one ground configuration).
+:func:`fidelity_fast` applies it to all rows of one matrix.  The literal
+subset/permutation sum, exponential in the particle number, is kept with
+the tests as their reference.
 
 Appending a row to A (one more buffer particle) adds only nonnegative
 terms to the subset sum, so F is monotone in the buffer count; each row or
 column phase cancels inside |det|^2.
 """
 
-import enum
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalConsistencyError, TooLargeError
-
-# Combinatorial guard for the brute-force route.
-ORACLE_MAX_N = 12
-ORACLE_MAX_NP = 6
+from .errors import ConfigError, NumericalConsistencyError
 
 COLUMN_NORM_TOL = 1e-8
 RANGE_TOL = 1e-10
@@ -42,11 +34,6 @@ RANGE_TOL = 1e-10
 # temporaries (under 1 MB for N_p = 2) stay below a large thermal
 # ensemble's own arrays.
 _GRAM_BLOCK = 8192
-
-
-class Method(enum.Enum):
-    ORACLE = "oracle"
-    GRAM_DETERMINANT = "gram"
 
 
 class OverlapMatrix:
@@ -99,7 +86,6 @@ class OverlapMatrix:
 @dataclass(frozen=True)
 class FidelityResult:
     value: float
-    method: Method
     n_total: int
     n_protected: int
     n_buffer: int
@@ -111,64 +97,12 @@ class FidelityResult:
             )
 
 
-def _result(value, method, a):
-    value = min(max(float(value), 0.0), 1.0)
-    return FidelityResult(value, method, a.n_total, a.n_protected, a.n_buffer)
-
-
-def _permutations_with_signs(n):
-    perms = []
-    for perm in itertools.permutations(range(n)):
-        inversions = sum(
-            1
-            for i in range(n)
-            for j in range(i + 1, n)
-            if perm[i] > perm[j]
-        )
-        perms.append((perm, -1.0 if inversions % 2 else 1.0))
-    return perms
-
-
-def oracle_fits(n_total, n_protected):
-    """Whether N = ``n_total`` and N_p = ``n_protected`` pass the
-    combinatorial guard of :func:`fidelity_oracle`."""
-    return n_total <= ORACLE_MAX_N and n_protected <= ORACLE_MAX_NP
-
-
-def fidelity_oracle(a):
-    """Brute-force subset/permutation evaluation of the fidelity.
-
-    Guarded to N <= 12 and N_p <= 6; larger problems must use
-    :func:`fidelity_fast`, which this function exists to validate.
-    """
-    n, n_p = a.n_total, a.n_protected
-    if not oracle_fits(n, n_p):
-        raise TooLargeError(
-            f"oracle guard exceeded (N={n} > {ORACLE_MAX_N} or "
-            f"N_p={n_p} > {ORACLE_MAX_NP}); use fidelity_fast"
-        )
-    if n_p == 0:
-        return _result(1.0, Method.ORACLE, a)
-    entries = a.entries
-    perms = _permutations_with_signs(n_p)
-    total = 0.0
-    for subset in itertools.combinations(range(n), n_p):
-        minor = 0.0 + 0.0j
-        for perm, sign in perms:
-            term = sign
-            for col, row in enumerate(perm):
-                term *= entries[subset[row], col]
-            minor += term
-        total += abs(minor) ** 2
-    return _result(total, Method.ORACLE, a)
-
-
 def fidelity_fast(a):
     """Fidelity as det(A^dagger A), by :func:`gram_fidelity_values` on all
     rows of ``a``; raises :class:`NumericalConsistencyError` if the
     determinant leaves [0, 1] by more than 1e-10 before clamping."""
     values = gram_fidelity_values(a.entries, np.arange(a.n_total)[None, :])
-    return _result(values[0], Method.GRAM_DETERMINANT, a)
+    return FidelityResult(float(values[0]), a.n_total, a.n_protected, a.n_buffer)
 
 
 def gram_fidelity_values(master, row_sets):
@@ -227,14 +161,3 @@ def gram_fidelity_values(master, row_sets):
         dets[start : start + len(block)] = values
     return np.clip(dets, 0.0, 1.0, out=dets)
 
-
-def verify_against_oracle(a, value, tol=1e-10):
-    """Assert a fast fidelity ``value`` of ``a`` matches the brute-force sum
-    (guard permitting); return the oracle's result."""
-    oracle = fidelity_oracle(a)
-    if abs(oracle.value - value) >= tol:
-        raise NumericalConsistencyError(
-            f"gram determinant {value} and brute-force sum "
-            f"{oracle.value} disagree by {abs(oracle.value - value):.2e}"
-        )
-    return oracle

@@ -54,20 +54,14 @@ from .errors import (
     NeedsMoreLevelsError,
     ResolutionError,
     SimulationError,
-    TooLargeError,
 )
 from .fidelity import (
-    ORACLE_MAX_N,
-    ORACLE_MAX_NP,
     FidelityResult,
-    Method,
     OverlapMatrix,
     # Not called here: perfbench/spans.py wraps this name and raises if it
     # is missing, until an in-program trace replaces the patched names.
     fidelity_fast,
     gram_fidelity_values,
-    oracle_fits,
-    verify_against_oracle,
 )
 from .grid import Grid
 from .planner import ensemble_level_count, plan_grid
@@ -460,13 +454,11 @@ class Engine:
         n_protected,
         n_buffer,
         settings=None,
-        verify_oracle=False,
         check_dt=False,
     ):
         """Zero-temperature fidelity: :meth:`thermal_fidelity` at tau = 0."""
         return self.thermal_fidelity(
-            schedule, n_protected, n_buffer, 0.0, settings,
-            check_dt=check_dt, verify_oracle=verify_oracle,
+            schedule, n_protected, n_buffer, 0.0, settings, check_dt=check_dt
         )
 
     def thermal_fidelity(
@@ -478,16 +470,12 @@ class Engine:
         settings=None,
         tail_bound=DEFAULT_TAIL_BOUND,
         check_dt=False,
-        verify_oracle=False,
     ):
         values = self.thermal_fidelity_curve(
             schedule, n_protected, n_buffer, [tau], settings,
-            tail_bound=tail_bound, check_dt=check_dt, verify_oracle=verify_oracle,
+            tail_bound=tail_bound, check_dt=check_dt,
         )
-        n_total = n_protected + n_buffer
-        return FidelityResult(
-            values[0], Method.GRAM_DETERMINANT, n_total, n_protected, n_buffer
-        )
+        return FidelityResult(values[0], n_protected + n_buffer, n_protected, n_buffer)
 
     def thermal_fidelity_curve(
         self,
@@ -498,7 +486,6 @@ class Engine:
         settings=None,
         tail_bound=DEFAULT_TAIL_BOUND,
         check_dt=False,
-        verify_oracle=False,
     ):
         """Thermal fidelity at several temperatures from one propagation.
 
@@ -515,10 +502,9 @@ class Engine:
         temperature is a row mask of it with its own weights
         (:func:`~pauliblock.thermal.colder_cut`), used for one sum, or is
         evaluated on its own if its cutoff grows past the hottest one's.
-        The master matrix is validated (:class:`OverlapMatrix`) first;
-        ``verify_oracle`` checks the ground configuration against the
-        brute-force sum, and past its guard raises :class:`TooLargeError`
-        before any work.
+        The master matrix is validated (:class:`OverlapMatrix`) first, and
+        the Gram determinants read the ensemble's 1-based level rows as they
+        are, through a zero row put before the master's first.
         """
         _check_counts(n_protected, n_buffer)
         n_total = n_protected + n_buffer
@@ -526,11 +512,6 @@ class Engine:
             raise ConfigError("no temperatures supplied")
         if not all(0 <= tau < math.inf for tau in taus):
             raise ConfigError(f"temperatures must be finite and >= 0, got {taus}")
-        if verify_oracle and not oracle_fits(n_total, n_protected):
-            raise TooLargeError(
-                f"--verify-oracle needs N <= {ORACLE_MAX_N} and N_p <= "
-                f"{ORACLE_MAX_NP}, got N={n_total} and N_p={n_protected}"
-            )
         tau_max = max(taus)
         if settings is None:
             settings = self.validated_settings(
@@ -544,10 +525,9 @@ class Engine:
         matrix, _, _ = self.master_overlaps(
             schedule, hot.m_max, n_protected, settings, backward=tau_max > 0
         )
-        master = OverlapMatrix(matrix)
-        per_config = gram_fidelity_values(master.entries, hot.row_index_array())
-        if verify_oracle:
-            verify_against_oracle(master.dropping_rows_after(n_total), per_config[0])
+        master = OverlapMatrix(matrix).entries
+        padded = np.concatenate([np.zeros_like(master[:1]), master])
+        per_config = gram_fidelity_values(padded, hot.levels)
         # Colder cuts read the width of ``levels`` (N), not its rows.
         hot.levels = np.empty((0, n_total), hot.levels.dtype)
 

@@ -74,14 +74,6 @@ class ThermalEnsemble:
         """Highest occupied level of any configuration."""
         return int(self.levels[:, -1].max())
 
-    def row_index_array(self):
-        """0-based indices into an array of evolved states, shape (K, N).
-
-        Same compact dtype as ``levels`` (levels start at 1, so nothing
-        wraps); numpy gathers with it directly, with no 8-byte copy.
-        """
-        return self.levels - 1
-
 
 def level_dtype(n_levels):
     """Smallest unsigned dtype that holds the 1-based levels of a ladder of

@@ -6,10 +6,16 @@
   banded eigensolver and the cross-check solves grids no dense solver can.
 * :func:`random_subunitary` - overlap matrices with the structure unitary
   evolution gives, for the fidelity routines.
+* :func:`fidelity_oracle` - the literal subset/permutation sum of squared
+  minors, exponential in the particle number: the reference for the Gram
+  determinant det(A^dagger A) that the package evaluates (Cauchy-Binet).
+  :func:`verify_against_oracle` holds a fidelity of the package against it.
 * :func:`gram_fidelity_values_unblocked` - the batched Gram determinants
   in one pass over all row sets, the reference for the blocked
   :func:`pauliblock.fidelity.gram_fidelity_values`.
 """
+
+import itertools
 
 import numpy as np
 import scipy.linalg
@@ -18,6 +24,7 @@ from pauliblock import (
     ConfigError,
     ConvergenceError,
     EigenBasis,
+    FidelityResult,
     NumericalConsistencyError,
     OverlapMatrix,
 )
@@ -111,3 +118,47 @@ def gram_fidelity_values_unblocked(master, row_sets):
             "[-1e-10, 1+1e-10]"
         )
     return np.clip(dets, 0.0, 1.0)
+
+
+def _permutations_with_signs(n):
+    perms = []
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(
+            1
+            for i in range(n)
+            for j in range(i + 1, n)
+            if perm[i] > perm[j]
+        )
+        perms.append((perm, -1.0 if inversions % 2 else 1.0))
+    return perms
+
+
+def fidelity_oracle(a):
+    """Brute-force subset/permutation evaluation of the fidelity of the
+    :class:`OverlapMatrix` ``a``, clamped to [0, 1]; its cost grows as
+    C(N, N_p) N_p!, so keep N and N_p small."""
+    perms = _permutations_with_signs(a.n_protected)
+    total = 0.0
+    # N_p = 0: one empty subset, whose empty minor is 1.
+    for subset in itertools.combinations(range(a.n_total), a.n_protected):
+        minor = 0.0 + 0.0j
+        for perm, sign in perms:
+            term = sign
+            for col, row in enumerate(perm):
+                term *= a.entries[subset[row], col]
+            minor += term
+        total += abs(minor) ** 2
+    value = min(max(float(total), 0.0), 1.0)
+    return FidelityResult(value, a.n_total, a.n_protected, a.n_buffer)
+
+
+def verify_against_oracle(a, value, tol=1e-10):
+    """Assert a fidelity ``value`` of ``a`` matches the brute-force sum;
+    return the oracle's result."""
+    oracle = fidelity_oracle(a)
+    if abs(oracle.value - value) >= tol:
+        raise NumericalConsistencyError(
+            f"gram determinant {value} and brute-force sum "
+            f"{oracle.value} disagree by {abs(oracle.value - value):.2e}"
+        )
+    return oracle

@@ -23,7 +23,6 @@ from pauliblock import (
     enumerate_ensemble,
     fermi_gap_profile,
     fidelity_fast,
-    fidelity_oracle,
     min_buffer_search,
     propagate_basis,
     run_sweep,
@@ -31,7 +30,7 @@ from pauliblock import (
     temperature_compensation_report,
 )
 
-from reference import random_subunitary
+from reference import fidelity_oracle, random_subunitary
 
 SETTINGS = PropagationSettings(dt=2e-3)
 

@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 import pauliblock
-from pauliblock import pipeline
 from pauliblock.cli import main
 from pauliblock.errors import (
     ConfigError,
@@ -74,6 +73,26 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and value in captured.err
+
+    def test_verify_oracle_key_returns_2(self, tmp_path, capsys):
+        # The brute-force sum is a test reference, not a run option.
+        cfg = tmp_path / "oracle.cfg"
+        cfg.write_text(
+            "task = splitting\nT = 1.0\nh_f = 20\naxis = buffer_count\n"
+            "axis_values = 0\nverify_oracle = true\n"
+        )
+        assert main(["sweep", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown key 'verify_oracle'" in captured.err
+
+    def test_verify_oracle_flag_returns_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["split", "--T", "0.5", "--verify-oracle"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--verify-oracle" in captured.err
 
     @pytest.mark.parametrize(
         "options",
@@ -145,47 +164,6 @@ class TestScenarioCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: time step did not converge")
-
-    def test_verify_oracle_at_finite_temperature(self, capsys, monkeypatch):
-        checked = []
-        real = pipeline.verify_against_oracle
-
-        def counted(a, value):
-            checked.append(a.n_total)
-            return real(a, value)
-
-        monkeypatch.setattr(pipeline, "verify_against_oracle", counted)
-        argv = ["split", "--T", "0.5", "--tau", "0.3", "--n-buffer", "1",
-                "--n-points", "256", "--dt", "0.01"]
-        assert main(argv) == 0
-        assert checked == []
-        assert main([*argv, "--verify-oracle"]) == 0
-        assert checked == [3]
-        first, second = capsys.readouterr().out.split()
-        assert first == second
-
-    def test_verify_oracle_guard_before_any_work(self, capsys, monkeypatch):
-        # N = 13 is past the brute-force guard: the command exits before it
-        # propagates anything, and names the limits of the flag.
-        calls = []
-        real = pipeline.propagate_basis
-
-        def counted(*args, **kwargs):
-            calls.append(args[1])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(pipeline, "propagate_basis", counted)
-        argv = ["split", "--T", "0.5", "--tau", "0.3", "--n-buffer", "11",
-                "--n-points", "256", "--dt", "0.01", "--verify-oracle",
-                "--skip-dt-check"]
-        assert main(argv) == 2
-        assert calls == []
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "error: --verify-oracle needs N <= 12 and N_p <= 6, "
-            "got N=13 and N_p=2\n"
-        )
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(

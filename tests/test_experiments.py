@@ -1,3 +1,4 @@
+import math
 import os
 from dataclasses import replace
 
@@ -51,6 +52,17 @@ class TestSpecValidation:
         assert split_spec(n_buffer=3).buffer_range() == (3, 3)
         with pytest.raises(ConfigError):
             split_spec(n_buffer=(4, 1)).buffer_range()
+
+    @pytest.mark.parametrize(
+        "n_buffer, named",
+        [(2.5, "2.5"), ((0.5, 3.7), "0.5"), (True, "True"), (math.nan, "nan"),
+         ((0, math.inf), "inf")],
+    )
+    def test_buffer_range_rejects_non_integers(self, n_buffer, named):
+        # A fraction, a bool or a non-finite value is no buffer count; it is
+        # neither truncated nor let through to int().
+        with pytest.raises(ConfigError, match=named):
+            split_spec(n_buffer=n_buffer).buffer_range()
 
     def test_workers_must_be_positive(self):
         for workers in (0, -1):
@@ -302,24 +314,6 @@ class TestMinBufferSearch:
             None,
         )
         assert found[-1] == expected
-
-    def test_verify_oracle_is_honoured(self, shared_engine, monkeypatch):
-        checked = []
-        real = pipeline.verify_against_oracle
-
-        def counted(a, value):
-            checked.append(a.n_total)
-            return real(a, value)
-
-        monkeypatch.setattr(pipeline, "verify_against_oracle", counted)
-        spec = split_spec(
-            axis=Axis.PROCESS_TIME,
-            axis_values=(0.5,),
-            n_buffer=(0, 2),
-            verify_oracle=True,
-        )
-        min_buffer_search(spec, engine=shared_engine)
-        assert sorted(checked) == [2, 3, 4]
 
     def test_negative_n_b_max_rejected(self):
         spec = split_spec(axis=Axis.PROCESS_TIME, axis_values=(0.5,))

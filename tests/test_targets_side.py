@@ -40,7 +40,7 @@ def forward_reference(engine, schedule, n_protected, n_buffer, tau, settings):
     ensemble = enumerate_ensemble(initial.energies, n_total, tau)
     evolved = propagate_basis(initial, ensemble.m_max, schedule, settings)
     matrix = np.conj(evolved) @ final.states.T * grid.dx
-    per_config = gram_fidelity_values(matrix, ensemble.row_index_array())
+    per_config = gram_fidelity_values(matrix, ensemble.levels - 1)
     return ensemble_average(ensemble.weights, per_config)
 
 

@@ -182,12 +182,12 @@ class TestEnumeration:
         ]
         assert excitations.tolist() == [excitation for _, excitation in expected]
         assert levels.dtype == dtype
-        # Every ensemble of the ladder shares the dtype, and its 0-based
-        # rows reach the top state.
+        # Every ensemble of the ladder shares the dtype, and its rows
+        # reach the top level.
         hot = enumerate_ensemble(energies, 2, 1.0, complete_ladder=True)
         assert hot.size == math.comb(n_levels, 2)
         assert hot.levels.dtype == dtype
-        assert hot.row_index_array().max() == n_levels - 1
+        assert hot.levels.max() == n_levels
         assert enumerate_ensemble(energies, 2, 0.0).levels.dtype == dtype
 
     def test_colder_cut_is_a_direct_enumeration(self):
@@ -275,7 +275,7 @@ class TestThermalFidelity:
         matrix, _, _ = split_engine.master_overlaps(
             s, ensemble.m_max, 2, split_engine.settings
         )
-        per_config = gram_fidelity_values(matrix, ensemble.row_index_array())
+        per_config = gram_fidelity_values(matrix, ensemble.levels - 1)
         assert (per_config >= 0.0).all() and (per_config <= 1.0).all()
         assert per_config.min() - 1e-12 <= values[0] <= per_config.max() + 1e-12
         assert values[0] == pytest.approx(
@@ -314,29 +314,6 @@ class TestThermalFidelity:
         engine = Engine(256, PropagationSettings(dt=0.01))
         with pytest.raises(NumericalConsistencyError):
             engine.thermal_fidelity(s, 2, 1, 0.3)
-
-    def test_sweep_verifies_each_buffer_count_when_hot(self, monkeypatch):
-        # A temperature sweep checks each buffer count's ground
-        # configuration against the oracle once.
-        checked = []
-        real = pipeline.verify_against_oracle
-
-        def counted(a, value):
-            checked.append(a.n_total)
-            return real(a, value)
-
-        monkeypatch.setattr(pipeline, "verify_against_oracle", counted)
-        spec = SweepSpec(
-            schedule=self.schedule(),
-            axis=Axis.TEMPERATURE,
-            axis_values=(0.0, 0.3, 0.6),
-            n_buffer=(1, 3),
-            settings=PropagationSettings(dt=2e-3),
-            check_dt=False,
-            verify_oracle=True,
-        )
-        temperature_compensation_report(spec, engine=Engine())
-        assert sorted(checked) == [3, 4, 5]
 
     @staticmethod
     def count_enumerations(monkeypatch):
@@ -396,12 +373,10 @@ class TestThermalFidelity:
         curve = Engine.thermal_fidelity_curve
 
         def estimating(self, schedule, n_protected, n_buffer, taus, settings=None,
-                       tail_bound=DEFAULT_TAIL_BOUND, check_dt=False,
-                       verify_oracle=False):
+                       tail_bound=DEFAULT_TAIL_BOUND, check_dt=False):
             self.plan_levels(schedule, n_protected + n_buffer, max(taus), tail_bound)
             return curve(self, schedule, n_protected, n_buffer, taus, settings,
-                         tail_bound=tail_bound, check_dt=check_dt,
-                         verify_oracle=verify_oracle)
+                         tail_bound=tail_bound, check_dt=check_dt)
 
         monkeypatch.setattr(Engine, "thermal_fidelity_curve", estimating)
         per_curve = temperature_compensation_report(spec).to_csv()
