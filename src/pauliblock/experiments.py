@@ -5,24 +5,25 @@ anharmonicity, temperature, or the Fermi-gap particle number) while the
 rest of the scenario is held fixed.  Every sweep, the minimal-buffer
 search and the temperature-compensation report is a grid of (schedule,
 N_b, tau) points with one evaluation path (:func:`_evaluate`): the time
-step is validated once, and each schedule propagates once, for its
-largest buffer count.  Each buffer count is one thermal curve
-(:meth:`~pauliblock.pipeline.Engine.thermal_fidelity_curve`; zero
-temperature is its tau = 0 ensemble): smaller buffer counts slice rows of
-that propagation, and each curve keeps only its values, one per
-temperature, so at most one ensemble is alive at a time.
+step is validated once, and each schedule propagates once: its N_p
+targets, backward, whatever the buffer count.  Each buffer count is one
+thermal curve (:meth:`~pauliblock.pipeline.Engine.thermal_fidelity_curve`;
+zero temperature is its tau = 0 ensemble) that reads rows of the
+targets' overlaps with the initial levels, and each curve keeps only its
+values, one per temperature, so at most one ensemble is alive at a time.
 
 The engine plans a sweep's runs in one call
-(:meth:`~pauliblock.pipeline.Engine.validated_settings`): it plans every
-schedule's family for the levels its largest system's hottest ensemble
-is estimated to need, validates the time step on the grid the curves
+(:meth:`~pauliblock.pipeline.Engine.validated_settings`): it plans each
+family once, for all its schedules and the levels its largest system's
+hottest ensemble is estimated to need, validates the time step on the grid the curves
 then use, and runs every schedule's propagation up front, at the same
 time on its worker processes.  The in-order evaluation then finds the
 runs in the cache, so the output does not depend on the worker count.
 
 Output is deterministic: rows follow the axis grid, floats are written
 with shortest round-trip precision and lines end with LF, so re-running a
-sweep reproduces the file byte for byte.
+sweep at the same OpenBLAS thread count reproduces the file byte for
+byte (the last bits of a fidelity depend on that count).
 """
 
 import enum
@@ -174,9 +175,9 @@ class GapSweepResult:
 def _schedule_points(spec, settings, buffers, taus, schedule, engine):
     """Fidelities of one schedule at every buffer count, and its grid size.
 
-    ``buffers`` is in descending order, so the largest system's
-    propagation serves the smaller ones.  Returns ``({N_b: values},
-    n_points)`` with one value per temperature in ``taus``.
+    Every buffer count reads the schedule's one run of its targets.
+    Returns ``({N_b: values}, n_points)`` with one value per temperature
+    in ``taus``.
     """
     values = {}
     for nb in buffers:

@@ -1,25 +1,27 @@
 """Scenario assembly: grids, eigensolves, propagation and overlaps.
 
+Pauli blocking makes a fidelity depend only on where the N_p protected
+targets go, so every fidelity, zero temperature included, reads its
+overlaps A[j, i] = <U psi_j|phi_i> = psi_j conj(U_rev phi_i) dx from one
+run: the N_p lowest final eigenstates evolved under the reversed schedule
+(:meth:`Engine.master_overlaps`).  N_p = 0 makes no run.
+
 The :class:`Engine` memoizes the expensive pieces within one run in one
 record per schedule family, the frozen
 :class:`~pauliblock.potentials.PotentialSchedule` with its ramp shape and
 duration fixed (same traps, same grids).  A record holds the family grid,
-the level count it was planned for and its escalation count; the initial
-and final eigenbases, each solved for the planned count (a request for K
-states slices that solve); and one dict of runs, keyed by schedule, dt
-and side (a request for M states slices a cached run with >= M states).
-A forward run evolves the lowest initial eigenstates under the schedule,
-a backward run the lowest final eigenstates under the reversed schedule;
-a backward run that trips a grid check keeps the error in its place,
-so it is not made again on that grid.  A thermal curve reads its
-overlaps from a backward run of its N_p targets, zero temperature from
-its N levels evolved forward (:meth:`Engine.master_overlaps`).
+the schedules, level count and target count it was planned for, and its
+escalation count; the initial eigenbasis, solved for the planned levels,
+and the final one, solved for the planned targets (a request for K
+states slices that solve); and one dict of the targets' runs, keyed by
+schedule and dt (a request for M targets slices a cached run with >= M).
 
-Each family's grid comes from :func:`~pauliblock.planner.plan_grid`, sized
-for the number of states requested; a later request for more states than
-the grid was planned for plans it again.  Grids escalate automatically,
-in eigensolves and in propagation alike: a position-space leak doubles
-the domain, momentum-space undersampling doubles the point count.
+Each family's grid comes from :func:`~pauliblock.planner.plan_grid`, for
+every schedule it was planned with (a sweep plans each family once, for
+all its schedules); a later request for more levels or targets than the
+grid was planned for plans it again.  Grids escalate automatically, in
+eigensolves and in propagation alike: a position-space leak doubles the
+domain, momentum-space undersampling doubles the point count.
 Re-planning or escalating replaces the whole record.  The validated time
 step is kept apart, per family and requested settings, so it survives.
 Every fidelity is a point of a thermal curve; zero temperature is the
@@ -88,7 +90,7 @@ def _family(schedule):
     return replace(schedule, shape=RampShape.LINEAR, T=1.0)
 
 
-# Grid checks that escalate a family's grid, and that a backward run trips.
+# Grid checks that escalate a family's grid.
 _LEAKS = (ContainmentError, ResolutionError)
 
 
@@ -97,29 +99,32 @@ class _FamilyRecord:
     """One family's grid and what was computed on it (see module docstring)."""
 
     grid: Grid
+    schedules: tuple
     n_planned: int
+    n_targets: int
     escalations: int = 0
     initial: spectral.EigenBasis = None
     final: spectral.EigenBasis = None
-    # (schedule, dt, backward) -> evolved states, or the error of a trip
+    # (schedule, dt) -> the targets evolved backward
     runs: dict = field(default_factory=dict)
 
-    def start(self, schedule, backward):
-        """(basis, schedule to run) of a run on this record's grid."""
-        if backward:
-            return self.final, schedule.time_reversed()
-        return self.initial, schedule
-
-    def lacks(self, key, n_states):
-        """Whether run ``key`` holds fewer than ``n_states`` states and did not trip."""
-        run = self.runs.get(key, ())
-        return not isinstance(run, _LEAKS) and len(run) < n_states
+    def lacks(self, key, n_targets):
+        """Whether run ``key`` holds fewer than ``n_targets`` targets."""
+        return len(self.runs.get(key, ())) < n_targets
 
 
 def _lowest(basis, n_states):
     return spectral.EigenBasis(
         basis.grid, basis.energies[:n_states], basis.states[:n_states]
     )
+
+
+def _solve(schedule, grid, t, n_states):
+    """The lowest ``n_states`` eigenpairs of the trap at time ``t`` (none
+    for 0)."""
+    if n_states == 0:
+        return spectral.EigenBasis(grid, np.empty(0), np.empty((0, grid.n_points)))
+    return spectral.solve(schedule.evaluate(grid, t), grid, n_states)
 
 
 def default_workers():
@@ -179,30 +184,43 @@ class Engine:
         record = self._families.get(_family(schedule))
         return record.grid if record else None
 
-    def _with_escalation(self, schedule, n_states, work):
+    def _plan(self, schedules, n_levels, n_targets):
+        """The record of the family of ``schedules``, planned (again) for
+        all of them if it holds fewer than ``n_levels`` levels or
+        ``n_targets`` targets.  A new plan also covers the schedules and
+        counts of the record it replaces."""
+        family = _family(schedules[0])
+        record = self._families.get(family)
+        if record is not None:
+            if record.n_planned >= n_levels and record.n_targets >= n_targets:
+                return record
+            schedules = record.schedules + tuple(schedules)
+            n_levels = max(n_levels, record.n_planned)
+            n_targets = max(n_targets, record.n_targets)
+        schedules = tuple(dict.fromkeys(schedules))
+        grid = plan_grid(schedules, n_levels, n_targets, self.n_points)
+        record = _FamilyRecord(grid, schedules, n_levels, n_targets)
+        self._families[family] = record
+        return record
+
+    def _with_escalation(self, schedule, n_levels, n_targets, work):
         """``work(record)`` on the family record, planned (again) for
-        ``n_states`` levels if it holds fewer, its endpoint bases solved.
+        ``n_levels`` levels and ``n_targets`` targets if it holds fewer, its
+        endpoint bases solved.
 
         A leak out of the domain or off the momentum lattice, in an
         eigensolve or in ``work``, widens or refines the grid in a new
         record, up to ``MAX_ESCALATIONS`` times; then it is raised.
         """
-        family = _family(schedule)
-        record = self._families.get(family)
-        if record is None or record.n_planned < n_states:
-            grid = plan_grid(schedule, n_states, self.n_points)
-            record = _FamilyRecord(grid, n_states)
-            self._families[family] = record
+        record = self._plan((schedule,), n_levels, n_targets)
         while True:
             try:
-                if record.final is None:
+                if record.initial is None:
                     record.initial, record.final = (
-                        spectral.solve(
-                            schedule.evaluate(record.grid, t),
-                            record.grid,
-                            record.n_planned,
+                        _solve(schedule, record.grid, t, n_states)
+                        for t, n_states in (
+                            (0.0, record.n_planned), (schedule.T, record.n_targets)
                         )
-                        for t in (0.0, schedule.T)
                     )
                 return work(record)
             except _LEAKS as exc:
@@ -212,83 +230,76 @@ class Engine:
                     grid = record.grid.widened()
                 else:
                     grid = record.grid.refined()
-                record = _FamilyRecord(grid, record.n_planned, record.escalations + 1)
-                self._families[family] = record
+                record = _FamilyRecord(
+                    grid, record.schedules, record.n_planned, record.n_targets,
+                    record.escalations + 1,
+                )
+                self._families[_family(schedule)] = record
 
     def endpoint_bases(self, schedule, n_initial, n_targets):
         """(grid, initial basis, target basis) with automatic escalation.
 
-        Both bases are solved for the count the family grid was planned
-        for and sliced to the request, so their bits do not depend on
-        which request came first.
+        Each basis is solved for the count the family grid was planned for
+        and sliced to the request, so its bits do not depend on which
+        request came first.
         """
-        n_states = max(n_initial, n_targets)
 
         def bases(record):
             return (
                 record.grid,
-                _lowest(record.initial, n_states),
+                _lowest(record.initial, n_initial),
                 _lowest(record.final, n_targets),
             )
 
-        return self._with_escalation(schedule, n_states, bases)
+        return self._with_escalation(schedule, n_initial, n_targets, bases)
 
     # -- propagation ---------------------------------------------------------
 
-    def evolved_states(self, schedule, n_states, settings, backward=False):
-        """The lowest ``n_states`` initial eigenstates evolved to t = T on
-        the family's current grid (:meth:`endpoint_bases` solves it), or
-        with ``backward`` the lowest final eigenstates evolved under
-        ``schedule.time_reversed()``, cached.  A forward leak raises here
-        rather than escalate; a backward one returns None, and the record
-        keeps it, so that run is not made again on this grid."""
+    def evolved_states(self, schedule, n_targets, settings):
+        """The lowest ``n_targets`` final eigenstates evolved under
+        ``schedule.time_reversed()`` on the family's current grid
+        (:meth:`endpoint_bases` solves it), cached.  A leak raises here;
+        the caller's escalation answers it."""
         record = self._families[_family(schedule)]
-        key = (schedule, settings.dt, backward)
-        if record.lacks(key, n_states):
-            basis, run_as = record.start(schedule, backward)
-            try:
-                record.runs[key] = propagate_basis(basis, n_states, run_as, settings)
-            except _LEAKS as exc:
-                if not backward:
-                    raise
-                record.runs[key] = exc
-        run = record.runs[key]
-        return None if isinstance(run, _LEAKS) else run[:n_states]
+        key = (schedule, settings.dt)
+        if record.lacks(key, n_targets):
+            record.runs[key] = propagate_basis(
+                record.final, n_targets, schedule.time_reversed(), settings
+            )
+        return record.runs[key][:n_targets]
 
     def propagate_batch(self, runs):
-        """Fill the run cache for ``runs``, ``(schedule, dt, n_states,
-        backward)`` tuples (:meth:`evolved_states`), on up to ``workers``
-        processes at once.
+        """Fill the run cache for ``runs``, ``(schedule, dt, n_targets)``
+        tuples (:meth:`evolved_states`), on up to ``workers`` processes at
+        once.
 
-        The runs are shared out longest first (steps times states), each to
-        the process with the least work so far: this process runs its own
-        share while forked worker processes run theirs.  Runs of one
-        schedule, dt and side merge into the one with the most states;
-        cached runs and recorded trips are skipped.  A backward run that
-        trips a grid check records the trip, wherever it ran.  Any other
-        run that raises a :class:`SimulationError`, here or in its
-        eigensolve, or whose worker dies, fills nothing, so the in-order
-        path runs it again and escalates or raises exactly as it would
-        without the batch.
+        The runs are shared out longest first (steps times targets), each
+        to the process with the least work so far: this process runs its
+        own share while forked worker processes run theirs.  Runs of one
+        schedule and dt merge into the one with the most targets; runs of
+        no target and cached runs are skipped.  A run that raises a
+        :class:`SimulationError`, here or in its eigensolve, or whose
+        worker dies, fills nothing, so the in-order path runs it again and
+        escalates or raises exactly as it would without the batch.
         """
         most = {}
-        for schedule, dt, n_states, backward in runs:
-            key = (schedule, dt, backward)
-            most[key] = max(n_states, most.get(key, 0))
+        for schedule, dt, n_targets in runs:
+            if n_targets:
+                key = (schedule, dt)
+                most[key] = max(n_targets, most.get(key, 0))
         if min(self.workers, len(most)) < 2:
             return
         todo = []
-        for key, n_states in most.items():
-            schedule, dt, backward = key
+        for key, n_targets in most.items():
+            schedule, dt = key
             try:
-                record = self._with_escalation(schedule, n_states, lambda r: r)
+                record = self._with_escalation(schedule, 1, n_targets, lambda r: r)
             except SimulationError:
                 continue
-            if record.lacks(key, n_states):
+            if record.lacks(key, n_targets):
                 steps, _ = PropagationSettings(dt).steps_for(schedule.T)
-                basis, run_as = record.start(schedule, backward)
-                run = (basis, n_states, run_as, dt)
-                todo.append((steps * n_states, key, run))
+                run = (record.final, n_targets, schedule.time_reversed(), dt)
+                todo.append((steps * n_targets, key, run))
         n_lanes = min(self.workers, len(todo))
         if n_lanes < 2:
             return
@@ -314,16 +325,13 @@ class Engine:
                 except BrokenProcessPool:
                     pass  # a worker died; the in-order path runs its share
         for (key, (basis, *_)), states in done:
-            schedule, _, backward = key
-            record = self._families[_family(schedule)]
+            record = self._families[_family(key[0])]
             # A family re-planned or escalated since its run keeps nothing,
-            # and a cached run is never replaced by one with fewer states.
-            if basis is not record.start(schedule, backward)[0]:
-                continue
-            if backward and isinstance(states, _LEAKS):
-                record.runs[key] = states
-            elif not isinstance(states, SimulationError) and record.lacks(
-                key, len(states)
+            # and a cached run is never replaced by one with fewer targets.
+            if (
+                basis is record.final
+                and not isinstance(states, SimulationError)
+                and record.lacks(key, len(states))
             ):
                 record.runs[key] = states
 
@@ -335,54 +343,42 @@ class Engine:
         from ``settings.dt``, for thermal curves of ``n_total`` fermions up
         to ``tau_max`` on ``schedules``; the check runs on the first.
 
-        Each family is planned first (:meth:`plan_levels`).  A curve's run
-        is its ``n_protected`` targets backward at ``tau_max`` > 0, else,
-        or where that run trips, its levels forward.  The check's first
-        two rungs, dt and dt/2, join the curves' runs at ``settings.dt`` in
-        one batch on their side: backward first, then forward if a
-        backward rung trips.  At any other validated dt, the curves' runs
-        go as one batch of their own.
+        Each family is planned first, once for all its schedules
+        (:meth:`plan_levels`).  A curve's run is its ``n_protected`` targets
+        evolved backward.  The check's first two rungs, dt and dt/2, join
+        the curves' runs at ``settings.dt`` in one batch.  At any other
+        validated dt, the curves' runs go as one batch of their own.
         """
-        levels = [
-            self.plan_levels(schedule, n_total, tau_max, tail_bound)
-            for schedule in schedules
-        ]
-        n_targets = n_protected if tau_max > 0 else 0
+        families = {}
+        for schedule in schedules:
+            families.setdefault(_family(schedule), []).append(schedule)
+        for members in families.values():
+            self.plan_levels(members, n_total, n_protected, tau_max, tail_bound)
 
         def curve_runs(dt):
-            runs = []
-            for schedule, n_levels in zip(schedules, levels):
-                record = self._families[_family(schedule)]
-                leaked = isinstance(record.runs.get((schedule, dt, True)), _LEAKS)
-                backward = n_targets > 0 and not leaked
-                runs.append(
-                    (schedule, dt, n_targets if backward else n_levels, backward)
-                )
-            return runs
+            return [(schedule, dt, n_protected) for schedule in schedules]
 
         key = (_family(schedules[0]), settings)
         dt = self._dts.get(key) if check_dt else settings.dt
         if dt is None:
-            for backward in (True, False) if n_targets else (False,):
-                n_rung = n_targets if backward else n_total
-                self.propagate_batch(curve_runs(settings.dt) + [
-                    (schedules[0], rung, n_rung, backward)
-                    for rung in (settings.dt, 0.5 * settings.dt)
-                ])
-                dt = self._converge_dt(schedules[0], n_rung, settings, backward)
-                if dt is not None:
-                    break
+            self.propagate_batch(curve_runs(settings.dt) + [
+                (schedules[0], rung, n_protected)
+                for rung in (settings.dt, 0.5 * settings.dt)
+            ])
+            dt = self._converge_dt(schedules[0], n_protected, settings)
             self._dts[key] = dt
             if dt == settings.dt:  # the curves' runs went with the rungs
                 return replace(settings, dt=dt)
         self.propagate_batch(curve_runs(dt))
         return replace(settings, dt=dt)
 
-    def _converge_dt(self, schedule, n_states, settings, backward):
-        """The first dt whose overlaps move by less than the tolerance at
-        dt/2: with ``backward``, of backward runs of ``n_states`` targets
-        with every planned level (None if a rung trips), else ``n_states``
-        x ``n_states`` of forward runs."""
+    def _converge_dt(self, schedule, n_targets, settings):
+        """The first dt whose overlaps of every planned level with
+        ``n_targets`` targets (the block every curve reads from) move by
+        less than the tolerance at dt/2; ``settings.dt`` when no target
+        makes a run."""
+        if not n_targets:
+            return settings.dt
 
         def halve(record):
             dt = settings.dt
@@ -390,12 +386,9 @@ class Engine:
             for _ in range(12):
                 trial = PropagationSettings(dt, tolerance=settings.tolerance)
                 steps, _ = trial.steps_for(schedule.T)
-                block = (n_states, n_states)
-                if backward:
-                    if self.evolved_states(schedule, n_states, trial, True) is None:
-                        return None
-                    block = (record.n_planned, n_states)
-                overlaps = self._overlaps(record, schedule, *block, trial)
+                overlaps = self._overlaps(
+                    record, schedule, record.n_planned, n_targets, trial
+                )
                 # Rungs of one step count run the same steps: their
                 # agreement says nothing about dt.
                 if previous is not None and steps != previous[1]:
@@ -408,43 +401,30 @@ class Engine:
                 f"after halving down to dt={dt * 2}"
             )
 
-        return self._with_escalation(schedule, n_states, halve)
+        return self._with_escalation(schedule, 1, n_targets, halve)
 
     # -- overlap assembly -----------------------------------------------------
 
-    def _overlaps(
-        self, record, schedule, n_states, n_targets, settings, backward=False
-    ):
+    def _overlaps(self, record, schedule, n_states, n_targets, settings):
         """A[j, i] = <U psi_j|phi_i> of the lowest ``n_states`` initial and
         ``n_targets`` final levels: psi conj(U_rev phi)^T dx over every
         level of the record, then sliced (so a row's bits do not depend on
-        ``n_states``), when the targets' backward run is cached or, with
-        ``backward``, can be made; else the levels evolved forward."""
-        dx = record.grid.dx
-        key = (schedule, settings.dt, True)
-        if n_targets and (backward or not record.lacks(key, n_targets)):
-            evolved = self.evolved_states(schedule, n_targets, settings, backward=True)
-            if evolved is not None:
-                return (record.initial.states @ np.conj(evolved).T * dx)[:n_states]
-        evolved = self.evolved_states(schedule, n_states, settings)
-        return np.conj(evolved) @ record.final.states[:n_targets].T * dx
+        ``n_states``)."""
+        if not n_targets:
+            return np.zeros((n_states, 0), dtype=np.complex128)
+        evolved = self.evolved_states(schedule, n_targets, settings)
+        return (record.initial.states @ np.conj(evolved).T * record.grid.dx)[:n_states]
 
-    def master_overlaps(
-        self, schedule, n_states, n_protected, settings, backward=False
-    ):
-        """Overlap matrix rows for the lowest ``n_states`` evolved levels,
-        from the targets' side when the family holds their backward run at
-        ``settings.dt`` or, with ``backward`` (a thermal curve), when one
-        can be made and does not trip (:meth:`_overlaps`)."""
-        n_solve = max(n_states, n_protected)
+    def master_overlaps(self, schedule, n_states, n_protected, settings):
+        """Overlap matrix rows for the lowest ``n_states`` evolved levels
+        with the ``n_protected`` targets (:meth:`_overlaps`), the grid and
+        the initial levels."""
 
         def overlaps(record):
-            matrix = self._overlaps(
-                record, schedule, n_states, n_protected, settings, backward
-            )
-            return matrix, record.grid, _lowest(record.initial, n_solve)
+            matrix = self._overlaps(record, schedule, n_states, n_protected, settings)
+            return matrix, record.grid, _lowest(record.initial, n_states)
 
-        return self._with_escalation(schedule, n_solve, overlaps)
+        return self._with_escalation(schedule, n_states, n_protected, overlaps)
 
     # -- fidelities ------------------------------------------------------------
 
@@ -494,14 +474,13 @@ class Engine:
         and runs; with ``settings`` handed in and the family planned (a
         sweep plans it for its largest system), no estimate is made again,
         and the enumeration's certificate plans too few levels again.  The
-        master overlap matrix covers the hottest ensemble's highest level:
-        above zero temperature from the N_p targets evolved backward, at
-        zero temperature from the N levels evolved forward
-        (:meth:`master_overlaps`).  That ensemble is enumerated once and
-        its per-configuration fidelities evaluated once; each colder
-        temperature is a row mask of it with its own weights
-        (:func:`~pauliblock.thermal.colder_cut`), used for one sum, or is
-        evaluated on its own if its cutoff grows past the hottest one's.
+        master overlap matrix covers the hottest ensemble's highest level,
+        read from the N_p targets evolved backward (:meth:`master_overlaps`).
+        That ensemble is enumerated once and its per-configuration
+        fidelities evaluated once; each colder temperature is a row mask of
+        it with its own weights (:func:`~pauliblock.thermal.colder_cut`),
+        used for one sum, or is evaluated on its own if its cutoff grows
+        past the hottest one's.
         The master matrix is validated (:class:`OverlapMatrix`) first, and
         the Gram determinants read the ensemble's 1-based level rows as they
         are, through a zero row put before the master's first.
@@ -519,12 +498,10 @@ class Engine:
                 check_dt, tail_bound,
             )
         elif self.family_grid(schedule) is None:
-            self.plan_levels(schedule, n_total, tau_max, tail_bound)
+            self.plan_levels([schedule], n_total, n_protected, tau_max, tail_bound)
 
         hot, energies = self._ensemble_levels(schedule, n_total, tau_max, tail_bound)
-        matrix, _, _ = self.master_overlaps(
-            schedule, hot.m_max, n_protected, settings, backward=tau_max > 0
-        )
+        matrix, _, _ = self.master_overlaps(schedule, hot.m_max, n_protected, settings)
         master = OverlapMatrix(matrix).entries
         padded = np.concatenate([np.zeros_like(master[:1]), master])
         per_config = gram_fidelity_values(padded, hot.levels)
@@ -548,21 +525,24 @@ class Engine:
             values.append(value)
         return values
 
-    def plan_levels(self, schedule, n_total, tau, tail_bound=DEFAULT_TAIL_BOUND):
-        """Plan the family for the levels an ensemble needs; return their count.
+    def plan_levels(
+        self, schedules, n_total, n_targets, tau, tail_bound=DEFAULT_TAIL_BOUND
+    ):
+        """Plan the family of ``schedules`` (one family) for the levels an
+        ensemble needs and ``n_targets`` targets; return the level count.
 
         At ``tau > 0`` that is the ladder length the truncation certificate
         of ``n_total`` fermions is estimated to need: the certificate runs on
         the Bohr-Sommerfeld ladder of the initial trap (exact for a
         harmonic one), plus ``LEVEL_MARGIN``.  At ``tau = 0`` it is
-        ``n_total``.  A family already planned for more levels keeps its
-        grid.
+        ``n_total``.  A family already planned for as many levels and
+        targets keeps its grid.
         """
         n_levels = n_total
         if tau > 0:
-            n_levels = ensemble_level_count(schedule, n_total, tau, tail_bound)
+            n_levels = ensemble_level_count(schedules[0], n_total, tau, tail_bound)
             n_levels += LEVEL_MARGIN
-        self._with_escalation(schedule, n_levels, lambda record: None)
+        self._plan(schedules, n_levels, n_targets)
         return n_levels
 
     def _ensemble_levels(self, schedule, n_total, tau, tail_bound):
@@ -576,7 +556,9 @@ class Engine:
         """
         n_levels = self._families[_family(schedule)].n_planned
         for _ in range(8):
-            _, initial, _ = self.endpoint_bases(schedule, n_levels, 1)
+            initial = self._with_escalation(
+                schedule, n_levels, 0, lambda record: record.initial
+            )
             energies = initial.energies[:n_levels]
             try:
                 ensemble = enumerate_ensemble(energies, n_total, tau, tail_bound)

@@ -1,32 +1,37 @@
-"""Grid planner: size a scenario's Fourier grid from its energy range.
+"""Grid planner: size a family's Fourier grid from the states it holds.
 
-For a request of ``n_states`` levels the planner works in three steps.
+A family's grid holds two sides: the lowest ``n_levels`` levels of the
+initial trap, which the overlaps read, and the lowest ``n_targets``
+levels of the final trap, which are evolved backward under the reversed
+schedule.  The planner works in three steps.
 
-1. **Energy ceiling.**  E_max is the energy at which the semiclassical
-   (Bohr-Sommerfeld) level count ``N(E) = (1/pi) * int sqrt(2(E - V))_+ dx``
-   reaches ``n_states``, taken as the larger of the two endpoint traps,
-   plus the most energy the ramp can add (:func:`ramp_work`).
-2. **Domain.**  The outermost classical turning points at E_max in both
-   endpoint traps, each pushed outward by a tunnelling margin: far enough
-   that the WKB decay ``int kappa dx``, ``kappa = sqrt(2(V - E_max))``,
-   reaches ``ln(1/EDGE_AMPLITUDE_TOL)`` plus ``TUNNEL_SAFETY``.  A transport
-   trap moves monotonically between its endpoints, so the hull of the two
-   endpoint windows is the union along the path.
+1. **Energy ceilings.**  Each side's E_max is the energy at which the
+   semiclassical (Bohr-Sommerfeld) level count
+   ``N(E) = (1/pi) * int sqrt(2(E - V))_+ dx`` of its trap reaches its
+   level count.
+2. **Domain.**  The outermost classical turning points at each side's
+   E_max in its trap, each pushed outward by a tunnelling margin: far
+   enough that the WKB decay ``int kappa dx``, ``kappa = sqrt(2(V -
+   E_max))``, reaches ``ln(1/EDGE_AMPLITUDE_TOL)`` plus ``TUNNEL_SAFETY``.
+   A transport trap moves monotonically between its endpoints, so the hull
+   of the two windows is the union along the path.  The domain also spans
+   every position the targets' classical flow (step 3) reaches.
 3. **Point count.**  The smallest even count with no prime factor above 5
    (``2^a 3^b 5^c``, a fast FFT size) whose momentum cut-off ``pi/dx``
-   reaches ``K_SAFETY * (sqrt(2(E_max - V_min)) + v_max)``, with ``v_max``
-   the peak trap speed (transport only), and which passes the state guard
-   of ``spectral.solve`` (:func:`~pauliblock.spectral.holds_states`).  For
-   the lowest levels, whose momentum spread is quantum rather than
-   classical, a harmonic estimate of the momentum tail takes the place of
-   the first term when it is larger.
+   reaches each side's static reach and the targets' classical flow, and
+   which passes the state guard of ``spectral.solve``
+   (:func:`~pauliblock.spectral.holds_states`).  The flow follows
+   classical particles on the targets' momentum-tail shell through the
+   reversed schedule (:func:`flow_reach`), so it sees the momentum that a
+   ramp pumps into the evolved states, which neither endpoint trap shows.
+   A sweep plans a family once, for the largest bound over its schedules.
 
 This is the phase-space sampling criterion of the Fourier method (Kosloff,
 J. Phys. Chem. 92, 2087 (1988); Marston and Balint-Kurti, J. Chem. Phys. 91,
-3571 (1989)).  A plan is a starting point, not a guarantee: the
-:class:`~pauliblock.pipeline.Engine` still widens or refines the grid when
-a containment or resolution check trips during an eigensolve or a
-propagation.
+3571 (1989)), applied to the states that are evolved.  A plan is a starting
+point, not a guarantee: the :class:`~pauliblock.pipeline.Engine` still
+widens or refines the grid when a containment or resolution check trips
+during an eigensolve or a propagation.
 
 A thermal curve also needs to know, before any level is solved, how many
 levels its hottest ensemble occupies: :func:`ensemble_level_count`
@@ -39,7 +44,6 @@ import numpy as np
 
 from .errors import ConfigError, NeedsMoreLevelsError
 from .grid import EDGE_AMPLITUDE_TOL, Grid
-from .potentials import RampShape, Task
 from .spectral import KSPACE_EDGE_TOL, holds_states
 from .thermal import estimated_level_count
 
@@ -47,8 +51,16 @@ from .thermal import estimated_level_count
 TUNNEL_SAFETY = 4.0
 # WKB decay required between an outer turning point and the domain edge.
 MARGIN_ACTION = math.log(1.0 / EDGE_AMPLITUDE_TOL) + TUNNEL_SAFETY
-# Momentum cut-off over the largest classical momentum of the run.
+# Momentum cut-off over the classical momentum at the bottom of a trap.
 K_SAFETY = 1.5
+# Nepers of harmonic k-space tail decay a lattice must reach beyond a
+# classical momentum.
+TAIL_ACTION = math.log(1.0 / KSPACE_EDGE_TOL) + TUNNEL_SAFETY
+# Classical particles, and least velocity-Verlet steps, of the targets' flow.
+FLOW_PARTICLES = 256
+FLOW_STEPS = 250
+# Largest phase sqrt(V'') * dt of one flow step.
+FLOW_PHASE = 1.0
 # Samples per scan of a trap potential.
 SAMPLES = 4097
 # Doublings of the scan radius before a trap counts as not confining.
@@ -57,31 +69,111 @@ MAX_DOUBLINGS = 40
 LADDER_ENERGIES = 64
 
 
-def plan_grid(schedule, n_states, n_points=None):
-    """Grid for the lowest ``n_states`` levels of ``schedule``'s traps.
+def plan_grid(schedules, n_levels, n_targets, n_points=None):
+    """Grid for a family's runs: the lowest ``n_levels`` levels of its
+    initial trap, and its lowest ``n_targets`` final levels evolved backward
+    under each of ``schedules`` (schedules of one family: same traps).
 
     ``n_points`` overrides the planned point count on the planned domain.
     """
-    if n_states < 1:
-        raise ConfigError(f"cannot plan a grid for {n_states} states")
-    traps = [_endpoint_trap(schedule, t) for t in (0.0, schedule.T)]
-    e_max = max(_ceiling(trap, n_states) for trap in traps)
-    e_max += ramp_work(schedule)
-    windows = [_window(trap, e_max) for trap in traps]
-    lo = min(w[0] for w in windows)
-    hi = max(w[1] for w in windows)
+    lo, hi, k_need = plan_reach(schedules, n_levels, n_targets)
     if n_points is None:
-        n_points = _fft_size(momentum_bound(schedule, e_max) * (hi - lo) / math.pi)
-        while not holds_states(n_points, n_states):
+        n_points = _fft_size(k_need * (hi - lo) / math.pi)
+        while not holds_states(n_points, max(n_levels, n_targets)):
             n_points = _fft_size(n_points + 1)
     return Grid(lo, hi, n_points)
 
 
-def momentum_bound(schedule, e_max):
-    """Momentum cut-off the lattice needs for the levels below ``e_max``."""
-    traps = [_endpoint_trap(schedule, t) for t in (0.0, schedule.T)]
-    k_need = max(_momentum_reach(trap, e_max) for trap in traps)
-    return k_need + K_SAFETY * peak_speed(schedule)
+def plan_reach(schedules, n_levels, n_targets):
+    """(x_lo, x_hi, k_need): the domain and the momentum cut-off that
+    :func:`plan_grid` plans for (see the module docstring).
+
+    Each side spans its WKB window at its energy ceiling and needs its
+    static momentum reach: the larger of ``K_SAFETY`` times the classical
+    momentum at the bottom of its trap and its harmonic tail momentum
+    (:func:`_tail_momentum`), which governs the lowest levels, whose
+    momentum spread is quantum, not classical.  With targets, their tail
+    shell V_min + k_tail^2/2 in the final trap is flowed backward through
+    each schedule (:func:`flow_reach`): the domain also spans every
+    position the flow reaches, and the cut-off covers its largest
+    momentum widened by the harmonic tail at the larger of the two traps'
+    frequencies.
+    """
+    if n_levels < 1 or n_targets < 0:
+        raise ConfigError(
+            f"cannot plan a grid for {n_levels} levels and {n_targets} targets"
+        )
+    first = schedules[0]
+    sides = [(_endpoint_trap(first, 0.0), n_levels)]
+    if n_targets:
+        sides.append((_endpoint_trap(first, first.T), n_targets))
+    spans, omegas, k_need = [], [], 0.0
+    for trap, n_states in sides:
+        energy = _ceiling(trap, n_states)
+        spans.append(_window(trap, energy))
+        v_min, omega = _bottom(trap, energy)
+        p = math.sqrt(2.0 * (energy - v_min))
+        k_tail = _tail_momentum(p, omega)
+        omegas.append(omega)
+        k_need = max(k_need, K_SAFETY * p, k_tail)
+    if n_targets:
+        # trap, v_min and k_tail are the targets' side's, the last one.
+        shell = v_min + 0.5 * k_tail**2
+        for schedule in schedules:
+            p_flow, x_min, x_max = flow_reach(schedule, trap, shell)
+            if schedule.is_symmetric:  # keep the domain symmetric about 0
+                x_max = max(-x_min, x_max)
+                x_min = -x_max
+            spans.append((x_min, x_max))
+            k_need = max(k_need, _tail_momentum(p_flow, max(omegas)))
+    return min(s[0] for s in spans), max(s[1] for s in spans), k_need
+
+
+def flow_reach(schedule, trap, energy):
+    """(largest |p|, least x, largest x) of classical particles on the
+    shell ``energy`` of the final ``trap``, evolved under
+    ``schedule.time_reversed()``.
+
+    ``FLOW_PARTICLES`` particles sit at evenly spaced allowed positions of
+    the shell, half moving each way, and take ``FLOW_STEPS`` equal
+    velocity-Verlet steps with central-difference forces; the extremes are
+    taken over every step.  Where a step would turn some particle's phase
+    by more than ``FLOW_PHASE`` at the stiffest local curvature sqrt(V''),
+    the flow starts again with twice the steps.
+    """
+    reverse = schedule.time_reversed()
+    x, v = _scan(trap, energy)
+    allowed = np.flatnonzero(v <= energy)
+    x = x[allowed[np.linspace(0, allowed.size - 1, FLOW_PARTICLES // 2).astype(int)]]
+    p = np.sqrt(2.0 * np.maximum(energy - trap.potential(x), 0.0))
+    start = np.concatenate((x, x)), np.concatenate((p, -p))
+    h = 1e-4 * max(1.0, float(np.max(np.abs(x))))
+    stencil = np.array([-h, 0.0, h])
+    steps = FLOW_STEPS
+    while True:
+        x, p = (a.copy() for a in start)
+        dt = schedule.T / steps
+        # Second differences of V above this turn a phase past FLOW_PHASE.
+        stiff = (FLOW_PHASE * h / dt) ** 2
+        p_lo, p_hi, x_lo, x_hi = p.copy(), p.copy(), x.copy(), x.copy()
+        for step in range(steps + 1):
+            v = reverse.evaluate_at(x[:, None] + stencil, step * dt)
+            half_kick = (v[:, 0] - v[:, 2]) * (0.25 * dt / h)
+            if step:
+                p += half_kick
+                np.minimum(p_lo, p, out=p_lo)
+                np.maximum(p_hi, p, out=p_hi)
+                np.minimum(x_lo, x, out=x_lo)
+                np.maximum(x_hi, x, out=x_hi)
+            if np.max(v[:, 0] + v[:, 2] - 2.0 * v[:, 1]) > stiff:
+                break
+            if step < steps:
+                p += half_kick
+                x += dt * p
+        else:
+            p_max = max(-p_lo.min(), p_hi.max())
+            return float(p_max), float(x_lo.min()), float(x_hi.max())
+        steps *= 2
 
 
 def _fft_size(minimum):
@@ -91,28 +183,6 @@ def _fft_size(minimum):
     while not _five_smooth(n):
         n += 2
     return n
-
-
-def peak_speed(schedule):
-    """Largest trap speed |dx0/dt| along the schedule (0 unless transport)."""
-    if schedule.task is not Task.TRANSPORT:
-        return 0.0
-    distance = abs(schedule.x0_f - schedule.x0_i)
-    if schedule.shape is RampShape.LINEAR:
-        return distance / schedule.T
-    return distance * math.pi / (2.0 * schedule.T)
-
-
-def ramp_work(schedule):
-    """Most energy the ramp can give a classical particle, beyond transport.
-
-    Raising the splitting barrier adds at most its height change; an
-    expanding trap only lowers the potential, and the work of a moving
-    trap enters through :func:`peak_speed` instead.
-    """
-    if schedule.task is Task.SPLITTING:
-        return abs(schedule.h_f - schedule.h_i)
-    return 0.0
 
 
 def level_count(potential, center, energy):
@@ -245,14 +315,9 @@ def _window(trap, energy):
     raise ConfigError("the trap does not confine at the requested energy")
 
 
-def _momentum_reach(trap, energy):
-    """Momentum the lattice must reach for the levels of a trap below ``energy``.
+def _bottom(trap, energy):
+    """(V_min, omega) of a trap whose levels reach ``energy``.
 
-    The larger of ``K_SAFETY`` times the classical momentum at the bottom of
-    the trap and the momentum where the harmonic estimate of the k-space
-    tail, ``int sqrt(k^2 - p^2) dk / omega``, reaches
-    ``ln(1/KSPACE_EDGE_TOL) + TUNNEL_SAFETY``; the second bound governs
-    the lowest levels, whose momentum spread is quantum, not classical.
     ``omega`` is the larger of the frequency at the bottom of the trap and
     the Bohr-Sommerfeld level spacing ``1/N'(energy)``: a trap stiffer than
     harmonic, such as a quartic one, spaces its upper levels wider than its
@@ -260,22 +325,26 @@ def _momentum_reach(trap, energy):
     """
     x, v = _scan(trap, energy)
     bottom = int(np.argmin(v))
-    p = math.sqrt(2.0 * (energy - v[bottom]))
     h = x[1] - x[0]
     sides = trap.potential(x[bottom] + h) + trap.potential(x[bottom] - h)
     curvature = (sides - 2.0 * v[bottom]) / h**2
     step = 1e-2 * (energy - v[bottom])
     spacing = step / (_count(x, v, energy) - _count(x, v, energy - step))
-    omega = max(math.sqrt(max(curvature, 0.0)), spacing)
-    needed = omega * (math.log(1.0 / KSPACE_EDGE_TOL) + TUNNEL_SAFETY)
+    return float(v[bottom]), max(math.sqrt(max(curvature, 0.0)), spacing)
+
+
+def _tail_momentum(p, omega):
+    """Momentum where the harmonic estimate of the k-space tail beyond the
+    classical momentum ``p``, ``int sqrt(k^2 - p^2) dk / omega``, reaches
+    ``TAIL_ACTION``."""
+    needed = omega * TAIL_ACTION
 
     def tail_reached(k):
         s = math.sqrt(k * k - p * p)
         return 0.5 * (k * s - p * p * math.log((k + s) / p)) >= needed
 
     # The tail integral exceeds (k - p)^2 / 2, which brackets the root.
-    k_tail = _bisect(tail_reached, p, p + math.sqrt(2.0 * needed) + 1.0)
-    return max(K_SAFETY * p, k_tail)
+    return _bisect(tail_reached, p, p + math.sqrt(2.0 * needed) + 1.0)
 
 
 def _count(x, v, energy):

@@ -13,6 +13,10 @@
 * :func:`gram_fidelity_values_unblocked` - the batched Gram determinants
   in one pass over all row sets, the reference for the blocked
   :func:`pauliblock.fidelity.gram_fidelity_values`.
+* :func:`forward_overlaps` and :func:`forward_fidelity` - the overlap
+  matrix A[j, i] = <U psi_j|phi_i> with the occupied levels evolved
+  forward, and the fidelity read from it: the reference for the package,
+  which evolves only the N_p targets, backward.
 """
 
 import itertools
@@ -27,14 +31,17 @@ from pauliblock import (
     FidelityResult,
     NumericalConsistencyError,
     OverlapMatrix,
+    enumerate_ensemble,
+    propagate_basis,
 )
-from pauliblock.fidelity import RANGE_TOL
+from pauliblock.fidelity import RANGE_TOL, gram_fidelity_values
 from pauliblock.spectral import (
     RESIDUAL_TOL,
     _fix_phases,
     effective_potential,
     holds_states,
 )
+from pauliblock.thermal import ensemble_average
 
 
 def solve_tridiagonal(potential, grid, n_states):
@@ -162,3 +169,23 @@ def verify_against_oracle(a, value, tol=1e-10):
             f"{oracle.value} disagree by {abs(oracle.value - value):.2e}"
         )
     return oracle
+
+
+def forward_overlaps(initial, targets, n_states, schedule, settings):
+    """A[j, i] = <U psi_j|phi_i> of the lowest ``n_states`` levels of the
+    ``initial`` basis, evolved forward under ``schedule``, with every state
+    of the ``targets`` basis."""
+    evolved = propagate_basis(initial, n_states, schedule, settings)
+    return np.conj(evolved) @ targets.states.T * initial.grid.dx
+
+
+def forward_fidelity(engine, schedule, n_protected, n_buffer, tau, settings):
+    """The thermal fidelity with every level its ensemble occupies evolved
+    forward, on the grid and bases the engine plans for the curve."""
+    n_total = n_protected + n_buffer
+    n_levels = engine.plan_levels([schedule], n_total, n_protected, tau)
+    _, initial, targets = engine.endpoint_bases(schedule, n_levels, n_protected)
+    ensemble = enumerate_ensemble(initial.energies, n_total, tau)
+    matrix = forward_overlaps(initial, targets, ensemble.m_max, schedule, settings)
+    per_config = gram_fidelity_values(matrix, ensemble.levels - 1)
+    return ensemble_average(ensemble.weights, per_config)

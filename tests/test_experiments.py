@@ -183,7 +183,9 @@ class TestWorkerCount:
             n_buffer=1,
             settings=PropagationSettings(dt=1e-3),
         )
-        widened = plan_grid(schedule, 2, None).widened()
+        widened = plan_grid(
+            [schedule.with_duration(t) for t in spec.axis_values], 2, 1
+        ).widened()
         csvs = []
         for engine in (Engine(workers=1), Engine()):
             csvs.append(run_sweep(spec, engine).to_csv(None))
@@ -228,14 +230,13 @@ class TestWorkerCount:
         # the larger one in the cache.
         schedule = PotentialSchedule.splitting(0.1, h_f=20.0)
         engine = Engine(workers=2)
-        engine.endpoint_bases(schedule, 12, 1)
+        engine.endpoint_bases(schedule, 12, 12)
         engine.propagate_batch(
-            [(schedule, 0.01, 12, False), (schedule, 0.005, 2, False),
-             (schedule, 0.01, 2, False)]
+            [(schedule, 0.01, 12), (schedule, 0.005, 2), (schedule, 0.01, 2)]
         )
 
         def not_cached(*args, **kwargs):
-            raise AssertionError("the batch did not cache the 12-state run")
+            raise AssertionError("the batch did not cache the 12-target run")
 
         monkeypatch.setattr(pipeline, "propagate_basis", not_cached)
         states = engine.evolved_states(schedule, 12, PropagationSettings(0.01))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
 from pauliblock import (
@@ -19,21 +19,24 @@ from pauliblock.pipeline import Engine
 from pauliblock.planner import (
     K_SAFETY,
     MARGIN_ACTION,
+    _bottom,
+    _ceiling,
+    _endpoint_trap,
+    _tail_momentum,
     energy_ceiling,
     level_count,
-    momentum_bound,
-    peak_speed,
     plan_grid,
-    ramp_work,
+    plan_reach,
     semiclassical_ladder,
 )
 from pauliblock.spectral import holds_states
 
-# (schedule, state count) for the three tasks at the sizes the sweeps use.
+# (schedule, level count, target count) for the three tasks at the sizes
+# the sweeps use.
 CASES = {
-    "expansion": (PotentialSchedule.expansion(25.0, omega_f=0.01, lam=1.0), 14),
-    "transport": (PotentialSchedule.transport(11.5, x0_f=90.0), 6),
-    "splitting": (PotentialSchedule.splitting(2.0, h_f=20.0), 52),
+    "expansion": (PotentialSchedule.expansion(25.0, omega_f=0.01, lam=1.0), 14, 2),
+    "transport": (PotentialSchedule.transport(11.5, x0_f=90.0), 6, 2),
+    "splitting": (PotentialSchedule.splitting(2.0, h_f=20.0), 52, 2),
 }
 
 
@@ -48,10 +51,12 @@ def endpoint_traps(schedule):
 def outer_turning_points(potential, center, energy):
     """Outermost roots of V = energy, bracketed from far outside inward."""
     far = 1.0
-    while potential(center - far) <= energy or potential(center + far) <= energy:
+    while True:
+        xs = np.linspace(center - far, center + far, 20001)
+        inside = np.nonzero(potential(xs) <= energy)[0]
+        if inside.size and 0 < inside[0] and inside[-1] < xs.size - 1:
+            break
         far *= 2.0
-    xs = np.linspace(center - far, center + far, 20001)
-    inside = np.nonzero([potential(x) <= energy for x in xs])[0]
     f = lambda x: potential(x) - energy
     left = brentq(f, xs[inside[0] - 1], xs[inside[0]])
     right = brentq(f, xs[inside[-1]], xs[inside[-1] + 1])
@@ -71,19 +76,41 @@ def decay(potential, energy, a, b):
     return quad(kappa, min(a, b), max(a, b), limit=200)[0]
 
 
+def reversed_flow(schedule, energy, n_particles=16):
+    """(largest |p|, least x, largest x) of particles on the final trap's
+    shell ``energy`` run through the reversed schedule by scipy's DOP853,
+    an independent reference for the planner's velocity-Verlet flow."""
+    reverse = schedule.time_reversed()
+    potential, center = endpoint_traps(schedule)[1]
+    left, right = outer_turning_points(potential, center, energy)
+    x0 = np.linspace(left, right, n_particles // 2 + 2)[1:-1]
+    p0 = np.sqrt(2.0 * np.maximum(energy - potential(x0), 0.0))
+    start = np.concatenate((x0, x0, p0, -p0))
+    h = 1e-5
+
+    def rhs(t, y):
+        x, p = np.split(y, 2)
+        force = reverse.evaluate_at(x - h, t) - reverse.evaluate_at(x + h, t)
+        return np.concatenate((p, force / (2 * h)))
+
+    path = solve_ivp(
+        rhs, (0.0, schedule.T), start, method="DOP853", rtol=1e-10, atol=1e-10,
+        dense_output=True,
+    ).sol(np.linspace(0.0, schedule.T, 4001))
+    x, p = np.split(path, 2)
+    return np.abs(p).max(), x.min(), x.max()
+
+
 class TestPlanGrid:
     def test_contract(self):
-        for schedule, n_states in CASES.values():
-            self.check_contract(schedule, n_states)
+        for schedule, n_levels, n_targets in CASES.values():
+            self.check_contract(schedule, n_levels, n_targets)
 
-    def check_contract(self, schedule, n_states):
-        grid = plan_grid(schedule, n_states)
-        traps = endpoint_traps(schedule)
-        e_max = max(energy_ceiling(v, c, n_states) for v, c in traps)
-        e_max += ramp_work(schedule)
-        v_min = np.inf
-        for v, c in traps:
-            # The ceiling holds the requested levels semiclassically.
+    def check_contract(self, schedule, n_levels, n_targets):
+        grid = plan_grid([schedule], n_levels, n_targets)
+        for (v, c), n_states in zip(endpoint_traps(schedule), (n_levels, n_targets)):
+            e_max = energy_ceiling(v, c, n_states)
+            # The ceiling holds the side's levels semiclassically.
             assert level_count(v, c, e_max) >= n_states - 1e-3
             # Turning points at E_max sit inside, with the tunnelling margin
             # to spare on both sides.
@@ -91,20 +118,27 @@ class TestPlanGrid:
             assert grid.x_min < left and right < grid.x_max
             assert decay(v, e_max, grid.x_min, left) >= 0.99 * MARGIN_ACTION
             assert decay(v, e_max, right, grid.x_max) >= 0.99 * MARGIN_ACTION
-            v_min = min(v_min, v(np.linspace(left, right, 20001)).min())
+            v_min = v(np.linspace(left, right, 20001)).min()
+            assert grid.k_max >= K_SAFETY * math.sqrt(2.0 * (e_max - v_min))
+        # The targets' tail shell, flowed backward by an independent
+        # integrator, stays on the lattice and in the domain.
+        trap = _endpoint_trap(schedule, schedule.T)
+        e_targets = _ceiling(trap, n_targets)
+        v_min, omega = _bottom(trap, e_targets)
+        k_tail = _tail_momentum(math.sqrt(2.0 * (e_targets - v_min)), omega)
+        p_flow, x_min, x_max = reversed_flow(schedule, v_min + 0.5 * k_tail**2)
+        assert grid.k_max >= 0.99 * p_flow
+        assert grid.x_min <= x_min + 0.01 and x_max - 0.01 <= grid.x_max
         n = grid.n_points
         assert n % 2 == 0 and five_smooth(n)
-        assert holds_states(n, n_states)
+        assert holds_states(n, n_levels)
         # Minimal: the next smaller even 5-smooth count misses the planner's
         # momentum bound or the state guard.
+        _, _, k_need = plan_reach([schedule], n_levels, n_targets)
+        assert grid.k_max >= k_need
         smaller = next(m for m in range(n - 2, 0, -2) if five_smooth(m))
         k_smaller = math.pi * smaller / (grid.x_max - grid.x_min)
-        assert (
-            k_smaller < momentum_bound(schedule, e_max)
-            or not holds_states(smaller, n_states)
-        )
-        p_max = math.sqrt(2.0 * (e_max - v_min))
-        assert grid.k_max >= K_SAFETY * (p_max + peak_speed(schedule))
+        assert k_smaller < k_need or not holds_states(smaller, n_levels)
 
     def test_planned_states_pass_grid_checks(self):
         # Including the lowest level counts, whose momentum spread is
@@ -119,7 +153,7 @@ class TestPlanGrid:
         splitting = PotentialSchedule.splitting(2.0, h_f=20.0)
         transport = PotentialSchedule.transport(11.5, x0_f=90.0)
         for schedule, n_states in (
-            *CASES.values(),
+            *[(schedule, n_levels) for schedule, n_levels, _ in CASES.values()],
             (PotentialSchedule.expansion(60.0, omega_f=0.1, lam=1.0), 1),
             (PotentialSchedule.expansion(800.0, omega_f=0.01, lam=1.0), 1),
             (PotentialSchedule.splitting(0.5, h_f=20.0), 6),
@@ -127,7 +161,7 @@ class TestPlanGrid:
             *[(splitting, n) for n in (4, 8, 20, 54)],
             *[(transport, n) for n in (2, 6)],
         ):
-            grid = plan_grid(schedule, n_states)
+            grid = plan_grid([schedule], n_states, n_states)
             for t in (0.0, schedule.T):
                 solve(schedule.evaluate(grid, t), grid, n_states)
 
@@ -145,52 +179,60 @@ class TestPlanGrid:
         )
 
     def test_n_points_override_keeps_planned_domain(self):
-        schedule, n_states = CASES["transport"]
-        planned = plan_grid(schedule, n_states)
-        forced = plan_grid(schedule, n_states, n_points=2048)
+        schedule, n_levels, n_targets = CASES["transport"]
+        planned = plan_grid([schedule], n_levels, n_targets)
+        forced = plan_grid([schedule], n_levels, n_targets, n_points=2048)
         assert (forced.x_min, forced.x_max) == (planned.x_min, planned.x_max)
         assert forced.n_points == 2048
 
     def test_benchmark_grids_are_pinned(self):
-        # Grids planned for the benchmark schedules, bit for bit: the
-        # expansion sweep (14 states), the compensation sweep (54 levels
-        # for N_b = 6; 55 for one more) and the default transport scenario
-        # (2 states; at T = 10 the trap runs faster and needs more points).
-        expansion = PotentialSchedule.expansion(10.0, omega_f=0.01, lam=1.0)
-        splitting = PotentialSchedule.splitting(2.0, h_f=20.0)
-        for schedule, n_states, pinned in (
-            (expansion, 14, (-33.625, 33.625, 324)),
-            (splitting, 54, (-15.265625, 15.265625, 240)),
-            (splitting, 55, (-15.34375, 15.34375, 240)),
-            (CASES["transport"][0], 2, (-3.857421875, 93.857421875, 864)),
-            (PotentialSchedule.transport(10.0, x0_f=90.0), 2,
-             (-3.857421875, 93.857421875, 960)),
+        # Grids planned for the benchmark schedules, bit for bit, all with
+        # N_p = 2 targets: the expansion sweep (14 levels, one plan for its
+        # three process times, which T = 10 sizes), the compensation sweep
+        # (54 levels for N_b = 6; 55 for one more) and the default transport
+        # scenario (2 levels; at T = 10 the trap runs faster and needs more
+        # points).
+        expansion = [
+            PotentialSchedule.expansion(t, omega_f=0.01, lam=1.0)
+            for t in (10.0, 15.0, 25.0)
+        ]
+        splitting = [PotentialSchedule.splitting(2.0, h_f=20.0)]
+        for schedules, n_levels, pinned in (
+            (expansion, 14, (-18.234375, 18.234375, 320)),
+            (expansion[2:], 14, (-18.234375, 18.234375, 250)),
+            (splitting, 54, (-13.5546875, 13.5546875, 240)),
+            (splitting, 55, (-13.640625, 13.640625, 240)),
+            ([CASES["transport"][0]], 2, (-3.857421875, 93.857421875, 800)),
+            ([PotentialSchedule.transport(10.0, x0_f=90.0)], 2,
+             (-3.857421875, 93.857421875, 864)),
         ):
-            grid = plan_grid(schedule, n_states)
+            grid = plan_grid(schedules, n_levels, 2)
             assert (grid.x_min, grid.x_max, grid.n_points) == pinned
 
     def test_more_states_give_a_larger_grid(self):
         schedule = CASES["splitting"][0]
-        small, large = plan_grid(schedule, 8), plan_grid(schedule, 52)
+        small, large = plan_grid([schedule], 8, 2), plan_grid([schedule], 52, 2)
         assert large.x_max > small.x_max and large.dx < small.dx
 
 
 class TestGridDoubling:
     def test_expansion_fidelity_is_grid_converged(self):
         # Pinned expansion cases, the second the size of the benchmark
-        # sweep: widening or refining the planned grid moves the fidelity
-        # by less than 1e-7.
+        # sweep: widening or refining the planned grid moves the fidelity,
+        # read from the targets evolved backward, by less than 1e-7.
         schedule = PotentialSchedule.expansion(10.0, omega_f=0.01, lam=1.0)
         n_p = 2
         settings = PropagationSettings(dt=2e-3)
         for n_total in (8, 14):
-            planned = plan_grid(schedule, n_total)
+            planned = plan_grid([schedule], n_total, n_p)
 
             def fidelity(grid):
                 initial = solve(schedule.evaluate(grid, 0.0), grid, n_total)
                 targets = solve(schedule.evaluate(grid, schedule.T), grid, n_p)
-                evolved = propagate_basis(initial, n_total, schedule, settings)
-                matrix = np.conj(evolved) @ targets.states.T * grid.dx
+                evolved = propagate_basis(
+                    targets, n_p, schedule.time_reversed(), settings
+                )
+                matrix = initial.states @ np.conj(evolved).T * grid.dx
                 return fidelity_fast(OverlapMatrix(matrix)).value
 
             reference = fidelity(planned)
@@ -212,16 +254,16 @@ class TestEngineGrids:
         assert engine.family_grid(schedule) == grid
 
     def test_transport_targets_are_solved_on_whole_lattice_shifts(self):
-        # The shift x0_f - x0_i is exactly 50 lattice steps of the planned
+        # The shift x0_f - x0_i is exactly 60 lattice steps of the planned
         # grid; the targets are still the final trap's own eigensolve, for
-        # the planned level count, whether all or only the protected two
+        # the planned target count, whether all or only the protected two
         # are asked for.
         schedule = PotentialSchedule.transport(5.0, x0_f=10.0)
         engine = Engine(workers=1)
         for n_targets in (4, 2):
             grid, _, targets = engine.endpoint_bases(schedule, 4, n_targets)
-            assert grid.n_points == 90
-            assert (schedule.x0_f - schedule.x0_i) / grid.dx == 50.0
+            assert grid.n_points == 108
+            assert (schedule.x0_f - schedule.x0_i) / grid.dx == 60.0
             reference = solve(schedule.evaluate(grid, schedule.T), grid, 4)
             np.testing.assert_array_equal(
                 targets.energies, reference.energies[:n_targets]
@@ -231,15 +273,16 @@ class TestEngineGrids:
             )
 
     def test_leak_during_propagation_escalates(self, monkeypatch):
-        # Braking at the end of the ramp throws the states ahead of the
-        # final trap: the planned domain holds every eigenstate of both
-        # endpoint traps, but a state reaches its edge during propagation.
+        # Braking at the end of the reversed ramp throws the target past
+        # the initial trap: the planned domain holds every eigenstate of
+        # both endpoint traps and the target's classical flow, but the
+        # target reaches its edge during propagation.
         schedule = PotentialSchedule.transport(4.0, x0_f=20.0, lam=1.0)
         settings = PropagationSettings(dt=1e-3)
         leaking = Engine()
         planned, _, _ = leaking.endpoint_bases(schedule, 2, 1)
         with pytest.raises(ContainmentError):
-            leaking.evolved_states(schedule, 2, settings)
+            leaking.evolved_states(schedule, 1, settings)
         escalated = leaking.scenario_fidelity(schedule, 1, 1, settings)
         assert leaking.family_grid(schedule) == planned.widened()
 

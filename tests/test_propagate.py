@@ -166,7 +166,7 @@ def row_by_row(basis, n_states, schedule, settings):
 
 
 def planned_basis(schedule, n_states):
-    grid = plan_grid(schedule, n_states)
+    grid = plan_grid([schedule], n_states, n_states)
     return solve(schedule.evaluate(grid, 0.0), grid, n_states)
 
 
@@ -270,7 +270,7 @@ class TestLeanStrangLoop:
         settings = PropagationSettings(dt=2e-3)
         for T, steps in ((2.5, 1250), (2.0, 1000)):
             schedule = make(T)
-            grid = plan_grid(schedule, 4).widened()
+            grid = plan_grid([schedule], 4, 4).widened()
             basis = solve(schedule.evaluate(grid, 0.0), grid, 4)
             assert settings.steps_for(schedule.T)[0] == steps
             final = _evolve(basis.states, schedule, basis.grid, settings)

@@ -162,16 +162,21 @@ def reference_case(name):
     """(potential, grid, n_states) of one of the benchmark's traps."""
     if name == "gap-grid":
         return quartic_potential(GAP_GRID), GAP_GRID, 21
-    schedule, n_states, t = {
-        # The expansion sweep's initial trap: 324 points, 14 states.
+    schedule, n_states, t, grid = {
+        # The expansion sweep's initial trap: 14 states on the 324 points
+        # planned for it before the targets' side was planned on its own.
         "expansion-324": (
-            PotentialSchedule.expansion(10.0, omega_f=0.01, lam=1.0), 14, 0.0
+            PotentialSchedule.expansion(10.0, omega_f=0.01, lam=1.0), 14, 0.0,
+            Grid(-33.625, 33.625, 324),
         ),
-        # The compensation report's final trap, with its tunnel pairs: 240
-        # points, 55 levels.
-        "splitting-240": (PotentialSchedule.splitting(2.0, h_f=20.0), 55, 2.0),
+        # The compensation report's final trap, with its tunnel pairs: 55
+        # levels on the report's grid for 55 levels and 2 targets, 240
+        # points.
+        "splitting-240": (
+            PotentialSchedule.splitting(2.0, h_f=20.0), 55, 2.0,
+            plan_grid([PotentialSchedule.splitting(2.0, h_f=20.0)], 55, 2),
+        ),
     }[name]
-    grid = plan_grid(schedule, n_states)
     return schedule.evaluate(grid, t), grid, n_states
 
 

@@ -1,25 +1,24 @@
-"""Thermal curves from the targets' side: the N_p targets evolved backward.
+"""Every fidelity from the targets' side: the N_p targets evolved backward.
 
 A[j, i] = <U psi_j|phi_i> = <psi_j|U^dagger phi_i>, and on the lattice
 U^dagger phi = conj(U_rev phi) for real eigenstates, U_rev being the
-schedule run backward.  These tests hold the backward matrix against the
-forward one, a thermal value against a forward reference built here from
-the public pieces, the fallback when a backward run leaks, the rule by
-which zero temperature reads a cached backward run, and the time-step
-check's coverage of the rows a curve reads.
+schedule run backward.  These tests hold the backward matrix and the
+fidelities read from it, at zero temperature and above, against the
+levels evolved forward (``tests/reference.py``); check that a tripping
+backward run escalates the family grid, that the planner's grids hold
+the backward runs it plans for, whatever the order of a sweep's
+schedules, and that the time-step check covers the rows a curve reads.
 """
-
-from collections import Counter
 
 import numpy as np
 import pytest
 
-from pauliblock import PotentialSchedule, PropagationSettings, enumerate_ensemble
+from pauliblock import PotentialSchedule, PropagationSettings, ResolutionError
 from pauliblock import pipeline
-from pauliblock.fidelity import gram_fidelity_values
 from pauliblock.pipeline import Engine
-from pauliblock.propagate import propagate_basis
-from pauliblock.thermal import ensemble_average
+from pauliblock.planner import plan_grid
+
+from reference import forward_fidelity, forward_overlaps
 
 # (schedule, planned levels) on grids of 96, 60 and 120 points.
 CASES = [
@@ -31,23 +30,22 @@ CASE_IDS = ["transport", "expansion", "splitting"]
 SETTINGS = PropagationSettings(dt=0.01)
 
 
-def forward_reference(engine, schedule, n_protected, n_buffer, tau, settings):
-    """The thermal fidelity with every occupied level evolved forward, on
-    the engine's grid and bases."""
-    n_total = n_protected + n_buffer
-    n_levels = engine.plan_levels(schedule, n_total, tau)
-    grid, initial, final = engine.endpoint_bases(schedule, n_levels, n_protected)
-    ensemble = enumerate_ensemble(initial.energies, n_total, tau)
-    evolved = propagate_basis(initial, ensemble.m_max, schedule, settings)
-    matrix = np.conj(evolved) @ final.states.T * grid.dx
-    per_config = gram_fidelity_values(matrix, ensemble.levels - 1)
-    return ensemble_average(ensemble.weights, per_config)
+def expansion(T):
+    return PotentialSchedule.expansion(T, omega_f=0.01, lam=1.0)
 
 
-def record_runs(monkeypatch, schedule, path=None):
+def both_sides(schedule, n_levels, settings=None, workers=1):
+    """An engine with the family planned for ``n_levels`` levels and as
+    many targets: the final trap's window then holds the levels evolved
+    forward, so that both sides run on one grid."""
+    engine = Engine(settings=settings, workers=workers)
+    engine.plan_levels([schedule], n_levels, n_levels, 0.0)
+    return engine
+
+
+def record_runs(monkeypatch, schedule):
     """Wrap ``pipeline.propagate_basis``; return the list of ``(side,
-    n_states, dt)`` of its calls for ``schedule``.  With ``path``, each call
-    is also appended there, so that runs in forked workers count too."""
+    n_states, dt)`` of its calls for ``schedule``."""
     runs = []
     real = pipeline.propagate_basis
     backward = schedule.time_reversed()
@@ -56,9 +54,6 @@ def record_runs(monkeypatch, schedule, path=None):
         if run_schedule in (schedule, backward):
             side = "backward" if run_schedule == backward else "forward"
             runs.append((side, n_states, settings.dt))
-            if path is not None:
-                with open(path, "a", encoding="utf-8") as out:
-                    out.write(f"{side} {n_states} {settings.dt!r}\n")
         return real(basis, n_states, run_schedule, settings)
 
     monkeypatch.setattr(pipeline, "propagate_basis", recorded)
@@ -68,11 +63,10 @@ def record_runs(monkeypatch, schedule, path=None):
 class TestBothSidesAgree:
     @pytest.mark.parametrize("schedule, n_levels", CASES, ids=CASE_IDS)
     def test_backward_matrix_is_the_forward_one(self, schedule, n_levels):
-        engine = Engine(workers=1)
-        forward, _, _ = engine.master_overlaps(schedule, n_levels, 2, SETTINGS)
-        backward, _, _ = engine.master_overlaps(
-            schedule, n_levels, 2, SETTINGS, backward=True
-        )
+        engine = both_sides(schedule, n_levels)
+        backward, _, _ = engine.master_overlaps(schedule, n_levels, 2, SETTINGS)
+        _, initial, targets = engine.endpoint_bases(schedule, n_levels, 2)
+        forward = forward_overlaps(initial, targets, n_levels, schedule, SETTINGS)
         assert backward.shape == forward.shape == (n_levels, 2)
         np.testing.assert_allclose(backward, forward, rtol=0, atol=1e-9)
 
@@ -80,86 +74,104 @@ class TestBothSidesAgree:
     def test_thermal_value_matches_a_forward_reference(
         self, schedule, n_levels, monkeypatch
     ):
-        engine = Engine(workers=1)
+        engine = both_sides(schedule, n_levels)
         runs = record_runs(monkeypatch, schedule)
         value = engine.thermal_fidelity(schedule, 2, 2, 0.5, SETTINGS).value
         # The curve evolved its two targets backward, and nothing forward.
         assert runs == [("backward", 2, SETTINGS.dt)]
-        reference = forward_reference(engine, schedule, 2, 2, 0.5, SETTINGS)
+        reference = forward_fidelity(engine, schedule, 2, 2, 0.5, SETTINGS)
         assert value == pytest.approx(reference, rel=0, abs=1e-12)
 
-
-class TestFallback:
-    # The targets of this expansion leak off the momentum lattice of the
-    # 240-point grid planned for its 8 levels (edge ratio 1.6e-2), while
-    # the forward levels stay on it.
-    SCHEDULE = PotentialSchedule.expansion(10.0, omega_f=0.01, lam=1.0)
-
-    def curve_value(self, workers):
-        engine = Engine(settings=PropagationSettings(dt=2e-3), workers=workers)
-        value = engine.thermal_fidelity(self.SCHEDULE, 2, 4, 0.1, check_dt=True)
-        return engine, value.value
-
-    def test_tripped_targets_fall_back_to_the_forward_path(
-        self, monkeypatch, tmp_path
+    @pytest.mark.parametrize("schedule, n_levels", CASES, ids=CASE_IDS)
+    def test_zero_temperature_matches_a_forward_reference(
+        self, schedule, n_levels, monkeypatch
     ):
-        planned = Engine(workers=1)
-        planned.plan_levels(self.SCHEDULE, 6, 0.1)
-        grid = planned.family_grid(self.SCHEDULE)
-        log = tmp_path / "runs"
-        record_runs(monkeypatch, self.SCHEDULE, log)
-
-        values = []
-        for workers in (1, 2):
-            log.write_text("", encoding="utf-8")
-            engine, value = self.curve_value(workers)
-            values.append(value)
-            # The trip neither escalated the grid nor raised.
-            assert engine.family_grid(self.SCHEDULE) == grid
-            # A second curve on the family makes no backward run again.
-            engine.thermal_fidelity(self.SCHEDULE, 2, 3, 0.1, check_dt=True)
-            lines = log.read_text(encoding="utf-8").splitlines()
-            backward = Counter(line for line in lines if line.startswith("backward"))
-            assert backward and set(backward.values()) == {1}
-            assert any(line.startswith("forward") for line in lines)
-        assert values[0] == values[1]
-
-        monkeypatch.setattr(pipeline, "propagate_basis", propagate_basis)
-        reference = forward_reference(
-            engine, self.SCHEDULE, 2, 4, 0.1, PropagationSettings(dt=2e-3)
-        )
-        assert values[0] == reference
-
-    def test_trip_and_forward_run_are_kept_apart(self, monkeypatch):
-        # The targets' run and the levels' run of one schedule and dt: the
-        # trip stays recorded beside the forward run, and neither is made
-        # again.
-        engine, _ = self.curve_value(1)
-        settings = PropagationSettings(dt=2e-3)
-
-        def no_run(*args):
-            raise AssertionError("a cached or tripped run was made again")
-
-        monkeypatch.setattr(pipeline, "propagate_basis", no_run)
-        assert engine.evolved_states(self.SCHEDULE, 2, settings, True) is None
-        assert len(engine.evolved_states(self.SCHEDULE, 6, settings)) == 6
-
-
-class TestZeroTemperatureReadRule:
-    def test_a_narrower_backward_run_is_not_widened(self, monkeypatch):
-        # A tau = 0.5 curve with N_p = 1 caches one target evolved
-        # backward.  Zero temperature with N_p = 2 reads the targets' side
-        # only from a cached run of at least 2 targets: it evolves its 4
-        # levels forward, and its value is the forward one to the bit.
-        schedule = PotentialSchedule.splitting(1.0, h_f=20.0)
-        settings = PropagationSettings(dt=2e-3)
-        engine = Engine(workers=1)
-        engine.thermal_fidelity(schedule, 1, 1, 0.5, settings)
+        # With the time-step check on, every run, rungs included, is the
+        # two targets evolved backward.
+        engine = both_sides(schedule, n_levels)
         runs = record_runs(monkeypatch, schedule)
-        value = engine.scenario_fidelity(schedule, 2, 2, settings).value
-        monkeypatch.setattr(pipeline, "propagate_basis", propagate_basis)
-        assert value == forward_reference(engine, schedule, 2, 2, 0.0, settings)
-        assert runs == [("forward", 4, settings.dt)]
+        checked = engine.validated_settings([schedule], 6, 2, 0.0, SETTINGS, True)
+        (value,) = engine.thermal_fidelity_curve(schedule, 2, 4, [0.0], checked)
+        assert {side for side, _, _ in runs} == {"backward"}
+        assert {n_states for _, n_states, _ in runs} == {2}
+        reference = forward_fidelity(engine, schedule, 2, 4, 0.0, checked)
+        assert value == pytest.approx(reference, rel=0, abs=1e-9)
+
+    def test_no_target_makes_no_run(self, monkeypatch):
+        schedule = PotentialSchedule.splitting(1.0, h_f=20.0)
+        runs = record_runs(monkeypatch, schedule)
+        engine = Engine(settings=SETTINGS, workers=2)
+        assert engine.scenario_fidelity(schedule, 0, 3, check_dt=True).value == 1.0
+        assert engine.thermal_fidelity(schedule, 0, 3, 0.5).value == pytest.approx(1.0)
+        assert runs == []
+
+
+class TestEscalation:
+    def test_tripping_backward_run_escalates_the_family_grid(self, monkeypatch):
+        # Planned for T = 25 alone, the expansion family gets 250 points.
+        # The T = 10 ramp pumps more momentum into the targets than that
+        # lattice holds: their backward run trips the resolution check, and
+        # the family grid is refined once, to the value an engine gives
+        # whose first grid is already the refined one.
+        settings = PropagationSettings(dt=2e-3)
+        engine = Engine(settings=settings, workers=1)
+        engine.plan_levels([expansion(25.0)], 14, 2, 0.0)
+        planned, _, _ = engine.endpoint_bases(expansion(10.0), 14, 2)
+        assert planned.n_points == 250
+        with pytest.raises(ResolutionError):
+            engine.evolved_states(expansion(10.0), 2, settings)
+        escalated = engine.scenario_fidelity(expansion(10.0), 2, 12, settings)
+        assert engine.family_grid(expansion(10.0)) == planned.refined()
+
+        planner = pipeline.plan_grid
+        monkeypatch.setattr(
+            pipeline, "plan_grid", lambda *args: planner(*args).refined()
+        )
+        fine = Engine(settings=settings, workers=1)
+        fine.plan_levels([expansion(25.0)], 14, 2, 0.0)
+        reference = fine.scenario_fidelity(expansion(10.0), 2, 12, settings)
+        assert fine.family_grid(expansion(10.0)) == planned.refined()
+        assert escalated.value == pytest.approx(reference.value, abs=1e-12)
+
+
+class TestPlannedGridsHold:
+    def test_thermal_expansion_needs_no_trip(self, monkeypatch):
+        # The targets of this thermal expansion leaked off the 240-point
+        # grid planned for its levels alone (edge ratio 1.6e-2) and fell
+        # back to a forward run; planned for their reversed flow, they stay
+        # on the lattice at the first attempt.
+        schedule = expansion(10.0)
+        runs = record_runs(monkeypatch, schedule)
+        engine = Engine()
+        value = engine.thermal_fidelity(schedule, 2, 4, 0.1, check_dt=True).value
+        assert runs and {side for side, _, _ in runs} == {"backward"}
+        n_levels = Engine().plan_levels([schedule], 6, 2, 0.1)
+        assert engine.family_grid(schedule) == plan_grid([schedule], n_levels, 2)
+        assert value == pytest.approx(0.651640289063409, rel=0, abs=1e-9)
+
+    def test_sweep_order_does_not_change_the_plan(self, monkeypatch):
+        # Each family is planned once for all the schedules a sweep hands
+        # over: T = 25 alone plans 250 points, on which the T = 10 targets
+        # trip, so the plan must not depend on which schedule comes first.
+        settings = PropagationSettings(dt=2e-3)
+        runs = record_runs(monkeypatch, expansion(10.0))
+        results = []
+        for order in ((10.0, 15.0, 25.0), (25.0, 15.0, 10.0)):
+            schedules = [expansion(t) for t in order]
+            engine = Engine(settings=settings, workers=1)
+            checked = engine.validated_settings(schedules, 14, 2, 0.0, settings, True)
+            assert checked.dt == settings.dt
+            values = {
+                s.T: engine.thermal_fidelity_curve(s, 2, 12, [0.0], checked)
+                for s in schedules
+            }
+            results.append((engine.family_grid(schedules[0]), values))
+        assert results[0] == results[1]
+        assert results[0][0] == plan_grid([expansion(10.0)], 14, 2)
+        # T = 10 ran once per order at dt, and at dt/2 as the checked
+        # schedule, each on the planned grid alone.
+        at = [("backward", 2, settings.dt), ("backward", 2, settings.dt / 2)]
+        assert runs == at + at[:1]
 
 
 class TestCheckCoversTheCurveRows:
@@ -171,7 +183,7 @@ class TestCheckCoversTheCurveRows:
         settings = PropagationSettings(dt=0.01)
         engine = Engine(256, settings, workers=1)
         n_total = 3
-        n_levels = engine.plan_levels(schedule, n_total, 0.3)
+        n_levels = engine.plan_levels([schedule], n_total, 2, 0.3)
         _, initial, _ = engine.endpoint_bases(schedule, n_levels, 2)
         kick = 10 * settings.tolerance * initial.states[n_total]
 

@@ -261,7 +261,7 @@ class TestThermalFidelity:
         """(ensemble at ``tau``, its ladder), enumerated on as many of the
         engine's levels for ``schedule`` as :meth:`Engine.plan_levels`
         plans for it."""
-        n_levels = engine.plan_levels(schedule, n_total, tau)
+        n_levels = engine.plan_levels([schedule], n_total, 2, tau)
         _, initial, _ = engine.endpoint_bases(schedule, n_levels, 1)
         energies = initial.energies[:n_levels]
         return enumerate_ensemble(energies, n_total, tau), energies
@@ -374,7 +374,9 @@ class TestThermalFidelity:
 
         def estimating(self, schedule, n_protected, n_buffer, taus, settings=None,
                        tail_bound=DEFAULT_TAIL_BOUND, check_dt=False):
-            self.plan_levels(schedule, n_protected + n_buffer, max(taus), tail_bound)
+            self.plan_levels(
+                [schedule], n_protected + n_buffer, n_protected, max(taus), tail_bound
+            )
             return curve(self, schedule, n_protected, n_buffer, taus, settings,
                          tail_bound=tail_bound, check_dt=check_dt)
 
