@@ -34,11 +34,11 @@ def expansion(T):
     return PotentialSchedule.expansion(T, omega_f=0.01, lam=1.0)
 
 
-def both_sides(schedule, n_levels, settings=None, workers=1):
+def both_sides(schedule, n_levels):
     """An engine with the family planned for ``n_levels`` levels and as
     many targets: the final trap's window then holds the levels evolved
     forward, so that both sides run on one grid."""
-    engine = Engine(settings=settings, workers=workers)
+    engine = Engine(workers=1)
     engine.plan_levels([schedule], n_levels, n_levels, 0.0)
     return engine
 
