@@ -5,7 +5,7 @@ comment line, blank lines ignored.  Recognized keys:
 
     task, shape, T, omega_i, omega_f, x0i, x0f, h_i, h_f, lambda,
     N_p, N_b, tau, axis, axis_values, threshold, tail_bound,
-    n_points, dt, workers
+    n_points, dt
 
 ``axis_values`` is a comma-separated list; ``N_b`` is an integer or an
 inclusive range written ``lo..hi``.
@@ -15,7 +15,6 @@ import math
 
 from .errors import ConfigError
 from .experiments import Axis, SweepSpec
-from .pipeline import default_workers
 from .potentials import PotentialSchedule, RampShape, Task
 from .propagate import PropagationSettings
 
@@ -39,7 +38,6 @@ _KNOWN_KEYS = {
     "tail_bound",
     "n_points",
     "dt",
-    "workers",
 }
 
 _TASKS = {t.value: t for t in Task}
@@ -202,7 +200,6 @@ def build_spec(raw):
         tail_bound=_as_float(raw, "tail_bound", 1e-6),
         settings=settings,
         n_points=n_points,
-        workers=_as_int(raw, "workers", default_workers()),
     )
 
 

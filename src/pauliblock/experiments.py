@@ -17,8 +17,9 @@ The engine plans a sweep's runs in one call
 family once, for all its schedules and the levels its largest system's
 hottest ensemble is estimated to need, validates the time step on the grid the curves
 then use, and runs every schedule's propagation up front, at the same
-time on its worker processes.  The in-order evaluation then finds the
-runs in the cache, so the output does not depend on the worker count.
+time on one process per CPU it may use.  The in-order evaluation then
+finds the runs in the cache, so the output does not depend on the CPU
+count.
 
 Output is deterministic: rows follow the axis grid, floats are written
 with shortest round-trip precision and lines end with LF, so re-running a
@@ -36,7 +37,7 @@ from .fidelity import (
     # is missing, until an in-program trace replaces the patched names.
     fidelity_fast,
 )
-from .pipeline import Engine, default_workers
+from .pipeline import Engine
 from .potentials import PotentialSchedule, Task
 from .propagate import PropagationSettings
 from .spectral import fermi_gap_profile
@@ -55,11 +56,8 @@ class Axis(enum.Enum):
 class SweepSpec:
     """One sweep: a schedule template plus the axis to vary.
 
-    ``workers`` is the process count of the engine a sweep creates for
-    itself (by default, every CPU this process may use); a sweep handed an
-    engine uses that engine's count.  ``n_points`` must match the
-    ``n_points`` of an engine a sweep is handed, since that engine plans
-    the grids.
+    ``n_points`` must match the ``n_points`` of an engine a sweep is
+    handed, since that engine plans the grids.
     """
 
     schedule: PotentialSchedule
@@ -73,7 +71,6 @@ class SweepSpec:
     settings: PropagationSettings = field(default_factory=PropagationSettings)
     n_points: object = None
     check_dt: bool = True
-    workers: int = field(default_factory=default_workers)
 
     def __post_init__(self):
         values = tuple(self.axis_values)
@@ -86,8 +83,6 @@ class SweepSpec:
             raise ConfigError(f"threshold must be in (0, 1), got {self.threshold}")
         if not 0 <= self.tau < math.inf:
             raise ConfigError(f"tau must be finite and >= 0, got {self.tau}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
 
     def buffer_range(self):
         """(lo, hi) inclusive buffer range from ``n_buffer``, whole numbers."""
@@ -210,7 +205,7 @@ def _engine_for(spec, engine):
     """``engine``, or a new one for ``spec``; a handed engine must plan
     grids with the spec's ``n_points``."""
     if engine is None:
-        return Engine(spec.n_points, spec.settings, spec.workers)
+        return Engine(spec.n_points, spec.settings)
     if engine.n_points != spec.n_points:
         raise ConfigError(
             f"the sweep asks for n_points={spec.n_points}, but the engine "

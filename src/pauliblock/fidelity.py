@@ -45,7 +45,7 @@ class OverlapMatrix:
     or below one.
     """
 
-    def __init__(self, entries, validate=True):
+    def __init__(self, entries):
         entries = np.atleast_2d(np.asarray(entries, dtype=np.complex128))
         self.entries = entries
         self.n_total, self.n_protected = entries.shape
@@ -54,8 +54,7 @@ class OverlapMatrix:
                 f"more protected targets ({self.n_protected}) than evolved "
                 f"states ({self.n_total})"
             )
-        if validate:
-            self._validate()
+        self._validate()
 
     @property
     def n_buffer(self):
@@ -75,12 +74,6 @@ class OverlapMatrix:
             raise NumericalConsistencyError(
                 f"largest singular value {svals.max():.12f} exceeds 1"
             )
-
-    def dropping_rows_after(self, n_rows):
-        """Sub-matrix keeping the first ``n_rows`` rows (fewer buffers)."""
-        if not self.n_protected <= n_rows <= self.n_total:
-            raise ConfigError(f"cannot keep {n_rows} rows")
-        return OverlapMatrix(self.entries[:n_rows], validate=False)
 
 
 @dataclass(frozen=True)

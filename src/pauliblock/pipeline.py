@@ -32,11 +32,11 @@ the time-step check runs on the grid the curves then use.
 
 Propagations that do not depend on each other, such as the first two
 rungs of the time-step check and the schedules of a sweep, can run
-as one batch (:meth:`Engine.propagate_batch`) on up to ``workers``
-processes: this one and workers forked from it, each evolving whole
-state families.  A batch only fills the run cache; the in-order path
-then finds its runs there, so results, escalations and errors do not
-depend on the worker count.
+as one batch (:meth:`Engine.propagate_batch`) on one process per CPU
+this process may use (:func:`default_workers`): this one and workers
+forked from it, each evolving whole state families.  A batch only fills
+the run cache; the in-order path then finds its runs there, so results,
+escalations and errors do not depend on the CPU count.
 """
 
 import math
@@ -83,6 +83,9 @@ MAX_ESCALATIONS = 4
 # ensemble needs: one level absorbs a Bohr-Sommerfeld error of up to one
 # level spacing at the cutoff.
 LEVEL_MARGIN = 1
+# Largest change of the overlaps between dt and dt/2 that the time-step
+# check accepts.
+DT_TOLERANCE = 1e-4
 
 
 def _family(schedule):
@@ -162,20 +165,11 @@ def _check_counts(n_protected, n_buffer):
 
 
 class Engine:
-    """Caching scenario runner; cheap to create, reusable across sweeps.
+    """Caching scenario runner; cheap to create, reusable across sweeps."""
 
-    ``workers`` caps the processes a batch of independent propagations
-    runs on; by default, every CPU this process may use.
-    """
-
-    def __init__(self, n_points=None, settings=None, workers=None):
-        if workers is None:
-            workers = default_workers()
-        if workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {workers}")
+    def __init__(self, n_points=None, settings=None):
         self.n_points = n_points
         self.settings = settings or PropagationSettings()
-        self.workers = workers
         self._families = {}  # family -> _FamilyRecord
         self._dts = {}  # (family, requested settings) -> validated dt
 
@@ -270,8 +264,8 @@ class Engine:
 
     def propagate_batch(self, runs):
         """Fill the run cache for ``runs``, ``(schedule, dt, n_targets)``
-        tuples (:meth:`evolved_states`), on up to ``workers`` processes at
-        once.
+        tuples (:meth:`evolved_states`), on up to :func:`default_workers`
+        processes at once.
 
         The runs are shared out longest first (steps times targets), each
         to the process with the least work so far: this process runs its
@@ -287,7 +281,8 @@ class Engine:
             if n_targets:
                 key = (schedule, dt)
                 most[key] = max(n_targets, most.get(key, 0))
-        if min(self.workers, len(most)) < 2:
+        workers = default_workers()
+        if min(workers, len(most)) < 2:
             return
         todo = []
         for key, n_targets in most.items():
@@ -300,7 +295,7 @@ class Engine:
                 steps, _ = PropagationSettings(dt).steps_for(schedule.T)
                 run = (record.final, n_targets, schedule.time_reversed(), dt)
                 todo.append((steps * n_targets, key, run))
-        n_lanes = min(self.workers, len(todo))
+        n_lanes = min(workers, len(todo))
         if n_lanes < 2:
             return
         lanes = [[] for _ in range(n_lanes)]
@@ -375,7 +370,7 @@ class Engine:
     def _converge_dt(self, schedule, n_targets, settings):
         """The first dt whose overlaps of every planned level with
         ``n_targets`` targets (the block every curve reads from) move by
-        less than the tolerance at dt/2; ``settings.dt`` when no target
+        less than ``DT_TOLERANCE`` at dt/2; ``settings.dt`` when no target
         makes a run."""
         if not n_targets:
             return settings.dt
@@ -384,7 +379,7 @@ class Engine:
             dt = settings.dt
             previous = None
             for _ in range(12):
-                trial = PropagationSettings(dt, tolerance=settings.tolerance)
+                trial = PropagationSettings(dt)
                 steps, _ = trial.steps_for(schedule.T)
                 overlaps = self._overlaps(
                     record, schedule, record.n_planned, n_targets, trial
@@ -392,12 +387,12 @@ class Engine:
                 # Rungs of one step count run the same steps: their
                 # agreement says nothing about dt.
                 if previous is not None and steps != previous[1]:
-                    if np.max(np.abs(overlaps - previous[2])) < settings.tolerance:
+                    if np.max(np.abs(overlaps - previous[2])) < DT_TOLERANCE:
                         return previous[0]
                 previous = (dt, steps, overlaps)
                 dt *= 0.5
             raise ConvergenceError(
-                f"time step did not converge to tolerance {settings.tolerance} "
+                f"time step did not converge to tolerance {DT_TOLERANCE} "
                 f"after halving down to dt={dt * 2}"
             )
 

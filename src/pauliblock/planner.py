@@ -65,7 +65,7 @@ FLOW_PHASE = 1.0
 SAMPLES = 4097
 # Doublings of the scan radius before a trap counts as not confining.
 MAX_DOUBLINGS = 40
-# Energies at which :func:`semiclassical_ladder` tabulates the level count.
+# Energies at which :func:`_ladder` tabulates the level count.
 LADDER_ENERGIES = 64
 
 
@@ -185,21 +185,13 @@ def _fft_size(minimum):
     return n
 
 
-def level_count(potential, center, energy):
-    """Semiclassical number of levels below ``energy``."""
-    return _level_count(_Trap(potential, center), energy)
-
-
 def _level_count(trap, energy):
+    """Semiclassical number of levels below ``energy``."""
     return _count(*_scan(trap, energy), energy)
 
 
-def energy_ceiling(potential, center, n_states):
-    """Energy at which :func:`level_count` reaches ``n_states``."""
-    return _ceiling(_Trap(potential, center), n_states)
-
-
 def _ceiling(trap, n_states):
+    """Energy at which :func:`_level_count` reaches ``n_states``."""
     high = 1.0
     for _ in range(MAX_DOUBLINGS):
         if _level_count(trap, high) >= n_states:
@@ -210,18 +202,14 @@ def _ceiling(trap, n_states):
     return _bisect(lambda e: _level_count(trap, e) >= n_states, 0.0, high)
 
 
-def semiclassical_ladder(potential, center, n_levels):
+def _ladder(trap, n_levels):
     """Bohr-Sommerfeld energies of the lowest ``n_levels`` levels of a trap.
 
-    Level k (1-based) sits where :func:`level_count` reaches k - 1/2,
+    Level k (1-based) sits where :func:`_level_count` reaches k - 1/2,
     which is exact for a harmonic trap.  The count is tabulated on
     ``LADDER_ENERGIES`` energies up to the first doubling of the energy
     that holds ``n_levels`` levels, and inverted by linear interpolation.
     """
-    return _ladder(_Trap(potential, center), n_levels)
-
-
-def _ladder(trap, n_levels):
     top, radius = 1.0, 1.0
     for _ in range(MAX_DOUBLINGS):
         x, v = _scan(trap, top, radius)
@@ -242,8 +230,8 @@ def ensemble_level_count(schedule, n_particles, tau, tail_bound):
 
     The truncation certificate of
     :func:`~pauliblock.thermal.enumerate_ensemble` runs on the
-    :func:`semiclassical_ladder` of the trap, counting configurations
-    instead of enumerating them
+    Bohr-Sommerfeld ladder of the trap (:func:`_ladder`), counting
+    configurations instead of enumerating them
     (:func:`~pauliblock.thermal.estimated_level_count`); a ladder too short
     to tell is built again twice as long as the count it reports.
     """
@@ -263,7 +251,7 @@ class _Trap:
     A plan scans the same trap at many energies (the ceiling's bisection
     alone makes some two hundred scans) but at few radii; the samples
     (x, V) of each radius are kept for the life of the object, which is
-    one plan or one public call.
+    one plan or one level-count estimate.
     """
 
     def __init__(self, potential, center):

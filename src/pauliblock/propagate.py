@@ -47,21 +47,14 @@ CHECK_INTERVAL = 1000
 
 @dataclass(frozen=True)
 class PropagationSettings:
-    """Time-stepping knobs.
-
-    ``dt`` is the requested step (adjusted to divide T exactly);
-    ``tolerance`` is the overlap-convergence target used by the automatic
-    step-halving check of the scenario runners.
-    """
+    """Time stepping: ``dt`` is the requested step, adjusted to divide T
+    exactly (:meth:`steps_for`)."""
 
     dt: float = 1e-3
-    tolerance: float = 1e-4
 
     def __post_init__(self):
         if not 0 < self.dt < math.inf:
             raise ConfigError(f"dt must be positive and finite, got {self.dt}")
-        if not self.tolerance > 0:
-            raise ConfigError("tolerance must be positive")
 
     def steps_for(self, T):
         """Step count and the adjusted dt that divides T exactly."""

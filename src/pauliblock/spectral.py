@@ -115,27 +115,29 @@ def edge_band_ratio(states, grid):
     return np.max(ft[:, band], axis=1) / np.max(ft, axis=1)
 
 
-def check_resolution(states, grid, tol=KSPACE_EDGE_TOL):
+def check_resolution(states, grid):
     ratios = edge_band_ratio(states, grid)
     worst = int(np.argmax(ratios))
-    if ratios[worst] >= tol:
+    if ratios[worst] >= KSPACE_EDGE_TOL:
         raise ResolutionError(
             f"state {worst + 1} has relative momentum-edge amplitude "
-            f"{ratios[worst]:.2e} (>= {tol:.0e}); the grid undersamples it",
-            worst + 1, float(ratios[worst]), tol,
+            f"{ratios[worst]:.2e} (>= {KSPACE_EDGE_TOL:.0e}); the grid "
+            "undersamples it",
+            worst + 1, float(ratios[worst]), KSPACE_EDGE_TOL,
         )
 
 
-def check_containment(states, grid, tol=EDGE_AMPLITUDE_TOL):
+def check_containment(states, grid):
     a = np.abs(states)
     edge = np.maximum(a[:, 0], a[:, -1])
     ratios = edge / a.max(axis=1)
     worst = int(np.argmax(ratios))
-    if ratios[worst] >= tol:
+    if ratios[worst] >= EDGE_AMPLITUDE_TOL:
         raise ContainmentError(
             f"state {worst + 1} has relative boundary amplitude "
-            f"{ratios[worst]:.2e} (>= {tol:.0e}); the domain is too small",
-            worst + 1, float(ratios[worst]), tol,
+            f"{ratios[worst]:.2e} (>= {EDGE_AMPLITUDE_TOL:.0e}); the domain "
+            "is too small",
+            worst + 1, float(ratios[worst]), EDGE_AMPLITUDE_TOL,
         )
 
 
@@ -217,11 +219,12 @@ def _order_degenerate_pairs(energies, states, grid):
                 states[[i, i + 1]] = states[[i + 1, i]]
 
 
-def residual_check(potential, grid, energies, states, tol=RESIDUAL_TOL):
-    """Verify ||H phi - E phi|| < tol * max(|E|, 1) for every state."""
+def residual_check(potential, grid, energies, states):
+    """Verify ||H phi - E phi|| < RESIDUAL_TOL * max(|E|, 1) for every
+    state."""
     resid = hamiltonian_apply(potential, grid, states) - energies[:, None] * states
     norms = np.sqrt(np.sum(np.abs(resid) ** 2, axis=1) * grid.dx)
-    bounds = tol * np.maximum(np.abs(energies), 1.0)
+    bounds = RESIDUAL_TOL * np.maximum(np.abs(energies), 1.0)
     worst = int(np.argmax(norms / bounds))
     if norms[worst] >= bounds[worst]:
         raise ConvergenceError(

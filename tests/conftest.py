@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pauliblock import EigenBasis, Grid, propagate_basis, solve
+from pauliblock import EigenBasis, Grid, pipeline, propagate_basis, solve
 from pauliblock.pipeline import Engine
 
 
@@ -9,6 +9,18 @@ from pauliblock.pipeline import Engine
 def engine():
     """Shared caching engine so expensive propagations are computed once."""
     return Engine()
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """``cpus(n)``: from then on in the test, the worker pool sizes each
+    batch as if this process could use ``n`` CPUs (1 runs every batch
+    here, in order)."""
+
+    def use(n):
+        monkeypatch.setattr(pipeline, "default_workers", lambda: n)
+
+    return use
 
 
 @pytest.fixture(scope="session")

@@ -17,6 +17,10 @@
   matrix A[j, i] = <U psi_j|phi_i> with the occupied levels evolved
   forward, and the fidelity read from it: the reference for the package,
   which evolves only the N_p targets, backward.
+* :func:`level_count`, :func:`energy_ceiling` and
+  :func:`semiclassical_ladder` - the grid planner's Bohr-Sommerfeld
+  estimates for a trap given as a function, to hold against analytic
+  values.
 """
 
 import itertools
@@ -35,6 +39,7 @@ from pauliblock import (
     propagate_basis,
 )
 from pauliblock.fidelity import RANGE_TOL, gram_fidelity_values
+from pauliblock.planner import _Trap, _ceiling, _ladder, _level_count
 from pauliblock.spectral import (
     RESIDUAL_TOL,
     _fix_phases,
@@ -189,3 +194,20 @@ def forward_fidelity(engine, schedule, n_protected, n_buffer, tau, settings):
     matrix = forward_overlaps(initial, targets, ensemble.m_max, schedule, settings)
     per_config = gram_fidelity_values(matrix, ensemble.levels - 1)
     return ensemble_average(ensemble.weights, per_config)
+
+
+def level_count(potential, center, energy):
+    """Semiclassical number of levels below ``energy`` of the trap
+    ``potential`` about ``center``."""
+    return _level_count(_Trap(potential, center), energy)
+
+
+def energy_ceiling(potential, center, n_states):
+    """Energy at which :func:`level_count` reaches ``n_states``."""
+    return _ceiling(_Trap(potential, center), n_states)
+
+
+def semiclassical_ladder(potential, center, n_levels):
+    """Bohr-Sommerfeld energies of the lowest ``n_levels`` levels of a
+    trap, as the planner tabulates them."""
+    return _ladder(_Trap(potential, center), n_levels)

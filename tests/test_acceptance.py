@@ -100,7 +100,7 @@ class TestAcceptance:
             assert 0.0 <= value <= 1.0 + 1e-10
             if a.n_protected >= 1:
                 extended = random_subunitary(a.n_total + 1, a.n_protected, rng)
-                trimmed = extended.dropping_rows_after(a.n_total)
+                trimmed = OverlapMatrix(extended.entries[: a.n_total])
                 assert (
                     fidelity_fast(extended).value
                     >= fidelity_fast(trimmed).value - 1e-12

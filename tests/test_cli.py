@@ -41,7 +41,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "line",
-        ["N_p = nan", "workers = inf", "tau = nan", "axis_values = 0, nan"],
+        ["N_p = nan", "n_points = inf", "tau = nan", "axis_values = 0, nan"],
     )
     def test_non_finite_config_value_returns_2(self, tmp_path, capsys, line):
         key = line.split()[0]
@@ -85,6 +85,19 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "unknown key 'verify_oracle'" in captured.err
+
+    def test_workers_key_returns_2(self, tmp_path, capsys):
+        # The worker pool sizes itself from the CPUs this process may use;
+        # `taskset -c 0` runs a sweep on one.
+        cfg = tmp_path / "workers.cfg"
+        cfg.write_text(
+            "task = splitting\nT = 1.0\nh_f = 20\naxis = buffer_count\n"
+            "axis_values = 0\nworkers = 2\n"
+        )
+        assert main(["sweep", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown key 'workers'" in captured.err
 
     def test_verify_oracle_flag_returns_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -64,14 +64,7 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match=named):
             split_spec(n_buffer=n_buffer).buffer_range()
 
-    def test_workers_must_be_positive(self):
-        for workers in (0, -1):
-            with pytest.raises(ConfigError):
-                split_spec(workers=workers)
-            with pytest.raises(ConfigError):
-                Engine(workers=workers)
-
-    def test_handed_engine_must_match_n_points(self):
+    def test_handed_engine_must_match_n_points(self, cpus):
         spec = split_spec(axis_values=(0,), n_points=256)
         temperatures = replace(
             spec, axis=Axis.TEMPERATURE, axis_values=(0.0, 0.3), n_buffer=(0, 1)
@@ -83,10 +76,11 @@ class TestSpecValidation:
              replace(spec, axis=Axis.PROCESS_TIME, axis_values=(1.0,))),
         ):
             with pytest.raises(ConfigError):
-                evaluate(sweep, Engine(workers=1))
+                evaluate(sweep, Engine())
         alone = run_sweep(spec)
         assert [row.n_points for row in alone.rows] == [256]
-        handed = run_sweep(spec, Engine(256, spec.settings, workers=1))
+        cpus(1)
+        handed = run_sweep(spec, Engine(256, spec.settings))
         assert handed.to_csv(None) == alone.to_csv(None)
 
 
@@ -123,7 +117,7 @@ class TestProcessTimeSweep:
         assert [row.T for row in result.rows] == [0.5, 1.0]
         assert all(0.0 <= row.fidelity <= 1.0 for row in result.rows)
 
-    def test_worker_pool_matches_serial(self):
+    def test_worker_pool_matches_serial(self, cpus):
         # A zero- and a finite-temperature sweep, and the minimal-buffer
         # search, which shares their evaluation path.  On two processes, the
         # dt check's two rungs (when it is on) and the zero-temperature
@@ -138,8 +132,10 @@ class TestProcessTimeSweep:
             spec = split_spec(
                 axis=Axis.PROCESS_TIME, axis_values=(0.5, 1.0), **options
             )
-            serial = evaluate(replace(spec, workers=1)).to_csv(None)
-            parallel = evaluate(replace(spec, workers=2)).to_csv(None)
+            cpus(1)
+            serial = evaluate(spec).to_csv(None)
+            cpus(2)
+            parallel = evaluate(spec).to_csv(None)
             assert serial == parallel
 
     def test_needs_single_buffer_value(self):
@@ -150,7 +146,7 @@ class TestProcessTimeSweep:
 
 
 class TestWorkerCount:
-    """One process and the default worker count give the same bytes."""
+    """One CPU and two give the same bytes."""
 
     def process_time_spec(self, **overrides):
         return split_spec(
@@ -158,19 +154,23 @@ class TestWorkerCount:
             check_dt=True, **overrides
         )
 
-    def test_dt_check_on(self):
+    def test_dt_check_on(self, cpus):
         spec = self.process_time_spec()
-        serial = run_sweep(replace(spec, workers=1)).to_csv(None)
+        cpus(1)
+        serial = run_sweep(spec).to_csv(None)
+        cpus(2)
         assert run_sweep(spec).to_csv(None) == serial
 
-    def test_rejected_dt_discards_the_guessed_runs(self):
+    def test_rejected_dt_discards_the_guessed_runs(self, cpus):
         # The batch guesses that the check keeps dt = 0.02; it halves it.
         spec = self.process_time_spec(settings=PropagationSettings(dt=0.02))
-        serial = run_sweep(replace(spec, workers=1))
+        cpus(1)
+        serial = run_sweep(spec)
         assert {row.dt for row in serial.rows} == {0.01}
+        cpus(2)
         assert run_sweep(spec).to_csv(None) == serial.to_csv(None)
 
-    def test_leaking_batch_run_escalates_in_order(self):
+    def test_leaking_batch_run_escalates_in_order(self, cpus):
         # The leaking transport case of test_planner: the states reach the
         # edge of the planned domain during the ramp, so the batched runs
         # fail and the in-order path widens the grid, once, in both modes.
@@ -187,7 +187,9 @@ class TestWorkerCount:
             [schedule.with_duration(t) for t in spec.axis_values], 2, 1
         ).widened()
         csvs = []
-        for engine in (Engine(workers=1), Engine()):
+        for n_cpus in (1, 2):
+            cpus(n_cpus)
+            engine = Engine()
             csvs.append(run_sweep(spec, engine).to_csv(None))
             assert engine.family_grid(schedule) == widened
         assert csvs[0] == csvs[1]
@@ -208,11 +210,13 @@ class TestWorkerCount:
         assert {row.dt for row in result.rows} == {2e-3}
         assert len(batches) == 1
 
-    def test_patched_propagation_still_pools(self, monkeypatch):
+    def test_patched_propagation_still_pools(self, monkeypatch, cpus):
         # The benchmark's tracer replaces pipeline.propagate_basis with a
         # closure, which cannot be pickled: the pool must not send it.
         spec = self.process_time_spec()
-        serial = run_sweep(replace(spec, workers=1)).to_csv(None)
+        cpus(1)
+        serial = run_sweep(spec).to_csv(None)
+        cpus(2)
         calls = []
         propagate_basis = pipeline.propagate_basis
 
@@ -224,12 +228,13 @@ class TestWorkerCount:
         assert run_sweep(spec).to_csv(None) == serial
         assert calls  # this process ran its share through the closure
 
-    def test_batch_keeps_the_run_with_most_states(self, monkeypatch):
+    def test_batch_keeps_the_run_with_most_states(self, monkeypatch, cpus):
         # Two runs of one schedule and dt in one batch: the smaller one
         # finishes last, in the second worker's share, and must not replace
         # the larger one in the cache.
+        cpus(2)
         schedule = PotentialSchedule.splitting(0.1, h_f=20.0)
-        engine = Engine(workers=2)
+        engine = Engine()
         engine.endpoint_bases(schedule, 12, 12)
         engine.propagate_batch(
             [(schedule, 0.01, 12), (schedule, 0.005, 2), (schedule, 0.01, 2)]
@@ -242,9 +247,11 @@ class TestWorkerCount:
         states = engine.evolved_states(schedule, 12, PropagationSettings(0.01))
         assert len(states) == 12
 
-    def test_dead_worker_leaves_its_runs_to_this_process(self, monkeypatch):
+    def test_dead_worker_leaves_its_runs_to_this_process(self, monkeypatch, cpus):
         spec = self.process_time_spec()
-        serial = run_sweep(replace(spec, workers=1)).to_csv(None)
+        cpus(1)
+        serial = run_sweep(spec).to_csv(None)
+        cpus(2)
         parent = os.getpid()
         propagate_basis = pipeline.propagate_basis
 
@@ -254,7 +261,7 @@ class TestWorkerCount:
             return propagate_basis(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, "propagate_basis", dies_in_workers)
-        assert run_sweep(replace(spec, workers=2)).to_csv(None) == serial
+        assert run_sweep(spec).to_csv(None) == serial
 
 
 class TestTemperatureSweep:
@@ -379,19 +386,16 @@ class TestCompensationReport:
 
 class TestSharedEngine:
     def test_later_sweep_keeps_its_own_settings(self):
-        # The same family on one engine: a later sweep's dt and tolerance
-        # start their own halving check.
+        # The same family on one engine: a later sweep's dt starts its own
+        # halving check.
         engine = Engine()
         run_sweep(split_spec(axis_values=(1,), check_dt=True), engine)
-        for settings in (
-            PropagationSettings(dt=5e-4),
-            PropagationSettings(dt=2e-3, tolerance=1e-6),
-        ):
-            spec = split_spec(axis_values=(1,), check_dt=True, settings=settings)
-            shared = run_sweep(spec, engine).rows[0]
-            fresh = run_sweep(spec).rows[0]
-            assert shared.dt == fresh.dt
-            assert shared.fidelity == pytest.approx(fresh.fidelity, abs=1e-12)
+        settings = PropagationSettings(dt=5e-4)
+        spec = split_spec(axis_values=(1,), check_dt=True, settings=settings)
+        shared = run_sweep(spec, engine).rows[0]
+        fresh = run_sweep(spec).rows[0]
+        assert shared.dt == fresh.dt
+        assert shared.fidelity == pytest.approx(fresh.fidelity, abs=1e-12)
 
 
 class TestConfigParsing:

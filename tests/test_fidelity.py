@@ -92,7 +92,7 @@ class TestInvariants:
         n_protected = int(rng.integers(1, 4))
         n_total = n_protected + int(rng.integers(0, 6))
         full = random_subunitary(n_total + 1, n_protected, rng)
-        trimmed = full.dropping_rows_after(n_total)
+        trimmed = OverlapMatrix(full.entries[:n_total])
         assert fidelity_fast(full).value >= fidelity_fast(trimmed).value - 1e-12
 
     @settings(max_examples=25, deadline=None)
@@ -119,7 +119,10 @@ class TestValidation:
             OverlapMatrix(entries)
 
     def test_fast_path_range_error(self):
-        bad = OverlapMatrix(np.array([[1.5 + 0.0j]]), validate=False)
+        # Out of range only after construction: the fast path's own range
+        # check must catch it.
+        bad = OverlapMatrix(np.array([[1.0 + 0.0j]]))
+        bad.entries *= 1.5
         with pytest.raises(NumericalConsistencyError):
             fidelity_fast(bad)
 
@@ -137,7 +140,7 @@ class TestGramBatch:
         row_sets = np.array([[0, 1, 2], [1, 3, 5], [2, 4, 7]])
         batch = gram_fidelity_values(master, row_sets)
         for rows, value in zip(row_sets, batch):
-            single = fidelity_oracle(OverlapMatrix(master[rows], validate=False))
+            single = fidelity_oracle(OverlapMatrix(master[rows]))
             assert value == pytest.approx(single.value, abs=1e-13)
 
     @settings(max_examples=40, deadline=None)
@@ -159,7 +162,7 @@ class TestGramBatch:
         )
         batch = gram_fidelity_values(master, row_sets)
         for rows, value in zip(row_sets, batch):
-            single = fidelity_oracle(OverlapMatrix(master[rows], validate=False))
+            single = fidelity_oracle(OverlapMatrix(master[rows]))
             assert abs(value - single.value) <= 1e-13
 
     @pytest.mark.parametrize("n_protected", [1, 2, 3])

@@ -23,13 +23,12 @@ from pauliblock.planner import (
     _ceiling,
     _endpoint_trap,
     _tail_momentum,
-    energy_ceiling,
-    level_count,
     plan_grid,
     plan_reach,
-    semiclassical_ladder,
 )
 from pauliblock.spectral import holds_states
+
+from reference import energy_ceiling, level_count, semiclassical_ladder
 
 # (schedule, level count, target count) for the three tasks at the sizes
 # the sweeps use.
@@ -253,13 +252,14 @@ class TestEngineGrids:
         assert initial.size == 40
         assert engine.family_grid(schedule) == grid
 
-    def test_transport_targets_are_solved_on_whole_lattice_shifts(self):
+    def test_transport_targets_are_solved_on_whole_lattice_shifts(self, cpus):
         # The shift x0_f - x0_i is exactly 60 lattice steps of the planned
         # grid; the targets are still the final trap's own eigensolve, for
         # the planned target count, whether all or only the protected two
         # are asked for.
         schedule = PotentialSchedule.transport(5.0, x0_f=10.0)
-        engine = Engine(workers=1)
+        cpus(1)
+        engine = Engine()
         for n_targets in (4, 2):
             grid, _, targets = engine.endpoint_bases(schedule, 4, n_targets)
             assert grid.n_points == 108

@@ -313,5 +313,3 @@ class TestFailureModes:
     def test_settings_validation(self):
         with pytest.raises(ConfigError):
             PropagationSettings(dt=0.0)
-        with pytest.raises(ConfigError):
-            PropagationSettings(dt=1e-3, tolerance=-1.0)

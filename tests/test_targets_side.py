@@ -34,11 +34,13 @@ def expansion(T):
     return PotentialSchedule.expansion(T, omega_f=0.01, lam=1.0)
 
 
-def both_sides(schedule, n_levels):
+def both_sides(schedule, n_levels, cpus):
     """An engine with the family planned for ``n_levels`` levels and as
     many targets: the final trap's window then holds the levels evolved
-    forward, so that both sides run on one grid."""
-    engine = Engine(workers=1)
+    forward, so that both sides run on one grid.  Its batches run in this
+    process (``cpus`` is the fixture)."""
+    cpus(1)
+    engine = Engine()
     engine.plan_levels([schedule], n_levels, n_levels, 0.0)
     return engine
 
@@ -62,8 +64,8 @@ def record_runs(monkeypatch, schedule):
 
 class TestBothSidesAgree:
     @pytest.mark.parametrize("schedule, n_levels", CASES, ids=CASE_IDS)
-    def test_backward_matrix_is_the_forward_one(self, schedule, n_levels):
-        engine = both_sides(schedule, n_levels)
+    def test_backward_matrix_is_the_forward_one(self, schedule, n_levels, cpus):
+        engine = both_sides(schedule, n_levels, cpus)
         backward, _, _ = engine.master_overlaps(schedule, n_levels, 2, SETTINGS)
         _, initial, targets = engine.endpoint_bases(schedule, n_levels, 2)
         forward = forward_overlaps(initial, targets, n_levels, schedule, SETTINGS)
@@ -72,9 +74,9 @@ class TestBothSidesAgree:
 
     @pytest.mark.parametrize("schedule, n_levels", CASES, ids=CASE_IDS)
     def test_thermal_value_matches_a_forward_reference(
-        self, schedule, n_levels, monkeypatch
+        self, schedule, n_levels, monkeypatch, cpus
     ):
-        engine = both_sides(schedule, n_levels)
+        engine = both_sides(schedule, n_levels, cpus)
         runs = record_runs(monkeypatch, schedule)
         value = engine.thermal_fidelity(schedule, 2, 2, 0.5, SETTINGS).value
         # The curve evolved its two targets backward, and nothing forward.
@@ -84,11 +86,11 @@ class TestBothSidesAgree:
 
     @pytest.mark.parametrize("schedule, n_levels", CASES, ids=CASE_IDS)
     def test_zero_temperature_matches_a_forward_reference(
-        self, schedule, n_levels, monkeypatch
+        self, schedule, n_levels, monkeypatch, cpus
     ):
         # With the time-step check on, every run, rungs included, is the
         # two targets evolved backward.
-        engine = both_sides(schedule, n_levels)
+        engine = both_sides(schedule, n_levels, cpus)
         runs = record_runs(monkeypatch, schedule)
         checked = engine.validated_settings([schedule], 6, 2, 0.0, SETTINGS, True)
         (value,) = engine.thermal_fidelity_curve(schedule, 2, 4, [0.0], checked)
@@ -97,24 +99,28 @@ class TestBothSidesAgree:
         reference = forward_fidelity(engine, schedule, 2, 4, 0.0, checked)
         assert value == pytest.approx(reference, rel=0, abs=1e-9)
 
-    def test_no_target_makes_no_run(self, monkeypatch):
+    def test_no_target_makes_no_run(self, monkeypatch, cpus):
         schedule = PotentialSchedule.splitting(1.0, h_f=20.0)
         runs = record_runs(monkeypatch, schedule)
-        engine = Engine(settings=SETTINGS, workers=2)
+        cpus(2)
+        engine = Engine(settings=SETTINGS)
         assert engine.scenario_fidelity(schedule, 0, 3, check_dt=True).value == 1.0
         assert engine.thermal_fidelity(schedule, 0, 3, 0.5).value == pytest.approx(1.0)
         assert runs == []
 
 
 class TestEscalation:
-    def test_tripping_backward_run_escalates_the_family_grid(self, monkeypatch):
+    def test_tripping_backward_run_escalates_the_family_grid(
+        self, monkeypatch, cpus
+    ):
         # Planned for T = 25 alone, the expansion family gets 250 points.
         # The T = 10 ramp pumps more momentum into the targets than that
         # lattice holds: their backward run trips the resolution check, and
         # the family grid is refined once, to the value an engine gives
         # whose first grid is already the refined one.
         settings = PropagationSettings(dt=2e-3)
-        engine = Engine(settings=settings, workers=1)
+        cpus(1)
+        engine = Engine(settings=settings)
         engine.plan_levels([expansion(25.0)], 14, 2, 0.0)
         planned, _, _ = engine.endpoint_bases(expansion(10.0), 14, 2)
         assert planned.n_points == 250
@@ -127,7 +133,7 @@ class TestEscalation:
         monkeypatch.setattr(
             pipeline, "plan_grid", lambda *args: planner(*args).refined()
         )
-        fine = Engine(settings=settings, workers=1)
+        fine = Engine(settings=settings)
         fine.plan_levels([expansion(25.0)], 14, 2, 0.0)
         reference = fine.scenario_fidelity(expansion(10.0), 2, 12, settings)
         assert fine.family_grid(expansion(10.0)) == planned.refined()
@@ -149,16 +155,17 @@ class TestPlannedGridsHold:
         assert engine.family_grid(schedule) == plan_grid([schedule], n_levels, 2)
         assert value == pytest.approx(0.651640289063409, rel=0, abs=1e-9)
 
-    def test_sweep_order_does_not_change_the_plan(self, monkeypatch):
+    def test_sweep_order_does_not_change_the_plan(self, monkeypatch, cpus):
         # Each family is planned once for all the schedules a sweep hands
         # over: T = 25 alone plans 250 points, on which the T = 10 targets
         # trip, so the plan must not depend on which schedule comes first.
         settings = PropagationSettings(dt=2e-3)
         runs = record_runs(monkeypatch, expansion(10.0))
+        cpus(1)
         results = []
         for order in ((10.0, 15.0, 25.0), (25.0, 15.0, 10.0)):
             schedules = [expansion(t) for t in order]
-            engine = Engine(settings=settings, workers=1)
+            engine = Engine(settings=settings)
             checked = engine.validated_settings(schedules, 14, 2, 0.0, settings, True)
             assert checked.dt == settings.dt
             values = {
@@ -175,17 +182,18 @@ class TestPlannedGridsHold:
 
 
 class TestCheckCoversTheCurveRows:
-    def test_a_change_past_row_n_halves_dt(self, monkeypatch):
+    def test_a_change_past_row_n_halves_dt(self, monkeypatch, cpus):
         # N = 3 fermions at tau = 0.3 read 10 levels.  The dt rung's first
         # target picks up a component along level N + 1 (row N of the
         # block), so its rungs differ by 10 tolerances in that row alone.
         schedule = PotentialSchedule.splitting(0.5, h_f=20.0)
         settings = PropagationSettings(dt=0.01)
-        engine = Engine(256, settings, workers=1)
+        cpus(1)
+        engine = Engine(256, settings)
         n_total = 3
         n_levels = engine.plan_levels([schedule], n_total, 2, 0.3)
         _, initial, _ = engine.endpoint_bases(schedule, n_levels, 2)
-        kick = 10 * settings.tolerance * initial.states[n_total]
+        kick = 10 * pipeline.DT_TOLERANCE * initial.states[n_total]
 
         real = pipeline.propagate_basis
         backward = schedule.time_reversed()
@@ -207,5 +215,5 @@ class TestCheckCoversTheCurveRows:
         assert checked.dt == settings.dt / 2
         change = np.abs(blocks[settings.dt] - blocks[settings.dt / 2])
         # An N x N check, blind to rows >= N, would have kept dt.
-        assert change[:n_total].max() < settings.tolerance
-        assert change[n_total:].max() > settings.tolerance
+        assert change[:n_total].max() < pipeline.DT_TOLERANCE
+        assert change[n_total:].max() > pipeline.DT_TOLERANCE
