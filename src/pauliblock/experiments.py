@@ -41,7 +41,7 @@ from .pipeline import Engine
 from .potentials import PotentialSchedule, Task
 from .propagate import PropagationSettings
 from .spectral import fermi_gap_profile
-from .thermal import DEFAULT_TAIL_BOUND
+from .thermal import DEFAULT_TAIL_BOUND, check_tail_bound
 
 
 class Axis(enum.Enum):
@@ -83,6 +83,7 @@ class SweepSpec:
             raise ConfigError(f"threshold must be in (0, 1), got {self.threshold}")
         if not 0 <= self.tau < math.inf:
             raise ConfigError(f"tau must be finite and >= 0, got {self.tau}")
+        check_tail_bound(self.tail_bound)
 
     def buffer_range(self):
         """(lo, hi) inclusive buffer range from ``n_buffer``, whole numbers."""

@@ -22,8 +22,9 @@ all its schedules); a later request for more levels or targets than the
 grid was planned for plans it again.  Grids escalate automatically, in
 eigensolves and in propagation alike: a position-space leak doubles the
 domain, momentum-space undersampling doubles the point count.
-Re-planning or escalating replaces the whole record.  The validated time
-step is kept apart, per family and requested settings, so it survives.
+Re-planning or escalating replaces the whole record.  The planner, the
+eigensolves and the propagator all read a trap from its one formula,
+:meth:`~pauliblock.potentials.PotentialSchedule.potential`.
 Every fidelity is a point of a thermal curve; zero temperature is the
 tau = 0 ensemble, the one ground configuration.  One method plans the
 runs of a set of curves (:meth:`Engine.validated_settings`): first their
@@ -71,6 +72,7 @@ from .potentials import RampShape
 from .propagate import PropagationSettings, propagate_basis
 from .thermal import (
     DEFAULT_TAIL_BOUND,
+    check_tail_bound,
     colder_cut,
     ensemble_average,
     enumerate_ensemble,
@@ -171,7 +173,6 @@ class Engine:
         self.n_points = n_points
         self.settings = settings or PropagationSettings()
         self._families = {}  # family -> _FamilyRecord
-        self._dts = {}  # (family, requested settings) -> validated dt
 
     def family_grid(self, schedule):
         """Current grid of the schedule's family, or None before any request."""
@@ -342,7 +343,8 @@ class Engine:
         (:meth:`plan_levels`).  A curve's run is its ``n_protected`` targets
         evolved backward.  The check's first two rungs, dt and dt/2, join
         the curves' runs at ``settings.dt`` in one batch.  At any other
-        validated dt, the curves' runs go as one batch of their own.
+        validated dt, the curves' runs go as one batch of their own.  Each
+        call checks dt anew; a repeated check finds its rungs cached.
         """
         families = {}
         for schedule in schedules:
@@ -353,15 +355,12 @@ class Engine:
         def curve_runs(dt):
             return [(schedule, dt, n_protected) for schedule in schedules]
 
-        key = (_family(schedules[0]), settings)
-        dt = self._dts.get(key) if check_dt else settings.dt
-        if dt is None:
-            self.propagate_batch(curve_runs(settings.dt) + [
-                (schedules[0], rung, n_protected)
-                for rung in (settings.dt, 0.5 * settings.dt)
+        dt = settings.dt
+        if check_dt:
+            self.propagate_batch(curve_runs(dt) + [
+                (schedules[0], rung, n_protected) for rung in (dt, 0.5 * dt)
             ])
             dt = self._converge_dt(schedules[0], n_protected, settings)
-            self._dts[key] = dt
             if dt == settings.dt:  # the curves' runs went with the rungs
                 return replace(settings, dt=dt)
         self.propagate_batch(curve_runs(dt))
@@ -486,6 +485,7 @@ class Engine:
             raise ConfigError("no temperatures supplied")
         if not all(0 <= tau < math.inf for tau in taus):
             raise ConfigError(f"temperatures must be finite and >= 0, got {taus}")
+        check_tail_bound(tail_bound)
         tau_max = max(taus)
         if settings is None:
             settings = self.validated_settings(

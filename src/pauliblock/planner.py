@@ -157,7 +157,7 @@ def flow_reach(schedule, trap, energy):
         stiff = (FLOW_PHASE * h / dt) ** 2
         p_lo, p_hi, x_lo, x_hi = p.copy(), p.copy(), x.copy(), x.copy()
         for step in range(steps + 1):
-            v = reverse.evaluate_at(x[:, None] + stencil, step * dt)
+            v = reverse.potential(x[:, None] + stencil)(step * dt)
             half_kick = (v[:, 0] - v[:, 2]) * (0.25 * dt / h)
             if step:
                 p += half_kick
@@ -268,7 +268,7 @@ class _Trap:
 
 
 def _endpoint_trap(schedule, t):
-    return _Trap(lambda x: schedule.evaluate_at(x, t), schedule.center(t))
+    return _Trap(lambda x: schedule.potential(x)(t), schedule.center(t))
 
 
 def _scan(trap, energy, radius=1.0):

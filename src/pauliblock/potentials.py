@@ -12,6 +12,12 @@ final value over the process time ``T``:
 
 The ramp is either linear, ``c(t) = c_i + (c_f - c_i) * t/T``, or
 sinusoidal, ``c(t) = c_i + (c_f - c_i) * sin(pi*t/(2T))^2``.
+
+Each trap is written once, in :meth:`PotentialSchedule.potential`, a
+closure t -> V(x, t) at fixed positions: the eigensolves (through
+:meth:`PotentialSchedule.evaluate`), the grid planner, the propagator and
+the Fermi-gap profile all read it.  The pair of fields each task drives is
+named once, in ``_CONTROLS``, which the ramp and the time reversal read.
 """
 
 import enum
@@ -32,6 +38,14 @@ class Task(enum.Enum):
 class RampShape(enum.Enum):
     LINEAR = "linear"
     SINUSOIDAL = "sinusoidal"
+
+
+# The pair of fields each task drives from its initial to its final value.
+_CONTROLS = {
+    Task.EXPANSION: ("omega_i", "omega_f"),
+    Task.TRANSPORT: ("x0_i", "x0_f"),
+    Task.SPLITTING: ("h_i", "h_f"),
+}
 
 
 @dataclass(frozen=True)
@@ -87,29 +101,16 @@ class PotentialSchedule:
     def time_reversed(self):
         """The schedule run backward, c_rev(t) = c(T - t) to rounding: both
         ramps are symmetric under t -> T - t with c_i and c_f swapped."""
-        if self.task is Task.EXPANSION:
-            return replace(self, omega_i=self.omega_f, omega_f=self.omega_i)
-        if self.task is Task.TRANSPORT:
-            return replace(self, x0_i=self.x0_f, x0_f=self.x0_i)
-        return replace(self, h_i=self.h_f, h_f=self.h_i)
-
-    @property
-    def barrier_width(self):
-        """Gaussian barrier width d = 1/sqrt(omega) of the splitting task."""
-        return 1.0 / math.sqrt(self.omega)
-
-    def control_endpoints(self):
-        if self.task is Task.EXPANSION:
-            return self.omega_i, self.omega_f
-        if self.task is Task.TRANSPORT:
-            return self.x0_i, self.x0_f
-        return self.h_i, self.h_f
+        first, last = _CONTROLS[self.task]
+        return replace(
+            self, **{first: getattr(self, last), last: getattr(self, first)}
+        )
 
     def control_value(self, t):
         """The driven parameter (omega, x0 or h) at time t in [0, T]."""
         if not (-1e-12 * self.T <= t <= self.T * (1 + 1e-12)):
             raise ConfigError(f"time {t} outside the schedule range [0, {self.T}]")
-        c_i, c_f = self.control_endpoints()
+        c_i, c_f = (getattr(self, name) for name in _CONTROLS[self.task])
         if t <= 0:
             return c_i
         if t >= self.T:
@@ -132,47 +133,34 @@ class PotentialSchedule:
 
     def evaluate(self, grid, t):
         """Potential values on the grid at time t (energies in hbar*omega)."""
-        return self.evaluate_at(grid.x, t)
+        return self.potential(grid.x)(t)
 
-    def evaluate_at(self, x, t):
-        c = self.control_value(t)
-        if self.task is Task.EXPANSION:
-            return 0.5 * c * c * (x**2 + self.lam * x**4)
-        if self.task is Task.TRANSPORT:
-            u = x - c
-            u2 = u * u
-            return 0.5 * self.omega**2 * (u2 + self.lam * u2 * u2)
-        d = self.barrier_width
-        return 0.5 * self.omega**2 * x**2 + c * np.exp(-(x**2) / d**2)
-
-    def time_profile(self, grid):
-        """Closure t -> V(x,t) on the grid with static factors precomputed.
-
-        Equivalent to ``evaluate`` but cheap enough to call once per time
-        step inside the propagator.
-        """
-        x = grid.x
+    def potential(self, x):
+        """Closure t -> V(x, t) at the positions ``x`` (any shape), its
+        static factors computed once: cheap enough for the propagator to
+        call once per time step.  The one formula of each task's trap."""
         if self.task is Task.EXPANSION:
             static = 0.5 * (x**2 + self.lam * x**4)
 
-            def profile(t):
+            def at(t):
                 c = self.control_value(t)
                 return (c * c) * static
 
         elif self.task is Task.SPLITTING:
             base = 0.5 * self.omega**2 * x**2
-            bump = np.exp(-(x**2) / self.barrier_width**2)
+            width = 1.0 / math.sqrt(self.omega)
+            bump = np.exp(-(x**2) / width**2)
 
-            def profile(t):
+            def at(t):
                 return base + self.control_value(t) * bump
 
         else:
             half_w2 = 0.5 * self.omega**2
             lam = self.lam
 
-            def profile(t):
+            def at(t):
                 u = x - self.control_value(t)
                 u2 = u * u
                 return half_w2 * (u2 + lam * u2 * u2)
 
-        return profile
+        return at

@@ -78,7 +78,7 @@ def _evolve(rows, schedule, grid, settings, unpack=_unpacked):
     steps, dt = settings.steps_for(schedule.T)
     psi = np.array(rows, dtype=np.complex128, copy=True)
 
-    profile = schedule.time_profile(grid)
+    profile = schedule.potential(grid.x)
     kinetic = np.exp(-0.5j * dt * grid.k_values**2)
     both = np.empty(grid.n_points)
     angle = np.empty(grid.n_points)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, ContainmentError, ConvergenceError, ResolutionError
 from .grid import EDGE_AMPLITUDE_TOL, Grid
+from .potentials import PotentialSchedule
 
 # Fraction of the |k| lattice treated as the edge band, and the relative
 # spectral amplitude allowed there.  Calibrated so that admitted states have
@@ -239,25 +240,25 @@ def residual_check(potential, grid, energies, states):
 GAP_GRID = Grid(-20.0, 20.0, 1024)
 
 
-def fermi_gap_profile(lam, n_max, omega_i=1.0, grid=None):
-    """Gap E_(N+1) - E_N at the Fermi edge of V = 0.5*omega_i^2*(x^2+lam*x^4).
+def fermi_gap_profile(lam, n_max, omega_i=1.0):
+    """Gap E_(N+1) - E_N at the Fermi edge of V = 0.5*omega_i^2*(x^2+lam*x^4),
+    the t = 0 trap of an expansion schedule held at ``omega_i``, whose
+    checks reject a negative or non-finite ``lam`` and an ``omega_i`` that
+    is not positive and finite.
 
     Returns a list of (N, gap) pairs for N = 1..n_max.
 
     The profile is one static eigensolve with no propagation, so it uses
-    the fixed ``GAP_GRID`` unless ``grid`` is given, not a grid planned per
-    trap: every lambda and every ``n_max`` of a gap sweep is then solved on
-    the same lattice, and its gaps differ only by the physics.  The grid
-    holds the level counts of the gap sweeps with room to spare; a request
-    that outgrows it raises from :func:`solve`'s containment or resolution
-    check instead of returning unresolved levels.
+    the fixed ``GAP_GRID``, not a grid planned per trap: every lambda and
+    every ``n_max`` of a gap sweep is then solved on the same lattice, and
+    its gaps differ only by the physics.  The grid holds the level counts
+    of the gap sweeps with room to spare; a request that outgrows it raises
+    from :func:`solve`'s containment or resolution check instead of
+    returning unresolved levels.
     """
-    if not 0 <= lam < np.inf:
-        raise ConfigError(f"anharmonicity must be finite and >= 0, got {lam}")
+    trap = PotentialSchedule.expansion(1.0, omega_f=omega_i, omega_i=omega_i, lam=lam)
     if n_max < 1:
         raise ConfigError("n_max must be >= 1")
-    grid = grid or GAP_GRID
-    potential = 0.5 * omega_i**2 * (grid.x**2 + lam * grid.x**4)
-    basis = solve(potential, grid, n_max + 1)
+    basis = solve(trap.evaluate(GAP_GRID, 0.0), GAP_GRID, n_max + 1)
     gaps = np.diff(basis.energies)
     return [(n, float(gaps[n - 1])) for n in range(1, n_max + 1)]

@@ -153,6 +153,12 @@ def _levels_required(energies, n_particles, e_cut):
     return int(above[0]) + 1
 
 
+def check_tail_bound(tail_bound):
+    """Raise :class:`ConfigError` unless 0 < ``tail_bound`` < 1."""
+    if not 0.0 < tail_bound < 1.0:
+        raise ConfigError(f"tail_bound must be in (0, 1), got {tail_bound}")
+
+
 def _grow_cutoff(energies, n_particles, tau, tail_bound, complete_ladder, below):
     """Grow the excitation cutoff shell by shell until it is certified.
 
@@ -163,8 +169,7 @@ def _grow_cutoff(energies, n_particles, tau, tail_bound, complete_ladder, below)
     Boltzmann factors (``np.exp`` of the scaled excitations) and ``z``
     their ``np.sum``, or None if ``below`` gave up.
     """
-    if not 0.0 < tail_bound < 1.0:
-        raise ConfigError(f"tail_bound must be in (0, 1), got {tail_bound}")
+    check_tail_bound(tail_bound)
     e_cut = tau * math.log(1.0 / tail_bound)
     shell = max(tau * math.log(100.0), 1e-3)
     z_here = None

@@ -114,15 +114,16 @@ class TestExitCodes:
             ["--tau", "nan"],
             ["--tau", "inf"],
             ["--tail-bound", "-1", "--tau", "0.3"],
+            ["--tail-bound", "5"],
             ["--T", "inf"],
             ["--dt", "inf"],
         ],
         ids=["negative-tau", "nan-tau", "inf-tau", "negative-tail-bound",
-             "inf-T", "inf-dt"],
+             "tail-bound-at-zero-temperature", "inf-T", "inf-dt"],
     )
     def test_bad_scenario_option_returns_2(self, capsys, options):
-        # A temperature other than 0 takes the thermal path, whose checks
-        # reject it before anything is solved.
+        # Every temperature, 0 included, takes the thermal path, whose
+        # checks reject a bad option before anything is solved.
         argv = ["split", "--T", "0.5", "--n-buffer", "1", "--n-points", "256",
                 "--dt", "0.01", *options]
         assert main(argv) == 2
@@ -136,6 +137,32 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "omega, message",
+        [("-1", "omega_i must be positive"), ("0", "omega_i must be positive"),
+         ("nan", "omega_i must be finite, got nan")],
+        ids=["negative", "zero", "nan"],
+    )
+    def test_bad_gap_frequency_returns_2(self, capsys, omega, message):
+        # The gap trap is an expansion schedule's, whose checks name the
+        # frequency before anything is solved.
+        assert main(["gap", "--omega-i", omega, "--n-max", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_bad_tail_bound_in_config_returns_2(self, tmp_path, capsys):
+        # Rejected when the spec is built, at zero temperature too.
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(
+            "task = splitting\nT = 1.0\nh_f = 20\naxis = buffer_count\n"
+            "axis_values = 0\ntail_bound = 5\n"
+        )
+        assert main(["sweep", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: tail_bound must be in (0, 1), got 5.0\n"
 
 
 class TestScenarioCommands:

@@ -47,6 +47,12 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             split_spec(threshold=1.0)
 
+    @pytest.mark.parametrize("tail_bound", [5.0, 0.0, math.nan])
+    def test_tail_bound_range(self, tail_bound):
+        # Checked at tau = 0 too, where no ensemble is enumerated.
+        with pytest.raises(ConfigError, match="tail_bound must be in"):
+            split_spec(tail_bound=tail_bound)
+
     def test_buffer_range_helper(self):
         assert split_spec(n_buffer=(0, 4)).buffer_range() == (0, 4)
         assert split_spec(n_buffer=3).buffer_range() == (3, 3)

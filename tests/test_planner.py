@@ -41,7 +41,7 @@ CASES = {
 
 def endpoint_traps(schedule):
     return [
-        ((lambda x, t=t: schedule.evaluate_at(np.asarray(x, dtype=float), t)),
+        ((lambda x, t=t: schedule.potential(np.asarray(x, dtype=float))(t)),
          schedule.center(t))
         for t in (0.0, schedule.T)
     ]
@@ -89,7 +89,7 @@ def reversed_flow(schedule, energy, n_particles=16):
 
     def rhs(t, y):
         x, p = np.split(y, 2)
-        force = reverse.evaluate_at(x - h, t) - reverse.evaluate_at(x + h, t)
+        force = reverse.potential(x - h)(t) - reverse.potential(x + h)(t)
         return np.concatenate((p, force / (2 * h)))
 
     path = solve_ivp(

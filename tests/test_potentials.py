@@ -35,17 +35,17 @@ class TestControlValue:
 class TestEvaluate:
     def test_harmonic_expansion_at_one_width(self):
         s = PotentialSchedule.expansion(10.0, omega_f=0.5, lam=0.0)
-        v = s.evaluate_at(np.array([1.0]), 0.0)
+        v = s.potential(np.array([1.0]))(0.0)
         assert v[0] == pytest.approx(0.5, abs=1e-14)
 
     def test_splitting_barrier_top_at_final_time(self):
         s = PotentialSchedule.splitting(2.0, h_f=20.0)
-        v = s.evaluate_at(np.array([0.0]), 2.0)
+        v = s.potential(np.array([0.0]))(2.0)
         assert v[0] == pytest.approx(20.0, abs=1e-12)
 
     def test_transport_minimum_at_final_center(self):
         s = PotentialSchedule.transport(11.5, x0_f=90.0)
-        v = s.evaluate_at(np.array([90.0]), 11.5)
+        v = s.potential(np.array([90.0]))(11.5)
         assert v[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_endpoints_reproduce_declared_potentials(self):
@@ -56,19 +56,6 @@ class TestEvaluate:
         x = g.x
         np.testing.assert_array_equal(v0, 0.5 * 1.0**2 * (x**2 + x**4))
         np.testing.assert_array_equal(vT, 0.5 * 0.01**2 * (x**2 + x**4))
-
-    def test_time_profile_matches_evaluate(self):
-        g = Grid(-12.0, 12.0, 256)
-        for s in (
-            expansion(),
-            PotentialSchedule.transport(5.0, x0_f=4.0),
-            PotentialSchedule.splitting(2.0, h_f=20.0),
-        ):
-            profile = s.time_profile(g)
-            for t in (0.0, 0.3 * s.T, s.T):
-                np.testing.assert_allclose(
-                    profile(t), s.evaluate(g, t), rtol=1e-14, atol=1e-14
-                )
 
 
 class TestTimeReversal:
@@ -102,8 +89,8 @@ class TestSymmetryAndConfinement:
         x = np.linspace(0.1, 11.0, 57)
         for t in (0.0, 0.4 * schedule.T, schedule.T):
             np.testing.assert_allclose(
-                schedule.evaluate_at(x, t),
-                schedule.evaluate_at(-x, t),
+                schedule.potential(x)(t),
+                schedule.potential(-x)(t),
                 rtol=1e-14,
             )
 
@@ -113,7 +100,7 @@ class TestSymmetryAndConfinement:
         for t in (0.0, 3.0, 11.5):
             c = s.center(t)
             np.testing.assert_allclose(
-                s.evaluate_at(c + u, t), s.evaluate_at(c - u, t), rtol=1e-13
+                s.potential(c + u)(t), s.potential(c - u)(t), rtol=1e-13
             )
 
     @pytest.mark.parametrize(
@@ -131,8 +118,8 @@ class TestSymmetryAndConfinement:
             c = schedule.center(t)
             # The splitting double well has minima within ~3 lengths of 0.
             u = np.linspace(4.0, 40.0, 200)
-            right = schedule.evaluate_at(c + u, t)
-            left = schedule.evaluate_at(c - u, t)
+            right = schedule.potential(c + u)(t)
+            left = schedule.potential(c - u)(t)
             assert (np.diff(right) >= 0).all()
             assert (np.diff(left) >= 0).all()
 

@@ -242,7 +242,7 @@ def unfused_strang(amplitudes, schedule, grid, settings):
     # The textbook loop: both half-kicks of every step, out-of-place
     # transforms, the phase as a complex exponential.
     steps, dt = settings.steps_for(schedule.T)
-    profile = schedule.time_profile(grid)
+    profile = schedule.potential(grid.x)
     kinetic = np.exp(-0.5j * dt * grid.k_values**2)
     psi = np.array(amplitudes, dtype=np.complex128)
     for step in range(steps):
