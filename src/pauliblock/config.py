@@ -102,10 +102,8 @@ def _axis_values(raw):
     return values
 
 
-def _buffer_value(raw):
-    if "N_b" not in raw:
-        return 0
-    text = raw["N_b"]
+def _buffer_value(raw, key):
+    text = raw[key]
     if ".." in text:
         lo_text, _, hi_text = text.partition("..")
         try:
@@ -184,22 +182,27 @@ def build_spec(raw):
     axis_values = _axis_values(raw)
     schedule = _schedule_from(raw, axis, axis_values)
 
-    n_points = None
-    if "n_points" in raw:
-        n_points = _as_int(raw, "n_points")
-    settings = PropagationSettings(dt=_as_float(raw, "dt", 1e-3))
-
+    # Keys the config leaves out keep the defaults of SweepSpec and
+    # PropagationSettings.
+    optional = {
+        field: parse(raw, key)
+        for key, field, parse in (
+            ("N_p", "n_protected", _as_int),
+            ("tau", "tau", _as_float),
+            ("threshold", "threshold", _as_float),
+            ("tail_bound", "tail_bound", _as_float),
+            ("N_b", "n_buffer", _buffer_value),
+            ("n_points", "n_points", _as_int),
+        )
+        if key in raw
+    }
+    if "dt" in raw:
+        optional["settings"] = PropagationSettings(dt=_as_float(raw, "dt"))
     return SweepSpec(
         schedule=schedule,
         axis=axis,
         axis_values=axis_values,
-        n_protected=_as_int(raw, "N_p", 2),
-        n_buffer=_buffer_value(raw),
-        tau=_as_float(raw, "tau", 0.0),
-        threshold=_as_float(raw, "threshold", 0.95),
-        tail_bound=_as_float(raw, "tail_bound", 1e-6),
-        settings=settings,
-        n_points=n_points,
+        **optional,
     )
 
 

@@ -32,12 +32,14 @@ families, for the levels the hottest ensemble is estimated to need, so
 the time-step check runs on the grid the curves then use.
 
 Propagations that do not depend on each other, such as the first two
-rungs of the time-step check and the schedules of a sweep, can run
-as one batch (:meth:`Engine.propagate_batch`) on one process per CPU
-this process may use (:func:`default_workers`): this one and workers
-forked from it, each evolving whole state families.  A batch only fills
-the run cache; the in-order path then finds its runs there, so results,
-escalations and errors do not depend on the CPU count.
+rungs of the time-step check and the schedules of a sweep, run as one
+batch (:meth:`Engine.propagate_batch`) in one lane per CPU this process
+may use (:func:`default_workers`): this process runs one lane and workers
+forked from it the others; on one CPU the whole batch is one lane here.
+A lane evolves its runs on one grid as one stack, the rows of one array
+(``propagate_basis`` with ``also``).  A batch only fills the run cache;
+the in-order path then finds its runs there, so results, escalations and
+errors do not depend on the CPU count.
 """
 
 import math
@@ -141,20 +143,26 @@ def default_workers():
 
 
 def _propagate_runs(runs):
-    """``propagate_basis`` for each ``(basis, n_states, schedule, dt)`` run.
+    """Evolve each ``(basis, n_states, schedule, dt)`` run, the runs on
+    one grid as one stack: one ``propagate_basis`` call with the others
+    ``also``, in the order given.
 
     Returns one entry per run: its evolved states, or the
-    :class:`SimulationError` it raised.  Defined at module level, so that a
-    worker pool pickles it by name.
+    :class:`SimulationError` its stack raised.  Defined at module level, so
+    that a worker pool pickles it by name.
     """
-    results = []
-    for basis, n_states, schedule, dt in runs:
+    stacks = {}
+    for index, (basis, *_) in enumerate(runs):
+        stacks.setdefault(basis.grid, []).append(index)
+    results = [None] * len(runs)
+    for indices in stacks.values():
+        stack = [(*runs[i][:3], PropagationSettings(runs[i][3])) for i in indices]
         try:
-            results.append(
-                propagate_basis(basis, n_states, schedule, PropagationSettings(dt))
-            )
+            states = propagate_basis(*stack[0], also=stack[1:])
         except SimulationError as exc:
-            results.append(exc)
+            states = [exc] * len(indices)
+        for index, run_states in zip(indices, states):
+            results[index] = run_states
     return results
 
 
@@ -265,25 +273,27 @@ class Engine:
 
     def propagate_batch(self, runs):
         """Fill the run cache for ``runs``, ``(schedule, dt, n_targets)``
-        tuples (:meth:`evolved_states`), on up to :func:`default_workers`
-        processes at once.
+        tuples (:meth:`evolved_states`), in up to :func:`default_workers`
+        lanes at once.
 
         The runs are shared out longest first (steps times targets), each
-        to the process with the least work so far: this process runs its
-        own share while forked worker processes run theirs.  Runs of one
-        schedule and dt merge into the one with the most targets; runs of
-        no target and cached runs are skipped.  A run that raises a
-        :class:`SimulationError`, here or in its eigensolve, or whose
-        worker dies, fills nothing, so the in-order path runs it again and
-        escalates or raises exactly as it would without the batch.
+        to the lane with the least work so far: this process runs the first
+        lane while forked worker processes run the others, and a lane
+        evolves its runs on one grid as one stack (:func:`_propagate_runs`),
+        in the order they were asked for.  Runs of one schedule and dt
+        merge into the one with the most targets; runs of no target and
+        cached runs are skipped, and so is a batch of fewer than two runs.
+        A stack that raises a :class:`SimulationError`, or a run whose
+        eigensolve raises one or whose worker dies, fills nothing, so the
+        in-order path runs it again and escalates or raises exactly as it
+        would without the batch.
         """
         most = {}
         for schedule, dt, n_targets in runs:
             if n_targets:
                 key = (schedule, dt)
                 most[key] = max(n_targets, most.get(key, 0))
-        workers = default_workers()
-        if min(workers, len(most)) < 2:
+        if len(most) < 2:
             return
         todo = []
         for key, n_targets in most.items():
@@ -295,31 +305,40 @@ class Engine:
             if record.lacks(key, n_targets):
                 steps, _ = PropagationSettings(dt).steps_for(schedule.T)
                 run = (record.final, n_targets, schedule.time_reversed(), dt)
-                todo.append((steps * n_targets, key, run))
-        n_lanes = min(workers, len(todo))
-        if n_lanes < 2:
+                todo.append((steps * n_targets, len(todo), key, run))
+        if len(todo) < 2:
             return
+        n_lanes = min(default_workers(), len(todo))
         lanes = [[] for _ in range(n_lanes)]
         loads = [0] * n_lanes
-        for cost, key, run in sorted(todo, key=lambda item: item[0], reverse=True):
+        for cost, index, key, run in sorted(todo, key=lambda item: -item[0]):
             lane = loads.index(min(loads))
-            lanes[lane].append((key, run))
+            lanes[lane].append((index, key, run))
             loads[lane] += cost
-        # Forked, not spawned: a spawned worker imports numpy and this
-        # package again, 0.06-0.15 s, which is more than a small batch takes.
-        with ProcessPoolExecutor(
-            n_lanes - 1, multiprocessing.get_context("fork")
-        ) as pool:
-            pending = [
-                pool.submit(_propagate_runs, [run for _, run in lane])
-                for lane in lanes[1:]
-            ]
-            done = list(zip(lanes[0], _propagate_runs([run for _, run in lanes[0]])))
-            for lane, job in zip(lanes[1:], pending):
-                try:
-                    done += zip(lane, job.result())
-                except BrokenProcessPool:
-                    pass  # a worker died; the in-order path runs its share
+        lanes = [[(key, run) for _, key, run in sorted(lane)] for lane in lanes]
+
+        def evolved(lane):
+            return list(zip(lane, _propagate_runs([run for _, run in lane])))
+
+        if n_lanes == 1:
+            done = evolved(lanes[0])
+        else:
+            # Forked, not spawned: a spawned worker imports numpy and this
+            # package again, 0.06-0.15 s, which is more than a small batch
+            # takes.
+            with ProcessPoolExecutor(
+                n_lanes - 1, multiprocessing.get_context("fork")
+            ) as pool:
+                pending = [
+                    pool.submit(_propagate_runs, [run for _, run in lane])
+                    for lane in lanes[1:]
+                ]
+                done = evolved(lanes[0])
+                for lane, job in zip(lanes[1:], pending):
+                    try:
+                        done += zip(lane, job.result())
+                    except BrokenProcessPool:
+                        pass  # a worker died; the in-order path runs its share
         for (key, (basis, *_)), states in done:
             record = self._families[_family(key[0])]
             # A family re-planned or escalated since its run keeps nothing,

@@ -119,8 +119,9 @@ def plan_reach(schedules, n_levels, n_targets):
     if n_targets:
         # trap, v_min and k_tail are the targets' side's, the last one.
         shell = v_min + 0.5 * k_tail**2
-        for schedule in schedules:
-            p_flow, x_min, x_max = flow_reach(schedule, trap, shell)
+        for schedule, (p_flow, x_min, x_max) in zip(
+            schedules, flow_reach(schedules, trap, shell)
+        ):
             if schedule.is_symmetric:  # keep the domain symmetric about 0
                 x_max = max(-x_min, x_max)
                 x_min = -x_max
@@ -129,19 +130,22 @@ def plan_reach(schedules, n_levels, n_targets):
     return min(s[0] for s in spans), max(s[1] for s in spans), k_need
 
 
-def flow_reach(schedule, trap, energy):
+def flow_reach(schedules, trap, energy):
     """(largest |p|, least x, largest x) of classical particles on the
-    shell ``energy`` of the final ``trap``, evolved under
-    ``schedule.time_reversed()``.
+    shell ``energy`` of the final ``trap``, evolved under the reverse of
+    each of ``schedules`` (one family): one triple per schedule.
 
     ``FLOW_PARTICLES`` particles sit at evenly spaced allowed positions of
     the shell, half moving each way, and take ``FLOW_STEPS`` equal
     velocity-Verlet steps with central-difference forces; the extremes are
-    taken over every step.  Where a step would turn some particle's phase
-    by more than ``FLOW_PHASE`` at the stiffest local curvature sqrt(V''),
-    the flow starts again with twice the steps.
+    taken over every step.  The schedules flow in one pass: at each step
+    k, one evaluation of the family's trap gives each schedule's
+    particles their potential at its own control value c(k*dt).  Where a
+    step would turn some particle's phase by more than ``FLOW_PHASE`` at
+    the stiffest local curvature sqrt(V''), that schedule's flow leaves
+    the pass and starts again with twice the steps.
     """
-    reverse = schedule.time_reversed()
+    reverses = [schedule.time_reversed() for schedule in schedules]
     x, v = _scan(trap, energy)
     allowed = np.flatnonzero(v <= energy)
     x = x[allowed[np.linspace(0, allowed.size - 1, FLOW_PARTICLES // 2).astype(int)]]
@@ -149,31 +153,49 @@ def flow_reach(schedule, trap, energy):
     start = np.concatenate((x, x)), np.concatenate((p, -p))
     h = 1e-4 * max(1.0, float(np.max(np.abs(x))))
     stencil = np.array([-h, 0.0, h])
+    reaches = [None] * len(schedules)
+    todo = list(range(len(schedules)))
     steps = FLOW_STEPS
-    while True:
-        x, p = (a.copy() for a in start)
-        dt = schedule.T / steps
+    while todo:
+        flowing, restart = todo, []
+        dts = [schedules[i].T / steps for i in flowing]
         # Second differences of V above this turn a phase past FLOW_PHASE.
-        stiff = (FLOW_PHASE * h / dt) ** 2
+        stiff = np.array([(FLOW_PHASE * h / dt) ** 2 for dt in dts])
+        dt = np.array(dts)[:, None]
+        kick = 0.25 * dt / h
+        x, p = (np.repeat(a[None], len(flowing), axis=0) for a in start)
         p_lo, p_hi, x_lo, x_hi = p.copy(), p.copy(), x.copy(), x.copy()
         for step in range(steps + 1):
-            v = reverse.potential(x[:, None] + stencil)(step * dt)
-            half_kick = (v[:, 0] - v[:, 2]) * (0.25 * dt / h)
+            c = [reverses[i].control_value(step * t) for i, t in zip(flowing, dts)]
+            v = reverses[0].trap(x[:, :, None] + stencil)(np.array(c)[:, None, None])
+            half_kick = (v[..., 0] - v[..., 2]) * kick
             if step:
                 p += half_kick
                 np.minimum(p_lo, p, out=p_lo)
                 np.maximum(p_hi, p, out=p_hi)
                 np.minimum(x_lo, x, out=x_lo)
                 np.maximum(x_hi, x, out=x_hi)
-            if np.max(v[:, 0] + v[:, 2] - 2.0 * v[:, 1]) > stiff:
-                break
+            tripped = np.max(v[..., 0] + v[..., 2] - 2.0 * v[..., 1], axis=1) > stiff
+            if tripped.any():
+                restart += [i for i, out in zip(flowing, tripped) if out]
+                keep = ~tripped
+                flowing = [i for i, kept in zip(flowing, keep) if kept]
+                dts = [t for t, kept in zip(dts, keep) if kept]
+                stiff, dt, kick, x, p, p_lo, p_hi, x_lo, x_hi, half_kick = (
+                    a[keep]
+                    for a in (stiff, dt, kick, x, p, p_lo, p_hi, x_lo, x_hi, half_kick)
+                )
+                if not flowing:
+                    break
             if step < steps:
                 p += half_kick
                 x += dt * p
-        else:
-            p_max = max(-p_lo.min(), p_hi.max())
-            return float(p_max), float(x_lo.min()), float(x_hi.max())
+        for row, i in enumerate(flowing):
+            p_max = max(-p_lo[row].min(), p_hi[row].max())
+            reaches[i] = float(p_max), float(x_lo[row].min()), float(x_hi[row].max())
+        todo = restart
         steps *= 2
+    return reaches
 
 
 def _fft_size(minimum):

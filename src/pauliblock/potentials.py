@@ -13,8 +13,9 @@ final value over the process time ``T``:
 The ramp is either linear, ``c(t) = c_i + (c_f - c_i) * t/T``, or
 sinusoidal, ``c(t) = c_i + (c_f - c_i) * sin(pi*t/(2T))^2``.
 
-Each trap is written once, in :meth:`PotentialSchedule.potential`, a
-closure t -> V(x, t) at fixed positions: the eigensolves (through
+Each trap is written once, in :meth:`PotentialSchedule.trap`, a closure
+c -> V(x) at fixed positions, which :meth:`PotentialSchedule.potential`
+turns into a closure t -> V(x, t): the eigensolves (through
 :meth:`PotentialSchedule.evaluate`), the grid planner, the propagator and
 the Fermi-gap profile all read it.  The pair of fields each task drives is
 named once, in ``_CONTROLS``, which the ramp and the time reversal read.
@@ -108,16 +109,18 @@ class PotentialSchedule:
 
     def control_value(self, t):
         """The driven parameter (omega, x0 or h) at time t in [0, T]."""
-        if not (-1e-12 * self.T <= t <= self.T * (1 + 1e-12)):
-            raise ConfigError(f"time {t} outside the schedule range [0, {self.T}]")
-        c_i, c_f = (getattr(self, name) for name in _CONTROLS[self.task])
+        T = self.T
+        if not (-1e-12 * T <= t <= T * (1 + 1e-12)):
+            raise ConfigError(f"time {t} outside the schedule range [0, {T}]")
+        first, last = _CONTROLS[self.task]
+        c_i, c_f = getattr(self, first), getattr(self, last)
         if t <= 0:
             return c_i
-        if t >= self.T:
+        if t >= T:
             return c_f
         if self.shape is RampShape.LINEAR:
-            return c_i + (c_f - c_i) * t / self.T
-        return c_i + (c_f - c_i) * math.sin(math.pi * t / (2.0 * self.T)) ** 2
+            return c_i + (c_f - c_i) * t / T
+        return c_i + (c_f - c_i) * math.sin(math.pi * t / (2.0 * T)) ** 2
 
     @property
     def is_symmetric(self):
@@ -138,12 +141,29 @@ class PotentialSchedule:
     def potential(self, x):
         """Closure t -> V(x, t) at the positions ``x`` (any shape), its
         static factors computed once: cheap enough for the propagator to
-        call once per time step.  The one formula of each task's trap."""
+        call once per time step.  ``t`` may also be an array of times,
+        such as a column: the control value of each is taken from
+        :meth:`control_value`, one time at a time, and broadcast against
+        ``x``, so each time's V holds the bits of a call on that time
+        alone."""
+        trap = self.trap(x)
+
+        def at(t):
+            if np.ndim(t) == 0:
+                return trap(self.control_value(t))
+            values = [self.control_value(time) for time in np.ravel(t).tolist()]
+            return trap(np.reshape(values, np.shape(t)))
+
+        return at
+
+    def trap(self, x):
+        """Closure c -> V(x) of the trap at the control value ``c``
+        (omega, x0 or h; a number, or an array broadcast against ``x``).
+        The one formula of each task's trap."""
         if self.task is Task.EXPANSION:
             static = 0.5 * (x**2 + self.lam * x**4)
 
-            def at(t):
-                c = self.control_value(t)
+            def at(c):
                 return (c * c) * static
 
         elif self.task is Task.SPLITTING:
@@ -151,15 +171,15 @@ class PotentialSchedule:
             width = 1.0 / math.sqrt(self.omega)
             bump = np.exp(-(x**2) / width**2)
 
-            def at(t):
-                return base + self.control_value(t) * bump
+            def at(c):
+                return base + c * bump
 
         else:
             half_w2 = 0.5 * self.omega**2
             lam = self.lam
 
-            def at(t):
-                u = x - self.control_value(t)
+            def at(c):
+                u = x - c
                 u2 = u * u
                 return half_w2 * (u2 + lam * u2 * u2)
 

@@ -14,6 +14,17 @@ alone) wherever the state is looked at: at each health check and at the
 end.  Many states propagate together as the rows of one array; each row
 evolves independently, so batched and one-at-a-time results agree.
 
+Several runs on one grid, each with its own rows, dt, duration and trap,
+evolve in lockstep as one array (:func:`_evolve`; ``propagate_basis``
+with ``also``).  On a few hundred points a step's cost is numpy's fixed
+cost per call, not its arithmetic, so one transform of several rows
+costs little more than one of a single row.  The kick phases are built
+once per block of steps, from one evaluation of each run's potential on
+the block's times, which leaves four calls per step: the transform, the
+kinetic factor, the inverse transform and the phase.  Every operation
+acts on each row alone, so a run's states hold the bits of its run
+evolved by itself.
+
 In a trap symmetric about x = 0 on a grid symmetric about 0, the lattice
 reflection R (x -> -x, :meth:`~pauliblock.grid.Grid.reflect`) commutes
 with both Strang factors, so the propagator U maps even states to even
@@ -43,6 +54,8 @@ from .spectral import check_containment, check_resolution, parity_masks
 
 # Steps between containment / resolution / finite-amplitude checks.
 CHECK_INTERVAL = 1000
+# Most steps whose kick phases are built at once (see :func:`_evolve`).
+KICK_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -66,52 +79,91 @@ def _unpacked(psi):
     return psi
 
 
-def _evolve(rows, schedule, grid, settings, unpack=_unpacked):
-    """Evolve ``rows``, a 2-D array, from t=0 to t=T; return the states.
+def _evolve(runs, grid):
+    """Evolve ``runs`` on ``grid`` from t = 0 to their own T, in lockstep
+    as the rows of one array; return each run's states, in order.
 
-    ``unpack`` maps the rows to the states they carry (see :func:`_pack`);
-    the health checks and the returned array see its output.  The
-    trailing half-kick of a step is fused with the leading one of the next
-    (see the module docstring); the step is closed wherever the state is
-    looked at.
+    A run is ``(rows, schedule, settings, unpack)``: a 2-D array of rows,
+    the schedule and time step they evolve under, and the map from the
+    evolved rows to the states they carry (see :func:`_pack`), which the
+    health checks and the returned states see.  The rows of the longest
+    run come first, so the running rows are a leading slice: a run closes
+    its step at its last step and leaves the array.  Every running run is
+    closed and checked at each multiple of ``CHECK_INTERVAL``.
+
+    The kick phases are built once per block of at most ``KICK_BLOCK``
+    steps, which also ends at a check step and at a run's last step: each
+    run's potential is evaluated on the column of the block's times, and
+    one add, one cos and one sin give its phases, spread over its rows.
+    A step is then four calls on the running rows: the transform, the
+    kinetic factor, the inverse transform and the phase.
     """
-    steps, dt = settings.steps_for(schedule.T)
-    psi = np.array(rows, dtype=np.complex128, copy=True)
+    lasts, dts = zip(
+        *(settings.steps_for(schedule.T) for _, schedule, settings, _ in runs)
+    )
+    order = sorted(range(len(runs)), key=lambda r: -lasts[r])
+    bounds = np.cumsum([0] + [len(runs[r][0]) for r in order])
+    stack = [(r, bounds[i], bounds[i + 1]) for i, r in enumerate(order)]
+    psi = np.concatenate([runs[r][0] for r in order]).astype(np.complex128)
+    kinetic = np.empty_like(psi)
+    for r, lo, hi in stack:
+        kinetic[lo:hi] = np.exp(-0.5j * dts[r] * grid.k_values**2)
+    profiles = [schedule.potential(grid.x) for _, schedule, _, _ in runs]
+    # Row 0 holds the leading half-kick of a block after a closed step, row
+    # j the phase after the block's j-th step.
+    phases = np.empty((KICK_BLOCK + 1,) + psi.shape, dtype=np.complex128)
+    angle = np.empty((KICK_BLOCK + 1, grid.n_points))
 
-    profile = schedule.potential(grid.x)
-    kinetic = np.exp(-0.5j * dt * grid.k_values**2)
-    both = np.empty(grid.n_points)
-    angle = np.empty(grid.n_points)
-    factor = np.empty(grid.n_points, dtype=np.complex128)
+    finals = [None] * len(runs)
+    running = len(runs)  # the runs of stack[:running] are in the array
+    step = 0
+    while running:
+        end = min(
+            step + KICK_BLOCK,
+            (step // CHECK_INTERVAL + 1) * CHECK_INTERVAL,
+            lasts[order[running - 1]],
+        )
+        n_steps = end - step
+        opened = step % CHECK_INTERVAL == 0  # the step before was closed
+        built = slice(0 if opened else 1, n_steps + 1)
+        for r, lo, hi in stack[:running]:
+            # V_j at the middle of the block's j-th step, for j = 1..n_steps
+            # and, unless the run closes its step at the end of the block,
+            # n_steps + 1.
+            closes = end % CHECK_INTERVAL == 0 or end == lasts[r]
+            times = [(s + 0.5) * dts[r] for s in range(step, end + (not closes))]
+            v = profiles[r](np.array(times)[:, None])
+            # Step j's phase fuses its trailing half-kick with the leading
+            # one of the next, V_j + V_(j+1); a closing step's is V_j alone.
+            np.add(v[:-1], v[1:], out=angle[1:len(v)])
+            if closes:
+                angle[n_steps] = v[-1]
+            if opened:
+                angle[0] = v[0]
+            np.multiply(angle[built], -0.5 * dts[r], out=angle[built])
+            own = phases[built, lo:hi]
+            np.cos(angle[built], out=own[:, 0].real)
+            np.sin(angle[built], out=own[:, 0].imag)
+            own[:, 1:] = own[:, :1]
 
-    def kick(potential):
-        # psi *= exp(-i * potential * dt/2), the factor built as cos + i sin.
-        np.multiply(potential, -0.5 * dt, out=angle)
-        np.cos(angle, out=factor.real)
-        np.sin(angle, out=factor.imag)
-        np.multiply(psi, factor, out=psi)
+        rows = bounds[running]
+        view, kinetic_rows = psi[:rows], kinetic[:rows]
+        if opened:
+            view *= phases[0, :rows]
+        for phase in phases[1:n_steps + 1, :rows]:
+            np.fft.fft(view, axis=1, out=view)
+            view *= kinetic_rows
+            np.fft.ifft(view, axis=1, out=view)
+            view *= phase
+        step = end
 
-    v = profile(0.5 * dt)
-    kick(v)
-    for step in range(1, steps + 1):
-        np.fft.fft(psi, axis=1, out=psi)
-        psi *= kinetic
-        np.fft.ifft(psi, axis=1, out=psi)
-        checked = step % CHECK_INTERVAL == 0
-        v_next = profile((step + 0.5) * dt) if step < steps else None
-        if checked or v_next is None:
-            kick(v)
-            if checked:
-                _check_health(unpack(psi), grid, step)
-            if v_next is not None:
-                kick(v_next)
-        else:
-            np.add(v, v_next, out=both)
-            kick(both)
-        v = v_next
-    psi = unpack(psi)
-    _check_health(psi, grid, steps)
-    return psi
+        for r, lo, hi in stack[:running]:
+            if step % CHECK_INTERVAL == 0 or step == lasts[r]:
+                finals[r] = runs[r][3](psi[lo:hi])
+                _check_health(finals[r], grid, step)
+        while running and lasts[order[running - 1]] == step:
+            running -= 1
+    return finals
 
 
 def _check_health(psi, grid, step):
@@ -164,24 +216,42 @@ def _pack(states, schedule, grid):
     return rows, unpack
 
 
-def propagate_basis(basis, n_states, schedule, settings=PropagationSettings()):
+def propagate_basis(
+    basis, n_states, schedule, settings=PropagationSettings(), also=None
+):
     """Evolve the ``n_states`` lowest eigenstates of ``basis`` to t = T.
 
     Returns the final amplitudes as an array of shape (n_states, n_points).
     On a symmetric trap and grid, states of opposite parity share rows
     (see the module docstring).  Unitarity is verified: the Gram matrix of
     the outputs must match the identity to 1e-6.
+
+    ``also`` holds more ``(basis, n_states, schedule, settings)`` runs on
+    the same grid, evolved in the same array (:func:`_evolve`); each run's
+    states hold the bits of its run alone.  With it, the result is the
+    list of every run's final amplitudes, this one's first, and an error
+    in any run raises for all.
     """
-    if n_states < 1 or n_states > basis.size:
-        raise ConfigError(
-            f"requested {n_states} states from a basis of {basis.size}"
-        )
-    rows, unpack = _pack(basis.states[:n_states], schedule, basis.grid)
-    final = _evolve(rows, schedule, basis.grid, settings, unpack=unpack)
-    gram = np.conj(final) @ final.T * basis.grid.dx
-    defect = np.max(np.abs(gram - np.eye(n_states)))
-    if defect >= 1e-6:
-        raise ConvergenceError(
-            f"propagated states lost orthonormality (Gram defect {defect:.2e})"
-        )
-    return final
+    runs = [(basis, n_states, schedule, settings), *(also or ())]
+    grid = basis.grid
+    packed = []
+    for run_basis, run_states, run_schedule, run_settings in runs:
+        if run_states < 1 or run_states > run_basis.size:
+            raise ConfigError(
+                f"requested {run_states} states from a basis of {run_basis.size}"
+            )
+        if run_basis.grid != grid:
+            raise ConfigError(
+                f"cannot evolve runs on {run_basis.grid} and {grid} together"
+            )
+        rows, unpack = _pack(run_basis.states[:run_states], run_schedule, grid)
+        packed.append((rows, run_schedule, run_settings, unpack))
+    finals = _evolve(packed, grid)
+    for final in finals:
+        gram = np.conj(final) @ final.T * grid.dx
+        defect = np.max(np.abs(gram - np.eye(len(final))))
+        if defect >= 1e-6:
+            raise ConvergenceError(
+                f"propagated states lost orthonormality (Gram defect {defect:.2e})"
+            )
+    return finals if also is not None else finals[0]

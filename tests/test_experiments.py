@@ -426,6 +426,14 @@ threshold = 0.9
         assert spec.threshold == 0.9
         assert spec.settings.dt == 0.002
 
+    def test_unset_keys_keep_the_dataclass_defaults(self):
+        spec = build_spec(parse_config_text(
+            "task = splitting\nT = 1\nh_f = 20\naxis = buffer_count\n"
+            "axis_values = 0\n"
+        ))
+        assert spec == SweepSpec(spec.schedule, spec.axis, spec.axis_values)
+        assert spec.settings == PropagationSettings()
+
     def test_unknown_key(self):
         with pytest.raises(ConfigError):
             parse_config_text("task = splitting\nbogus = 1\n")

@@ -15,7 +15,13 @@ from pauliblock import (
     solve,
 )
 from pauliblock.planner import plan_grid
-from pauliblock.propagate import _evolve, _pack
+from pauliblock.propagate import (
+    CHECK_INTERVAL,
+    KICK_BLOCK,
+    _evolve,
+    _pack,
+    _unpacked,
+)
 
 from conftest import evolve_state, gaussian_state, momentum_density
 
@@ -160,9 +166,14 @@ class TestTransportRegression:
         assert value == pytest.approx(TRANSPORT_REGRESSION_F, abs=1e-4)
 
 
+def evolve_rows(rows, schedule, grid, settings):
+    # The rows evolved alone, each state on a row of its own.
+    return _evolve([(rows, schedule, settings, _unpacked)], grid)[0]
+
+
 def row_by_row(basis, n_states, schedule, settings):
     # Every state on a row of its own, as without parity pairing.
-    return _evolve(basis.states[:n_states], schedule, basis.grid, settings)
+    return evolve_rows(basis.states[:n_states], schedule, basis.grid, settings)
 
 
 def planned_basis(schedule, n_states):
@@ -273,9 +284,72 @@ class TestLeanStrangLoop:
             grid = plan_grid([schedule], 4, 4).widened()
             basis = solve(schedule.evaluate(grid, 0.0), grid, 4)
             assert settings.steps_for(schedule.T)[0] == steps
-            final = _evolve(basis.states, schedule, basis.grid, settings)
+            final = evolve_rows(basis.states, schedule, basis.grid, settings)
             reference = unfused_strang(basis.states, schedule, basis.grid, settings)
             assert np.max(np.abs(final - reference)) < 1e-12
+
+
+class TestStackedEvolve:
+    # Runs of several schedules, time steps, durations and state counts,
+    # packed and unpacked, evolve as the rows of one array; each must hold
+    # the bits of its run alone.  The grid's 250 points are no multiple of
+    # a SIMD width.
+
+    def test_each_run_matches_its_own_evolve(self):
+        grid = Grid(-14.0, 14.0, 250)
+        stack = [
+            # (schedule, states, dt): steps, rows
+            (PotentialSchedule.transport(0.3, x0_f=1.0), 2, 3e-3),  # 100, 2
+            (PotentialSchedule.expansion(2.5, omega_f=0.5), 4, 2e-3),  # 1250, 2
+            (PotentialSchedule.splitting(1.0, h_f=20.0), 3, 1e-3),  # 1000, 2
+            (PotentialSchedule.expansion(1.3, omega_f=0.5), 1, 1e-3),  # 1300, 1
+            (PotentialSchedule.expansion(0.01, omega_f=0.5), 2, 2e-3),  # 5, 1
+            (PotentialSchedule.splitting(0.01, h_f=5.0), 2, 0.05),  # 1, 1
+        ]
+        runs = []
+        for schedule, n_states, dt in stack:
+            basis = solve(schedule.evaluate(grid, 0.0), grid, n_states)
+            runs.append((basis, n_states, schedule, PropagationSettings(dt)))
+        steps = [settings.steps_for(s.T)[0] for _, _, s, settings in runs]
+        assert steps == [100, 1250, 1000, 1300, 5, 1]
+        # Runs end at, before and after a check step, mid-block and in the
+        # first block.
+        assert CHECK_INTERVAL == 1000 and 100 % KICK_BLOCK and 1250 % KICK_BLOCK
+        packed = [len(_pack(b.states[:n], s, grid)[0]) for b, n, s, _ in runs]
+        assert packed == [2, 2, 2, 1, 1, 1]
+        stacked = propagate_basis(*runs[0], also=runs[1:])
+        assert len(stacked) == len(runs)
+        for run, states in zip(runs, stacked):
+            np.testing.assert_array_equal(states, propagate_basis(*run))
+
+    def test_error_in_one_run_raises_for_the_stack(self):
+        # The leaking case of test_containment_error_names_the_state,
+        # stacked behind a run that stays contained.
+        grid = Grid(-8.0, 8.0, 128)
+        leaking = PotentialSchedule.expansion(3.0, omega_f=0.05, lam=0.0)
+        quiet = PotentialSchedule.expansion(3.0, omega_f=1.0, lam=0.0)
+        settings = PropagationSettings(dt=5e-3)
+        basis = solve(leaking.evaluate(grid, 0.0), grid, 6)
+        propagate_basis(basis, 2, quiet, settings)
+        with pytest.raises(ContainmentError) as alone:
+            propagate_basis(basis, 6, leaking, settings)
+        with pytest.raises(ContainmentError) as stacked:
+            propagate_basis(
+                basis, 2, quiet, settings, also=[(basis, 6, leaking, settings)]
+            )
+        assert stacked.value.state == alone.value.state
+        assert stacked.value.step == alone.value.step
+
+    def test_runs_on_another_grid_are_rejected(self):
+        schedule = static_harmonic(T=0.01)
+        settings = PropagationSettings(dt=1e-3)
+        bases = [
+            solve(schedule.evaluate(grid, 0.0), grid, 1)
+            for grid in (Grid(-8.0, 8.0, 64), Grid(-8.0, 8.0, 128))
+        ]
+        other = (bases[1], 1, schedule, settings)
+        with pytest.raises(ConfigError, match="together"):
+            propagate_basis(bases[0], 1, schedule, settings, also=[other])
 
 
 class TestFailureModes:

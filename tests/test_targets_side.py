@@ -13,7 +13,14 @@ schedules, and that the time-step check covers the rows a curve reads.
 import numpy as np
 import pytest
 
-from pauliblock import PotentialSchedule, PropagationSettings, ResolutionError
+from pauliblock import (
+    Axis,
+    PotentialSchedule,
+    PropagationSettings,
+    ResolutionError,
+    SweepSpec,
+    run_sweep,
+)
 from pauliblock import pipeline
 from pauliblock.pipeline import Engine
 from pauliblock.planner import plan_grid
@@ -47,16 +54,20 @@ def both_sides(schedule, n_levels, cpus):
 
 def record_runs(monkeypatch, schedule):
     """Wrap ``pipeline.propagate_basis``; return the list of ``(side,
-    n_states, dt)`` of its calls for ``schedule``."""
+    n_states, dt)`` of its runs for ``schedule``, those stacked ``also``
+    included."""
     runs = []
     real = pipeline.propagate_basis
     backward = schedule.time_reversed()
 
-    def recorded(basis, n_states, run_schedule, settings):
-        if run_schedule in (schedule, backward):
-            side = "backward" if run_schedule == backward else "forward"
-            runs.append((side, n_states, settings.dt))
-        return real(basis, n_states, run_schedule, settings)
+    def recorded(basis, n_states, run_schedule, settings, also=None):
+        for _, run_states, stacked, run_settings in (
+            (basis, n_states, run_schedule, settings), *(also or ())
+        ):
+            if stacked in (schedule, backward):
+                side = "backward" if stacked == backward else "forward"
+                runs.append((side, run_states, run_settings.dt))
+        return real(basis, n_states, run_schedule, settings, also=also)
 
     monkeypatch.setattr(pipeline, "propagate_basis", recorded)
     return runs
@@ -140,6 +151,40 @@ class TestEscalation:
         assert escalated.value == pytest.approx(reference.value, abs=1e-12)
 
 
+    def test_tripping_stack_fills_nothing(self, monkeypatch, cpus):
+        # On the 250 points planned for T = 25 alone, the T = 10 targets
+        # trip; stacked with them, the T = 25 run, sound on its own, is not
+        # cached either, and the in-order path runs both again.
+        settings = PropagationSettings(dt=2e-3)
+        cpus(1)
+        engine = Engine(settings=settings)
+        engine.plan_levels([expansion(25.0)], 14, 2, 0.0)
+        engine.propagate_batch([(expansion(25.0), 2e-3, 2), (expansion(10.0), 2e-3, 2)])
+        runs = record_runs(monkeypatch, expansion(25.0))
+        engine.evolved_states(expansion(25.0), 2, settings)
+        assert runs == [("backward", 2, settings.dt)]
+        monkeypatch.undo()
+
+        # A sweep whose stacks trip writes the CSV of one CPU, where the
+        # whole batch is one stack, on two, where T = 25 runs alone.
+        spec = SweepSpec(
+            schedule=expansion(10.0),
+            axis=Axis.PROCESS_TIME,
+            axis_values=(10.0, 25.0),
+            n_protected=2,
+            n_buffer=12,
+            settings=settings,
+        )
+        csvs = []
+        for n_cpus in (1, 2):
+            cpus(n_cpus)
+            engine = Engine(settings=settings)
+            engine.plan_levels([expansion(25.0)], 14, 2, 0.0)
+            csvs.append(run_sweep(spec, engine).to_csv(None))
+            assert engine.family_grid(expansion(10.0)).n_points == 500
+        assert csvs[0] == csvs[1]
+
+
 class TestPlannedGridsHold:
     def test_thermal_expansion_needs_no_trip(self, monkeypatch):
         # The targets of this thermal expansion leaked off the 240-point
@@ -199,16 +244,23 @@ class TestCheckCoversTheCurveRows:
         backward = schedule.time_reversed()
         blocks = {}
 
-        def perturbed(basis, n_states, run_schedule, run_settings):
-            states = real(basis, n_states, run_schedule, run_settings)
-            if run_schedule == backward:
-                if run_settings.dt == settings.dt:
-                    states = states.copy()
-                    states[0] += kick
-                blocks[run_settings.dt] = (
-                    initial.states @ np.conj(states).T * initial.grid.dx
-                )
-            return states
+        def perturbed(basis, n_states, run_schedule, run_settings, also=None):
+            finals = real(basis, n_states, run_schedule, run_settings, also=also)
+            stack = [(run_schedule, run_settings)]
+            stack += [(stacked, dt) for _, _, stacked, dt in also or ()]
+            out = []
+            for (stacked, stacked_settings), states in zip(
+                stack, finals if also is not None else [finals]
+            ):
+                if stacked == backward:
+                    if stacked_settings.dt == settings.dt:
+                        states = states.copy()
+                        states[0] += kick
+                    blocks[stacked_settings.dt] = (
+                        initial.states @ np.conj(states).T * initial.grid.dx
+                    )
+                out.append(states)
+            return out if also is not None else out[0]
 
         monkeypatch.setattr(pipeline, "propagate_basis", perturbed)
         checked = engine.validated_settings([schedule], n_total, 2, 0.3, settings, True)
