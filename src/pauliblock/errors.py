@@ -66,15 +66,17 @@ class EdgeAmplitudeError(GridError):
     """A state kept weight at an edge of the grid, in position or momentum.
 
     ``state`` (1-based), ``ratio`` (edge amplitude relative to the peak),
-    ``tol`` and ``step`` (propagation step, None in an eigensolve) are set
-    by the check that raised the error.
+    ``tol``, ``step`` (propagation step, None in an eigensolve) and
+    ``grid`` (the lattice the state was checked on) are set by the check
+    that raised the error.
     """
 
-    def __init__(self, message, state=None, ratio=None, tol=None, step=None):
+    def __init__(self, message, state=None, ratio=None, tol=None, step=None, grid=None):
         self.state = state
         self.ratio = ratio
         self.tol = tol
         self.step = step
+        self.grid = grid
         super().__init__(message)
 
     @property

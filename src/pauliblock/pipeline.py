@@ -14,7 +14,8 @@ the schedules, level count and target count it was planned for, and its
 escalation count; the initial eigenbasis, solved for the planned levels,
 and the final one, solved for the planned targets (a request for K
 states slices that solve); and one dict of the targets' runs, keyed by
-schedule and dt (a request for M targets slices a cached run with >= M).
+schedule and dt (a request for M targets slices a cached run with >= M),
+each holding its evolved targets or the error its run tripped.
 
 Each family's grid comes from :func:`~pauliblock.planner.plan_grid`, for
 every schedule it was planned with (a sweep plans each family once, for
@@ -31,15 +32,20 @@ runs of a set of curves (:meth:`Engine.validated_settings`): first their
 families, for the levels the hottest ensemble is estimated to need, so
 the time-step check runs on the grid the curves then use.
 
-Propagations that do not depend on each other, such as the first two
-rungs of the time-step check and the schedules of a sweep, run as one
-batch (:meth:`Engine.propagate_batch`) in one lane per CPU this process
-may use (:func:`default_workers`): this process runs one lane and workers
-forked from it the others; on one CPU the whole batch is one lane here.
-A lane evolves its runs on one grid as one stack, the rows of one array
-(``propagate_basis`` with ``also``).  A batch only fills the run cache;
-the in-order path then finds its runs there, so results, escalations and
-errors do not depend on the CPU count.
+Every run is evolved by a batch (:meth:`Engine.propagate_batch`), in one
+lane per CPU this process may use (:func:`default_workers`): this process
+runs one lane and workers forked from it the others; on one CPU, or for
+a batch of one run, the whole batch is one lane here.  Propagations that
+do not depend on each other, such as the first two rungs of the
+time-step check and the schedules of a sweep, go as one batch; a miss of
+the in-order path is a batch of its one run.  A lane evolves its runs on
+one grid as one stack, the rows of one array (``propagate_basis`` with
+``also``), and a run that trips leaves the stack with its error while
+the others carry on.  A batch only fills the run cache; the in-order
+path then reads its runs there and raises a cached error, which the
+escalation answers with a new record, so each run is evolved at most
+once per grid, and results, escalations and errors do not depend on the
+CPU count.
 """
 
 import math
@@ -116,8 +122,10 @@ class _FamilyRecord:
     runs: dict = field(default_factory=dict)
 
     def lacks(self, key, n_targets):
-        """Whether run ``key`` holds fewer than ``n_targets`` targets."""
-        return len(self.runs.get(key, ())) < n_targets
+        """Whether run ``key`` holds fewer than ``n_targets`` targets; a run
+        that tripped holds its error, which answers every request."""
+        run = self.runs.get(key, ())
+        return not isinstance(run, SimulationError) and len(run) < n_targets
 
 
 def _lowest(basis, n_states):
@@ -148,8 +156,8 @@ def _propagate_runs(runs):
     ``also``, in the order given.
 
     Returns one entry per run: its evolved states, or the
-    :class:`SimulationError` its stack raised.  Defined at module level, so
-    that a worker pool pickles it by name.
+    :class:`SimulationError` it tripped.  Defined at module level, so that
+    a worker pool pickles it by name.
     """
     stacks = {}
     for index, (basis, *_) in enumerate(runs):
@@ -157,12 +165,8 @@ def _propagate_runs(runs):
     results = [None] * len(runs)
     for indices in stacks.values():
         stack = [(*runs[i][:3], PropagationSettings(runs[i][3])) for i in indices]
-        try:
-            states = propagate_basis(*stack[0], also=stack[1:])
-        except SimulationError as exc:
-            states = [exc] * len(indices)
-        for index, run_states in zip(indices, states):
-            results[index] = run_states
+        for index, states in zip(indices, propagate_basis(*stack[0], also=stack[1:])):
+            results[index] = states
     return results
 
 
@@ -261,15 +265,17 @@ class Engine:
     def evolved_states(self, schedule, n_targets, settings):
         """The lowest ``n_targets`` final eigenstates evolved under
         ``schedule.time_reversed()`` on the family's current grid
-        (:meth:`endpoint_bases` solves it), cached.  A leak raises here;
-        the caller's escalation answers it."""
+        (:meth:`endpoint_bases` solves it), cached.  A miss is a batch of
+        this one run (:meth:`propagate_batch`).  A run that tripped raises
+        its cached error here; the caller's escalation answers it."""
         record = self._families[_family(schedule)]
         key = (schedule, settings.dt)
         if record.lacks(key, n_targets):
-            record.runs[key] = propagate_basis(
-                record.final, n_targets, schedule.time_reversed(), settings
-            )
-        return record.runs[key][:n_targets]
+            self.propagate_batch([(schedule, settings.dt, n_targets)])
+        states = record.runs[key]
+        if isinstance(states, SimulationError):
+            raise states
+        return states[:n_targets]
 
     def propagate_batch(self, runs):
         """Fill the run cache for ``runs``, ``(schedule, dt, n_targets)``
@@ -282,19 +288,17 @@ class Engine:
         evolves its runs on one grid as one stack (:func:`_propagate_runs`),
         in the order they were asked for.  Runs of one schedule and dt
         merge into the one with the most targets; runs of no target and
-        cached runs are skipped, and so is a batch of fewer than two runs.
-        A stack that raises a :class:`SimulationError`, or a run whose
-        eigensolve raises one or whose worker dies, fills nothing, so the
-        in-order path runs it again and escalates or raises exactly as it
-        would without the batch.
+        cached runs are skipped.  A run that trips caches its
+        :class:`SimulationError`, which :meth:`evolved_states` raises; a
+        run whose eigensolve raises one or whose worker dies fills nothing,
+        so the in-order path batches it again, alone, and escalates or
+        raises exactly as it would without the batch.
         """
         most = {}
         for schedule, dt, n_targets in runs:
             if n_targets:
                 key = (schedule, dt)
                 most[key] = max(n_targets, most.get(key, 0))
-        if len(most) < 2:
-            return
         todo = []
         for key, n_targets in most.items():
             schedule, dt = key
@@ -306,7 +310,7 @@ class Engine:
                 steps, _ = PropagationSettings(dt).steps_for(schedule.T)
                 run = (record.final, n_targets, schedule.time_reversed(), dt)
                 todo.append((steps * n_targets, len(todo), key, run))
-        if len(todo) < 2:
+        if not todo:
             return
         n_lanes = min(default_workers(), len(todo))
         lanes = [[] for _ in range(n_lanes)]
@@ -339,15 +343,11 @@ class Engine:
                         done += zip(lane, job.result())
                     except BrokenProcessPool:
                         pass  # a worker died; the in-order path runs its share
-        for (key, (basis, *_)), states in done:
+        for (key, (basis, n_targets, *_)), states in done:
             record = self._families[_family(key[0])]
             # A family re-planned or escalated since its run keeps nothing,
             # and a cached run is never replaced by one with fewer targets.
-            if (
-                basis is record.final
-                and not isinstance(states, SimulationError)
-                and record.lacks(key, len(states))
-            ):
+            if basis is record.final and record.lacks(key, n_targets):
                 record.runs[key] = states
 
     def validated_settings(

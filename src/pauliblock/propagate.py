@@ -23,7 +23,8 @@ once per block of steps, from one evaluation of each run's potential on
 the block's times, which leaves four calls per step: the transform, the
 kinetic factor, the inverse transform and the phase.  Every operation
 acts on each row alone, so a run's states hold the bits of its run
-evolved by itself.
+evolved by itself.  A run that fails a health check leaves the stack with
+its error, and the others carry on.
 
 In a trap symmetric about x = 0 on a grid symmetric about 0, the lattice
 reflection R (x -> -x, :meth:`~pauliblock.grid.Grid.reflect`) commutes
@@ -49,6 +50,7 @@ from .errors import (
     ConvergenceError,
     InstabilityError,
     ResolutionError,
+    SimulationError,
 )
 from .spectral import check_containment, check_resolution, parity_masks
 
@@ -81,7 +83,8 @@ def _unpacked(psi):
 
 def _evolve(runs, grid):
     """Evolve ``runs`` on ``grid`` from t = 0 to their own T, in lockstep
-    as the rows of one array; return each run's states, in order.
+    as the rows of one array; return each run's states, or the error of its
+    health check, in order.
 
     A run is ``(rows, schedule, settings, unpack)``: a 2-D array of rows,
     the schedule and time step they evolve under, and the map from the
@@ -89,7 +92,10 @@ def _evolve(runs, grid):
     health checks and the returned states see.  The rows of the longest
     run come first, so the running rows are a leading slice: a run closes
     its step at its last step and leaves the array.  Every running run is
-    closed and checked at each multiple of ``CHECK_INTERVAL``.
+    closed and checked at each multiple of ``CHECK_INTERVAL``.  A run that
+    fails its check keeps the error as its result and is not checked
+    again; its rows ride along, each row alone, until every run still in
+    the array has failed.
 
     The kick phases are built once per block of at most ``KICK_BLOCK``
     steps, which also ends at a check step and at a run's last step: each
@@ -115,9 +121,10 @@ def _evolve(runs, grid):
     angle = np.empty((KICK_BLOCK + 1, grid.n_points))
 
     finals = [None] * len(runs)
+    tripped = set()
     running = len(runs)  # the runs of stack[:running] are in the array
     step = 0
-    while running:
+    while not tripped.issuperset(order[:running]):
         end = min(
             step + KICK_BLOCK,
             (step // CHECK_INTERVAL + 1) * CHECK_INTERVAL,
@@ -158,9 +165,13 @@ def _evolve(runs, grid):
         step = end
 
         for r, lo, hi in stack[:running]:
-            if step % CHECK_INTERVAL == 0 or step == lasts[r]:
+            if r not in tripped and (step % CHECK_INTERVAL == 0 or step == lasts[r]):
                 finals[r] = runs[r][3](psi[lo:hi])
-                _check_health(finals[r], grid, step)
+                try:
+                    _check_health(finals[r], grid, step)
+                except SimulationError as exc:
+                    finals[r] = exc
+                    tripped.add(r)
         while running and lasts[order[running - 1]] == step:
             running -= 1
     return finals
@@ -181,7 +192,8 @@ def _check_health(psi, grid, step):
     if failures:
         worst = max(failures, key=lambda exc: exc.excess)
         raise type(worst)(
-            f"{worst} (at step {step})", worst.state, worst.ratio, worst.tol, step
+            f"{worst} (at step {step})", worst.state, worst.ratio, worst.tol, step,
+            worst.grid,
         ) from None
 
 
@@ -229,8 +241,9 @@ def propagate_basis(
     ``also`` holds more ``(basis, n_states, schedule, settings)`` runs on
     the same grid, evolved in the same array (:func:`_evolve`); each run's
     states hold the bits of its run alone.  With it, the result is the
-    list of every run's final amplitudes, this one's first, and an error
-    in any run raises for all.
+    list of every run's final amplitudes, this one's first, or in place of
+    a run's the :class:`SimulationError` it tripped, the same as its lone
+    call would raise.  Without it, the error is raised.
     """
     runs = [(basis, n_states, schedule, settings), *(also or ())]
     grid = basis.grid
@@ -247,11 +260,15 @@ def propagate_basis(
         rows, unpack = _pack(run_basis.states[:run_states], run_schedule, grid)
         packed.append((rows, run_schedule, run_settings, unpack))
     finals = _evolve(packed, grid)
-    for final in finals:
+    for index, final in enumerate(finals):
+        if isinstance(final, SimulationError):
+            continue
         gram = np.conj(final) @ final.T * grid.dx
         defect = np.max(np.abs(gram - np.eye(len(final))))
         if defect >= 1e-6:
-            raise ConvergenceError(
+            finals[index] = ConvergenceError(
                 f"propagated states lost orthonormality (Gram defect {defect:.2e})"
             )
+    if also is None and isinstance(finals[0], SimulationError):
+        raise finals[0]
     return finals if also is not None else finals[0]

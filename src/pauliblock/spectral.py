@@ -124,7 +124,7 @@ def check_resolution(states, grid):
             f"state {worst + 1} has relative momentum-edge amplitude "
             f"{ratios[worst]:.2e} (>= {KSPACE_EDGE_TOL:.0e}); the grid "
             "undersamples it",
-            worst + 1, float(ratios[worst]), KSPACE_EDGE_TOL,
+            worst + 1, float(ratios[worst]), KSPACE_EDGE_TOL, grid=grid,
         )
 
 
@@ -138,7 +138,7 @@ def check_containment(states, grid):
             f"state {worst + 1} has relative boundary amplitude "
             f"{ratios[worst]:.2e} (>= {EDGE_AMPLITUDE_TOL:.0e}); the domain "
             "is too small",
-            worst + 1, float(ratios[worst]), EDGE_AMPLITUDE_TOL,
+            worst + 1, float(ratios[worst]), EDGE_AMPLITUDE_TOL, grid=grid,
         )
 
 

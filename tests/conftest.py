@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,24 @@ def cpus(monkeypatch):
         monkeypatch.setattr(pipeline, "default_workers", lambda: n)
 
     return use
+
+
+def count_runs(monkeypatch):
+    """Wrap ``pipeline.propagate_basis``; return a Counter of the runs it
+    evolves in this process, those stacked ``also`` included, keyed by
+    ``(T, dt, grid)``."""
+    counts = Counter()
+    real = pipeline.propagate_basis
+
+    def counted(basis, n_states, schedule, settings, also=None):
+        for run_basis, _, run_schedule, run_settings in (
+            (basis, n_states, schedule, settings), *(also or ())
+        ):
+            counts[run_schedule.T, run_settings.dt, run_basis.grid] += 1
+        return real(basis, n_states, schedule, settings, also=also)
+
+    monkeypatch.setattr(pipeline, "propagate_basis", counted)
+    return counts
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,15 @@
 import pickle
 
-from pauliblock import errors
+import pytest
+
+from pauliblock import (
+    Grid,
+    PotentialSchedule,
+    PropagationSettings,
+    errors,
+    propagate_basis,
+    solve,
+)
 
 FIELDS = ("state", "ratio", "tol", "step", "required", "available")
 
@@ -41,3 +50,29 @@ class TestPickling:
         assert copy.step == 5
         copy = pickle.loads(pickle.dumps(errors.NeedsMoreLevelsError(20, 12)))
         assert (copy.required, copy.available) == (20, 12)
+
+
+class TestErrorsNameTheirGrid:
+    # A grid check names the lattice it failed on, also in a worker.
+
+    def test_propagation_trip(self):
+        # The leaking case of test_propagate's containment test.
+        grid = Grid(-8.0, 8.0, 128)
+        schedule = PotentialSchedule.expansion(3.0, omega_f=0.05, lam=0.0)
+        basis = solve(schedule.evaluate(grid, 0.0), grid, 6)
+        with pytest.raises(errors.ContainmentError) as raised:
+            propagate_basis(basis, 6, schedule, PropagationSettings(dt=5e-3))
+        assert raised.value.step == 600
+        assert raised.value.grid == grid
+        assert pickle.loads(pickle.dumps(raised.value)).grid == grid
+
+    def test_eigensolve_trip(self):
+        # The ground state of the unit trap is about 1 wide: a box of +-2
+        # cuts it off.
+        grid = Grid(-2.0, 2.0, 64)
+        schedule = PotentialSchedule.expansion(1.0, omega_f=0.5, lam=0.0)
+        with pytest.raises(errors.ContainmentError) as raised:
+            solve(schedule.evaluate(grid, 0.0), grid, 2)
+        assert raised.value.step is None
+        assert raised.value.grid == grid
+        assert pickle.loads(pickle.dumps(raised.value)).grid == grid

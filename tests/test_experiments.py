@@ -19,6 +19,8 @@ from pauliblock.config import build_spec, parse_config_text
 from pauliblock.pipeline import Engine
 from pauliblock.planner import plan_grid
 
+from conftest import count_runs
+
 
 def split_spec(**overrides):
     base = dict(
@@ -176,7 +178,7 @@ class TestWorkerCount:
         cpus(2)
         assert run_sweep(spec).to_csv(None) == serial.to_csv(None)
 
-    def test_leaking_batch_run_escalates_in_order(self, cpus):
+    def test_leaking_batch_run_escalates_in_order(self, monkeypatch, cpus):
         # The leaking transport case of test_planner: the states reach the
         # edge of the planned domain during the ramp, so the batched runs
         # fail and the in-order path widens the grid, once, in both modes.
@@ -195,14 +197,18 @@ class TestWorkerCount:
         csvs = []
         for n_cpus in (1, 2):
             cpus(n_cpus)
+            counts = count_runs(monkeypatch)
             engine = Engine()
             csvs.append(run_sweep(spec, engine).to_csv(None))
             assert engine.family_grid(schedule) == widened
+            # On one CPU every run is evolved here, each once per grid.
+            if n_cpus == 1:
+                assert max(counts.values()) == 1
         assert csvs[0] == csvs[1]
 
     def test_kept_dt_batches_once(self, monkeypatch):
         # A check that keeps the requested dt ran the curves' runs with its
-        # rungs; a run that failed there is left to the in-order path, not
+        # rungs; a run that failed there cached its error, and is not
         # batched again.
         batches = []
         propagate_batch = Engine.propagate_batch

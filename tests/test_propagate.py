@@ -11,6 +11,7 @@ from pauliblock import (
     PotentialSchedule,
     PropagationSettings,
     ResolutionError,
+    SimulationError,
     propagate_basis,
     solve,
 )
@@ -167,8 +168,12 @@ class TestTransportRegression:
 
 
 def evolve_rows(rows, schedule, grid, settings):
-    # The rows evolved alone, each state on a row of its own.
-    return _evolve([(rows, schedule, settings, _unpacked)], grid)[0]
+    # The rows evolved alone, each state on a row of its own; a failed
+    # health check raises, as a lone propagate_basis call does.
+    (final,) = _evolve([(rows, schedule, settings, _unpacked)], grid)
+    if isinstance(final, SimulationError):
+        raise final
+    return final
 
 
 def row_by_row(basis, n_states, schedule, settings):
@@ -322,23 +327,29 @@ class TestStackedEvolve:
         for run, states in zip(runs, stacked):
             np.testing.assert_array_equal(states, propagate_basis(*run))
 
-    def test_error_in_one_run_raises_for_the_stack(self):
-        # The leaking case of test_containment_error_names_the_state,
-        # stacked behind a run that stays contained.
+    def test_tripping_run_leaves_the_others_running(self):
+        # The leaking case of test_containment_error_names_the_state, slowed
+        # to 1200 steps so that it trips at the check of step 1000, stacked
+        # behind a run of 1400 steps that stays contained: the leaking run
+        # leaves the stack with the error its lone call raises, and the
+        # quiet run carries on to the bits of its lone call.
         grid = Grid(-8.0, 8.0, 128)
-        leaking = PotentialSchedule.expansion(3.0, omega_f=0.05, lam=0.0)
-        quiet = PotentialSchedule.expansion(3.0, omega_f=1.0, lam=0.0)
+        leaking = PotentialSchedule.expansion(6.0, omega_f=0.05, lam=0.0)
+        quiet = PotentialSchedule.expansion(7.0, omega_f=1.0, lam=0.0)
         settings = PropagationSettings(dt=5e-3)
         basis = solve(leaking.evaluate(grid, 0.0), grid, 6)
-        propagate_basis(basis, 2, quiet, settings)
-        with pytest.raises(ContainmentError) as alone:
+        alone = propagate_basis(basis, 2, quiet, settings)
+        with pytest.raises(ContainmentError) as raised:
             propagate_basis(basis, 6, leaking, settings)
-        with pytest.raises(ContainmentError) as stacked:
-            propagate_basis(
-                basis, 2, quiet, settings, also=[(basis, 6, leaking, settings)]
-            )
-        assert stacked.value.state == alone.value.state
-        assert stacked.value.step == alone.value.step
+        assert raised.value.step == CHECK_INTERVAL
+        states, error = propagate_basis(
+            basis, 2, quiet, settings, also=[(basis, 6, leaking, settings)]
+        )
+        np.testing.assert_array_equal(states, alone)
+        assert type(error) is type(raised.value)
+        assert error.state == raised.value.state
+        assert error.step == raised.value.step
+        assert error.ratio == raised.value.ratio
 
     def test_runs_on_another_grid_are_rejected(self):
         schedule = static_harmonic(T=0.01)

@@ -25,6 +25,7 @@ from pauliblock import pipeline
 from pauliblock.pipeline import Engine
 from pauliblock.planner import plan_grid
 
+from conftest import count_runs
 from reference import forward_fidelity, forward_overlaps
 
 # (schedule, planned levels) on grids of 96, 60 and 120 points.
@@ -151,10 +152,10 @@ class TestEscalation:
         assert escalated.value == pytest.approx(reference.value, abs=1e-12)
 
 
-    def test_tripping_stack_fills_nothing(self, monkeypatch, cpus):
+    def test_tripping_run_leaves_the_sound_run_cached(self, monkeypatch, cpus):
         # On the 250 points planned for T = 25 alone, the T = 10 targets
-        # trip; stacked with them, the T = 25 run, sound on its own, is not
-        # cached either, and the in-order path runs both again.
+        # trip; stacked with them, the T = 25 run, sound on its own, leaves
+        # the stack with its states, and the in-order path finds it cached.
         settings = PropagationSettings(dt=2e-3)
         cpus(1)
         engine = Engine(settings=settings)
@@ -162,11 +163,12 @@ class TestEscalation:
         engine.propagate_batch([(expansion(25.0), 2e-3, 2), (expansion(10.0), 2e-3, 2)])
         runs = record_runs(monkeypatch, expansion(25.0))
         engine.evolved_states(expansion(25.0), 2, settings)
-        assert runs == [("backward", 2, settings.dt)]
+        assert runs == []
         monkeypatch.undo()
 
         # A sweep whose stacks trip writes the CSV of one CPU, where the
-        # whole batch is one stack, on two, where T = 25 runs alone.
+        # whole batch is one stack, on two, where T = 25 runs alone.  On
+        # one CPU, each run is evolved once per grid.
         spec = SweepSpec(
             schedule=expansion(10.0),
             axis=Axis.PROCESS_TIME,
@@ -178,10 +180,13 @@ class TestEscalation:
         csvs = []
         for n_cpus in (1, 2):
             cpus(n_cpus)
+            counts = count_runs(monkeypatch)
             engine = Engine(settings=settings)
             engine.plan_levels([expansion(25.0)], 14, 2, 0.0)
             csvs.append(run_sweep(spec, engine).to_csv(None))
             assert engine.family_grid(expansion(10.0)).n_points == 500
+            if n_cpus == 1:
+                assert max(counts.values()) == 1
         assert csvs[0] == csvs[1]
 
 
