@@ -129,8 +129,8 @@ class _FamilyRecord:
 
 
 def _lowest(basis, n_states):
-    return spectral.EigenBasis(
-        basis.grid, basis.energies[:n_states], basis.states[:n_states]
+    return replace(
+        basis, energies=basis.energies[:n_states], states=basis.states[:n_states]
     )
 
 

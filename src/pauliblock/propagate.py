@@ -23,7 +23,7 @@ once per block of steps, from one evaluation of each run's potential on
 the block's times, which leaves four calls per step: the transform, the
 kinetic factor, the inverse transform and the phase.  Every operation
 acts on each row alone, so a run's states hold the bits of its run
-evolved by itself.  A run that fails a health check leaves the stack with
+evolved by itself.  A run that fails a health check leaves the array with
 its error, and the others carry on.
 
 In a trap symmetric about x = 0 on a grid symmetric about 0, the lattice
@@ -31,12 +31,12 @@ reflection R (x -> -x, :meth:`~pauliblock.grid.Grid.reflect`) commutes
 with both Strang factors, so the propagator U maps even states to even
 ones and odd to odd.  Being linear, it evolves the sum a + b of an even
 state a and an odd state b as U a + U b, and (1 + R)/2 and (1 - R)/2
-take the two apart again.  :func:`propagate_basis` therefore packs each
-even eigenstate with an odd one into a single row and evolves about half
-as many rows; the states are unpacked before every containment and
-resolution check and at the end, so the checks, their ``state`` index
-and the orthonormality check see the states one by one.  A state whose
-parity is not pure to ``PARITY_TOL`` keeps a row of its own.
+take the two apart again.  The levels of such a trap alternate in
+parity (:class:`~pauliblock.spectral.EigenBasis` records it), so
+:func:`propagate_basis` packs level 2k with level 2k + 1 into a single row
+and evolves about half as many rows; the states are unpacked before every
+containment and resolution check and at the end, so the checks, their
+``state`` index and the orthonormality check see the states one by one.
 """
 
 import math
@@ -52,7 +52,7 @@ from .errors import (
     ResolutionError,
     SimulationError,
 )
-from .spectral import check_containment, check_resolution, parity_masks
+from .spectral import check_containment, check_resolution
 
 # Steps between containment / resolution / finite-amplitude checks.
 CHECK_INTERVAL = 1000
@@ -89,13 +89,12 @@ def _evolve(runs, grid):
     A run is ``(rows, schedule, settings, unpack)``: a 2-D array of rows,
     the schedule and time step they evolve under, and the map from the
     evolved rows to the states they carry (see :func:`_pack`), which the
-    health checks and the returned states see.  The rows of the longest
-    run come first, so the running rows are a leading slice: a run closes
-    its step at its last step and leaves the array.  Every running run is
-    closed and checked at each multiple of ``CHECK_INTERVAL``.  A run that
-    fails its check keeps the error as its result and is not checked
-    again; its rows ride along, each row alone, until every run still in
-    the array has failed.
+    health checks and the returned states see.  The rows of the runs still
+    evolving are the leading rows of the array, longest run first.  Every
+    run is closed and checked at each multiple of ``CHECK_INTERVAL`` and at
+    its last step.  A run leaves the array at its last step, or when it
+    fails a check, with the error as its result; the rows of the runs after
+    it then move up into its place.
 
     The kick phases are built once per block of at most ``KICK_BLOCK``
     steps, which also ends at a check step and at a run's last step: each
@@ -121,19 +120,17 @@ def _evolve(runs, grid):
     angle = np.empty((KICK_BLOCK + 1, grid.n_points))
 
     finals = [None] * len(runs)
-    tripped = set()
-    running = len(runs)  # the runs of stack[:running] are in the array
     step = 0
-    while not tripped.issuperset(order[:running]):
+    while stack:
         end = min(
             step + KICK_BLOCK,
             (step // CHECK_INTERVAL + 1) * CHECK_INTERVAL,
-            lasts[order[running - 1]],
+            lasts[stack[-1][0]],
         )
         n_steps = end - step
         opened = step % CHECK_INTERVAL == 0  # the step before was closed
         built = slice(0 if opened else 1, n_steps + 1)
-        for r, lo, hi in stack[:running]:
+        for r, lo, hi in stack:
             # V_j at the middle of the block's j-th step, for j = 1..n_steps
             # and, unless the run closes its step at the end of the block,
             # n_steps + 1.
@@ -153,7 +150,7 @@ def _evolve(runs, grid):
             np.sin(angle[built], out=own[:, 0].imag)
             own[:, 1:] = own[:, :1]
 
-        rows = bounds[running]
+        rows = stack[-1][2]
         view, kinetic_rows = psi[:rows], kinetic[:rows]
         if opened:
             view *= phases[0, :rows]
@@ -164,16 +161,25 @@ def _evolve(runs, grid):
             view *= phase
         step = end
 
-        for r, lo, hi in stack[:running]:
-            if r not in tripped and (step % CHECK_INTERVAL == 0 or step == lasts[r]):
+        staying, top = [], 0
+        for r, lo, hi in stack:
+            if step % CHECK_INTERVAL == 0 or step == lasts[r]:
                 finals[r] = runs[r][3](psi[lo:hi])
                 try:
                     _check_health(finals[r], grid, step)
                 except SimulationError as exc:
                     finals[r] = exc
-                    tripped.add(r)
-        while running and lasts[order[running - 1]] == step:
-            running -= 1
+                    continue
+            if step < lasts[r]:
+                # Rows move up over those of runs that tripped.  The runs
+                # that ended are the shortest, after every run still here,
+                # so the rows their results may view stay as they are.
+                if lo != top:
+                    psi[top:top + hi - lo] = psi[lo:hi]
+                    kinetic[top:top + hi - lo] = kinetic[lo:hi]
+                staying.append((r, top, top + hi - lo))
+                top += hi - lo
+        stack = staying
     return finals
 
 
@@ -197,32 +203,25 @@ def _check_health(psi, grid, step):
         ) from None
 
 
-def _pack(states, schedule, grid):
-    """Rows that carry ``states``, and the map from evolved rows to states.
+def _pack(basis, n_states, schedule):
+    """Rows that carry the ``n_states`` lowest states of ``basis``, and the
+    map from evolved rows to states.
 
-    On a symmetric trap and grid, the k-th even state shares a row with the
-    k-th odd one; the rest keep rows of their own, after the pairs.  With
-    no pair to make, the rows are ``states`` itself.
+    On a symmetric trap and a basis whose levels alternate in parity, row k
+    carries level 2k, which is even, plus level 2k + 1, which is odd, if
+    there is one.  Otherwise the rows are the states themselves.
     """
-    if not (schedule.is_symmetric and grid.is_symmetric):
+    states = basis.states[:n_states]
+    if not (basis.alternating and schedule.is_symmetric):
         return states, _unpacked
-    even, odd, _ = parity_masks(states, grid)
-    even, odd = np.flatnonzero(even), np.flatnonzero(odd)
-    n_pairs = min(even.size, odd.size)
-    if n_pairs == 0:
-        return states, _unpacked
-    even, odd = even[:n_pairs], odd[:n_pairs]
-    single = np.ones(len(states), dtype=bool)  # states left without a partner
-    single[even] = single[odd] = False
-    rows = np.concatenate((states[even] + states[odd], states[single]))
+    rows = states[0::2].copy()
+    rows[:n_states // 2] += states[1::2]
 
     def unpack(psi):
-        pairs = psi[:n_pairs]
-        mirrored = grid.reflect(pairs)
-        out = np.empty((len(states), psi.shape[1]), dtype=psi.dtype)
-        out[even] = 0.5 * (pairs + mirrored)
-        out[odd] = 0.5 * (pairs - mirrored)
-        out[single] = psi[n_pairs:]
+        mirrored = basis.grid.reflect(psi)
+        out = np.empty((n_states, psi.shape[1]), dtype=psi.dtype)
+        out[0::2] = 0.5 * (psi + mirrored)
+        out[1::2] = 0.5 * (psi - mirrored)[:n_states // 2]
         return out
 
     return rows, unpack
@@ -257,7 +256,7 @@ def propagate_basis(
             raise ConfigError(
                 f"cannot evolve runs on {run_basis.grid} and {grid} together"
             )
-        rows, unpack = _pack(run_basis.states[:run_states], run_schedule, grid)
+        rows, unpack = _pack(run_basis, run_states, run_schedule)
         packed.append((rows, run_schedule, run_settings, unpack))
     finals = _evolve(packed, grid)
     for index, final in enumerate(finals):

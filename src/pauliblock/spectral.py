@@ -10,8 +10,17 @@ Energies come in ascending order, and each state's sign is fixed so that
 its leftmost entry of at least half the largest magnitude is positive.
 The largest entry itself would not do: an odd state on a symmetric grid
 reaches its largest magnitude at a mirror pair of opposite signs, and
-rounding picks one of the two.  The parity-pure states of a symmetric
-grid are made exactly even or odd.
+rounding picks one of the two.
+
+A 1D bound spectrum has no degeneracy, and level n has n nodes, so in a
+trap symmetric about x = 0 level n (from 0) has parity (-1)^n.  On a
+symmetric grid the lattice reflection j -> (n - j) mod n commutes with the
+Hamiltonian, which then splits into an even and an odd block (Marston and
+Balint-Kurti, J. Chem. Phys. 91, 3571 (1989)); :func:`solve` diagonalizes
+the two and takes the k-th even state as level 2k and the k-th odd state as
+level 2k + 1, so the states come out exactly even or odd.  Of a pair split
+below rounding, such as the tunnel-split pair of a high barrier, the even
+member is the lower level.
 """
 
 from dataclasses import dataclass
@@ -38,9 +47,12 @@ RESIDUAL_TOL = 1e-6
 POTENTIAL_CLIP = 1e6
 CLIP_SAFETY = 1e-2
 
-# Largest wrong-parity norm ||(1 -+ R) psi|| sqrt(dx) / 2 of a state that
-# counts as even or odd (see :func:`parity_masks`).
-PARITY_TOL = 1e-10
+# Largest |V(x) - V(-x)|, relative to max |V|, of a trap that counts as
+# mirror-symmetric.  The lattice positions x_j and -x_(n-j) round apart, and
+# numpy's x**4 rounds differently on the two sides, so a symmetric trap on
+# a symmetric grid mirrors itself only to a few ulps of its largest value
+# (1.6e-15 of it at most over the planned expansion and splitting grids).
+SYMMETRY_TOL = 1e-12
 
 
 @dataclass
@@ -48,11 +60,15 @@ class EigenBasis:
     """Ordered lowest-K eigenpairs of a static trap Hamiltonian.
 
     ``states`` holds one unit-norm eigenstate per row (real amplitudes).
+    ``alternating`` records that level n (from 0) is exactly even for even
+    n and exactly odd for odd n, as :func:`solve` gives the levels of a
+    mirror-symmetric trap on a symmetric grid.
     """
 
     grid: Grid
     energies: np.ndarray
     states: np.ndarray
+    alternating: bool = False
 
     @property
     def size(self):
@@ -82,29 +98,6 @@ def _fix_phases(states):
     signs = np.sign(states[np.arange(states.shape[0]), idx])
     signs[signs == 0] = 1.0
     return states * signs[:, None]
-
-
-def parity_masks(states, grid):
-    """(even, odd, reflected): which rows of ``states`` are even and which
-    odd to ``PARITY_TOL`` on a symmetric grid, and the reflected rows."""
-    reflected = grid.reflect(states)
-    scale = 0.5 * np.sqrt(grid.dx)
-    even = scale * np.linalg.norm(states - reflected, axis=1) < PARITY_TOL
-    odd = scale * np.linalg.norm(states + reflected, axis=1) < PARITY_TOL
-    return even, odd, reflected
-
-
-def _snap_parities(states, grid):
-    # Parity-pure states made exactly even or odd: mirrored samples then
-    # match to the bit, so nothing read off a state (its sign sample, its
-    # largest entry) depends on which of a mirror pair rounding favoured.
-    even, odd, reflected = parity_masks(states, grid)
-    states[even] = 0.5 * (states[even] + reflected[even])
-    states[odd] = 0.5 * (states[odd] - reflected[odd])
-
-
-def _parity_of(state, grid):
-    return float(np.dot(state, grid.reflect(state)) / np.dot(state, state))
 
 
 def edge_band_ratio(states, grid):
@@ -182,42 +175,73 @@ def solve(potential, grid, n_states):
         raise ConfigError("potential length does not match the grid")
     potential = effective_potential(potential)
 
-    # Kinetic operator: real symmetric circulant with first column from the
-    # inverse transform of k^2/2, so h[i, j] = first_col[(i - j) % n].
-    first_col = np.fft.ifft(0.5 * grid.k_values**2).real
-    i = np.arange(n)
-    h = first_col[np.subtract.outer(i, i) % n]
-    h[i, i] += potential
-
-    # numpy's eigh has no subset driver: every level is computed and the
-    # lowest are kept.
-    energies, vecs = np.linalg.eigh(h)
-    del h
-    energies = energies[:n_states]
+    # Kinetic operator: real symmetric circulant with first column c from the
+    # inverse transform of k^2/2, so h[i, j] = c[(i - j) % n].
+    c = np.fft.ifft(0.5 * grid.k_values**2).real
+    mirrored = grid.reflect(potential)
+    alternating = grid.is_symmetric and np.allclose(
+        potential, mirrored, rtol=0, atol=SYMMETRY_TOL * np.max(np.abs(potential))
+    )
+    if alternating:
+        energies, states = _solve_blocks(c, potential, grid, n_states)
+    else:
+        i = np.arange(n)
+        h = c[np.subtract.outer(i, i) % n]
+        h[i, i] += potential
+        energies, states = _eigh_lowest(h, n_states)
     if energies[-1] > CLIP_SAFETY * POTENTIAL_CLIP:
         raise ConvergenceError(
             f"requested states reach E={energies[-1]:.3e}, too close to the "
             f"potential cap {POTENTIAL_CLIP:.0e}"
         )
-    states = np.ascontiguousarray(vecs[:, :n_states].T) / np.sqrt(grid.dx)
-    del vecs
-    if grid.is_symmetric:
-        _snap_parities(states, grid)
-    states = _fix_phases(states)
-    _order_degenerate_pairs(energies, states, grid)
+    states = _fix_phases(states / np.sqrt(grid.dx))
 
     residual_check(potential, grid, energies, states)
     check_containment(states, grid)
     check_resolution(states, grid)
-    return EigenBasis(grid, energies, states)
+    return EigenBasis(grid, energies, states, alternating)
 
 
-def _order_degenerate_pairs(energies, states, grid):
-    # Ties at machine precision: even-parity state first, for reproducibility.
-    for i in range(len(energies) - 1):
-        if energies[i + 1] == energies[i]:
-            if _parity_of(states[i], grid) < _parity_of(states[i + 1], grid):
-                states[[i, i + 1]] = states[[i + 1, i]]
+def _eigh_lowest(h, n_states):
+    # numpy's eigh has no subset driver: every level is computed and the
+    # lowest are kept, their vectors as rows.
+    energies, vecs = np.linalg.eigh(h)
+    return energies[:n_states], vecs[:, :n_states].T.copy()
+
+
+def _solve_blocks(c, potential, grid, n_states):
+    """The lowest ``n_states`` levels of a mirror-symmetric ``potential``
+    under the kinetic circulant of first column ``c``: (energies, states),
+    with unit-norm state vectors.  The blocks read the potential at
+    x <= 0, which mirrors it to rounding.
+
+    The k-th state of the even block is level 2k and the k-th of the odd
+    block level 2k + 1, whatever their energies.  The energies are reported
+    in ascending order, so of a pair split below rounding the even member
+    is the lower level.  A level that lies below the one before it by more
+    than the residual bound then leaves its state with another level's
+    energy, and :func:`residual_check` raises.
+    """
+    n = grid.n_points
+    half = n // 2
+    # The even block acts on e_0, e_(n/2) and (e_j + e_(n-j))/sqrt(2), the
+    # odd block on (e_j - e_(n-j))/sqrt(2), for j = 1 .. n/2 - 1.  Between
+    # them H[a, b] = c[|a - b|] +- c[(a + b) % n], times 1/sqrt(2) for each
+    # of e_0 and e_(n/2), which are their own mirror images.
+    a = np.arange(half + 1)
+    ends = np.where(a % half == 0, np.sqrt(0.5), 1.0)
+    direct, crossed = c[np.abs(a[:, None] - a)], c[(a[:, None] + a) % n]
+    energies, states = np.empty(n_states), np.zeros((n_states, n))
+    for parity in (0, 1):
+        inner = slice(parity, half + 1 - parity)  # no e_0, e_(n/2) when odd
+        block = (direct + (-1) ** parity * crossed)[inner, inner]
+        block *= ends[inner] * ends[inner, None]
+        block[np.diag_indices_from(block)] += potential[inner]
+        energies[parity::2], vecs = _eigh_lowest(block, (n_states + 1 - parity) // 2)
+        states[parity::2, inner] = vecs * ends[inner]
+    # Each block state spread back over the mirror pairs of its basis.
+    states += (-1.0) ** np.arange(n_states)[:, None] * grid.reflect(states)
+    return np.sort(energies), np.sqrt(0.5) * states
 
 
 def residual_check(potential, grid, energies, states):

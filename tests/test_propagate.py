@@ -200,7 +200,7 @@ class TestParityPairing:
     )
     def test_packed_matches_row_by_row(self, schedule, n_states):
         basis = planned_basis(schedule, n_states)
-        rows, _ = _pack(basis.states, schedule, basis.grid)
+        rows, _ = _pack(basis, n_states, schedule)
         assert len(rows) == n_states // 2
         settings = PropagationSettings(dt=2e-3)
         packed = propagate_basis(basis, n_states, schedule, settings)
@@ -208,8 +208,9 @@ class TestParityPairing:
         assert np.max(np.abs(packed - reference)) < 1e-10
 
     def test_mixed_parity_states_keep_own_rows(self):
-        # A tunnel-split pair mixed by the eigensolver is neither even nor
-        # odd; such states must propagate exactly as they would alone.
+        # A mixed pair is neither even nor odd; a basis that does not record
+        # alternating parity keeps every state on a row of its own, and its
+        # states propagate exactly as they would alone.
         schedule = PotentialSchedule.expansion(2.0, omega_f=0.5, lam=0.0)
         grid = Grid(-12.0, 12.0, 256)
         pure = solve(schedule.evaluate(grid, 0.0), grid, 4)
@@ -217,13 +218,24 @@ class TestParityPairing:
         states[0] = (pure.states[0] + pure.states[1]) / np.sqrt(2.0)
         states[1] = (pure.states[0] - pure.states[1]) / np.sqrt(2.0)
         basis = EigenBasis(grid, pure.energies, states)
-        rows, _ = _pack(basis.states, schedule, grid)
-        assert len(rows) == 3
+        rows, _ = _pack(basis, 4, schedule)
+        assert len(rows) == 4
         settings = PropagationSettings(dt=2e-3)
         packed = propagate_basis(basis, 4, schedule, settings)
         reference = row_by_row(basis, 4, schedule, settings)
         np.testing.assert_array_equal(packed[:2], reference[:2])
         assert np.max(np.abs(packed[2:] - reference[2:])) < 1e-10
+
+    def test_tunnel_pair_targets_share_a_row(self):
+        # The compensation report's targets: the two lowest levels of the
+        # final splitting trap, a tunnel pair split by 1.6e-5, on the 240
+        # points planned for the report's 54 levels, evolved backward.
+        schedule = PotentialSchedule.splitting(2.0, h_f=20.0)
+        grid = plan_grid([schedule], 54, 2)
+        assert grid.n_points == 240
+        final = solve(schedule.evaluate(grid, schedule.T), grid, 2)
+        rows, _ = _pack(final, 2, schedule.time_reversed())
+        assert len(rows) == 1
 
     def test_transport_is_not_packed(self):
         # Starting at x = 0 on a symmetric grid the initial states are
@@ -320,18 +332,18 @@ class TestStackedEvolve:
         # Runs end at, before and after a check step, mid-block and in the
         # first block.
         assert CHECK_INTERVAL == 1000 and 100 % KICK_BLOCK and 1250 % KICK_BLOCK
-        packed = [len(_pack(b.states[:n], s, grid)[0]) for b, n, s, _ in runs]
+        packed = [len(_pack(b, n, s)[0]) for b, n, s, _ in runs]
         assert packed == [2, 2, 2, 1, 1, 1]
         stacked = propagate_basis(*runs[0], also=runs[1:])
         assert len(stacked) == len(runs)
         for run, states in zip(runs, stacked):
             np.testing.assert_array_equal(states, propagate_basis(*run))
 
-    def test_tripping_run_leaves_the_others_running(self):
+    def test_tripping_run_leaves_the_others_running(self, monkeypatch):
         # The leaking case of test_containment_error_names_the_state, slowed
         # to 1200 steps so that it trips at the check of step 1000, stacked
         # behind a run of 1400 steps that stays contained: the leaking run
-        # leaves the stack with the error its lone call raises, and the
+        # leaves the array with the error its lone call raises, and the
         # quiet run carries on to the bits of its lone call.
         grid = Grid(-8.0, 8.0, 128)
         leaking = PotentialSchedule.expansion(6.0, omega_f=0.05, lam=0.0)
@@ -342,9 +354,22 @@ class TestStackedEvolve:
         with pytest.raises(ContainmentError) as raised:
             propagate_basis(basis, 6, leaking, settings)
         assert raised.value.step == CHECK_INTERVAL
+        # One inverse transform per step: the rows it transforms, the quiet
+        # run's packed row and the leaking run's three up to the trip, the
+        # quiet row alone after it.
+        transformed = []
+        ifft = np.fft.ifft
+
+        def counting_ifft(a, *args, **kwargs):
+            transformed.append(len(a))
+            return ifft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifft", counting_ifft)
         states, error = propagate_basis(
             basis, 2, quiet, settings, also=[(basis, 6, leaking, settings)]
         )
+        monkeypatch.undo()
+        assert transformed == [4] * CHECK_INTERVAL + [1] * 400
         np.testing.assert_array_equal(states, alone)
         assert type(error) is type(raised.value)
         assert error.state == raised.value.state

@@ -3,8 +3,11 @@ import pytest
 
 from pauliblock import (
     ConfigError,
+    ConvergenceError,
+    Engine,
     Grid,
     PotentialSchedule,
+    PropagationSettings,
     ResolutionError,
     fermi_gap_profile,
     solve,
@@ -92,6 +95,74 @@ class TestSplitTrap:
         pair_split = e[1::2] - e[0::2]
         # Splittings grow by orders of magnitude towards the barrier top.
         assert pair_split[11] > 1e3 * pair_split[0]
+
+
+# Splitting with a high barrier (T = 0.2, h_f = 100): the final trap's
+# lowest two levels are a tunnel pair split below rounding, so N_p = 1 puts
+# the protected edge inside the pair.  Its even member, level 0, gives this
+# F on every grid.
+HIGH_BARRIER = PotentialSchedule.splitting(0.2, h_f=100.0)
+HIGH_BARRIER_F = 0.0115767561
+
+
+def wrap_eigh(monkeypatch, shift_odd):
+    """Replace ``np.linalg.eigh`` with one whose second call (the odd block
+    of a symmetric solve) returns its energies shifted by
+    ``shift_odd(odd_energies, even_energies)``."""
+    eigh = np.linalg.eigh
+    calls = []
+
+    def wrapped(h):
+        energies, vecs = eigh(h)
+        calls.append(energies)
+        if len(calls) == 2:
+            energies = energies + shift_odd(energies, calls[0])
+        return energies, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", wrapped)
+
+
+class TestParityFromLevelIndex:
+    # On a symmetric trap and grid, level n is exactly even for even n and
+    # exactly odd for odd n, whatever the energies' rounding.
+
+    def test_asymmetric_trap_does_not_alternate(self):
+        grid = Grid(-8.0, 8.0, 128)
+        basis = solve(quartic_potential(grid) + 0.1 * grid.x, grid, 4)
+        assert not basis.alternating
+
+    def test_inversion_beyond_the_bound_raises(self, monkeypatch):
+        # The odd levels 1.5 and 3.5 planted 1.5 lower lie below the even
+        # levels before them.  Sorted, the energies read 0, 0.5, 2 and 2.5,
+        # and the states keep their levels, so level 1's state carries 0.5
+        # and misses by 1; relabelled by energy, state 1 would miss by 1.5.
+        grid = Grid(-8.0, 8.0, 128)
+        wrap_eigh(monkeypatch, lambda odd, even: -1.5)
+        with pytest.raises(ConvergenceError, match="eigenstate 2 residual 1.00e"):
+            solve(0.5 * grid.x**2, grid, 4)
+
+    def test_pair_split_below_rounding_keeps_the_even_state_first(
+        self, monkeypatch
+    ):
+        # The high barrier's final pair on 128 points, its odd member put
+        # 1e-14 below the even one: the energies ascend, and level 0 stays
+        # the even state.
+        grid = plan_grid([HIGH_BARRIER], 2, 1, 128)
+        potential = HIGH_BARRIER.evaluate(grid, HIGH_BARRIER.T)
+        wrap_eigh(monkeypatch, lambda odd, even: even[0] - odd[0] - 1e-14)
+        basis = solve(potential, grid, 4)
+        assert (np.diff(basis.energies) >= 0).all()
+        assert basis.energies[1] - basis.energies[0] < 1e-13
+        states = basis.states
+        np.testing.assert_array_equal(states[0], grid.reflect(states[0]))
+        np.testing.assert_array_equal(states[1], -grid.reflect(states[1]))
+
+    @pytest.mark.parametrize("n_points", [128, 256, 512, 1024])
+    def test_protected_edge_inside_a_tunnel_pair(self, n_points):
+        # `split --T 0.2 --h-f 100 --n-protected 1 --n-buffer 1 --n-points n`
+        engine = Engine(n_points, PropagationSettings(dt=1e-3))
+        result = engine.scenario_fidelity(HIGH_BARRIER, 1, 1, check_dt=True)
+        assert result.value == pytest.approx(HIGH_BARRIER_F, abs=1e-8)
 
 
 class TestFermiGapProfile:
@@ -200,7 +271,9 @@ class TestDenseSolver:
         # The quartic trap's levels alternate in parity; mirrored samples
         # match to the bit.
         potential, grid, n_states = reference_case("expansion-324")
-        states = solve(potential, grid, n_states).states
+        basis = solve(potential, grid, n_states)
+        assert basis.alternating
+        states = basis.states
         parities = (-1.0) ** np.arange(n_states)
         np.testing.assert_array_equal(
             states, parities[:, None] * grid.reflect(states)
