@@ -138,12 +138,14 @@ def flow_reach(schedules, trap, energy):
     ``FLOW_PARTICLES`` particles sit at evenly spaced allowed positions of
     the shell, half moving each way, and take ``FLOW_STEPS`` equal
     velocity-Verlet steps with central-difference forces; the extremes are
-    taken over every step.  The schedules flow in one pass: at each step
-    k, one evaluation of the family's trap gives each schedule's
-    particles their potential at its own control value c(k*dt).  Where a
-    step would turn some particle's phase by more than ``FLOW_PHASE`` at
-    the stiffest local curvature sqrt(V''), that schedule's flow leaves
-    the pass and starts again with twice the steps.
+    taken over every step.  The schedules flow in one pass: one call of
+    :meth:`~pauliblock.potentials.PotentialSchedule.control_value` gives
+    each schedule the column of its control values c(k*dt) over the pass,
+    and at each step k one evaluation of the family's trap gives each
+    schedule's particles their potential at its own c(k*dt).  Where a step
+    would turn some particle's phase by more than ``FLOW_PHASE`` at the
+    stiffest local curvature sqrt(V''), that schedule's flow leaves the
+    pass and starts again with twice the steps.
     """
     reverses = [schedule.time_reversed() for schedule in schedules]
     x, v = _scan(trap, energy)
@@ -163,11 +165,15 @@ def flow_reach(schedules, trap, energy):
         stiff = np.array([(FLOW_PHASE * h / dt) ** 2 for dt in dts])
         dt = np.array(dts)[:, None]
         kick = 0.25 * dt / h
+        # Each schedule's control values at every step of the pass, a row.
+        times = np.arange(steps + 1)
+        controls = np.array(
+            [reverses[i].control_value(times * t) for i, t in zip(flowing, dts)]
+        )
         x, p = (np.repeat(a[None], len(flowing), axis=0) for a in start)
         p_lo, p_hi, x_lo, x_hi = p.copy(), p.copy(), x.copy(), x.copy()
         for step in range(steps + 1):
-            c = [reverses[i].control_value(step * t) for i, t in zip(flowing, dts)]
-            v = reverses[0].trap(x[:, :, None] + stencil)(np.array(c)[:, None, None])
+            v = reverses[0].trap(x[:, :, None] + stencil)(controls[:, step, None, None])
             half_kick = (v[..., 0] - v[..., 2]) * kick
             if step:
                 p += half_kick
@@ -180,10 +186,12 @@ def flow_reach(schedules, trap, energy):
                 restart += [i for i, out in zip(flowing, tripped) if out]
                 keep = ~tripped
                 flowing = [i for i, kept in zip(flowing, keep) if kept]
-                dts = [t for t, kept in zip(dts, keep) if kept]
-                stiff, dt, kick, x, p, p_lo, p_hi, x_lo, x_hi, half_kick = (
+                stiff, dt, kick, controls, x, p, p_lo, p_hi, x_lo, x_hi, half_kick = (
                     a[keep]
-                    for a in (stiff, dt, kick, x, p, p_lo, p_hi, x_lo, x_hi, half_kick)
+                    for a in (
+                        stiff, dt, kick, controls, x, p, p_lo, p_hi, x_lo, x_hi,
+                        half_kick,
+                    )
                 )
                 if not flowing:
                     break

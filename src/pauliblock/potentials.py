@@ -108,19 +108,30 @@ class PotentialSchedule:
         )
 
     def control_value(self, t):
-        """The driven parameter (omega, x0 or h) at time t in [0, T]."""
+        """The driven parameter (omega, x0 or h) at time t in [0, T].
+
+        ``t`` may also be an array of times, such as the column of a run's
+        steps: one formula gives the value of each, with the bits a call on
+        that time alone gives, since a number goes through the same array
+        arithmetic.  t = 0 and t = T give c_i and c_f exactly, and any time
+        outside [0, T] raises.
+        """
         T = self.T
-        if not (-1e-12 * T <= t <= T * (1 + 1e-12)):
-            raise ConfigError(f"time {t} outside the schedule range [0, {T}]")
+        t = np.asarray(t, dtype=float)
+        outside = ~((-1e-12 * T <= t) & (t <= T * (1 + 1e-12)))
+        if outside.any():
+            raise ConfigError(
+                f"time {t[outside].flat[0]} outside the schedule range [0, {T}]"
+            )
         first, last = _CONTROLS[self.task]
         c_i, c_f = getattr(self, first), getattr(self, last)
-        if t <= 0:
-            return c_i
-        if t >= T:
-            return c_f
         if self.shape is RampShape.LINEAR:
-            return c_i + (c_f - c_i) * t / T
-        return c_i + (c_f - c_i) * math.sin(math.pi * t / (2.0 * T)) ** 2
+            c = c_i + (c_f - c_i) * t / T
+        else:
+            s = np.sin(np.pi * t / (2.0 * T))
+            c = c_i + (c_f - c_i) * (s * s)
+        c = np.where(t <= 0, c_i, np.where(t >= T, c_f, c))
+        return c if c.ndim else float(c)
 
     @property
     def is_symmetric(self):
@@ -140,28 +151,20 @@ class PotentialSchedule:
 
     def potential(self, x):
         """Closure t -> V(x, t) at the positions ``x`` (any shape), its
-        static factors computed once: cheap enough for the propagator to
-        call once per time step.  ``t`` may also be an array of times,
-        such as a column: the control value of each is taken from
-        :meth:`control_value`, one time at a time, and broadcast against
-        ``x``, so each time's V holds the bits of a call on that time
-        alone."""
+        static factors computed once.  ``t`` may also be an array of times,
+        such as a column: their control values (:meth:`control_value`) are
+        broadcast against ``x``, so each time's V holds the bits of a call
+        on that time alone."""
         trap = self.trap(x)
-
-        def at(t):
-            if np.ndim(t) == 0:
-                return trap(self.control_value(t))
-            values = [self.control_value(time) for time in np.ravel(t).tolist()]
-            return trap(np.reshape(values, np.shape(t)))
-
-        return at
+        return lambda t: trap(self.control_value(t))
 
     def trap(self, x):
         """Closure c -> V(x) of the trap at the control value ``c``
         (omega, x0 or h; a number, or an array broadcast against ``x``).
         The one formula of each task's trap."""
         if self.task is Task.EXPANSION:
-            static = 0.5 * (x**2 + self.lam * x**4)
+            x2 = x * x
+            static = 0.5 * (x2 + self.lam * x2 * x2)
 
             def at(c):
                 return (c * c) * static

@@ -18,13 +18,15 @@ Several runs on one grid, each with its own rows, dt, duration and trap,
 evolve in lockstep as one array (:func:`_evolve`; ``propagate_basis``
 with ``also``).  On a few hundred points a step's cost is numpy's fixed
 cost per call, not its arithmetic, so one transform of several rows
-costs little more than one of a single row.  The kick phases are built
-once per block of steps, from one evaluation of each run's potential on
-the block's times, which leaves four calls per step: the transform, the
-kinetic factor, the inverse transform and the phase.  Every operation
-acts on each row alone, so a run's states hold the bits of its run
-evolved by itself.  A run that fails a health check leaves the array with
-its error, and the others carry on.
+costs little more than one of a single row.  Each run's control value
+at the middle of each of its steps is taken once, as one column, when the
+run starts.  The kick phases are built once per block of steps, from one
+evaluation of each run's trap on the block's slice of that column, which
+leaves four calls per step: the transform, the kinetic factor, the
+inverse transform and the phase.  Every operation acts on each row alone,
+so a run's states hold the bits of its run evolved by itself.  A run that
+fails a health check leaves the array with its error, and the others
+carry on.
 
 In a trap symmetric about x = 0 on a grid symmetric about 0, the lattice
 reflection R (x -> -x, :meth:`~pauliblock.grid.Grid.reflect`) commutes
@@ -37,6 +39,11 @@ parity (:class:`~pauliblock.spectral.EigenBasis` records it), so
 and evolves about half as many rows; the states are unpacked before every
 containment and resolution check and at the end, so the checks, their
 ``state`` index and the orthonormality check see the states one by one.
+The kick phases of such a run are even in x too: they are built on the
+n/2 + 1 points at x <= 0, the points whose potential the eigensolve's
+blocks read (:func:`~pauliblock.spectral.solve`), and mirrored onto the
+other n/2 - 1, so the eigensolve and the propagator see the same
+potential to the bit.
 """
 
 import math
@@ -96,10 +103,14 @@ def _evolve(runs, grid):
     fails a check, with the error as its result; the rows of the runs after
     it then move up into its place.
 
-    The kick phases are built once per block of at most ``KICK_BLOCK``
-    steps, which also ends at a check step and at a run's last step: each
-    run's potential is evaluated on the column of the block's times, and
-    one add, one cos and one sin give its phases, spread over its rows.
+    Each run's control values at the middle of all its steps are one
+    column, taken at the start.  The kick phases are built once per block
+    of at most ``KICK_BLOCK`` steps, which also ends at a check step and at
+    a run's last step: each run's trap is evaluated on the block's slice of
+    its column, and one add, one cos and one sin give its phases, spread
+    over its rows.  On a symmetric grid and schedule the trap, the add and
+    the cos and sin run on the n/2 + 1 points at x <= 0 alone, and the
+    phases are mirrored onto the other n/2 - 1; other runs use every point.
     A step is then four calls on the running rows: the transform, the
     kinetic factor, the inverse transform and the phase.
     """
@@ -113,11 +124,18 @@ def _evolve(runs, grid):
     kinetic = np.empty_like(psi)
     for r, lo, hi in stack:
         kinetic[lo:hi] = np.exp(-0.5j * dts[r] * grid.k_values**2)
-    profiles = [schedule.potential(grid.x) for _, schedule, _, _ in runs]
+    # Each run's control values at the middle of its steps, and its trap on
+    # the points its kicks are built on (x <= 0 when it is symmetric).
+    n = grid.n_points
+    controls, traps = [], []
+    for r, (_, schedule, _, _) in enumerate(runs):
+        controls.append(schedule.control_value((np.arange(lasts[r]) + 0.5) * dts[r]))
+        m = n // 2 + 1 if grid.is_symmetric and schedule.is_symmetric else n
+        traps.append(schedule.trap(grid.x[:m]))
     # Row 0 holds the leading half-kick of a block after a closed step, row
     # j the phase after the block's j-th step.
     phases = np.empty((KICK_BLOCK + 1,) + psi.shape, dtype=np.complex128)
-    angle = np.empty((KICK_BLOCK + 1, grid.n_points))
+    angle = np.empty((KICK_BLOCK + 1, n))
 
     finals = [None] * len(runs)
     step = 0
@@ -135,19 +153,21 @@ def _evolve(runs, grid):
             # and, unless the run closes its step at the end of the block,
             # n_steps + 1.
             closes = end % CHECK_INTERVAL == 0 or end == lasts[r]
-            times = [(s + 0.5) * dts[r] for s in range(step, end + (not closes))]
-            v = profiles[r](np.array(times)[:, None])
+            v = traps[r](controls[r][step:end + (not closes), None])
+            m = v.shape[1]
             # Step j's phase fuses its trailing half-kick with the leading
             # one of the next, V_j + V_(j+1); a closing step's is V_j alone.
-            np.add(v[:-1], v[1:], out=angle[1:len(v)])
+            np.add(v[:-1], v[1:], out=angle[1:len(v), :m])
             if closes:
-                angle[n_steps] = v[-1]
+                angle[n_steps, :m] = v[-1]
             if opened:
-                angle[0] = v[0]
-            np.multiply(angle[built], -0.5 * dts[r], out=angle[built])
+                angle[0, :m] = v[0]
+            kick = angle[built, :m]
+            np.multiply(kick, -0.5 * dts[r], out=kick)
             own = phases[built, lo:hi]
-            np.cos(angle[built], out=own[:, 0].real)
-            np.sin(angle[built], out=own[:, 0].imag)
+            np.cos(kick, out=own[:, 0, :m].real)
+            np.sin(kick, out=own[:, 0, :m].imag)
+            own[:, 0, m:] = own[:, 0, n - m:0:-1]  # point n - j mirrors j
             own[:, 1:] = own[:, :1]
 
         rows = stack[-1][2]

@@ -48,10 +48,9 @@ POTENTIAL_CLIP = 1e6
 CLIP_SAFETY = 1e-2
 
 # Largest |V(x) - V(-x)|, relative to max |V|, of a trap that counts as
-# mirror-symmetric.  The lattice positions x_j and -x_(n-j) round apart, and
-# numpy's x**4 rounds differently on the two sides, so a symmetric trap on
-# a symmetric grid mirrors itself only to a few ulps of its largest value
-# (1.6e-15 of it at most over the planned expansion and splitting grids).
+# mirror-symmetric.  Each trap is even in x to the bit, but the lattice
+# positions x_j and -x_(n-j) round apart, so a symmetric trap on a
+# symmetric grid mirrors itself only to a few ulps of its largest value.
 SYMMETRY_TOL = 1e-12
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pauliblock import ConfigError, Grid, PotentialSchedule, RampShape, Task
+from pauliblock.potentials import _CONTROLS
 
 
 def expansion(shape=RampShape.SINUSOIDAL, T=10.0, lam=1.0, omega_f=0.01):
@@ -30,6 +31,49 @@ class TestControlValue:
             s.control_value(-0.5)
         with pytest.raises(ConfigError):
             s.control_value(s.T + 0.5)
+
+
+class TestArrayControlValue:
+    # One call on a column of times gives each time's scalar value to the
+    # bit, keeps the endpoints exact and checks the range of every time.
+
+    SCHEDULES = [
+        expansion(),
+        PotentialSchedule.transport(6.0, x0_f=10.0),
+        PotentialSchedule.splitting(2.0, h_f=20.0),
+    ]
+    IDS = ["expansion", "transport", "splitting"]
+
+    @pytest.mark.parametrize("shape", list(RampShape))
+    @pytest.mark.parametrize("schedule", SCHEDULES, ids=IDS)
+    def test_column_matches_scalar_calls(self, schedule, shape):
+        s = replace(schedule, shape=shape)
+        times = np.concatenate(([0.0], (np.arange(997) + 0.5) * (s.T / 997), [s.T]))
+        column = s.control_value(times)
+        assert column.shape == times.shape
+        np.testing.assert_array_equal(
+            column, [s.control_value(t) for t in times.tolist()]
+        )
+        np.testing.assert_array_equal(
+            s.control_value(times.reshape(-1, 1)), column.reshape(-1, 1)
+        )
+
+    @pytest.mark.parametrize("shape", list(RampShape))
+    @pytest.mark.parametrize("schedule", SCHEDULES, ids=IDS)
+    def test_endpoints_are_exact(self, schedule, shape):
+        s = replace(schedule, shape=shape)
+        c_i, c_f = (getattr(s, name) for name in _CONTROLS[s.task])
+        first, last = s.control_value(np.array([0.0, s.T]))
+        assert first == s.control_value(0.0) == c_i
+        assert last == s.control_value(s.T) == c_f
+
+    @pytest.mark.parametrize("outside", [-0.5, 10.5, np.nan])
+    def test_one_time_out_of_range_rejected(self, outside):
+        s = expansion()
+        times = np.linspace(0.0, s.T, 9)
+        times[4] = outside
+        with pytest.raises(ConfigError):
+            s.control_value(times)
 
 
 class TestEvaluate:

@@ -306,6 +306,40 @@ class TestLeanStrangLoop:
             assert np.max(np.abs(final - reference)) < 1e-12
 
 
+class TestKickLattice:
+    # A run on a symmetric trap and grid evaluates its trap on the n/2 + 1
+    # points at x <= 0 alone, whose kick phases it mirrors onto the rest; a
+    # moving trap needs every point.  Three such runs stacked in one array.
+
+    def test_trap_points_of_each_run(self, monkeypatch):
+        grid = Grid(-14.0, 14.0, 250)
+        schedules = [
+            PotentialSchedule.expansion(0.1, omega_f=0.5),
+            PotentialSchedule.splitting(0.1, h_f=20.0),
+            PotentialSchedule.transport(0.1, x0_f=1.0),
+        ]
+        runs = []
+        for schedule in schedules:
+            basis = solve(schedule.evaluate(grid, 0.0), grid, 2)
+            rows, unpack = _pack(basis, 2, schedule)
+            runs.append((rows, schedule, PropagationSettings(dt=1e-3), unpack))
+        evaluated = []
+        trap = PotentialSchedule.trap
+
+        def recording_trap(schedule, x):
+            evaluated.append((schedule, x))
+            return trap(schedule, x)
+
+        monkeypatch.setattr(PotentialSchedule, "trap", recording_trap)
+        finals = _evolve(runs, grid)
+        monkeypatch.undo()
+        assert [schedule for schedule, _ in evaluated] == schedules
+        for (_, x), points in zip(evaluated, (126, 126, 250)):
+            np.testing.assert_array_equal(x, grid.x[:points])
+        for final in finals:
+            assert final.shape == (2, 250)
+
+
 class TestStackedEvolve:
     # Runs of several schedules, time steps, durations and state counts,
     # packed and unpacked, evolve as the rows of one array; each must hold
