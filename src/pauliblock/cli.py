@@ -4,40 +4,63 @@ Subcommands: ``expand``, ``transport``, ``split`` (one scenario, fidelity
 printed to stdout), ``sweep`` and ``minbuffer`` (config file in, CSV out),
 ``gap`` (Fermi-gap profile CSV).  Exit codes: 0 success, 2 configuration
 error, 3 numerical-convergence failure, 4 grid/containment failure.
+
+A scenario command is a one-point process-time sweep (:func:`run_sweep`).
+Its trap options come from :data:`~pauliblock.config.TRAP_PARAMETERS`,
+and only T and the driven parameter's final value have a preset here: an
+option left out is not passed on, so the schedule factories,
+:class:`SweepSpec` and :class:`PropagationSettings` supply its default.
 """
 
 import argparse
 import sys
 
-from .config import load_spec
+from .config import TRAP_PARAMETERS, load_spec, make_schedule
 from .errors import ConfigError, SimulationError
 from .experiments import (
+    Axis,
     GapSweepResult,
+    SweepSpec,
     min_buffer_search,
     run_sweep,
     temperature_compensation_report,
 )
-from .pipeline import Engine
-from .potentials import PotentialSchedule, RampShape
+from .potentials import RampShape, Task
 from .propagate import PropagationSettings
 from .spectral import fermi_gap_profile
 
+# Each scenario command's task, with its presets of T and the final value.
+_SCENARIOS = {
+    "expand": (Task.EXPANSION, 25.0, 0.01),
+    "transport": (Task.TRANSPORT, 11.5, 90.0),
+    "split": (Task.SPLITTING, 2.0, 20.0),
+}
 
-def _add_scenario_options(parser):
-    parser.add_argument("--shape", choices=["linear", "sinusoidal"],
-                        default="sinusoidal")
-    parser.add_argument("--n-protected", type=int, default=2,
+
+def _add_scenario_parser(sub, command):
+    task, T, final = _SCENARIOS[command]
+    parser = sub.add_parser(
+        command, help=f"trap {task.value} scenario",
+        argument_default=argparse.SUPPRESS,
+    )
+    parser.add_argument("--T", type=float)
+    for _, flag, keyword in TRAP_PARAMETERS[task]:
+        if flag is not None:
+            parser.add_argument(flag, dest=keyword, type=float)
+    parser.set_defaults(T=T, **{TRAP_PARAMETERS[task][0][2]: final})
+    parser.add_argument("--shape", choices=[s.value for s in RampShape])
+    parser.add_argument("--n-protected", type=int,
                         help="protected particles N_p (default 2)")
-    parser.add_argument("--n-buffer", type=int, default=0,
+    parser.add_argument("--n-buffer", type=int,
                         help="buffer particles N_b (default 0)")
-    parser.add_argument("--tau", type=float, default=0.0,
+    parser.add_argument("--tau", type=float,
                         help="temperature in hbar*omega/k_B (default 0)")
-    parser.add_argument("--tail-bound", type=float, default=1e-6)
-    parser.add_argument("--dt", type=float, default=1e-3)
-    parser.add_argument("--n-points", type=int, default=None,
+    parser.add_argument("--tail-bound", type=float)
+    parser.add_argument("--dt", type=float)
+    parser.add_argument("--n-points", type=int,
                         help="grid point count on the planned domain (even; "
                              "default: planned from the energy range)")
-    parser.add_argument("--skip-dt-check", action="store_true",
+    parser.add_argument("--skip-dt-check", dest="check_dt", action="store_false",
                         help="skip the automatic time-step halving check")
 
 
@@ -47,28 +70,8 @@ def build_parser():
         description="Buffer-protected control of trapped ideal fermions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("expand", help="trap expansion scenario")
-    p.add_argument("--T", type=float, default=25.0)
-    p.add_argument("--omega-i", type=float, default=1.0)
-    p.add_argument("--omega-f", type=float, default=0.01)
-    p.add_argument("--anharmonicity", type=float, default=1.0)
-    _add_scenario_options(p)
-
-    p = sub.add_parser("transport", help="trap transport scenario")
-    p.add_argument("--T", type=float, default=11.5)
-    p.add_argument("--x0-i", type=float, default=0.0)
-    p.add_argument("--x0-f", type=float, default=90.0)
-    p.add_argument("--omega", type=float, default=1.0)
-    p.add_argument("--anharmonicity", type=float, default=1.0)
-    _add_scenario_options(p)
-
-    p = sub.add_parser("split", help="trap splitting scenario")
-    p.add_argument("--T", type=float, default=2.0)
-    p.add_argument("--h-i", type=float, default=0.0)
-    p.add_argument("--h-f", type=float, default=20.0)
-    p.add_argument("--omega", type=float, default=1.0)
-    _add_scenario_options(p)
+    for command in _SCENARIOS:
+        _add_scenario_parser(sub, command)
 
     p = sub.add_parser("sweep", help="run a sweep described by a config file")
     p.add_argument("config")
@@ -85,36 +88,22 @@ def build_parser():
     p.add_argument("--lambdas", default="1.0",
                    help="comma-separated anharmonicities (default 1.0)")
     p.add_argument("--n-max", type=int, default=20)
-    p.add_argument("--omega-i", type=float, default=1.0)
+    p.add_argument("--omega-i", type=float, default=argparse.SUPPRESS)
     p.add_argument("--output", "-o", default=None)
     return parser
 
 
-def _schedule_from_args(args):
-    shape = RampShape(args.shape)
-    if args.command == "expand":
-        return PotentialSchedule.expansion(
-            args.T, omega_f=args.omega_f, omega_i=args.omega_i,
-            lam=args.anharmonicity, shape=shape,
-        )
-    if args.command == "transport":
-        return PotentialSchedule.transport(
-            args.T, x0_f=args.x0_f, x0_i=args.x0_i, omega=args.omega,
-            lam=args.anharmonicity, shape=shape,
-        )
-    return PotentialSchedule.splitting(
-        args.T, h_f=args.h_f, h_i=args.h_i, omega=args.omega, shape=shape,
-    )
-
-
 def _run_scenario(args):
-    schedule = _schedule_from_args(args)
-    engine = Engine(args.n_points, PropagationSettings(dt=args.dt))
-    result = engine.thermal_fidelity(
-        schedule, args.n_protected, args.n_buffer, args.tau,
-        tail_bound=args.tail_bound, check_dt=not args.skip_dt_check,
-    )
-    print(repr(result.value))
+    options = dict(vars(args))
+    task = _SCENARIOS[options.pop("command")][0]
+    T = options.pop("T")
+    trap = {k: options.pop(k) for _, _, k in TRAP_PARAMETERS[task] if k in options}
+    if "shape" in options:
+        trap["shape"] = RampShape(options.pop("shape"))
+    if "dt" in options:
+        options["settings"] = PropagationSettings(dt=options.pop("dt"))
+    spec = SweepSpec(make_schedule(task, T, **trap), Axis.PROCESS_TIME, (T,), **options)
+    print(repr(run_sweep(spec).rows[0].fidelity))
     return 0
 
 
@@ -143,10 +132,11 @@ def _run_gap(args):
         lams = [float(v) for v in args.lambdas.split(",") if v.strip()]
     except ValueError:
         raise ConfigError(f"cannot parse lambda list {args.lambdas!r}")
+    omega = {"omega_i": args.omega_i} if "omega_i" in args else {}
     rows = [
         (n, lam, gap)
         for lam in lams
-        for n, gap in fermi_gap_profile(lam, args.n_max, args.omega_i)
+        for n, gap in fermi_gap_profile(lam, args.n_max, **omega)
     ]
     return _emit(GapSweepResult(rows), args.output)
 
@@ -155,15 +145,12 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     handlers = {
-        "expand": _run_scenario,
-        "transport": _run_scenario,
-        "split": _run_scenario,
         "sweep": _run_sweep_command,
         "minbuffer": _run_minbuffer,
         "gap": _run_gap,
     }
     try:
-        return handlers[args.command](args)
+        return handlers.get(args.command, _run_scenario)(args)
     except SimulationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -1,4 +1,5 @@
-"""Flat key/value sweep configuration files.
+"""Flat key/value sweep configuration files, and each task's trap
+parameters.
 
 Format: UTF-8 text, one ``key = value`` pair per line, ``#`` starts a
 comment line, blank lines ignored.  Recognized keys:
@@ -8,7 +9,13 @@ comment line, blank lines ignored.  Recognized keys:
     n_points, dt
 
 ``axis_values`` is a comma-separated list; ``N_b`` is an integer or an
-inclusive range written ``lo..hi``.
+inclusive range written ``lo..hi``.  A key a file leaves out is not
+passed on, so the schedule factories, :class:`SweepSpec` and
+:class:`PropagationSettings` supply every default.
+
+:data:`TRAP_PARAMETERS` lists each task's trap parameters once, for the
+config keys here and for the scenario commands' options in
+:mod:`pauliblock.cli`.
 """
 
 import math
@@ -18,26 +25,46 @@ from .experiments import Axis, SweepSpec
 from .potentials import PotentialSchedule, RampShape, Task
 from .propagate import PropagationSettings
 
+# Each task's trap parameters besides T and shape, as (config key, CLI
+# flag or None, factory keyword).  The driven parameter's final value
+# comes first: a config file must set it.
+TRAP_PARAMETERS = {
+    Task.EXPANSION: (
+        ("omega_f", "--omega-f", "omega_f"),
+        ("omega_i", "--omega-i", "omega_i"),
+        ("lambda", "--anharmonicity", "lam"),
+    ),
+    Task.TRANSPORT: (
+        ("x0f", "--x0-f", "x0_f"),
+        ("x0i", "--x0-i", "x0_i"),
+        ("omega_i", "--omega", "omega"),
+        ("lambda", "--anharmonicity", "lam"),
+    ),
+    Task.SPLITTING: (
+        ("h_f", "--h-f", "h_f"),
+        ("h_i", "--h-i", "h_i"),
+        ("omega_i", "--omega", "omega"),
+        ("lambda", None, "lam"),
+    ),
+}
+
+_FACTORIES = {
+    Task.EXPANSION: PotentialSchedule.expansion,
+    Task.TRANSPORT: PotentialSchedule.transport,
+    Task.SPLITTING: PotentialSchedule.splitting,
+}
+
+
+def make_schedule(task, T, **parameters):
+    """``task``'s schedule of duration ``T`` from the factory keywords of
+    :data:`TRAP_PARAMETERS` (and ``shape``) that are set."""
+    return _FACTORIES[task](T, **parameters)
+
+
 _KNOWN_KEYS = {
-    "task",
-    "shape",
-    "T",
-    "omega_i",
-    "omega_f",
-    "x0i",
-    "x0f",
-    "h_i",
-    "h_f",
-    "lambda",
-    "N_p",
-    "N_b",
-    "tau",
-    "axis",
-    "axis_values",
-    "threshold",
-    "tail_bound",
-    "n_points",
-    "dt",
+    "task", "shape", "T", "N_p", "N_b", "tau", "axis", "axis_values",
+    "threshold", "tail_bound", "n_points", "dt",
+    *(key for rows in TRAP_PARAMETERS.values() for key, _, _ in rows),
 }
 
 _TASKS = {t.value: t for t in Task}
@@ -67,11 +94,9 @@ def parse_config_text(text):
     return raw
 
 
-def _as_float(raw, key, default=None):
+def _as_float(raw, key):
     if key not in raw:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
+        raise ConfigError(f"missing required key {key!r}")
     try:
         value = float(raw[key])
     except ValueError:
@@ -81,8 +106,8 @@ def _as_float(raw, key, default=None):
     return value
 
 
-def _as_int(raw, key, default=None):
-    value = _as_float(raw, key, default)
+def _as_int(raw, key):
+    value = _as_float(raw, key)
     if value != int(value):
         raise ConfigError(f"key {key!r} must be an integer, got {raw[key]!r}")
     return int(value)
@@ -126,12 +151,14 @@ def _schedule_from(raw, axis, axis_values):
         raise ConfigError(
             f"unknown task {task_name!r}; expected one of {sorted(_TASKS)}"
         )
-    shape_name = raw.get("shape", "sinusoidal").lower()
-    shape = _SHAPES.get(shape_name)
-    if shape is None:
-        raise ConfigError(
-            f"unknown shape {shape_name!r}; expected one of {sorted(_SHAPES)}"
-        )
+    parameters = {}
+    if "shape" in raw:
+        shape_name = raw["shape"].lower()
+        if shape_name not in _SHAPES:
+            raise ConfigError(
+                f"unknown shape {shape_name!r}; expected one of {sorted(_SHAPES)}"
+            )
+        parameters["shape"] = _SHAPES[shape_name]
 
     if "T" in raw:
         duration = _as_float(raw, "T")
@@ -141,32 +168,10 @@ def _schedule_from(raw, axis, axis_values):
         duration = 1.0  # static problem, the template duration is unused
     else:
         raise ConfigError("missing required key 'T'")
-
-    if task is Task.EXPANSION:
-        return PotentialSchedule.expansion(
-            duration,
-            omega_f=_as_float(raw, "omega_f"),
-            omega_i=_as_float(raw, "omega_i", 1.0),
-            lam=_as_float(raw, "lambda", 1.0),
-            shape=shape,
-        )
-    if task is Task.TRANSPORT:
-        return PotentialSchedule.transport(
-            duration,
-            x0_f=_as_float(raw, "x0f"),
-            x0_i=_as_float(raw, "x0i", 0.0),
-            omega=_as_float(raw, "omega_i", 1.0),
-            lam=_as_float(raw, "lambda", 1.0),
-            shape=shape,
-        )
-    return PotentialSchedule.splitting(
-        duration,
-        h_f=_as_float(raw, "h_f"),
-        h_i=_as_float(raw, "h_i", 0.0),
-        omega=_as_float(raw, "omega_i", 1.0),
-        lam=_as_float(raw, "lambda", 0.0),
-        shape=shape,
-    )
+    for i, (key, _, keyword) in enumerate(TRAP_PARAMETERS[task]):
+        if i == 0 or key in raw:  # the final value is required
+            parameters[keyword] = _as_float(raw, key)
+    return make_schedule(task, duration, **parameters)
 
 
 def build_spec(raw):

@@ -37,7 +37,7 @@ from .fidelity import (
     # is missing, until an in-program trace replaces the patched names.
     fidelity_fast,
 )
-from .pipeline import Engine
+from .pipeline import Engine, check_counts
 from .potentials import PotentialSchedule, Task
 from .propagate import PropagationSettings
 from .spectral import fermi_gap_profile
@@ -84,6 +84,12 @@ class SweepSpec:
         if not 0 <= self.tau < math.inf:
             raise ConfigError(f"tau must be finite and >= 0, got {self.tau}")
         check_tail_bound(self.tail_bound)
+        # The gap axis has no fermions to count; the others check their
+        # fewest before anything is planned.
+        if self.axis is Axis.BUFFER_COUNT:
+            check_counts(self.n_protected, min(_counts(values, "buffer counts", 0)))
+        elif self.axis is not Axis.PARTICLE_NUMBER_GAP:
+            check_counts(self.n_protected, self.buffer_range()[0])
 
     def buffer_range(self):
         """(lo, hi) inclusive buffer range from ``n_buffer``, whole numbers."""
@@ -319,28 +325,25 @@ class MinBufferResult:
         return _write_lines(lines, path_or_buffer)
 
 
-def min_buffer_search(spec, n_b_max=None, engine=None):
+def min_buffer_search(spec, engine=None):
     """Smallest buffer count reaching the threshold at all later times.
 
-    For each T on the grid, reports the least ``N_b <= n_b_max`` such that
-    the fidelity stays at or above ``spec.threshold`` for every grid point
-    at time T or later ("later" is evaluated on the supplied grid only).
+    For each T on the grid, reports the least ``N_b``, up to the top of
+    ``spec.n_buffer``'s range, such that the fidelity stays at or above
+    ``spec.threshold`` for every grid point at time T or later ("later"
+    is evaluated on the supplied grid only).
     ``None`` marks saturation: no admissible buffer count qualifies.
     """
     if spec.axis is not Axis.PROCESS_TIME:
         raise ConfigError("min_buffer_search expects a process-time grid")
     engine = _engine_for(spec, engine)
     _, hi = spec.buffer_range()
-    if n_b_max is None:
-        n_b_max = hi
-    if n_b_max < 0:
-        raise ConfigError(f"n_b_max must be >= 0, got {n_b_max}")
     schedules = [spec.schedule.with_duration(t) for t in spec.axis_values]
-    _, points = _evaluate(spec, engine, schedules, range(n_b_max + 1), [spec.tau])
+    _, points = _evaluate(spec, engine, schedules, range(hi + 1), [spec.tau])
 
     # Walk back from the longest time, keeping which N_b stayed above.
     found = []
-    suffix_ok = [True] * (n_b_max + 1)
+    suffix_ok = [True] * (hi + 1)
     for values, _ in reversed(points):
         suffix_ok = [
             ok and values[nb][0] >= spec.threshold

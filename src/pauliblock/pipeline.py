@@ -170,7 +170,9 @@ def _propagate_runs(runs):
     return results
 
 
-def _check_counts(n_protected, n_buffer):
+def check_counts(n_protected, n_buffer):
+    """Raise :class:`ConfigError` unless N_p and N_b are >= 0 with at
+    least one fermion."""
     if n_protected < 0 or n_buffer < 0 or n_protected + n_buffer < 1:
         raise ConfigError(
             f"invalid particle counts N_p={n_protected}, N_b={n_buffer}; "
@@ -498,7 +500,7 @@ class Engine:
         the Gram determinants read the ensemble's 1-based level rows as they
         are, through a zero row put before the master's first.
         """
-        _check_counts(n_protected, n_buffer)
+        check_counts(n_protected, n_buffer)
         n_total = n_protected + n_buffer
         if len(taus) == 0:
             raise ConfigError("no temperatures supplied")

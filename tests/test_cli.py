@@ -3,10 +3,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import pauliblock
+from pauliblock import cli
 from pauliblock.cli import main
 from pauliblock.errors import (
     ConfigError,
@@ -15,6 +17,9 @@ from pauliblock.errors import (
     GridError,
     SimulationError,
 )
+from pauliblock.experiments import Axis, SweepSpec
+from pauliblock.potentials import PotentialSchedule, RampShape
+from pauliblock.propagate import PropagationSettings
 
 
 class TestExitCodes:
@@ -152,6 +157,30 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "lines, counts",
+        [
+            ("axis = process_time\naxis_values = 1.0\nN_p = -1\n", "N_p=-1, N_b=0"),
+            ("axis = process_time\naxis_values = 1.0\nN_p = 0\nN_b = 0\n",
+             "N_p=0, N_b=0"),
+            ("axis = buffer_count\naxis_values = 0, 2\nN_p = 0\n", "N_p=0, N_b=0"),
+        ],
+        ids=["negative-N_p", "no-fermions", "no-fermions-on-buffer-axis"],
+    )
+    def test_bad_particle_counts_in_config_return_2(self, tmp_path, capsys,
+                                                    lines, counts):
+        # A sweep checks its particle counts as the scenario commands do,
+        # before a grid is planned for them.
+        cfg = tmp_path / "counts.cfg"
+        cfg.write_text("task = splitting\nh_f = 20\nT = 1.0\n" + lines)
+        assert main(["sweep", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: invalid particle counts {counts}; "
+            "need N_p >= 0, N_b >= 0 and N_p + N_b >= 1\n"
+        )
+
     def test_bad_tail_bound_in_config_returns_2(self, tmp_path, capsys):
         # Rejected when the spec is built, at zero temperature too.
         cfg = tmp_path / "bad.cfg"
@@ -220,6 +249,64 @@ class TestScenarioCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {name} must be finite")
+
+
+class TestOnePath:
+    """A scenario command is a one-point process-time sweep that sets only
+    the options given on its command line."""
+
+    def test_split_hands_run_sweep_its_one_point(self, monkeypatch, capsys):
+        specs, results = [], []
+        real = cli.run_sweep
+
+        def recorded(spec):
+            specs.append(spec)
+            results.append(real(spec))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "run_sweep", recorded)
+        assert main(["split", "--T", "0.5"]) == 0
+        assert specs == [SweepSpec(
+            PotentialSchedule.splitting(0.5, h_f=20.0), Axis.PROCESS_TIME, (0.5,)
+        )]
+        assert capsys.readouterr().out == f"{results[0].rows[0].fidelity!r}\n"
+
+    @pytest.mark.parametrize(
+        "argv, schedule",
+        [
+            (["expand", "--omega-i", "2", "--omega-f", "0.5", "--anharmonicity",
+              "0.3"],
+             PotentialSchedule.expansion(3.0, omega_f=0.5, omega_i=2.0, lam=0.3,
+                                         shape=RampShape.LINEAR)),
+            (["transport", "--x0-i", "1", "--x0-f", "4", "--omega", "2",
+              "--anharmonicity", "0"],
+             PotentialSchedule.transport(3.0, x0_f=4.0, x0_i=1.0, omega=2.0,
+                                         lam=0.0, shape=RampShape.LINEAR)),
+            (["split", "--h-i", "1", "--h-f", "9", "--omega", "2"],
+             PotentialSchedule.splitting(3.0, h_f=9.0, h_i=1.0, omega=2.0,
+                                         shape=RampShape.LINEAR)),
+        ],
+        ids=["expand", "transport", "split"],
+    )
+    def test_every_option_reaches_the_spec(self, monkeypatch, capsys, argv,
+                                           schedule):
+        specs = []
+
+        def recorded(spec):
+            specs.append(spec)
+            return SimpleNamespace(rows=[SimpleNamespace(fidelity=0.25)])
+
+        monkeypatch.setattr(cli, "run_sweep", recorded)
+        options = ["--T", "3", "--shape", "linear", "--n-protected", "1",
+                   "--n-buffer", "3", "--tau", "0.2", "--tail-bound", "1e-5",
+                   "--dt", "0.002", "--n-points", "64", "--skip-dt-check"]
+        assert main(argv + options) == 0
+        assert capsys.readouterr().out == "0.25\n"
+        assert specs == [SweepSpec(
+            schedule, Axis.PROCESS_TIME, (3.0,), n_protected=1, n_buffer=3,
+            tau=0.2, tail_bound=1e-5, settings=PropagationSettings(0.002),
+            n_points=64, check_dt=False,
+        )]
 
 
 class TestGapCommand:

@@ -335,11 +335,6 @@ class TestMinBufferSearch:
         )
         assert found[-1] == expected
 
-    def test_negative_n_b_max_rejected(self):
-        spec = split_spec(axis=Axis.PROCESS_TIME, axis_values=(0.5,))
-        with pytest.raises(ConfigError, match="n_b_max"):
-            min_buffer_search(spec, n_b_max=-1)
-
     def test_saturation_reported(self, shared_engine):
         spec = split_spec(
             axis=Axis.PROCESS_TIME,
