@@ -9,7 +9,8 @@ comment line, blank lines ignored.  Recognized keys:
     n_points, dt
 
 ``axis_values`` is a comma-separated list; ``N_b`` is an integer or an
-inclusive range written ``lo..hi``.  A key a file leaves out is not
+inclusive range written ``lo..hi``.  A trap key of another task than the
+file's is an error.  A key a file leaves out is not
 passed on, so the schedule factories, :class:`SweepSpec` and
 :class:`PropagationSettings` supply every default.
 
@@ -61,10 +62,10 @@ def make_schedule(task, T, **parameters):
     return _FACTORIES[task](T, **parameters)
 
 
+_TRAP_KEYS = {key for rows in TRAP_PARAMETERS.values() for key, _, _ in rows}
 _KNOWN_KEYS = {
     "task", "shape", "T", "N_p", "N_b", "tau", "axis", "axis_values",
-    "threshold", "tail_bound", "n_points", "dt",
-    *(key for rows in TRAP_PARAMETERS.values() for key, _, _ in rows),
+    "threshold", "tail_bound", "n_points", "dt", *_TRAP_KEYS,
 }
 
 _TASKS = {t.value: t for t in Task}
@@ -168,7 +169,14 @@ def _schedule_from(raw, axis, axis_values):
         duration = 1.0  # static problem, the template duration is unused
     else:
         raise ConfigError("missing required key 'T'")
-    for i, (key, _, keyword) in enumerate(TRAP_PARAMETERS[task]):
+    own = TRAP_PARAMETERS[task]
+    foreign = _TRAP_KEYS.difference(key for key, _, _ in own)
+    for key in raw:
+        if key in foreign:
+            raise ConfigError(
+                f"key {key!r} is not a parameter of the {task.value} task"
+            )
+    for i, (key, _, keyword) in enumerate(own):
         if i == 0 or key in raw:  # the final value is required
             parameters[keyword] = _as_float(raw, key)
     return make_schedule(task, duration, **parameters)

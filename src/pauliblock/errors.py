@@ -16,7 +16,7 @@ class SimulationError(Exception):
     def __reduce__(self):
         # Rebuild from the message and the structured fields without calling
         # __init__, whose signature differs between subclasses, so that an
-        # error raised in a worker process arrives intact.
+        # error tripped in a forked lane arrives intact.
         return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 

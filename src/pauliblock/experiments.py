@@ -10,16 +10,20 @@ targets, backward, whatever the buffer count.  Each buffer count is one
 thermal curve (:meth:`~pauliblock.pipeline.Engine.thermal_fidelity_curve`;
 zero temperature is its tau = 0 ensemble) that reads rows of the
 targets' overlaps with the initial levels, and each curve keeps only its
-values, one per temperature, so at most one ensemble is alive at a time.
+values, one per temperature, so at most one ensemble per process is
+alive at a time.
 
 The engine plans a sweep's runs in one call
 (:meth:`~pauliblock.pipeline.Engine.validated_settings`): it plans each
 family once, for all its schedules and the levels its largest system's
-hottest ensemble is estimated to need, validates the time step on the grid the curves
-then use, and runs every schedule's propagation up front, at the same
-time on one process per CPU it may use.  The in-order evaluation then
-finds the runs in the cache, so the output does not depend on the CPU
-count.
+hottest ensemble is estimated to need, validates the time step on the
+grid the curves then use, and runs every schedule's propagation up
+front, at the same time in one lane per CPU it may use.  Above zero
+temperature the curves then share those lanes
+(:meth:`~pauliblock.pipeline.Engine.thermal_fidelity_curves`), each
+lane on its own copy of the engine.  Their values count only if no lane
+changed its copy; otherwise the curves are evaluated in order, so the
+output does not depend on the CPU count.
 
 Output is deterministic: rows follow the axis grid, floats are written
 with shortest round-trip precision and lines end with LF, so re-running a
@@ -174,38 +178,34 @@ class GapSweepResult:
 # -- the evaluation of every sweep ---------------------------------------
 
 
-def _schedule_points(spec, settings, buffers, taus, schedule, engine):
-    """Fidelities of one schedule at every buffer count, and its grid size.
-
-    Every buffer count reads the schedule's one run of its targets.
-    Returns ``({N_b: values}, n_points)`` with one value per temperature
-    in ``taus``.
-    """
-    values = {}
-    for nb in buffers:
-        values[nb] = engine.thermal_fidelity_curve(
-            schedule, spec.n_protected, nb, taus, settings, tail_bound=spec.tail_bound
-        )
-    return values, engine.family_grid(schedule).n_points
-
-
 def _evaluate(spec, engine, schedules, buffers, taus):
     """Every (schedule, N_b, tau) point of a sweep.
 
     The engine validates the time step once, on the first schedule with
-    the largest system, and plans every schedule's runs.  Returns
-    ``(settings, points)``: the validated settings and, per schedule,
-    ``({N_b: values}, n_points)`` as from :func:`_schedule_points`.
+    the largest system, and plans every schedule's runs; then it evaluates
+    one curve per schedule and buffer count, in lanes that share the CPUs
+    above zero temperature
+    (:meth:`~pauliblock.pipeline.Engine.thermal_fidelity_curves`).
+    Returns ``(settings, points)``: the validated settings and, per
+    schedule, ``({N_b: values}, n_points)`` with one value per temperature
+    in ``taus`` and the point count of its grid after its last curve.
     """
     buffers = sorted(set(buffers), reverse=True)
     settings = engine.validated_settings(
         schedules, spec.n_protected + buffers[0], spec.n_protected, max(taus),
         spec.settings, spec.check_dt, spec.tail_bound,
     )
-    return settings, [
-        _schedule_points(spec, settings, buffers, taus, schedule, engine)
-        for schedule in schedules
-    ]
+    curves = iter(engine.thermal_fidelity_curves(
+        [(schedule, nb) for schedule in schedules for nb in buffers],
+        spec.n_protected, taus, settings, spec.tail_bound,
+    ))
+    points = []
+    for _ in schedules:
+        values = {}
+        for nb in buffers:
+            values[nb], n_points = next(curves)
+        points.append((values, n_points))
+    return settings, points
 
 
 def _engine_for(spec, engine):
@@ -328,28 +328,29 @@ class MinBufferResult:
 def min_buffer_search(spec, engine=None):
     """Smallest buffer count reaching the threshold at all later times.
 
-    For each T on the grid, reports the least ``N_b``, up to the top of
-    ``spec.n_buffer``'s range, such that the fidelity stays at or above
-    ``spec.threshold`` for every grid point at time T or later ("later"
-    is evaluated on the supplied grid only).
-    ``None`` marks saturation: no admissible buffer count qualifies.
+    For each T on the grid, reports the least ``N_b`` of ``spec.n_buffer``'s
+    range ``lo..hi`` (only those counts are evaluated) such that the
+    fidelity stays at or above ``spec.threshold`` for every grid point at
+    time T or later ("later" is evaluated on the supplied grid only).
+    ``None`` marks saturation: no buffer count of the range qualifies.
     """
     if spec.axis is not Axis.PROCESS_TIME:
         raise ConfigError("min_buffer_search expects a process-time grid")
     engine = _engine_for(spec, engine)
-    _, hi = spec.buffer_range()
+    lo, hi = spec.buffer_range()
+    buffers = range(lo, hi + 1)
     schedules = [spec.schedule.with_duration(t) for t in spec.axis_values]
-    _, points = _evaluate(spec, engine, schedules, range(hi + 1), [spec.tau])
+    _, points = _evaluate(spec, engine, schedules, buffers, [spec.tau])
 
     # Walk back from the longest time, keeping which N_b stayed above.
     found = []
-    suffix_ok = [True] * (hi + 1)
+    suffix_ok = dict.fromkeys(buffers, True)
     for values, _ in reversed(points):
-        suffix_ok = [
-            ok and values[nb][0] >= spec.threshold
-            for nb, ok in enumerate(suffix_ok)
-        ]
-        found.append(next((nb for nb, ok in enumerate(suffix_ok) if ok), None))
+        suffix_ok = {
+            nb: ok and values[nb][0] >= spec.threshold
+            for nb, ok in suffix_ok.items()
+        }
+        found.append(next((nb for nb, ok in suffix_ok.items() if ok), None))
     rows = [(float(t), nb) for t, nb in zip(spec.axis_values, reversed(found))]
     return MinBufferResult(spec, rows)
 

@@ -32,12 +32,14 @@ runs of a set of curves (:meth:`Engine.validated_settings`): first their
 families, for the levels the hottest ensemble is estimated to need, so
 the time-step check runs on the grid the curves then use.
 
-Every run is evolved by a batch (:meth:`Engine.propagate_batch`), in one
-lane per CPU this process may use (:func:`default_workers`): this process
-runs one lane and workers forked from it the others; on one CPU, or for
-a batch of one run, the whole batch is one lane here.  Propagations that
-do not depend on each other, such as the first two rungs of the
-time-step check and the schedules of a sweep, go as one batch; a miss of
+Work whose parts do not depend on each other runs in lanes, one per
+CPU this process may use (:func:`default_workers`): this process runs
+the first lane, and each other lane is a bare fork of it that sends its
+result back through a pipe (:func:`_in_lanes`); on one CPU everything is
+one lane here.  Every run is evolved by a batch
+(:meth:`Engine.propagate_batch`), in lanes.  Propagations that do not
+depend on each other, such as the first two rungs of the time-step check
+and the schedules of a sweep, go as one batch; a miss of
 the in-order path is a batch of its one run.  A lane evolves its runs on
 one grid as one stack, the rows of one array (``propagate_basis`` with
 ``also``), and a run that trips leaves the stack with its error while
@@ -45,15 +47,18 @@ the others carry on.  A batch only fills the run cache; the in-order
 path then reads its runs there and raises a cached error, which the
 escalation answers with a new record, so each run is evolved at most
 once per grid, and results, escalations and errors do not depend on the
-CPU count.
+CPU count.  A sweep's thermal curves above zero temperature share the
+lanes too (:meth:`Engine.thermal_fidelity_curves`), each lane on its own
+copy of the engine; their values count only where no lane changed its
+copy, and otherwise every curve is evaluated in order here.
 """
 
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+import pickle
+import signal
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -150,14 +155,71 @@ def default_workers():
     return len(os.sched_getaffinity(0))
 
 
+def _share(costs, n_lanes):
+    """Indices of ``costs`` shared out over ``n_lanes`` lanes, costliest
+    first, each to the first lane with the least cost so far; each lane's
+    indices in ascending order."""
+    lanes = [[] for _ in range(n_lanes)]
+    loads = [0] * n_lanes
+    for index in sorted(range(len(costs)), key=lambda i: -costs[i]):
+        lane = loads.index(min(loads))
+        lanes[lane].append(index)
+        loads[lane] += costs[index]
+    return [sorted(lane) for lane in lanes]
+
+
+def _in_lanes(tasks):
+    """Call each of ``tasks``, zero-argument callables, in a lane of its
+    own: the first in this process, each other in a child forked from it
+    that sends its result back through a pipe, pickled, and ends with
+    ``os._exit``.
+
+    Forked, not spawned: a spawned child imports numpy and this package
+    again, 0.06-0.15 s, which is more than a small lane takes.  Returns
+    the results in order; a child that raised or died gives None.  Every
+    child is reaped before this returns; when the first task raises, the
+    children are killed first, as nothing would read their results.
+    """
+    pids, pipes, payloads = [], [], None
+    try:
+        for task in tasks[1:]:
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read)
+                code = 1
+                try:
+                    payload = pickle.dumps(task(), pickle.HIGHEST_PROTOCOL)
+                    with open(write, "wb") as pipe:
+                        pipe.write(payload)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write)
+            pids.append(pid)
+            pipes.append(open(read, "rb"))
+        results = [tasks[0]()]
+        payloads = [pipe.read() for pipe in pipes]
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        statuses = []
+        for pid in pids:
+            if payloads is None:
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitpid(pid, 0)[1])
+    for status, payload in zip(statuses, payloads):
+        results.append(pickle.loads(payload) if status == 0 else None)
+    return results
+
+
 def _propagate_runs(runs):
     """Evolve each ``(basis, n_states, schedule, dt)`` run, the runs on
     one grid as one stack: one ``propagate_basis`` call with the others
     ``also``, in the order given.
 
     Returns one entry per run: its evolved states, or the
-    :class:`SimulationError` it tripped.  Defined at module level, so that
-    a worker pool pickles it by name.
+    :class:`SimulationError` it tripped.
     """
     stacks = {}
     for index, (basis, *_) in enumerate(runs):
@@ -285,23 +347,22 @@ class Engine:
         lanes at once.
 
         The runs are shared out longest first (steps times targets), each
-        to the lane with the least work so far: this process runs the first
-        lane while forked worker processes run the others, and a lane
-        evolves its runs on one grid as one stack (:func:`_propagate_runs`),
-        in the order they were asked for.  Runs of one schedule and dt
-        merge into the one with the most targets; runs of no target and
-        cached runs are skipped.  A run that trips caches its
-        :class:`SimulationError`, which :meth:`evolved_states` raises; a
-        run whose eigensolve raises one or whose worker dies fills nothing,
-        so the in-order path batches it again, alone, and escalates or
-        raises exactly as it would without the batch.
+        to the lane with the least work so far (:func:`_in_lanes`), and a
+        lane evolves its runs on one grid as one stack
+        (:func:`_propagate_runs`), in the order they were asked for.  Runs
+        of one schedule and dt merge into the one with the most targets;
+        runs of no target and cached runs are skipped.  A run that trips
+        caches its :class:`SimulationError`, which :meth:`evolved_states`
+        raises; a run whose eigensolve raises one or whose lane dies fills
+        nothing, so the in-order path batches it again, alone, and
+        escalates or raises exactly as it would without the batch.
         """
         most = {}
         for schedule, dt, n_targets in runs:
             if n_targets:
                 key = (schedule, dt)
                 most[key] = max(n_targets, most.get(key, 0))
-        todo = []
+        todo, costs = [], []
         for key, n_targets in most.items():
             schedule, dt = key
             try:
@@ -311,40 +372,21 @@ class Engine:
             if record.lacks(key, n_targets):
                 steps, _ = PropagationSettings(dt).steps_for(schedule.T)
                 run = (record.final, n_targets, schedule.time_reversed(), dt)
-                todo.append((steps * n_targets, len(todo), key, run))
+                todo.append((key, run))
+                costs.append(steps * n_targets)
         if not todo:
             return
-        n_lanes = min(default_workers(), len(todo))
-        lanes = [[] for _ in range(n_lanes)]
-        loads = [0] * n_lanes
-        for cost, index, key, run in sorted(todo, key=lambda item: -item[0]):
-            lane = loads.index(min(loads))
-            lanes[lane].append((index, key, run))
-            loads[lane] += cost
-        lanes = [[(key, run) for _, key, run in sorted(lane)] for lane in lanes]
-
-        def evolved(lane):
-            return list(zip(lane, _propagate_runs([run for _, run in lane])))
-
-        if n_lanes == 1:
-            done = evolved(lanes[0])
-        else:
-            # Forked, not spawned: a spawned worker imports numpy and this
-            # package again, 0.06-0.15 s, which is more than a small batch
-            # takes.
-            with ProcessPoolExecutor(
-                n_lanes - 1, multiprocessing.get_context("fork")
-            ) as pool:
-                pending = [
-                    pool.submit(_propagate_runs, [run for _, run in lane])
-                    for lane in lanes[1:]
-                ]
-                done = evolved(lanes[0])
-                for lane, job in zip(lanes[1:], pending):
-                    try:
-                        done += zip(lane, job.result())
-                    except BrokenProcessPool:
-                        pass  # a worker died; the in-order path runs its share
+        lanes = [
+            [todo[i] for i in lane]
+            for lane in _share(costs, min(default_workers(), len(todo)))
+        ]
+        evolved = _in_lanes([
+            partial(_propagate_runs, [run for _, run in lane]) for lane in lanes
+        ])
+        done = []
+        for lane, states in zip(lanes, evolved):
+            if states is not None:  # a dead lane's runs go in order
+                done += zip(lane, states)
         for (key, (basis, n_targets, *_)), states in done:
             record = self._families[_family(key[0])]
             # A family re-planned or escalated since its run keeps nothing,
@@ -540,6 +582,80 @@ class Engine:
                     value = ensemble_average(weights, per_config[rows], out=weights)
             values.append(value)
         return values
+
+    def thermal_fidelity_curves(
+        self, curves, n_protected, taus, settings, tail_bound=DEFAULT_TAIL_BOUND
+    ):
+        """:meth:`thermal_fidelity_curve` at ``taus`` of each ``(schedule,
+        n_buffer)`` of ``curves``, with ``settings`` validated for their
+        families (:meth:`validated_settings`).  Returns one ``(values,
+        n_points)`` per curve: its values and the point count of its
+        family's grid after it.
+
+        Above zero temperature, two or more curves are shared out over up
+        to :func:`default_workers` lanes (:func:`_in_lanes`), largest system
+        first, each to the lane with the fewest fermions so far: this
+        process runs the first lane, and each lane evaluates its curves in
+        order on its own copy of the engine.  The lanes' results count only
+        if every lane returned them without changing its copy: no record
+        re-planned or escalated, no basis solved, no run evolved.
+        Otherwise, and at zero temperature, where a curve is one Gram
+        determinant, this engine evaluates every curve in order, so values,
+        escalations and errors do not depend on the CPU count.
+        """
+        args = (n_protected, taus, settings, tail_bound)
+        n_lanes = min(default_workers(), len(curves)) if max(taus) > 0 else 1
+        if n_lanes > 1:
+            lanes = _share(
+                [n_protected + n_buffer for _, n_buffer in curves], n_lanes
+            )
+            results = _in_lanes([
+                partial(self._lane_curves, [curves[i] for i in lane], *args)
+                for lane in lanes
+            ])
+            if all(result is not None for result in results):
+                by_curve = {}
+                for lane, result in zip(lanes, results):
+                    by_curve.update(zip(lane, result))
+                return [by_curve[i] for i in range(len(curves))]
+        return self._curves(curves, *args)
+
+    def _curves(self, curves, n_protected, taus, settings, tail_bound):
+        """The curves of :meth:`thermal_fidelity_curves`, in order here."""
+        return [
+            (
+                self.thermal_fidelity_curve(
+                    schedule, n_protected, n_buffer, taus, settings,
+                    tail_bound=tail_bound,
+                ),
+                self.family_grid(schedule).n_points,
+            )
+            for schedule, n_buffer in curves
+        ]
+
+    def _lane_curves(self, curves, *args):
+        """:meth:`_curves` on a copy of this engine (its records and run
+        caches copied, their arrays shared), or None if that raised a
+        :class:`SimulationError` or changed the copy."""
+        copies = {
+            family: replace(record, runs=dict(record.runs))
+            for family, record in self._families.items()
+        }
+        lane = Engine(self.n_points, self.settings)
+        lane._families = dict(copies)
+        try:
+            result = lane._curves(curves, *args)
+        except SimulationError:
+            return None  # the in-order path raises it, or what comes first
+        unchanged = lane._families.keys() == copies.keys() and all(
+            lane._families[family] is copy
+            and copy.initial is record.initial
+            and len(copy.runs) == len(record.runs)
+            for (family, copy), record in zip(
+                copies.items(), self._families.values()
+            )
+        )
+        return result if unchanged else None
 
     def plan_levels(
         self, schedules, n_total, n_targets, tau, tail_bound=DEFAULT_TAIL_BOUND

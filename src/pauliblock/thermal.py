@@ -16,11 +16,12 @@ in the smallest unsigned dtype that holds the ladder's length
 (:func:`level_dtype`: one byte per occupied level up to 255 levels, two
 beyond), and ``excitations`` (K,) as floats, rows in lexicographic order;
 K configurations cost about K (N + 16) bytes with their weights.  The
-enumerator grows all prefixes one slot at a time, counting each prefix's
-run of admissible next levels and laying the children out run after run,
-so the rows come out in lexicographic order without a sort; it adds each
-excitation up left to right, so the same cutoff always selects the same
-rows with the same floats.  A colder temperature is therefore a cut of a
+enumerator grows all prefixes one slot at a time, finding each prefix's
+run of admissible next levels with one ``np.searchsorted`` per slot and
+laying the children out run after run, so the rows come out in
+lexicographic order without a sort; it adds each excitation and bound up
+left to right and cuts on those sums, so the same cutoff always selects
+the same rows with the same floats.  A colder temperature is therefore a cut of a
 hotter ensemble (:func:`colder_cut`): a row mask and its weights, found
 with the colder temperature's own cutoff and level-count certificate.  A
 curve over many temperatures enumerates once, at its hottest, and holds
@@ -87,55 +88,62 @@ def _enumerate_below(energies, n_particles, e_cut):
     Returns ``(levels, excitations)``: 1-based levels (K, N) of dtype
     :func:`level_dtype` in lexicographic order and their excitations (K,).
     Placing level v at slot j costs E_v - E_j, and the cheapest completion
-    of the remaining slots uses consecutive levels; a prefix is extended by
-    successive candidate levels only while that lower bound stays within
-    the cutoff (energies ascend, so later levels only cost more).  The
-    frontier of prefixes grows one slot at a time: each prefix's leading
-    run of passing candidates is counted, and its children are that run,
-    laid out after the children of the prefixes before it, so they come out
-    in lexicographic order without a sort.  Each excitation and each bound
-    is added up left to right in slot order, so an excitation equals the
-    left-to-right sum over its tuple and the bound of a prefix equals the
-    excitation of its cheapest completion: the cut is exact in floating
-    point, and a lower cutoff selects a subset of the same rows.
+    of the remaining slots uses consecutive levels, so a prefix's bound
+    with level v next is its excitation plus ``cheapest[v]``, the cost of
+    v in this slot and of its cheapest completion; that is monotone in v
+    (energies ascend), so the children of a prefix are a leading run of
+    its candidate levels.  The frontier of prefixes grows one slot at a
+    time: one ``np.searchsorted`` over ``cheapest`` finds each prefix's
+    run, with a slack above the cutoff for the rounding of that sum, and
+    its children are that run, laid out after the children of the
+    prefixes before it, so they come out in lexicographic order without a
+    sort.  Each child's
+    excitation and bound is then added up left to right in slot order, as
+    the cut is defined, and the children whose bound exceeds the cutoff
+    (only those the slack admitted) are dropped.  So an excitation equals
+    the left-to-right sum over its tuple and the bound of a prefix equals
+    the excitation of its cheapest completion: the cut is exact in
+    floating point, and a lower cutoff selects a subset of the same rows.
     """
     m_available = len(energies)
     dtype = level_dtype(m_available)
+    # A bound and its searchsorted estimate add the same n_particles + 1
+    # or fewer non-negative terms in two orders; for a kept child their
+    # sums are within the cutoff, so each rounds by a few ulps of it.
+    slack = 4 * (n_particles + 1) * np.finfo(float).eps * (abs(e_cut) + 1.0)
     chosen = np.zeros((1, 0), dtype=dtype)  # 0-based levels of each prefix
     excitations = np.zeros(1)
     for slot in range(n_particles):
-        remaining = n_particles - slot - 1
-        stop = m_available - remaining
+        stop = m_available - (n_particles - slot - 1)
+        # costs[r][v]: level v + r in slot slot + r, r = 0 the placed one.
+        costs = [
+            energies[r : stop + r] - energies[slot + r]
+            for r in range(n_particles - slot)
+        ]
+        cheapest = costs[0].copy()
+        for cost in costs[1:]:
+            cheapest += cost
         if slot:
             start = chosen[:, -1].astype(np.intp) + 1
         else:
             start = np.zeros(1, dtype=np.intp)
-        counts = np.zeros(len(chosen), dtype=np.intp)
-        alive = np.arange(len(chosen))
-        offset = 0
-        # Candidate ``offset`` of every prefix whose earlier candidates all
-        # passed; a pass lengthens the prefix's run by one.
-        while alive.size:
-            level = start[alive] + offset
-            inside = level < stop
-            alive, level = alive[inside], level[inside]
-            floor = excitations[alive] + (energies[level] - energies[slot])
-            for r in range(remaining):
-                floor += energies[level + 1 + r] - energies[slot + 1 + r]
-            alive = alive[floor <= e_cut]
-            counts[alive] += 1
-            offset += 1
+        end = np.searchsorted(cheapest, e_cut + slack - excitations, side="right")
+        counts = np.maximum(end - start, 0)
         # Child i of the run that begins at row ``first`` of the new frontier
         # takes level start + (i - first).
         first = np.cumsum(counts) - counts
         level = np.arange(int(counts.sum()))
         level += np.repeat(start - first, counts)
-        excitations = np.repeat(excitations, counts) + (
-            energies[level] - energies[slot]
-        )
+        excitations = np.repeat(excitations, counts) + costs[0][level]
+        bound = excitations
+        for cost in costs[1:]:
+            bound = bound + cost[level]
         grown = np.empty((len(level), slot + 1), dtype=dtype)
         grown[:, :slot] = np.repeat(chosen, counts, axis=0)
         grown[:, slot] = level
+        kept = bound <= e_cut
+        if not kept.all():
+            grown, excitations = grown[kept], excitations[kept]
         chosen = grown
     chosen += 1
     return chosen, excitations

@@ -91,6 +91,18 @@ class TestExitCodes:
         assert captured.out == ""
         assert "unknown key 'verify_oracle'" in captured.err
 
+    def test_trap_key_of_another_task_returns_2(self, tmp_path, capsys):
+        # x0f is a transport key: a splitting file that sets it is wrong.
+        cfg = tmp_path / "foreign.cfg"
+        cfg.write_text(
+            "task = splitting\nT = 1.0\nh_f = 20\nx0f = 5\n"
+            "axis = buffer_count\naxis_values = 0\n"
+        )
+        assert main(["sweep", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'x0f' is not a parameter of the splitting task" in captured.err
+
     def test_workers_key_returns_2(self, tmp_path, capsys):
         # The worker pool sizes itself from the CPUs this process may use;
         # `taskset -c 0` runs a sweep on one.
@@ -368,6 +380,24 @@ class TestSweepCommand:
         assert "T,N_b_min,saturated" in lines
         data = [l for l in lines if not l.startswith("#")][1:]
         assert len(data) == 2
+
+
+class TestStartup:
+    def test_cli_loads_no_pool_modules(self):
+        # The lanes are bare forks with pipes, so importing the CLI loads
+        # neither multiprocessing nor concurrent.futures.
+        script = (
+            "import sys, pauliblock.cli; print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+        )
+        src = Path(pauliblock.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"
 
 
 class TestNumpyOnly:

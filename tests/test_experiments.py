@@ -1,5 +1,6 @@
 import math
 import os
+import time
 from dataclasses import replace
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from pauliblock import (
     Axis,
     ConfigError,
+    ConvergenceError,
     PotentialSchedule,
     PropagationSettings,
     SweepSpec,
@@ -276,6 +278,115 @@ class TestWorkerCount:
         assert run_sweep(spec).to_csv(None) == serial
 
 
+def assert_no_children_left():
+    """Every child this process forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestCurveLanes:
+    """A finite-temperature sweep's curves share the lanes, and give the
+    bytes, and raise the errors, of the in-order path."""
+
+    def report_spec(self):
+        return split_spec(
+            axis=Axis.TEMPERATURE, axis_values=(0.0, 0.3, 0.6), n_buffer=(1, 3)
+        )
+
+    def minbuffer_spec(self):
+        return split_spec(
+            axis=Axis.PROCESS_TIME, axis_values=(0.5, 1.0), n_buffer=(0, 3),
+            tau=0.3,
+        )
+
+    def outputs(self, cpus):
+        """CSV of the report, the minimal-buffer search and a buffer-count
+        sweep, whose fidelities show every bit, on one lane, then on two."""
+        csvs = []
+        for n_cpus in (1, 2):
+            cpus(n_cpus)
+            csvs.append((
+                temperature_compensation_report(self.report_spec()).to_csv(None),
+                min_buffer_search(self.minbuffer_spec()).to_csv(None),
+                run_sweep(split_spec(tau=0.6)).to_csv(None),
+            ))
+            assert_no_children_left()
+        return csvs
+
+    def test_lanes_match_one_lane(self, cpus):
+        serial, pooled = self.outputs(cpus)
+        assert pooled == serial
+
+    def test_short_level_estimate(self, monkeypatch, cpus):
+        # The first curve's enumeration finds the ladder too short and
+        # plans the family again, which moves the last bits of every later
+        # curve; a lane that plans on its copy gives nothing, and the
+        # curves are evaluated in order.
+        monkeypatch.setattr(
+            pipeline, "ensemble_level_count", lambda schedule, n, *args: n + 1
+        )
+        serial, pooled = self.outputs(cpus)
+        assert pooled == serial
+
+    @pytest.mark.parametrize("failure", ["exit", "raise"])
+    def test_failing_lane_falls_back_in_order(self, monkeypatch, cpus, failure):
+        cpus(1)
+        serial = temperature_compensation_report(self.report_spec()).to_csv(None)
+        parent = os.getpid()
+        calls = []
+        curve = Engine.thermal_fidelity_curve
+
+        def fails_in_children(self, *args, **kwargs):
+            if os.getpid() != parent:
+                if failure == "exit":
+                    os._exit(1)
+                raise RuntimeError("a lane failed")
+            calls.append(args)
+            return curve(self, *args, **kwargs)
+
+        monkeypatch.setattr(Engine, "thermal_fidelity_curve", fails_in_children)
+        cpus(2)
+        pooled = temperature_compensation_report(self.report_spec())
+        assert pooled.to_csv(None) == serial
+        # This process ran its lane, then every curve in order.
+        assert len(calls) > 3
+        assert_no_children_left()
+
+    def test_error_is_the_in_order_one(self, monkeypatch, cpus):
+        # N_b = 1 and 2 raise; in order, N_b = 2 comes first.
+        curve = Engine.thermal_fidelity_curve
+
+        def raises(self, schedule, n_protected, n_buffer, *args, **kwargs):
+            if n_buffer < 3:
+                raise ConvergenceError(f"planted at N_b = {n_buffer}")
+            return curve(self, schedule, n_protected, n_buffer, *args, **kwargs)
+
+        monkeypatch.setattr(Engine, "thermal_fidelity_curve", raises)
+        for n_cpus in (1, 2):
+            cpus(n_cpus)
+            with pytest.raises(ConvergenceError, match="N_b = 2"):
+                temperature_compensation_report(self.report_spec())
+            assert_no_children_left()
+
+    def test_lanes_return_in_order(self):
+        results = pipeline._in_lanes(
+            [lambda: 1, lambda: [2], lambda: os._exit(3), lambda: 1 / 0]
+        )
+        assert results == [1, [2], None, None]
+        assert_no_children_left()
+
+    def test_raising_first_lane_reaps_the_others(self):
+        def raises():
+            raise ConvergenceError("this process's lane")
+
+        # The sleeping child is killed, not waited for.
+        start = time.monotonic()
+        with pytest.raises(ConvergenceError, match="this process's lane"):
+            pipeline._in_lanes([raises, lambda: time.sleep(60)])
+        assert_no_children_left()
+        assert time.monotonic() - start < 30
+
+
 class TestTemperatureSweep:
     def test_rows(self, shared_engine):
         spec = split_spec(
@@ -334,6 +445,25 @@ class TestMinBufferSearch:
             None,
         )
         assert found[-1] == expected
+
+    def test_evaluates_only_its_range(self, monkeypatch, cpus):
+        # A threshold every count reaches: the least of the range is named,
+        # and no count below it is evaluated.
+        cpus(1)
+        seen = []
+        curve = Engine.thermal_fidelity_curve
+
+        def recorded(self, schedule, n_protected, n_buffer, *args, **kwargs):
+            seen.append(n_buffer)
+            return curve(self, schedule, n_protected, n_buffer, *args, **kwargs)
+
+        monkeypatch.setattr(Engine, "thermal_fidelity_curve", recorded)
+        spec = split_spec(
+            axis=Axis.PROCESS_TIME, axis_values=(1.0,), n_buffer=(2, 3),
+            threshold=1e-9,
+        )
+        assert min_buffer_search(spec).rows == [(1.0, 2)]
+        assert seen == [3, 2]
 
     def test_saturation_reported(self, shared_engine):
         spec = split_spec(

@@ -166,6 +166,31 @@ class TestEnumeration:
         assert ens.excitations.tolist() == [excitation for _, excitation in expected]
 
     @pytest.mark.parametrize(
+        "energies, n_particles, e_cut",
+        [
+            (np.arange(30) + 0.5, 4, 6.0),
+            (np.arange(30) + 0.5, 3, 5.0),
+            (0.1 * np.arange(30), 3, 1.0),
+            (0.1 * np.arange(25), 4, 0.7),
+        ],
+        ids=["harmonic-4", "harmonic-3", "tenth-3", "tenth-4"],
+    )
+    def test_configurations_at_the_cutoff_match_combinations(
+        self, energies, n_particles, e_cut
+    ):
+        # On the harmonic ladder with an integer cutoff, configurations sit
+        # exactly on it; on the 0.1-step ladder their left-to-right sums
+        # land within a rounding of it, on either side.  The searchsorted
+        # run of each prefix must admit every one the exact sum keeps.
+        expected = self.brute_force(energies, n_particles, e_cut)
+        assert any(excitation == e_cut for _, excitation in expected)
+        levels, excitations = _enumerate_below(energies, n_particles, e_cut)
+        assert [tuple(row) for row in levels.tolist()] == [
+            row for row, _ in expected
+        ]
+        assert excitations.tolist() == [excitation for _, excitation in expected]
+
+    @pytest.mark.parametrize(
         "n_levels, dtype", [(255, np.uint8), (256, np.uint16)]
     )
     def test_level_dtype_boundary(self, n_levels, dtype):
@@ -338,9 +363,11 @@ class TestThermalFidelity:
         assert [c for c in calls if c[0] == "ok"] == [("ok", 0.6)]
         assert all(c == ("retry", 0.6) for c in calls[:-1])
 
-    def test_report_searches_levels_once(self, monkeypatch):
+    def test_report_searches_levels_once(self, monkeypatch, cpus):
         # The report plans the family for the level estimate of its hottest
-        # ensemble before any curve, so no enumeration has to retry.
+        # ensemble before any curve, so no enumeration has to retry.  One
+        # lane: the count sees this process only.
+        cpus(1)
         calls = self.count_enumerations(monkeypatch)
         spec = SweepSpec(
             schedule=self.schedule(),
@@ -354,10 +381,12 @@ class TestThermalFidelity:
         assert len(calls) == 4
         assert all(kind == "ok" for kind, _ in calls)
 
-    def test_report_estimates_levels_once(self, monkeypatch):
+    def test_report_estimates_levels_once(self, monkeypatch, cpus):
         # The benchmark's compensation report (N_b = 3..6) plans its one
         # schedule for the largest N_b before any curve; the curves make no
         # estimate of their own and give the CSV a per-curve estimate gives.
+        # One lane: the count sees this process only.
+        cpus(1)
         configs = Path(__file__).parents[1] / "perfbench" / "configs"
         spec = load_spec(configs / "thermal_split_comp.cfg")
         estimates = []
@@ -385,7 +414,7 @@ class TestThermalFidelity:
         assert len(estimates) == 1 + 1 + 4
         assert per_curve.encode() == once.encode()
 
-    def test_compensation_report_memory(self):
+    def test_compensation_report_memory(self, cpus):
         # The benchmark's compensation report holds one hot ensemble at a
         # time: the largest, 126,301 configurations of 8 fermions, is about
         # 126,301 x 24 B = 3 MB of levels, excitations and weights, and its
@@ -393,7 +422,9 @@ class TestThermalFidelity:
         # test_enumeration_memory allows.  Colder temperatures are masks
         # and weights over its rows, nothing of a finished curve stays
         # alive, and the Gram determinants run in fixed-size blocks, so the
-        # whole report's traced peak stays under that bound too.
+        # whole report's traced peak stays under that bound too.  One lane,
+        # so that every curve is traced here.
+        cpus(1)
         configs = Path(__file__).parents[1] / "perfbench" / "configs"
         spec = load_spec(configs / "thermal_split_comp.cfg")
         tracemalloc.start()
