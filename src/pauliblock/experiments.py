@@ -8,22 +8,19 @@ N_b, tau) points with one evaluation path (:func:`_evaluate`): the time
 step is validated once, and each schedule propagates once: its N_p
 targets, backward, whatever the buffer count.  Each buffer count is one
 thermal curve (:meth:`~pauliblock.pipeline.Engine.thermal_fidelity_curve`;
-zero temperature is its tau = 0 ensemble) that reads rows of the
-targets' overlaps with the initial levels, and each curve keeps only its
-values, one per temperature, so at most one ensemble per process is
-alive at a time.
+zero temperature is its ground configuration) that reads rows of the
+targets' overlaps with the initial levels and projects each temperature
+onto its particle number, and each curve keeps only its values, one per
+temperature.
 
 The engine plans a sweep's runs in one call
 (:meth:`~pauliblock.pipeline.Engine.validated_settings`): it plans each
 family once, for all its schedules and the levels its largest system's
-hottest ensemble is estimated to need, validates the time step on the
+hottest temperature is estimated to need, validates the time step on the
 grid the curves then use, and runs every schedule's propagation up
-front, at the same time in one lane per CPU it may use.  Above zero
-temperature the curves then share those lanes
-(:meth:`~pauliblock.pipeline.Engine.thermal_fidelity_curves`), each
-lane on its own copy of the engine.  Their values count only if no lane
-changed its copy; otherwise the curves are evaluated in order, so the
-output does not depend on the CPU count.
+front, at the same time in one lane per CPU it may use.  The curves then
+read those runs in order, in this process, so the output does not
+depend on the CPU count.
 
 Output is deterministic: rows follow the axis grid, floats are written
 with shortest round-trip precision and lines end with LF, so re-running a
@@ -183,28 +180,26 @@ def _evaluate(spec, engine, schedules, buffers, taus):
 
     The engine validates the time step once, on the first schedule with
     the largest system, and plans every schedule's runs; then it evaluates
-    one curve per schedule and buffer count, in lanes that share the CPUs
-    above zero temperature
-    (:meth:`~pauliblock.pipeline.Engine.thermal_fidelity_curves`).
-    Returns ``(settings, points)``: the validated settings and, per
-    schedule, ``({N_b: values}, n_points)`` with one value per temperature
-    in ``taus`` and the point count of its grid after its last curve.
+    one curve per schedule and buffer count, largest first.  Returns
+    ``(settings, points)``: the validated settings and, per schedule,
+    ``({N_b: values}, n_points)`` with one value per temperature in
+    ``taus`` and the point count of its grid after its last curve.
     """
     buffers = sorted(set(buffers), reverse=True)
     settings = engine.validated_settings(
         schedules, spec.n_protected + buffers[0], spec.n_protected, max(taus),
         spec.settings, spec.check_dt, spec.tail_bound,
     )
-    curves = iter(engine.thermal_fidelity_curves(
-        [(schedule, nb) for schedule in schedules for nb in buffers],
-        spec.n_protected, taus, settings, spec.tail_bound,
-    ))
     points = []
-    for _ in schedules:
-        values = {}
-        for nb in buffers:
-            values[nb], n_points = next(curves)
-        points.append((values, n_points))
+    for schedule in schedules:
+        values = {
+            nb: engine.thermal_fidelity_curve(
+                schedule, spec.n_protected, nb, taus, settings,
+                tail_bound=spec.tail_bound,
+            )
+            for nb in buffers
+        }
+        points.append((values, engine.family_grid(schedule).n_points))
     return settings, points
 
 

@@ -7,11 +7,12 @@ final trap, the process fidelity is
     F = sum over all N_p-subsets U of rows |det A[U, :]|^2 ,
 
 the total probability that a measurement finds the protected subspace
-intact.  One routine evaluates it at every temperature,
-:func:`gram_fidelity_values`: ``det(A^dagger A)``, equal to the sum of
-squared minors by the Cauchy-Binet identity, at polynomial cost, for many
-row selections of one master matrix at once (a thermal ensemble's
-configurations; at zero temperature the one ground configuration).
+intact.  :func:`gram_fidelity_values` evaluates ``det(A^dagger A)``,
+equal to the sum of squared minors by the Cauchy-Binet identity, at
+polynomial cost, for many row selections of one master matrix at once:
+the ground configuration of every curve, and the enumerated
+configurations of a thermal ensemble that the tests hold the projected
+thermal average (:func:`~pauliblock.thermal.projected_fidelity`) against.
 :func:`fidelity_fast` applies it to all rows of one matrix.  The literal
 subset/permutation sum, exponential in the particle number, is kept with
 the tests as their reference.
@@ -106,12 +107,11 @@ def gram_fidelity_values(master, row_sets):
     thermal ensemble's compact ``uint8`` indices are never widened as a
     block, only one slot's column of one block at a time.  Vectorized over
     the sets, ``_GRAM_BLOCK`` of them at a time, so the temporaries stay
-    the same size however many sets there are; used by the thermal average
-    where thousands of occupation configurations share the same evolved
-    states.  Each Gram matrix is the sum over its rows of the per-level
-    products conj(A[m, i]) A[m, j], added slot by slot, so no
-    (n_sets, N, N_p) block is ever gathered, and each set's arithmetic does
-    not depend on the blocking.  Raises :class:`NumericalConsistencyError`
+    the same size however many sets there are, for the thousands of
+    occupation configurations of an enumerated ensemble.  Each Gram matrix
+    is the sum over its rows of the per-level products conj(A[m, i])
+    A[m, j], added slot by slot, so no (n_sets, N, N_p) block is ever
+    gathered, and each set's arithmetic does not depend on the blocking.  Raises :class:`NumericalConsistencyError`
     for the first set whose determinant leaves [0, 1] by more than 1e-10
     before clamping, named by its index in ``row_sets``.
     """

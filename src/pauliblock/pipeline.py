@@ -27,10 +27,13 @@ Re-planning or escalating replaces the whole record.  The planner, the
 eigensolves and the propagator all read a trap from its one formula,
 :meth:`~pauliblock.potentials.PotentialSchedule.potential`.
 Every fidelity is a point of a thermal curve; zero temperature is the
-tau = 0 ensemble, the one ground configuration.  One method plans the
-runs of a set of curves (:meth:`Engine.validated_settings`): first their
-families, for the levels the hottest ensemble is estimated to need, so
-the time-step check runs on the grid the curves then use.
+ground configuration's det(A^dagger A).  One method plans the runs of a
+set of curves (:meth:`Engine.validated_settings`): first their families,
+for the levels the hottest temperature is estimated to need, so the
+time-step check runs on the grid the curves then use.  Above zero
+temperature a curve projects each temperature onto N fermions over the
+planned ladder (:func:`~pauliblock.thermal.projected_fidelity`), which a
+closed-form occupation bound certifies first.
 
 Work whose parts do not depend on each other runs in lanes, one per
 CPU this process may use (:func:`default_workers`): this process runs
@@ -47,10 +50,7 @@ the others carry on.  A batch only fills the run cache; the in-order
 path then reads its runs there and raises a cached error, which the
 escalation answers with a new record, so each run is evolved at most
 once per grid, and results, escalations and errors do not depend on the
-CPU count.  A sweep's thermal curves above zero temperature share the
-lanes too (:meth:`Engine.thermal_fidelity_curves`), each lane on its own
-copy of the engine; their values count only where no lane changed its
-copy, and otherwise every curve is evaluated in order here.
+CPU count.  The thermal curves then run in order in this process.
 """
 
 import math
@@ -86,9 +86,9 @@ from .propagate import PropagationSettings, propagate_basis
 from .thermal import (
     DEFAULT_TAIL_BOUND,
     check_tail_bound,
-    colder_cut,
-    ensemble_average,
     enumerate_ensemble,
+    levels_needed,
+    projected_fidelity,
 )
 
 # Doublings of a family's grid (domain or point count) allowed after it
@@ -96,7 +96,7 @@ from .thermal import (
 MAX_ESCALATIONS = 4
 # Levels planned beyond the semiclassical estimate of what a thermal
 # ensemble needs: one level absorbs a Bohr-Sommerfeld error of up to one
-# level spacing at the cutoff.
+# level spacing in the Fermi level.
 LEVEL_MARGIN = 1
 # Largest change of the overlaps between dt and dt/2 that the time-step
 # check accepts.
@@ -529,18 +529,18 @@ class Engine:
         Returns the list of values, one per temperature.  Without
         ``settings``, :meth:`validated_settings` plans the curve's family
         and runs; with ``settings`` handed in and the family planned (a
-        sweep plans it for its largest system), no estimate is made again,
-        and the enumeration's certificate plans too few levels again.  The
-        master overlap matrix covers the hottest ensemble's highest level,
-        read from the N_p targets evolved backward (:meth:`master_overlaps`).
-        That ensemble is enumerated once and its per-configuration
-        fidelities evaluated once; each colder temperature is a row mask of
-        it with its own weights (:func:`~pauliblock.thermal.colder_cut`),
-        used for one sum, or is evaluated on its own if its cutoff grows
-        past the hottest one's.
-        The master matrix is validated (:class:`OverlapMatrix`) first, and
-        the Gram determinants read the ensemble's 1-based level rows as they
-        are, through a zero row put before the master's first.
+        sweep plans it for its largest system), no estimate is made again.
+        The master overlap matrix, read from the N_p targets evolved
+        backward (:meth:`master_overlaps`), covers every planned level
+        above zero temperature (:meth:`_certified_ladder`) and the ground
+        configuration at zero.  It is validated (:class:`OverlapMatrix`)
+        first.  The ground configuration
+        (:func:`~pauliblock.thermal.enumerate_ensemble` at tau = 0) gives
+        its Gram determinant through a zero row put before the master's
+        first: the value at tau = 0, and the lower bound of every
+        projected one.  Each temperature above zero is projected on its
+        own (:func:`~pauliblock.thermal.projected_fidelity`), so a curve's
+        value is the one a call at that temperature alone gives.
         """
         check_counts(n_protected, n_buffer)
         n_total = n_protected + n_buffer
@@ -558,146 +558,65 @@ class Engine:
         elif self.family_grid(schedule) is None:
             self.plan_levels([schedule], n_total, n_protected, tau_max, tail_bound)
 
-        hot, energies = self._ensemble_levels(schedule, n_total, tau_max, tail_bound)
-        matrix, _, _ = self.master_overlaps(schedule, hot.m_max, n_protected, settings)
+        energies = self._certified_ladder(schedule, n_total, tau_max, tail_bound)
+        ground = enumerate_ensemble(energies, n_total, 0.0)
+        n_rows = len(energies) if tau_max > 0 else ground.m_max
+        matrix, _, _ = self.master_overlaps(schedule, n_rows, n_protected, settings)
         master = OverlapMatrix(matrix).entries
         padded = np.concatenate([np.zeros_like(master[:1]), master])
-        per_config = gram_fidelity_values(padded, hot.levels)
-        # Colder cuts read the width of ``levels`` (N), not its rows.
-        hot.levels = np.empty((0, n_total), hot.levels.dtype)
-
-        values = []
-        for tau in taus:
-            if tau == tau_max:
-                value = ensemble_average(hot.weights, per_config)
-            else:
-                cut = colder_cut(hot, energies, tau, tail_bound)
-                if cut is None:
-                    (value,) = self.thermal_fidelity_curve(
-                        schedule, n_protected, n_buffer, [tau], settings,
-                        tail_bound=tail_bound,
-                    )
-                else:
-                    rows, weights = cut
-                    value = ensemble_average(weights, per_config[rows], out=weights)
-            values.append(value)
-        return values
-
-    def thermal_fidelity_curves(
-        self, curves, n_protected, taus, settings, tail_bound=DEFAULT_TAIL_BOUND
-    ):
-        """:meth:`thermal_fidelity_curve` at ``taus`` of each ``(schedule,
-        n_buffer)`` of ``curves``, with ``settings`` validated for their
-        families (:meth:`validated_settings`).  Returns one ``(values,
-        n_points)`` per curve: its values and the point count of its
-        family's grid after it.
-
-        Above zero temperature, two or more curves are shared out over up
-        to :func:`default_workers` lanes (:func:`_in_lanes`), largest system
-        first, each to the lane with the fewest fermions so far: this
-        process runs the first lane, and each lane evaluates its curves in
-        order on its own copy of the engine.  The lanes' results count only
-        if every lane returned them without changing its copy: no record
-        re-planned or escalated, no basis solved, no run evolved.
-        Otherwise, and at zero temperature, where a curve is one Gram
-        determinant, this engine evaluates every curve in order, so values,
-        escalations and errors do not depend on the CPU count.
-        """
-        args = (n_protected, taus, settings, tail_bound)
-        n_lanes = min(default_workers(), len(curves)) if max(taus) > 0 else 1
-        if n_lanes > 1:
-            lanes = _share(
-                [n_protected + n_buffer for _, n_buffer in curves], n_lanes
-            )
-            results = _in_lanes([
-                partial(self._lane_curves, [curves[i] for i in lane], *args)
-                for lane in lanes
-            ])
-            if all(result is not None for result in results):
-                by_curve = {}
-                for lane, result in zip(lanes, results):
-                    by_curve.update(zip(lane, result))
-                return [by_curve[i] for i in range(len(curves))]
-        return self._curves(curves, *args)
-
-    def _curves(self, curves, n_protected, taus, settings, tail_bound):
-        """The curves of :meth:`thermal_fidelity_curves`, in order here."""
+        ground_value = float(gram_fidelity_values(padded, ground.levels)[0])
         return [
-            (
-                self.thermal_fidelity_curve(
-                    schedule, n_protected, n_buffer, taus, settings,
-                    tail_bound=tail_bound,
-                ),
-                self.family_grid(schedule).n_points,
-            )
-            for schedule, n_buffer in curves
+            projected_fidelity(energies, master, n_total, tau, ground_value)
+            if tau > 0 else ground_value
+            for tau in taus
         ]
-
-    def _lane_curves(self, curves, *args):
-        """:meth:`_curves` on a copy of this engine (its records and run
-        caches copied, their arrays shared), or None if that raised a
-        :class:`SimulationError` or changed the copy."""
-        copies = {
-            family: replace(record, runs=dict(record.runs))
-            for family, record in self._families.items()
-        }
-        lane = Engine(self.n_points, self.settings)
-        lane._families = dict(copies)
-        try:
-            result = lane._curves(curves, *args)
-        except SimulationError:
-            return None  # the in-order path raises it, or what comes first
-        unchanged = lane._families.keys() == copies.keys() and all(
-            lane._families[family] is copy
-            and copy.initial is record.initial
-            and len(copy.runs) == len(record.runs)
-            for (family, copy), record in zip(
-                copies.items(), self._families.values()
-            )
-        )
-        return result if unchanged else None
 
     def plan_levels(
         self, schedules, n_total, n_targets, tau, tail_bound=DEFAULT_TAIL_BOUND
     ):
         """Plan the family of ``schedules`` (one family) for the levels an
-        ensemble needs and ``n_targets`` targets; return the level count.
+        ensemble needs and ``n_targets`` targets; return the level count
+        the family is then planned for.
 
-        At ``tau > 0`` that is the ladder length the truncation certificate
-        of ``n_total`` fermions is estimated to need: the certificate runs on
-        the Bohr-Sommerfeld ladder of the initial trap (exact for a
-        harmonic one), plus ``LEVEL_MARGIN``.  At ``tau = 0`` it is
-        ``n_total``.  A family already planned for as many levels and
-        targets keeps its grid.
+        At ``tau > 0`` the ensemble needs the ladder length the truncation
+        certificate of ``n_total`` fermions is estimated to need: the
+        certificate's closed form on the Bohr-Sommerfeld ladder of the
+        initial trap (:func:`~pauliblock.planner.ensemble_level_count`,
+        exact for a harmonic one), plus ``LEVEL_MARGIN``.  At ``tau = 0``
+        it needs ``n_total``.  A family already planned for as many levels
+        and targets keeps its grid.
         """
         n_levels = n_total
         if tau > 0:
             n_levels = ensemble_level_count(schedules[0], n_total, tau, tail_bound)
             n_levels += LEVEL_MARGIN
-        self._plan(schedules, n_levels, n_targets)
-        return n_levels
+        return self._plan(schedules, n_levels, n_targets).n_planned
 
-    def _ensemble_levels(self, schedule, n_total, tau, tail_bound):
-        """(ensemble at ``tau``, the energy ladder it was enumerated from).
+    def _certified_ladder(self, schedule, n_total, tau, tail_bound):
+        """The initial energies of every level the family was planned for
+        (:meth:`plan_levels` sized it), certified above zero temperature
+        to hold ``n_total`` fermions at ``tau`` to ``tail_bound``
+        (:func:`~pauliblock.thermal.levels_needed` on the solved ladder).
 
-        The ladder holds every level the family was planned for, which
-        :meth:`plan_levels` has sized.  When it is too short to certify the
-        truncation (:class:`NeedsMoreLevelsError`, an estimate that fell
-        short), the family is planned again for the count the error
-        reports.
+        A ladder too short for that is planned again, once, as
+        :meth:`plan_levels` plans with a right estimate: for the count
+        the certificate asks plus ``LEVEL_MARGIN``.  If that one falls
+        short too, :class:`NeedsMoreLevelsError` is raised, reporting the
+        count asked.
         """
         n_levels = self._families[_family(schedule)].n_planned
-        for _ in range(8):
-            initial = self._with_escalation(
-                schedule, n_levels, 0, lambda record: record.initial
+        for replanned in (False, True):
+            energies = self._with_escalation(
+                schedule, n_levels, 0, lambda record: record.initial.energies
             )
-            energies = initial.energies[:n_levels]
-            try:
-                ensemble = enumerate_ensemble(energies, n_total, tau, tail_bound)
-            except NeedsMoreLevelsError as exc:
-                n_levels = max(exc.required, n_levels + 4)
-                continue
-            return ensemble, energies
-        raise ConvergenceError(
-            f"could not satisfy the thermal tail bound with {n_levels} levels"
-        )
+            if tau == 0:
+                return energies
+            required = levels_needed(
+                energies[n_total - 1], n_total, tau, tail_bound,
+                *schedule.harmonic_floor(),
+            )
+            if required <= len(energies):
+                return energies
+            if replanned:
+                raise NeedsMoreLevelsError(required, len(energies))
+            n_levels = required + LEVEL_MARGIN

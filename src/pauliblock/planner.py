@@ -34,18 +34,20 @@ widens or refines the grid when a containment or resolution check trips
 during an eigensolve or a propagation.
 
 A thermal curve also needs to know, before any level is solved, how many
-levels its hottest ensemble occupies: :func:`ensemble_level_count`
-estimates it on the Bohr-Sommerfeld ladder of the initial trap.
+levels its hottest temperature needs: :func:`ensemble_level_count` reads the
+Fermi level from the Bohr-Sommerfeld ladder of the initial trap and
+sizes the ladder by the closed-form occupation bound that later
+certifies the solved one.
 """
 
 import math
 
 import numpy as np
 
-from .errors import ConfigError, NeedsMoreLevelsError
+from .errors import ConfigError
 from .grid import EDGE_AMPLITUDE_TOL, Grid
 from .spectral import KSPACE_EDGE_TOL, holds_states
-from .thermal import estimated_level_count
+from .thermal import levels_needed
 
 # Nepers of WKB decay added beyond ln(1/EDGE_AMPLITUDE_TOL) in the margin.
 TUNNEL_SAFETY = 4.0
@@ -65,8 +67,6 @@ FLOW_PHASE = 1.0
 SAMPLES = 4097
 # Doublings of the scan radius before a trap counts as not confining.
 MAX_DOUBLINGS = 40
-# Energies at which :func:`_ladder` tabulates the level count.
-LADDER_ENERGIES = 64
 
 
 def plan_grid(schedules, n_levels, n_targets, n_points=None):
@@ -232,47 +232,17 @@ def _ceiling(trap, n_states):
     return _bisect(lambda e: _level_count(trap, e) >= n_states, 0.0, high)
 
 
-def _ladder(trap, n_levels):
-    """Bohr-Sommerfeld energies of the lowest ``n_levels`` levels of a trap.
-
-    Level k (1-based) sits where :func:`_level_count` reaches k - 1/2,
-    which is exact for a harmonic trap.  The count is tabulated on
-    ``LADDER_ENERGIES`` energies up to the first doubling of the energy
-    that holds ``n_levels`` levels, and inverted by linear interpolation.
-    """
-    top, radius = 1.0, 1.0
-    for _ in range(MAX_DOUBLINGS):
-        x, v = _scan(trap, top, radius)
-        if _count(x, v, top) >= n_levels:
-            break
-        top *= 2.0
-        radius = trap.center - x[0]
-    else:
-        raise ConfigError(f"no energy holds {n_levels} levels of this trap")
-    v = v[v < top]  # the samples that count at some tabulated energy
-    energies = np.linspace(v.min(), top, LADDER_ENERGIES)
-    return np.interp(np.arange(n_levels) + 0.5, _count(x, v, energies), energies)
-
-
 def ensemble_level_count(schedule, n_particles, tau, tail_bound):
     """Levels a thermal ensemble of ``n_particles`` fermions at ``tau`` in
-    the schedule's initial trap is estimated to need.
-
-    The truncation certificate of
-    :func:`~pauliblock.thermal.enumerate_ensemble` runs on the
-    Bohr-Sommerfeld ladder of the trap (:func:`_ladder`), counting
-    configurations instead of enumerating them
-    (:func:`~pauliblock.thermal.estimated_level_count`); a ladder too short
-    to tell is built again twice as long as the count it reports.
+    the schedule's initial trap is estimated to need: the occupation bound
+    of :func:`~pauliblock.thermal.levels_needed`, with E_N the
+    Bohr-Sommerfeld energy of level N, where :func:`_level_count` reaches
+    N - 1/2 (exact for a harmonic trap).
     """
-    trap = _endpoint_trap(schedule, 0.0)
-    n_levels = 2 * (n_particles + 1)
-    while True:
-        ladder = _ladder(trap, n_levels)
-        try:
-            return estimated_level_count(ladder, n_particles, tau, tail_bound)
-        except NeedsMoreLevelsError as exc:
-            n_levels = 2 * exc.required
+    e_fermi = _ceiling(_endpoint_trap(schedule, 0.0), n_particles - 0.5)
+    return levels_needed(
+        e_fermi, n_particles, tau, tail_bound, *schedule.harmonic_floor()
+    )
 
 
 class _Trap:

@@ -145,6 +145,17 @@ class PotentialSchedule:
         """Instantaneous trap center (nonzero only for transport)."""
         return self.control_value(t) if self.task is Task.TRANSPORT else 0.0
 
+    def harmonic_floor(self):
+        """(omega, shift) with V(x, 0) >= 0.5 omega^2 (x - x0_i)^2 + shift
+        everywhere: the initial trap's harmonic part and the least of the
+        rest.  By min-max, its level j then sits at or above
+        omega (j - 1/2) + shift."""
+        if self.task is Task.EXPANSION:
+            return self.omega_i, 0.0
+        if self.task is Task.SPLITTING:
+            return self.omega, min(self.h_i, 0.0)
+        return self.omega, 0.0
+
     def evaluate(self, grid, t):
         """Potential values on the grid at time t (energies in hbar*omega)."""
         return self.potential(grid.x)(t)

@@ -1,40 +1,48 @@
 """Finite-temperature fidelity by canonical averaging.
 
 At temperature ``tau`` (units hbar*omega_i/k_B) the N fermions initially
-occupy levels ``m(1) < ... < m(N)`` with probability
+occupy levels ``c = m(1) < ... < m(N)`` with probability
 
-    p_m = exp(-excitation(m)/tau) / Z ,
-    excitation(m) = sum_j (E_m(j) - E_j) ,
+    p_c = exp(-excitation(c)/tau) / Z ,
+    excitation(c) = sum_j (E_m(j) - E_j) ,
 
-and the process fidelity is the weighted average of the per-configuration
-fidelities, each computed from the evolved versions of the occupied
-levels.  The infinite configuration sum is truncated at an excitation
-cutoff grown until the estimated omitted weight is below ``tail_bound``.
+and the process fidelity is the average of the per-configuration
+fidelities det(A_c^dagger A_c), A_c being the rows of the master overlap
+matrix A (M levels x N_p targets) that c occupies.
 
-An ensemble is held as arrays: ``levels`` (K, N) of 1-based level indices
-in the smallest unsigned dtype that holds the ladder's length
-(:func:`level_dtype`: one byte per occupied level up to 255 levels, two
-beyond), and ``excitations`` (K,) as floats, rows in lexicographic order;
-K configurations cost about K (N + 16) bytes with their weights.  The
-enumerator grows all prefixes one slot at a time, finding each prefix's
-run of admissible next levels with one ``np.searchsorted`` per slot and
-laying the children out run after run, so the rows come out in
-lexicographic order without a sort; it adds each excitation and bound up
-left to right and cuts on those sums, so the same cutoff always selects
-the same rows with the same floats.  A colder temperature is therefore a cut of a
-hotter ensemble (:func:`colder_cut`): a row mask and its weights, found
-with the colder temperature's own cutoff and level-count certificate.  A
-curve over many temperatures enumerates once, at its hottest, and holds
-only that ensemble; each colder temperature's mask and weights serve one
-sum and are dropped, and no level row is copied for them.  Boltzmann
-weights are one ``np.exp`` over the excitations and every sum one
-``np.sum`` over them in row order; a cut sums the same floats in the same
-order as a direct enumeration, so it carries exactly the same weights.
+**Projection** (:func:`projected_fidelity`).  By Cauchy-Binet,
+det(A_c^dagger A_c) is the sum of |det A_S|^2 over the N_p-subsets S of
+c, so with x_j = exp(-E_j/tau) the canonical average is a ratio of two
+polynomial coefficients,
 
-How many levels a ladder must hold for the certificate can be estimated
-before any level is solved (:func:`estimated_level_count`): the same
-certificate runs on a ladder such as the semiclassical one, with the
-configurations counted per excitation bin instead of enumerated.
+    F = [z^N] G(z) / [z^N] Q(z) ,   Q(z) = prod_j (1 + z x_j) ,
+    G(z) = Q(z) det(A^dagger diag(z x_j / (1 + z x_j)) A) ,
+
+the particle-number projection of auxiliary-field Monte Carlo (Ormand et
+al., PRC 49, 1422 (1994); Gilbreth and Alhassid, Comput. Phys. Commun.
+188, 1 (2015)).  Both have degree M, so their values at M + 1 points of
+the circle |z| = exp(mu/tau) give the z^N coefficients exactly, by one
+discrete Fourier sum; mu, the grand-canonical chemical potential of N
+fermions, keeps that sum well conditioned.  A temperature costs a few
+(M + 1) x M complex arrays, however many configurations there are.
+
+**Truncation by levels** (:func:`levels_needed`).  The ladder is cut
+after M levels, and the omitted levels' total occupation, which bounds
+the error of F, is certified below ``tail_bound`` in closed form.
+
+**Enumeration** (:func:`enumerate_ensemble`).  The configurations can
+also be listed, below an excitation cutoff grown until the omitted
+Boltzmann weight is negligible: the tests' reference for the projection,
+and, at ``tau = 0``, the one ground configuration every curve reads.  An
+ensemble is held as arrays: ``levels`` (K, N) of 1-based level indices in
+the smallest unsigned dtype that holds the ladder's length
+(:func:`level_dtype`), and ``excitations`` (K,) as floats, rows in
+lexicographic order.  The enumerator grows all prefixes one slot at a
+time, finding each prefix's run of admissible next levels with one
+``np.searchsorted`` per slot, so the rows come out in lexicographic order
+without a sort; it adds each excitation and bound up left to right and
+cuts on those sums, so the same cutoff always selects the same rows with
+the same floats.
 """
 
 import math
@@ -42,11 +50,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NeedsMoreLevelsError
+from .errors import ConfigError, NeedsMoreLevelsError, NumericalConsistencyError
+from .fidelity import RANGE_TOL
 
 DEFAULT_TAIL_BOUND = 1e-6
-# Excitation bins per unit of temperature in :func:`estimated_level_count`.
-BINS_PER_TAU = 128
+# Newton steps towards the chemical potential of the projection circle.
+NEWTON_STEPS = 4
+# Rounding of one coefficient of the projection, in units of machine
+# epsilon per term: a point value is a product of M factors and a Gram
+# determinant of sums over M levels, each factor and term within a few
+# epsilon, and no point value exceeds 1 in modulus (see
+# :func:`projected_fidelity`).
+PROJECTION_ROUNDING = 8
 
 
 @dataclass
@@ -167,47 +182,6 @@ def check_tail_bound(tail_bound):
         raise ConfigError(f"tail_bound must be in (0, 1), got {tail_bound}")
 
 
-def _grow_cutoff(energies, n_particles, tau, tail_bound, complete_ladder, below):
-    """Grow the excitation cutoff shell by shell until it is certified.
-
-    ``below(e)`` returns ``(rows, excitations)`` for the configurations
-    with excitation <= e, ``rows`` being whatever identifies them to the
-    caller, or None when it cannot supply them.  Returns ``(e_cut, rows,
-    excitations, terms, z)`` at the final cutoff, ``terms`` being the
-    Boltzmann factors (``np.exp`` of the scaled excitations) and ``z``
-    their ``np.sum``, or None if ``below`` gave up.
-    """
-    check_tail_bound(tail_bound)
-    e_cut = tau * math.log(1.0 / tail_bound)
-    shell = max(tau * math.log(100.0), 1e-3)
-    z_here = None
-    while True:
-        e_next = e_cut + shell
-        if not complete_ladder:
-            required = _levels_required(energies, n_particles, e_next)
-            if required > len(energies):
-                raise NeedsMoreLevelsError(required, len(energies))
-        probe = below(e_next)
-        if probe is None:
-            return None
-        rows, excitations = probe
-        terms = np.exp(-excitations / tau)
-        z_probe = float(np.sum(terms))
-        if z_here is None:
-            z_here = float(np.sum(terms[excitations <= e_cut]))
-        e_cut = e_next
-        if z_probe - z_here <= 0.5 * tail_bound * z_probe:
-            return e_cut, rows, excitations, terms, z_probe
-        z_here = z_probe
-        # Free this shell's arrays before the next, larger one is built.
-        del probe, rows, excitations, terms
-
-
-def _ground(n_particles, dtype):
-    levels = np.arange(1, n_particles + 1, dtype=dtype)[None, :]
-    return ThermalEnsemble(0.0, levels, np.zeros(1), np.array([1.0]), 0.0)
-
-
 def enumerate_ensemble(
     energies, n_particles, tau, tail_bound=DEFAULT_TAIL_BOUND, complete_ladder=False
 ):
@@ -245,111 +219,157 @@ def enumerate_ensemble(
     if (np.diff(energies) < 0).any():
         raise ConfigError("energies must be ascending")
     if tau == 0.0:
-        return _ground(n_particles, level_dtype(len(energies)))
+        levels = np.arange(1, n_particles + 1, dtype=level_dtype(len(energies)))
+        return ThermalEnsemble(0.0, levels[None, :], np.zeros(1), np.array([1.0]), 0.0)
 
-    e_cut, levels, excitations, terms, z = _grow_cutoff(
-        energies,
-        n_particles,
-        tau,
-        tail_bound,
-        complete_ladder,
-        lambda e: _enumerate_below(energies, n_particles, e),
+    check_tail_bound(tail_bound)
+    e_cut = tau * math.log(1.0 / tail_bound)
+    shell = max(tau * math.log(100.0), 1e-3)
+    z_here = None
+    while True:
+        e_next = e_cut + shell
+        if not complete_ladder:
+            required = _levels_required(energies, n_particles, e_next)
+            if required > len(energies):
+                raise NeedsMoreLevelsError(required, len(energies))
+        levels, excitations = _enumerate_below(energies, n_particles, e_next)
+        terms = np.exp(-excitations / tau)
+        z = float(np.sum(terms))
+        if z_here is None:
+            z_here = float(np.sum(terms[excitations <= e_cut]))
+        e_cut = e_next
+        if z - z_here <= 0.5 * tail_bound * z:
+            return ThermalEnsemble(tau, levels, excitations, terms / z, e_cut)
+        z_here = z
+        # Free this shell's arrays before the next, larger one is built.
+        del levels, excitations, terms
+
+
+def levels_needed(e_fermi, n_particles, tau, tail_bound, omega, shift):
+    """Least ladder length M that certifies ``n_particles`` fermions at
+    ``tau`` > 0: the omitted levels j > M together hold less than
+    ``tail_bound`` of a particle.
+
+    In the canonical ensemble a level j > N is occupied with probability
+    n_j <= N exp(-(E_j - E_N)/tau): swapping j for the lowest empty level
+    h <= N maps the configurations holding j at most N to 1 onto others,
+    and scales each weight by exp((E_j - E_h)/tau) >= exp((E_j -
+    E_N)/tau).  A trap at or above 0.5 omega^2 x^2 + ``shift`` has, by
+    min-max, its level j at or above omega (j - 1/2) + shift
+    (:meth:`~pauliblock.potentials.PotentialSchedule.harmonic_floor`).
+    So the levels past a ladder of M hold
+
+        sum_{j>M} n_j <= N exp(-(omega (M + 1/2) + shift - E_N)/tau)
+                         / (1 - exp(-omega/tau)) ,
+
+    and this bounds |F - F_M|, F_M being the average over the
+    configurations of the first M levels, since every configuration's
+    fidelity lies in [0, 1].  ``e_fermi`` is E_N.  The returned M is the
+    least integer above the count at which the bound equals
+    ``tail_bound``, and at least N.
+    """
+    need = e_fermi + tau * math.log(
+        n_particles / (tail_bound * -math.expm1(-omega / tau))
     )
-    return ThermalEnsemble(tau, levels, excitations, terms / z, e_cut)
+    return max(n_particles, math.floor((need - shift) / omega - 0.5) + 1)
 
 
-def estimated_level_count(energies, n_particles, tau, tail_bound=DEFAULT_TAIL_BOUND):
-    """Levels :func:`enumerate_ensemble` needs at ``tau`` on a ladder like
-    ``energies``, found without enumerating.
+def _circle(n_points):
+    """The projection's ``n_points`` points on the unit circle,
+    exp(2 pi i (k + 1/4) / n_points): a quarter step off the real axis,
+    so that no point sits at -1, where a level at mu would make a factor
+    1 + z x_j vanish."""
+    return np.exp(2j * np.pi * (np.arange(n_points) + 0.25) / n_points)
 
-    Runs the same cutoff certificate on the configurations counted per
-    excitation bin of width ``tau / BINS_PER_TAU``: one pass over the
-    levels puts level m in slot j at the cost E_m - E_j rounded to a bin
-    (a 0/1 knapsack over bins).  The rounding moves the Boltzmann factor
-    of a configuration by at most ``exp(N / (2 BINS_PER_TAU))``, so only a
-    shell whose weight is that close to the certificate's threshold can be
-    judged differently; the certificate on the solved ladder decides in the
-    end.
 
-    Raises
-    ------
-    NeedsMoreLevelsError
-        If ``energies`` is too short to certify the truncation; the error
-        reports the required level count.
+def _chemical_potential(energies, n_particles, tau):
+    """mu with sum_j 1/(1 + exp((E_j - mu)/tau)) near ``n_particles``:
+    ``NEWTON_STEPS`` Newton steps, each of at most ``tau``, from the
+    midpoint of E_N and E_N+1.  Any mu gives the same coefficients in
+    exact arithmetic; this one makes N the likeliest particle number on
+    the circle, so the Fourier sum loses least to rounding."""
+    upper = energies[n_particles] if len(energies) > n_particles else energies[-1] + tau
+    mu = 0.5 * (energies[n_particles - 1] + upper)
+    for _ in range(NEWTON_STEPS):
+        turned = np.tanh(0.5 * (energies - mu) / tau)
+        slope = 0.25 * np.sum(1.0 - turned * turned) / tau
+        if not slope > 0.0:
+            break
+        excess = 0.5 * np.sum(1.0 - turned) - n_particles
+        mu -= min(max(excess / slope, -tau), tau)
+    return mu
+
+
+def projected_fidelity(energies, overlaps, n_particles, tau, ground):
+    """Canonical average at ``tau`` > 0 of det(A_c^dagger A_c) over the
+    configurations c of ``n_particles`` fermions on the ladder
+    ``energies`` (M levels, ascending), by particle-number projection (see
+    the module docstring).
+
+    ``overlaps`` (M, N_p) is A, one row per level; ``ground`` is the
+    fidelity of the ground configuration, the first N rows.
+
+    On the circle |z| = exp(mu/tau) write b_j = exp(-(E_j - mu)/tau) for
+    a level past the first N and exp((E_j - mu)/tau) for one of the first
+    N, each at most 1 while mu lies between E_N and E_N+1, so that no
+    factor overflows; a level of the first N contributes
+    z x_j (1 + 1/(z x_j)), whose z is the N-th power that [z^N] takes.
+    Divided by prod_j (1 + b_j), each point value of Q is a product of
+    factors of modulus at most 1, of G that times a Gram determinant whose
+    Cauchy-Binet terms again are at most 1 in modulus, and the ground
+    configuration's term of [z^N] Q is w0 = 1 / prod_j (1 + b_j).  The projected coefficients are therefore
+    each within ``slack`` = ``PROJECTION_ROUNDING`` (2M + 1) eps of exact,
+    and this raises :class:`NumericalConsistencyError`, before any clamp,
+    if
+
+    * [z^N] Q falls below w0 - slack, or [z^N] G below ``ground`` w0 -
+      slack: every configuration adds a non-negative term to each;
+    * the coefficient ratio's imaginary part exceeds 2 slack / [z^N] Q,
+      the most that the rounding of the two coefficients can give it;
+    * the ratio's real part, F, leaves [-RANGE_TOL, 1 + RANGE_TOL].
+
+    F is then clamped to [0, 1].
     """
     energies = np.asarray(energies, dtype=float)
-    if len(energies) < n_particles:
-        raise NeedsMoreLevelsError(n_particles, len(energies))
-    if tau == 0.0:
-        return n_particles
-    width = tau / BINS_PER_TAU
-    n_bins = int((energies[-1] - energies[n_particles - 1]) / width) + 2
-    # shifts[m, j]: bins that level m costs in slot j.
-    shifts = np.rint(
-        (energies[:, None] - energies[None, :n_particles]) / width
-    ).astype(int).tolist()
-    # ways[j, b]: ways to fill the first j slots from the levels so far.
-    ways = np.zeros((n_particles + 1, n_bins))
-    ways[0, 0] = 1.0
-    for level, shift_of in enumerate(shifts):
-        for slot in range(min(level, n_particles - 1), -1, -1):
-            shift = shift_of[slot]
-            if shift < n_bins:
-                ways[slot + 1, shift:] += ways[slot, : n_bins - shift]
-    counts = ways[n_particles].astype(np.int64)
-    bins = np.arange(n_bins) * width
+    n_levels = len(energies)
+    mu = _chemical_potential(energies, n_particles, tau)
+    scaled = (energies - mu) / tau
+    scaled[n_particles:] *= -1.0
+    b = np.exp(scaled)
+    turn = _circle(n_levels + 1)[:, None]
+    shifted = b * turn  # b_j z / |z|, or b_j |z| / z for the first N
+    shifted[:, :n_particles] = b[:n_particles] * turn.conj()
+    factors = 1.0 + shifted
+    points = np.prod(factors / (1.0 + b), axis=1)
+    # diag(z x_j / (1 + z x_j)): shifted / factors above, 1 / factors below.
+    shifted[:, :n_particles] = 1.0
+    shifted /= factors
+    n_p = overlaps.shape[1]
+    products = overlaps.conj()[:, :, None] * overlaps[:, None, :]
+    products = products.reshape(n_levels, n_p * n_p)
+    grams = (shifted @ products).reshape(len(turn), n_p, n_p)
+    numerator = np.mean(points * np.linalg.det(grams))
+    denominator = np.mean(points)
 
-    def below(e):
-        kept = bins <= e
-        return None, np.repeat(bins[kept], counts[kept])
-
-    e_cut = _grow_cutoff(energies, n_particles, tau, tail_bound, False, below)[0]
-    return _levels_required(energies, n_particles, e_cut)
-
-
-def colder_cut(hot, energies, tau, tail_bound=DEFAULT_TAIL_BOUND):
-    """The ensemble at ``tau`` <= ``hot.tau`` as a cut of the rows of ``hot``.
-
-    ``energies`` is the ladder ``hot`` was enumerated from.  The cutoff
-    grows and is certified exactly as in :func:`enumerate_ensemble`; every
-    configuration below it is a row of ``hot`` as long as it stays within
-    ``hot.e_cut``.  Returns ``(mask, weights)``, ``mask`` selecting the
-    rows of ``hot`` and ``weights`` their Boltzmann weights at ``tau`` in
-    row order, bit-identical to those of enumerating ``tau`` on its own;
-    or None when the cutoff for ``tau`` grows past ``hot.e_cut`` and
-    ``tau`` needs its own enumeration.
-
-    Raises
-    ------
-    NeedsMoreLevelsError
-        If ``energies`` is too short to certify the truncation at ``tau``.
-    """
-    if tau > hot.tau:
-        raise ConfigError(f"cannot cool an ensemble at {hot.tau} to {tau}")
-    n_particles = hot.levels.shape[1]
-    if tau == 0.0:
-        # The ground configuration is the first row in lexicographic order.
-        mask = np.zeros(hot.size, dtype=bool)
-        mask[0] = True
-        return mask, np.array([1.0])
-
-    def below(e):
-        if e > hot.e_cut:
-            return None
-        mask = hot.excitations <= e
-        return mask, hot.excitations[mask]
-
-    cut = _grow_cutoff(
-        np.asarray(energies, dtype=float), n_particles, tau, tail_bound, False, below
-    )
-    if cut is None:
-        return None
-    _, mask, _, terms, z = cut
-    terms /= z
-    return mask, terms
-
-
-def ensemble_average(weights, per_config_values, out=None):
-    """Weighted sum of per-configuration fidelities, in row order; the
-    products go to ``out`` if given (it may be either input)."""
-    return float(np.sum(np.multiply(weights, per_config_values, out=out)))
+    slack = PROJECTION_ROUNDING * (2 * n_levels + 1) * np.finfo(float).eps
+    w0 = 1.0 / np.prod(1.0 + b)
+    ratio = numerator / denominator
+    where = f"at tau = {tau} on {n_levels} levels"
+    if not denominator.real >= w0 - slack:
+        raise NumericalConsistencyError(
+            f"projected weight {denominator.real} below the ground term {w0} {where}"
+        )
+    if not numerator.real >= ground * w0 - slack:
+        raise NumericalConsistencyError(
+            f"projected fidelity weight {numerator.real} below the ground term "
+            f"{ground * w0} {where}"
+        )
+    if not abs(ratio.imag) <= 2.0 * slack / denominator.real:
+        raise NumericalConsistencyError(
+            f"projected fidelity {ratio} has an imaginary part {where}"
+        )
+    if not -RANGE_TOL <= ratio.real <= 1.0 + RANGE_TOL:
+        raise NumericalConsistencyError(
+            f"projected fidelity {ratio.real} outside [-1e-10, 1+1e-10] {where}"
+        )
+    return min(max(float(ratio.real), 0.0), 1.0)

@@ -15,9 +15,9 @@ def engine():
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """``cpus(n)``: from then on in the test, each batch and each set of
-    thermal curves is shared out over lanes as if this process could use
-    ``n`` CPUs (1 runs everything here, in order)."""
+    """``cpus(n)``: from then on in the test, each batch of runs is shared
+    out over lanes as if this process could use ``n`` CPUs (1 runs
+    everything here, in order)."""
 
     def use(n):
         monkeypatch.setattr(pipeline, "default_workers", lambda: n)

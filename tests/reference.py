@@ -39,14 +39,13 @@ from pauliblock import (
     propagate_basis,
 )
 from pauliblock.fidelity import RANGE_TOL, gram_fidelity_values
-from pauliblock.planner import _Trap, _ceiling, _ladder, _level_count
+from pauliblock.planner import _Trap, _ceiling, _level_count
 from pauliblock.spectral import (
     RESIDUAL_TOL,
     _fix_phases,
     effective_potential,
     holds_states,
 )
-from pauliblock.thermal import ensemble_average
 
 
 def solve_tridiagonal(potential, grid, n_states):
@@ -186,14 +185,18 @@ def forward_overlaps(initial, targets, n_states, schedule, settings):
 
 def forward_fidelity(engine, schedule, n_protected, n_buffer, tau, settings):
     """The thermal fidelity with every level its ensemble occupies evolved
-    forward, on the grid and bases the engine plans for the curve."""
+    forward, on the grid, bases and ladder the engine plans for the curve:
+    every configuration of that ladder, enumerated as a complete one to a
+    1e-15 tail, weighs its own Gram determinant."""
     n_total = n_protected + n_buffer
     n_levels = engine.plan_levels([schedule], n_total, n_protected, tau)
     _, initial, targets = engine.endpoint_bases(schedule, n_levels, n_protected)
-    ensemble = enumerate_ensemble(initial.energies, n_total, tau)
+    ensemble = enumerate_ensemble(
+        initial.energies, n_total, tau, tail_bound=1e-15, complete_ladder=True
+    )
     matrix = forward_overlaps(initial, targets, ensemble.m_max, schedule, settings)
     per_config = gram_fidelity_values(matrix, ensemble.levels - 1)
-    return ensemble_average(ensemble.weights, per_config)
+    return float(np.sum(ensemble.weights * per_config))
 
 
 def level_count(potential, center, energy):
@@ -209,5 +212,7 @@ def energy_ceiling(potential, center, n_states):
 
 def semiclassical_ladder(potential, center, n_levels):
     """Bohr-Sommerfeld energies of the lowest ``n_levels`` levels of a
-    trap, as the planner tabulates them."""
-    return _ladder(_Trap(potential, center), n_levels)
+    trap: level k where :func:`level_count` reaches k - 1/2, as the planner
+    places the Fermi level."""
+    trap = _Trap(potential, center)
+    return np.array([_ceiling(trap, k + 0.5) for k in range(n_levels)])

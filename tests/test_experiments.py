@@ -285,8 +285,8 @@ def assert_no_children_left():
 
 
 class TestCurveLanes:
-    """A finite-temperature sweep's curves share the lanes, and give the
-    bytes, and raise the errors, of the in-order path."""
+    """A finite-temperature sweep's runs share the lanes, and its curves
+    give the bytes, and raise the errors, of one lane."""
 
     def report_spec(self):
         return split_spec(
@@ -318,10 +318,9 @@ class TestCurveLanes:
         assert pooled == serial
 
     def test_short_level_estimate(self, monkeypatch, cpus):
-        # The first curve's enumeration finds the ladder too short and
-        # plans the family again, which moves the last bits of every later
-        # curve; a lane that plans on its copy gives nothing, and the
-        # curves are evaluated in order.
+        # The first curve's certificate finds the ladder too short and
+        # plans the family again, after the runs of the first plan were
+        # batched over the lanes.
         monkeypatch.setattr(
             pipeline, "ensemble_level_count", lambda schedule, n, *args: n + 1
         )
@@ -329,27 +328,34 @@ class TestCurveLanes:
         assert pooled == serial
 
     @pytest.mark.parametrize("failure", ["exit", "raise"])
-    def test_failing_lane_falls_back_in_order(self, monkeypatch, cpus, failure):
+    def test_failing_lane_falls_back_in_order(
+        self, monkeypatch, cpus, failure, tmp_path
+    ):
+        # The search's two schedules are evolved in two lanes; the forked
+        # one leaves a mark and fails, and this process evolves its run in
+        # order.
         cpus(1)
-        serial = temperature_compensation_report(self.report_spec()).to_csv(None)
+        serial = min_buffer_search(self.minbuffer_spec()).to_csv(None)
         parent = os.getpid()
-        calls = []
-        curve = Engine.thermal_fidelity_curve
+        evolved = []
+        propagate_basis = pipeline.propagate_basis
 
-        def fails_in_children(self, *args, **kwargs):
+        def fails_in_children(basis, n_states, schedule, *args, **kwargs):
             if os.getpid() != parent:
+                (tmp_path / f"lane-{schedule.T}").touch()
                 if failure == "exit":
                     os._exit(1)
                 raise RuntimeError("a lane failed")
-            calls.append(args)
-            return curve(self, *args, **kwargs)
+            evolved.append(schedule.T)
+            return propagate_basis(basis, n_states, schedule, *args, **kwargs)
 
-        monkeypatch.setattr(Engine, "thermal_fidelity_curve", fails_in_children)
+        monkeypatch.setattr(pipeline, "propagate_basis", fails_in_children)
         cpus(2)
-        pooled = temperature_compensation_report(self.report_spec())
+        pooled = min_buffer_search(self.minbuffer_spec())
         assert pooled.to_csv(None) == serial
-        # This process ran its lane, then every curve in order.
-        assert len(calls) > 3
+        # This process ran its lane, then the failed lane's run in order.
+        assert len(list(tmp_path.iterdir())) == 1
+        assert sorted(evolved) == [0.5, 1.0]
         assert_no_children_left()
 
     def test_error_is_the_in_order_one(self, monkeypatch, cpus):

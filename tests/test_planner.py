@@ -188,9 +188,10 @@ class TestPlanGrid:
         # Grids planned for the benchmark schedules, bit for bit, all with
         # N_p = 2 targets: the expansion sweep (14 levels, one plan for its
         # three process times, which T = 10 sizes), the compensation sweep
-        # (54 levels for N_b = 6; 55 for one more) and the default transport
-        # scenario (2 levels; at T = 10 the trap runs faster and needs more
-        # points).
+        # (35 levels for N_b = 6 at tau = 1.6; 54 and 55 were its counts
+        # before the levels were certified by the occupation bound) and
+        # the default transport scenario (2 levels; at T = 10 the trap runs
+        # faster and needs more points).
         expansion = [
             PotentialSchedule.expansion(t, omega_f=0.01, lam=1.0)
             for t in (10.0, 15.0, 25.0)
@@ -199,6 +200,7 @@ class TestPlanGrid:
         for schedules, n_levels, pinned in (
             (expansion, 14, (-18.234375, 18.234375, 320)),
             (expansion[2:], 14, (-18.234375, 18.234375, 250)),
+            (splitting, 35, (-11.734375, 11.734375, 144)),
             (splitting, 54, (-13.5546875, 13.5546875, 240)),
             (splitting, 55, (-13.640625, 13.640625, 240)),
             ([CASES["transport"][0]], 2, (-3.857421875, 93.857421875, 800)),

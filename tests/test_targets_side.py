@@ -88,6 +88,9 @@ class TestBothSidesAgree:
     def test_thermal_value_matches_a_forward_reference(
         self, schedule, n_levels, monkeypatch, cpus
     ):
+        # The curve reads every level of the ladder it is planned for, so
+        # both sides hold that ladder.
+        n_levels = max(n_levels, Engine().plan_levels([schedule], 4, 2, 0.5))
         engine = both_sides(schedule, n_levels, cpus)
         runs = record_runs(monkeypatch, schedule)
         value = engine.thermal_fidelity(schedule, 2, 2, 0.5, SETTINGS).value

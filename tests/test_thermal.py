@@ -19,31 +19,20 @@ from pauliblock import (
     enumerate_ensemble,
     temperature_compensation_report,
 )
-from pauliblock import pipeline
+from pauliblock import pipeline, thermal
 from pauliblock.config import load_spec
+from pauliblock.fidelity import gram_fidelity_values
 from pauliblock.pipeline import Engine
-from pauliblock.planner import ensemble_level_count
+from pauliblock.planner import ensemble_level_count, plan_grid
 from pauliblock.thermal import (
     DEFAULT_TAIL_BOUND,
     _enumerate_below,
-    colder_cut,
-    ensemble_average,
-    estimated_level_count,
+    levels_needed,
+    projected_fidelity,
 )
 
 
 class TestEnumeration:
-    def test_level_estimate_is_the_count_enumeration_needs(self):
-        # Configurations counted per excitation bin certify the same cutoff
-        # as enumerated ones, on an evenly and an unevenly spaced ladder.
-        ladders = (np.arange(80) + 0.5, np.cumsum(np.linspace(1.0, 3.0, 80)))
-        for energies in ladders:
-            for n_particles, tau in ((2, 0.3), (4, 1.0), (8, 1.6)):
-                need = estimated_level_count(energies, n_particles, tau)
-                enumerate_ensemble(energies[:need], n_particles, tau)
-                with pytest.raises(NeedsMoreLevelsError):
-                    enumerate_ensemble(energies[: need - 1], n_particles, tau)
-
     def test_zero_temperature_single_config(self):
         energies = np.arange(10) + 0.5
         ens = enumerate_ensemble(energies, 3, 0.0)
@@ -116,15 +105,16 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("tail_bound", [0.0, -1.0, 1.0, math.nan])
     def test_tail_bound_out_of_range(self, tail_bound):
-        # Enumeration, cooling and the level estimate share one check.
+        # Enumeration and the curve share one check; the curve makes it
+        # before it plans anything.
         ladder = np.arange(20) + 0.5
         with pytest.raises(ConfigError):
             enumerate_ensemble(ladder, 2, 0.5, tail_bound)
-        with pytest.raises(ConfigError):
-            estimated_level_count(ladder, 2, 0.5, tail_bound)
-        hot = enumerate_ensemble(ladder, 2, 0.5)
-        with pytest.raises(ConfigError):
-            colder_cut(hot, ladder, 0.3, tail_bound)
+        schedule = PotentialSchedule.splitting(1.0, h_f=20.0)
+        with pytest.raises(ConfigError, match="tail_bound"):
+            Engine().thermal_fidelity_curve(
+                schedule, 2, 2, [0.5], tail_bound=tail_bound
+            )
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10**6), tau=st.floats(0.05, 2.0))
@@ -215,18 +205,6 @@ class TestEnumeration:
         assert hot.levels.max() == n_levels
         assert enumerate_ensemble(energies, 2, 0.0).levels.dtype == dtype
 
-    def test_colder_cut_is_a_direct_enumeration(self):
-        # A colder temperature cut from a hotter ensemble selects the rows
-        # and carries the weights that enumerating it on its own gives, so
-        # its weighted sum adds the same floats in the same order.
-        energies = np.cumsum(np.linspace(1.0, 1.5, 40))
-        hot = enumerate_ensemble(energies, 3, 1.2)
-        for tau in (0.0, 0.2, 0.5, 0.9):
-            mask, weights = colder_cut(hot, energies, tau)
-            direct = enumerate_ensemble(energies, 3, tau)
-            np.testing.assert_array_equal(hot.levels[mask], direct.levels)
-            assert weights.tobytes() == direct.weights.tobytes()
-
     def test_enumeration_memory(self):
         # 126,301 configurations of 8 fermions on 52 levels.  One byte per
         # occupied level and a frontier built without a sort keep the
@@ -252,6 +230,185 @@ class TestEnumeration:
             row for row, _ in expected
         ]
         assert excitations.tolist() == [excitation for _, excitation in expected]
+
+
+def isometry_overlaps(rng, n_levels, n_protected):
+    """A random (M, N_p) overlap matrix with orthogonal columns of norms
+    in [0.5, 1], so every singular value is at most 1."""
+    noise = rng.normal(size=(n_levels, n_protected))
+    noise = noise + 1j * rng.normal(size=(n_levels, n_protected))
+    columns = np.linalg.qr(noise)[0]
+    return columns * rng.uniform(0.5, 1.0, size=n_protected)
+
+
+def ground_value(overlaps, n_particles):
+    return gram_fidelity_values(overlaps, np.arange(n_particles)[None, :])[0]
+
+
+def enumerated_fidelity(energies, overlaps, n_particles, tau, tail_bound=1e-12):
+    """The canonical average over the complete ladder's configurations,
+    enumerated to ``tail_bound``."""
+    ensemble = enumerate_ensemble(
+        energies, n_particles, tau, tail_bound=tail_bound, complete_ladder=True
+    )
+    per_config = gram_fidelity_values(overlaps, ensemble.levels - 1)
+    return float(np.sum(ensemble.weights * per_config))
+
+
+class TestProjection:
+    # Stated before measuring: the enumeration omits at most 1e-12 of the
+    # weight, and each projected coefficient rounds by at most
+    # PROJECTION_ROUNDING (2M + 1) eps, under 2e-13 on these ladders; so
+    # the two agree to 2e-12.
+    TOL = 2e-12
+
+    def test_matches_complete_enumeration(self):
+        rng = np.random.default_rng(36)
+        # Every N_p from 0 to 4; N_p >= 2 goes through the general
+        # determinant.
+        for n_protected in (0, 1, 2, 3, 4) * 5:
+            n_levels = int(rng.integers(20, 40))
+            n_particles = int(rng.integers(max(2, n_protected), 9))
+            tau = float(rng.uniform(0.0, 1.5))
+            energies = np.cumsum(rng.uniform(0.5, 2.0, n_levels))
+            overlaps = isometry_overlaps(rng, n_levels, n_protected)
+            projected = projected_fidelity(
+                energies, overlaps, n_particles, tau,
+                ground_value(overlaps, n_particles),
+            )
+            expected = enumerated_fidelity(energies, overlaps, n_particles, tau)
+            assert abs(projected - expected) <= self.TOL, (
+                n_levels, n_particles, n_protected, tau
+            )
+
+    def test_no_target_gives_one(self):
+        energies = np.arange(30) + 0.5
+        for tau in (0.1, 0.7, 1.5):
+            assert projected_fidelity(energies, np.zeros((30, 0)), 4, tau, 1.0) == 1.0
+
+    def test_harmonic_ladder_on_the_old_cutoff(self):
+        # Near tau = 5 / ln(1e8) the enumeration's first probe cutoff,
+        # tau ln(1e6) + tau ln(100), is exactly 5, so on the harmonic
+        # ladder whole shells of configurations sit on it.  The projection
+        # has no cutoff.
+        energies = np.arange(30) + 0.5
+        tau = 5.0 / math.log(1e8)
+        while tau * math.log(1e6) + tau * math.log(100.0) < 5.0:
+            tau = math.nextafter(tau, 1.0)
+        assert tau * math.log(1e6) + tau * math.log(100.0) == 5.0
+        rng = np.random.default_rng(8)
+        for n_particles in (3, 4):
+            _, excitations = _enumerate_below(energies, n_particles, 5.0)
+            assert (excitations == 5.0).any()
+            overlaps = isometry_overlaps(rng, 30, 2)
+            projected = projected_fidelity(
+                energies, overlaps, n_particles, tau,
+                ground_value(overlaps, n_particles),
+            )
+            expected = enumerated_fidelity(energies, overlaps, n_particles, tau)
+            assert abs(projected - expected) <= self.TOL
+
+    def test_planted_failures_raise(self, monkeypatch):
+        # Each safeguard on its own planted fault; none is clamped away.
+        energies = np.arange(30) + 0.5
+        rng = np.random.default_rng(3)
+        overlaps = isometry_overlaps(rng, 30, 2)
+        ground = ground_value(overlaps, 4)
+        # Overlaps past unit singular values: F leaves [0, 1].
+        unit = np.zeros((30, 2))
+        unit[0, 0] = unit[1, 1] = 1.5
+        with pytest.raises(NumericalConsistencyError, match="outside"):
+            projected_fidelity(energies, unit, 4, 0.3, 0.0)
+        # A ground fidelity above the true one: the numerator falls short.
+        with pytest.raises(NumericalConsistencyError, match="fidelity weight"):
+            projected_fidelity(energies, overlaps, 4, 0.3, 1.0)
+        real = thermal._circle
+        # One point at z = -|z|: the denominator falls below the ground term.
+        monkeypatch.setattr(thermal, "_circle", lambda n: np.array([-1.0 + 0j]))
+        with pytest.raises(NumericalConsistencyError, match="projected weight"):
+            projected_fidelity(energies, overlaps, 4, 1.0, ground)
+        # Three points for 31 coefficients: z^(N +- 3) alias onto z^N
+        # with a phase of +-i, an imaginary part.
+        monkeypatch.setattr(thermal, "_circle", lambda n: real(3))
+        with pytest.raises(NumericalConsistencyError, match="imaginary"):
+            projected_fidelity(energies, overlaps, 4, 0.3, ground)
+
+
+class TestLevelBound:
+    @staticmethod
+    def canonical(energies, n_particles, tau, overlaps):
+        """(occupation of each level, F) from every configuration."""
+        occupation = np.zeros(len(energies))
+        total = fidelity = 0.0
+        for combo in itertools.combinations(range(len(energies)), n_particles):
+            weight = math.exp(-(energies[list(combo)].sum()
+                                - energies[:n_particles].sum()) / tau)
+            occupation[list(combo)] += weight
+            total += weight
+            fidelity += weight * gram_fidelity_values(overlaps, [combo])[0]
+        return occupation / total, fidelity / total
+
+    def test_occupation_bound_holds(self):
+        # n_j <= N exp(-(E_j - E_N)/tau) for every level j > N, on an even
+        # and on an uneven ladder.
+        rng = np.random.default_rng(5)
+        ladders = (np.arange(14) + 0.5, np.cumsum(rng.uniform(0.2, 1.5, 14)))
+        overlaps = np.zeros((14, 0))
+        for energies in ladders:
+            for n_particles, tau in ((2, 0.4), (3, 1.0), (4, 2.5)):
+                occupation, _ = self.canonical(energies, n_particles, tau, overlaps)
+                assert occupation.sum() == pytest.approx(n_particles, rel=1e-12)
+                above = energies[n_particles:] - energies[n_particles - 1]
+                bound = n_particles * np.exp(-above / tau)
+                assert (occupation[n_particles:] <= bound * (1 + 1e-12)).all()
+
+    def test_level_estimate_is_the_count_the_certificate_needs(self):
+        # The planner reads E_N from the Bohr-Sommerfeld ladder, the
+        # certificate from the solved one: on the harmonic initial trap of
+        # a splitting they ask for the same count, and on the quartic one
+        # of an expansion the plan's margin holds what the certificate
+        # asks.
+        for schedule, harmonic in (
+            (PotentialSchedule.splitting(1.0, h_f=20.0), True),
+            (PotentialSchedule.expansion(10.0, omega_f=0.01), False),
+        ):
+            for n_particles, tau in ((2, 0.3), (4, 1.0), (8, 1.6)):
+                estimate = ensemble_level_count(
+                    schedule, n_particles, tau, DEFAULT_TAIL_BOUND
+                )
+                _, initial, _ = Engine().endpoint_bases(schedule, n_particles, 1)
+                need = levels_needed(
+                    initial.energies[-1], n_particles, tau, DEFAULT_TAIL_BOUND,
+                    *schedule.harmonic_floor(),
+                )
+                if harmonic:
+                    assert estimate == need
+                else:
+                    assert estimate <= need <= estimate + pipeline.LEVEL_MARGIN
+
+    def test_certified_ladder_is_within_the_tail_bound(self):
+        # On a harmonic ladder (omega = 1, no shift) of 30 levels, the
+        # first levels_needed of them leave out less than the tail bound
+        # of occupation, and F on them is within the tail bound of F on
+        # all 30; at one level fewer the bound exceeds the tail bound, so
+        # the count is the least it certifies.
+        energies = np.arange(30) + 0.5
+        overlaps = isometry_overlaps(np.random.default_rng(2), 30, 2)
+        for n_particles, tau, tail_bound in ((2, 0.5, 1e-3), (3, 1.0, 1e-2)):
+            need = levels_needed(
+                energies[n_particles - 1], n_particles, tau, tail_bound, 1.0, 0.0
+            )
+            assert need < 20
+            occupation, full = self.canonical(energies, n_particles, tau, overlaps)
+            assert occupation[need:].sum() <= tail_bound
+            _, cut = self.canonical(
+                energies[:need], n_particles, tau, overlaps[:need]
+            )
+            assert abs(cut - full) <= tail_bound
+            bound = n_particles * math.exp(
+                -(energies[need - 1] - energies[n_particles - 1]) / tau
+            ) / -math.expm1(-1.0 / tau)
+            assert bound > tail_bound
 
 
 @pytest.fixture(scope="module")
@@ -281,22 +438,18 @@ class TestThermalFidelity:
         tight = split_engine.thermal_fidelity(s, 2, 2, 0.5, tail_bound=1e-8)
         assert abs(loose.value - tight.value) < 1e-4
 
-    @staticmethod
-    def ensemble(engine, schedule, n_total, tau):
-        """(ensemble at ``tau``, its ladder), enumerated on as many of the
-        engine's levels for ``schedule`` as :meth:`Engine.plan_levels`
-        plans for it."""
-        n_levels = engine.plan_levels([schedule], n_total, 2, tau)
-        _, initial, _ = engine.endpoint_bases(schedule, n_levels, 1)
-        energies = initial.energies[:n_levels]
-        return enumerate_ensemble(energies, n_total, tau), energies
-
     def test_convex_combination_of_config_fidelities(self, split_engine):
-        from pauliblock.fidelity import gram_fidelity_values
-
+        # The curve is the canonical average over every configuration of
+        # the ladder it projects on, the engine's planned levels: the
+        # complete-ladder enumeration of that ladder to a 1e-15 tail gives
+        # the same value to rounding (stated before measuring: 1e-14).
         s = self.schedule()
         values = split_engine.thermal_fidelity_curve(s, 2, 2, [0.6])
-        ensemble, _ = self.ensemble(split_engine, s, 4, 0.6)
+        n_levels = split_engine.plan_levels([s], 4, 2, 0.6)
+        _, initial, _ = split_engine.endpoint_bases(s, n_levels, 1)
+        ensemble = enumerate_ensemble(
+            initial.energies, 4, 0.6, tail_bound=1e-15, complete_ladder=True
+        )
         matrix, _, _ = split_engine.master_overlaps(
             s, ensemble.m_max, 2, split_engine.settings
         )
@@ -304,7 +457,7 @@ class TestThermalFidelity:
         assert (per_config >= 0.0).all() and (per_config <= 1.0).all()
         assert per_config.min() - 1e-12 <= values[0] <= per_config.max() + 1e-12
         assert values[0] == pytest.approx(
-            ensemble_average(ensemble.weights, per_config), abs=1e-14
+            float(np.sum(ensemble.weights * per_config)), abs=1e-14
         )
 
     def test_module_level_wrapper(self):
@@ -319,8 +472,6 @@ class TestThermalFidelity:
         taus = [0.6, 0.0, 0.3]
         values = split_engine.thermal_fidelity_curve(s, 2, 2, taus)
         for tau, value in zip(taus, values):
-            ensemble, _ = self.ensemble(split_engine, s, 4, tau)
-            assert ensemble.tau == tau
             assert value == split_engine.thermal_fidelity(s, 2, 2, tau).value
 
     def test_master_matrix_is_validated(self, monkeypatch):
@@ -345,30 +496,38 @@ class TestThermalFidelity:
         calls = []
 
         def counted(*args, **kwargs):
-            try:
-                result = enumerate_ensemble(*args, **kwargs)
-            except NeedsMoreLevelsError:
-                calls.append(("retry", args[2]))
-                raise
-            calls.append(("ok", args[2]))
-            return result
+            calls.append(args[2])
+            return enumerate_ensemble(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, "enumerate_ensemble", counted)
         return calls
 
+    @staticmethod
+    def count_plans(monkeypatch):
+        plans = []
+
+        def counted(schedules, n_levels, n_targets, n_points=None):
+            plans.append(n_levels)
+            return plan_grid(schedules, n_levels, n_targets, n_points)
+
+        monkeypatch.setattr(pipeline, "plan_grid", counted)
+        return plans
+
     def test_curve_enumerates_once(self, split_engine, monkeypatch):
+        # One enumeration per curve, of its ground configuration, also
+        # when the curve has no zero temperature.
         calls = self.count_enumerations(monkeypatch)
-        taus = [0.0, 0.2, 0.4, 0.6]
-        split_engine.thermal_fidelity_curve(self.schedule(), 2, 2, taus)
-        assert [c for c in calls if c[0] == "ok"] == [("ok", 0.6)]
-        assert all(c == ("retry", 0.6) for c in calls[:-1])
+        for taus in ([0.0, 0.2, 0.4, 0.6], [0.3, 0.5]):
+            split_engine.thermal_fidelity_curve(self.schedule(), 2, 2, taus)
+        assert calls == [0.0, 0.0]
 
     def test_report_searches_levels_once(self, monkeypatch, cpus):
         # The report plans the family for the level estimate of its hottest
-        # ensemble before any curve, so no enumeration has to retry.  One
-        # lane: the count sees this process only.
+        # temperature before any curve, so no curve has to plan again.
+        # One lane: the counts see this process only.
         cpus(1)
         calls = self.count_enumerations(monkeypatch)
+        plans = self.count_plans(monkeypatch)
         spec = SweepSpec(
             schedule=self.schedule(),
             axis=Axis.TEMPERATURE,
@@ -378,8 +537,8 @@ class TestThermalFidelity:
             check_dt=False,
         )
         temperature_compensation_report(spec, engine=Engine())
-        assert len(calls) == 4
-        assert all(kind == "ok" for kind, _ in calls)
+        assert calls == [0.0] * 4
+        assert len(plans) == 1
 
     def test_report_estimates_levels_once(self, monkeypatch, cpus):
         # The benchmark's compensation report (N_b = 3..6) plans its one
@@ -414,58 +573,69 @@ class TestThermalFidelity:
         assert len(estimates) == 1 + 1 + 4
         assert per_curve.encode() == once.encode()
 
-    def test_compensation_report_memory(self, cpus):
-        # The benchmark's compensation report holds one hot ensemble at a
-        # time: the largest, 126,301 configurations of 8 fermions, is about
-        # 126,301 x 24 B = 3 MB of levels, excitations and weights, and its
-        # enumeration's temporaries stay under the 10 MB that
-        # test_enumeration_memory allows.  Colder temperatures are masks
-        # and weights over its rows, nothing of a finished curve stays
-        # alive, and the Gram determinants run in fixed-size blocks, so the
-        # whole report's traced peak stays under that bound too.  One lane,
-        # so that every curve is traced here.
+    def test_compensation_report_memory(self, monkeypatch, cpus):
+        # The benchmark's compensation report holds no ensemble.  Stated
+        # before measuring: a temperature of its largest curve, 8 fermions
+        # on its 35 planned levels, projects with fewer than eight 36 x 35
+        # complex arrays (161 kB) beyond what the engine holds when the
+        # curve starts, where enumerating 126,301 configurations took
+        # several MB; and the whole report's traced peak, set by the
+        # planner's scans and the eigensolves, stays under 1 MB.  One lane,
+        # so that every run is traced here.
         cpus(1)
         configs = Path(__file__).parents[1] / "perfbench" / "configs"
         spec = load_spec(configs / "thermal_split_comp.cfg")
+        curve = Engine.thermal_fidelity_curve
+        peaks, extra = [], []
+
+        def traced(self, *args, **kwargs):
+            start, peak = tracemalloc.get_traced_memory()
+            peaks.append(peak)
+            tracemalloc.reset_peak()
+            values = curve(self, *args, **kwargs)
+            extra.append(tracemalloc.get_traced_memory()[1] - start)
+            return values
+
+        monkeypatch.setattr(Engine, "thermal_fidelity_curve", traced)
         tracemalloc.start()
         try:
             temperature_compensation_report(spec)
-            _, peak = tracemalloc.get_traced_memory()
+            peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert peak < 10e6
+        assert len(extra) == 4
+        assert max(extra) < 8 * 36 * 35 * 16
+        assert max(peaks) < 1e6
 
     def test_short_level_estimate_falls_back(self, monkeypatch):
-        # An estimate that falls short is caught by the enumeration's
-        # certificate, which plans the family again for more levels.
+        # An estimate that falls short is caught by the certificate on the
+        # solved ladder, which plans the family again, once, as a right
+        # estimate plans it, so the curve gives what a right estimate gives.
         s = self.schedule()
         taus = [0.3, 0.6]
         settings = PropagationSettings(dt=2e-3)
         sized = Engine(settings=settings).thermal_fidelity_curve(s, 2, 2, taus)
-        calls = self.count_enumerations(monkeypatch)
+        plans = self.count_plans(monkeypatch)
         monkeypatch.setattr(
             pipeline, "ensemble_level_count", lambda schedule, n, *args: n + 1
         )
         short = Engine(settings=settings).thermal_fidelity_curve(s, 2, 2, taus)
-        assert calls[0] == ("retry", 0.6) and calls[-1] == ("ok", 0.6)
+        need = ensemble_level_count(s, 4, 0.6, DEFAULT_TAIL_BOUND)
+        assert plans == [4 + 1 + pipeline.LEVEL_MARGIN, need + pipeline.LEVEL_MARGIN]
         np.testing.assert_allclose(short, sized, rtol=0, atol=1e-10)
 
-    def test_colder_temperature_past_the_hot_cutoff(self, split_engine, monkeypatch):
-        # At tau = 0.3 the first shell adds no weight, so the cutoff stops
-        # at 0.3 ln(1e8); at 0.27 the first shell must be kept and the next
-        # probe reaches 0.27 ln(1e10), past it.  That temperature is then
-        # enumerated on its own, on the hotter temperature's ladder, and
-        # gives what enumerating it on its own ladder gives.
+    def test_short_ladder_after_planning_again_raises(self, monkeypatch):
+        # A certificate that asks for more levels again after the family
+        # was planned again gives no value: it raises.
         s = self.schedule()
-        calls = self.count_enumerations(monkeypatch)
-        values = split_engine.thermal_fidelity_curve(s, 2, 2, [0.3, 0.27])
-        assert [c for c in calls if c[0] == "ok"] == [("ok", 0.3), ("ok", 0.27)]
-        hot, hot_ladder = self.ensemble(split_engine, s, 4, 0.3)
-        cold = enumerate_ensemble(hot_ladder, 4, 0.27)
-        assert cold.e_cut > hot.e_cut
-        assert colder_cut(hot, hot_ladder, 0.27) is None
-        (direct_value,) = split_engine.thermal_fidelity_curve(s, 2, 2, [0.27])
-        assert values[1] == direct_value
-        direct, _ = self.ensemble(split_engine, s, 4, 0.27)
-        np.testing.assert_array_equal(cold.levels, direct.levels)
-        np.testing.assert_array_equal(cold.weights, direct.weights)
+        plans = self.count_plans(monkeypatch)
+        # The family is planned for 14 levels (13 and the margin).
+        asked = iter((20, 1000))
+        monkeypatch.setattr(pipeline, "levels_needed", lambda *args: next(asked))
+        engine = Engine(settings=PropagationSettings(dt=2e-3))
+        with pytest.raises(NeedsMoreLevelsError) as caught:
+            engine.thermal_fidelity_curve(s, 2, 2, [0.6])
+        assert (caught.value.required, caught.value.available) == (
+            1000, 20 + pipeline.LEVEL_MARGIN
+        )
+        assert len(plans) == 2
