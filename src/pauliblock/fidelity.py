@@ -87,14 +87,14 @@ class FidelityResult:
     def __post_init__(self):
         if not -RANGE_TOL <= self.value <= 1.0 + RANGE_TOL:
             raise NumericalConsistencyError(
-                f"fidelity {self.value} outside [0, 1]"
+                f"fidelity {self.value} outside [-{RANGE_TOL}, 1 + {RANGE_TOL}]"
             )
 
 
 def fidelity_fast(a):
     """Fidelity as det(A^dagger A), by :func:`gram_fidelity_values` on all
     rows of ``a``; raises :class:`NumericalConsistencyError` if the
-    determinant leaves [0, 1] by more than 1e-10 before clamping."""
+    determinant leaves [0, 1] by more than ``RANGE_TOL`` before clamping."""
     values = gram_fidelity_values(a.entries, np.arange(a.n_total)[None, :])
     return FidelityResult(float(values[0]), a.n_total, a.n_protected, a.n_buffer)
 
@@ -112,8 +112,8 @@ def gram_fidelity_values(master, row_sets):
     is the sum over its rows of the per-level products conj(A[m, i])
     A[m, j], added slot by slot, so no (n_sets, N, N_p) block is ever
     gathered, and each set's arithmetic does not depend on the blocking.  Raises :class:`NumericalConsistencyError`
-    for the first set whose determinant leaves [0, 1] by more than 1e-10
-    before clamping, named by its index in ``row_sets``.
+    for the first set whose determinant leaves [0, 1] by more than
+    ``RANGE_TOL`` before clamping, named by its index in ``row_sets``.
     """
     row_sets = np.asarray(row_sets)
     n_p = master.shape[1]
@@ -149,7 +149,7 @@ def gram_fidelity_values(master, row_sets):
             worst = int(np.argmax(outside))
             raise NumericalConsistencyError(
                 f"det(A^dagger A) = {values[worst]} for row set "
-                f"{start + worst} outside [-1e-10, 1+1e-10]"
+                f"{start + worst} outside [-{RANGE_TOL}, 1 + {RANGE_TOL}]"
             )
         dets[start : start + len(block)] = values
     return np.clip(dets, 0.0, 1.0, out=dets)

@@ -21,12 +21,15 @@ cost per call, not its arithmetic, so one transform of several rows
 costs little more than one of a single row.  Each run's control value
 at the middle of each of its steps is taken once, as one column, when the
 run starts.  The kick phases are built once per block of steps, from one
-evaluation of each run's trap on the block's slice of that column, which
-leaves four calls per step: the transform, the kinetic factor, the
-inverse transform and the phase.  Every operation acts on each row alone,
-so a run's states hold the bits of its run evolved by itself.  A run that
-fails a health check leaves the array with its error, and the others
-carry on.
+evaluation of each run's trap on the block's slice of that column, and
+each phase exp(i*phi) from one tangent, t = tan(phi/2), as
+((1 - t^2) + 2it) / (1 + t^2): numpy's SIMD ``tan`` costs a fraction of a
+``cos`` and ``sin`` pair.  The inverse transform is unscaled and the
+kinetic factor carries its 1/n, which leaves four calls per step: the
+transform, the kinetic factor, the inverse transform and the phase.
+Every operation acts on each row alone, so a run's states hold the bits
+of its run evolved by itself.  A run that fails a health check leaves
+the array with its error, and the others carry on.
 
 In a trap symmetric about x = 0 on a grid symmetric about 0, the lattice
 reflection R (x -> -x, :meth:`~pauliblock.grid.Grid.reflect`) commutes
@@ -88,6 +91,27 @@ def _unpacked(psi):
     return psi
 
 
+def _tangent_phase(half, out):
+    """Write exp(2i * ``half``) to the complex array ``out`` from one
+    tangent, t = tan(half), as ((1 - t^2) + 2it) / (1 + t^2); ``half`` is
+    overwritten.
+
+    On numpy's AVX-512 target ``tan`` is a SIMD loop, several times faster
+    than ``cos`` and ``sin``; on its baseline loops the three cost about
+    the same.  t is finite, since no float is an odd multiple of pi/2,
+    and a relative error e in t moves the phase by 2|t| e / (1 + t^2) <= e,
+    so the phase is within a few eps of exp(2i * half) for any t.
+    """
+    re, im = out.real, out.imag
+    np.tan(half, out=half)
+    np.add(half, half, out=im)
+    np.multiply(half, half, out=half)
+    np.subtract(1.0, half, out=re)
+    np.add(half, 1.0, out=half)
+    np.divide(re, half, out=re)
+    np.divide(im, half, out=im)
+
+
 def _evolve(runs, grid):
     """Evolve ``runs`` on ``grid`` from t = 0 to their own T, in lockstep
     as the rows of one array; return each run's states, or the error of its
@@ -107,12 +131,18 @@ def _evolve(runs, grid):
     column, taken at the start.  The kick phases are built once per block
     of at most ``KICK_BLOCK`` steps, which also ends at a check step and at
     a run's last step: each run's trap is evaluated on the block's slice of
-    its column, and one add, one cos and one sin give its phases, spread
-    over its rows.  On a symmetric grid and schedule the trap, the add and
-    the cos and sin run on the n/2 + 1 points at x <= 0 alone, and the
-    phases are mirrored onto the other n/2 - 1; other runs use every point.
-    A step is then four calls on the running rows: the transform, the
-    kinetic factor, the inverse transform and the phase.
+    its column, and one add and one tangent of half the angle give its
+    phases by the rational map of :func:`_tangent_phase`, spread over its
+    rows.  On a symmetric grid and schedule the trap, the add and the map
+    run on the n/2 + 1 points at x <= 0 alone, and the phases are mirrored
+    onto the other n/2 - 1; other runs use every point.  A step is then
+    four calls on the running rows: the transform, the kinetic factor, the
+    inverse transform, unscaled since the kinetic factor carries its 1/n,
+    and the phase.
+
+    The last bits of the phases follow the target numpy dispatches ``tan``
+    to (its SIMD and baseline loops differ by an ulp on some angles), as
+    the fidelities' last bits follow OpenBLAS's thread count.
     """
     lasts, dts = zip(
         *(settings.steps_for(schedule.T) for _, schedule, settings, _ in runs)
@@ -121,12 +151,13 @@ def _evolve(runs, grid):
     bounds = np.cumsum([0] + [len(runs[r][0]) for r in order])
     stack = [(r, bounds[i], bounds[i + 1]) for i, r in enumerate(order)]
     psi = np.concatenate([runs[r][0] for r in order]).astype(np.complex128)
+    # The kinetic factor carries the inverse transform's 1/n.
+    n = grid.n_points
     kinetic = np.empty_like(psi)
     for r, lo, hi in stack:
-        kinetic[lo:hi] = np.exp(-0.5j * dts[r] * grid.k_values**2)
+        kinetic[lo:hi] = np.exp(-0.5j * dts[r] * grid.k_values**2) / n
     # Each run's control values at the middle of its steps, and its trap on
     # the points its kicks are built on (x <= 0 when it is symmetric).
-    n = grid.n_points
     controls, traps = [], []
     for r, (_, schedule, _, _) in enumerate(runs):
         controls.append(schedule.control_value((np.arange(lasts[r]) + 0.5) * dts[r]))
@@ -163,10 +194,9 @@ def _evolve(runs, grid):
             if opened:
                 angle[0, :m] = v[0]
             kick = angle[built, :m]
-            np.multiply(kick, -0.5 * dts[r], out=kick)
+            np.multiply(kick, -0.25 * dts[r], out=kick)  # half the angle
             own = phases[built, lo:hi]
-            np.cos(kick, out=own[:, 0, :m].real)
-            np.sin(kick, out=own[:, 0, :m].imag)
+            _tangent_phase(kick, own[:, 0, :m])
             own[:, 0, m:] = own[:, 0, n - m:0:-1]  # point n - j mirrors j
             own[:, 1:] = own[:, :1]
 
@@ -177,7 +207,7 @@ def _evolve(runs, grid):
         for phase in phases[1:n_steps + 1, :rows]:
             np.fft.fft(view, axis=1, out=view)
             view *= kinetic_rows
-            np.fft.ifft(view, axis=1, out=view)
+            np.fft.ifft(view, axis=1, out=view, norm="forward")  # unscaled
             view *= phase
         step = end
 

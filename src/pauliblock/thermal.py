@@ -370,6 +370,7 @@ def projected_fidelity(energies, overlaps, n_particles, tau, ground):
         )
     if not -RANGE_TOL <= ratio.real <= 1.0 + RANGE_TOL:
         raise NumericalConsistencyError(
-            f"projected fidelity {ratio.real} outside [-1e-10, 1+1e-10] {where}"
+            f"projected fidelity {ratio.real} outside "
+            f"[-{RANGE_TOL}, 1 + {RANGE_TOL}] {where}"
         )
     return min(max(float(ratio.real), 0.0), 1.0)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -21,6 +23,7 @@ from pauliblock.propagate import (
     KICK_BLOCK,
     _evolve,
     _pack,
+    _tangent_phase,
     _unpacked,
 )
 
@@ -280,8 +283,8 @@ def unfused_strang(amplitudes, schedule, grid, settings):
 
 
 class TestLeanStrangLoop:
-    # Fused half-kicks, in-place transforms and the cos + i sin phase must
-    # not move the result.  At 1250 steps one health check (step 1000)
+    # Fused half-kicks, in-place transforms, the phase from one tangent and
+    # the unscaled inverse transform must not move the result.  At 1250 steps one health check (step 1000)
     # closes a step mid-run and the last step is not a check step; at 1000
     # steps the last step is also the check step.
 
@@ -304,6 +307,62 @@ class TestLeanStrangLoop:
             final = evolve_rows(basis.states, schedule, basis.grid, settings)
             reference = unfused_strang(basis.states, schedule, basis.grid, settings)
             assert np.max(np.abs(final - reference)) < 1e-12
+
+
+class TestTangentPhase:
+    # exp(i phi) from t = tan(phi/2) against libm's cos and sin, on angles
+    # over +-1e4 rad, on 0 and on the floats at and next to odd multiples
+    # of pi, where t is largest.  Bound, stated before measuring: 4 eps on
+    # the error and on ||P|^2 - 1| (re^2 + im^2 itself rounds by up to
+    # 2 eps).
+
+    def test_matches_libm(self):
+        rng = np.random.default_rng(20261020)
+        odd = (2 * np.arange(-1591, 1591) + 1) * np.pi
+        angles = np.concatenate([
+            rng.uniform(-1e4, 1e4, 100_000),
+            [0.0],
+            odd,
+            np.nextafter(odd, np.inf),
+            np.nextafter(odd, -np.inf),
+        ])
+        phases = np.empty(len(angles), dtype=np.complex128)
+        _tangent_phase(angles / 2, phases)
+        exact = np.array([complex(math.cos(a), math.sin(a)) for a in angles])
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(phases - exact)) <= 4 * eps
+        modulus = phases.real**2 + phases.imag**2
+        assert np.max(np.abs(modulus - 1.0)) <= 4 * eps
+        assert phases[100_000] == 1.0
+
+
+class TestLongRunRounding:
+    # The benchmark's longest run: the two targets of the expansion at
+    # T = 25 evolved backward, 12,500 steps on the 320 points planned for
+    # its sweep.  Bound on the change of their Gram matrix, stated before
+    # measuring.  Per step, on a unit state, each of the two transforms
+    # errs by at most 3.5 eps log2(n) (Higham, Accuracy and Stability of
+    # Numerical Algorithms, 2nd ed., sec. 24.1), 32 eps at ceil(log2 320)
+    # = 9; each of the two products by at most 2 eps of rounding and 2 eps
+    # of its factor's modulus; 72 eps in all.  Added up over the steps,
+    # each state moves by 12,500 x 72 eps = 2.0e-10, so each Gram entry by
+    # at most twice that, 4e-10.
+
+    def test_gram_defect_stays_at_rounding(self):
+        schedules = [
+            PotentialSchedule.expansion(T, omega_f=0.01, lam=1.0)
+            for T in (10.0, 15.0, 25.0)
+        ]
+        grid = plan_grid(schedules, 14, 2)
+        assert grid.n_points == 320
+        schedule = schedules[-1]
+        settings = PropagationSettings(dt=2e-3)
+        assert settings.steps_for(schedule.T)[0] == 12_500
+        targets = solve(schedule.evaluate(grid, schedule.T), grid, 2)
+        final = propagate_basis(targets, 2, schedule.time_reversed(), settings)
+        initial = np.conj(targets.states) @ targets.states.T * grid.dx
+        gram = np.conj(final) @ final.T * grid.dx
+        assert np.max(np.abs(gram - initial)) < 4e-10
 
 
 class TestKickLattice:
