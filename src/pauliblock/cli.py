@@ -15,8 +15,8 @@ option left out is not passed on, so the schedule factories,
 import argparse
 import sys
 
-from .config import TRAP_PARAMETERS, load_spec, make_schedule
-from .errors import ConfigError, SimulationError
+from .config import TRAP_PARAMETERS, load_spec, make_schedule, number_list
+from .errors import SimulationError
 from .experiments import (
     Axis,
     GapSweepResult,
@@ -128,10 +128,7 @@ def _run_minbuffer(args):
 
 
 def _run_gap(args):
-    try:
-        lams = [float(v) for v in args.lambdas.split(",") if v.strip()]
-    except ValueError:
-        raise ConfigError(f"cannot parse lambda list {args.lambdas!r}")
+    lams = number_list(args.lambdas, "lambda list")
     omega = {"omega_i": args.omega_i} if "omega_i" in args else {}
     rows = [
         (n, lam, gap)

@@ -8,11 +8,15 @@ comment line, blank lines ignored.  Recognized keys:
     N_p, N_b, tau, axis, axis_values, threshold, tail_bound,
     n_points, dt
 
-``axis_values`` is a comma-separated list; ``N_b`` is an integer or an
-inclusive range written ``lo..hi``.  A trap key of another task than the
-file's is an error.  A key a file leaves out is not
-passed on, so the schedule factories, :class:`SweepSpec` and
-:class:`PropagationSettings` supply every default.
+``task``, ``shape`` and ``axis`` name a member of their enum, in any
+case.  ``axis_values`` is a comma-separated list; ``N_b`` is an integer
+or an inclusive range written ``lo..hi``.  A trap key of another task
+than the file's is an error, and so is a file that cannot be read as
+UTF-8 text.  A key a file leaves out is not passed on, so the schedule
+factories, :class:`SweepSpec` and :class:`PropagationSettings` supply
+every default.  The file only describes the sweep: its (schedule, N_b,
+tau) grid is worked out from the spec's axis when the sweep is
+evaluated (:mod:`pauliblock.experiments`).
 
 :data:`TRAP_PARAMETERS` lists each task's trap parameters once, for the
 config keys here and for the scenario commands' options in
@@ -68,10 +72,6 @@ _KNOWN_KEYS = {
     "threshold", "tail_bound", "n_points", "dt", *_TRAP_KEYS,
 }
 
-_TASKS = {t.value: t for t in Task}
-_SHAPES = {s.value: s for s in RampShape}
-_AXES = {a.value: a for a in Axis}
-
 
 def parse_config_text(text):
     """Raw key -> string value mapping, with duplicate/unknown-key checks."""
@@ -95,6 +95,17 @@ def parse_config_text(text):
     return raw
 
 
+def _choice(raw, key, enum):
+    """The member of ``enum`` whose value is ``raw[key]``, in any case."""
+    if key not in raw:
+        raise ConfigError(f"missing required key {key!r}")
+    try:
+        return enum(raw[key].lower())
+    except ValueError:
+        names = sorted(member.value for member in enum)
+        raise ConfigError(f"unknown {key} {raw[key]!r}; expected one of {names}")
+
+
 def _as_float(raw, key):
     if key not in raw:
         raise ConfigError(f"missing required key {key!r}")
@@ -114,15 +125,21 @@ def _as_int(raw, key):
     return int(value)
 
 
+def number_list(text, what):
+    """The numbers of the comma-separated ``text``, at least one."""
+    try:
+        values = tuple(float(v) for v in text.split(",") if v.strip())
+    except ValueError:
+        raise ConfigError(f"cannot parse {what} {text!r}")
+    if not values:
+        raise ConfigError(f"{what} is empty")
+    return values
+
+
 def _axis_values(raw):
     if "axis_values" not in raw:
         raise ConfigError("missing required key 'axis_values'")
-    try:
-        values = tuple(float(v) for v in raw["axis_values"].split(",") if v.strip())
-    except ValueError:
-        raise ConfigError(f"cannot parse axis_values {raw['axis_values']!r}")
-    if not values:
-        raise ConfigError("axis_values is empty")
+    values = number_list(raw["axis_values"], "axis_values")
     if not all(math.isfinite(v) for v in values):
         raise ConfigError(f"axis_values must be finite, got {raw['axis_values']!r}")
     return values
@@ -144,22 +161,10 @@ def _buffer_value(raw, key):
 
 
 def _schedule_from(raw, axis, axis_values):
-    task_name = raw.get("task")
-    if task_name is None:
-        raise ConfigError("missing required key 'task'")
-    task = _TASKS.get(task_name.lower())
-    if task is None:
-        raise ConfigError(
-            f"unknown task {task_name!r}; expected one of {sorted(_TASKS)}"
-        )
+    task = _choice(raw, "task", Task)
     parameters = {}
     if "shape" in raw:
-        shape_name = raw["shape"].lower()
-        if shape_name not in _SHAPES:
-            raise ConfigError(
-                f"unknown shape {shape_name!r}; expected one of {sorted(_SHAPES)}"
-            )
-        parameters["shape"] = _SHAPES[shape_name]
+        parameters["shape"] = _choice(raw, "shape", RampShape)
 
     if "T" in raw:
         duration = _as_float(raw, "T")
@@ -184,14 +189,7 @@ def _schedule_from(raw, axis, axis_values):
 
 def build_spec(raw):
     """Turn a parsed key/value mapping into a :class:`SweepSpec`."""
-    axis_name = raw.get("axis")
-    if axis_name is None:
-        raise ConfigError("missing required key 'axis'")
-    axis = _AXES.get(axis_name.lower())
-    if axis is None:
-        raise ConfigError(
-            f"unknown axis {axis_name!r}; expected one of {sorted(_AXES)}"
-        )
+    axis = _choice(raw, "axis", Axis)
     axis_values = _axis_values(raw)
     schedule = _schedule_from(raw, axis, axis_values)
 
@@ -220,5 +218,13 @@ def build_spec(raw):
 
 
 def load_spec(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        return build_spec(parse_config_text(handle.read()))
+    """The :class:`SweepSpec` of the config file at ``path``; a file that
+    cannot be read as UTF-8 text is a :class:`ConfigError` naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read {path}: not UTF-8 text ({exc.reason})")
+    return build_spec(parse_config_text(text))

@@ -4,13 +4,16 @@ One sweep varies a single axis (process time, buffer count,
 anharmonicity, temperature, or the Fermi-gap particle number) while the
 rest of the scenario is held fixed.  Every sweep, the minimal-buffer
 search and the temperature-compensation report is a grid of (schedule,
-N_b, tau) points with one evaluation path (:func:`_evaluate`): the time
-step is validated once, and each schedule propagates once: its N_p
-targets, backward, whatever the buffer count.  Each buffer count is one
-thermal curve (:meth:`~pauliblock.pipeline.Engine.thermal_fidelity_curve`;
-zero temperature is its ground configuration) that reads rows of the
-targets' overlaps with the initial levels and projects each temperature
-onto its particle number, and each curve keeps only its values, one per
+N_b, tau) points, and one function (:func:`_evaluate`) works that grid
+out from the spec's axis and evaluates it: the time step is validated
+once, and each schedule propagates once: its N_p targets, backward,
+whatever the buffer count.  The three commands differ only in their
+input checks and in what they read from the points.  Each buffer count
+is one thermal curve
+(:meth:`~pauliblock.pipeline.Engine.thermal_fidelity_curve`; zero
+temperature is its ground configuration) that reads rows of the targets'
+overlaps with the initial levels and projects each temperature onto its
+particle number, and each curve keeps only its values, one per
 temperature.
 
 The engine plans a sweep's runs in one call
@@ -22,10 +25,12 @@ front, at the same time in one lane per CPU it may use.  The curves then
 read those runs in order, in this process, so the output does not
 depend on the CPU count.
 
-Output is deterministic: rows follow the axis grid, floats are written
-with shortest round-trip precision and lines end with LF, so re-running a
-sweep at the same OpenBLAS thread count reproduces the file byte for
-byte (the last bits of a fidelity depend on that count).
+Every result is written by one CSV writer (:func:`_write_csv`).  Output
+is deterministic: rows follow the axis grid, floats are written with
+shortest round-trip precision, an absent value is an empty cell and
+lines end with LF, so re-running a sweep at the same OpenBLAS thread
+count reproduces the file byte for byte (the last bits of a fidelity
+depend on that count).
 """
 
 import enum
@@ -127,22 +132,31 @@ SWEEP_HEADER = (
 
 
 def _fmt(value):
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, float):  # numpy's float64 too
+        return repr(float(value))
     return str(value)
 
 
-def _write_lines(lines, path_or_buffer):
-    text = "\n".join(lines) + "\n"
+def _write_csv(path_or_buffer, header, rows, comments=()):
+    """Write ``# comment`` lines, ``header`` and ``rows`` (one cell per
+    value) with LF line ends; return the text when ``path_or_buffer`` is
+    None.  A path that cannot be written is a :class:`ConfigError`."""
+    lines = [f"# {c}" for c in comments] + [header]
+    text = "\n".join(lines + [",".join(map(_fmt, row)) for row in rows]) + "\n"
     if path_or_buffer is None:
         return text
     if hasattr(path_or_buffer, "write"):
         path_or_buffer.write(text)
         return None
-    with open(path_or_buffer, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+    try:
+        with open(path_or_buffer, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path_or_buffer}: {exc.strerror}")
     return None
 
 
@@ -155,10 +169,7 @@ class SweepResult:
         return [row.fidelity for row in self.rows]
 
     def to_csv(self, path_or_buffer=None):
-        lines = [SWEEP_HEADER]
-        for r in self.rows:
-            lines.append(",".join(_fmt(v) for v in astuple(r)))
-        return _write_lines(lines, path_or_buffer)
+        return _write_csv(path_or_buffer, SWEEP_HEADER, map(astuple, self.rows))
 
 
 @dataclass
@@ -166,29 +177,52 @@ class GapSweepResult:
     rows: list  # (N, lam, gap)
 
     def to_csv(self, path_or_buffer=None):
-        lines = ["N,lambda,delta_E"]
-        for n, lam, gap in self.rows:
-            lines.append(f"{n},{_fmt(float(lam))},{_fmt(float(gap))}")
-        return _write_lines(lines, path_or_buffer)
+        rows = [(n, float(lam), float(gap)) for n, lam, gap in self.rows]
+        return _write_csv(path_or_buffer, "N,lambda,delta_E", rows)
 
 
 # -- the evaluation of every sweep ---------------------------------------
 
 
-def _evaluate(spec, engine, schedules, buffers, taus):
+def _evaluate(spec, engine):
     """Every (schedule, N_b, tau) point of a sweep.
 
-    The engine validates the time step once, on the first schedule with
-    the largest system, and plans every schedule's runs; then it evaluates
-    one curve per schedule and buffer count, largest first.  Returns
-    ``(settings, points)``: the validated settings and, per schedule,
-    ``({N_b: values}, n_points)`` with one value per temperature in
-    ``taus`` and the point count of its grid after its last curve.
+    ``spec.axis`` sets the grid: the schedules (one per process time or
+    anharmonicity, else ``spec.schedule``), the buffer counts (the axis
+    values on the buffer-count axis, else ``spec.n_buffer``'s range) and
+    the temperatures (the axis values on the temperature axis, else
+    ``spec.tau``).  ``engine`` is used if handed (it must plan grids with
+    the spec's ``n_points``), else a new one.  The engine validates the
+    time step once, on the first schedule with the largest system, and
+    plans every schedule's runs; then it evaluates one curve per schedule
+    and buffer count, largest first.  Returns ``(schedules, buffers, taus,
+    settings, points)``: the grid, the validated settings and, per
+    schedule, ``({N_b: values}, n_points)`` with one value per temperature
+    and the point count of its grid after its last curve.
     """
-    buffers = sorted(set(buffers), reverse=True)
+    if engine is None:
+        engine = Engine(spec.n_points, spec.settings)
+    elif engine.n_points != spec.n_points:
+        raise ConfigError(
+            f"the sweep asks for n_points={spec.n_points}, but the engine "
+            f"it was handed plans grids with n_points={engine.n_points}"
+        )
+    schedules, taus = [spec.schedule], [spec.tau]
+    if spec.axis is Axis.PROCESS_TIME:
+        schedules = [spec.schedule.with_duration(t) for t in spec.axis_values]
+    elif spec.axis is Axis.ANHARMONICITY:
+        schedules = [spec.schedule.with_anharmonicity(l) for l in spec.axis_values]
+    elif spec.axis is Axis.TEMPERATURE:
+        taus = [float(t) for t in spec.axis_values]
+    if spec.axis is Axis.BUFFER_COUNT:
+        buffers = _counts(spec.axis_values, "buffer counts", 0)
+    else:
+        lo, hi = spec.buffer_range()
+        buffers = range(lo, hi + 1)
+    largest_first = sorted(set(buffers), reverse=True)
     settings = engine.validated_settings(
-        schedules, spec.n_protected + buffers[0], spec.n_protected, max(taus),
-        spec.settings, spec.check_dt, spec.tail_bound,
+        schedules, spec.n_protected + largest_first[0], spec.n_protected,
+        max(taus), spec.settings, spec.check_dt, spec.tail_bound,
     )
     points = []
     for schedule in schedules:
@@ -197,23 +231,10 @@ def _evaluate(spec, engine, schedules, buffers, taus):
                 schedule, spec.n_protected, nb, taus, settings,
                 tail_bound=spec.tail_bound,
             )
-            for nb in buffers
+            for nb in largest_first
         }
         points.append((values, engine.family_grid(schedule).n_points))
-    return settings, points
-
-
-def _engine_for(spec, engine):
-    """``engine``, or a new one for ``spec``; a handed engine must plan
-    grids with the spec's ``n_points``."""
-    if engine is None:
-        return Engine(spec.n_points, spec.settings)
-    if engine.n_points != spec.n_points:
-        raise ConfigError(
-            f"the sweep asks for n_points={spec.n_points}, but the engine "
-            f"it was handed plans grids with n_points={engine.n_points}"
-        )
-    return engine
+    return schedules, buffers, taus, settings, points
 
 
 _SINGLE_VALUE_AXES = {
@@ -233,26 +254,13 @@ def run_sweep(spec, engine=None):
         return _run_gap_sweep(spec)
     if spec.axis is Axis.ANHARMONICITY and spec.schedule.task is Task.SPLITTING:
         raise ConfigError("the splitting potential has no anharmonicity to sweep")
-    if spec.axis is Axis.BUFFER_COUNT:
-        buffers = _counts(spec.axis_values, "buffer counts", 0)
-    else:
+    if spec.axis is not Axis.BUFFER_COUNT:
         lo, hi = spec.buffer_range()
         if lo != hi:
             raise ConfigError(
                 f"{_SINGLE_VALUE_AXES[spec.axis]} sweep needs a single N_b value"
             )
-        buffers = [hi]
-    schedules = [spec.schedule]
-    if spec.axis is Axis.PROCESS_TIME:
-        schedules = [spec.schedule.with_duration(t) for t in spec.axis_values]
-    elif spec.axis is Axis.ANHARMONICITY:
-        schedules = [spec.schedule.with_anharmonicity(l) for l in spec.axis_values]
-    if spec.axis is Axis.TEMPERATURE:
-        taus = [float(t) for t in spec.axis_values]
-    else:
-        taus = [spec.tau]
-    engine = _engine_for(spec, engine)
-    settings, points = _evaluate(spec, engine, schedules, buffers, taus)
+    schedules, buffers, taus, settings, points = _evaluate(spec, engine)
 
     rows = []
     for schedule, (values, n_points) in zip(schedules, points):
@@ -307,17 +315,12 @@ class MinBufferResult:
     rows: list  # (T, n_b_min or None)
 
     def to_csv(self, path_or_buffer=None):
-        lines = [
-            f"# threshold = {_fmt(self.spec.threshold)}",
-            f"# T_grid = {' '.join(_fmt(float(t)) for t in self.spec.axis_values)}",
-            "T,N_b_min,saturated",
-        ]
-        for t, nb in self.rows:
-            if nb is None:
-                lines.append(f"{_fmt(float(t))},,true")
-            else:
-                lines.append(f"{_fmt(float(t))},{nb},false")
-        return _write_lines(lines, path_or_buffer)
+        grid = " ".join(_fmt(float(t)) for t in self.spec.axis_values)
+        return _write_csv(
+            path_or_buffer, "T,N_b_min,saturated",
+            [(float(t), nb, nb is None) for t, nb in self.rows],
+            (f"threshold = {_fmt(self.spec.threshold)}", f"T_grid = {grid}"),
+        )
 
 
 def min_buffer_search(spec, engine=None):
@@ -331,11 +334,7 @@ def min_buffer_search(spec, engine=None):
     """
     if spec.axis is not Axis.PROCESS_TIME:
         raise ConfigError("min_buffer_search expects a process-time grid")
-    engine = _engine_for(spec, engine)
-    lo, hi = spec.buffer_range()
-    buffers = range(lo, hi + 1)
-    schedules = [spec.schedule.with_duration(t) for t in spec.axis_values]
-    _, points = _evaluate(spec, engine, schedules, buffers, [spec.tau])
+    _, buffers, _, _, points = _evaluate(spec, engine)
 
     # Walk back from the longest time, keeping which N_b stayed above.
     found = []
@@ -367,15 +366,10 @@ class CompensationResult:
     rows: list
 
     def to_csv(self, path_or_buffer=None):
-        lines = [
-            f"# threshold = {_fmt(self.spec.threshold)}",
-            "N_b,tau_cross,spacing,status",
-        ]
-        for r in self.rows:
-            tau = "" if r.tau_cross is None else _fmt(float(r.tau_cross))
-            spacing = "" if r.spacing is None else _fmt(float(r.spacing))
-            lines.append(f"{r.n_buffer},{tau},{spacing},{r.status}")
-        return _write_lines(lines, path_or_buffer)
+        return _write_csv(
+            path_or_buffer, "N_b,tau_cross,spacing,status", map(astuple, self.rows),
+            (f"threshold = {_fmt(self.spec.threshold)}",),
+        )
 
     def crossings(self):
         return [
@@ -394,16 +388,11 @@ def temperature_compensation_report(spec, engine=None):
     """
     if spec.axis is not Axis.TEMPERATURE:
         raise ConfigError("temperature_compensation_report expects a tau grid")
-    engine = _engine_for(spec, engine)
-    taus = [float(t) for t in spec.axis_values]
-    lo, hi = spec.buffer_range()
-    _, [(curves, _)] = _evaluate(
-        spec, engine, [spec.schedule], range(lo, hi + 1), taus
-    )
+    _, buffers, taus, _, [(curves, _)] = _evaluate(spec, engine)
 
     rows = []
     previous_cross = None
-    for nb in range(lo, hi + 1):
+    for nb in buffers:
         values = curves[nb]
         cross = None
         for i in range(len(taus) - 1):

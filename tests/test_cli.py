@@ -193,6 +193,75 @@ class TestExitCodes:
             "need N_p >= 0, N_b >= 0 and N_p + N_b >= 1\n"
         )
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("task = Kicking", "unknown task 'Kicking'; expected one of "
+             "['expansion', 'splitting', 'transport']"),
+            ("shape = Cubic", "unknown shape 'Cubic'; expected one of "
+             "['linear', 'sinusoidal']"),
+            ("axis = Width", "unknown axis 'Width'; expected one of "
+             "['anharmonicity', 'buffer_count', 'particle_number_gap', "
+             "'process_time', 'temperature']"),
+        ],
+        ids=["task", "shape", "axis"],
+    )
+    def test_unknown_choice_returns_2(self, tmp_path, capsys, line, message):
+        # A choice is matched in any case and quoted as the file gives it.
+        base = {"task": "SPLITTING", "shape": "Linear", "T": "1.0", "h_f": "20",
+                "axis": "Buffer_Count", "axis_values": "0"}
+        base[line.split()[0]] = line.split()[-1]
+        cfg = tmp_path / "choice.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in base.items()))
+        assert main(["sweep", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["sweep", "minbuffer"])
+    def test_missing_config_returns_2(self, tmp_path, capsys, command):
+        cfg = tmp_path / "missing.cfg"
+        assert main([command, str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot read {cfg}: No such file or directory\n"
+
+    def test_config_that_is_not_utf8_returns_2(self, tmp_path, capsys):
+        # A UTF-16 file starts with the bytes ff fe.
+        cfg = tmp_path / "utf16.cfg"
+        cfg.write_bytes("task = splitting\n".encode("utf-16"))
+        assert cfg.read_bytes()[:2] == b"\xff\xfe"
+        assert main(["sweep", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: cannot read {cfg}: not UTF-8 text (invalid start byte)\n"
+        )
+
+    def test_config_that_is_a_directory_returns_2(self, tmp_path, capsys):
+        assert main(["minbuffer", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot read {tmp_path}: Is a directory\n"
+
+    def test_unwritable_output_returns_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "gaps.csv"
+        assert main(["gap", "--n-max", "2", "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: cannot write {out}: No such file or directory\n"
+        )
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("lambdas", ["", ",", " , "])
+    def test_empty_gap_lambda_list_returns_2(self, capsys, lambdas):
+        # As an empty axis_values list and --n-max 0 do: no header-only CSV.
+        assert main(["gap", "--lambdas", lambdas, "--n-max", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: lambda list is empty\n"
+
     def test_bad_tail_bound_in_config_returns_2(self, tmp_path, capsys):
         # Rejected when the spec is built, at zero temperature too.
         cfg = tmp_path / "bad.cfg"

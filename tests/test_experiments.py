@@ -1,8 +1,10 @@
+import io
 import math
 import os
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from pauliblock import (
@@ -18,6 +20,14 @@ from pauliblock import (
 )
 from pauliblock import pipeline
 from pauliblock.config import build_spec, parse_config_text
+from pauliblock.experiments import (
+    CompensationResult,
+    CompensationRow,
+    GapSweepResult,
+    MinBufferResult,
+    SweepResult,
+    SweepRow,
+)
 from pauliblock.pipeline import Engine
 from pauliblock.planner import plan_grid
 
@@ -539,6 +549,67 @@ class TestSharedEngine:
         fresh = run_sweep(spec).rows[0]
         assert shared.dt == fresh.dt
         assert shared.fidelity == pytest.approx(fresh.fidelity, abs=1e-12)
+
+
+CSV_SPEC = split_spec(
+    axis=Axis.PROCESS_TIME, axis_values=(0.5, 1), n_buffer=(0, 3), threshold=0.9
+)
+
+# Each result type from hand-made rows, and the exact text it writes: None
+# is an empty cell, a bool is true/false, and a float (numpy's too) is its
+# shortest round-trip repr.
+CSV_CASES = {
+    "sweep": (
+        SweepResult(CSV_SPEC, [
+            SweepRow("process_time", 0.5, "splitting", "sinusoidal", 0.5, 2, 3,
+                     0.0, 0.0, 0.1 + 0.2, "gram", 0.002, 90),
+            SweepRow("process_time", 1.0, "splitting", "sinusoidal", 1.0, 2, 3,
+                     0.0, 0.0, 1.0, "gram", 0.001, 96),
+        ]),
+        "axis,axis_value,task,shape,T,N_p,N_b,tau,lambda,F,method,dt,n_points\n"
+        "process_time,0.5,splitting,sinusoidal,0.5,2,3,0.0,0.0,"
+        "0.30000000000000004,gram,0.002,90\n"
+        "process_time,1.0,splitting,sinusoidal,1.0,2,3,0.0,0.0,1.0,gram,0.001,96\n",
+    ),
+    "gap": (
+        GapSweepResult([(1, 0.5, np.float64(1.4050391343414705)),
+                        (2, 0.5, 1.672484155213931)]),
+        "N,lambda,delta_E\n1,0.5,1.4050391343414705\n2,0.5,1.672484155213931\n",
+    ),
+    "minbuffer": (
+        MinBufferResult(CSV_SPEC, [(0.5, None), (1.0, 3)]),
+        "# threshold = 0.9\n# T_grid = 0.5 1.0\nT,N_b_min,saturated\n"
+        "0.5,,true\n1.0,3,false\n",
+    ),
+    "compensation": (
+        CompensationResult(CSV_SPEC, [
+            CompensationRow(3, 0.5227120852226907, None, "crossed"),
+            CompensationRow(4, np.float64(0.9414652644574433), 0.4187531792347525,
+                            "crossed"),
+            CompensationRow(5, None, None, "above"),
+        ]),
+        "# threshold = 0.9\nN_b,tau_cross,spacing,status\n"
+        "3,0.5227120852226907,,crossed\n"
+        "4,0.9414652644574433,0.4187531792347525,crossed\n5,,,above\n",
+    ),
+}
+
+
+class TestCsvText:
+    @pytest.mark.parametrize("name", CSV_CASES)
+    def test_exact_text(self, name):
+        result, text = CSV_CASES[name]
+        assert result.to_csv(None) == text
+
+    @pytest.mark.parametrize("name", CSV_CASES)
+    def test_path_and_buffer_get_the_same_bytes(self, tmp_path, name):
+        result, text = CSV_CASES[name]
+        path = tmp_path / "out.csv"
+        buffer = io.StringIO(newline="")
+        assert result.to_csv(path) is None
+        assert result.to_csv(buffer) is None
+        assert path.read_bytes() == buffer.getvalue().encode() == text.encode()
+        assert b"\r" not in path.read_bytes()
 
 
 class TestConfigParsing:
