@@ -24,6 +24,7 @@ from .experiments import (
     min_buffer_search,
     run_sweep,
     temperature_compensation_report,
+    write_text,
 )
 from .potentials import RampShape, Task
 from .propagate import PropagationSettings
@@ -147,6 +148,9 @@ def main(argv=None):
         "gap": _run_gap,
     }
     try:
+        # An unwritable output fails before any work, not after the run.
+        if getattr(args, "output", None) is not None:
+            write_text(args.output, "", "a")
         return handlers.get(args.command, _run_scenario)(args)
     except SimulationError as exc:
         print(f"error: {exc}", file=sys.stderr)

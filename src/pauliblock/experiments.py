@@ -141,22 +141,29 @@ def _fmt(value):
     return str(value)
 
 
+def write_text(path, text, mode="w"):
+    """Write ``text`` to ``path``; a path that cannot be written is a
+    :class:`ConfigError`.  ``mode="a"`` with no text checks that it can
+    be, leaving an existing file as it was (a missing one is made empty)."""
+    try:
+        with open(path, mode, encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}")
+
+
 def _write_csv(path_or_buffer, header, rows, comments=()):
     """Write ``# comment`` lines, ``header`` and ``rows`` (one cell per
-    value) with LF line ends; return the text when ``path_or_buffer`` is
-    None.  A path that cannot be written is a :class:`ConfigError`."""
+    value) with LF line ends (:func:`write_text` for a path); return the
+    text when ``path_or_buffer`` is None."""
     lines = [f"# {c}" for c in comments] + [header]
     text = "\n".join(lines + [",".join(map(_fmt, row)) for row in rows]) + "\n"
     if path_or_buffer is None:
         return text
     if hasattr(path_or_buffer, "write"):
         path_or_buffer.write(text)
-        return None
-    try:
-        with open(path_or_buffer, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path_or_buffer}: {exc.strerror}")
+    else:
+        write_text(path_or_buffer, text)
     return None
 
 

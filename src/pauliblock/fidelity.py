@@ -64,6 +64,13 @@ class OverlapMatrix:
     def _validate(self):
         if self.entries.size == 0:
             return
+        # A NaN would pass the norm check and stall the SVD.
+        finite = np.isfinite(self.entries)
+        if not finite.all():
+            row, col = np.argwhere(~finite)[0]
+            raise NumericalConsistencyError(
+                f"overlap A[{row}, {col}] = {self.entries[row, col]} is not finite"
+            )
         col_norms = np.linalg.norm(self.entries, axis=0)
         if (col_norms > 1.0 + COLUMN_NORM_TOL).any():
             worst = int(np.argmax(col_norms))
@@ -85,16 +92,28 @@ class FidelityResult:
     n_buffer: int
 
     def __post_init__(self):
-        if not -RANGE_TOL <= self.value <= 1.0 + RANGE_TOL:
-            raise NumericalConsistencyError(
-                f"fidelity {self.value} outside [-{RANGE_TOL}, 1 + {RANGE_TOL}]"
-            )
+        check_range(self.value, "fidelity")
+
+
+def check_range(values, what):
+    """``values``, a number or an array, clamped to [0, 1].  Before the
+    clamp, the first value that is NaN or leaves [0, 1] by more than
+    ``RANGE_TOL`` raises :class:`NumericalConsistencyError`, named ``what``
+    (and its index, in an array)."""
+    values = np.asarray(values, dtype=float)
+    outside = ~((-RANGE_TOL <= values) & (values <= 1.0 + RANGE_TOL))
+    if outside.any():
+        worst = int(np.argmax(outside))
+        at = f" {worst}" if values.ndim else ""
+        raise NumericalConsistencyError(
+            f"{what}{at} = {values.flat[worst]} outside [-{RANGE_TOL}, 1 + {RANGE_TOL}]"
+        )
+    return np.clip(values, 0.0, 1.0)
 
 
 def fidelity_fast(a):
     """Fidelity as det(A^dagger A), by :func:`gram_fidelity_values` on all
-    rows of ``a``; raises :class:`NumericalConsistencyError` if the
-    determinant leaves [0, 1] by more than ``RANGE_TOL`` before clamping."""
+    rows of ``a``, range-checked there (:func:`check_range`)."""
     values = gram_fidelity_values(a.entries, np.arange(a.n_total)[None, :])
     return FidelityResult(float(values[0]), a.n_total, a.n_protected, a.n_buffer)
 
@@ -111,9 +130,10 @@ def gram_fidelity_values(master, row_sets):
     occupation configurations of an enumerated ensemble.  Each Gram matrix
     is the sum over its rows of the per-level products conj(A[m, i])
     A[m, j], added slot by slot, so no (n_sets, N, N_p) block is ever
-    gathered, and each set's arithmetic does not depend on the blocking.  Raises :class:`NumericalConsistencyError`
-    for the first set whose determinant leaves [0, 1] by more than
-    ``RANGE_TOL`` before clamping, named by its index in ``row_sets``.
+    gathered, and each set's arithmetic does not depend on the blocking.
+    The determinants are range-checked and clamped (:func:`check_range`):
+    the first set whose determinant is NaN or leaves [0, 1] by more than
+    ``RANGE_TOL`` raises, named by its index in ``row_sets``.
     """
     row_sets = np.asarray(row_sets)
     n_p = master.shape[1]
@@ -144,13 +164,6 @@ def gram_fidelity_values(master, row_sets):
             values = g00 * g11 - (g01.real**2 + g01.imag**2)
         else:
             values = np.linalg.det(grams[0]).real
-        outside = (values < -RANGE_TOL) | (values > 1.0 + RANGE_TOL)
-        if outside.any():
-            worst = int(np.argmax(outside))
-            raise NumericalConsistencyError(
-                f"det(A^dagger A) = {values[worst]} for row set "
-                f"{start + worst} outside [-{RANGE_TOL}, 1 + {RANGE_TOL}]"
-            )
         dets[start : start + len(block)] = values
-    return np.clip(dets, 0.0, 1.0, out=dets)
+    return check_range(dets, "det(A^dagger A) of row set")
 

@@ -26,14 +26,19 @@ domain, momentum-space undersampling doubles the point count.
 Re-planning or escalating replaces the whole record.  The planner, the
 eigensolves and the propagator all read a trap from its one formula,
 :meth:`~pauliblock.potentials.PotentialSchedule.potential`.
-Every fidelity is a point of a thermal curve; zero temperature is the
-ground configuration's det(A^dagger A).  One method plans the runs of a
-set of curves (:meth:`Engine.validated_settings`): first their families,
-for the levels the hottest temperature is estimated to need, so the
-time-step check runs on the grid the curves then use.  Above zero
-temperature a curve projects each temperature onto N fermions over the
-planned ladder (:func:`~pauliblock.thermal.projected_fidelity`), which a
-closed-form occupation bound certifies first.
+Every fidelity is a point of a thermal curve
+(:meth:`Engine.thermal_fidelity_curve`), and the curve is the one path
+into every fidelity: zero temperature is the ground configuration's
+det(A^dagger A), read off the master's first N rows; above it, each
+temperature is projected onto N fermions over the planned ladder
+(:func:`~pauliblock.thermal.projected_fidelity`), which a closed-form
+occupation bound certifies first.  Each value is range-checked once
+(:func:`~pauliblock.fidelity.check_range`).  A curve runs at the dt it
+is handed.  The time-step check belongs to the method that plans the
+runs of a set of curves (:meth:`Engine.validated_settings`), which every
+sweep calls: it plans their families first, for the levels the hottest
+temperature is estimated to need, so the check runs on the grid the
+curves then use.
 
 Work whose parts do not depend on each other runs in lanes, one per
 CPU this process may use (:func:`default_workers`): this process runs
@@ -485,18 +490,9 @@ class Engine:
 
     # -- fidelities ------------------------------------------------------------
 
-    def scenario_fidelity(
-        self,
-        schedule,
-        n_protected,
-        n_buffer,
-        settings=None,
-        check_dt=False,
-    ):
+    def scenario_fidelity(self, schedule, n_protected, n_buffer, settings=None):
         """Zero-temperature fidelity: :meth:`thermal_fidelity` at tau = 0."""
-        return self.thermal_fidelity(
-            schedule, n_protected, n_buffer, 0.0, settings, check_dt=check_dt
-        )
+        return self.thermal_fidelity(schedule, n_protected, n_buffer, 0.0, settings)
 
     def thermal_fidelity(
         self,
@@ -506,11 +502,9 @@ class Engine:
         tau,
         settings=None,
         tail_bound=DEFAULT_TAIL_BOUND,
-        check_dt=False,
     ):
         values = self.thermal_fidelity_curve(
-            schedule, n_protected, n_buffer, [tau], settings,
-            tail_bound=tail_bound, check_dt=check_dt,
+            schedule, n_protected, n_buffer, [tau], settings, tail_bound=tail_bound
         )
         return FidelityResult(values[0], n_protected + n_buffer, n_protected, n_buffer)
 
@@ -522,24 +516,24 @@ class Engine:
         taus,
         settings=None,
         tail_bound=DEFAULT_TAIL_BOUND,
-        check_dt=False,
     ):
         """Thermal fidelity at several temperatures from one propagation.
 
-        Returns the list of values, one per temperature.  Without
-        ``settings``, :meth:`validated_settings` plans the curve's family
-        and runs; with ``settings`` handed in and the family planned (a
-        sweep plans it for its largest system), no estimate is made again.
-        The master overlap matrix, read from the N_p targets evolved
-        backward (:meth:`master_overlaps`), covers every planned level
-        above zero temperature (:meth:`_certified_ladder`) and the ground
-        configuration at zero.  It is validated (:class:`OverlapMatrix`)
-        first.  The ground configuration
+        Returns the list of values, one per temperature.  The curve runs at
+        the dt of ``settings`` (:attr:`settings` if none are handed in), as
+        handed: the halving check belongs to :meth:`validated_settings`,
+        which a sweep calls before its curves.  A family the engine holds
+        no record of is planned first (:meth:`plan_levels`); a sweep plans
+        it for its largest system, so its curves make no estimate of their
+        own.  The master overlap matrix, read from the N_p targets evolved
+        backward (:meth:`master_overlaps`), has one row per level of the
+        ladder (:meth:`_certified_ladder`) and is validated
+        (:class:`OverlapMatrix`) first.  The ground configuration
         (:func:`~pauliblock.thermal.enumerate_ensemble` at tau = 0) gives
-        its Gram determinant through a zero row put before the master's
-        first: the value at tau = 0, and the lower bound of every
-        projected one.  Each temperature above zero is projected on its
-        own (:func:`~pauliblock.thermal.projected_fidelity`), so a curve's
+        its Gram determinant from the master's first N rows: the value at
+        tau = 0, and the lower bound of every projected one.  Each
+        temperature above zero is projected on its own
+        (:func:`~pauliblock.thermal.projected_fidelity`), so a curve's
         value is the one a call at that temperature alone gives.
         """
         check_counts(n_protected, n_buffer)
@@ -550,21 +544,16 @@ class Engine:
             raise ConfigError(f"temperatures must be finite and >= 0, got {taus}")
         check_tail_bound(tail_bound)
         tau_max = max(taus)
-        if settings is None:
-            settings = self.validated_settings(
-                [schedule], n_total, n_protected, tau_max, self.settings,
-                check_dt, tail_bound,
-            )
-        elif self.family_grid(schedule) is None:
+        if self.family_grid(schedule) is None:
             self.plan_levels([schedule], n_total, n_protected, tau_max, tail_bound)
 
         energies = self._certified_ladder(schedule, n_total, tau_max, tail_bound)
         ground = enumerate_ensemble(energies, n_total, 0.0)
-        n_rows = len(energies) if tau_max > 0 else ground.m_max
-        matrix, _, _ = self.master_overlaps(schedule, n_rows, n_protected, settings)
+        matrix, _, _ = self.master_overlaps(
+            schedule, len(energies), n_protected, settings or self.settings
+        )
         master = OverlapMatrix(matrix).entries
-        padded = np.concatenate([np.zeros_like(master[:1]), master])
-        ground_value = float(gram_fidelity_values(padded, ground.levels)[0])
+        ground_value = float(gram_fidelity_values(master, ground.levels - 1)[0])
         return [
             projected_fidelity(energies, master, n_total, tau, ground_value)
             if tau > 0 else ground_value
@@ -593,24 +582,26 @@ class Engine:
         return self._plan(schedules, n_levels, n_targets).n_planned
 
     def _certified_ladder(self, schedule, n_total, tau, tail_bound):
-        """The initial energies of every level the family was planned for
-        (:meth:`plan_levels` sized it), certified above zero temperature
-        to hold ``n_total`` fermions at ``tau`` to ``tail_bound``
+        """The initial energies a curve of ``n_total`` fermions at ``tau``
+        reads: the ``n_total`` lowest at zero temperature; above it, every
+        level the family was planned for (:meth:`plan_levels` sized it),
+        certified to hold ``n_total`` fermions at ``tau`` to ``tail_bound``
         (:func:`~pauliblock.thermal.levels_needed` on the solved ladder).
 
-        A ladder too short for that is planned again, once, as
-        :meth:`plan_levels` plans with a right estimate: for the count
-        the certificate asks plus ``LEVEL_MARGIN``.  If that one falls
-        short too, :class:`NeedsMoreLevelsError` is raised, reporting the
-        count asked.
+        A family planned for fewer than ``n_total`` levels is planned again
+        for ``n_total``.  A ladder too short for the certificate is planned
+        again, once, as :meth:`plan_levels` plans with a right estimate:
+        for the count the certificate asks plus ``LEVEL_MARGIN``.  If that
+        one falls short too, :class:`NeedsMoreLevelsError` is raised,
+        reporting the count asked.
         """
-        n_levels = self._families[_family(schedule)].n_planned
+        n_levels = n_total
         for replanned in (False, True):
             energies = self._with_escalation(
                 schedule, n_levels, 0, lambda record: record.initial.energies
             )
             if tau == 0:
-                return energies
+                return energies[:n_total]
             required = levels_needed(
                 energies[n_total - 1], n_total, tau, tail_bound,
                 *schedule.harmonic_floor(),

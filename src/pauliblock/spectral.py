@@ -100,11 +100,12 @@ def _fix_phases(states):
 
 
 def edge_band_ratio(states, grid):
-    """Max spectral amplitude in the outer |k| band relative to the peak."""
+    """Max spectral amplitude in the outer |k| band relative to the peak.
+
+    The band is never empty: a grid's even point count puts -pi/dx, of
+    magnitude ``k_max``, among its wavenumbers."""
     ft = np.abs(np.fft.fft(states, axis=-1))
     band = np.abs(grid.k_values) >= (1.0 - KSPACE_EDGE_BAND) * grid.k_max
-    if not band.any():
-        band = np.abs(grid.k_values) == np.abs(grid.k_values).max()
     return np.max(ft[:, band], axis=1) / np.max(ft, axis=1)
 
 

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NeedsMoreLevelsError, NumericalConsistencyError
-from .fidelity import RANGE_TOL
+from .fidelity import check_range
 
 DEFAULT_TAIL_BOUND = 1e-6
 # Newton steps towards the chemical potential of the projection circle.
@@ -326,9 +326,9 @@ def projected_fidelity(energies, overlaps, n_particles, tau, ground):
       slack: every configuration adds a non-negative term to each;
     * the coefficient ratio's imaginary part exceeds 2 slack / [z^N] Q,
       the most that the rounding of the two coefficients can give it;
-    * the ratio's real part, F, leaves [-RANGE_TOL, 1 + RANGE_TOL].
-
-    F is then clamped to [0, 1].
+    * the ratio's real part, F, is NaN or leaves [0, 1] by more than
+      ``RANGE_TOL`` (:func:`~pauliblock.fidelity.check_range`, which then
+      clamps F to [0, 1]).
     """
     energies = np.asarray(energies, dtype=float)
     n_levels = len(energies)
@@ -368,9 +368,4 @@ def projected_fidelity(energies, overlaps, n_particles, tau, ground):
         raise NumericalConsistencyError(
             f"projected fidelity {ratio} has an imaginary part {where}"
         )
-    if not -RANGE_TOL <= ratio.real <= 1.0 + RANGE_TOL:
-        raise NumericalConsistencyError(
-            f"projected fidelity {ratio.real} outside "
-            f"[-{RANGE_TOL}, 1 + {RANGE_TOL}] {where}"
-        )
-    return min(max(float(ratio.real), 0.0), 1.0)
+    return float(check_range(ratio.real, f"projected fidelity ({where})"))

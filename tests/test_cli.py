@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 import pauliblock
-from pauliblock import cli
+from pauliblock import cli, pipeline
 from pauliblock.cli import main
 from pauliblock.errors import (
     ConfigError,
@@ -20,6 +20,9 @@ from pauliblock.errors import (
 from pauliblock.experiments import Axis, SweepSpec
 from pauliblock.potentials import PotentialSchedule, RampShape
 from pauliblock.propagate import PropagationSettings
+
+CONFIGS = Path(__file__).parents[1] / "perfbench" / "configs"
+EXPANSION_CFG = CONFIGS / "expansion_sweep.cfg"
 
 
 class TestExitCodes:
@@ -253,6 +256,40 @@ class TestExitCodes:
             f"error: cannot write {out}: No such file or directory\n"
         )
         assert not out.parent.exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "minbuffer"])
+    def test_unwritable_output_fails_before_any_plan(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        # A typo in the path costs no run: it is found before the grid.
+        plans = []
+        planner = pipeline.plan_grid
+        monkeypatch.setattr(
+            pipeline, "plan_grid", lambda *args: plans.append(args) or planner(*args)
+        )
+        out = tmp_path / "missing" / "x.csv"
+        assert main([command, str(EXPANSION_CFG), "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: cannot write {out}: No such file or directory\n"
+        )
+        assert plans == []
+        assert not out.parent.exists()
+
+    def test_failed_run_leaves_the_output_as_it_was(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        out = tmp_path / "x.csv"
+        out.write_bytes(b"kept\r\n")
+
+        def failing(spec):
+            raise ConvergenceError("planted")
+
+        monkeypatch.setattr(cli, "run_sweep", failing)
+        assert main(["sweep", str(EXPANSION_CFG), "-o", str(out)]) == 3
+        assert capsys.readouterr().err == "error: planted\n"
+        assert out.read_bytes() == b"kept\r\n"
 
     @pytest.mark.parametrize("lambdas", ["", ",", " , "])
     def test_empty_gap_lambda_list_returns_2(self, capsys, lambdas):

@@ -12,7 +12,13 @@ from pauliblock import (
     PropagationSettings,
     fidelity_fast,
 )
-from pauliblock.fidelity import _GRAM_BLOCK, gram_fidelity_values
+from pauliblock.fidelity import (
+    _GRAM_BLOCK,
+    FidelityResult,
+    check_range,
+    gram_fidelity_values,
+)
+from pauliblock.thermal import projected_fidelity
 
 from reference import (
     fidelity_oracle,
@@ -126,6 +132,15 @@ class TestValidation:
         with pytest.raises(NumericalConsistencyError):
             fidelity_fast(bad)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_entry_checked(self, bad):
+        # Before the SVD, which does not converge on a NaN.
+        entries = np.array([[0.6, 0.0], [0.0, 0.8], [0.0, 0.0]], dtype=complex)
+        entries[2, 1] = bad
+        message = r"A\[2, 1\] = .* is not finite"
+        with pytest.raises(NumericalConsistencyError, match=message):
+            OverlapMatrix(entries)
+
     def test_more_targets_than_rows_rejected(self):
         from pauliblock import ConfigError
 
@@ -228,6 +243,46 @@ class TestGramBatch:
         two = np.array([[1.0, 0.0], [0.0, 1.0 + 1e-9]])
         with pytest.raises(NumericalConsistencyError):
             gram_fidelity_values(two, [[0, 1]])
+
+
+class TestOneRangeCheck:
+    """A NaN or a value past ``RANGE_TOL`` raises on every fidelity path,
+    through the one :func:`check_range`; a value within it is clamped where
+    a path returns it, and a :class:`FidelityResult` keeps what it is
+    handed."""
+
+    # Out-of-range values of the first two paths: TestGramBatch's
+    # test_range_check and test_thermal's test_planted_failures_raise.
+    def test_gram_fidelity_values(self):
+        master = np.array([[0.5], [np.nan]])
+        with pytest.raises(NumericalConsistencyError, match="row set 1 = nan"):
+            gram_fidelity_values(master, [[0], [1]])
+
+    def test_projected_fidelity(self):
+        energies = np.arange(30) + 0.5
+        overlaps = np.zeros((30, 2))
+        overlaps[0, 0] = overlaps[1, 1] = np.nan
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalConsistencyError):
+            projected_fidelity(energies, overlaps, 4, 0.3, 0.0)
+
+    @pytest.mark.parametrize("value", [np.nan, -1e-9, 1.0 + 1e-9])
+    def test_fidelity_result(self, value):
+        with pytest.raises(NumericalConsistencyError, match="fidelity = .* outside"):
+            FidelityResult(value, 3, 2, 1)
+
+    def test_first_value_outside_is_named(self):
+        with pytest.raises(NumericalConsistencyError, match=r"^F 1 = nan outside"):
+            check_range([0.5, np.nan, 2.0], "F")
+        with pytest.raises(NumericalConsistencyError, match=r"^F = -1e-09 outside"):
+            check_range(-1e-9, "F")
+
+    def test_values_within_the_tolerance_are_clamped(self):
+        np.testing.assert_array_equal(
+            check_range([-5e-11, 0.25, 1.0 + 5e-11], "F"), [0.0, 0.25, 1.0]
+        )
+        master = np.array([[np.sqrt(1.0 + 5e-11)]])
+        np.testing.assert_array_equal(gram_fidelity_values(master, [[0]]), [1.0])
+        assert FidelityResult(1.0 + 5e-11, 1, 1, 0).value == 1.0 + 5e-11
 
 
 class TestScenario:

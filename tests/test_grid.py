@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pauliblock import ConfigError, ContainmentError, Grid
-from pauliblock.spectral import check_containment
+from pauliblock.spectral import KSPACE_EDGE_BAND, check_containment, edge_band_ratio
 
 from conftest import gaussian_state, momentum_density
 
@@ -131,3 +131,15 @@ class TestContainment:
         w = gaussian_state(g, width=2.0)
         with pytest.raises(ContainmentError):
             check_containment(w[None, :], g)
+
+
+class TestEdgeBand:
+    @pytest.mark.parametrize("n_points", [2, 4, 6, 50, 250, 4096])
+    def test_band_holds_the_nyquist_wavenumber(self, n_points):
+        # An even point count puts -pi/dx, of magnitude k_max, on the
+        # lattice, so the momentum-edge band is never empty.
+        g = Grid(-1.3, 7.1, n_points)
+        band = np.abs(g.k_values) >= (1.0 - KSPACE_EDGE_BAND) * g.k_max
+        assert band[n_points // 2]
+        nyquist = np.cos(np.pi * np.arange(n_points))
+        assert edge_band_ratio(nyquist[None, :], g) == pytest.approx([1.0])

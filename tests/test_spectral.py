@@ -160,8 +160,12 @@ class TestParityFromLevelIndex:
     @pytest.mark.parametrize("n_points", [128, 256, 512, 1024])
     def test_protected_edge_inside_a_tunnel_pair(self, n_points):
         # `split --T 0.2 --h-f 100 --n-protected 1 --n-buffer 1 --n-points n`
+        # with its time-step check, as the command runs it.
         engine = Engine(n_points, PropagationSettings(dt=1e-3))
-        result = engine.scenario_fidelity(HIGH_BARRIER, 1, 1, check_dt=True)
+        settings = engine.validated_settings(
+            [HIGH_BARRIER], 2, 1, 0.0, engine.settings, True
+        )
+        result = engine.scenario_fidelity(HIGH_BARRIER, 1, 1, settings)
         assert result.value == pytest.approx(HIGH_BARRIER_F, abs=1e-8)
 
 

@@ -119,7 +119,8 @@ class TestBothSidesAgree:
         runs = record_runs(monkeypatch, schedule)
         cpus(2)
         engine = Engine(settings=SETTINGS)
-        assert engine.scenario_fidelity(schedule, 0, 3, check_dt=True).value == 1.0
+        checked = engine.validated_settings([schedule], 3, 0, 0.0, SETTINGS, True)
+        assert engine.scenario_fidelity(schedule, 0, 3, checked).value == 1.0
         assert engine.thermal_fidelity(schedule, 0, 3, 0.5).value == pytest.approx(1.0)
         assert runs == []
 
@@ -202,7 +203,10 @@ class TestPlannedGridsHold:
         schedule = expansion(10.0)
         runs = record_runs(monkeypatch, schedule)
         engine = Engine()
-        value = engine.thermal_fidelity(schedule, 2, 4, 0.1, check_dt=True).value
+        checked = engine.validated_settings(
+            [schedule], 6, 2, 0.1, engine.settings, True
+        )
+        value = engine.thermal_fidelity(schedule, 2, 4, 0.1, checked).value
         assert runs and {side for side, _, _ in runs} == {"backward"}
         n_levels = Engine().plan_levels([schedule], 6, 2, 0.1)
         assert engine.family_grid(schedule) == plan_grid([schedule], n_levels, 2)

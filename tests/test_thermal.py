@@ -561,12 +561,12 @@ class TestThermalFidelity:
         curve = Engine.thermal_fidelity_curve
 
         def estimating(self, schedule, n_protected, n_buffer, taus, settings=None,
-                       tail_bound=DEFAULT_TAIL_BOUND, check_dt=False):
+                       tail_bound=DEFAULT_TAIL_BOUND):
             self.plan_levels(
                 [schedule], n_protected + n_buffer, n_protected, max(taus), tail_bound
             )
             return curve(self, schedule, n_protected, n_buffer, taus, settings,
-                         tail_bound=tail_bound, check_dt=check_dt)
+                         tail_bound=tail_bound)
 
         monkeypatch.setattr(Engine, "thermal_fidelity_curve", estimating)
         per_curve = temperature_compensation_report(spec).to_csv()
@@ -639,3 +639,16 @@ class TestThermalFidelity:
             1000, 20 + pipeline.LEVEL_MARGIN
         )
         assert len(plans) == 2
+
+    @pytest.mark.parametrize("tau", [0.0, 0.3])
+    def test_family_planned_for_fewer_fermions_is_planned_again(self, tau):
+        # A curve handed settings, on an engine whose record was planned
+        # for a smaller system, plans the family again for its own N and
+        # gives what a fresh engine gives.
+        s = self.schedule()
+        settings = PropagationSettings(dt=2e-3)
+        engine = Engine(settings=settings)
+        engine.thermal_fidelity(s, 2, 0, tau, settings)
+        grown = engine.thermal_fidelity(s, 2, 4, tau, settings).value
+        fresh = Engine(settings=settings).thermal_fidelity(s, 2, 4, tau, settings)
+        assert grown == fresh.value
