@@ -17,6 +17,7 @@ from .errors import (
     NumericalConsistencyError,
     ResolutionError,
     SimulationError,
+    TimeStepError,
 )
 from .experiments import (
     Axis,
@@ -61,6 +62,7 @@ __all__ = [
     "SweepSpec",
     "Task",
     "ThermalEnsemble",
+    "TimeStepError",
     "enumerate_ensemble",
     "fermi_gap_profile",
     "fidelity_fast",

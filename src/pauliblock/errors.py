@@ -56,6 +56,24 @@ class NeedsMoreLevelsError(ConvergenceError):
         )
 
 
+class TimeStepError(ConvergenceError):
+    """The time-step check ran out of rungs.
+
+    ``dt`` is the finest rung it evolved, ``change`` the largest change of
+    the overlaps in the last pair of rungs it compared (None if it compared
+    none) and ``tolerance`` the change it accepts between dt and dt/2.
+    """
+
+    def __init__(self, dt, change, tolerance):
+        self.dt = dt
+        self.change = change
+        self.tolerance = tolerance
+        super().__init__(
+            f"time step did not converge to tolerance {tolerance} "
+            f"after halving down to dt={dt}"
+        )
+
+
 class GridError(SimulationError):
     """Grid-related failure (leakage, undersampling)."""
 

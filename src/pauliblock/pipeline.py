@@ -38,7 +38,10 @@ is handed.  The time-step check belongs to the method that plans the
 runs of a set of curves (:meth:`Engine.validated_settings`), which every
 sweep calls: it plans their families first, for the levels the hottest
 temperature is estimated to need, so the check runs on the grid the
-curves then use.
+curves then use.  The check compares rungs of halving dt from a coarse
+one at 2·dt down (:meth:`Engine._converge_dt`), so a dt it keeps at the
+first pair costs a run half as long as the curves', not one twice as
+long.
 
 Work whose parts do not depend on each other runs in lanes, one per
 CPU this process may use (:func:`default_workers`): this process runs
@@ -71,10 +74,10 @@ from . import spectral
 from .errors import (
     ConfigError,
     ContainmentError,
-    ConvergenceError,
     NeedsMoreLevelsError,
     ResolutionError,
     SimulationError,
+    TimeStepError,
 )
 from .fidelity import (
     FidelityResult,
@@ -104,7 +107,7 @@ MAX_ESCALATIONS = 4
 # level spacing in the Fermi level.
 LEVEL_MARGIN = 1
 # Largest change of the overlaps between dt and dt/2 that the time-step
-# check accepts.
+# check accepts (:meth:`Engine._converge_dt`).
 DT_TOLERANCE = 1e-4
 
 
@@ -403,13 +406,14 @@ class Engine:
         self, schedules, n_total, n_protected, tau_max, settings, check_dt,
         tail_bound=DEFAULT_TAIL_BOUND,
     ):
-        """``settings`` with a dt that passed the halving check, starting
-        from ``settings.dt``, for thermal curves of ``n_total`` fermions up
-        to ``tau_max`` on ``schedules``; the check runs on the first.
+        """``settings`` with a dt that passed the time-step check
+        (:meth:`_converge_dt`), starting from ``settings.dt``, for thermal
+        curves of ``n_total`` fermions up to ``tau_max`` on ``schedules``;
+        the check runs on the first schedule listed.
 
         Each family is planned first, once for all its schedules
         (:meth:`plan_levels`).  A curve's run is its ``n_protected`` targets
-        evolved backward.  The check's first two rungs, dt and dt/2, join
+        evolved backward.  The check's first two rungs, 2·dt and dt, join
         the curves' runs at ``settings.dt`` in one batch.  At any other
         validated dt, the curves' runs go as one batch of their own.  Each
         call checks dt anew; a repeated check finds its rungs cached.
@@ -426,7 +430,7 @@ class Engine:
         dt = settings.dt
         if check_dt:
             self.propagate_batch(curve_runs(dt) + [
-                (schedules[0], rung, n_protected) for rung in (dt, 0.5 * dt)
+                (schedules[0], rung, n_protected) for rung in (2 * dt, dt)
             ])
             dt = self._converge_dt(schedules[0], n_protected, settings)
             if dt == settings.dt:  # the curves' runs went with the rungs
@@ -435,35 +439,53 @@ class Engine:
         return replace(settings, dt=dt)
 
     def _converge_dt(self, schedule, n_targets, settings):
-        """The first dt whose overlaps of every planned level with
-        ``n_targets`` targets (the block every curve reads from) move by
-        less than ``DT_TOLERANCE`` at dt/2; ``settings.dt`` when no target
-        makes a run."""
+        """The dt the time-step check keeps for ``schedule``, from the
+        change d(h, h/2) of the overlaps of every planned level with
+        ``n_targets`` targets (the block every curve reads from) between
+        adjacent rungs h and h/2 of the ladder 2·dt, dt, dt/2, ... down to
+        dt/2^11; ``settings.dt`` when no target makes a run.
+
+        The pairs are walked from (2·dt, dt) down.  A pair keeps h if
+        h <= dt and d < ``DT_TOLERANCE``, the test of h against h/2; else
+        it keeps h/2 if d < 4·``DT_TOLERANCE``: Strang steps are second
+        order, so d(h, h/2) is close to 4·d(h/2, h/4), and this is the test
+        of h/2, read one rung up, without evolving h/4.  Else the walk goes
+        one pair down.  A pair of rungs of one step count is skipped, and a
+        2·dt rung that trips counts for nothing (the walk starts at
+        (dt, dt/2)) and escalates no grid.  Past the finest pair,
+        :class:`~pauliblock.errors.TimeStepError` is raised.
+        """
         if not n_targets:
             return settings.dt
+        ladder = [2 * settings.dt] + [settings.dt * 0.5**k for k in range(12)]
 
-        def halve(record):
-            dt = settings.dt
-            previous = None
-            for _ in range(12):
+        def walk(record):
+            def rung(dt):
                 trial = PropagationSettings(dt)
-                steps, _ = trial.steps_for(schedule.T)
                 overlaps = self._overlaps(
                     record, schedule, record.n_planned, n_targets, trial
                 )
+                return trial.steps_for(schedule.T)[0], overlaps
+
+            try:
+                previous = rung(ladder[0])
+            except SimulationError:  # counts for nothing, escalates no grid
+                previous = None
+            change = None
+            for coarse, dt in zip(ladder, ladder[1:]):
+                current = rung(dt)
                 # Rungs of one step count run the same steps: their
                 # agreement says nothing about dt.
-                if previous is not None and steps != previous[1]:
-                    if np.max(np.abs(overlaps - previous[2])) < DT_TOLERANCE:
-                        return previous[0]
-                previous = (dt, steps, overlaps)
-                dt *= 0.5
-            raise ConvergenceError(
-                f"time step did not converge to tolerance {DT_TOLERANCE} "
-                f"after halving down to dt={dt * 2}"
-            )
+                if previous is not None and current[0] != previous[0]:
+                    change = float(np.max(np.abs(current[1] - previous[1])))
+                    if coarse <= settings.dt and change < DT_TOLERANCE:
+                        return coarse
+                    if change < 4 * DT_TOLERANCE:
+                        return dt
+                previous = current
+            raise TimeStepError(ladder[-1], change, DT_TOLERANCE)
 
-        return self._with_escalation(schedule, 1, n_targets, halve)
+        return self._with_escalation(schedule, 1, n_targets, walk)
 
     # -- overlap assembly -----------------------------------------------------
 
@@ -521,7 +543,7 @@ class Engine:
 
         Returns the list of values, one per temperature.  The curve runs at
         the dt of ``settings`` (:attr:`settings` if none are handed in), as
-        handed: the halving check belongs to :meth:`validated_settings`,
+        handed: the time-step check belongs to :meth:`validated_settings`,
         which a sweep calls before its curves.  A family the engine holds
         no record of is planned first (:meth:`plan_levels`); a sweep plans
         it for its largest system, so its curves make no estimate of their

@@ -7,11 +7,16 @@ from pauliblock import (
     PotentialSchedule,
     PropagationSettings,
     errors,
+    pipeline,
     propagate_basis,
     solve,
 )
+from pauliblock.pipeline import Engine
 
-FIELDS = ("state", "ratio", "tol", "step", "required", "available")
+FIELDS = (
+    "state", "ratio", "tol", "step", "required", "available", "dt", "change",
+    "tolerance",
+)
 
 
 def _subclasses(cls):
@@ -26,6 +31,8 @@ def _example(cls):
         return cls(5)
     if issubclass(cls, errors.NeedsMoreLevelsError):
         return cls(20, 12)
+    if issubclass(cls, errors.TimeStepError):
+        return cls(1e-3, 2.5e-4, 1e-4)
     if issubclass(cls, errors.EdgeAmplitudeError):
         return cls("edge weight", state=3, ratio=2e-5, tol=1e-6, step=400)
     return cls("went wrong")
@@ -50,6 +57,36 @@ class TestPickling:
         assert copy.step == 5
         copy = pickle.loads(pickle.dumps(errors.NeedsMoreLevelsError(20, 12)))
         assert (copy.required, copy.available) == (20, 12)
+
+
+class TestTimeStepError:
+    def test_fields_survive_a_lane(self, cpus):
+        # T = 2 at dt = 100 runs out of rungs (test_cli's equal-step case).
+        # The error of the check, run in this process and then in a forked
+        # lane, which sends it back pickled, carries the same fields.  The
+        # lane runs alone: two concurrent eigensolves contend for the BLAS
+        # threads.
+        schedule = PotentialSchedule.splitting(2.0, h_f=20.0)
+        settings = PropagationSettings(dt=100.0)
+        cpus(1)
+
+        def check():
+            try:
+                Engine().validated_settings([schedule], 2, 2, 0.0, settings, True)
+            except errors.TimeStepError as exc:
+                return exc
+
+        here = check()
+        _, there = pipeline._in_lanes([lambda: None, check])
+        assert type(there) is errors.TimeStepError
+        assert str(there).startswith("time step did not converge")
+        assert str(there) == str(here)
+        assert (there.dt, there.change, there.tolerance) == (
+            here.dt, here.change, here.tolerance
+        )
+        assert there.dt == 100.0 / 2**11
+        assert there.tolerance == pipeline.DT_TOLERANCE
+        assert there.change >= 4 * there.tolerance
 
 
 class TestErrorsNameTheirGrid:

@@ -7,7 +7,8 @@ fidelities read from it, at zero temperature and above, against the
 levels evolved forward (``tests/reference.py``); check that a tripping
 backward run escalates the family grid, that the planner's grids hold
 the backward runs it plans for, whatever the order of a sweep's
-schedules, and that the time-step check covers the rows a curve reads.
+schedules, and that the time-step check covers the rows a curve reads
+and keeps a dt from a coarse rung at 2·dt.
 """
 
 import numpy as np
@@ -15,9 +16,11 @@ import pytest
 
 from pauliblock import (
     Axis,
+    ContainmentError,
     PotentialSchedule,
     PropagationSettings,
     ResolutionError,
+    SimulationError,
     SweepSpec,
     run_sweep,
 )
@@ -232,9 +235,9 @@ class TestPlannedGridsHold:
             results.append((engine.family_grid(schedules[0]), values))
         assert results[0] == results[1]
         assert results[0][0] == plan_grid([expansion(10.0)], 14, 2)
-        # T = 10 ran once per order at dt, and at dt/2 as the checked
+        # T = 10 ran once per order at dt, and at 2·dt as the checked
         # schedule, each on the planned grid alone.
-        at = [("backward", 2, settings.dt), ("backward", 2, settings.dt / 2)]
+        at = [("backward", 2, settings.dt), ("backward", 2, 2 * settings.dt)]
         assert runs == at + at[:1]
 
 
@@ -281,3 +284,110 @@ class TestCheckCoversTheCurveRows:
         # An N x N check, blind to rows >= N, would have kept dt.
         assert change[:n_total].max() < pipeline.DT_TOLERANCE
         assert change[n_total:].max() > pipeline.DT_TOLERANCE
+
+
+def planted(monkeypatch, schedule, edit):
+    """Wrap ``pipeline.propagate_basis``: the result of each backward run
+    of ``schedule``, its states or the error it tripped, is replaced by
+    ``edit(dt, result)``."""
+    real = pipeline.propagate_basis
+    backward = schedule.time_reversed()
+
+    def edited(basis, n_states, run_schedule, settings, also=None):
+        runs = [(basis, n_states, run_schedule, settings), *(also or ())]
+        finals = [
+            edit(run_settings.dt, final) if stacked == backward else final
+            for (_, _, stacked, run_settings), final in zip(
+                runs, real(basis, n_states, run_schedule, settings, also=runs[1:])
+            )
+        ]
+        if also is not None:
+            return finals
+        if isinstance(finals[0], SimulationError):
+            raise finals[0]
+        return finals[0]
+
+    monkeypatch.setattr(pipeline, "propagate_basis", edited)
+
+
+def rung_change(engine, schedule, n_levels, dt):
+    """d(h, h/2), the largest change of the planned block between the
+    rungs h and h/2, for h = 2·dt and h = dt."""
+    blocks = [
+        engine.master_overlaps(schedule, n_levels, 2, PropagationSettings(h))[0]
+        for h in (2 * dt, dt, dt / 2)
+    ]
+    return [np.max(np.abs(a - b)) for a, b in zip(blocks, blocks[1:])]
+
+
+class TestCoarseRung:
+    @pytest.mark.parametrize(
+        "schedule, n_total, tau, n_levels, n_points",
+        [
+            # The bench splitting family, planned for N_b = 6 up to tau = 1.6.
+            (PotentialSchedule.splitting(2.0, h_f=20.0), 8, 1.6, 35, 144),
+            (expansion(10.0), 14, 0.0, 14, 320),
+        ],
+        ids=["splitting", "expansion"],
+    )
+    def test_strang_change_falls_fourfold_per_halving(
+        self, schedule, n_total, tau, n_levels, n_points, cpus
+    ):
+        # The factor 4 that lets d(2·dt, dt) < 4 tolerances stand for
+        # d(dt, dt/2) < 1 tolerance; both families keep dt = 2e-3 from the
+        # pair (2·dt, dt).
+        cpus(1)
+        engine = Engine()
+        assert engine.plan_levels([schedule], n_total, 2, tau) == n_levels
+        assert engine.family_grid(schedule).n_points == n_points
+        coarse, fine = rung_change(engine, schedule, n_levels, 2e-3)
+        assert 3.8 <= coarse / fine <= 4.2
+        assert coarse < 4 * pipeline.DT_TOLERANCE
+
+    @pytest.mark.parametrize("coarse_rung", ["8 tolerances off", "tripped"])
+    def test_a_bad_coarse_rung_leaves_dt_to_the_next_pair(
+        self, coarse_rung, monkeypatch, cpus
+    ):
+        # Left alone, this case keeps dt from the pair (2·dt, dt).  A 2·dt
+        # rung moved by 8 tolerances fails that pair, and one that trips
+        # counts for nothing and escalates no grid: either way the pair
+        # (dt, dt/2) keeps dt.
+        schedule = PotentialSchedule.splitting(0.5, h_f=20.0)
+        settings = PropagationSettings(dt=0.01)
+        cpus(1)
+        engine = Engine(256, settings)
+        n_levels = engine.plan_levels([schedule], 5, 2, 0.0)
+        grid, initial, _ = engine.endpoint_bases(schedule, n_levels, 2)
+
+        def edit(dt, states):
+            if dt != 2 * settings.dt:
+                return states
+            if coarse_rung == "tripped":
+                return ResolutionError("planted", state=1, ratio=1.0, tol=1e-6)
+            states = states.copy()
+            states[0] += 8 * pipeline.DT_TOLERANCE * initial.states[0]
+            return states
+
+        planted(monkeypatch, schedule, edit)
+        runs = record_runs(monkeypatch, schedule)
+        checked = engine.validated_settings([schedule], 5, 2, 0.0, settings, True)
+        assert checked.dt == settings.dt
+        assert sorted(dt for _, _, dt in runs) == [0.005, 0.01, 0.02]
+        assert engine.family_grid(schedule) == grid
+
+    def test_a_tripping_coarse_rung_escalates_no_grid(self, cpus):
+        # On the 250 points planned for T = 25 alone, the T = 10 targets
+        # leave the domain at 2·dt and the momentum lattice at dt.  Only
+        # the lattice is refined, once, as on a ladder that starts at dt.
+        settings = PropagationSettings(dt=2e-3)
+        cpus(1)
+        engine = Engine(settings=settings)
+        engine.plan_levels([expansion(25.0)], 14, 2, 0.0)
+        planned, _, _ = engine.endpoint_bases(expansion(10.0), 14, 2)
+        with pytest.raises(ContainmentError):
+            engine.evolved_states(expansion(10.0), 2, PropagationSettings(4e-3))
+        checked = engine.validated_settings(
+            [expansion(10.0), expansion(25.0)], 14, 2, 0.0, settings, True
+        )
+        assert engine.family_grid(expansion(10.0)) == planned.refined()
+        assert checked.dt == settings.dt
