@@ -85,8 +85,8 @@ class EdgeAmplitudeError(GridError):
 
     ``state`` (1-based), ``ratio`` (edge amplitude relative to the peak),
     ``tol``, ``step`` (propagation step, None in an eigensolve) and
-    ``grid`` (the lattice the state was checked on) are set by the check
-    that raised the error.
+    ``grid`` (the lattice the state was checked on) are set by
+    :func:`~pauliblock.spectral.check_grid`, the one check that raises it.
     """
 
     def __init__(self, message, state=None, ratio=None, tol=None, step=None, grid=None):
@@ -96,11 +96,6 @@ class EdgeAmplitudeError(GridError):
         self.step = step
         self.grid = grid
         super().__init__(message)
-
-    @property
-    def excess(self):
-        """The ratio in units of its tolerance."""
-        return self.ratio / self.tol
 
 
 class ContainmentError(EdgeAmplitudeError):

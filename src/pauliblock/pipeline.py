@@ -21,8 +21,11 @@ Each family's grid comes from :func:`~pauliblock.planner.plan_grid`, for
 every schedule it was planned with (a sweep plans each family once, for
 all its schedules); a later request for more levels or targets than the
 grid was planned for plans it again.  Grids escalate automatically, in
-eigensolves and in propagation alike: a position-space leak doubles the
-domain, momentum-space undersampling doubles the point count.
+eigensolves and in propagation alike, on the error of the one grid check
+both apply (:func:`~pauliblock.spectral.check_grid`): a position-space
+leak doubles the domain, momentum-space undersampling doubles the point
+count, and when both trip the one exceeding its tolerance by the larger
+factor names the cause.
 Re-planning or escalating replaces the whole record.  The planner, the
 eigensolves and the propagator all read a trap from its one formula,
 :meth:`~pauliblock.potentials.PotentialSchedule.potential`.
@@ -74,8 +77,8 @@ from . import spectral
 from .errors import (
     ConfigError,
     ContainmentError,
+    EdgeAmplitudeError,
     NeedsMoreLevelsError,
-    ResolutionError,
     SimulationError,
     TimeStepError,
 )
@@ -114,10 +117,6 @@ DT_TOLERANCE = 1e-4
 def _family(schedule):
     # Everything but the ramp shape and duration: same traps, same grids.
     return replace(schedule, shape=RampShape.LINEAR, T=1.0)
-
-
-# Grid checks that escalate a family's grid.
-_LEAKS = (ContainmentError, ResolutionError)
 
 
 @dataclass
@@ -288,8 +287,10 @@ class Engine:
         endpoint bases solved.
 
         A leak out of the domain or off the momentum lattice, in an
-        eigensolve or in ``work``, widens or refines the grid in a new
-        record, up to ``MAX_ESCALATIONS`` times; then it is raised.
+        eigensolve or in ``work`` (the error of
+        :func:`~pauliblock.spectral.check_grid`), widens or refines the
+        grid in a new record, up to ``MAX_ESCALATIONS`` times; then it is
+        raised.
         """
         record = self._plan((schedule,), n_levels, n_targets)
         while True:
@@ -302,7 +303,7 @@ class Engine:
                         )
                     )
                 return work(record)
-            except _LEAKS as exc:
+            except EdgeAmplitudeError as exc:
                 if record.escalations == MAX_ESCALATIONS:
                     raise
                 if isinstance(exc, ContainmentError):
@@ -550,7 +551,9 @@ class Engine:
         own.  The master overlap matrix, read from the N_p targets evolved
         backward (:meth:`master_overlaps`), has one row per level of the
         ladder (:meth:`_certified_ladder`) and is validated
-        (:class:`OverlapMatrix`) first.  The ground configuration
+        (:class:`OverlapMatrix`) first.  The ladder's energies are those of
+        the initial levels its overlaps were read from, on the grid the
+        master's run ended on, escalated or not.  The ground configuration
         (:func:`~pauliblock.thermal.enumerate_ensemble` at tau = 0) gives
         its Gram determinant from the master's first N rows: the value at
         tau = 0, and the lower bound of every projected one.  Each
@@ -569,11 +572,12 @@ class Engine:
         if self.family_grid(schedule) is None:
             self.plan_levels([schedule], n_total, n_protected, tau_max, tail_bound)
 
-        energies = self._certified_ladder(schedule, n_total, tau_max, tail_bound)
-        ground = enumerate_ensemble(energies, n_total, 0.0)
-        matrix, _, _ = self.master_overlaps(
-            schedule, len(energies), n_protected, settings or self.settings
+        n_levels = self._certified_ladder(schedule, n_total, tau_max, tail_bound)
+        matrix, _, initial = self.master_overlaps(
+            schedule, n_levels, n_protected, settings or self.settings
         )
+        energies = initial.energies
+        ground = enumerate_ensemble(energies, n_total, 0.0)
         master = OverlapMatrix(matrix).entries
         ground_value = float(gram_fidelity_values(master, ground.levels - 1)[0])
         return [
@@ -604,8 +608,8 @@ class Engine:
         return self._plan(schedules, n_levels, n_targets).n_planned
 
     def _certified_ladder(self, schedule, n_total, tau, tail_bound):
-        """The initial energies a curve of ``n_total`` fermions at ``tau``
-        reads: the ``n_total`` lowest at zero temperature; above it, every
+        """The number of initial levels a curve of ``n_total`` fermions at
+        ``tau`` reads: ``n_total`` at zero temperature; above it, every
         level the family was planned for (:meth:`plan_levels` sized it),
         certified to hold ``n_total`` fermions at ``tau`` to ``tail_bound``
         (:func:`~pauliblock.thermal.levels_needed` on the solved ladder).
@@ -623,13 +627,13 @@ class Engine:
                 schedule, n_levels, 0, lambda record: record.initial.energies
             )
             if tau == 0:
-                return energies[:n_total]
+                return n_total
             required = levels_needed(
                 energies[n_total - 1], n_total, tau, tail_bound,
                 *schedule.harmonic_floor(),
             )
             if required <= len(energies):
-                return energies
+                return len(energies)
             if replanned:
                 raise NeedsMoreLevelsError(required, len(energies))
             n_levels = required + LEVEL_MARGIN

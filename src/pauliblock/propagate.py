@@ -28,8 +28,14 @@ each phase exp(i*phi) from one tangent, t = tan(phi/2), as
 kinetic factor carries its 1/n, which leaves four calls per step: the
 transform, the kinetic factor, the inverse transform and the phase.
 Every operation acts on each row alone, so a run's states hold the bits
-of its run evolved by itself.  A run that fails a health check leaves
-the array with its error, and the others carry on.
+of its run evolved by itself.  A health check raises
+:class:`~pauliblock.errors.InstabilityError` on a non-finite amplitude,
+then applies the eigensolve's grid check
+(:func:`~pauliblock.spectral.check_grid`): when the position and the
+momentum edge both trip, the one exceeding its tolerance by the larger
+factor names the cause, and the error ends in "(at step N)".  A run that
+fails a health check leaves the array with its error, and the others
+carry on.
 
 In a trap symmetric about x = 0 on a grid symmetric about 0, the lattice
 reflection R (x -> -x, :meth:`~pauliblock.grid.Grid.reflect`) commutes
@@ -40,7 +46,7 @@ take the two apart again.  The levels of such a trap alternate in
 parity (:class:`~pauliblock.spectral.EigenBasis` records it), so
 :func:`propagate_basis` packs level 2k with level 2k + 1 into a single row
 and evolves about half as many rows; the states are unpacked before every
-containment and resolution check and at the end, so the checks, their
+grid check and at the end, so the checks, their
 ``state`` index and the orthonormality check see the states one by one.
 The kick phases of such a run are even in x too: they are built on the
 n/2 + 1 points at x <= 0, the points whose potential the eigensolve's
@@ -54,17 +60,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    ContainmentError,
-    ConvergenceError,
-    InstabilityError,
-    ResolutionError,
-    SimulationError,
-)
-from .spectral import check_containment, check_resolution
+from .errors import ConfigError, ConvergenceError, InstabilityError, SimulationError
+from .spectral import check_grid
 
-# Steps between containment / resolution / finite-amplitude checks.
+# Steps between grid and finite-amplitude checks.
 CHECK_INTERVAL = 1000
 # Most steps whose kick phases are built at once (see :func:`_evolve`).
 KICK_BLOCK = 32
@@ -216,7 +215,9 @@ def _evolve(runs, grid):
             if step % CHECK_INTERVAL == 0 or step == lasts[r]:
                 finals[r] = runs[r][3](psi[lo:hi])
                 try:
-                    _check_health(finals[r], grid, step)
+                    if not np.all(np.isfinite(finals[r])):
+                        raise InstabilityError(step)
+                    check_grid(finals[r], grid, step)
                 except SimulationError as exc:
                     finals[r] = exc
                     continue
@@ -231,26 +232,6 @@ def _evolve(runs, grid):
                 top += hi - lo
         stack = staying
     return finals
-
-
-def _check_health(psi, grid, step):
-    if not np.all(np.isfinite(psi)):
-        raise InstabilityError(step)
-    # A leak through the periodic boundary also puts weight at the momentum
-    # edge, and aliased momentum smears amplitude onto the boundary: when
-    # both checks fail, the one exceeding its tolerance more names the cause.
-    failures = []
-    for check in (check_containment, check_resolution):
-        try:
-            check(psi, grid)
-        except (ContainmentError, ResolutionError) as exc:
-            failures.append(exc)
-    if failures:
-        worst = max(failures, key=lambda exc: exc.excess)
-        raise type(worst)(
-            f"{worst} (at step {step})", worst.state, worst.ratio, worst.tol, step,
-            worst.grid,
-        ) from None
 
 
 def _pack(basis, n_states, schedule):

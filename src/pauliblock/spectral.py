@@ -109,30 +109,40 @@ def edge_band_ratio(states, grid):
     return np.max(ft[:, band], axis=1) / np.max(ft, axis=1)
 
 
-def check_resolution(states, grid):
-    ratios = edge_band_ratio(states, grid)
-    worst = int(np.argmax(ratios))
-    if ratios[worst] >= KSPACE_EDGE_TOL:
-        raise ResolutionError(
-            f"state {worst + 1} has relative momentum-edge amplitude "
-            f"{ratios[worst]:.2e} (>= {KSPACE_EDGE_TOL:.0e}); the grid "
-            "undersamples it",
-            worst + 1, float(ratios[worst]), KSPACE_EDGE_TOL, grid=grid,
-        )
+def check_grid(states, grid, step=None):
+    """Raise the grid error of ``states`` (one per row) on ``grid``, if any.
 
-
-def check_containment(states, grid):
+    A Fourier grid fails at its position edge, where a state's boundary
+    amplitude relative to its peak reaches ``EDGE_AMPLITUDE_TOL``
+    (:class:`ContainmentError`: the domain is too small), or at its
+    momentum edge, where its spectral amplitude in the outer |k| band
+    reaches ``KSPACE_EDGE_TOL`` (:class:`ResolutionError`: the points
+    undersample it; :func:`edge_band_ratio`).  A leak through the periodic
+    boundary also puts weight at the momentum edge, and aliased momentum
+    smears amplitude onto the boundary: when both fail, the one exceeding
+    its tolerance by the larger factor names the cause.  The error names
+    the worst ``state`` (1-based), its ``ratio``, the ``tol``, the
+    propagation ``step`` (None in an eigensolve, else the message ends in
+    "(at step N)") and the ``grid``.
+    """
     a = np.abs(states)
-    edge = np.maximum(a[:, 0], a[:, -1])
-    ratios = edge / a.max(axis=1)
-    worst = int(np.argmax(ratios))
-    if ratios[worst] >= EDGE_AMPLITUDE_TOL:
-        raise ContainmentError(
-            f"state {worst + 1} has relative boundary amplitude "
-            f"{ratios[worst]:.2e} (>= {EDGE_AMPLITUDE_TOL:.0e}); the domain "
-            "is too small",
-            worst + 1, float(ratios[worst]), EDGE_AMPLITUDE_TOL, grid=grid,
-        )
+    failures = []
+    for ratios, tol, error, text in (
+        (np.maximum(a[:, 0], a[:, -1]) / a.max(axis=1), EDGE_AMPLITUDE_TOL,
+         ContainmentError, "boundary amplitude {:.2e} (>= {:.0e}); the domain "
+         "is too small"),
+        (edge_band_ratio(states, grid), KSPACE_EDGE_TOL, ResolutionError,
+         "momentum-edge amplitude {:.2e} (>= {:.0e}); the grid undersamples it"),
+    ):
+        worst = int(np.argmax(ratios))
+        if ratios[worst] >= tol:
+            failures.append((float(ratios[worst]), tol, worst + 1, error, text))
+    if failures:
+        ratio, tol, state, error, text = max(failures, key=lambda f: f[0] / f[1])
+        message = f"state {state} has relative " + text.format(ratio, tol)
+        if step is not None:
+            message += f" (at step {step})"
+        raise error(message, state, ratio, tol, step, grid)
 
 
 def holds_states(n_points, n_states):
@@ -149,7 +159,10 @@ def solve(potential, grid, n_states):
 
     A returned state not contained in the box or not resolved by the
     momentum lattice raises :class:`ContainmentError` /
-    :class:`ResolutionError`, so callers can enlarge or refine the grid.
+    :class:`ResolutionError` from :func:`check_grid`, the one grid check
+    the propagator also applies: when both edges fail, the one exceeding
+    its tolerance by the larger factor names the cause, so callers widen
+    or refine the grid as the worse edge asks.
 
     Parameters
     ----------
@@ -197,8 +210,7 @@ def solve(potential, grid, n_states):
     states = _fix_phases(states / np.sqrt(grid.dx))
 
     residual_check(potential, grid, energies, states)
-    check_containment(states, grid)
-    check_resolution(states, grid)
+    check_grid(states, grid)
     return EigenBasis(grid, energies, states, alternating)
 
 
@@ -277,7 +289,7 @@ def fermi_gap_profile(lam, n_max, omega_i=1.0):
     every ``n_max`` of a gap sweep is then solved on the same lattice, and
     its gaps differ only by the physics.  The grid holds the level counts
     of the gap sweeps with room to spare; a request that outgrows it raises
-    from :func:`solve`'s containment or resolution check instead of
+    from :func:`solve`'s grid check (:func:`check_grid`) instead of
     returning unresolved levels.
     """
     trap = PotentialSchedule.expansion(1.0, omega_f=omega_i, omega_i=omega_i, lam=lam)

@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from pauliblock import ConfigError, ContainmentError, Grid
-from pauliblock.spectral import KSPACE_EDGE_BAND, check_containment, edge_band_ratio
+from pauliblock import ConfigError, ContainmentError, Grid, ResolutionError
+from pauliblock.grid import EDGE_AMPLITUDE_TOL
+from pauliblock.spectral import (
+    KSPACE_EDGE_BAND,
+    KSPACE_EDGE_TOL,
+    check_grid,
+    edge_band_ratio,
+    solve,
+)
 
 from conftest import gaussian_state, momentum_density
 
@@ -124,13 +131,89 @@ class TestContainment:
     def test_contained_gaussian(self):
         g = Grid(-20.0, 20.0, 256)
         w = gaussian_state(g)
-        check_containment(w[None, :], g)
+        check_grid(w[None, :], g)
 
     def test_leaking_state_flagged(self):
         g = Grid(-3.0, 3.0, 64)
         w = gaussian_state(g, width=2.0)
         with pytest.raises(ContainmentError):
-            check_containment(w[None, :], g)
+            check_grid(w[None, :], g)
+
+
+class TestGridCheck:
+    # One check of both edges, in an eigensolve and at a propagation step:
+    # when both trip, the edge exceeding its tolerance by the larger factor
+    # names the cause; when one trips, it does.
+
+    def test_larger_excess_names_the_cause(self):
+        # On 16 points over +-4.5 the third level of V = 2 x^2 reaches
+        # both edges: 99.8 times the boundary tolerance, 226 times the
+        # momentum-edge one.  The states come from a dense eigensolve of
+        # the same Hamiltonian, free of solve's checks.
+        grid = Grid(-4.5, 4.5, 16)
+        i = np.arange(grid.n_points)
+        circulant = np.fft.ifft(0.5 * grid.k_values**2).real
+        hamiltonian = circulant[np.subtract.outer(i, i) % grid.n_points]
+        hamiltonian += np.diag(2.0 * grid.x**2)
+        states = np.linalg.eigh(hamiltonian)[1][:, :3].T
+        a = np.abs(states[2])
+        boundary = max(a[0], a[-1]) / a.max() / EDGE_AMPLITUDE_TOL
+        assert boundary == pytest.approx(99.8, abs=0.05)
+        momentum = edge_band_ratio(states, grid)[2] / KSPACE_EDGE_TOL
+        assert momentum == pytest.approx(226.0, abs=0.5)
+
+        with pytest.raises(ResolutionError) as solved:
+            solve(2.0 * grid.x**2, grid, 3)
+        with pytest.raises(ResolutionError) as stepped:
+            check_grid(states, grid, step=1000)
+        for error, step in ((solved.value, None), (stepped.value, 1000)):
+            assert (error.state, error.tol, error.step) == (3, KSPACE_EDGE_TOL, step)
+            assert error.grid == grid
+            assert error.ratio / error.tol == pytest.approx(momentum, rel=1e-9)
+        assert str(solved.value) == (
+            "state 3 has relative momentum-edge amplitude 2.26e-02 (>= 1e-04); "
+            "the grid undersamples it"
+        )
+        assert str(stepped.value) == f"{solved.value} (at step 1000)"
+
+    @pytest.mark.parametrize("step", [None, 7])
+    def test_a_lone_boundary_trip_is_containment(self, step):
+        grid = Grid(-3.0, 3.0, 64)
+        states = np.stack(
+            [gaussian_state(grid, width=0.3), gaussian_state(grid, width=0.45)]
+        )
+        assert np.all(edge_band_ratio(states, grid) < KSPACE_EDGE_TOL)
+        a = np.abs(states[1])
+        with pytest.raises(ContainmentError) as raised:
+            check_grid(states, grid, step)
+        error = raised.value
+        assert (error.state, error.tol, error.step) == (2, EDGE_AMPLITUDE_TOL, step)
+        assert error.grid == grid
+        assert error.ratio == max(a[0], a[-1]) / a.max()
+        suffix = "" if step is None else f" (at step {step})"
+        assert str(error) == (
+            f"state 2 has relative boundary amplitude {error.ratio:.2e} "
+            f"(>= 1e-06); the domain is too small{suffix}"
+        )
+
+    @pytest.mark.parametrize("step", [None, 7])
+    def test_a_lone_momentum_trip_is_resolution(self, step):
+        grid = Grid(-20.0, 20.0, 128)  # k_max = 10
+        states = np.stack([gaussian_state(grid), gaussian_state(grid, momentum=9.0)])
+        a = np.abs(states)
+        boundary = np.maximum(a[:, 0], a[:, -1]) / a.max(axis=1)
+        assert np.all(boundary < EDGE_AMPLITUDE_TOL)
+        with pytest.raises(ResolutionError) as raised:
+            check_grid(states, grid, step)
+        error = raised.value
+        assert (error.state, error.tol, error.step) == (2, KSPACE_EDGE_TOL, step)
+        assert error.grid == grid
+        assert error.ratio == edge_band_ratio(states, grid)[1]
+        suffix = "" if step is None else f" (at step {step})"
+        assert str(error) == (
+            f"state 2 has relative momentum-edge amplitude {error.ratio:.2e} "
+            f"(>= 1e-04); the grid undersamples it{suffix}"
+        )
 
 
 class TestEdgeBand:

@@ -491,6 +491,33 @@ class TestThermalFidelity:
         with pytest.raises(NumericalConsistencyError):
             engine.thermal_fidelity(s, 2, 1, 0.3)
 
+    def test_escalated_curve_projects_with_its_records_energies(self, monkeypatch):
+        # The leaking transport case of test_planner, planned at tau = 0 on
+        # 180 points: the curve's run trips and widens the grid to 360.
+        # The projection reads the ladder of the widened record its
+        # overlaps came from, not the one solved on the grid it replaced
+        # (they differ by up to 3e-11); F agrees to the bit either way, so
+        # the energies are what is checked.
+        s = PotentialSchedule.transport(4.0, x0_f=20.0, lam=1.0)
+        engine = Engine(settings=PropagationSettings(dt=1e-3))
+        engine.plan_levels([s], 1, 1, 0.0)
+        planned = engine.family_grid(s)
+        assert planned.n_points == 180
+        stale = engine.endpoint_bases(s, 1, 1)[1].energies
+        projected = []
+
+        def recorded(energies, *args):
+            projected.append(energies)
+            return thermal.projected_fidelity(energies, *args)
+
+        monkeypatch.setattr(pipeline, "projected_fidelity", recorded)
+        engine.thermal_fidelity_curve(s, 1, 0, [0.01])
+        assert engine.family_grid(s) == planned.widened()
+        (energies,) = projected
+        _, initial, _ = engine.endpoint_bases(s, len(energies), 1)
+        np.testing.assert_array_equal(energies, initial.energies)
+        assert not np.array_equal(energies[:len(stale)], stale)
+
     @staticmethod
     def count_enumerations(monkeypatch):
         calls = []
