@@ -57,11 +57,18 @@ and the schedules of a sweep, go as one batch; a miss of
 the in-order path is a batch of its one run.  A lane evolves its runs on
 one grid as one stack, the rows of one array (``propagate_basis`` with
 ``also``), and a run that trips leaves the stack with its error while
-the others carry on.  A batch only fills the run cache; the in-order
-path then reads its runs there and raises a cached error, which the
-escalation answers with a new record, so each run is evolved at most
-once per grid, and results, escalations and errors do not depend on the
-CPU count.  The thermal curves then run in order in this process.
+the others carry on.  So a lane is priced by what its stacks cost, not by
+the sum of its runs (:func:`_share`): a stack step costs mostly numpy's
+fixed cost per call, so a stack costs a fixed amount for each step of its
+longest run plus an amount for each step of each packed row
+(:func:`~pauliblock.propagate.stack_cost`).  The runs are shared out
+costliest first, each to the lane whose price with it is least; on the
+expansion sweep the longest run evolves alone in this process while the
+others share one stack in a fork.  A batch only fills the run cache;
+the in-order path then reads its runs there and raises a cached error,
+which the escalation answers with a new record, so each run is evolved
+at most once per grid, and results, escalations and errors do not depend
+on the CPU count.  The thermal curves then run in order in this process.
 """
 
 import math
@@ -93,7 +100,7 @@ from .fidelity import (
 from .grid import Grid
 from .planner import ensemble_level_count, plan_grid
 from .potentials import RampShape
-from .propagate import PropagationSettings, propagate_basis
+from .propagate import PropagationSettings, propagate_basis, stack_cost
 from .thermal import (
     DEFAULT_TAIL_BOUND,
     check_tail_bound,
@@ -162,16 +169,22 @@ def default_workers():
     return len(os.sched_getaffinity(0))
 
 
-def _share(costs, n_lanes):
-    """Indices of ``costs`` shared out over ``n_lanes`` lanes, costliest
-    first, each to the first lane with the least cost so far; each lane's
-    indices in ascending order."""
+def _share(runs, n_lanes):
+    """Indices of ``runs``, ``(basis, n_states, schedule, settings)``
+    tuples, shared out over ``n_lanes`` lanes; each lane's indices in
+    ascending order.
+
+    A lane is priced by what its stacks cost
+    (:func:`~pauliblock.propagate.stack_cost`), not by the sum of its runs:
+    it evolves its runs on one grid as one stack, whose steps cost mostly a
+    fixed amount.  The runs go costliest first, as in Graham's
+    longest-first rule, each to the first lane whose price with it is
+    least.
+    """
     lanes = [[] for _ in range(n_lanes)]
-    loads = [0] * n_lanes
-    for index in sorted(range(len(costs)), key=lambda i: -costs[i]):
-        lane = loads.index(min(loads))
-        lanes[lane].append(index)
-        loads[lane] += costs[index]
+    for index in sorted(range(len(runs)), key=lambda i: -stack_cost([runs[i]])):
+        prices = [stack_cost([runs[i] for i in lane + [index]]) for lane in lanes]
+        lanes[prices.index(min(prices))].append(index)
     return [sorted(lane) for lane in lanes]
 
 
@@ -221,8 +234,8 @@ def _in_lanes(tasks):
 
 
 def _propagate_runs(runs):
-    """Evolve each ``(basis, n_states, schedule, dt)`` run, the runs on
-    one grid as one stack: one ``propagate_basis`` call with the others
+    """Evolve each ``(basis, n_states, schedule, settings)`` run, the runs
+    on one grid as one stack: one ``propagate_basis`` call with the others
     ``also``, in the order given.
 
     Returns one entry per run: its evolved states, or the
@@ -233,7 +246,7 @@ def _propagate_runs(runs):
         stacks.setdefault(basis.grid, []).append(index)
     results = [None] * len(runs)
     for indices in stacks.values():
-        stack = [(*runs[i][:3], PropagationSettings(runs[i][3])) for i in indices]
+        stack = [runs[i] for i in indices]
         for index, states in zip(indices, propagate_basis(*stack[0], also=stack[1:])):
             results[index] = states
     return results
@@ -355,23 +368,26 @@ class Engine:
         tuples (:meth:`evolved_states`), in up to :func:`default_workers`
         lanes at once.
 
-        The runs are shared out longest first (steps times targets), each
-        to the lane with the least work so far (:func:`_in_lanes`), and a
-        lane evolves its runs on one grid as one stack
-        (:func:`_propagate_runs`), in the order they were asked for.  Runs
-        of one schedule and dt merge into the one with the most targets;
-        runs of no target and cached runs are skipped.  A run that trips
-        caches its :class:`SimulationError`, which :meth:`evolved_states`
-        raises; a run whose eigensolve raises one or whose lane dies fills
-        nothing, so the in-order path batches it again, alone, and
-        escalates or raises exactly as it would without the batch.
+        A lane (:func:`_in_lanes`) evolves its runs on one grid as one
+        stack (:func:`_propagate_runs`), in the order they were asked for,
+        and a stack costs a fixed amount for each step of its longest run
+        plus an amount for each step of each packed row
+        (:func:`~pauliblock.propagate.stack_cost`).  The runs are shared out
+        costliest first, each to the lane whose price, so counted, is least
+        with it (:func:`_share`).  Runs of one schedule and dt merge into
+        the one with the most targets; runs of no target and cached runs
+        are skipped.  A run that trips caches its :class:`SimulationError`,
+        which :meth:`evolved_states` raises; a run whose eigensolve raises
+        one or whose lane dies fills nothing, so the in-order path batches
+        it again, alone, and escalates or raises exactly as it would
+        without the batch.
         """
         most = {}
         for schedule, dt, n_targets in runs:
             if n_targets:
                 key = (schedule, dt)
                 most[key] = max(n_targets, most.get(key, 0))
-        todo, costs = [], []
+        todo = []
         for key, n_targets in most.items():
             schedule, dt = key
             try:
@@ -379,15 +395,18 @@ class Engine:
             except SimulationError:
                 continue
             if record.lacks(key, n_targets):
-                steps, _ = PropagationSettings(dt).steps_for(schedule.T)
-                run = (record.final, n_targets, schedule.time_reversed(), dt)
+                run = (
+                    record.final, n_targets, schedule.time_reversed(),
+                    PropagationSettings(dt),
+                )
                 todo.append((key, run))
-                costs.append(steps * n_targets)
         if not todo:
             return
         lanes = [
             [todo[i] for i in lane]
-            for lane in _share(costs, min(default_workers(), len(todo)))
+            for lane in _share(
+                [run for _, run in todo], min(default_workers(), len(todo))
+            )
         ]
         evolved = _in_lanes([
             partial(_propagate_runs, [run for _, run in lane]) for lane in lanes
@@ -553,7 +572,8 @@ class Engine:
         ladder (:meth:`_certified_ladder`) and is validated
         (:class:`OverlapMatrix`) first.  The ladder's energies are those of
         the initial levels its overlaps were read from, on the grid the
-        master's run ended on, escalated or not.  The ground configuration
+        master's run ended on, escalated or not, and the certificate reads
+        that ladder too.  The ground configuration
         (:func:`~pauliblock.thermal.enumerate_ensemble` at tau = 0) gives
         its Gram determinant from the master's first N rows: the value at
         tau = 0, and the lower bound of every projected one.  Each
@@ -572,9 +592,9 @@ class Engine:
         if self.family_grid(schedule) is None:
             self.plan_levels([schedule], n_total, n_protected, tau_max, tail_bound)
 
-        n_levels = self._certified_ladder(schedule, n_total, tau_max, tail_bound)
-        matrix, _, initial = self.master_overlaps(
-            schedule, n_levels, n_protected, settings or self.settings
+        matrix, initial = self._certified_ladder(
+            schedule, n_total, n_protected, tau_max, settings or self.settings,
+            tail_bound,
         )
         energies = initial.energies
         ground = enumerate_ensemble(energies, n_total, 0.0)
@@ -607,33 +627,51 @@ class Engine:
             n_levels += LEVEL_MARGIN
         return self._plan(schedules, n_levels, n_targets).n_planned
 
-    def _certified_ladder(self, schedule, n_total, tau, tail_bound):
-        """The number of initial levels a curve of ``n_total`` fermions at
-        ``tau`` reads: ``n_total`` at zero temperature; above it, every
-        level the family was planned for (:meth:`plan_levels` sized it),
-        certified to hold ``n_total`` fermions at ``tau`` to ``tail_bound``
+    def _certified_ladder(
+        self, schedule, n_total, n_protected, tau, settings, tail_bound
+    ):
+        """The master overlaps with the ``n_protected`` targets
+        (:meth:`master_overlaps`) and the initial levels of the ladder a
+        curve of ``n_total`` fermions at ``tau`` reads: ``n_total`` levels
+        at zero temperature; above it, every level the family was planned
+        for (:meth:`plan_levels` sized it), certified to hold ``n_total``
+        fermions at ``tau`` to ``tail_bound``
         (:func:`~pauliblock.thermal.levels_needed` on the solved ladder).
 
-        A family planned for fewer than ``n_total`` levels is planned again
-        for ``n_total``.  A ladder too short for the certificate is planned
-        again, once, as :meth:`plan_levels` plans with a right estimate:
-        for the count the certificate asks plus ``LEVEL_MARGIN``.  If that
-        one falls short too, :class:`NeedsMoreLevelsError` is raised,
-        reporting the count asked.
+        The certificate reads the ladder before the run is evolved, and
+        again the ladder the overlaps were read from, which is another one
+        when the run escalated the grid.  A family planned for fewer than
+        ``n_total`` levels is planned again for ``n_total``.  A ladder too
+        short for the certificate is planned again, once, as
+        :meth:`plan_levels` plans with a right estimate: for the count the
+        certificate asks plus ``LEVEL_MARGIN``.  If that one falls short
+        too, :class:`NeedsMoreLevelsError` is raised, reporting the count
+        asked.
         """
+
+        def required(energies):
+            if tau == 0:
+                return n_total
+            return levels_needed(
+                energies[n_total - 1], n_total, tau, tail_bound,
+                *schedule.harmonic_floor(),
+            )
+
         n_levels = n_total
         for replanned in (False, True):
             energies = self._with_escalation(
                 schedule, n_levels, 0, lambda record: record.initial.energies
             )
-            if tau == 0:
-                return n_total
-            required = levels_needed(
-                energies[n_total - 1], n_total, tau, tail_bound,
-                *schedule.harmonic_floor(),
-            )
-            if required <= len(energies):
-                return len(energies)
+            asked = required(energies)
+            if asked <= len(energies):
+                matrix, _, initial = self.master_overlaps(
+                    schedule, len(energies) if tau else n_total, n_protected,
+                    settings,
+                )
+                energies = initial.energies
+                asked = required(energies)
+                if asked <= len(energies):
+                    return matrix, initial
             if replanned:
-                raise NeedsMoreLevelsError(required, len(energies))
-            n_levels = required + LEVEL_MARGIN
+                raise NeedsMoreLevelsError(asked, len(energies))
+            n_levels = asked + LEVEL_MARGIN

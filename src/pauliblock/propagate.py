@@ -67,6 +67,9 @@ from .spectral import check_grid
 CHECK_INTERVAL = 1000
 # Most steps whose kick phases are built at once (see :func:`_evolve`).
 KICK_BLOCK = 32
+# A stack step's fixed cost, in steps of one packed row (see
+# :func:`stack_cost`).
+STACK_STEP_COST = 2
 
 
 @dataclass(frozen=True)
@@ -256,6 +259,33 @@ def _pack(basis, n_states, schedule):
         return out
 
     return rows, unpack
+
+
+def stack_cost(runs):
+    """What evolving ``runs``, ``(basis, n_states, schedule, settings)``
+    tuples, costs as one stack per grid (``propagate_basis`` with
+    ``also``), in steps of one packed row: per stack, ``STACK_STEP_COST``
+    for every step of its longest run, plus each run's steps times its
+    packed rows (:func:`_pack`).
+
+    A stack step is four numpy calls on the running rows, whose fixed cost
+    per call does not depend on the rows, and each run adds its rows'
+    arithmetic and its kick phases.  A stack of k equal one-row runs took
+    8.1, 10.9, 16.0 and 24.2 µs a step for k = 1, 2, 4 and 7 on the
+    expansion sweep's 320 points (2-vCPU AMD EPYC, numpy 2.4.6): a fit of
+    5.5 µs fixed and 2.7 µs per run, a ratio of 2.05, which sets
+    ``STACK_STEP_COST``.  The ratio falls with the points: the same fit
+    gave 4.3 on 90 points and 1.0 on 800.
+    """
+    stacks = {}
+    for basis, n_states, schedule, settings in runs:
+        steps, _ = settings.steps_for(schedule.T)
+        rows = len(_pack(basis, n_states, schedule)[0])
+        longest, row_steps = stacks.get(basis.grid, (0, 0))
+        stacks[basis.grid] = (max(longest, steps), row_steps + steps * rows)
+    return sum(
+        STACK_STEP_COST * longest + row_steps for longest, row_steps in stacks.values()
+    )
 
 
 def propagate_basis(

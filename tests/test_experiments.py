@@ -30,6 +30,7 @@ from pauliblock.experiments import (
 )
 from pauliblock.pipeline import Engine
 from pauliblock.planner import plan_grid
+from pauliblock.propagate import STACK_STEP_COST, stack_cost
 
 from conftest import count_runs
 
@@ -286,6 +287,96 @@ class TestWorkerCount:
 
         monkeypatch.setattr(pipeline, "propagate_basis", dies_in_workers)
         assert run_sweep(spec).to_csv(None) == serial
+
+
+class TestLaneSplit:
+    """Each lane is priced by what its stacks cost: a fixed amount per step
+    of a stack's longest run plus one per step of each packed row."""
+
+    def lanes(self, monkeypatch):
+        """The (T, dt) of every run of each lane of each batch, recorded as
+        ``_in_lanes`` gets them."""
+        batches = []
+        in_lanes = pipeline._in_lanes
+
+        def recorded(tasks):
+            batches.append([
+                [(schedule.T, settings.dt) for _, _, schedule, settings in task.args[0]]
+                for task in tasks
+            ])
+            return in_lanes(tasks)
+
+        monkeypatch.setattr(pipeline, "_in_lanes", recorded)
+        return batches
+
+    def test_expansion_sweep_evolves_its_longest_run_alone(self, monkeypatch, cpus):
+        # The benchmark's expansion sweep: T = 25 alone in this process;
+        # T = 15, T = 10 and the time-step check's coarse rung stacked in the
+        # other lane.  Priced by steps times targets alone, the two lanes
+        # would tie before the rung, and the rung would join T = 25.
+        cpus(2)
+        batches = self.lanes(monkeypatch)
+        spec = SweepSpec(
+            schedule=PotentialSchedule.expansion(10.0, 0.01, lam=1.0),
+            axis=Axis.PROCESS_TIME,
+            axis_values=(10.0, 15.0, 25.0),
+            n_protected=2,
+            n_buffer=12,
+            settings=PropagationSettings(dt=2e-3),
+        )
+        run_sweep(spec)
+        assert batches == [[[(25.0, 2e-3)], [(10.0, 2e-3), (15.0, 2e-3), (10.0, 4e-3)]]]
+
+    def test_compensation_batch_keeps_its_split(self, monkeypatch, cpus):
+        # The benchmark's compensation report: the curves' run at dt in this
+        # process, the check's rung at 2·dt in the other lane.
+        cpus(2)
+        batches = self.lanes(monkeypatch)
+        spec = SweepSpec(
+            schedule=PotentialSchedule.splitting(2.0, h_f=20.0),
+            axis=Axis.TEMPERATURE,
+            axis_values=(0.0, 0.8, 1.6),
+            n_protected=2,
+            n_buffer=(3, 6),
+            settings=PropagationSettings(dt=2e-3),
+        )
+        temperature_compensation_report(spec)
+        assert batches == [[[(2.0, 2e-3)], [(2.0, 4e-3)]]]
+
+    def test_lane_on_two_grids_is_priced_as_the_sum_of_its_stacks(
+        self, monkeypatch, cpus
+    ):
+        # One-row runs of 1000 and 300 steps on the splitting family's grid
+        # and of 900 on the transport family's.  A lane's price is the sum of
+        # its stacks' prices: 3·1000 for the first run's lane, 3·900 for the
+        # second's.  The 300-step run then adds 300 to the first lane (its
+        # stack there is already as long) against 3·300 to the second, so it
+        # joins the 1000-step run.  Priced as one stack, the second lane with
+        # it would cost 2·900 + 1200 = 3000 < 3300; priced by steps, too,
+        # it would go to the second lane.
+        cpus(2)
+        batches = self.lanes(monkeypatch)
+        split = PotentialSchedule.splitting(1.0, h_f=20.0)
+        transport = PotentialSchedule.transport(0.9, x0_f=1.0)
+        engine = Engine()
+        engine.plan_levels([split, split.with_duration(0.3)], 1, 1, 0.0)
+        engine.plan_levels([transport], 1, 1, 0.0)
+        assert engine.family_grid(split) != engine.family_grid(transport)
+        engine.propagate_batch([
+            (split, 1e-3, 1), (transport, 1e-3, 1), (split.with_duration(0.3), 1e-3, 1)
+        ])
+        assert batches == [[[(1.0, 1e-3), (0.3, 1e-3)], [(0.9, 1e-3)]]]
+        runs = [
+            (
+                engine.endpoint_bases(schedule, 1, 1)[2], 1,
+                schedule.time_reversed(), PropagationSettings(1e-3),
+            )
+            for schedule in (split, split.with_duration(0.3), transport)
+        ]
+        assert stack_cost(runs) == stack_cost(runs[:2]) + stack_cost(runs[2:])
+        assert stack_cost(runs) == (STACK_STEP_COST * 1000 + 1300) + (
+            STACK_STEP_COST * 900 + 900
+        )
 
 
 def assert_no_children_left():

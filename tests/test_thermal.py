@@ -518,6 +518,28 @@ class TestThermalFidelity:
         np.testing.assert_array_equal(energies, initial.energies)
         assert not np.array_equal(energies[:len(stale)], stale)
 
+    def test_escalated_curve_certifies_the_ladder_it_reads(self, monkeypatch):
+        # The same case: the certificate reads the 180-point ladder before
+        # the run, and the widened record's ladder, which the curve then
+        # projects on, after it.
+        s = PotentialSchedule.transport(4.0, x0_f=20.0, lam=1.0)
+        engine = Engine(settings=PropagationSettings(dt=1e-3))
+        engine.plan_levels([s], 1, 1, 0.0)
+        stale = engine.endpoint_bases(s, 1, 1)[1].energies[0]
+        fermi_levels = []
+
+        def recorded(e_fermi, *args):
+            fermi_levels.append(e_fermi)
+            return thermal.levels_needed(e_fermi, *args)
+
+        monkeypatch.setattr(pipeline, "levels_needed", recorded)
+        engine.thermal_fidelity_curve(s, 1, 0, [0.01])
+        assert engine.family_grid(s).n_points == 360
+        widened = engine.endpoint_bases(s, 1, 1)[1].energies[0]
+        assert widened != stale
+        assert fermi_levels[0] == stale
+        assert fermi_levels[-1] == widened
+
     @staticmethod
     def count_enumerations(monkeypatch):
         calls = []
