@@ -45,7 +45,12 @@ class NumericalConsistencyError(ConvergenceError):
 
 
 class NeedsMoreLevelsError(ConvergenceError):
-    """Thermal enumeration ran out of single-particle levels."""
+    """A ladder of single-particle levels is too short: ``required``
+    levels are needed and ``available`` were solved.  A thermal curve
+    raises it when its ladder still fails the truncation certificate after
+    one more planning (:func:`~pauliblock.thermal.levels_needed`);
+    :func:`~pauliblock.thermal.enumerate_ensemble` raises it when it cannot
+    certify an enumeration."""
 
     def __init__(self, required, available, message=None):
         self.required = required

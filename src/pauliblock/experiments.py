@@ -34,7 +34,6 @@ depend on that count).
 """
 
 import enum
-import math
 from dataclasses import astuple, dataclass, field
 
 from .errors import ConfigError
@@ -47,7 +46,7 @@ from .pipeline import Engine, check_counts
 from .potentials import PotentialSchedule, Task
 from .propagate import PropagationSettings
 from .spectral import fermi_gap_profile
-from .thermal import DEFAULT_TAIL_BOUND, check_tail_bound
+from .thermal import DEFAULT_TAIL_BOUND, check_tail_bound, check_temperatures
 
 
 class Axis(enum.Enum):
@@ -87,8 +86,9 @@ class SweepSpec:
             raise ConfigError("axis_values must be ascending")
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError(f"threshold must be in (0, 1), got {self.threshold}")
-        if not 0 <= self.tau < math.inf:
-            raise ConfigError(f"tau must be finite and >= 0, got {self.tau}")
+        check_temperatures([self.tau])
+        if self.axis is Axis.TEMPERATURE:
+            check_temperatures(values)
         check_tail_bound(self.tail_bound)
         # The gap axis has no fermions to count; the others check their
         # fewest before anything is planned.

@@ -9,10 +9,10 @@ final trap, the process fidelity is
 the total probability that a measurement finds the protected subspace
 intact.  :func:`gram_fidelity_values` evaluates ``det(A^dagger A)``,
 equal to the sum of squared minors by the Cauchy-Binet identity, at
-polynomial cost, for many row selections of one master matrix at once:
-the ground configuration of every curve, and the enumerated
-configurations of a thermal ensemble that the tests hold the projected
-thermal average (:func:`~pauliblock.thermal.projected_fidelity`) against.
+polynomial cost, for row selections of one master matrix: the Gram
+matrix of a set of rows is the sum of its rows' per-level products
+(:func:`level_products`), which the projected thermal average
+(:func:`~pauliblock.thermal.projected_fidelity`) weighs by level.
 :func:`fidelity_fast` applies it to all rows of one matrix.  The literal
 subset/permutation sum, exponential in the particle number, is kept with
 the tests as their reference.
@@ -30,11 +30,6 @@ from .errors import ConfigError, NumericalConsistencyError
 
 COLUMN_NORM_TOL = 1e-8
 RANGE_TOL = 1e-10
-# Row sets :func:`gram_fidelity_values` evaluates at once: large enough
-# that numpy's per-call overhead is small, small enough that a block's
-# temporaries (under 1 MB for N_p = 2) stay below a large thermal
-# ensemble's own arrays.
-_GRAM_BLOCK = 8192
 
 
 class OverlapMatrix:
@@ -118,52 +113,32 @@ def fidelity_fast(a):
     return FidelityResult(float(values[0]), a.n_total, a.n_protected, a.n_buffer)
 
 
+def level_products(master):
+    """The per-level products conj(A[m, i]) A[m, j] of the master overlap
+    matrix ``master`` (shape (M, N_p)), of shape (M, N_p, N_p): the Gram
+    matrix of a weighted set of levels is their weighted sum."""
+    return master.conj()[:, :, None] * master[:, None, :]
+
+
 def gram_fidelity_values(master, row_sets):
-    """det(A^dagger A) for many row selections of one master overlap matrix.
+    """det(A^dagger A) for row selections of one master overlap matrix.
 
     ``row_sets`` is an integer array of shape (n_sets, N) of 0-based row
-    indices into ``master`` (shape (M, N_p)), of any integer dtype: a
-    thermal ensemble's compact ``uint8`` indices are never widened as a
-    block, only one slot's column of one block at a time.  Vectorized over
-    the sets, ``_GRAM_BLOCK`` of them at a time, so the temporaries stay
-    the same size however many sets there are, for the thousands of
-    occupation configurations of an enumerated ensemble.  Each Gram matrix
-    is the sum over its rows of the per-level products conj(A[m, i])
-    A[m, j], added slot by slot, so no (n_sets, N, N_p) block is ever
-    gathered, and each set's arithmetic does not depend on the blocking.
-    The determinants are range-checked and clamped (:func:`check_range`):
-    the first set whose determinant is NaN or leaves [0, 1] by more than
-    ``RANGE_TOL`` raises, named by its index in ``row_sets``.
+    indices into ``master`` (shape (M, N_p)), of any integer dtype.  Each
+    Gram matrix is the sum over its rows of the :func:`level_products`,
+    added slot by slot in row order, so no (n_sets, N, N_p) block is ever
+    gathered, and one determinant is taken of each, for every N_p (1 at
+    N_p = 0).  The determinants are range-checked and clamped
+    (:func:`check_range`): the first set whose determinant is NaN or
+    leaves [0, 1] by more than ``RANGE_TOL`` raises, named by its index in
+    ``row_sets``.
     """
     row_sets = np.asarray(row_sets)
-    n_p = master.shape[1]
-    if n_p == 0:
-        return np.ones(len(row_sets))
-    if n_p <= 2:
-        # The real diagonal and, for N_p = 2, the one off-diagonal entry.
-        products = [master[:, i].real ** 2 + master[:, i].imag ** 2 for i in range(n_p)]
-        if n_p == 2:
-            products.append(master[:, 0].conj() * master[:, 1])
-    else:
-        products = [master.conj()[:, :, None] * master[:, None, :]]
-    dets = np.empty(len(row_sets))
-    for start in range(0, len(row_sets), _GRAM_BLOCK):
-        block = row_sets[start : start + _GRAM_BLOCK]
-        # One slot's indices are widened once and gathered from by every
-        # product.
-        rows = block[:, 0].astype(np.intp)
-        grams = [per_level[rows] for per_level in products]
-        for slot in range(1, block.shape[1]):
-            rows = block[:, slot].astype(np.intp)
-            for gram, per_level in zip(grams, products):
-                gram += per_level[rows]
-        if n_p == 1:
-            values = grams[0]
-        elif n_p == 2:
-            g00, g11, g01 = grams
-            values = g00 * g11 - (g01.real**2 + g01.imag**2)
-        else:
-            values = np.linalg.det(grams[0]).real
-        dets[start : start + len(block)] = values
+    products = level_products(master)
+    grams = np.zeros((len(row_sets), *products.shape[1:]), products.dtype)
+    for rows in row_sets.T:
+        grams += products[rows]
+    # A NaN raises in check_range, not as a warning of the LU.
+    with np.errstate(invalid="ignore"):
+        dets = np.linalg.det(grams).real
     return check_range(dets, "det(A^dagger A) of row set")
-

@@ -71,7 +71,6 @@ at most once per grid, and results, escalations and errors do not depend
 on the CPU count.  The thermal curves then run in order in this process.
 """
 
-import math
 import os
 import pickle
 import signal
@@ -104,6 +103,7 @@ from .propagate import PropagationSettings, propagate_basis, stack_cost
 from .thermal import (
     DEFAULT_TAIL_BOUND,
     check_tail_bound,
+    check_temperatures,
     enumerate_ensemble,
     levels_needed,
     projected_fidelity,
@@ -585,8 +585,7 @@ class Engine:
         n_total = n_protected + n_buffer
         if len(taus) == 0:
             raise ConfigError("no temperatures supplied")
-        if not all(0 <= tau < math.inf for tau in taus):
-            raise ConfigError(f"temperatures must be finite and >= 0, got {taus}")
+        check_temperatures(taus)
         check_tail_bound(tail_bound)
         tau_max = max(taus)
         if self.family_grid(schedule) is None:

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NeedsMoreLevelsError, NumericalConsistencyError
-from .fidelity import check_range
+from .fidelity import check_range, level_products
 
 DEFAULT_TAIL_BOUND = 1e-6
 # Newton steps towards the chemical potential of the projection circle.
@@ -176,6 +176,14 @@ def _levels_required(energies, n_particles, e_cut):
     return int(above[0]) + 1
 
 
+def check_temperatures(taus):
+    """Raise :class:`ConfigError` unless every temperature of ``taus`` is
+    finite and >= 0."""
+    for tau in taus:
+        if not 0.0 <= tau < math.inf:
+            raise ConfigError(f"temperatures must be finite and >= 0, got {tau}")
+
+
 def check_tail_bound(tail_bound):
     """Raise :class:`ConfigError` unless 0 < ``tail_bound`` < 1."""
     if not 0.0 < tail_bound < 1.0:
@@ -210,8 +218,7 @@ def enumerate_ensemble(
         reports the required level count.
     """
     energies = np.asarray(energies, dtype=float)
-    if tau < 0:
-        raise ConfigError(f"temperature must be >= 0, got {tau}")
+    check_temperatures([tau])
     if n_particles < 1:
         raise ConfigError("need at least one particle")
     if len(energies) < n_particles:
@@ -344,10 +351,7 @@ def projected_fidelity(energies, overlaps, n_particles, tau, ground):
     # diag(z x_j / (1 + z x_j)): shifted / factors above, 1 / factors below.
     shifted[:, :n_particles] = 1.0
     shifted /= factors
-    n_p = overlaps.shape[1]
-    products = overlaps.conj()[:, :, None] * overlaps[:, None, :]
-    products = products.reshape(n_levels, n_p * n_p)
-    grams = (shifted @ products).reshape(len(turn), n_p, n_p)
+    grams = np.tensordot(shifted, level_products(overlaps), axes=1)
     numerator = np.mean(points * np.linalg.det(grams))
     denominator = np.mean(points)
 

@@ -11,8 +11,9 @@
   determinant det(A^dagger A) that the package evaluates (Cauchy-Binet).
   :func:`verify_against_oracle` holds a fidelity of the package against it.
 * :func:`gram_fidelity_values_unblocked` - the batched Gram determinants
-  in one pass over all row sets, the reference for the blocked
-  :func:`pauliblock.fidelity.gram_fidelity_values`.
+  in closed form for N_p <= 2, the reference for
+  :func:`pauliblock.fidelity.gram_fidelity_values`, which takes an LU for
+  every N_p.
 * :func:`forward_overlaps` and :func:`forward_fidelity` - the overlap
   matrix A[j, i] = <U psi_j|phi_i> with the occupied levels evolved
   forward, and the fidelity read from it: the reference for the package,
@@ -96,8 +97,10 @@ def random_subunitary(n_total, n_protected, rng):
 
 def gram_fidelity_values_unblocked(master, row_sets):
     """det(A^dagger A) for every row set at once, gathering each slot's
-    per-level products for all sets in one pass; same arithmetic per set
-    as :func:`pauliblock.fidelity.gram_fidelity_values`."""
+    per-level products for all sets in one pass: the Gram entries of
+    :func:`pauliblock.fidelity.gram_fidelity_values`, added in the same
+    order, with the determinant in closed form for N_p <= 2 (g00 at
+    N_p = 1, g00 g11 - |g01|^2 at N_p = 2) and by ``np.linalg.det`` above."""
     row_sets = np.asarray(row_sets)
     n_p = master.shape[1]
     if n_p == 0:

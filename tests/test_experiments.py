@@ -68,6 +68,20 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match="tail_bound must be in"):
             split_spec(tail_bound=tail_bound)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(tau=math.nan),
+         dict(axis=Axis.TEMPERATURE, axis_values=(-0.1, 0.3)),
+         dict(axis=Axis.TEMPERATURE, axis_values=(0.0, math.nan)),
+         dict(axis=Axis.TEMPERATURE, axis_values=(0.0, math.inf))],
+        ids=["tau-nan", "axis-negative", "axis-nan", "axis-inf"],
+    )
+    def test_temperatures_checked(self, overrides):
+        # A temperature axis is checked as the spec is made, before any
+        # grid is planned.
+        with pytest.raises(ConfigError, match="temperatures must be finite"):
+            split_spec(**overrides)
+
     def test_buffer_range_helper(self):
         assert split_spec(n_buffer=(0, 4)).buffer_range() == (0, 4)
         assert split_spec(n_buffer=3).buffer_range() == (3, 3)

@@ -103,6 +103,17 @@ class TestEnumeration:
         with pytest.raises(NeedsMoreLevelsError):
             enumerate_ensemble([0.5], 2, 0.1)
 
+    @pytest.mark.parametrize("tau", [-0.1, math.nan, math.inf])
+    def test_temperature_out_of_range(self, tau):
+        # Enumeration and the curve share one check, a ConfigError naming
+        # the temperature, not an error of the cutoff arithmetic.
+        ladder = np.arange(20) + 0.5
+        with pytest.raises(ConfigError, match=f"finite and >= 0, got {tau}"):
+            enumerate_ensemble(ladder, 2, tau)
+        schedule = PotentialSchedule.splitting(1.0, h_f=20.0)
+        with pytest.raises(ConfigError, match=f"finite and >= 0, got {tau}"):
+            Engine().thermal_fidelity_curve(schedule, 2, 2, [0.5, tau])
+
     @pytest.mark.parametrize("tail_bound", [0.0, -1.0, 1.0, math.nan])
     def test_tail_bound_out_of_range(self, tail_bound):
         # Enumeration and the curve share one check; the curve makes it
