@@ -2,7 +2,10 @@
 
 Every error carries an ``exit_code`` used by the command line interface:
 2 for configuration problems, 3 for numerical-convergence failures and
-4 for grid/containment failures.
+4 for grid/containment failures.  Beside its message, an error carries
+structured fields, the keyword arguments it was raised with, as
+attributes: ``ConvergenceError(message, defect=d, tolerance=t).defect``
+is ``d``.
 """
 
 import copyreg
@@ -12,6 +15,10 @@ class SimulationError(Exception):
     """Base class for all package errors."""
 
     exit_code = 1
+
+    def __init__(self, *args, **fields):
+        super().__init__(*args)
+        self.__dict__.update(fields)
 
     def __reduce__(self):
         # Rebuild from the message and the structured fields without calling
@@ -35,9 +42,8 @@ class ConvergenceError(SimulationError):
 class InstabilityError(ConvergenceError):
     """Non-finite amplitudes appeared during time stepping."""
 
-    def __init__(self, step, message=None):
-        self.step = step
-        super().__init__(message or f"non-finite amplitude at step {step}")
+    def __init__(self, step):
+        super().__init__(f"non-finite amplitude at step {step}", step=step)
 
 
 class NumericalConsistencyError(ConvergenceError):
@@ -48,16 +54,14 @@ class NeedsMoreLevelsError(ConvergenceError):
     """A ladder of single-particle levels is too short: ``required``
     levels are needed and ``available`` were solved.  A thermal curve
     raises it when its ladder still fails the truncation certificate after
-    one more planning (:func:`~pauliblock.thermal.levels_needed`);
-    :func:`~pauliblock.thermal.enumerate_ensemble` raises it when it cannot
-    certify an enumeration."""
+    one more planning (:func:`~pauliblock.thermal.levels_needed`), and
+    :func:`~pauliblock.thermal.enumerate_ensemble` when the ladder holds
+    fewer levels than fermions."""
 
-    def __init__(self, required, available, message=None):
-        self.required = required
-        self.available = available
+    def __init__(self, required, available):
         super().__init__(
-            message
-            or f"need at least {required} levels, only {available} available"
+            f"need at least {required} levels, only {available} available",
+            required=required, available=available,
         )
 
 
@@ -70,12 +74,10 @@ class TimeStepError(ConvergenceError):
     """
 
     def __init__(self, dt, change, tolerance):
-        self.dt = dt
-        self.change = change
-        self.tolerance = tolerance
         super().__init__(
             f"time step did not converge to tolerance {tolerance} "
-            f"after halving down to dt={dt}"
+            f"after halving down to dt={dt}",
+            dt=dt, change=change, tolerance=tolerance,
         )
 
 
@@ -88,19 +90,11 @@ class GridError(SimulationError):
 class EdgeAmplitudeError(GridError):
     """A state kept weight at an edge of the grid, in position or momentum.
 
-    ``state`` (1-based), ``ratio`` (edge amplitude relative to the peak),
-    ``tol``, ``step`` (propagation step, None in an eigensolve) and
-    ``grid`` (the lattice the state was checked on) are set by
-    :func:`~pauliblock.spectral.check_grid`, the one check that raises it.
+    :func:`~pauliblock.spectral.check_grid`, the one check that raises it,
+    sets the fields ``state`` (1-based), ``ratio`` (edge amplitude
+    relative to the peak), ``tol``, ``step`` (propagation step, None in an
+    eigensolve) and ``grid`` (the lattice the state was checked on).
     """
-
-    def __init__(self, message, state=None, ratio=None, tol=None, step=None, grid=None):
-        self.state = state
-        self.ratio = ratio
-        self.tol = tol
-        self.step = step
-        self.grid = grid
-        super().__init__(message)
 
 
 class ContainmentError(EdgeAmplitudeError):

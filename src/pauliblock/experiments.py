@@ -90,11 +90,20 @@ class SweepSpec:
         if self.axis is Axis.TEMPERATURE:
             check_temperatures(values)
         check_tail_bound(self.tail_bound)
-        # The gap axis has no fermions to count; the others check their
-        # fewest before anything is planned.
-        if self.axis is Axis.BUFFER_COUNT:
+        # Checked before anything is planned: the gap axis's particle
+        # numbers, and its trap, the t = 0 trap of an expansion (an
+        # ``omega_i`` of transport or splitting is another trap's); the
+        # other axes' fewest fermions.
+        if self.axis is Axis.PARTICLE_NUMBER_GAP:
+            _counts(values, "particle numbers for the gap sweep", 1)
+            if self.schedule.task is not Task.EXPANSION:
+                raise ConfigError(
+                    "the particle_number_gap axis takes expansion schedules "
+                    f"only, not {self.schedule.task.value}"
+                )
+        elif self.axis is Axis.BUFFER_COUNT:
             check_counts(self.n_protected, min(_counts(values, "buffer counts", 0)))
-        elif self.axis is not Axis.PARTICLE_NUMBER_GAP:
+        else:
             check_counts(self.n_protected, self.buffer_range()[0])
 
     def buffer_range(self):

@@ -38,7 +38,11 @@ class OverlapMatrix:
     Rows correspond to the evolved states of the N occupied levels,
     columns to the N_p protected target states.  Since both families are
     orthonormal, every column norm and every singular value must stay at
-    or below one.
+    or below one.  A matrix that breaks this, or holds a non-finite
+    entry, raises :class:`NumericalConsistencyError` naming the ``value``,
+    its ``index`` (an entry's (row, column), a column, or 0 for the
+    largest singular value) and the ``tolerance`` above one (None for a
+    non-finite entry).
     """
 
     def __init__(self, entries):
@@ -64,18 +68,22 @@ class OverlapMatrix:
         if not finite.all():
             row, col = np.argwhere(~finite)[0]
             raise NumericalConsistencyError(
-                f"overlap A[{row}, {col}] = {self.entries[row, col]} is not finite"
+                f"overlap A[{row}, {col}] = {self.entries[row, col]} is not finite",
+                value=complex(self.entries[row, col]), index=(int(row), int(col)),
+                tolerance=None,
             )
         col_norms = np.linalg.norm(self.entries, axis=0)
         if (col_norms > 1.0 + COLUMN_NORM_TOL).any():
             worst = int(np.argmax(col_norms))
             raise NumericalConsistencyError(
-                f"column {worst} norm {col_norms[worst]:.12f} exceeds 1"
+                f"column {worst} norm {col_norms[worst]:.12f} exceeds 1",
+                value=float(col_norms[worst]), index=worst, tolerance=COLUMN_NORM_TOL,
             )
         svals = np.linalg.svd(self.entries, compute_uv=False)
         if (svals > 1.0 + COLUMN_NORM_TOL).any():
             raise NumericalConsistencyError(
-                f"largest singular value {svals.max():.12f} exceeds 1"
+                f"largest singular value {svals.max():.12f} exceeds 1",
+                value=float(svals.max()), index=0, tolerance=COLUMN_NORM_TOL,
             )
 
 
@@ -94,14 +102,17 @@ def check_range(values, what):
     """``values``, a number or an array, clamped to [0, 1].  Before the
     clamp, the first value that is NaN or leaves [0, 1] by more than
     ``RANGE_TOL`` raises :class:`NumericalConsistencyError`, named ``what``
-    (and its index, in an array)."""
+    (and its index, in an array), with the fields ``value``, ``index``
+    (None for a number) and ``tolerance`` (``RANGE_TOL``)."""
     values = np.asarray(values, dtype=float)
     outside = ~((-RANGE_TOL <= values) & (values <= 1.0 + RANGE_TOL))
     if outside.any():
         worst = int(np.argmax(outside))
-        at = f" {worst}" if values.ndim else ""
+        index = worst if values.ndim else None
+        at = "" if index is None else f" {index}"
         raise NumericalConsistencyError(
-            f"{what}{at} = {values.flat[worst]} outside [-{RANGE_TOL}, 1 + {RANGE_TOL}]"
+            f"{what}{at} = {values.flat[worst]} outside [-{RANGE_TOL}, 1 + {RANGE_TOL}]",
+            value=float(values.flat[worst]), index=index, tolerance=RANGE_TOL,
         )
     return np.clip(values, 0.0, 1.0)
 

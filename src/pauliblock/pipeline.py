@@ -104,6 +104,11 @@ from .thermal import (
     DEFAULT_TAIL_BOUND,
     check_tail_bound,
     check_temperatures,
+    # Called once per curve for its ground configuration, through this
+    # name: perfbench/spans.py wraps it and reads the returned ``.size`` as
+    # ``thermal.configs``, perfbench/workloads.py lists it as a layer of
+    # ``thermal_split_comp`` and ``smoke``, and two traced CI steps count
+    # its calls.
     enumerate_ensemble,
     levels_needed,
     projected_fidelity,
@@ -574,9 +579,9 @@ class Engine:
         the initial levels its overlaps were read from, on the grid the
         master's run ended on, escalated or not, and the certificate reads
         that ladder too.  The ground configuration
-        (:func:`~pauliblock.thermal.enumerate_ensemble` at tau = 0) gives
-        its Gram determinant from the master's first N rows: the value at
-        tau = 0, and the lower bound of every projected one.  Each
+        (:func:`~pauliblock.thermal.enumerate_ensemble`) gives its Gram
+        determinant from the master's first N rows: the value at tau = 0,
+        and the lower bound of every projected one.  Each
         temperature above zero is projected on its own
         (:func:`~pauliblock.thermal.projected_fidelity`), so a curve's
         value is the one a call at that temperature alone gives.
@@ -596,7 +601,7 @@ class Engine:
             tail_bound,
         )
         energies = initial.energies
-        ground = enumerate_ensemble(energies, n_total, 0.0)
+        ground = enumerate_ensemble(energies, n_total)
         master = OverlapMatrix(matrix).entries
         ground_value = float(gram_fidelity_values(master, ground.levels - 1)[0])
         return [

@@ -70,6 +70,9 @@ KICK_BLOCK = 32
 # A stack step's fixed cost, in steps of one packed row (see
 # :func:`stack_cost`).
 STACK_STEP_COST = 2
+# Largest entry of |G - 1| allowed for the Gram matrix G of the evolved
+# states (:func:`propagate_basis`).
+GRAM_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -296,7 +299,8 @@ def propagate_basis(
     Returns the final amplitudes as an array of shape (n_states, n_points).
     On a symmetric trap and grid, states of opposite parity share rows
     (see the module docstring).  Unitarity is verified: the Gram matrix of
-    the outputs must match the identity to 1e-6.
+    the outputs must match the identity to ``GRAM_TOL``, else the run's
+    :class:`ConvergenceError` names the ``defect`` and the ``tolerance``.
 
     ``also`` holds more ``(basis, n_states, schedule, settings)`` runs on
     the same grid, evolved in the same array (:func:`_evolve`); each run's
@@ -325,9 +329,10 @@ def propagate_basis(
             continue
         gram = np.conj(final) @ final.T * grid.dx
         defect = np.max(np.abs(gram - np.eye(len(final))))
-        if defect >= 1e-6:
+        if defect >= GRAM_TOL:
             finals[index] = ConvergenceError(
-                f"propagated states lost orthonormality (Gram defect {defect:.2e})"
+                f"propagated states lost orthonormality (Gram defect {defect:.2e})",
+                defect=float(defect), tolerance=GRAM_TOL,
             )
     if also is None and isinstance(finals[0], SimulationError):
         raise finals[0]

@@ -53,6 +53,14 @@ CLIP_SAFETY = 1e-2
 # symmetric grid mirrors itself only to a few ulps of its largest value.
 SYMMETRY_TOL = 1e-12
 
+# Most points an eigensolve takes.  The dense solve's peak memory grows as
+# the square of the points: its resident set rose by 19, 62 and 233 MB on
+# 1,024, 2,048 and 4,096 points for a symmetric trap (about 15 bytes per
+# point squared), and by 45, 168 and 654 MB for an asymmetric one (about
+# 41), on a 2-vCPU Intel Xeon.  So 8,192 points take about 1 and 2.7 GB,
+# where the largest grid the tests and the benchmark solve on has 2,048.
+MAX_SOLVE_POINTS = 8192
+
 
 @dataclass
 class EigenBasis:
@@ -142,7 +150,7 @@ def check_grid(states, grid, step=None):
         message = f"state {state} has relative " + text.format(ratio, tol)
         if step is not None:
             message += f" (at step {step})"
-        raise error(message, state, ratio, tol, step, grid)
+        raise error(message, state=state, ratio=ratio, tol=tol, step=step, grid=grid)
 
 
 def holds_states(n_points, n_states):
@@ -171,7 +179,8 @@ def solve(potential, grid, n_states):
     grid : Grid
     n_states : int
         Number of eigenpairs, must stay below ``n_points/4``
-        (:func:`holds_states`).
+        (:func:`holds_states`).  A grid of more than ``MAX_SOLVE_POINTS``
+        raises :class:`ConfigError` before any matrix is built.
 
     Returns
     -------
@@ -182,6 +191,12 @@ def solve(potential, grid, n_states):
         raise ConfigError(
             f"n_states={n_states} outside the safe range [1, {n // 4}) "
             f"for a grid of {n} points"
+        )
+    if n > MAX_SOLVE_POINTS:
+        raise ConfigError(
+            f"{n_states} levels on {n} points: an eigensolve takes at most "
+            f"{MAX_SOLVE_POINTS} points",
+            n_points=n, cap=MAX_SOLVE_POINTS,
         )
     potential = np.asarray(potential, dtype=float)
     if potential.shape != (n,):
@@ -205,7 +220,8 @@ def solve(potential, grid, n_states):
     if energies[-1] > CLIP_SAFETY * POTENTIAL_CLIP:
         raise ConvergenceError(
             f"requested states reach E={energies[-1]:.3e}, too close to the "
-            f"potential cap {POTENTIAL_CLIP:.0e}"
+            f"potential cap {POTENTIAL_CLIP:.0e}",
+            energy=float(energies[-1]), cap=POTENTIAL_CLIP,
         )
     states = _fix_phases(states / np.sqrt(grid.dx))
 
@@ -258,7 +274,8 @@ def _solve_blocks(c, potential, grid, n_states):
 
 def residual_check(potential, grid, energies, states):
     """Verify ||H phi - E phi|| < RESIDUAL_TOL * max(|E|, 1) for every
-    state."""
+    state; the :class:`ConvergenceError` names the worst ``state``
+    (1-based), its ``residual`` and its ``bound``."""
     resid = hamiltonian_apply(potential, grid, states) - energies[:, None] * states
     norms = np.sqrt(np.sum(np.abs(resid) ** 2, axis=1) * grid.dx)
     bounds = RESIDUAL_TOL * np.maximum(np.abs(energies), 1.0)
@@ -266,7 +283,8 @@ def residual_check(potential, grid, energies, states):
     if norms[worst] >= bounds[worst]:
         raise ConvergenceError(
             f"eigenstate {worst + 1} residual {norms[worst]:.2e} exceeds "
-            f"{bounds[worst]:.2e}"
+            f"{bounds[worst]:.2e}",
+            state=worst + 1, residual=float(norms[worst]), bound=float(bounds[worst]),
         )
 
 

@@ -30,19 +30,12 @@ fermions, keeps that sum well conditioned.  A temperature costs a few
 after M levels, and the omitted levels' total occupation, which bounds
 the error of F, is certified below ``tail_bound`` in closed form.
 
-**Enumeration** (:func:`enumerate_ensemble`).  The configurations can
-also be listed, below an excitation cutoff grown until the omitted
-Boltzmann weight is negligible: the tests' reference for the projection,
-and, at ``tau = 0``, the one ground configuration every curve reads.  An
-ensemble is held as arrays: ``levels`` (K, N) of 1-based level indices in
-the smallest unsigned dtype that holds the ladder's length
-(:func:`level_dtype`), and ``excitations`` (K,) as floats, rows in
-lexicographic order.  The enumerator grows all prefixes one slot at a
-time, finding each prefix's run of admissible next levels with one
-``np.searchsorted`` per slot, so the rows come out in lexicographic order
-without a sort; it adds each excitation and bound up left to right and
-cuts on those sums, so the same cutoff always selects the same rows with
-the same floats.
+**The ground configuration** (:func:`enumerate_ensemble`), levels 1..N,
+is the whole ensemble at ``tau = 0``: its fidelity is the curve's value
+there and the lower bound each projected coefficient is checked against.
+No configuration above it is listed; the tests hold the projection
+against an enumeration of every configuration, kept with them as their
+reference.
 """
 
 import math
@@ -66,13 +59,12 @@ PROJECTION_ROUNDING = 8
 
 @dataclass
 class ThermalEnsemble:
-    """Truncated canonical ensemble over occupation configurations.
+    """Canonical ensemble over occupation configurations.
 
     ``levels`` (K, N) holds each configuration's 1-based, strictly
-    increasing level indices, in the :func:`level_dtype` of the ladder
-    the ensemble was enumerated from (``uint8`` up to 255 levels), and
-    ``excitations`` (K,) its excitation energy; rows are in lexicographic
-    order of ``levels``, as the sort-free enumerator lays them out.
+    increasing level indices, ``excitations`` (K,) its excitation energy
+    and ``weights`` (K,) its probability; ``e_cut`` is the excitation
+    cutoff the configurations were listed below.
     """
 
     tau: float
@@ -84,96 +76,6 @@ class ThermalEnsemble:
     @property
     def size(self):
         return len(self.excitations)
-
-    @property
-    def m_max(self):
-        """Highest occupied level of any configuration."""
-        return int(self.levels[:, -1].max())
-
-
-def level_dtype(n_levels):
-    """Smallest unsigned dtype that holds the 1-based levels of a ladder of
-    ``n_levels``: ``uint8`` up to 255 levels, ``uint16`` up to 65535."""
-    return np.min_scalar_type(n_levels)
-
-
-def _enumerate_below(energies, n_particles, e_cut):
-    """All increasing n-tuples of levels with excitation <= e_cut.
-
-    Returns ``(levels, excitations)``: 1-based levels (K, N) of dtype
-    :func:`level_dtype` in lexicographic order and their excitations (K,).
-    Placing level v at slot j costs E_v - E_j, and the cheapest completion
-    of the remaining slots uses consecutive levels, so a prefix's bound
-    with level v next is its excitation plus ``cheapest[v]``, the cost of
-    v in this slot and of its cheapest completion; that is monotone in v
-    (energies ascend), so the children of a prefix are a leading run of
-    its candidate levels.  The frontier of prefixes grows one slot at a
-    time: one ``np.searchsorted`` over ``cheapest`` finds each prefix's
-    run, with a slack above the cutoff for the rounding of that sum, and
-    its children are that run, laid out after the children of the
-    prefixes before it, so they come out in lexicographic order without a
-    sort.  Each child's
-    excitation and bound is then added up left to right in slot order, as
-    the cut is defined, and the children whose bound exceeds the cutoff
-    (only those the slack admitted) are dropped.  So an excitation equals
-    the left-to-right sum over its tuple and the bound of a prefix equals
-    the excitation of its cheapest completion: the cut is exact in
-    floating point, and a lower cutoff selects a subset of the same rows.
-    """
-    m_available = len(energies)
-    dtype = level_dtype(m_available)
-    # A bound and its searchsorted estimate add the same n_particles + 1
-    # or fewer non-negative terms in two orders; for a kept child their
-    # sums are within the cutoff, so each rounds by a few ulps of it.
-    slack = 4 * (n_particles + 1) * np.finfo(float).eps * (abs(e_cut) + 1.0)
-    chosen = np.zeros((1, 0), dtype=dtype)  # 0-based levels of each prefix
-    excitations = np.zeros(1)
-    for slot in range(n_particles):
-        stop = m_available - (n_particles - slot - 1)
-        # costs[r][v]: level v + r in slot slot + r, r = 0 the placed one.
-        costs = [
-            energies[r : stop + r] - energies[slot + r]
-            for r in range(n_particles - slot)
-        ]
-        cheapest = costs[0].copy()
-        for cost in costs[1:]:
-            cheapest += cost
-        if slot:
-            start = chosen[:, -1].astype(np.intp) + 1
-        else:
-            start = np.zeros(1, dtype=np.intp)
-        end = np.searchsorted(cheapest, e_cut + slack - excitations, side="right")
-        counts = np.maximum(end - start, 0)
-        # Child i of the run that begins at row ``first`` of the new frontier
-        # takes level start + (i - first).
-        first = np.cumsum(counts) - counts
-        level = np.arange(int(counts.sum()))
-        level += np.repeat(start - first, counts)
-        excitations = np.repeat(excitations, counts) + costs[0][level]
-        bound = excitations
-        for cost in costs[1:]:
-            bound = bound + cost[level]
-        grown = np.empty((len(level), slot + 1), dtype=dtype)
-        grown[:, :slot] = np.repeat(chosen, counts, axis=0)
-        grown[:, slot] = level
-        kept = bound <= e_cut
-        if not kept.all():
-            grown, excitations = grown[kept], excitations[kept]
-        chosen = grown
-    chosen += 1
-    return chosen, excitations
-
-
-def _levels_required(energies, n_particles, e_cut):
-    """Smallest level count proving no level beyond it can appear."""
-    e_fermi = energies[n_particles - 1]
-    above = np.nonzero(energies - e_fermi > e_cut)[0]
-    if len(above) == 0:
-        # Extrapolate with the last observed gap to give a useful estimate.
-        last_gap = max(energies[-1] - energies[-2], 1e-12)
-        missing = (e_cut - (energies[-1] - e_fermi)) / last_gap
-        return len(energies) + int(math.ceil(missing)) + 1
-    return int(above[0]) + 1
 
 
 def check_temperatures(taus):
@@ -190,66 +92,24 @@ def check_tail_bound(tail_bound):
         raise ConfigError(f"tail_bound must be in (0, 1), got {tail_bound}")
 
 
-def enumerate_ensemble(
-    energies, n_particles, tau, tail_bound=DEFAULT_TAIL_BOUND, complete_ladder=False
-):
-    """Truncated canonical ensemble of ``n_particles`` fermions.
+def enumerate_ensemble(energies, n_particles):
+    """The zero-temperature ensemble of ``n_particles`` fermions on the
+    ascending ladder ``energies``: the ground configuration, levels 1..N,
+    alone, with weight 1.
 
-    Parameters
-    ----------
-    energies : ascending array of single-particle energies (1-based levels)
-    n_particles : int
-    tau : float
-        Temperature in hbar*omega_i/k_B; ``tau = 0`` gives the single
-        ground configuration.
-    tail_bound : float
-        Target bound on the omitted Boltzmann weight.  The excitation
-        cutoff grows shell by shell until the newest shell carries less
-        than half this fraction of the total weight.
-    complete_ladder : bool
-        Treat ``energies`` as the entire spectrum (a hard cap) instead of
-        the low end of an infinite one; no truncation certificate is
-        demanded then.
-
-    Raises
-    ------
-    NeedsMoreLevelsError
-        If ``energies`` is too short to certify the truncation; the error
-        reports the required level count.
+    Raises :class:`ConfigError` for fewer than one particle or energies
+    that descend, and :class:`NeedsMoreLevelsError` for a ladder of fewer
+    than ``n_particles`` levels.
     """
     energies = np.asarray(energies, dtype=float)
-    check_temperatures([tau])
     if n_particles < 1:
         raise ConfigError("need at least one particle")
     if len(energies) < n_particles:
         raise NeedsMoreLevelsError(n_particles, len(energies))
     if (np.diff(energies) < 0).any():
         raise ConfigError("energies must be ascending")
-    if tau == 0.0:
-        levels = np.arange(1, n_particles + 1, dtype=level_dtype(len(energies)))
-        return ThermalEnsemble(0.0, levels[None, :], np.zeros(1), np.array([1.0]), 0.0)
-
-    check_tail_bound(tail_bound)
-    e_cut = tau * math.log(1.0 / tail_bound)
-    shell = max(tau * math.log(100.0), 1e-3)
-    z_here = None
-    while True:
-        e_next = e_cut + shell
-        if not complete_ladder:
-            required = _levels_required(energies, n_particles, e_next)
-            if required > len(energies):
-                raise NeedsMoreLevelsError(required, len(energies))
-        levels, excitations = _enumerate_below(energies, n_particles, e_next)
-        terms = np.exp(-excitations / tau)
-        z = float(np.sum(terms))
-        if z_here is None:
-            z_here = float(np.sum(terms[excitations <= e_cut]))
-        e_cut = e_next
-        if z - z_here <= 0.5 * tail_bound * z:
-            return ThermalEnsemble(tau, levels, excitations, terms / z, e_cut)
-        z_here = z
-        # Free this shell's arrays before the next, larger one is built.
-        del levels, excitations, terms
+    levels = np.arange(1, n_particles + 1)[None, :]
+    return ThermalEnsemble(0.0, levels, np.zeros(1), np.ones(1), 0.0)
 
 
 def levels_needed(e_fermi, n_particles, tau, tail_bound, omega, shift):
@@ -361,15 +221,18 @@ def projected_fidelity(energies, overlaps, n_particles, tau, ground):
     where = f"at tau = {tau} on {n_levels} levels"
     if not denominator.real >= w0 - slack:
         raise NumericalConsistencyError(
-            f"projected weight {denominator.real} below the ground term {w0} {where}"
+            f"projected weight {denominator.real} below the ground term {w0} {where}",
+            tau=tau, value=float(denominator.real), bound=w0 - slack,
         )
     if not numerator.real >= ground * w0 - slack:
         raise NumericalConsistencyError(
             f"projected fidelity weight {numerator.real} below the ground term "
-            f"{ground * w0} {where}"
+            f"{ground * w0} {where}",
+            tau=tau, value=float(numerator.real), bound=ground * w0 - slack,
         )
     if not abs(ratio.imag) <= 2.0 * slack / denominator.real:
         raise NumericalConsistencyError(
-            f"projected fidelity {ratio} has an imaginary part {where}"
+            f"projected fidelity {ratio} has an imaginary part {where}",
+            tau=tau, value=float(ratio.imag), bound=2.0 * slack / denominator.real,
         )
     return float(check_range(ratio.real, f"projected fidelity ({where})"))

@@ -20,7 +20,6 @@ from pauliblock import (
     PropagationSettings,
     RampShape,
     SweepSpec,
-    enumerate_ensemble,
     fermi_gap_profile,
     fidelity_fast,
     min_buffer_search,
@@ -30,7 +29,7 @@ from pauliblock import (
     temperature_compensation_report,
 )
 
-from reference import fidelity_oracle, random_subunitary
+from reference import enumerate_ensemble, fidelity_oracle, random_subunitary
 
 SETTINGS = PropagationSettings(dt=2e-3)
 

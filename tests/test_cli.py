@@ -151,6 +151,21 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "trap",
+        ["task = splitting\nh_f = 20\n", "task = transport\nx0f = 5\nomega_i = 2\n"],
+        ids=["splitting", "transport"],
+    )
+    def test_gap_axis_of_another_task_returns_2(self, tmp_path, capsys, trap):
+        # The gap axis profiles an expansion's initial trap; a splitting or
+        # transport file printed the unit harmonic trap's gaps.
+        cfg = tmp_path / "gap.cfg"
+        cfg.write_text(trap + "axis = particle_number_gap\naxis_values = 1, 2\n")
+        assert main(["sweep", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "expansion schedules only" in captured.err
+
     @pytest.mark.parametrize("lam", ["nan", "inf"])
     def test_bad_gap_anharmonicity_returns_2(self, capsys, lam):
         assert main(["gap", "--lambdas", lam, "--n-max", "2"]) == 2
@@ -504,6 +519,33 @@ class TestStartup:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout == "[]\n"
+
+
+class TestGridCap:
+    def test_hot_split_returns_2(self):
+        # At tau = 1e3 the curve plans 22,115 levels on 90,000 points, where
+        # one eigensolve would take about 100 GB: the cap refuses it before
+        # any matrix is built.  The address space is capped at 4 GB, so a
+        # solve past a missing guard fails here with a MemoryError (exit 1)
+        # instead of exhausting the machine.
+        resource = pytest.importorskip("resource")
+        src = Path(pauliblock.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        limit = 4 * 2**30
+        result = subprocess.run(
+            [sys.executable, "-m", "pauliblock.cli", "split", "--T", "0.5",
+             "--n-buffer", "2", "--tau", "1e3", "--dt", "0.01"],
+            env=env, capture_output=True, text=True, timeout=600,
+            preexec_fn=lambda: resource.setrlimit(
+                resource.RLIMIT_AS, (limit, limit)
+            ),
+        )
+        assert result.returncode == 2, result.stderr
+        assert result.stdout == ""
+        assert result.stderr == (
+            "error: 22115 levels on 90000 points: an eigensolve takes at most "
+            "8192 points\n"
+        )
 
 
 class TestNumpyOnly:

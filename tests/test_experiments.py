@@ -540,6 +540,22 @@ class TestGapSweep:
         first = lines[1].split(",")
         assert first[0] == "1" and float(first[1]) == 1.0
 
+    @pytest.mark.parametrize(
+        "schedule",
+        [PotentialSchedule.splitting(1.0, h_f=20.0),
+         PotentialSchedule.transport(1.0, x0_f=5.0, omega=2.0)],
+        ids=["splitting", "transport"],
+    )
+    def test_other_tasks_rejected(self, schedule):
+        # The profile is of an expansion's t = 0 trap; the frequency of a
+        # transport or splitting trap is another trap's.
+        with pytest.raises(ConfigError, match="expansion schedules only"):
+            SweepSpec(
+                schedule=schedule,
+                axis=Axis.PARTICLE_NUMBER_GAP,
+                axis_values=(1, 2),
+            )
+
 
 class TestMinBufferSearch:
     def test_monotone_and_consistent(self, shared_engine):

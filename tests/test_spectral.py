@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from pauliblock import (
     fermi_gap_profile,
     solve,
 )
+from pauliblock import spectral
 from pauliblock.planner import plan_grid
 from pauliblock.spectral import (
     GAP_GRID,
@@ -231,6 +234,30 @@ class TestGridConvergence:
         g = Grid(-10.0, 10.0, 64)
         with pytest.raises(ConfigError):
             solve(0.5 * g.x**2, g, 16)  # 16 == n/4 is out of range
+
+    def test_grid_above_the_cap_raises_before_any_matrix(self, monkeypatch):
+        # The cap lowered to 1,024 points, so that a solve past a missing
+        # guard stays small.  Stated before measuring: the guard reads the
+        # point count alone, so the traced peak stays under 100 kB, where
+        # the dense Hamiltonian of these 2,048 points takes 33 MB.
+        monkeypatch.setattr(spectral, "MAX_SOLVE_POINTS", 1024)
+        g = Grid(-10.0, 10.0, 2048)
+        potential = 0.5 * g.x**2 + 0.1 * g.x
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError) as raised:
+                solve(potential, g, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e3
+        assert str(raised.value) == (
+            "10 levels on 2048 points: an eigensolve takes at most 1024 points"
+        )
+        assert (raised.value.n_points, raised.value.cap) == (2048, 1024)
+        # At the cap the solve runs.
+        g = Grid(-10.0, 10.0, 1024)
+        assert solve(0.5 * g.x**2, g, 10).size == 10
 
 
 def reference_case(name):

@@ -16,7 +16,6 @@ from pauliblock import (
     PotentialSchedule,
     PropagationSettings,
     SweepSpec,
-    enumerate_ensemble,
     temperature_compensation_report,
 )
 from pauliblock import pipeline, thermal
@@ -24,12 +23,9 @@ from pauliblock.config import load_spec
 from pauliblock.fidelity import gram_fidelity_values
 from pauliblock.pipeline import Engine
 from pauliblock.planner import ensemble_level_count, plan_grid
-from pauliblock.thermal import (
-    DEFAULT_TAIL_BOUND,
-    _enumerate_below,
-    levels_needed,
-    projected_fidelity,
-)
+from pauliblock.thermal import DEFAULT_TAIL_BOUND, levels_needed, projected_fidelity
+
+from reference import _enumerate_below, enumerate_ensemble
 
 
 class TestEnumeration:
@@ -88,7 +84,6 @@ class TestEnumeration:
             assert excitation >= 0.0
             assert excitation <= ens.e_cut
             assert (excitation == 0.0) == (levels == [1, 2, 3, 4])
-        assert ens.m_max == max(levels[-1] for levels in ens.levels.tolist())
 
     def test_short_ladder_reports_requirement(self):
         with pytest.raises(NeedsMoreLevelsError) as exc_info:
@@ -228,7 +223,7 @@ class TestEnumeration:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert (ensemble.size, ensemble.m_max) == (126301, 52)
+        assert (ensemble.size, int(ensemble.levels[:, -1].max())) == (126301, 52)
         assert peak < 10e6
 
     def test_configurations_on_the_cutoff_are_kept(self):
@@ -241,6 +236,29 @@ class TestEnumeration:
             row for row, _ in expected
         ]
         assert excitations.tolist() == [excitation for _, excitation in expected]
+
+
+class TestGroundConfiguration:
+    # The package lists the ground configuration alone: the reference's
+    # ensemble at zero temperature.
+
+    def test_matches_the_reference_at_zero_temperature(self):
+        energies = np.arange(10) + 0.5
+        ground = thermal.enumerate_ensemble(energies, 3)
+        expected = enumerate_ensemble(energies, 3, 0.0)
+        assert (ground.size, ground.tau, ground.e_cut) == (1, 0.0, 0.0)
+        assert ground.levels.tolist() == expected.levels.tolist() == [[1, 2, 3]]
+        assert ground.excitations.tolist() == expected.excitations.tolist()
+        assert ground.weights.tolist() == expected.weights.tolist() == [1.0]
+
+    def test_input_validation(self):
+        with pytest.raises(ConfigError, match="at least one particle"):
+            thermal.enumerate_ensemble([0.5, 1.5], 0)
+        with pytest.raises(ConfigError, match="ascending"):
+            thermal.enumerate_ensemble([1.5, 0.5], 1)
+        with pytest.raises(NeedsMoreLevelsError) as raised:
+            thermal.enumerate_ensemble([0.5], 2)
+        assert (raised.value.required, raised.value.available) == (2, 1)
 
 
 def isometry_overlaps(rng, n_levels, n_protected):
@@ -462,7 +480,7 @@ class TestThermalFidelity:
             initial.energies, 4, 0.6, tail_bound=1e-15, complete_ladder=True
         )
         matrix, _, _ = split_engine.master_overlaps(
-            s, ensemble.m_max, 2, split_engine.settings
+            s, int(ensemble.levels[:, -1].max()), 2, split_engine.settings
         )
         per_config = gram_fidelity_values(matrix, ensemble.levels - 1)
         assert (per_config >= 0.0).all() and (per_config <= 1.0).all()
@@ -555,9 +573,10 @@ class TestThermalFidelity:
     def count_enumerations(monkeypatch):
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(args[2])
-            return enumerate_ensemble(*args, **kwargs)
+        def counted(*args):
+            ensemble = thermal.enumerate_ensemble(*args)
+            calls.append(ensemble.size)
+            return ensemble
 
         monkeypatch.setattr(pipeline, "enumerate_ensemble", counted)
         return calls
@@ -579,7 +598,7 @@ class TestThermalFidelity:
         calls = self.count_enumerations(monkeypatch)
         for taus in ([0.0, 0.2, 0.4, 0.6], [0.3, 0.5]):
             split_engine.thermal_fidelity_curve(self.schedule(), 2, 2, taus)
-        assert calls == [0.0, 0.0]
+        assert calls == [1, 1]
 
     def test_report_searches_levels_once(self, monkeypatch, cpus):
         # The report plans the family for the level estimate of its hottest
@@ -597,7 +616,7 @@ class TestThermalFidelity:
             check_dt=False,
         )
         temperature_compensation_report(spec, engine=Engine())
-        assert calls == [0.0] * 4
+        assert calls == [1] * 4
         assert len(plans) == 1
 
     def test_report_estimates_levels_once(self, monkeypatch, cpus):
