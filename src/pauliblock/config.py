@@ -146,18 +146,19 @@ def _axis_values(raw):
 
 
 def _buffer_value(raw, key):
+    """``N_b``'s count, or its range ``lo..hi`` as a pair; each a whole
+    number, which may be written as a float (``2.0``), as ``_as_int``
+    reads one."""
     text = raw[key]
-    if ".." in text:
-        lo_text, _, hi_text = text.partition("..")
-        try:
-            lo, hi = int(lo_text), int(hi_text)
-        except ValueError:
-            raise ConfigError(f"cannot parse N_b range {text!r}")
-        return (lo, hi)
+    kind = "range" if ".." in text else "value"
     try:
-        return int(text)
+        values = [float(v) for v in text.split("..")]
+        if len(values) > 2 or not all(v.is_integer() for v in values):
+            raise ValueError(text)
     except ValueError:
-        raise ConfigError(f"cannot parse N_b value {text!r}")
+        raise ConfigError(f"cannot parse N_b {kind} {text!r}")
+    values = tuple(int(v) for v in values)
+    return values if kind == "range" else values[0]
 
 
 def _schedule_from(raw, axis, axis_values):

@@ -34,8 +34,10 @@ Every fidelity is a point of a thermal curve
 into every fidelity: zero temperature is the ground configuration's
 det(A^dagger A), read off the master's first N rows; above it, each
 temperature is projected onto N fermions over the planned ladder
-(:func:`~pauliblock.thermal.projected_fidelity`), which a closed-form
-occupation bound certifies first.  Each value is range-checked once
+(:func:`~pauliblock.thermal.projected_fidelity`).  A closed-form
+occupation bound certifies that ladder once, on the energies of the levels
+the overlaps were read from; a ladder it finds short is planned again,
+once, and read again.  Each value is range-checked once
 (:func:`~pauliblock.fidelity.check_range`).  A curve runs at the dt it
 is handed.  The time-step check belongs to the method that plans the
 runs of a set of curves (:meth:`Engine.validated_settings`), which every
@@ -574,11 +576,17 @@ class Engine:
         it for its largest system, so its curves make no estimate of their
         own.  The master overlap matrix, read from the N_p targets evolved
         backward (:meth:`master_overlaps`), has one row per level of the
-        ladder (:meth:`_certified_ladder`) and is validated
-        (:class:`OverlapMatrix`) first.  The ladder's energies are those of
-        the initial levels its overlaps were read from, on the grid the
-        master's run ended on, escalated or not, and the certificate reads
-        that ladder too.  The ground configuration
+        ladder and is validated (:class:`OverlapMatrix`) first.  At
+        tau = 0 the ladder is the N lowest levels.  Above it, the ladder is
+        every level the family was planned for, and the truncation
+        certificate (:func:`~pauliblock.thermal.levels_needed`) reads it
+        once, after the run: its energies are those of the initial levels
+        the overlaps were read from, on the grid the run ended on, escalated
+        or not.  A ladder shorter than the certificate asks is planned
+        again, once, as :meth:`plan_levels` plans with a right estimate:
+        for the count asked plus ``LEVEL_MARGIN``; the run is read again.
+        If that ladder falls short too, :class:`NeedsMoreLevelsError` is
+        raised, reporting the count asked.  The ground configuration
         (:func:`~pauliblock.thermal.enumerate_ensemble`) gives its Gram
         determinant from the master's first N rows: the value at tau = 0,
         and the lower bound of every projected one.  Each
@@ -596,11 +604,25 @@ class Engine:
         if self.family_grid(schedule) is None:
             self.plan_levels([schedule], n_total, n_protected, tau_max, tail_bound)
 
-        matrix, initial = self._certified_ladder(
-            schedule, n_total, n_protected, tau_max, settings or self.settings,
-            tail_bound,
-        )
-        energies = initial.energies
+        n_levels = n_total
+        if tau_max > 0:
+            n_levels = max(n_total, self._families[_family(schedule)].n_planned)
+        for replanned in (False, True):
+            matrix, _, initial = self.master_overlaps(
+                schedule, n_levels, n_protected, settings or self.settings
+            )
+            energies = initial.energies
+            if tau_max == 0:
+                break
+            asked = levels_needed(
+                energies[n_total - 1], n_total, tau_max, tail_bound,
+                *schedule.harmonic_floor(),
+            )
+            if asked <= len(energies):
+                break
+            if replanned:
+                raise NeedsMoreLevelsError(asked, len(energies))
+            n_levels = asked + LEVEL_MARGIN
         ground = enumerate_ensemble(energies, n_total)
         master = OverlapMatrix(matrix).entries
         ground_value = float(gram_fidelity_values(master, ground.levels - 1)[0])
@@ -630,52 +652,3 @@ class Engine:
             n_levels = ensemble_level_count(schedules[0], n_total, tau, tail_bound)
             n_levels += LEVEL_MARGIN
         return self._plan(schedules, n_levels, n_targets).n_planned
-
-    def _certified_ladder(
-        self, schedule, n_total, n_protected, tau, settings, tail_bound
-    ):
-        """The master overlaps with the ``n_protected`` targets
-        (:meth:`master_overlaps`) and the initial levels of the ladder a
-        curve of ``n_total`` fermions at ``tau`` reads: ``n_total`` levels
-        at zero temperature; above it, every level the family was planned
-        for (:meth:`plan_levels` sized it), certified to hold ``n_total``
-        fermions at ``tau`` to ``tail_bound``
-        (:func:`~pauliblock.thermal.levels_needed` on the solved ladder).
-
-        The certificate reads the ladder before the run is evolved, and
-        again the ladder the overlaps were read from, which is another one
-        when the run escalated the grid.  A family planned for fewer than
-        ``n_total`` levels is planned again for ``n_total``.  A ladder too
-        short for the certificate is planned again, once, as
-        :meth:`plan_levels` plans with a right estimate: for the count the
-        certificate asks plus ``LEVEL_MARGIN``.  If that one falls short
-        too, :class:`NeedsMoreLevelsError` is raised, reporting the count
-        asked.
-        """
-
-        def required(energies):
-            if tau == 0:
-                return n_total
-            return levels_needed(
-                energies[n_total - 1], n_total, tau, tail_bound,
-                *schedule.harmonic_floor(),
-            )
-
-        n_levels = n_total
-        for replanned in (False, True):
-            energies = self._with_escalation(
-                schedule, n_levels, 0, lambda record: record.initial.energies
-            )
-            asked = required(energies)
-            if asked <= len(energies):
-                matrix, _, initial = self.master_overlaps(
-                    schedule, len(energies) if tau else n_total, n_protected,
-                    settings,
-                )
-                energies = initial.energies
-                asked = required(energies)
-                if asked <= len(energies):
-                    return matrix, initial
-            if replanned:
-                raise NeedsMoreLevelsError(asked, len(energies))
-            n_levels = asked + LEVEL_MARGIN

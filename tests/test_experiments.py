@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import re
 import time
 from dataclasses import replace
 
@@ -781,6 +782,38 @@ threshold = 0.9
             "axis_values = 0, 0.5\nN_b = 0..6\n"
         )
         assert build_spec(raw).n_buffer == (0, 6)
+
+    @pytest.mark.parametrize(
+        "text, n_buffer",
+        [("2", 2), ("2.0", 2), ("1e1", 10), ("1..2.0", (1, 2)), ("1.0..4", (1, 4))],
+    )
+    def test_whole_number_buffer_values(self, text, n_buffer):
+        # N_b reads a whole number written as a float, as N_p does.
+        raw = parse_config_text(
+            "task = splitting\nT = 1\nh_f = 20\naxis = temperature\n"
+            f"axis_values = 0, 0.5\nN_b = {text}\n"
+        )
+        assert build_spec(raw).n_buffer == n_buffer
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("two", "cannot parse N_b value 'two'"),
+            ("2.5", "cannot parse N_b value '2.5'"),
+            ("inf", "cannot parse N_b value 'inf'"),
+            ("1..x", "cannot parse N_b range '1..x'"),
+            ("1..2.5", "cannot parse N_b range '1..2.5'"),
+            ("1..2..3", "cannot parse N_b range '1..2..3'"),
+            ("..3", "cannot parse N_b range '..3'"),
+        ],
+    )
+    def test_bad_buffer_values(self, text, message):
+        raw = parse_config_text(
+            "task = splitting\nT = 1\nh_f = 20\naxis = temperature\n"
+            f"axis_values = 0, 0.5\nN_b = {text}\n"
+        )
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            build_spec(raw)
 
     def test_bad_number(self):
         with pytest.raises(ConfigError):

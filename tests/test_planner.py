@@ -13,16 +13,18 @@ from pauliblock import (
     propagate_basis,
     solve,
 )
-from pauliblock import pipeline
+from pauliblock import pipeline, planner
 from pauliblock.errors import ContainmentError
 from pauliblock.pipeline import Engine
 from pauliblock.planner import (
+    FLOW_STEPS,
     K_SAFETY,
     MARGIN_ACTION,
     _bottom,
     _ceiling,
     _endpoint_trap,
     _tail_momentum,
+    flow_reach,
     plan_grid,
     plan_reach,
 )
@@ -214,6 +216,34 @@ class TestPlanGrid:
         schedule = CASES["splitting"][0]
         small, large = plan_grid([schedule], 8, 2), plan_grid([schedule], 52, 2)
         assert large.x_max > small.x_max and large.dx < small.dx
+
+    def test_one_pass_flow_matches_lone_flows(self, monkeypatch):
+        # The family plan_reach flows for expansion T = 10, 25 and 50 (14
+        # levels, 2 targets): one pass of FLOW_STEPS steps, from which
+        # T = 50, whose steps are the longest, leaves for a pass with twice
+        # the steps.  Each triple is its schedule's lone flow, and T = 50's
+        # is a lone flow with FLOW_STEPS doubled from the start, bit for bit.
+        schedules = [
+            PotentialSchedule.expansion(t, omega_f=0.01, lam=1.0)
+            for t in (10.0, 25.0, 50.0)
+        ]
+        flows = []
+
+        def recorded(*args):
+            flows.append(args)
+            return flow_reach(*args)
+
+        monkeypatch.setattr(planner, "flow_reach", recorded)
+        plan_reach(schedules, 14, 2)
+        ((flowed, trap, shell),) = flows
+        assert list(flowed) == schedules
+        together = flow_reach(schedules, trap, shell)
+        assert together == [flow_reach([s], trap, shell)[0] for s in schedules]
+        monkeypatch.setattr(planner, "FLOW_STEPS", 2 * FLOW_STEPS)
+        assert together[2] == flow_reach(schedules[2:], trap, shell)[0]
+        # The doubled flow is another flow: T = 10 does not restart, and
+        # its triple moves.
+        assert together[0] != flow_reach(schedules[:1], trap, shell)[0]
 
 
 class TestGridDoubling:

@@ -23,6 +23,7 @@ from pauliblock.config import load_spec
 from pauliblock.fidelity import gram_fidelity_values
 from pauliblock.pipeline import Engine
 from pauliblock.planner import ensemble_level_count, plan_grid
+from pauliblock.propagate import propagate_basis
 from pauliblock.thermal import DEFAULT_TAIL_BOUND, levels_needed, projected_fidelity
 
 from reference import _enumerate_below, enumerate_ensemble
@@ -548,9 +549,9 @@ class TestThermalFidelity:
         assert not np.array_equal(energies[:len(stale)], stale)
 
     def test_escalated_curve_certifies_the_ladder_it_reads(self, monkeypatch):
-        # The same case: the certificate reads the 180-point ladder before
-        # the run, and the widened record's ladder, which the curve then
-        # projects on, after it.
+        # The same case: the certificate reads one ladder, once: the
+        # widened record's, which the curve then projects on, not the
+        # 180-point one the run started on.
         s = PotentialSchedule.transport(4.0, x0_f=20.0, lam=1.0)
         engine = Engine(settings=PropagationSettings(dt=1e-3))
         engine.plan_levels([s], 1, 1, 0.0)
@@ -566,8 +567,22 @@ class TestThermalFidelity:
         assert engine.family_grid(s).n_points == 360
         widened = engine.endpoint_bases(s, 1, 1)[1].energies[0]
         assert widened != stale
-        assert fermi_levels[0] == stale
-        assert fermi_levels[-1] == widened
+        assert fermi_levels == [widened]
+
+    @pytest.mark.parametrize("taus, reads", [([0.0], 0), ([0.0, 0.3, 0.6], 1)])
+    def test_curve_certifies_its_ladder_once(self, monkeypatch, taus, reads):
+        # A curve whose planned ladder holds reads the certificate once
+        # above zero temperature, and never at zero.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return levels_needed(*args)
+
+        monkeypatch.setattr(pipeline, "levels_needed", counted)
+        engine = Engine(settings=PropagationSettings(dt=2e-3))
+        engine.thermal_fidelity_curve(self.schedule(), 2, 2, taus)
+        assert len(calls) == reads
 
     @staticmethod
     def count_enumerations(monkeypatch):
@@ -688,19 +703,36 @@ class TestThermalFidelity:
 
     def test_short_level_estimate_falls_back(self, monkeypatch):
         # An estimate that falls short is caught by the certificate on the
-        # solved ladder, which plans the family again, once, as a right
-        # estimate plans it, so the curve gives what a right estimate gives.
+        # ladder the run was read from, which plans the family again, once,
+        # as a right estimate plans it, and reads the run again, so the
+        # curve gives what a right estimate gives.  The short ladder's run
+        # is evolved first: two runs and two certificate reads.
         s = self.schedule()
         taus = [0.3, 0.6]
         settings = PropagationSettings(dt=2e-3)
         sized = Engine(settings=settings).thermal_fidelity_curve(s, 2, 2, taus)
         plans = self.count_plans(monkeypatch)
+        runs, reads = [], []
+
+        def run(*args, **kwargs):
+            runs.append(args[0].grid)
+            return propagate_basis(*args, **kwargs)
+
+        def read(*args):
+            reads.append(args)
+            return levels_needed(*args)
+
+        monkeypatch.setattr(pipeline, "propagate_basis", run)
+        monkeypatch.setattr(pipeline, "levels_needed", read)
         monkeypatch.setattr(
             pipeline, "ensemble_level_count", lambda schedule, n, *args: n + 1
         )
-        short = Engine(settings=settings).thermal_fidelity_curve(s, 2, 2, taus)
+        engine = Engine(settings=settings)
+        short = engine.thermal_fidelity_curve(s, 2, 2, taus)
         need = ensemble_level_count(s, 4, 0.6, DEFAULT_TAIL_BOUND)
         assert plans == [4 + 1 + pipeline.LEVEL_MARGIN, need + pipeline.LEVEL_MARGIN]
+        assert len(runs) == 2 and runs[-1] == engine.family_grid(s)
+        assert len(reads) == 2
         np.testing.assert_allclose(short, sized, rtol=0, atol=1e-10)
 
     def test_short_ladder_after_planning_again_raises(self, monkeypatch):
