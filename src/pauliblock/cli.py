@@ -5,37 +5,51 @@ printed to stdout), ``sweep`` and ``minbuffer`` (config file in, CSV out),
 ``gap`` (Fermi-gap profile CSV).  Exit codes: 0 success, 2 configuration
 error, 3 numerical-convergence failure, 4 grid/containment failure.
 
-A scenario command is a one-point process-time sweep (:func:`run_sweep`).
-Its trap options come from :data:`~pauliblock.config.TRAP_PARAMETERS`,
-and only T and the driven parameter's final value have a preset here: an
-option left out is not passed on, so the schedule factories,
-:class:`SweepSpec` and :class:`PropagationSettings` supply its default.
+A scenario command is a one-point process-time sweep file: its options
+are read as that file's ``key = value`` pairs
+(:func:`~pauliblock.config.build_spec`), each stored under its config key
+as the text given, and the sweep is run (:func:`run_sweep`).  The trap
+options come from :data:`~pauliblock.config.TRAP_PARAMETERS`, and only T
+and the driven parameter's final value have a preset here: an option
+left out is not passed on, so the schedule factories, :class:`SweepSpec`
+and :class:`PropagationSettings` supply its default.
 """
 
 import argparse
+import dataclasses
 import sys
 
-from .config import TRAP_PARAMETERS, load_spec, make_schedule, number_list
+from .config import TRAP_PARAMETERS, build_spec, load_spec, number_list
 from .errors import SimulationError
 from .experiments import (
-    Axis,
     GapSweepResult,
-    SweepSpec,
     min_buffer_search,
     run_sweep,
     temperature_compensation_report,
     write_text,
 )
-from .potentials import RampShape, Task
-from .propagate import PropagationSettings
+from .potentials import Task
 from .spectral import fermi_gap_profile
 
-# Each scenario command's task, with its presets of T and the final value.
+# Each scenario command's task, with its presets of T and the final value
+# as a config file writes them.
 _SCENARIOS = {
-    "expand": (Task.EXPANSION, 25.0, 0.01),
-    "transport": (Task.TRANSPORT, 11.5, 90.0),
-    "split": (Task.SPLITTING, 2.0, 20.0),
+    "expand": (Task.EXPANSION, "25", "0.01"),
+    "transport": (Task.TRANSPORT, "11.5", "90"),
+    "split": (Task.SPLITTING, "2", "20"),
 }
+
+# The scenario options besides T and the trap's, as (flag, config key, help).
+_OPTIONS = (
+    ("--shape", "shape", "ramp shape, linear or sinusoidal, in any case"),
+    ("--n-protected", "N_p", "protected particles N_p (default 2)"),
+    ("--n-buffer", "N_b", "buffer particles N_b (default 0)"),
+    ("--tau", "tau", "temperature in hbar*omega/k_B (default 0)"),
+    ("--tail-bound", "tail_bound", None),
+    ("--dt", "dt", None),
+    ("--n-points", "n_points", "grid point count on the planned domain (even; "
+                               "default: planned from the energy range)"),
+)
 
 
 def _add_scenario_parser(sub, command):
@@ -44,25 +58,16 @@ def _add_scenario_parser(sub, command):
         command, help=f"trap {task.value} scenario",
         argument_default=argparse.SUPPRESS,
     )
-    parser.add_argument("--T", type=float)
-    for _, flag, keyword in TRAP_PARAMETERS[task]:
+    parser.add_argument("--T")
+    for key, flag, _ in TRAP_PARAMETERS[task]:
         if flag is not None:
-            parser.add_argument(flag, dest=keyword, type=float)
-    parser.set_defaults(T=T, **{TRAP_PARAMETERS[task][0][2]: final})
-    parser.add_argument("--shape", choices=[s.value for s in RampShape])
-    parser.add_argument("--n-protected", type=int,
-                        help="protected particles N_p (default 2)")
-    parser.add_argument("--n-buffer", type=int,
-                        help="buffer particles N_b (default 0)")
-    parser.add_argument("--tau", type=float,
-                        help="temperature in hbar*omega/k_B (default 0)")
-    parser.add_argument("--tail-bound", type=float)
-    parser.add_argument("--dt", type=float)
-    parser.add_argument("--n-points", type=int,
-                        help="grid point count on the planned domain (even; "
-                             "default: planned from the energy range)")
+            parser.add_argument(flag, dest=key)
+    for flag, key, text in _OPTIONS:
+        parser.add_argument(flag, dest=key, help=text)
     parser.add_argument("--skip-dt-check", dest="check_dt", action="store_false",
                         help="skip the automatic time-step halving check")
+    parser.set_defaults(task=task.value, axis="process_time", T=T,
+                        **{TRAP_PARAMETERS[task][0][0]: final})
 
 
 def build_parser():
@@ -95,15 +100,10 @@ def build_parser():
 
 
 def _run_scenario(args):
-    options = dict(vars(args))
-    task = _SCENARIOS[options.pop("command")][0]
-    T = options.pop("T")
-    trap = {k: options.pop(k) for _, _, k in TRAP_PARAMETERS[task] if k in options}
-    if "shape" in options:
-        trap["shape"] = RampShape(options.pop("shape"))
-    if "dt" in options:
-        options["settings"] = PropagationSettings(dt=options.pop("dt"))
-    spec = SweepSpec(make_schedule(task, T, **trap), Axis.PROCESS_TIME, (T,), **options)
+    raw = dict(vars(args), axis_values=args.T)
+    del raw["command"]
+    check_dt = raw.pop("check_dt", True)  # a run option, not a config key
+    spec = dataclasses.replace(build_spec(raw), check_dt=check_dt)
     print(repr(run_sweep(spec).rows[0].fidelity))
     return 0
 

@@ -20,7 +20,9 @@ evaluated (:mod:`pauliblock.experiments`).
 
 :data:`TRAP_PARAMETERS` lists each task's trap parameters once, for the
 config keys here and for the scenario commands' options in
-:mod:`pauliblock.cli`.
+:mod:`pauliblock.cli`.  A scenario command is read by :func:`build_spec`
+too: its options are the keys of a one-point process-time file, each
+given as text.
 """
 
 import math
@@ -58,12 +60,6 @@ _FACTORIES = {
     Task.TRANSPORT: PotentialSchedule.transport,
     Task.SPLITTING: PotentialSchedule.splitting,
 }
-
-
-def make_schedule(task, T, **parameters):
-    """``task``'s schedule of duration ``T`` from the factory keywords of
-    :data:`TRAP_PARAMETERS` (and ``shape``) that are set."""
-    return _FACTORIES[task](T, **parameters)
 
 
 _TRAP_KEYS = {key for rows in TRAP_PARAMETERS.values() for key, _, _ in rows}
@@ -185,7 +181,7 @@ def _schedule_from(raw, axis, axis_values):
     for i, (key, _, keyword) in enumerate(own):
         if i == 0 or key in raw:  # the final value is required
             parameters[keyword] = _as_float(raw, key)
-    return make_schedule(task, duration, **parameters)
+    return _FACTORIES[task](duration, **parameters)
 
 
 def build_spec(raw):

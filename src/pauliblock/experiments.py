@@ -42,7 +42,7 @@ from .fidelity import (
     # is missing, until an in-program trace replaces the patched names.
     fidelity_fast,
 )
-from .pipeline import Engine, check_counts
+from .pipeline import Engine, check_counts, whole_counts
 from .potentials import PotentialSchedule, Task
 from .propagate import PropagationSettings
 from .spectral import fermi_gap_profile
@@ -95,16 +95,19 @@ class SweepSpec:
         # ``omega_i`` of transport or splitting is another trap's); the
         # other axes' fewest fermions.
         if self.axis is Axis.PARTICLE_NUMBER_GAP:
-            _counts(values, "particle numbers for the gap sweep", 1)
+            whole_counts(values, "particle numbers for the gap sweep", 1)
             if self.schedule.task is not Task.EXPANSION:
                 raise ConfigError(
                     "the particle_number_gap axis takes expansion schedules "
                     f"only, not {self.schedule.task.value}"
                 )
-        elif self.axis is Axis.BUFFER_COUNT:
-            check_counts(self.n_protected, min(_counts(values, "buffer counts", 0)))
         else:
-            check_counts(self.n_protected, self.buffer_range()[0])
+            if self.axis is Axis.BUFFER_COUNT:
+                fewest = min(whole_counts(values, "buffer counts", 0))
+            else:
+                fewest = self.buffer_range()[0]
+            n_protected, _ = check_counts(self.n_protected, fewest)
+            object.__setattr__(self, "n_protected", n_protected)
 
     def buffer_range(self):
         """(lo, hi) inclusive buffer range from ``n_buffer``, whole numbers."""
@@ -112,7 +115,7 @@ class SweepSpec:
             bounds = self.n_buffer
         else:
             bounds = (self.n_buffer, self.n_buffer)
-        lo, hi = _counts(bounds, "buffer counts", 0)
+        lo, hi = whole_counts(bounds, "buffer counts", 0)
         if hi < lo:
             raise ConfigError(f"invalid buffer range {self.n_buffer}")
         return lo, hi
@@ -231,7 +234,7 @@ def _evaluate(spec, engine):
     elif spec.axis is Axis.TEMPERATURE:
         taus = [float(t) for t in spec.axis_values]
     if spec.axis is Axis.BUFFER_COUNT:
-        buffers = _counts(spec.axis_values, "buffer counts", 0)
+        buffers = whole_counts(spec.axis_values, "buffer counts", 0)
     else:
         lo, hi = spec.buffer_range()
         buffers = range(lo, hi + 1)
@@ -306,17 +309,8 @@ def run_sweep(spec, engine=None):
     return SweepResult(spec, rows)
 
 
-def _counts(values, what, least):
-    """``values`` as ints, each a finite whole number >= ``least`` (not a
-    bool)."""
-    for value in values:
-        if isinstance(value, bool) or not float(value).is_integer() or value < least:
-            raise ConfigError(f"{what} must be integers >= {least}, got {value}")
-    return [int(value) for value in values]
-
-
 def _run_gap_sweep(spec):
-    n_values = _counts(spec.axis_values, "particle numbers for the gap sweep", 1)
+    n_values = whole_counts(spec.axis_values, "particle numbers for the gap sweep", 1)
     lam = spec.schedule.lam
     profile = dict(fermi_gap_profile(lam, max(n_values), spec.schedule.omega_i))
     return GapSweepResult([(n, lam, profile[n]) for n in n_values])

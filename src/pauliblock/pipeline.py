@@ -259,14 +259,24 @@ def _propagate_runs(runs):
     return results
 
 
+def whole_counts(values, what, least):
+    """``values`` as ints, each a finite whole number >= ``least`` (not a
+    bool), which may be written as a float (``2.0``)."""
+    for value in values:
+        if isinstance(value, bool) or not float(value).is_integer() or value < least:
+            raise ConfigError(f"{what} must be integers >= {least}, got {value}")
+    return [int(value) for value in values]
+
+
 def check_counts(n_protected, n_buffer):
-    """Raise :class:`ConfigError` unless N_p and N_b are >= 0 with at
-    least one fermion."""
+    """N_p and N_b as ints; :class:`ConfigError` unless each is a whole
+    number (:func:`whole_counts`) >= 0, with at least one fermion."""
     if n_protected < 0 or n_buffer < 0 or n_protected + n_buffer < 1:
         raise ConfigError(
             f"invalid particle counts N_p={n_protected}, N_b={n_buffer}; "
             "need N_p >= 0, N_b >= 0 and N_p + N_b >= 1"
         )
+    return whole_counts((n_protected, n_buffer), "particle counts", 0)
 
 
 class Engine:
@@ -552,6 +562,7 @@ class Engine:
         settings=None,
         tail_bound=DEFAULT_TAIL_BOUND,
     ):
+        n_protected, n_buffer = check_counts(n_protected, n_buffer)
         values = self.thermal_fidelity_curve(
             schedule, n_protected, n_buffer, [tau], settings, tail_bound=tail_bound
         )
@@ -594,7 +605,7 @@ class Engine:
         (:func:`~pauliblock.thermal.projected_fidelity`), so a curve's
         value is the one a call at that temperature alone gives.
         """
-        check_counts(n_protected, n_buffer)
+        n_protected, n_buffer = check_counts(n_protected, n_buffer)
         n_total = n_protected + n_buffer
         if len(taus) == 0:
             raise ConfigError("no temperatures supplied")

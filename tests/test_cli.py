@@ -10,6 +10,7 @@ import pytest
 import pauliblock
 from pauliblock import cli, pipeline
 from pauliblock.cli import main
+from pauliblock.config import TRAP_PARAMETERS, parse_config_text
 from pauliblock.errors import (
     ConfigError,
     ContainmentError,
@@ -18,7 +19,7 @@ from pauliblock.errors import (
     SimulationError,
 )
 from pauliblock.experiments import Axis, SweepSpec
-from pauliblock.potentials import PotentialSchedule, RampShape
+from pauliblock.potentials import PotentialSchedule, RampShape, Task
 from pauliblock.propagate import PropagationSettings
 
 CONFIGS = Path(__file__).parents[1] / "perfbench" / "configs"
@@ -371,9 +372,9 @@ class TestScenarioCommands:
     @pytest.mark.parametrize(
         "argv, name",
         [
-            (["expand", "--anharmonicity", "nan"], "lam"),
+            (["expand", "--anharmonicity", "nan"], "lambda"),
             (["split", "--h-f", "inf"], "h_f"),
-            (["transport", "--x0-f", "nan"], "x0_f"),
+            (["transport", "--x0-f", "nan"], "x0f"),
             (["expand", "--omega-f", "inf"], "omega_f"),
         ],
     )
@@ -381,7 +382,7 @@ class TestScenarioCommands:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: {name} must be finite")
+        assert captured.err.startswith(f"error: key {name!r} must be a finite number")
 
 
 class TestOnePath:
@@ -440,6 +441,61 @@ class TestOnePath:
             tau=0.2, tail_bound=1e-5, settings=PropagationSettings(0.002),
             n_points=64, check_dt=False,
         )]
+
+    @pytest.mark.parametrize(
+        "command, task",
+        [("expand", Task.EXPANSION), ("transport", Task.TRANSPORT),
+         ("split", Task.SPLITTING)],
+    )
+    def test_every_option_is_kept_as_text_under_its_config_key(self, command, task):
+        # The parser converts and checks nothing: the config reader does.
+        flags = ["--T", "--shape", "--n-protected", "--n-buffer", "--tau",
+                 "--tail-bound", "--dt", "--n-points"]
+        flags += [flag for _, flag, _ in TRAP_PARAMETERS[task] if flag is not None]
+        args = vars(cli.build_parser().parse_args(
+            [command, *(text for flag in flags for text in (flag, "7.5"))]
+        ))
+        assert args.pop("command") == command
+        assert {args.pop("task"), args.pop("axis")} == {task.value, "process_time"}
+        assert len(args) == len(flags) and set(args.values()) == {"7.5"}
+        lines = "".join(f"{key} = {text}\n" for key, text in args.items())
+        assert parse_config_text(lines) == args
+
+    def test_whole_numbers_may_be_written_as_floats(self, monkeypatch, capsys):
+        # As in a sweep file: N_p, N_b and n_points take 2.0 for 2, and a
+        # shape is named in any case.
+        specs = []
+
+        def recorded(spec):
+            specs.append(spec)
+            return SimpleNamespace(rows=[SimpleNamespace(fidelity=0.25)])
+
+        monkeypatch.setattr(cli, "run_sweep", recorded)
+        for counts, shape in ((["1.0", "256.0", "2.0"], "SINUSOIDAL"),
+                              (["1", "256", "2"], "sinusoidal")):
+            options = dict(zip(["--n-buffer", "--n-points", "--n-protected"], counts))
+            argv = ["split", "--T", "0.5", "--shape", shape, "--dt", "0.01"]
+            assert main(argv + [v for item in options.items() for v in item]) == 0
+        assert capsys.readouterr().out == "0.25\n0.25\n"
+        assert specs[0] == specs[1]
+        assert [type(v) for v in (specs[0].n_buffer, specs[0].n_points,
+                                  specs[0].n_protected)] == [int, int, int]
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [(["--n-buffer", "0..2"], "a process-time sweep needs a single N_b value"),
+         (["--n-buffer", "1.5"], "cannot parse N_b value '1.5'"),
+         (["--n-points", "256.5"], "key 'n_points' must be an integer, got '256.5'"),
+         (["--shape", "cubic"], "unknown shape 'cubic'; expected one of "
+          "['linear', 'sinusoidal']"),
+         (["--T", "0.5,1"], "key 'T': cannot parse '0.5,1' as a number")],
+        ids=["range", "fraction", "odd-fraction", "shape", "list"],
+    )
+    def test_refused_as_in_a_process_time_file(self, capsys, options, message):
+        assert main(["split", *options]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 class TestGapCommand:

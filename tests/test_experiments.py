@@ -100,6 +100,28 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match=named):
             split_spec(n_buffer=n_buffer).buffer_range()
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(n_protected=2.5), dict(n_protected=True),
+         dict(axis=Axis.PROCESS_TIME, axis_values=(1.0,), n_protected=2.5),
+         dict(axis=Axis.PROCESS_TIME, axis_values=(1.0,), n_protected=True)],
+        ids=["buffer-axis-fraction", "buffer-axis-bool", "fraction", "bool"],
+    )
+    def test_protected_count_must_be_whole(self, overrides):
+        # Refused as the spec is made, before any grid is planned, as a
+        # config file's N_p = 2.5 is.
+        with pytest.raises(ConfigError, match="particle counts must be integers"):
+            split_spec(**overrides)
+
+    def test_whole_number_float_counts_give_the_bytes_of_ints(self):
+        spec = split_spec(
+            schedule=PotentialSchedule.splitting(0.5, h_f=20.0), axis_values=(1,),
+            n_points=256, settings=PropagationSettings(dt=0.01),
+        )
+        floats = replace(spec, n_protected=2.0)
+        assert floats.n_protected == 2 and type(floats.n_protected) is int
+        assert run_sweep(floats).to_csv(None) == run_sweep(spec).to_csv(None)
+
     def test_handed_engine_must_match_n_points(self, cpus):
         spec = split_spec(axis_values=(0,), n_points=256)
         temperatures = replace(

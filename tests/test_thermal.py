@@ -443,6 +443,9 @@ class TestLevelBound:
 
 @pytest.fixture(scope="module")
 def split_engine():
+    """One engine shared by the module's value tests.  What a curve on it
+    plans, solves or enumerates depends on the tests run before it, so a
+    test that counts work takes an engine of its own."""
     return Engine(settings=PropagationSettings(dt=2e-3))
 
 
@@ -503,6 +506,37 @@ class TestThermalFidelity:
         values = split_engine.thermal_fidelity_curve(s, 2, 2, taus)
         for tau, value in zip(taus, values):
             assert value == split_engine.thermal_fidelity(s, 2, 2, tau).value
+
+    @pytest.mark.parametrize(
+        "n_protected, n_buffer, named",
+        [(2.5, 1, "2.5"), (True, 1, "True"), (2, 1.5, "1.5"), (2, False, "False")],
+    )
+    def test_fractional_or_bool_count_refused_before_planning(
+        self, monkeypatch, n_protected, n_buffer, named
+    ):
+        plans = []
+        monkeypatch.setattr(pipeline, "plan_grid", lambda *args: plans.append(args))
+        engine = Engine(256, PropagationSettings(dt=0.01))
+        with pytest.raises(ConfigError, match=f"particle counts .* got {named}$"):
+            engine.thermal_fidelity(
+                PotentialSchedule.splitting(0.5, h_f=20.0), n_protected, n_buffer, 0.0
+            )
+        assert plans == []
+
+    @pytest.mark.parametrize("tau", [0.0, 0.3])
+    def test_whole_number_floats_give_the_bits_of_ints(self, tau):
+        s = PotentialSchedule.splitting(0.5, h_f=20.0)
+        results = [
+            Engine(256, PropagationSettings(dt=0.01)).thermal_fidelity(
+                s, n_protected, n_buffer, tau
+            )
+            for n_protected, n_buffer in ((2, 1), (2.0, 1), (2, 1.0))
+        ]
+        assert results[1].value == results[0].value
+        assert results[2].value == results[0].value
+        for result in results:
+            assert [type(n) for n in (result.n_total, result.n_protected,
+                                      result.n_buffer)] == [int, int, int]
 
     def test_master_matrix_is_validated(self, monkeypatch):
         # An overlap column of norm above one is no physical overlap
@@ -607,12 +641,14 @@ class TestThermalFidelity:
         monkeypatch.setattr(pipeline, "plan_grid", counted)
         return plans
 
-    def test_curve_enumerates_once(self, split_engine, monkeypatch):
+    def test_curve_enumerates_once(self, monkeypatch):
         # One enumeration per curve, of its ground configuration, also
-        # when the curve has no zero temperature.
+        # when the curve has no zero temperature.  A fresh engine: what a
+        # curve does on the shared one depends on the tests before it.
         calls = self.count_enumerations(monkeypatch)
+        engine = Engine(settings=PropagationSettings(dt=2e-3))
         for taus in ([0.0, 0.2, 0.4, 0.6], [0.3, 0.5]):
-            split_engine.thermal_fidelity_curve(self.schedule(), 2, 2, taus)
+            engine.thermal_fidelity_curve(self.schedule(), 2, 2, taus)
         assert calls == [1, 1]
 
     def test_report_searches_levels_once(self, monkeypatch, cpus):
