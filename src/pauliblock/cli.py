@@ -60,8 +60,7 @@ def _add_scenario_parser(sub, command):
     )
     parser.add_argument("--T")
     for key, flag, _ in TRAP_PARAMETERS[task]:
-        if flag is not None:
-            parser.add_argument(flag, dest=key)
+        parser.add_argument(flag, dest=key)
     for flag, key, text in _OPTIONS:
         parser.add_argument(flag, dest=key, help=text)
     parser.add_argument("--skip-dt-check", dest="check_dt", action="store_false",

@@ -11,12 +11,13 @@ comment line, blank lines ignored.  Recognized keys:
 ``task``, ``shape`` and ``axis`` name a member of their enum, in any
 case.  ``axis_values`` is a comma-separated list; ``N_b`` is an integer
 or an inclusive range written ``lo..hi``.  A trap key of another task
-than the file's is an error, and so is a file that cannot be read as
-UTF-8 text.  A key a file leaves out is not passed on, so the schedule
-factories, :class:`SweepSpec` and :class:`PropagationSettings` supply
-every default.  The file only describes the sweep: its (schedule, N_b,
-tau) grid is worked out from the spec's axis when the sweep is
-evaluated (:mod:`pauliblock.experiments`).
+than the file's is an error (``lambda`` is expansion's and transport's:
+the splitting trap has no quartic term), and so is a file that cannot be
+read as UTF-8 text.  A key a file leaves out is not passed on, so the
+schedule factories, :class:`SweepSpec` and :class:`PropagationSettings`
+supply every default.  The file only describes the sweep: its
+(schedule, N_b, tau) grid is worked out from the spec's axis when the
+sweep is evaluated (:mod:`pauliblock.experiments`).
 
 :data:`TRAP_PARAMETERS` lists each task's trap parameters once, for the
 config keys here and for the scenario commands' options in
@@ -33,7 +34,7 @@ from .potentials import PotentialSchedule, RampShape, Task
 from .propagate import PropagationSettings
 
 # Each task's trap parameters besides T and shape, as (config key, CLI
-# flag or None, factory keyword).  The driven parameter's final value
+# flag, factory keyword).  The driven parameter's final value
 # comes first: a config file must set it.
 TRAP_PARAMETERS = {
     Task.EXPANSION: (
@@ -51,7 +52,6 @@ TRAP_PARAMETERS = {
         ("h_f", "--h-f", "h_f"),
         ("h_i", "--h-i", "h_i"),
         ("omega_i", "--omega", "omega"),
-        ("lambda", None, "lam"),
     ),
 }
 

@@ -92,8 +92,8 @@ class SweepSpec:
         check_tail_bound(self.tail_bound)
         # Checked before anything is planned: the gap axis's particle
         # numbers, and its trap, the t = 0 trap of an expansion (an
-        # ``omega_i`` of transport or splitting is another trap's); the
-        # other axes' fewest fermions.
+        # ``omega_i`` of transport or splitting is another trap's); every
+        # axis's fewest fermions, which the gap axis does not read.
         if self.axis is Axis.PARTICLE_NUMBER_GAP:
             whole_counts(values, "particle numbers for the gap sweep", 1)
             if self.schedule.task is not Task.EXPANSION:
@@ -101,13 +101,12 @@ class SweepSpec:
                     "the particle_number_gap axis takes expansion schedules "
                     f"only, not {self.schedule.task.value}"
                 )
+        if self.axis is Axis.BUFFER_COUNT:
+            fewest = min(whole_counts(values, "buffer counts", 0))
         else:
-            if self.axis is Axis.BUFFER_COUNT:
-                fewest = min(whole_counts(values, "buffer counts", 0))
-            else:
-                fewest = self.buffer_range()[0]
-            n_protected, _ = check_counts(self.n_protected, fewest)
-            object.__setattr__(self, "n_protected", n_protected)
+            fewest = self.buffer_range()[0]
+        n_protected, _ = check_counts(self.n_protected, fewest)
+        object.__setattr__(self, "n_protected", n_protected)
 
     def buffer_range(self):
         """(lo, hi) inclusive buffer range from ``n_buffer``, whole numbers."""

@@ -24,6 +24,9 @@ schedule.  The planner works in three steps.
    classical particles on the targets' momentum-tail shell through the
    reversed schedule (:func:`flow_reach`), so it sees the momentum that a
    ramp pumps into the evolved states, which neither endpoint trap shows.
+   A family's schedules flow in one pass; a schedule whose step would turn
+   a particle's phase by more than ``FLOW_PHASE`` finishes the pass and
+   flows again with twice the steps.
    A sweep plans a family once, for the largest bound over its schedules.
 
 This is the phase-space sampling criterion of the Fourier method (Kosloff,
@@ -144,8 +147,11 @@ def flow_reach(schedules, trap, energy):
     and at each step k one evaluation of the family's trap gives each
     schedule's particles their potential at its own c(k*dt).  Where a step
     would turn some particle's phase by more than ``FLOW_PHASE`` at the
-    stiffest local curvature sqrt(V''), that schedule's flow leaves the
-    pass and starts again with twice the steps.
+    stiffest local curvature sqrt(V''), that schedule trips: its row still
+    runs to the end of the pass, and only the schedules that tripped flow
+    again, in a pass with twice the steps.  Each operation acts on each row
+    alone, so a triple holds the bits of its schedule's lone flow at the
+    step count it finished on.
     """
     reverses = [schedule.time_reversed() for schedule in schedules]
     x, v = _scan(trap, energy)
@@ -159,8 +165,7 @@ def flow_reach(schedules, trap, energy):
     todo = list(range(len(schedules)))
     steps = FLOW_STEPS
     while todo:
-        flowing, restart = todo, []
-        dts = [schedules[i].T / steps for i in flowing]
+        dts = [schedules[i].T / steps for i in todo]
         # Second differences of V above this turn a phase past FLOW_PHASE.
         stiff = np.array([(FLOW_PHASE * h / dt) ** 2 for dt in dts])
         dt = np.array(dts)[:, None]
@@ -168,40 +173,27 @@ def flow_reach(schedules, trap, energy):
         # Each schedule's control values at every step of the pass, a row.
         times = np.arange(steps + 1)
         controls = np.array(
-            [reverses[i].control_value(times * t) for i, t in zip(flowing, dts)]
+            [reverses[i].control_value(times * t) for i, t in zip(todo, dts)]
         )
-        x, p = (np.repeat(a[None], len(flowing), axis=0) for a in start)
-        p_lo, p_hi, x_lo, x_hi = p.copy(), p.copy(), x.copy(), x.copy()
+        x, p = (np.repeat(a[None], len(todo), axis=0) for a in start)
+        p_top, x_lo, x_hi = np.abs(p), x.copy(), x.copy()
+        tripped = np.zeros(len(todo), dtype=bool)
         for step in range(steps + 1):
             v = reverses[0].trap(x[:, :, None] + stencil)(controls[:, step, None, None])
             half_kick = (v[..., 0] - v[..., 2]) * kick
             if step:
                 p += half_kick
-                np.minimum(p_lo, p, out=p_lo)
-                np.maximum(p_hi, p, out=p_hi)
+                np.maximum(p_top, np.abs(p), out=p_top)
                 np.minimum(x_lo, x, out=x_lo)
                 np.maximum(x_hi, x, out=x_hi)
-            tripped = np.max(v[..., 0] + v[..., 2] - 2.0 * v[..., 1], axis=1) > stiff
-            if tripped.any():
-                restart += [i for i, out in zip(flowing, tripped) if out]
-                keep = ~tripped
-                flowing = [i for i, kept in zip(flowing, keep) if kept]
-                stiff, dt, kick, controls, x, p, p_lo, p_hi, x_lo, x_hi, half_kick = (
-                    a[keep]
-                    for a in (
-                        stiff, dt, kick, controls, x, p, p_lo, p_hi, x_lo, x_hi,
-                        half_kick,
-                    )
-                )
-                if not flowing:
-                    break
+            tripped |= np.max(v[..., 0] + v[..., 2] - 2.0 * v[..., 1], axis=1) > stiff
             if step < steps:
                 p += half_kick
                 x += dt * p
-        for row, i in enumerate(flowing):
-            p_max = max(-p_lo[row].min(), p_hi[row].max())
-            reaches[i] = float(p_max), float(x_lo[row].min()), float(x_hi[row].max())
-        todo = restart
+        for i, out, top, lo, hi in zip(todo, tripped, p_top, x_lo, x_hi):
+            if not out:
+                reaches[i] = float(top.max()), float(lo.min()), float(hi.max())
+        todo = [i for i, out in zip(todo, tripped) if out]
         steps *= 2
     return reaches
 
@@ -271,7 +263,7 @@ def _endpoint_trap(schedule, t):
     return _Trap(lambda x: schedule.potential(x)(t), schedule.center(t))
 
 
-def _scan(trap, energy, radius=1.0):
+def _scan(trap, energy):
     """Samples (x, V) around the trap's center reaching past its outermost
     wells.
 
@@ -279,6 +271,7 @@ def _scan(trap, energy, radius=1.0):
     outward there; the traps of all three tasks rise monotonically beyond
     their outermost minimum, so no allowed region lies further out.
     """
+    radius = 1.0
     for _ in range(MAX_DOUBLINGS):
         x, v = trap.samples(radius)
         if min(v[0], v[-1]) > energy and v[0] > v[1] and v[-1] > v[-2]:
@@ -288,18 +281,19 @@ def _scan(trap, energy, radius=1.0):
 
 
 def _window(trap, energy):
-    """Outermost turning points at ``energy`` widened by the tunnelling margin."""
-    radius = 1.0
+    """Outermost turning points at ``energy`` widened by the tunnelling
+    margin.  Where the margin reaches past the scan, the samples widen to
+    twice the radius the scan reached: beyond it the trap rises
+    monotonically (:func:`_scan`), so wider samples still confine."""
+    x, v = _scan(trap, energy)
     for _ in range(MAX_DOUBLINGS):
-        x, v = _scan(trap, energy, radius)
-        radius = trap.center - x[0]
         allowed = np.nonzero(v <= energy)[0]
         kappa = np.sqrt(2.0 * np.maximum(v - energy, 0.0))
         right = _reach(x[allowed[-1]:], kappa[allowed[-1]:], MARGIN_ACTION)
         left = _reach(x[allowed[0]::-1], kappa[allowed[0]::-1], MARGIN_ACTION)
         if left is not None and right is not None:
             return left, right
-        radius *= 2.0
+        x, v = trap.samples(2.0 * (trap.center - x[0]))
     raise ConfigError("the trap does not confine at the requested energy")
 
 

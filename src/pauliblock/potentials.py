@@ -89,9 +89,10 @@ class PotentialSchedule:
         return cls(Task.TRANSPORT, shape, T, lam, omega=omega, x0_i=x0_i, x0_f=x0_f)
 
     @classmethod
-    def splitting(cls, T, h_f, h_i=0.0, omega=1.0, lam=0.0, shape=RampShape.SINUSOIDAL):
-        # The quartic term plays no role in the splitting task.
-        return cls(Task.SPLITTING, shape, T, lam, omega=omega, h_i=h_i, h_f=h_f)
+    def splitting(cls, T, h_f, h_i=0.0, omega=1.0, shape=RampShape.SINUSOIDAL):
+        """The splitting trap has no quartic term, so it takes no ``lam``:
+        its schedules carry lam = 0."""
+        return cls(Task.SPLITTING, shape, T, 0.0, omega=omega, h_i=h_i, h_f=h_f)
 
     def with_duration(self, T):
         return replace(self, T=T)

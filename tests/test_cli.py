@@ -107,6 +107,37 @@ class TestExitCodes:
         assert captured.out == ""
         assert "'x0f' is not a parameter of the splitting task" in captured.err
 
+    def test_lambda_in_a_splitting_file_returns_2(self, tmp_path, capsys):
+        # The splitting trap has no quartic term: a lambda would change
+        # nothing but the CSV's lambda column.
+        cfg = tmp_path / "quartic.cfg"
+        cfg.write_text(
+            "task = splitting\nh_f = 20\nlambda = 3\nN_p = 2\nN_b = 1\n"
+            "axis = process_time\naxis_values = 0.5\nn_points = 256\ndt = 0.01\n"
+        )
+        assert main(["sweep", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: key 'lambda' is not a parameter of the splitting task\n"
+        )
+
+    def test_bad_counts_in_a_gap_file_return_2(self, tmp_path, capsys):
+        # The gap axis reads no N_p or N_b, yet checks them as every axis.
+        cfg = tmp_path / "gap.cfg"
+        for counts, message in (
+            ("N_p = -3\n", "error: invalid particle counts N_p=-3, N_b=0"),
+            ("N_p = -3\nN_b = 4..1\n", "error: invalid buffer range (4, 1)\n"),
+        ):
+            cfg.write_text(
+                "task = expansion\nomega_f = 0.01\n" + counts
+                + "axis = particle_number_gap\naxis_values = 1, 2, 5\n"
+            )
+            assert main(["sweep", str(cfg)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(message)
+
     def test_workers_key_returns_2(self, tmp_path, capsys):
         # The worker pool sizes itself from the CPUs this process may use;
         # `taskset -c 0` runs a sweep on one.

@@ -579,6 +579,37 @@ class TestGapSweep:
                 axis_values=(1, 2),
             )
 
+    @pytest.mark.parametrize(
+        "counts, message",
+        [(dict(n_protected=2.5, n_buffer=-4), "buffer counts must be integers"),
+         (dict(n_protected=-1, n_buffer=(5, 2)), "invalid buffer range"),
+         (dict(n_protected=2.5), "particle counts must be integers"),
+         (dict(n_protected=True), "particle counts must be integers"),
+         (dict(n_protected=-3), "invalid particle counts"),
+         (dict(n_protected=0, n_buffer=0), "invalid particle counts")],
+        ids=["fraction-negative-buffer", "reversed-range", "fraction", "bool",
+             "negative", "no-fermion"],
+    )
+    def test_counts_checked_as_on_every_axis(self, counts, message):
+        # The profile reads neither N_p nor N_b, but a spec holds no count
+        # that another axis refuses.
+        with pytest.raises(ConfigError, match=message):
+            SweepSpec(
+                schedule=PotentialSchedule.expansion(1.0, omega_f=0.5),
+                axis=Axis.PARTICLE_NUMBER_GAP,
+                axis_values=(1, 2),
+                **counts,
+            )
+
+    def test_whole_number_float_count_is_kept_as_an_int(self):
+        spec = SweepSpec(
+            schedule=PotentialSchedule.expansion(1.0, omega_f=0.5),
+            axis=Axis.PARTICLE_NUMBER_GAP,
+            axis_values=(1, 2),
+            n_protected=3.0,
+        )
+        assert spec.n_protected == 3 and type(spec.n_protected) is int
+
 
 class TestMinBufferSearch:
     def test_monotone_and_consistent(self, shared_engine):

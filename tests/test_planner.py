@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -244,6 +245,44 @@ class TestPlanGrid:
         # The doubled flow is another flow: T = 10 does not restart, and
         # its triple moves.
         assert together[0] != flow_reach(schedules[:1], trap, shell)[0]
+        # A transport and a splitting family on few steps: the shortest
+        # schedule flows on its first count, the others restart, the
+        # longest more than once, and no pass overflows.  Each triple is
+        # its schedule's lone flow at the step count it finished on, which
+        # takes one pass.
+        passes = []
+        control_value = PotentialSchedule.control_value
+
+        def recorded_pass(schedule, t):
+            if np.size(t) > 1:
+                passes.append((schedule, np.size(t) - 1))
+            return control_value(schedule, t)
+
+        monkeypatch.setattr(PotentialSchedule, "control_value", recorded_pass)
+        for schedules, n_levels, steps in (
+            ([PotentialSchedule.transport(t, x0_f=90.0) for t in (2.0, 11.5, 30.0)],
+             6, 50),
+            ([PotentialSchedule.splitting(t, h_f=20.0) for t in (0.2, 2.0, 8.0)],
+             52, 5),
+        ):
+            monkeypatch.setattr(planner, "FLOW_STEPS", steps)
+            flows.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                plan_reach(schedules, n_levels, 2)
+                ((_, trap, shell),) = flows
+                passes.clear()
+                together = flow_reach(schedules, trap, shell)
+                finished = [
+                    max(n for flowed, n in passes if flowed == s.time_reversed())
+                    for s in schedules
+                ]
+                assert finished[0] == steps < finished[1] < finished[2]
+                for schedule, n, triple in zip(schedules, finished, together):
+                    monkeypatch.setattr(planner, "FLOW_STEPS", n)
+                    passes.clear()
+                    assert flow_reach([schedule], trap, shell)[0] == triple
+                    assert passes == [(schedule.time_reversed(), n)]
 
 
 class TestGridDoubling:

@@ -87,6 +87,12 @@ class TestEvaluate:
         v = s.potential(np.array([0.0]))(2.0)
         assert v[0] == pytest.approx(20.0, abs=1e-12)
 
+    def test_splitting_takes_no_anharmonicity(self):
+        # The splitting trap has no quartic term to set.
+        assert PotentialSchedule.splitting(2.0, h_f=20.0).lam == 0.0
+        with pytest.raises(TypeError):
+            PotentialSchedule.splitting(2.0, h_f=20.0, lam=1.0)
+
     def test_transport_minimum_at_final_center(self):
         s = PotentialSchedule.transport(11.5, x0_f=90.0)
         v = s.potential(np.array([90.0]))(11.5)
