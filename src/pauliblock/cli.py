@@ -5,6 +5,10 @@ printed to stdout), ``sweep`` and ``minbuffer`` (config file in, CSV out),
 ``gap`` (Fermi-gap profile CSV).  Exit codes: 0 success, 2 configuration
 error, 3 numerical-convergence failure, 4 grid/containment failure.
 
+The command line writes every file: a result's ``to_csv()`` returns its
+text, which goes to stdout or to ``--output`` (:func:`write_text`), and
+an output that cannot be written fails before any work.
+
 A scenario command is a one-point process-time sweep file: its options
 are read as that file's ``key = value`` pairs
 (:func:`~pauliblock.config.build_spec`), each stored under its config key
@@ -20,13 +24,12 @@ import dataclasses
 import sys
 
 from .config import TRAP_PARAMETERS, build_spec, load_spec, number_list
-from .errors import SimulationError
+from .errors import ConfigError, SimulationError
 from .experiments import (
     GapSweepResult,
     min_buffer_search,
     run_sweep,
     temperature_compensation_report,
-    write_text,
 )
 from .potentials import Task
 from .spectral import fermi_gap_profile
@@ -107,11 +110,22 @@ def _run_scenario(args):
     return 0
 
 
+def write_text(path, text, mode="w"):
+    """Write ``text`` to ``path``; a path that cannot be written is a
+    :class:`ConfigError`.  ``mode="a"`` with no text checks that it can
+    be, leaving an existing file as it was (a missing one is made empty)."""
+    try:
+        with open(path, mode, encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}")
+
+
 def _emit(result, output):
     if output is None:
-        sys.stdout.write(result.to_csv(None))
+        sys.stdout.write(result.to_csv())
     else:
-        result.to_csv(output)
+        write_text(output, result.to_csv())
     return 0
 
 

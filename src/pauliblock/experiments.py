@@ -1,4 +1,4 @@
-"""Parameter sweeps over the control tasks, with CSV output.
+"""Parameter sweeps over the control tasks, with their results as CSV text.
 
 One sweep varies a single axis (process time, buffer count,
 anharmonicity, temperature, or the Fermi-gap particle number) while the
@@ -25,12 +25,13 @@ front, at the same time in one lane per CPU it may use.  The curves then
 read those runs in order, in this process, so the output does not
 depend on the CPU count.
 
-Every result is written by one CSV writer (:func:`_write_csv`).  Output
-is deterministic: rows follow the axis grid, floats are written with
-shortest round-trip precision, an absent value is an empty cell and
-lines end with LF, so re-running a sweep at the same OpenBLAS thread
-count reproduces the file byte for byte (the last bits of a fidelity
-depend on that count).
+A result's ``to_csv()`` returns its CSV text, built by one function
+(:func:`_csv_text`); this module opens no file, and the command line
+writes the text.  The text is deterministic: rows follow the axis grid,
+floats are written with shortest round-trip precision, an absent value
+is an empty cell and lines end with LF, so re-running a sweep at the
+same OpenBLAS thread count reproduces it byte for byte (the last bits of
+a fidelity depend on that count).
 """
 
 import enum
@@ -152,30 +153,11 @@ def _fmt(value):
     return str(value)
 
 
-def write_text(path, text, mode="w"):
-    """Write ``text`` to ``path``; a path that cannot be written is a
-    :class:`ConfigError`.  ``mode="a"`` with no text checks that it can
-    be, leaving an existing file as it was (a missing one is made empty)."""
-    try:
-        with open(path, mode, encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror}")
-
-
-def _write_csv(path_or_buffer, header, rows, comments=()):
-    """Write ``# comment`` lines, ``header`` and ``rows`` (one cell per
-    value) with LF line ends (:func:`write_text` for a path); return the
-    text when ``path_or_buffer`` is None."""
+def _csv_text(header, rows, comments=()):
+    """The CSV text of ``# comment`` lines, ``header`` and ``rows`` (one
+    cell per value), with LF line ends."""
     lines = [f"# {c}" for c in comments] + [header]
-    text = "\n".join(lines + [",".join(map(_fmt, row)) for row in rows]) + "\n"
-    if path_or_buffer is None:
-        return text
-    if hasattr(path_or_buffer, "write"):
-        path_or_buffer.write(text)
-    else:
-        write_text(path_or_buffer, text)
-    return None
+    return "\n".join(lines + [",".join(map(_fmt, row)) for row in rows]) + "\n"
 
 
 @dataclass
@@ -186,17 +168,17 @@ class SweepResult:
     def fidelities(self):
         return [row.fidelity for row in self.rows]
 
-    def to_csv(self, path_or_buffer=None):
-        return _write_csv(path_or_buffer, SWEEP_HEADER, map(astuple, self.rows))
+    def to_csv(self):
+        return _csv_text(SWEEP_HEADER, map(astuple, self.rows))
 
 
 @dataclass
 class GapSweepResult:
     rows: list  # (N, lam, gap)
 
-    def to_csv(self, path_or_buffer=None):
+    def to_csv(self):
         rows = [(n, float(lam), float(gap)) for n, lam, gap in self.rows]
-        return _write_csv(path_or_buffer, "N,lambda,delta_E", rows)
+        return _csv_text("N,lambda,delta_E", rows)
 
 
 # -- the evaluation of every sweep ---------------------------------------
@@ -323,10 +305,10 @@ class MinBufferResult:
     spec: SweepSpec
     rows: list  # (T, n_b_min or None)
 
-    def to_csv(self, path_or_buffer=None):
+    def to_csv(self):
         grid = " ".join(_fmt(float(t)) for t in self.spec.axis_values)
-        return _write_csv(
-            path_or_buffer, "T,N_b_min,saturated",
+        return _csv_text(
+            "T,N_b_min,saturated",
             [(float(t), nb, nb is None) for t, nb in self.rows],
             (f"threshold = {_fmt(self.spec.threshold)}", f"T_grid = {grid}"),
         )
@@ -374,9 +356,9 @@ class CompensationResult:
     spec: SweepSpec
     rows: list
 
-    def to_csv(self, path_or_buffer=None):
-        return _write_csv(
-            path_or_buffer, "N_b,tau_cross,spacing,status", map(astuple, self.rows),
+    def to_csv(self):
+        return _csv_text(
+            "N_b,tau_cross,spacing,status", map(astuple, self.rows),
             (f"threshold = {_fmt(self.spec.threshold)}",),
         )
 

@@ -10,6 +10,7 @@ and the companion momentum lattice is the FFT wavenumber set spanning
 ``[-pi/dx, pi/dx)`` with spacing ``2*pi/(n_points*dx)``.
 """
 
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -21,6 +22,7 @@ from .errors import ConfigError
 EDGE_AMPLITUDE_TOL = 1e-6
 
 
+@dataclass(frozen=True)
 class Grid:
     """Uniform periodic lattice on ``[x_min, x_max)``.
 
@@ -34,17 +36,24 @@ class Grid:
         prime factor above 5 transform fastest.
     """
 
-    def __init__(self, x_min, x_max, n_points):
-        if not (x_max > x_min):
-            raise ConfigError(f"empty domain [{x_min}, {x_max}]")
-        if n_points < 2 or n_points % 2:
+    x_min: float
+    x_max: float
+    n_points: int
+
+    def __post_init__(self):
+        if not (self.x_max > self.x_min):
+            raise ConfigError(f"empty domain [{self.x_min}, {self.x_max}]")
+        if self.n_points < 2 or self.n_points % 2:
             raise ConfigError(
-                f"n_points must be an even number of at least 2, got {n_points}"
+                f"n_points must be an even number of at least 2, got {self.n_points}"
             )
-        self.x_min = float(x_min)
-        self.x_max = float(x_max)
-        self.n_points = int(n_points)
-        self.dx = (self.x_max - self.x_min) / self.n_points
+        object.__setattr__(self, "x_min", float(self.x_min))
+        object.__setattr__(self, "x_max", float(self.x_max))
+        object.__setattr__(self, "n_points", int(self.n_points))
+
+    @cached_property
+    def dx(self):
+        return (self.x_max - self.x_min) / self.n_points
 
     @cached_property
     def x(self):
@@ -71,21 +80,6 @@ class Grid:
         and odd states its -1 eigenvectors.
         """
         return np.concatenate((states[..., :1], states[..., :0:-1]), axis=-1)
-
-    def __eq__(self, other):
-        if not isinstance(other, Grid):
-            return NotImplemented
-        return (self.x_min, self.x_max, self.n_points) == (
-            other.x_min,
-            other.x_max,
-            other.n_points,
-        )
-
-    def __hash__(self):
-        return hash((self.x_min, self.x_max, self.n_points))
-
-    def __repr__(self):
-        return f"Grid(x_min={self.x_min}, x_max={self.x_max}, n_points={self.n_points})"
 
     def widened(self):
         """Domain doubled about its center, keeping dx (n_points doubled)."""

@@ -76,6 +76,10 @@ class PotentialSchedule:
             )
         if self.lam < 0:
             raise ConfigError(f"anharmonicity must be >= 0, got {self.lam}")
+        if self.task is Task.SPLITTING and self.lam != 0:
+            raise ConfigError(
+                f"the splitting trap has no quartic term (lam = 0), got lam={self.lam}"
+            )
         for name in ("omega_i", "omega_f", "omega"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")

@@ -482,7 +482,7 @@ class TestOnePath:
         # The parser converts and checks nothing: the config reader does.
         flags = ["--T", "--shape", "--n-protected", "--n-buffer", "--tau",
                  "--tail-bound", "--dt", "--n-points"]
-        flags += [flag for _, flag, _ in TRAP_PARAMETERS[task] if flag is not None]
+        flags += [flag for _, flag, _ in TRAP_PARAMETERS[task]]
         args = vars(cli.build_parser().parse_args(
             [command, *(text for flag in flags for text in (flag, "7.5"))]
         ))
@@ -588,6 +588,39 @@ class TestSweepCommand:
         assert "T,N_b_min,saturated" in lines
         data = [l for l in lines if not l.startswith("#")][1:]
         assert len(data) == 2
+
+    # Small splitting cases: the buffer-count sweep, and the compensation
+    # report with a row of each status (``below``, ``crossed``, ``above``).
+    SMALL = "task = splitting\nh_f = 20\nN_p = 2\nn_points = 128\ndt = 0.01\n"
+    FILE_CASES = {
+        "sweep": (["sweep"], "T = 0.5\naxis = buffer_count\naxis_values = 0, 2\n"),
+        "compensation": (
+            ["sweep", "--compensation"],
+            "T = 0.5\nN_b = 1..3\naxis = temperature\naxis_values = 0, 0.5, 1\n"
+            "threshold = 0.65\n",
+        ),
+        "minbuffer": (
+            ["minbuffer"],
+            "N_b = 0..2\naxis = process_time\naxis_values = 0.5, 1\n"
+            "threshold = 0.3\n",
+        ),
+        "gap": (["gap", "--lambdas", "0,0.5", "--n-max", "3"], None),
+    }
+
+    @pytest.mark.parametrize("name", FILE_CASES)
+    def test_output_file_holds_the_bytes_stdout_prints(self, tmp_path, capsys, name):
+        command, lines = self.FILE_CASES[name]
+        if lines is not None:
+            cfg = tmp_path / "case.cfg"
+            cfg.write_text(self.SMALL + lines)
+            command = [*command, str(cfg)]
+        assert main(command) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "out.csv"
+        assert main([*command, "-o", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == printed.encode()
+        assert b"\r" not in out.read_bytes()
 
 
 class TestStartup:

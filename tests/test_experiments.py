@@ -1,4 +1,3 @@
-import io
 import math
 import os
 import re
@@ -120,7 +119,7 @@ class TestSpecValidation:
         )
         floats = replace(spec, n_protected=2.0)
         assert floats.n_protected == 2 and type(floats.n_protected) is int
-        assert run_sweep(floats).to_csv(None) == run_sweep(spec).to_csv(None)
+        assert run_sweep(floats).to_csv() == run_sweep(spec).to_csv()
 
     def test_handed_engine_must_match_n_points(self, cpus):
         spec = split_spec(axis_values=(0,), n_points=256)
@@ -139,7 +138,7 @@ class TestSpecValidation:
         assert [row.n_points for row in alone.rows] == [256]
         cpus(1)
         handed = run_sweep(spec, Engine(256, spec.settings))
-        assert handed.to_csv(None) == alone.to_csv(None)
+        assert handed.to_csv() == alone.to_csv()
 
 
 class TestBufferSweep:
@@ -153,8 +152,8 @@ class TestBufferSweep:
 
     def test_deterministic_bytes(self):
         spec = split_spec(axis_values=(0, 2))
-        first = run_sweep(spec).to_csv(None)
-        second = run_sweep(spec).to_csv(None)
+        first = run_sweep(spec).to_csv()
+        second = run_sweep(spec).to_csv()
         assert first == second
         header = first.splitlines()[0]
         assert header.startswith("axis,axis_value,task,shape,T")
@@ -162,7 +161,7 @@ class TestBufferSweep:
     def test_row_count_matches_grid(self, shared_engine):
         spec = split_spec(axis_values=(0, 1, 2))
         result = run_sweep(spec, shared_engine)
-        text = result.to_csv(None)
+        text = result.to_csv()
         assert len(text.splitlines()) == 1 + 3
 
 
@@ -191,9 +190,9 @@ class TestProcessTimeSweep:
                 axis=Axis.PROCESS_TIME, axis_values=(0.5, 1.0), **options
             )
             cpus(1)
-            serial = evaluate(spec).to_csv(None)
+            serial = evaluate(spec).to_csv()
             cpus(2)
-            parallel = evaluate(spec).to_csv(None)
+            parallel = evaluate(spec).to_csv()
             assert serial == parallel
 
     def test_needs_single_buffer_value(self):
@@ -215,9 +214,9 @@ class TestWorkerCount:
     def test_dt_check_on(self, cpus):
         spec = self.process_time_spec()
         cpus(1)
-        serial = run_sweep(spec).to_csv(None)
+        serial = run_sweep(spec).to_csv()
         cpus(2)
-        assert run_sweep(spec).to_csv(None) == serial
+        assert run_sweep(spec).to_csv() == serial
 
     def test_rejected_dt_discards_the_guessed_runs(self, cpus):
         # The batch guesses that the check keeps dt = 0.02; it halves it.
@@ -226,7 +225,7 @@ class TestWorkerCount:
         serial = run_sweep(spec)
         assert {row.dt for row in serial.rows} == {0.01}
         cpus(2)
-        assert run_sweep(spec).to_csv(None) == serial.to_csv(None)
+        assert run_sweep(spec).to_csv() == serial.to_csv()
 
     def test_leaking_batch_run_escalates_in_order(self, monkeypatch, cpus):
         # The leaking transport case of test_planner: the states reach the
@@ -249,7 +248,7 @@ class TestWorkerCount:
             cpus(n_cpus)
             counts = count_runs(monkeypatch)
             engine = Engine()
-            csvs.append(run_sweep(spec, engine).to_csv(None))
+            csvs.append(run_sweep(spec, engine).to_csv())
             assert engine.family_grid(schedule) == widened
             # On one CPU every run is evolved here, each once per grid.
             if n_cpus == 1:
@@ -277,7 +276,7 @@ class TestWorkerCount:
         # closure, which cannot be pickled: the pool must not send it.
         spec = self.process_time_spec()
         cpus(1)
-        serial = run_sweep(spec).to_csv(None)
+        serial = run_sweep(spec).to_csv()
         cpus(2)
         calls = []
         propagate_basis = pipeline.propagate_basis
@@ -287,7 +286,7 @@ class TestWorkerCount:
             return propagate_basis(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, "propagate_basis", recorded)
-        assert run_sweep(spec).to_csv(None) == serial
+        assert run_sweep(spec).to_csv() == serial
         assert calls  # this process ran its share through the closure
 
     def test_batch_keeps_the_run_with_most_states(self, monkeypatch, cpus):
@@ -312,7 +311,7 @@ class TestWorkerCount:
     def test_dead_worker_leaves_its_runs_to_this_process(self, monkeypatch, cpus):
         spec = self.process_time_spec()
         cpus(1)
-        serial = run_sweep(spec).to_csv(None)
+        serial = run_sweep(spec).to_csv()
         cpus(2)
         parent = os.getpid()
         propagate_basis = pipeline.propagate_basis
@@ -323,7 +322,7 @@ class TestWorkerCount:
             return propagate_basis(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, "propagate_basis", dies_in_workers)
-        assert run_sweep(spec).to_csv(None) == serial
+        assert run_sweep(spec).to_csv() == serial
 
 
 class TestLaneSplit:
@@ -444,9 +443,9 @@ class TestCurveLanes:
         for n_cpus in (1, 2):
             cpus(n_cpus)
             csvs.append((
-                temperature_compensation_report(self.report_spec()).to_csv(None),
-                min_buffer_search(self.minbuffer_spec()).to_csv(None),
-                run_sweep(split_spec(tau=0.6)).to_csv(None),
+                temperature_compensation_report(self.report_spec()).to_csv(),
+                min_buffer_search(self.minbuffer_spec()).to_csv(),
+                run_sweep(split_spec(tau=0.6)).to_csv(),
             ))
             assert_no_children_left()
         return csvs
@@ -473,7 +472,7 @@ class TestCurveLanes:
         # one leaves a mark and fails, and this process evolves its run in
         # order.
         cpus(1)
-        serial = min_buffer_search(self.minbuffer_spec()).to_csv(None)
+        serial = min_buffer_search(self.minbuffer_spec()).to_csv()
         parent = os.getpid()
         evolved = []
         propagate_basis = pipeline.propagate_basis
@@ -490,7 +489,7 @@ class TestCurveLanes:
         monkeypatch.setattr(pipeline, "propagate_basis", fails_in_children)
         cpus(2)
         pooled = min_buffer_search(self.minbuffer_spec())
-        assert pooled.to_csv(None) == serial
+        assert pooled.to_csv() == serial
         # This process ran its lane, then the failed lane's run in order.
         assert len(list(tmp_path.iterdir())) == 1
         assert sorted(evolved) == [0.5, 1.0]
@@ -556,7 +555,7 @@ class TestGapSweep:
             axis_values=(1, 2, 3),
         )
         result = run_sweep(spec)
-        text = result.to_csv(None)
+        text = result.to_csv()
         lines = text.splitlines()
         assert lines[0] == "N,lambda,delta_E"
         assert len(lines) == 4
@@ -665,7 +664,7 @@ class TestMinBufferSearch:
         )
         result = min_buffer_search(spec, engine=shared_engine)
         assert result.rows[0][1] is None
-        text = result.to_csv(None)
+        text = result.to_csv()
         assert text.splitlines()[-1].endswith(",,true")
 
 
@@ -774,17 +773,7 @@ class TestCsvText:
     @pytest.mark.parametrize("name", CSV_CASES)
     def test_exact_text(self, name):
         result, text = CSV_CASES[name]
-        assert result.to_csv(None) == text
-
-    @pytest.mark.parametrize("name", CSV_CASES)
-    def test_path_and_buffer_get_the_same_bytes(self, tmp_path, name):
-        result, text = CSV_CASES[name]
-        path = tmp_path / "out.csv"
-        buffer = io.StringIO(newline="")
-        assert result.to_csv(path) is None
-        assert result.to_csv(buffer) is None
-        assert path.read_bytes() == buffer.getvalue().encode() == text.encode()
-        assert b"\r" not in path.read_bytes()
+        assert result.to_csv() == text
 
 
 class TestConfigParsing:

@@ -92,6 +92,16 @@ class TestEvaluate:
         assert PotentialSchedule.splitting(2.0, h_f=20.0).lam == 0.0
         with pytest.raises(TypeError):
             PotentialSchedule.splitting(2.0, h_f=20.0, lam=1.0)
+        # However the schedule is built: its lam would label a fidelity
+        # that the trap never reads.
+        split = PotentialSchedule.splitting(0.5, h_f=20.0)
+        for build in (
+            lambda: split.with_anharmonicity(3.0),
+            lambda: replace(split, lam=1.0),
+            lambda: PotentialSchedule(Task.SPLITTING, RampShape.SINUSOIDAL, 0.5),
+        ):
+            with pytest.raises(ConfigError, match="splitting trap has no quartic term"):
+                build()
 
     def test_transport_minimum_at_final_center(self):
         s = PotentialSchedule.transport(11.5, x0_f=90.0)

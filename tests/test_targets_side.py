@@ -190,7 +190,7 @@ class TestEscalation:
             counts = count_runs(monkeypatch)
             engine = Engine(settings=settings)
             engine.plan_levels([expansion(25.0)], 14, 2, 0.0)
-            csvs.append(run_sweep(spec, engine).to_csv(None))
+            csvs.append(run_sweep(spec, engine).to_csv())
             assert engine.family_grid(expansion(10.0)).n_points == 500
             if n_cpus == 1:
                 assert max(counts.values()) == 1
